@@ -1,39 +1,31 @@
 // Command hscserve exposes the simulation job engine as an HTTP/JSON
 // service: submit canonical job specs or whole sweeps, poll status,
 // and fetch canonical results, with every completed run memoized in
-// the content-addressed cache. With -peers, N hscserve processes form
-// one coherent fleet: job hashes are consistent-hash routed to a home
-// node, peers read through each other's caches, and results computed
-// anywhere warm the whole cluster.
+// the content-addressed cache. Processes that point -cache at one
+// directory share results: each cache write is a temp file plus
+// rename, so a result computed by any of them is a disk hit for all.
 //
 // Usage:
 //
-//	hscserve [-addr :8080] [-workers GOMAXPROCS] [-queue 256] [-cache dir] [-timeout 0]
-//	         [-self http://host:8080] [-peers http://a:8080,http://b:8080] [-cells 16]
+//	hscserve [-addr :8080] [-workers GOMAXPROCS] [-queue 256] [-cache dir]
+//	         [-cache-entries 4096] [-timeout 0] [-drain 1m]
 //
 // API:
 //
 //	POST /jobs                submit a Spec (JSON); 202 accepted,
 //	                          200 done (cache hit), 413 oversize,
 //	                          429 queue full. ?wait=1 blocks.
-//	                          Non-home submissions are proxied to the
-//	                          job's home peer (local fallback).
 //	GET  /jobs/{hash}         job status (cache-backed after retirement)
 //	GET  /jobs/{hash}/result  canonical result JSON
 //	POST /sweeps              submit a SweepSpec; streams NDJSON
-//	                          per-cell results as they complete
-//	GET  /sweeps/{id}         sweep progress / resumption
-//	GET  /cache/{hash}        local cache tier (peer read-through)
-//	POST /cache/{hash}        local cache tier (peer async fill)
-//	GET  /ring                fleet membership
-//	GET  /metrics             engine + fleet counters (plain text)
+//	                          per-cell results in expansion order;
+//	                          re-POST to resume a lost stream
+//	GET  /metrics             engine + cache counters (plain text)
 //	GET  /healthz             liveness
 //
-// Example (3-node loopback fleet):
+// Example:
 //
-//	hscserve -addr 127.0.0.1:8081 -self http://127.0.0.1:8081 -peers http://127.0.0.1:8082,http://127.0.0.1:8083 &
-//	hscserve -addr 127.0.0.1:8082 -self http://127.0.0.1:8082 -peers http://127.0.0.1:8081,http://127.0.0.1:8083 &
-//	hscserve -addr 127.0.0.1:8083 -self http://127.0.0.1:8083 -peers http://127.0.0.1:8081,http://127.0.0.1:8082 &
+//	hscserve -addr 127.0.0.1:8081 -cache /var/tmp/hscsim-cache &
 //	hscsweep -server http://127.0.0.1:8081 -bench tq
 //
 // On SIGINT/SIGTERM the server stops accepting jobs, cancels the
@@ -50,13 +42,10 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
 	"hscsim/internal/engine"
-	"hscsim/internal/fleet"
-	"hscsim/internal/stats"
 )
 
 func main() {
@@ -67,55 +56,26 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 0, "max in-memory cache entries (0 = 4096)")
 	timeout := flag.Duration("timeout", 0, "per-job execution timeout (0 = none)")
 	drain := flag.Duration("drain", time.Minute, "max wait for in-flight jobs on shutdown")
-	self := flag.String("self", "", "this node's advertised base URL (required with -peers)")
-	peersFlag := flag.String("peers", "", "comma-separated peer base URLs forming the fleet")
-	cells := flag.Int("cells", 0, "max concurrently in-flight sweep cells (0 = 16)")
-	peerTimeout := flag.Duration("peer-timeout", 30*time.Second, "per-attempt peer request timeout")
 	flag.Parse()
 
-	var peers []string
-	for _, p := range strings.Split(*peersFlag, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	if len(peers) > 0 && *self == "" {
-		fmt.Fprintln(os.Stderr, "hscserve: -peers requires -self (this node's advertised URL)")
-		os.Exit(2)
-	}
-	if *self == "" {
-		*self = "http://" + *addr // single-node: any stable placeholder works
-	}
-
-	local, err := engine.NewCache(*cacheEntries, *cacheDir)
+	cache, err := engine.NewCache(*cacheEntries, *cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hscserve:", err)
 		os.Exit(1)
-	}
-	ring := fleet.NewRing(*self, peers)
-	client := fleet.NewClient(*peerTimeout)
-	reg := stats.NewRegistry()
-	var cache engine.ResultCache = local
-	var tiered *fleet.TieredCache
-	if len(ring.Members()) > 1 {
-		tiered = fleet.NewTieredCache(local, ring, client, reg)
-		cache = tiered
 	}
 	eng := engine.New(engine.Config{
 		Workers:    *workers,
 		QueueDepth: *queue,
 		Cache:      cache,
 		JobTimeout: *timeout,
-		Registry:   reg,
 	})
-	node := fleet.New(eng, ring, tiered, fleet.Options{Client: client, CellParallelism: *cells})
 
-	srv := &http.Server{Addr: *addr, Handler: node.Handler()}
+	srv := &http.Server{Addr: *addr, Handler: engine.NewServer(eng)}
 	errc := make(chan error, 1)
 	//lockcheck:spawn process-lifetime accept loop; main exits through it or through a signal
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "hscserve: listening on %s (workers=%d queue=%d cache=%q fleet=%d)\n",
-		*addr, *workers, *queue, *cacheDir, len(ring.Members()))
+	fmt.Fprintf(os.Stderr, "hscserve: listening on %s (workers=%d queue=%d cache=%q)\n",
+		*addr, *workers, *queue, *cacheDir)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)

@@ -12,12 +12,11 @@
 // served from the content-addressed store instead of re-simulating.
 //
 // With -server, the sweep is submitted as ONE batch (POST /sweeps) to
-// an hscserve node or fleet, which expands it server-side, routes
-// cells to their consistent-hash home peers, and streams per-cell
-// results back as they complete. The printed table is identical either
-// way — the engine's determinism guarantees byte-identical per-cell
-// results in-process, on one node, or across a fleet (-dump writes
-// them out for comparison).
+// an hscserve process, which expands it server-side and streams
+// per-cell results back in expansion order. The printed table is
+// identical either way — the engine's determinism guarantees
+// byte-identical per-cell results in-process or on a server (-dump
+// writes them out for comparison).
 //
 // Usage:
 //
@@ -88,7 +87,7 @@ func main() {
 	scale := flag.Int("scale", 1, "workload scale")
 	cacheDir := flag.String("cache", "", "persist results in this directory (re-runs become cache hits)")
 	jobs := flag.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
-	server := flag.String("server", "", "submit the sweep as one batch to this hscserve node/fleet")
+	server := flag.String("server", "", "submit the sweep as one batch to this hscserve")
 	dump := flag.String("dump", "", "write per-cell 'hash<TAB>result' lines (expansion order) to this file")
 	flag.Parse()
 
@@ -245,7 +244,7 @@ func runRemote(server string, sweep engine.SweepSpec, n int) ([][]byte, string, 
 			if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 				return nil, "", fmt.Errorf("bad summary line: %w", err)
 			}
-			summary = fmt.Sprintf("fleet: %d cells, %d served from cache, %d failed", l.Total, l.Cached, l.Failed)
+			summary = fmt.Sprintf("server: %d cells, %d served from cache, %d failed", l.Total, l.Cached, l.Failed)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -257,14 +256,14 @@ func runRemote(server string, sweep engine.SweepSpec, n int) ([][]byte, string, 
 		}
 	}
 	if summary == "" {
-		summary = "fleet: stream ended without summary"
+		summary = "server: stream ended without summary"
 	}
 	return results, summary, nil
 }
 
 // dumpCells writes 'hash<TAB>result' per cell in expansion order —
-// a canonical, diffable record used by the fleet smoke test to prove
-// single-node, 3-node, and in-process sweeps byte-identical.
+// a canonical, diffable record used by scripts/sweep_smoke.sh to prove
+// server and in-process sweeps byte-identical.
 func dumpCells(path string, cells []engine.Spec, results [][]byte) error {
 	f, err := os.Create(path)
 	if err != nil {

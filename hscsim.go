@@ -31,11 +31,9 @@ import (
 	"hscsim/internal/energy"
 	"hscsim/internal/engine"
 	"hscsim/internal/figures"
-	"hscsim/internal/fleet"
 	"hscsim/internal/heterosync"
 	"hscsim/internal/memdata"
 	"hscsim/internal/prog"
-	"hscsim/internal/stats"
 	"hscsim/internal/system"
 )
 
@@ -211,50 +209,14 @@ func NewJobServer(e *JobEngine) http.Handler { return engine.NewServer(e) }
 // DecodeJobResult parses the canonical result bytes a job returns.
 func DecodeJobResult(b []byte) (Results, error) { return engine.DecodeResult(b) }
 
-// Fleet re-exports: the distributed sweep fabric (internal/fleet) that
-// turns N hscserve nodes into one coherent cluster — a batch sweep API
-// with NDJSON result streaming, consistent-hash (rendezvous) routing of
-// job hashes to home nodes, and a peer-backed read-through cache tier.
-// Content addressing makes the tier trivially coherent: a key either
-// maps to the one result its spec can produce, or is absent.
+// Sweep re-exports: the request body of POST /sweeps.
 type (
-	// JobResultCache is the cache interface the engine memoizes
-	// through; JobCache and FleetCache both implement it.
-	JobResultCache = engine.ResultCache
 	// SweepSpec describes a whole sweep (benches × variants × topology
 	// points) expanded server-side into canonical JobSpec cells.
 	SweepSpec = engine.SweepSpec
 	// SweepPoint is one structural point of a sweep grid.
 	SweepPoint = engine.SweepPoint
-	// FleetRing is the consistent-hash membership view.
-	FleetRing = fleet.Ring
-	// FleetClient is the retrying peer HTTP client.
-	FleetClient = fleet.Client
-	// FleetCache is the tiered result cache: local LRU+disk with peer
-	// read-through and async fill.
-	FleetCache = fleet.TieredCache
-	// FleetNode is one cluster node's HTTP front end.
-	FleetNode = fleet.Fleet
-	// FleetOptions tunes a FleetNode.
-	FleetOptions = fleet.Options
 )
-
-// NewFleetRing builds the membership view from this node's advertised
-// URL and its peer list.
-func NewFleetRing(self string, peers []string) *FleetRing { return fleet.NewRing(self, peers) }
-
-// NewFleetCache layers peer read-through over a local cache; pass the
-// result as JobEngineConfig.Cache so the engine's misses consult the
-// fleet before simulating.
-func NewFleetCache(local *JobCache, ring *FleetRing, client *FleetClient, reg *stats.Registry) *FleetCache {
-	return fleet.NewTieredCache(local, ring, client, reg)
-}
-
-// NewFleetNode wraps an engine in the full fleet HTTP API (jobs,
-// sweeps, peer cache tier, ring introspection).
-func NewFleetNode(e *JobEngine, ring *FleetRing, cache *FleetCache, opts FleetOptions) *FleetNode {
-	return fleet.New(e, ring, cache, opts)
-}
 
 // NamedProtocolVariant resolves the conventional variant names
 // (baseline, ownerTracking, sharersTracking) used across the tools.

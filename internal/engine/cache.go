@@ -8,37 +8,6 @@ import (
 	"sync"
 )
 
-// ResultCache is the interface the engine memoizes through. The
-// canonical implementation is Cache (in-memory LRU + optional disk
-// store); internal/fleet layers a peer-backed read-through tier on top
-// so a whole cluster shares one content-addressed result space. Keys
-// are job hashes (Spec.Hash), which fold in the code version, so an
-// implementation never has to reason about staleness — a key either
-// maps to the one result its spec can produce, or is absent.
-type ResultCache interface {
-	// Get returns the result bytes for key. Implementations own the
-	// returned slice's lifetime guarantees: callers may retain it.
-	// Get may do disk or peer-HTTP I/O (the PR 9 incident held the
-	// engine mutex across exactly this call), hence the contract:
-	//
-	//lockcheck:blocks
-	Get(key string) ([]byte, bool)
-	// Put stores val under key. Implementations must tolerate
-	// concurrent Puts of the same key (the values are identical by
-	// construction). Like Get, Put may reach disk or a peer.
-	//
-	//lockcheck:blocks
-	Put(key string, val []byte) error
-	// Len reports the number of entries in the fastest tier.
-	//
-	//lockcheck:neutral
-	Len() int
-	// Stats snapshots hit/miss counters for /metrics.
-	//
-	//lockcheck:neutral
-	Stats() CacheStats
-}
-
 // Cache is the content-addressed result store: an in-memory LRU over
 // canonical result encodings, optionally backed by an on-disk store.
 // Keys are job hashes (see Spec.Hash), which already fold in the code
@@ -48,7 +17,9 @@ type ResultCache interface {
 // The disk store is one file per key, written to a temporary file and
 // renamed into place, so a writer killed or cancelled mid-write can
 // never leave a corrupt entry behind — the key simply stays absent
-// until a complete write lands.
+// until a complete write lands. The same rename makes one directory
+// safe to share between processes: each sees a key as absent or
+// complete, never half-written.
 type Cache struct {
 	mu      sync.Mutex //lockcheck:fast
 	max     int
@@ -98,7 +69,9 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 }
 
 // Get returns a copy of the cached result for key. A memory miss falls
-// through to the disk store; a disk hit is promoted into memory.
+// through to the disk store; a disk hit is promoted into memory. The
+// disk read is why Get is declared blocking: no caller may hold a fast
+// lock across it (lockcheck enforces this).
 //
 //lockcheck:blocks
 func (c *Cache) Get(key string) ([]byte, bool) {

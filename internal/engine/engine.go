@@ -175,9 +175,10 @@ type Config struct {
 	// QueueDepth bounds the number of queued-but-not-running jobs
 	// (≤0 = 256). A full queue rejects Submit with ErrQueueFull.
 	QueueDepth int
-	// Cache memoizes results (nil = a private in-memory Cache). Any
-	// ResultCache works; internal/fleet supplies a peer-backed tier.
-	Cache ResultCache
+	// Cache memoizes results (nil = a private in-memory Cache).
+	// Engines in one process may share a Cache; processes share results
+	// by opening Caches over one directory.
+	Cache *Cache
 	// RetainJobs bounds the in-memory job index: once a job is
 	// terminal (and a successful result is memoized in the cache), it
 	// is retired into a FIFO of at most RetainJobs entries and then
@@ -207,7 +208,7 @@ type Config struct {
 
 type Engine struct {
 	exec     func(context.Context, Spec) ([]byte, error)
-	cache    ResultCache
+	cache    *Cache
 	timeout  time.Duration
 	registry *stats.Registry
 	retain   int
@@ -293,7 +294,7 @@ func (e *Engine) Registry() *stats.Registry { return e.registry }
 // Cache exposes the engine's result cache.
 //
 //lockcheck:neutral
-func (e *Engine) Cache() ResultCache { return e.cache }
+func (e *Engine) Cache() *Cache { return e.cache }
 
 // CachedResult looks a hash up in the result cache directly. It is how
 // the HTTP service keeps GET /jobs/{hash}/result working for jobs that
@@ -332,8 +333,7 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 	e.mu.Unlock()
 
 	// Probe the cache OUTSIDE the engine lock: a disk-backed cache does
-	// file I/O here, and the fleet's tiered cache may consult a peer
-	// over HTTP — neither may serialize every other Submit.
+	// file I/O here, which must not serialize every other Submit.
 	if v, ok := e.cache.Get(hash); ok {
 		// Served entirely from the cache: the job is born terminal and
 		// is deliberately NOT entered into the index — indexing it
@@ -354,10 +354,13 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 		return nil, ErrDraining
 	}
 	// Re-check after the unlocked probe: a concurrent Submit of the
-	// same spec may have registered the job meanwhile (singleflight).
-	if j, ok := e.jobs[hash]; ok && !j.State().Terminal() {
-		e.cDedup.Inc()
-		return j, nil
+	// same spec may have registered the job meanwhile (singleflight),
+	// and that job may even have finished since the probe missed.
+	if j, ok := e.jobs[hash]; ok {
+		if st := j.State(); st != Failed && st != Canceled {
+			e.cDedup.Inc()
+			return j, nil
+		}
 	}
 	j := newJob(sp, hash)
 	select {
@@ -564,16 +567,20 @@ func (e *Engine) runJob(j *Job) {
 	e.running--
 	e.mu.Unlock()
 
+	if err == nil {
+		// Memoize before publishing Done, outside the job lock: a
+		// waiter that sees the result and resubmits the spec (a
+		// re-POSTed sweep) must hit the cache, not re-execute. Only a
+		// fully successful run ever reaches Put, and Put's disk write is
+		// atomic, so a cancelled or failed writer cannot corrupt the
+		// cache. A failed memoization write loses only future speedups.
+		_ = e.cache.Put(j.Hash, result)
+	}
 	j.mu.Lock()
 	switch {
 	case err == nil:
 		j.finishLocked(result, nil, Done)
 		j.mu.Unlock()
-		// Memoize outside the job lock. Only a fully successful run
-		// ever reaches Put, and Put's disk write is atomic, so a
-		// cancelled or failed writer cannot corrupt the cache. A failed
-		// memoization write loses only future speedups.
-		_ = e.cache.Put(j.Hash, result)
 		e.cDone.Inc()
 		e.retire(j.Hash)
 		return

@@ -5,13 +5,27 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 )
 
-// MaxJobBody bounds a POST /jobs request body. A Spec is a few hundred
-// bytes of JSON; a megabyte is generous headroom, and anything larger
-// is a client bug or abuse and is rejected with 413 before the decoder
+// MaxJobBody and MaxSweepBody bound POST /jobs and POST /sweeps request
+// bodies. A Spec is a few hundred bytes of JSON and a SweepSpec a few
+// kilobytes; a megabyte is generous headroom, and anything larger is a
+// client bug or abuse and is rejected with 413 before the decoder
 // buffers it.
-const MaxJobBody = 1 << 20
+const (
+	MaxJobBody   = 1 << 20
+	MaxSweepBody = 1 << 20
+)
+
+// maxCellsInFlight bounds how many of one sweep's cells are submitted
+// ahead of the cell being streamed, so one large sweep cannot fill the
+// whole job queue; sweepBackoff is the pause before resubmitting when
+// the queue is full and none of the sweep's own cells is in flight.
+const (
+	maxCellsInFlight = 16
+	sweepBackoff     = 50 * time.Millisecond
+)
 
 // JobStatus is the service's JSON view of a job.
 type JobStatus struct {
@@ -37,62 +51,22 @@ func statusOf(j *Job) JobStatus {
 	return st
 }
 
-// DecodeSpecBody decodes a bounded Spec request body, distinguishing
-// an oversize body (ok=false, 413 already written) and a malformed or
-// invalid spec (ok=false, 400 already written) from success.
-func DecodeSpecBody(w http.ResponseWriter, r *http.Request) (Spec, bool) {
-	var sp Spec
-	r.Body = http.MaxBytesReader(w, r.Body, MaxJobBody)
-	if err := json.NewDecoder(r.Body).Decode(&sp); err != nil {
+// decodeBody decodes a JSON request body of at most limit bytes into v.
+// It writes 413 for an oversize body and 400 for a malformed one, and
+// reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			httpError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return Spec{}, false
+			return false
 		}
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
-		return Spec{}, false
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
+		return false
 	}
-	if err := sp.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return Spec{}, false
-	}
-	return sp, true
-}
-
-// ServeSubmit submits sp and writes the canonical POST /jobs response:
-// 202 queued, 200 done (cache hit), 429 queue full (+Retry-After),
-// 503 draining; ?wait=1 blocks until the job completes (bounded by the
-// request context) and then writes the result. The single-node server
-// and the fleet front end (internal/fleet) share this so a job behaves
-// identically whether it was submitted directly or routed via a peer.
-func ServeSubmit(e *Engine, w http.ResponseWriter, r *http.Request, sp Spec) {
-	j, err := e.Submit(sp)
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if r.URL.Query().Get("wait") != "" {
-		if _, err := j.Wait(r.Context()); err != nil && r.Context().Err() != nil {
-			httpError(w, http.StatusGatewayTimeout, err)
-			return
-		}
-		writeResult(w, j)
-		return
-	}
-	code := http.StatusAccepted
-	if j.State() == Done {
-		code = http.StatusOK
-	}
-	writeJSON(w, code, statusOf(j))
+	return true
 }
 
 // NewServer returns the hscserve HTTP API over an engine:
@@ -102,6 +76,9 @@ func ServeSubmit(e *Engine, w http.ResponseWriter, r *http.Request, sp Spec) {
 //	                        503 draining
 //	GET  /jobs/{hash}       job status (cache-backed for retired jobs)
 //	GET  /jobs/{hash}/result  canonical result JSON; 202 while running
+//	POST /sweeps            submit a SweepSpec; streams NDJSON cell
+//	                        results in expansion order; 413 oversize
+//	                        body, 400 bad sweep (see serveSweep)
 //	GET  /metrics           engine + cache counters (text)
 //	GET  /healthz           liveness
 //
@@ -115,11 +92,44 @@ func NewServer(e *Engine) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		sp, ok := DecodeSpecBody(w, r)
-		if !ok {
+		var sp Spec
+		if !decodeBody(w, r, MaxJobBody, "spec", &sp) {
 			return
 		}
-		ServeSubmit(e, w, r, sp)
+		if err := sp.Validate(); err != nil {
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		j, err := e.Submit(sp)
+		switch {
+		case errors.Is(err, ErrQueueFull):
+			w.Header().Set("Retry-After", "1")
+			httpError(w, http.StatusTooManyRequests, err)
+			return
+		case errors.Is(err, ErrDraining):
+			httpError(w, http.StatusServiceUnavailable, err)
+			return
+		case err != nil:
+			httpError(w, http.StatusBadRequest, err)
+			return
+		}
+		if r.URL.Query().Get("wait") != "" {
+			if _, err := j.Wait(r.Context()); err != nil && r.Context().Err() != nil {
+				httpError(w, http.StatusGatewayTimeout, err)
+				return
+			}
+			writeResult(w, j)
+			return
+		}
+		code := http.StatusAccepted
+		if j.State() == Done {
+			code = http.StatusOK
+		}
+		writeJSON(w, code, statusOf(j))
+	})
+
+	mux.HandleFunc("POST /sweeps", func(w http.ResponseWriter, r *http.Request) {
+		serveSweep(e, w, r)
 	})
 
 	mux.HandleFunc("GET /jobs/{hash}", func(w http.ResponseWriter, r *http.Request) {
@@ -173,6 +183,114 @@ func NewServer(e *Engine) http.Handler {
 	})
 
 	return mux
+}
+
+// sweepCell is one "cell" line of a POST /sweeps stream.
+type sweepCell struct {
+	Type   string          `json:"type"`
+	Index  int             `json:"index"`
+	Hash   string          `json:"hash"`
+	Bench  string          `json:"bench"`
+	Label  string          `json:"label,omitempty"`
+	State  string          `json:"state"`
+	Cached bool            `json:"cached,omitempty"`
+	Error  string          `json:"error,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
+}
+
+// serveSweep answers POST /sweeps. It expands the sweep and streams
+// NDJSON, one flushed line per object: a "sweep" header with the cell
+// count, one "cell" line per cell in expansion order carrying its
+// canonical result bytes (or its error), and a "summary" with the
+// failed and cache-served counts. At most maxCellsInFlight cells are
+// submitted ahead of the one being streamed.
+//
+// The sweep lives only as long as its request. A client that loses the
+// stream re-POSTs the same sweep: finished cells are then cache hits
+// and still-running cells join their live job (Submit's singleflight),
+// so nothing is simulated twice.
+func serveSweep(e *Engine, w http.ResponseWriter, r *http.Request) {
+	var spec SweepSpec
+	if !decodeBody(w, r, MaxSweepBody, "sweep", &spec) {
+		return
+	}
+	if err := spec.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	cells, err := spec.Cells()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	spec = spec.Normalized()
+
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	emit := func(v any) bool {
+		if err := enc.Encode(v); err != nil {
+			return false // client gone
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return true
+	}
+	if !emit(map[string]any{"type": "sweep", "total": len(cells)}) {
+		return
+	}
+
+	ctx := r.Context()
+	jobs := make([]*Job, len(cells))
+	errs := make([]error, len(cells))
+	next := 0 // cells [i, next) are in flight
+	failed, cached := 0, 0
+	for i, cell := range cells {
+		for next < len(cells) && next-i < maxCellsInFlight {
+			j, err := e.Submit(cells[next])
+			if errors.Is(err, ErrQueueFull) {
+				if next > i {
+					break // the oldest in-flight cell frees a slot first
+				}
+				select {
+				case <-time.After(sweepBackoff):
+					continue
+				case <-ctx.Done():
+					return
+				}
+			}
+			jobs[next], errs[next] = j, err
+			next++
+		}
+
+		line := sweepCell{Type: "cell", Index: i, Bench: cell.Bench, Label: spec.cellLabel(i)}
+		var out []byte
+		err := errs[i]
+		if j := jobs[i]; j != nil {
+			out, err = j.Wait(ctx)
+			if ctx.Err() != nil {
+				return // client gone; its submitted cells keep running
+			}
+			line.Hash, line.Cached = j.Hash, j.Cached()
+		} else {
+			line.Hash = cell.Hash()
+		}
+		if err != nil {
+			line.State, line.Error = "failed", err.Error()
+			failed++
+		} else {
+			line.State, line.Result = "done", out
+			if line.Cached {
+				cached++
+			}
+		}
+		jobs[i] = nil
+		if !emit(line) {
+			return
+		}
+	}
+	emit(map[string]any{"type": "summary", "total": len(cells), "failed": failed, "cached": cached})
 }
 
 // writeResult renders a terminal job's result bytes, a 202 status for

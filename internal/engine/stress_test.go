@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"net/http/httptest"
 	"strconv"
 	"sync"
 	"testing"
@@ -57,4 +58,42 @@ func TestStressSubmitDrain(t *testing.T) {
 		t.Fatalf("Drain: %v", err)
 	}
 	wg.Wait()
+}
+
+// TestStressDrainMidSweep drains the engine while a POST /sweeps stream
+// is in flight, with a queue smaller than the sweep: in-flight cells
+// finish, queued and unsubmitted cells fail cleanly, and the stream
+// still carries every cell and ends with a summary line.
+func TestStressDrainMidSweep(t *testing.T) {
+	slow := func(_ context.Context, sp Spec) ([]byte, error) {
+		time.Sleep(2 * time.Millisecond)
+		return []byte(`{"hash":"` + sp.Normalized().Hash() + `"}`), nil
+	}
+	e := New(Config{Workers: 2, QueueDepth: 4, Exec: slow})
+	defer e.Close()
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+
+	spec := evalSweep()
+	for th := 2; th <= 9; th++ {
+		spec.Points = append(spec.Points, SweepPoint{Threads: th})
+	}
+	drained := make(chan error, 1)
+	time.AfterFunc(5*time.Millisecond, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drained <- e.Drain(ctx)
+	})
+	run := postSweep(t, srv, spec)
+	if run.total != 18 {
+		t.Fatalf("sweep total = %d, want 18", run.total)
+	}
+	for _, c := range run.cells {
+		if (c.State == "done") == (c.Error != "") {
+			t.Fatalf("cell %d: state %q with error %q", c.Index, c.State, c.Error)
+		}
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
 }

@@ -1,15 +1,13 @@
 package engine
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // MaxSweepCells bounds server-side sweep expansion: a single POST
 // /sweeps may not expand into more cells than this. The limit protects
-// a fleet node from a small request body describing an enormous cross
+// the server from a small request body describing an enormous cross
 // product (benches × variants × points is multiplicative).
 const MaxSweepCells = 4096
 
@@ -27,7 +25,7 @@ type SweepPoint struct {
 // benches × protocol variants × topology points, expanded server-side
 // into canonical Spec cells. The expansion order is deterministic
 // (bench-major, then variant, then point), so cell indices are stable
-// across nodes and re-submissions.
+// across processes and re-submissions.
 type SweepSpec struct {
 	Benches  []string       `json:"benches"`
 	Variants []ProtocolSpec `json:"variants,omitempty"`
@@ -41,7 +39,7 @@ type SweepSpec struct {
 }
 
 // Normalized fills defaults (one empty variant / one default point) so
-// equivalent sweeps encode — and therefore ID — identically.
+// equivalent sweeps expand into identical cells.
 func (s SweepSpec) Normalized() SweepSpec {
 	if len(s.Variants) == 0 {
 		s.Variants = []ProtocolSpec{{}}
@@ -110,24 +108,19 @@ func (s SweepSpec) Validate() error {
 	return nil
 }
 
-// ID is the sweep's content address: SHA-256 over the code version and
-// the canonical encoding of the normalized sweep. Re-submitting the
-// same sweep yields the same ID, which is what makes GET /sweeps/{id}
-// resumption and coordinator dedup work.
-func (s SweepSpec) ID() string {
-	b, err := json.Marshal(s.Normalized())
-	if err != nil {
-		panic(fmt.Sprintf("engine: canonical sweep encoding failed: %v", err))
+// cellLabel is the label echoed on cell i of the normalized sweep: the
+// point's own label, or "v<variant>p<point>" when the client gave none.
+func (s SweepSpec) cellLabel(i int) string {
+	pi := i % len(s.Points)
+	if l := s.Points[pi].Label; l != "" {
+		return l
 	}
-	h := sha256.New()
-	h.Write([]byte(Version))
-	h.Write([]byte("\nsweep\n"))
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(nil))
+	vi := i / len(s.Points) % len(s.Variants)
+	return "v" + strconv.Itoa(vi) + "p" + strconv.Itoa(pi)
 }
 
 // NamedVariant resolves the conventional protocol-variant names shared
-// by cmd/hscsweep and the fleet API examples.
+// by cmd/hscsweep and the public API.
 func NamedVariant(name string) (ProtocolSpec, error) {
 	switch name {
 	case "baseline":

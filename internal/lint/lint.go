@@ -32,7 +32,7 @@
 //     use-after-release, double-release, leak-on-return and
 //     send-after-hold statically, with //msgown: annotations declaring
 //     cross-function ownership transfer (see msgown.go).
-//   - lockcheck: lock discipline for the concurrent engine/fleet tier —
+//   - lockcheck: lock discipline for the concurrent job engine —
 //     a flow-sensitive held-lock dataflow over the same CFG catches
 //     blocking calls under //lockcheck:fast locks (the PR 9 HTTP-under-
 //     engine-mutex incident, statically), missing unlocks on early

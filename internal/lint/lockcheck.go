@@ -9,16 +9,16 @@ import (
 )
 
 // LockCheck is a flow-sensitive lock-discipline analyzer for the
-// concurrent engine/fleet tier. It interprets each function over the
+// concurrent job engine. It interprets each function over the
 // same CFG msgown built (cfg.go), tracking a held-lock fact per
 // sync.Mutex / sync.RWMutex field, and reports:
 //
 //   - blocking-under-lock: a channel send/receive, net/http call,
 //     time.Sleep, WaitGroup/Cond Wait, io.ReadAll/Copy, or any callee
 //     annotated //lockcheck:blocks, reached while a lock annotated
-//     //lockcheck:fast is (possibly) held. This is the PR 9 bug class —
-//     the engine mutex held across a peer-cache HTTP probe — made
-//     impossible to reintroduce.
+//     //lockcheck:fast is (possibly) held. This is the engine's one
+//     lock incident — its mutex held across a blocking result-cache
+//     probe — made impossible to reintroduce.
 //   - missing-unlock: a lock still held on some path at return.
 //     Deferred unlocks are replayed at exit (leniently: cfg.go collects
 //     defers path-insensitively, so replay only clears facts and never
@@ -52,7 +52,7 @@ import (
 //
 // An exhaustiveness pass demands an annotation on every exported
 // method of a lock-holding type (a named struct with a direct mutex
-// field), so the annotated surface cannot silently rot as the fleet
+// field), so the annotated surface cannot silently rot as the engine
 // grows.
 var LockCheck = &Analyzer{
 	Name: "lockcheck",
@@ -62,10 +62,9 @@ var LockCheck = &Analyzer{
 
 // lockPackages get the full discipline: held-set dataflow, lock order,
 // exhaustive annotations. These are the packages that mix mutexes with
-// goroutines and peer I/O.
+// goroutines and disk or network I/O.
 var lockPackages = map[string]bool{
 	"hscsim/internal/engine": true,
-	"hscsim/internal/fleet":  true,
 	"hscsim/internal/stats":  true,
 	"hscsim/cmd/hscserve":    true,
 }

@@ -49,13 +49,14 @@ func TestLockCheckIgnoresUnlistedPackages(t *testing.T) {
 	}
 }
 
-// TestLockCheckEnginePinned pins the PR 9 fix: the engine holds its
-// fast mutex (engine.Engine.mu) strictly around index mutation and
-// releases it before the ResultCache probe, whose Get carries
-// //lockcheck:blocks on the interface. Re-introducing the HTTP-or-disk
-// probe under the lock — the original incident — makes this test fail
-// with a blocking-under-lock diagnostic, so the bug class is pinned
-// statically rather than by a timing-sensitive regression run.
+// TestLockCheckEnginePinned pins the fix for the engine's lock
+// incident: the engine holds its fast mutex (engine.Engine.mu) strictly
+// around index mutation and releases it before the result-cache probe,
+// whose Cache.Get carries //lockcheck:blocks because it may read disk.
+// Moving the probe back under the lock — the original incident shape —
+// makes this test fail with a blocking-under-lock diagnostic, so the
+// bug class is pinned statically rather than by a timing-sensitive
+// regression run.
 func TestLockCheckEnginePinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads a live package; skipped in -short")

@@ -16,16 +16,14 @@ const statsPkgPath = "hscsim/internal/stats"
 // something — typically only under a protocol variant the smoke tests
 // don't cover.
 //
-// Two companion rules close the remaining drift holes that the fleet
-// tier (peer_hits/peer_misses/peer_errors/fills, jobs_evicted) made
-// live:
+// Two companion rules close the remaining drift holes for counters
+// that /metrics exports (jobs_evicted, cache_hits):
 //
 //   - a stats field must be assigned *from a registration call* of the
 //     matching kind (Scope.Counter for *Counter fields, Scope.Histogram
 //     for *Histogram fields) — copying a handle from another struct
-//     silently aliases two metrics, so /metrics greps (fleet_smoke.sh
-//     gates on fleet.peer_hits) can pass while the counter counts
-//     something else;
+//     silently aliases two metrics, so a /metrics gate can pass while
+//     the counter counts something else;
 //   - the same name literal registered twice on one scope within a
 //     function is two fields sharing one counter — each increment shows
 //     up in both, which is indistinguishable from a real double-count

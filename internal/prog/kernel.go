@@ -74,19 +74,27 @@ type Wave struct {
 	Lane   int // wavefront index within the workgroup
 	Global int // global wavefront index
 
+	fn   func(*Wave) // nil once started
 	ops  chan WaveOp
 	res  chan []uint64
 	kill chan struct{}
 }
 
-// NewWave starts the wavefront program on its own goroutine.
+// NewWave returns the wavefront context; the program starts on its own
+// goroutine at the first NextOp (see CPUThread.NextOp).
 func NewWave(wg, lane, global int, fn func(*Wave)) *Wave {
-	w := &Wave{
+	return &Wave{
 		WG: wg, Lane: lane, Global: global,
+		fn:   fn,
 		ops:  make(chan WaveOp),
 		res:  make(chan []uint64),
 		kill: make(chan struct{}),
 	}
+}
+
+func (w *Wave) start() {
+	fn := w.fn
+	w.fn = nil
 	//lockcheck:spawn wavefront coroutine — the kill channel aborts it when the executor stops
 	go func() {
 		defer func() {
@@ -97,7 +105,6 @@ func NewWave(wg, lane, global int, fn func(*Wave)) *Wave {
 		defer close(w.ops)
 		fn(w)
 	}()
-	return w
 }
 
 func (w *Wave) do(op WaveOp) []uint64 {
@@ -167,6 +174,9 @@ func (w *Wave) Compute(gpuCycles uint64) { w.do(WaveOp{Kind: WaveCompute, Cycles
 
 // NextOp is the executor-side rendezvous (see CPUThread.NextOp).
 func (w *Wave) NextOp() (WaveOp, bool) {
+	if w.fn != nil {
+		w.start()
+	}
 	op, ok := <-w.ops
 	return op, ok
 }

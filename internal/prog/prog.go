@@ -6,11 +6,13 @@
 // fully deterministic: the single-threaded simulation engine hands
 // control to exactly one workload goroutine at a time through a
 // synchronous channel rendezvous, and takes it back before scheduling
-// anything else ("share memory by communicating"). Loads observe the
-// functional memory at their completion time; atomics read-modify-write
-// at their serialization point (L2 ownership for CPU atomics, TCC or
-// directory for GPU atomics), matching the visibility model of the
-// simulated protocol.
+// anything else ("share memory by communicating"). The goroutine starts
+// on the executor's first NextOp, not at construction, so even the code
+// before a program's first operation runs while the executor waits.
+// Loads observe the functional memory at their completion time; atomics
+// read-modify-write at their serialization point (L2 ownership for CPU
+// atomics, TCC or directory for GPU atomics), matching the visibility
+// model of the simulated protocol.
 package prog
 
 import (
@@ -55,21 +57,28 @@ type Op struct {
 // CPUThread is the context a workload CPU-thread function runs against.
 type CPUThread struct {
 	id   int
+	fn   func(*CPUThread) // nil once started
 	ops  chan Op
 	res  chan uint64
 	kill chan struct{}
 }
 
-// NewCPUThread starts fn on its own goroutine and returns the context
-// the executor pulls operations from. fn must communicate with the
-// simulation only through the context's methods.
+// NewCPUThread returns the context the executor pulls operations from;
+// fn starts on its own goroutine at the first NextOp. fn must
+// communicate with the simulation only through the context's methods.
 func NewCPUThread(id int, fn func(*CPUThread)) *CPUThread {
-	t := &CPUThread{
+	return &CPUThread{
 		id:   id,
+		fn:   fn,
 		ops:  make(chan Op),
 		res:  make(chan uint64),
 		kill: make(chan struct{}),
 	}
+}
+
+func (t *CPUThread) start() {
+	fn := t.fn
+	t.fn = nil
 	//lockcheck:spawn workload coroutine — the kill channel aborts it when the executor stops
 	go func() {
 		defer func() {
@@ -80,7 +89,6 @@ func NewCPUThread(id int, fn func(*CPUThread)) *CPUThread {
 		defer close(t.ops)
 		fn(t)
 	}()
-	return t
 }
 
 // ID returns the thread's index.
@@ -164,8 +172,12 @@ func (t *CPUThread) DMAOut(base memdata.Addr, length int) {
 }
 
 // NextOp is the executor side of the rendezvous: it blocks until the
-// thread issues its next operation or returns (ok == false).
+// thread issues its next operation or returns (ok == false). The first
+// call starts the thread.
 func (t *CPUThread) NextOp() (Op, bool) {
+	if t.fn != nil {
+		t.start()
+	}
 	op, ok := <-t.ops
 	return op, ok
 }

@@ -110,6 +110,41 @@ func TestAbortUnblocksThread(t *testing.T) {
 	}
 }
 
+// TestPrefixRunsAtFirstNextOp: the code before a thread's first op runs
+// when the executor first pulls from it, never concurrently with other
+// threads. Both threads write one plain map in their prefix; if either
+// started at construction, the writes would race (the -race run fails,
+// and a plain run can die with "concurrent map writes").
+func TestPrefixRunsAtFirstNextOp(t *testing.T) {
+	fm := memdata.New()
+	shared := map[int]int{}
+	var order []int
+	threads := make([]*CPUThread, 2)
+	for i := range threads {
+		threads[i] = NewCPUThread(i, func(c *CPUThread) {
+			shared[c.ID()] = len(shared)
+			order = append(order, c.ID())
+			c.Compute(1)
+		})
+	}
+	for i := len(threads) - 1; i >= 0; i-- {
+		drive(t, threads[i], fm)
+	}
+	if len(shared) != 2 || shared[1] != 0 || shared[0] != 1 {
+		t.Fatalf("shared = %v, want thread 1's prefix first", shared)
+	}
+	if len(order) != 2 || order[0] != 1 {
+		t.Fatalf("prefix order = %v, want the executor's pull order [1 0]", order)
+	}
+	// A thread aborted before its first op never starts.
+	ran := false
+	th := NewCPUThread(2, func(c *CPUThread) { ran = true })
+	th.Abort()
+	if ran {
+		t.Fatal("aborted thread ran its prefix")
+	}
+}
+
 func TestDMAOps(t *testing.T) {
 	th := NewCPUThread(0, func(c *CPUThread) {
 		c.DMAIn(0x100, 256)
