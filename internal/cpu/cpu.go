@@ -88,6 +88,15 @@ type Core struct {
 	pc       uint64
 	onExit   func()
 
+	// An in-order core has at most one op in flight: it lives here, so
+	// the callbacks that finish it are bound once, in New, and issuing
+	// an op builds no closure.
+	cur       prog.Op
+	loadToken uint64 // Observer token of the load in flight
+	cb        struct {
+		execCur, fenced, loadDone, storeDone, rmwDone, drainDone, resumeZero func()
+	}
+
 	// Store buffer (Config.StoreBufferSize > 0).
 	sb         []pendingStore
 	sbDraining bool
@@ -107,13 +116,21 @@ type pendingStore struct {
 // New creates a core bound to slot `slot` of pair.
 func New(engine *sim.Engine, pair *corepair.CorePair, slot int, fm *memdata.Memory,
 	gpu Dispatcher, dma DMAStreamer, cfg Config, codeBase memdata.Addr, sc *stats.Scope) *Core {
-	return &Core{
+	c := &Core{
 		engine: engine, pair: pair, slot: slot, fm: fm, gpu: gpu, dma: dma, cfg: cfg,
 		codeBase: codeBase,
 		ops:      sc.Counter("ops"),
 		sbStalls: sc.Counter("store_buffer_stalls"),
 		sbFwds:   sc.Counter("store_buffer_forwards"),
 	}
+	c.cb.execCur = c.execCur
+	c.cb.fenced = c.fenced
+	c.cb.loadDone = c.loadDone
+	c.cb.storeDone = c.storeDone
+	c.cb.rmwDone = c.rmwDone
+	c.cb.drainDone = c.drainDone
+	c.cb.resumeZero = c.resumeZero
+	return c
 }
 
 // Run starts executing thread; onExit fires when the thread returns.
@@ -125,13 +142,20 @@ func (c *Core) Run(thread *prog.CPUThread, onExit func()) {
 
 func line(a memdata.Addr) cachearray.LineAddr { return cachearray.LineAddr(a >> 6) }
 
-// cpuKindResume is the Core's only event kind: resume the thread with
-// the value in arg. Compute ops and store-buffer hits retire through it
-// without allocating a closure per op.
-const cpuKindResume uint8 = 0
+// Core event kinds (sim.Handler dispatch): compute ops, store-buffer
+// hits and kernel launches retire without allocating a closure per op.
+const (
+	cpuKindResume uint8 = iota // resume the thread with the value in arg
+	cpuKindLaunch              // launch latency elapsed: hand cur's kernel to the GPU
+)
 
 // OnEvent implements sim.Handler.
-func (c *Core) OnEvent(kind uint8, arg uint64, obj any) { c.resume(arg) }
+func (c *Core) OnEvent(kind uint8, arg uint64, obj any) {
+	if kind == cpuKindLaunch {
+		c.gpu.Launch(c.cur.Kernel, c.cur.Handle)
+	}
+	c.resume(arg)
+}
 
 func (c *Core) step() {
 	op, ok := c.thread.NextOp()
@@ -141,7 +165,8 @@ func (c *Core) step() {
 		return
 	}
 	c.ops.Inc()
-	c.fetchThen(func() { c.exec(op) })
+	c.cur = op
+	c.fetchThen(c.cb.execCur)
 }
 
 // whenDrained runs fn once the store buffer is empty.
@@ -164,19 +189,23 @@ func (c *Core) drain() {
 		return
 	}
 	c.sbDraining = true
+	c.pair.Access(c.slot, corepair.Store, line(c.sb[0].addr), c.cb.drainDone)
+}
+
+// drainDone retires the buffer's head store, which only this callback
+// removes, so it is still sb[0].
+func (c *Core) drainDone() {
 	s := c.sb[0]
-	c.pair.Access(c.slot, corepair.Store, line(s.addr), func() {
-		c.fm.Write(s.addr, s.val)
-		if obs := c.cfg.Observer; obs != nil {
-			obs.StoreRetired(c.pair.NodeID(), line(s.addr))
-		}
-		c.sb = c.sb[1:]
-		if fn := c.afterPop; fn != nil {
-			c.afterPop = nil
-			fn()
-		}
-		c.drain()
-	})
+	c.fm.Write(s.addr, s.val)
+	if obs := c.cfg.Observer; obs != nil {
+		obs.StoreRetired(c.pair.NodeID(), line(s.addr))
+	}
+	c.sb = c.sb[:copy(c.sb, c.sb[1:])] // keep the backing array: no reallocation
+	if fn := c.afterPop; fn != nil {
+		c.afterPop = nil
+		fn()
+	}
+	c.drain()
 }
 
 // whenDrainedBelow runs fn once the buffer has fewer than n entries.
@@ -204,7 +233,9 @@ func (c *Core) fetchThen(then func()) {
 	c.pair.Access(c.slot, corepair.IFetch, line(c.codeBase+memdata.Addr(c.pc)), then)
 }
 
-func (c *Core) exec(op prog.Op) {
+// execCur executes the op in flight.
+func (c *Core) execCur() {
+	op := &c.cur
 	switch op.Kind {
 	case prog.OpLoad:
 		// Store-to-load forwarding: the youngest buffered store to the
@@ -219,22 +250,16 @@ func (c *Core) exec(op prog.Op) {
 				}
 			}
 		}
-		var token uint64
 		if obs := c.cfg.Observer; obs != nil {
-			token = obs.LoadIssued(c.pair.NodeID(), line(op.Addr))
+			c.loadToken = obs.LoadIssued(c.pair.NodeID(), line(op.Addr))
 		}
-		c.pair.Access(c.slot, corepair.Load, line(op.Addr), func() {
-			if obs := c.cfg.Observer; obs != nil {
-				obs.LoadRetired(c.pair.NodeID(), line(op.Addr), token)
-			}
-			c.resume(c.fm.Read(op.Addr))
-		})
+		c.pair.Access(c.slot, corepair.Load, line(op.Addr), c.cb.loadDone)
 	case prog.OpStore:
 		if c.cfg.StoreBufferSize > 0 {
 			if len(c.sb) >= c.cfg.StoreBufferSize {
 				// Full: retry once the head retires.
 				c.sbStalls.Inc()
-				c.whenDrainedBelow(c.cfg.StoreBufferSize, func() { c.exec(op) })
+				c.whenDrainedBelow(c.cfg.StoreBufferSize, c.cb.execCur)
 				return
 			}
 			c.sb = append(c.sb, pendingStore{op.Addr, op.Value})
@@ -244,46 +269,61 @@ func (c *Core) exec(op prog.Op) {
 			c.engine.Post(1, c, cpuKindResume, 0, nil)
 			return
 		}
-		c.pair.Access(c.slot, corepair.Store, line(op.Addr), func() {
-			c.fm.Write(op.Addr, op.Value)
-			if obs := c.cfg.Observer; obs != nil {
-				obs.StoreRetired(c.pair.NodeID(), line(op.Addr))
-			}
-			c.resume(0)
-		})
-	case prog.OpAtomic:
-		// CPU atomics serialize at ownership: the RMW applies once the
-		// line is held Modified. Atomics fence the store buffer.
-		c.whenDrained(func() {
-			c.pair.Access(c.slot, corepair.RMW, line(op.Addr), func() {
-				old := c.fm.RMW(op.Addr, op.AOp, op.Value, op.Compare)
-				if obs := c.cfg.Observer; obs != nil {
-					obs.StoreRetired(c.pair.NodeID(), line(op.Addr))
-				}
-				c.resume(old)
-			})
-		})
+		c.pair.Access(c.slot, corepair.Store, line(op.Addr), c.cb.storeDone)
+	case prog.OpAtomic, prog.OpLaunch, prog.OpDMA:
+		// Atomics, kernel launches and DMA fence the store buffer.
+		c.whenDrained(c.cb.fenced)
 	case prog.OpCompute:
 		d := sim.Tick(op.Cycles)
 		if d == 0 {
 			d = 1
 		}
 		c.engine.Post(d, c, cpuKindResume, 0, nil)
-	case prog.OpLaunch:
-		c.whenDrained(func() {
-			c.engine.Schedule(c.cfg.LaunchLatency, func() {
-				c.gpu.Launch(op.Kernel, op.Handle)
-				c.resume(0)
-			})
-		})
 	case prog.OpWait:
-		op.Handle.OnDone(func() { c.resume(0) })
-	case prog.OpDMA:
-		c.whenDrained(func() {
-			c.dma.Stream(uint64(op.Addr), op.DMABytes, op.DMAWrite, 8, func() { c.resume(0) })
-		})
+		op.Handle.OnDone(c.cb.resumeZero)
 	}
 }
+
+// fenced issues the op in flight once the store buffer is empty.
+func (c *Core) fenced() {
+	op := &c.cur
+	switch op.Kind {
+	case prog.OpAtomic:
+		// CPU atomics serialize at ownership: the RMW applies once the
+		// line is held Modified.
+		c.pair.Access(c.slot, corepair.RMW, line(op.Addr), c.cb.rmwDone)
+	case prog.OpLaunch:
+		c.engine.Post(c.cfg.LaunchLatency, c, cpuKindLaunch, 0, nil)
+	case prog.OpDMA:
+		c.dma.Stream(uint64(op.Addr), op.DMABytes, op.DMAWrite, 8, c.cb.resumeZero)
+	}
+}
+
+func (c *Core) loadDone() {
+	if obs := c.cfg.Observer; obs != nil {
+		obs.LoadRetired(c.pair.NodeID(), line(c.cur.Addr), c.loadToken)
+	}
+	c.resume(c.fm.Read(c.cur.Addr))
+}
+
+func (c *Core) storeDone() {
+	c.fm.Write(c.cur.Addr, c.cur.Value)
+	if obs := c.cfg.Observer; obs != nil {
+		obs.StoreRetired(c.pair.NodeID(), line(c.cur.Addr))
+	}
+	c.resume(0)
+}
+
+func (c *Core) rmwDone() {
+	op := &c.cur
+	old := c.fm.RMW(op.Addr, op.AOp, op.Value, op.Compare)
+	if obs := c.cfg.Observer; obs != nil {
+		obs.StoreRetired(c.pair.NodeID(), line(op.Addr))
+	}
+	c.resume(old)
+}
+
+func (c *Core) resumeZero() { c.resume(0) }
 
 func (c *Core) resume(v uint64) {
 	c.thread.Complete(v)

@@ -258,3 +258,43 @@ func TestStoreBufferCapacityStalls(t *testing.T) {
 		t.Fatal("no capacity stalls counted")
 	}
 }
+
+// TestSteadyStateOpAllocs: once the caches are warm, an L1-hit load, a
+// store to a line held Modified (blocking or through the store buffer)
+// and a compute op allocate nothing. A thread's fixed cost (its
+// coroutine, its start event) is the same for n and 2n ops, so it
+// cancels out of the difference; a first long run warms the data line
+// and every line of the code footprint.
+func TestSteadyStateOpAllocs(t *testing.T) {
+	const n = 500
+	for _, tc := range []struct {
+		name string
+		sb   int // store buffer entries
+		op   func(c *prog.CPUThread)
+	}{
+		{"load", 0, func(c *prog.CPUThread) { c.Load(0x100) }},
+		{"store", 0, func(c *prog.CPUThread) { c.Store(0x100, 1) }},
+		{"buffered store", 4, func(c *prog.CPUThread) { c.Store(0x100, 1) }},
+		{"compute", 0, func(c *prog.CPUThread) { c.Compute(10) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newCoreRig(t)
+			if tc.sb > 0 {
+				r = newSBCoreRig(t, tc.sb)
+			}
+			allocs := func(ops int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					r.runThread(func(c *prog.CPUThread) {
+						for i := 0; i < ops; i++ {
+							tc.op(c)
+						}
+					})
+				})
+			}
+			allocs(4 * n)
+			if perOp := (allocs(2*n) - allocs(n)) / n; perOp != 0 {
+				t.Fatalf("%s allocates %g/op in steady state, want 0", tc.name, perOp)
+			}
+		})
+	}
+}

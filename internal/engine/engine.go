@@ -532,6 +532,28 @@ func (e *Engine) worker() {
 	}
 }
 
+// PanicError fails a job whose executor panicked. A workload program's
+// panic surfaces from the simulator on the worker goroutine; the engine
+// fails that job with the panic value and keeps serving.
+type PanicError struct {
+	Spec  Spec
+	Value any
+}
+
+func (p *PanicError) Error() string {
+	return fmt.Sprintf("engine: job %s panicked: %v", p.Spec, p.Value)
+}
+
+// execRecovered runs the executor, turning a panic into a *PanicError.
+func (e *Engine) execRecovered(ctx context.Context, sp Spec) (result []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			result, err = nil, &PanicError{Spec: sp, Value: r}
+		}
+	}()
+	return e.exec(ctx, sp)
+}
+
 // runJob executes one job with timeout and cancellation, classifies
 // the outcome, and memoizes successes.
 func (e *Engine) runJob(j *Job) {
@@ -561,7 +583,7 @@ func (e *Engine) runJob(j *Job) {
 	e.running++
 	e.mu.Unlock()
 
-	result, err := e.exec(ctx, j.Spec)
+	result, err := e.execRecovered(ctx, j.Spec)
 
 	e.mu.Lock()
 	e.running--

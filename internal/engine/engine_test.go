@@ -350,6 +350,41 @@ func TestFailedJobIsRetried(t *testing.T) {
 	}
 }
 
+// TestPanickingJobFails: an executor panic (a workload program's panic
+// surfaces from the simulator on the worker goroutine) fails that job
+// with the panic value; the worker, the running count and the next job
+// are unaffected.
+func TestPanickingJobFails(t *testing.T) {
+	e := New(Config{Workers: 1, Exec: func(ctx context.Context, sp Spec) ([]byte, error) {
+		if sp.Bench == "bad" {
+			panic("workload bug")
+		}
+		return []byte(`{"ok":true}`), nil
+	}})
+	defer e.Close()
+	ctx := context.Background()
+
+	j, err := e.Submit(Spec{Bench: "bad"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = j.Wait(ctx)
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "workload bug" {
+		t.Fatalf("err = %v, want a *PanicError carrying the panic value", err)
+	}
+	if j.State() != Failed {
+		t.Fatalf("state = %s, want failed", j.State())
+	}
+	b, err := e.Run(ctx, Spec{Bench: "good"})
+	if err != nil || string(b) != `{"ok":true}` {
+		t.Fatalf("next job: %s, %v", b, err)
+	}
+	if st := e.Stats(); st.Failed != 1 || st.Done != 1 || st.Running != 0 {
+		t.Fatalf("stats = %+v, want 1 failed, 1 done, 0 running", st)
+	}
+}
+
 // TestExecuteInterruptedByCancel drives the real simulator with an
 // already-cancelled context: the interrupt wiring must stop the run and
 // surface the context's error.

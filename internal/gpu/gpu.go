@@ -5,7 +5,7 @@
 package gpu
 
 import (
-	"sort"
+	"slices"
 
 	"hscsim/internal/cachearray"
 	"hscsim/internal/fsm"
@@ -52,6 +52,10 @@ type Dispatcher struct {
 	queue  []*launch
 	active *launch
 
+	// resident lists the waves started and not yet finished, so a run
+	// torn down early can stop their coroutines (Abort).
+	resident []*waveRun
+
 	// rec records fired dispatch transitions for the static-vs-dynamic
 	// cross-check (cmd/hscproto); nil (the default) disables recording.
 	rec *fsm.Recorder
@@ -66,23 +70,38 @@ type launch struct {
 	h *prog.KernelHandle
 
 	wavesLeft  int
-	cuQueues   [][]int // per-CU list of assigned workgroups
-	cuActive   []int   // workgroups currently resident per CU
-	cuWaveDone []int   // per-CU finished-wave count (workgroup retirement)
-	barriers   map[int]*barrier
+	cuQueues   [][]int   // per-CU list of assigned workgroups
+	cuActive   []int     // workgroups currently resident per CU
+	cuWaveDone []int     // per-CU finished-wave count (workgroup retirement)
+	barriers   []barrier // per workgroup, reused across its barriers
 }
 
+// barrier collects a workgroup's waves until all have arrived.
 type barrier struct {
-	arrived int
-	release []*waveRun
+	waiting []*waveRun
 }
 
+// waveRun executes one wavefront. Like an in-order core it has at most
+// one op in flight: the op lives in cur, its line accesses count down
+// in pending, and the callbacks that finish it are bound once per wave,
+// so issuing an op builds no closure.
 type waveRun struct {
 	d    *Dispatcher
 	l    *launch
 	w    *prog.Wave
 	cu   int
 	opsN int
+	slot int // index in d.resident
+
+	cur     prog.WaveOp
+	pending int                   // line accesses of cur still outstanding
+	lines   []cachearray.LineAddr // coalescer scratch
+	vals    []uint64              // VecLoad results, valid until the next op
+	old     [1]uint64             // atomic result
+	cb      struct {
+		execCur, lineRead, lineWritten func()
+		atomicDone                     func(old uint64)
+	}
 }
 
 // New creates the dispatcher.
@@ -123,7 +142,7 @@ func (d *Dispatcher) startNext() {
 	l.wavesLeft = l.k.Workgroups * l.k.WavesPerWG
 	l.cuQueues = make([][]int, d.cfg.NumCUs)
 	l.cuActive = make([]int, d.cfg.NumCUs)
-	l.barriers = make(map[int]*barrier)
+	l.barriers = make([]barrier, l.k.Workgroups)
 	for wg := 0; wg < l.k.Workgroups; wg++ {
 		cu := wg % d.cfg.NumCUs
 		l.cuQueues[cu] = append(l.cuQueues[cu], wg)
@@ -150,10 +169,25 @@ func (d *Dispatcher) fillCU(l *launch, cu int) {
 func (d *Dispatcher) startWorkgroup(l *launch, cu, wg int) {
 	for lane := 0; lane < l.k.WavesPerWG; lane++ {
 		global := wg*l.k.WavesPerWG + lane
-		wr := &waveRun{d: d, l: l, cu: cu}
+		wr := &waveRun{d: d, l: l, cu: cu, slot: len(d.resident)}
 		wr.w = prog.NewWave(wg, lane, global, l.k.Fn)
-		d.engine.Schedule(0, wr.step)
+		wr.cb.execCur = wr.execCur
+		wr.cb.lineRead = wr.lineRead
+		wr.cb.lineWritten = wr.lineWritten
+		wr.cb.atomicDone = wr.atomicDone
+		d.resident = append(d.resident, wr)
+		d.engine.Post(0, wr, waveKindStart, 0, nil)
 	}
+}
+
+// Abort stops the coroutine of every wave still resident. A run that
+// ends early (MaxTicks, cancellation, a deadlock) calls it from its
+// teardown; waves that finished have already returned.
+func (d *Dispatcher) Abort() {
+	for _, wr := range d.resident {
+		wr.w.Abort()
+	}
+	d.resident = nil
 }
 
 // gpuTicks converts GPU cycles to engine ticks (rounded up).
@@ -172,82 +206,108 @@ func (wr *waveRun) step() {
 	}
 	wr.d.waveOps.Inc()
 	wr.opsN++
+	wr.cur = op
 	if wr.d.cfg.IFetchEvery > 0 && wr.opsN%wr.d.cfg.IFetchEvery == 1 {
 		code := wr.l.k.CodeAddr + memdata.Addr((wr.opsN/wr.d.cfg.IFetchEvery)%64*64)
-		wr.d.caches.IFetch(wr.cu, cachearray.LineAddr(code>>6), func() { wr.exec(op) })
+		wr.d.caches.IFetch(wr.cu, cachearray.LineAddr(code>>6), wr.cb.execCur)
 		return
 	}
-	wr.exec(op)
+	wr.execCur()
 }
 
-func (wr *waveRun) exec(op prog.WaveOp) {
+// execCur executes the op in flight.
+func (wr *waveRun) execCur() {
 	d := wr.d
+	op := &wr.cur
 	switch op.Kind {
 	case prog.WaveVecLoad:
 		d.rec.Record(machine, "-", "VecLoad", "-") //proto:actions coalesce, TCP/TCC read per line
-		lines := coalesce(op.Addrs)
-		remaining := len(lines)
-		for _, ln := range lines {
-			d.caches.ReadLine(wr.cu, ln, func() {
-				remaining--
-				if remaining == 0 {
-					vals := make([]uint64, len(op.Addrs))
-					for i, a := range op.Addrs {
-						vals[i] = d.fm.Read(a)
-					}
-					wr.resume(vals)
-				}
-			})
+		wr.lines = coalesce(wr.lines[:0], op.Addrs)
+		wr.pending = len(wr.lines)
+		for _, ln := range wr.lines {
+			d.caches.ReadLine(wr.cu, ln, wr.cb.lineRead)
 		}
 
 	case prog.WaveVecStore:
 		d.rec.Record(machine, "-", "VecStore", "-") //proto:actions coalesce, TCC write per line
-		lines := coalesce(op.Addrs)
-		remaining := len(lines)
-		for _, ln := range lines {
-			d.caches.WriteLine(wr.cu, ln, func() {
-				remaining--
-				if remaining == 0 {
-					for i, a := range op.Addrs {
-						d.fm.Write(a, op.Values[i])
-					}
-					wr.resume(nil)
-				}
-			})
+		wr.lines = coalesce(wr.lines[:0], op.Addrs)
+		wr.pending = len(wr.lines)
+		for _, ln := range wr.lines {
+			d.caches.WriteLine(wr.cu, ln, wr.cb.lineWritten)
 		}
 
 	case prog.WaveAtomicSys:
 		d.rec.Record(machine, "-", "AtomicSys", "-") //proto:actions system-scope atomic at directory
 		d.caches.AtomicSystem(wr.cu, cachearray.LineAddr(op.Addr>>6), op.Addr,
-			op.AOp, op.Operand, op.Compare, func(old uint64) { wr.resume([]uint64{old}) })
+			op.AOp, op.Operand, op.Compare, wr.cb.atomicDone)
 
 	case prog.WaveAtomicDev:
 		d.rec.Record(machine, "-", "AtomicDev", "-") //proto:actions device-scope atomic at TCC
 		d.caches.AtomicDevice(wr.cu, cachearray.LineAddr(op.Addr>>6), op.Addr,
-			op.AOp, op.Operand, op.Compare, func(old uint64) { wr.resume([]uint64{old}) })
+			op.AOp, op.Operand, op.Compare, wr.cb.atomicDone)
 
 	case prog.WaveBarrier:
 		d.rec.Record(machine, "-", "Barrier", "-") //proto:actions join workgroup barrier
-		l := wr.l
-		b := l.barriers[wr.w.WG]
-		if b == nil {
-			b = &barrier{}
-			l.barriers[wr.w.WG] = b
-		}
-		b.arrived++
-		b.release = append(b.release, wr)
-		if b.arrived == l.k.WavesPerWG {
-			delete(l.barriers, wr.w.WG)
-			for _, r := range b.release {
-				rr := r
-				d.engine.Schedule(d.gpuTicks(4), func() { rr.resume(nil) })
+		b := &wr.l.barriers[wr.w.WG]
+		b.waiting = append(b.waiting, wr)
+		if len(b.waiting) == wr.l.k.WavesPerWG {
+			for _, r := range b.waiting {
+				d.engine.Post(d.gpuTicks(4), r, waveKindResume, 0, nil)
 			}
+			b.waiting = b.waiting[:0]
 		}
 
 	case prog.WaveCompute:
 		d.rec.Record(machine, "-", "Compute", "-") //proto:actions occupy ALU for op.Cycles
-		d.engine.Schedule(d.gpuTicks(op.Cycles), func() { wr.resume(nil) })
+		d.engine.Post(d.gpuTicks(op.Cycles), wr, waveKindResume, 0, nil)
 	}
+}
+
+// lineRead completes one line of a VecLoad; the last one reads the
+// words.
+func (wr *waveRun) lineRead() {
+	wr.pending--
+	if wr.pending > 0 {
+		return
+	}
+	wr.vals = slices.Grow(wr.vals[:0], len(wr.cur.Addrs))
+	for _, a := range wr.cur.Addrs {
+		wr.vals = append(wr.vals, wr.d.fm.Read(a))
+	}
+	wr.resume(wr.vals)
+}
+
+// lineWritten completes one line of a VecStore; the last one writes the
+// words.
+func (wr *waveRun) lineWritten() {
+	wr.pending--
+	if wr.pending > 0 {
+		return
+	}
+	for i, a := range wr.cur.Addrs {
+		wr.d.fm.Write(a, wr.cur.Values[i])
+	}
+	wr.resume(nil)
+}
+
+func (wr *waveRun) atomicDone(old uint64) {
+	wr.old[0] = old
+	wr.resume(wr.old[:])
+}
+
+// waveRun event kinds (sim.Handler dispatch).
+const (
+	waveKindStart  uint8 = iota // pull the wave's first op
+	waveKindResume              // a compute op ended or the barrier released
+)
+
+// OnEvent implements sim.Handler.
+func (wr *waveRun) OnEvent(kind uint8, arg uint64, obj any) {
+	if kind == waveKindStart {
+		wr.step()
+		return
+	}
+	wr.resume(nil)
 }
 
 func (wr *waveRun) resume(vals []uint64) {
@@ -257,6 +317,11 @@ func (wr *waveRun) resume(vals []uint64) {
 
 func (d *Dispatcher) waveDone(wr *waveRun) {
 	d.wavesDone.Inc()
+	last := d.resident[len(d.resident)-1]
+	last.slot = wr.slot
+	d.resident[wr.slot] = last
+	d.resident[len(d.resident)-1] = nil
+	d.resident = d.resident[:len(d.resident)-1]
 	l := wr.l
 	l.wavesLeft--
 	// Track workgroup retirement: when every wave of the CU's resident
@@ -293,18 +358,12 @@ func (d *Dispatcher) finish(l *launch) {
 	})
 }
 
-// coalesce deduplicates word addresses into sorted line addresses (the
-// per-wavefront coalescer).
-func coalesce(addrs []memdata.Addr) []cachearray.LineAddr {
-	seen := make(map[cachearray.LineAddr]struct{}, len(addrs))
-	out := make([]cachearray.LineAddr, 0, len(addrs))
+// coalesce appends to dst the sorted, deduplicated line addresses of
+// addrs (the per-wavefront coalescer) and returns the result.
+func coalesce(dst []cachearray.LineAddr, addrs []memdata.Addr) []cachearray.LineAddr {
 	for _, a := range addrs {
-		ln := cachearray.LineAddr(a >> 6)
-		if _, dup := seen[ln]; !dup {
-			seen[ln] = struct{}{}
-			out = append(out, ln)
-		}
+		dst = append(dst, cachearray.LineAddr(a>>6))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }

@@ -200,7 +200,7 @@ func TestGpuTicksConversion(t *testing.T) {
 }
 
 func TestCoalesce(t *testing.T) {
-	lines := coalesce([]memdata.Addr{0, 8, 63, 64, 128, 65})
+	lines := coalesce(nil, []memdata.Addr{0, 8, 63, 64, 128, 65})
 	if len(lines) != 3 || lines[0] != 0 || lines[1] != 1 || lines[2] != 2 {
 		t.Fatalf("coalesce = %v", lines)
 	}
@@ -228,5 +228,89 @@ func TestSystemAtomicFromWave(t *testing.T) {
 	r.launch(k)
 	if old != 41 || r.fm.Read(256) != 42 {
 		t.Fatalf("old=%d val=%d", old, r.fm.Read(256))
+	}
+}
+
+const allocOps = 200 // ops per wave in the steady-state allocation tests
+
+// waveOpAllocs returns the steady-state allocations per op of one
+// workgroup of waves that each repeat op: the difference between
+// launches of 2n and n ops per wave, after a warm-up launch, so a
+// launch's fixed cost (waves, coroutines, the release flush) cancels.
+func waveOpAllocs(t *testing.T, wavesPerWG int, op func(w *prog.Wave)) float64 {
+	cfg := DefaultConfig()
+	cfg.NumCUs = 1
+	r := newGPURig(t, cfg)
+	launch := func(n int) float64 {
+		k := &prog.Kernel{Name: "ops", Workgroups: 1, WavesPerWG: wavesPerWG,
+			Fn: func(w *prog.Wave) {
+				for i := 0; i < n; i++ {
+					op(w)
+				}
+			}}
+		return testing.AllocsPerRun(5, func() { r.launch(k) })
+	}
+	launch(4 * allocOps)
+	return (launch(2*allocOps) - launch(allocOps)) / float64(wavesPerWG*allocOps)
+}
+
+// atomicChain issues system atomics straight into the cache complex,
+// each from the previous one's completion, through one bound callback.
+type atomicChain struct {
+	r    *gpuRig
+	left int
+	done func(old uint64)
+}
+
+func (c *atomicChain) next(uint64) {
+	if c.left == 0 {
+		return
+	}
+	c.left--
+	c.r.d.caches.AtomicSystem(0, 4, 256, memdata.AtomicAdd, 1, 0, c.done)
+}
+
+// cacheAtomicAllocs returns the steady-state allocations of a system
+// atomic with no wave executor around it (gpucache's own bookkeeping
+// and the test directory's reply), measured like waveOpAllocs.
+func cacheAtomicAllocs(t *testing.T) float64 {
+	cfg := DefaultConfig()
+	cfg.NumCUs = 1
+	c := &atomicChain{r: newGPURig(t, cfg)}
+	c.done = c.next
+	chain := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			c.left = n
+			c.r.e.Schedule(0, func() { c.next(0) })
+			if err := c.r.e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	chain(4 * allocOps)
+	return (chain(2*allocOps) - chain(allocOps)) / allocOps
+}
+
+// TestSteadyStateWaveOpAllocs: the wave executor adds no allocation to
+// compute, barrier, single-word load and atomic ops, and a VecLoad
+// allocates exactly its result. A wave's atomic costs what the same
+// atomic issued straight into the cache complex costs.
+func TestSteadyStateWaveOpAllocs(t *testing.T) {
+	addrs := []memdata.Addr{0, 8, 64, 72, 4096}
+	for _, tc := range []struct {
+		name       string
+		wavesPerWG int
+		op         func(w *prog.Wave)
+		want       float64
+	}{
+		{"Compute", 1, func(w *prog.Wave) { w.Compute(4) }, 0},
+		{"Barrier", 4, func(w *prog.Wave) { w.Barrier() }, 0},
+		{"Load", 1, func(w *prog.Wave) { w.Load(8) }, 0},
+		{"VecLoad", 1, func(w *prog.Wave) { w.VecLoad(addrs) }, 1},
+		{"AtomicSys", 1, func(w *prog.Wave) { w.AtomicSysAdd(256, 1) }, cacheAtomicAllocs(t)},
+	} {
+		if got := waveOpAllocs(t, tc.wavesPerWG, tc.op); got != tc.want {
+			t.Errorf("%s allocates %g/op, want %g", tc.name, got, tc.want)
+		}
 	}
 }

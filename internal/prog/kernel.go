@@ -1,6 +1,12 @@
+//go:build go1.23
+
 package prog
 
-import "hscsim/internal/memdata"
+import (
+	"slices"
+
+	"hscsim/internal/memdata"
+)
 
 // Kernel describes a GPU grid: Workgroups × WavesPerWG wavefronts, each
 // executing Fn. CHAI kernels use the IDs to partition work.
@@ -74,62 +80,38 @@ type Wave struct {
 	Lane   int // wavefront index within the workgroup
 	Global int // global wavefront index
 
-	fn   func(*Wave) // nil once started
-	ops  chan WaveOp
-	res  chan []uint64
-	kill chan struct{}
+	co  coroutine[WaveOp]
+	res []uint64
+
+	// Single-word Load/Store operands: the executor reads them only
+	// while the wave is suspended on that op.
+	addr1 [1]memdata.Addr
+	val1  [1]uint64
 }
 
-// NewWave returns the wavefront context; the program starts on its own
-// goroutine at the first NextOp (see CPUThread.NextOp).
+// NewWave returns the wavefront context; the program starts at the
+// first NextOp (see CPUThread.NextOp).
 func NewWave(wg, lane, global int, fn func(*Wave)) *Wave {
-	return &Wave{
-		WG: wg, Lane: lane, Global: global,
-		fn:   fn,
-		ops:  make(chan WaveOp),
-		res:  make(chan []uint64),
-		kill: make(chan struct{}),
-	}
-}
-
-func (w *Wave) start() {
-	fn := w.fn
-	w.fn = nil
-	//lockcheck:spawn wavefront coroutine — the kill channel aborts it when the executor stops
-	go func() {
-		defer func() {
-			if r := recover(); r != nil && r != errAborted {
-				panic(r)
-			}
-		}()
-		defer close(w.ops)
-		fn(w)
-	}()
+	w := &Wave{WG: wg, Lane: lane, Global: global}
+	w.co.init(func() { fn(w) })
+	return w
 }
 
 func (w *Wave) do(op WaveOp) []uint64 {
-	select {
-	case w.ops <- op:
-	case <-w.kill:
-		panic(errAborted)
-	}
-	select {
-	case v := <-w.res:
-		return v
-	case <-w.kill:
-		panic(errAborted)
-	}
+	w.co.issue(op)
+	return w.res
 }
 
 // VecLoad performs a coalesced vector load of the given word addresses
-// and returns their values.
+// and returns their values in a new slice.
 func (w *Wave) VecLoad(addrs []memdata.Addr) []uint64 {
-	return w.do(WaveOp{Kind: WaveVecLoad, Addrs: addrs})
+	return slices.Clone(w.do(WaveOp{Kind: WaveVecLoad, Addrs: addrs}))
 }
 
 // Load reads a single word through the vector path.
 func (w *Wave) Load(a memdata.Addr) uint64 {
-	return w.VecLoad([]memdata.Addr{a})[0]
+	w.addr1[0] = a
+	return w.do(WaveOp{Kind: WaveVecLoad, Addrs: w.addr1[:]})[0]
 }
 
 // VecStore performs a coalesced vector store of values to addrs
@@ -143,7 +125,8 @@ func (w *Wave) VecStore(addrs []memdata.Addr, values []uint64) {
 
 // Store writes a single word through the vector path.
 func (w *Wave) Store(a memdata.Addr, v uint64) {
-	w.VecStore([]memdata.Addr{a}, []uint64{v})
+	w.addr1[0], w.val1[0] = a, v
+	w.VecStore(w.addr1[:], w.val1[:])
 }
 
 // AtomicSys performs a system-scope (SLC) atomic, visible to the CPUs.
@@ -172,26 +155,17 @@ func (w *Wave) Barrier() { w.do(WaveOp{Kind: WaveBarrier}) }
 // Compute advances the wavefront by the given number of GPU cycles.
 func (w *Wave) Compute(gpuCycles uint64) { w.do(WaveOp{Kind: WaveCompute, Cycles: gpuCycles}) }
 
-// NextOp is the executor-side rendezvous (see CPUThread.NextOp).
-func (w *Wave) NextOp() (WaveOp, bool) {
-	if w.fn != nil {
-		w.start()
-	}
-	op, ok := <-w.ops
-	return op, ok
-}
+// NextOp resumes the wavefront until its next operation (see
+// CPUThread.NextOp).
+func (w *Wave) NextOp() (WaveOp, bool) { return w.co.next() }
 
-// Complete delivers results and resumes the wavefront.
-func (w *Wave) Complete(v []uint64) { w.res <- v }
+// Complete records an operation's results (loaded values, or an
+// atomic's old value in v[0]; nil for the rest). v needs to stay valid
+// only until the wave's next NextOp: VecLoad copies it.
+func (w *Wave) Complete(v []uint64) { w.res = v }
 
-// Abort tears the wavefront down.
-func (w *Wave) Abort() {
-	select {
-	case <-w.kill:
-	default:
-		close(w.kill)
-	}
-}
+// Abort stops the wavefront (see CPUThread.Abort).
+func (w *Wave) Abort() { w.co.stop() }
 
 // Arena is a bump allocator carving benchmark data structures out of
 // the unified memory space.

@@ -1,29 +1,76 @@
+//go:build go1.23
+
 // Package prog defines the workload programming model: CPU threads and
 // GPU wavefronts written as ordinary Go functions that issue memory
 // operations through a context object.
 //
-// Each thread/wavefront runs on its own goroutine, but execution is
-// fully deterministic: the single-threaded simulation engine hands
-// control to exactly one workload goroutine at a time through a
-// synchronous channel rendezvous, and takes it back before scheduling
-// anything else ("share memory by communicating"). The goroutine starts
-// on the executor's first NextOp, not at construction, so even the code
-// before a program's first operation runs while the executor waits.
+// Each thread/wavefront is an iter.Pull coroutine driven by its
+// executor (a cpu.Core or a gpu wave) on the simulation engine's own
+// goroutine. NextOp resumes the program until it issues its next
+// operation; Complete stores that operation's result, which the
+// program reads when the next NextOp resumes it. Control therefore
+// alternates strictly between engine and program, one program at a
+// time, and execution is fully deterministic. A program starts at its
+// executor's first NextOp, not at construction, so even the code before
+// its first operation runs on the executor's schedule; a panic in the
+// program surfaces from NextOp with its value. Abort stops a suspended
+// program; every coroutine must end in a return or an Abort, or its
+// goroutine stays parked for the life of the process.
+//
 // Loads observe the functional memory at their completion time; atomics
 // read-modify-write at their serialization point (L2 ownership for CPU
 // atomics, TCC or directory for GPU atomics), matching the visibility
 // model of the simulated protocol.
+//
+// The package needs Go 1.23 (package iter), while the module's go
+// directive stays at 1.22; its files carry a go1.23 build constraint.
 package prog
 
 import (
 	"fmt"
+	"iter"
 
 	"hscsim/internal/memdata"
 )
 
-// errAborted is panicked through workload goroutines when a simulation
-// is torn down early.
+// errAborted unwinds a program whose executor stopped it: issue panics
+// with it when yield reports the stop, and the coroutine's sequence
+// function recovers it.
 var errAborted = fmt.Errorf("prog: workload aborted")
+
+// coroutine is the pull-coroutine half shared by CPUThread and Wave:
+// the program runs inside an iter.Pull sequence and hands each
+// operation to its executor through yield.
+type coroutine[O any] struct {
+	yield func(O) bool
+	next  func() (O, bool)
+	stop  func()
+}
+
+func (c *coroutine[O]) init(body func()) {
+	c.next, c.stop = iter.Pull(func(yield func(O) bool) {
+		c.yield = yield
+		defer recoverAborted()
+		body()
+	})
+}
+
+// issue suspends the program until the executor resumes it with the
+// op's result. If the executor stopped the coroutine instead, issue
+// unwinds the program.
+func (c *coroutine[O]) issue(op O) {
+	if !c.yield(op) {
+		panic(errAborted)
+	}
+}
+
+// recoverAborted ends an aborted program quietly; any other panic
+// carries on to the executor's NextOp.
+func recoverAborted() {
+	if r := recover(); r != nil && r != errAborted {
+		panic(r)
+	}
+}
 
 // OpKind identifies a CPU thread operation.
 type OpKind uint8
@@ -56,56 +103,26 @@ type Op struct {
 
 // CPUThread is the context a workload CPU-thread function runs against.
 type CPUThread struct {
-	id   int
-	fn   func(*CPUThread) // nil once started
-	ops  chan Op
-	res  chan uint64
-	kill chan struct{}
+	id  int
+	co  coroutine[Op]
+	res uint64
 }
 
 // NewCPUThread returns the context the executor pulls operations from;
-// fn starts on its own goroutine at the first NextOp. fn must
-// communicate with the simulation only through the context's methods.
+// fn starts at the first NextOp. fn must communicate with the
+// simulation only through the context's methods.
 func NewCPUThread(id int, fn func(*CPUThread)) *CPUThread {
-	return &CPUThread{
-		id:   id,
-		fn:   fn,
-		ops:  make(chan Op),
-		res:  make(chan uint64),
-		kill: make(chan struct{}),
-	}
-}
-
-func (t *CPUThread) start() {
-	fn := t.fn
-	t.fn = nil
-	//lockcheck:spawn workload coroutine — the kill channel aborts it when the executor stops
-	go func() {
-		defer func() {
-			if r := recover(); r != nil && r != errAborted {
-				panic(r)
-			}
-		}()
-		defer close(t.ops)
-		fn(t)
-	}()
+	t := &CPUThread{id: id}
+	t.co.init(func() { fn(t) })
+	return t
 }
 
 // ID returns the thread's index.
 func (t *CPUThread) ID() int { return t.id }
 
 func (t *CPUThread) do(op Op) uint64 {
-	select {
-	case t.ops <- op:
-	case <-t.kill:
-		panic(errAborted)
-	}
-	select {
-	case v := <-t.res:
-		return v
-	case <-t.kill:
-		panic(errAborted)
-	}
+	t.co.issue(op)
+	return t.res
 }
 
 // Load reads the 64-bit word at a.
@@ -171,26 +188,16 @@ func (t *CPUThread) DMAOut(base memdata.Addr, length int) {
 	t.do(Op{Kind: OpDMA, Addr: base, DMABytes: length, DMAWrite: false})
 }
 
-// NextOp is the executor side of the rendezvous: it blocks until the
-// thread issues its next operation or returns (ok == false). The first
-// call starts the thread.
-func (t *CPUThread) NextOp() (Op, bool) {
-	if t.fn != nil {
-		t.start()
-	}
-	op, ok := <-t.ops
-	return op, ok
-}
+// NextOp resumes the thread until it issues its next operation, or
+// returns ok == false once it has returned. The first call starts the
+// thread. A panic in the thread's program propagates out of NextOp.
+func (t *CPUThread) NextOp() (Op, bool) { return t.co.next() }
 
-// Complete delivers an operation's result and hands control back to the
-// thread until it issues its next operation.
-func (t *CPUThread) Complete(v uint64) { t.res <- v }
+// Complete records an operation's result; the thread reads it when the
+// next NextOp resumes it.
+func (t *CPUThread) Complete(v uint64) { t.res = v }
 
-// Abort tears the thread down (end-of-simulation cleanup).
-func (t *CPUThread) Abort() {
-	select {
-	case <-t.kill:
-	default:
-		close(t.kill)
-	}
-}
+// Abort stops the thread (end-of-simulation cleanup): a suspended
+// program unwinds, a thread that never started never runs, and later
+// NextOps report completion. Idempotent.
+func (t *CPUThread) Abort() { t.co.stop() }

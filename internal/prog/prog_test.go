@@ -103,10 +103,73 @@ func TestAbortUnblocksThread(t *testing.T) {
 	}
 	th.Abort()
 	th.Abort() // idempotent
-	// The goroutine unwinds via the abort sentinel; the ops channel
-	// closes, so NextOp reports completion.
+	// The coroutine unwinds via the abort sentinel and ends, so NextOp
+	// reports completion.
 	if _, ok := th.NextOp(); ok {
 		t.Fatal("aborted thread issued another op")
+	}
+}
+
+// TestProgramPanicSurfacesFromNextOp: a program's own panic reaches the
+// executor's NextOp with its value (the job engine turns it into a
+// failed job), and the thread is finished afterwards.
+func TestProgramPanicSurfacesFromNextOp(t *testing.T) {
+	th := NewCPUThread(0, func(c *CPUThread) {
+		c.Load(0)
+		panic("program bug")
+	})
+	if _, ok := th.NextOp(); !ok {
+		t.Fatal("no first op")
+	}
+	th.Complete(0)
+	func() {
+		defer func() {
+			if r := recover(); r != "program bug" {
+				t.Fatalf("NextOp panicked with %v, want the program's value", r)
+			}
+		}()
+		th.NextOp()
+		t.Fatal("NextOp returned past the program's panic")
+	}()
+	if _, ok := th.NextOp(); ok {
+		t.Fatal("panicked thread issued another op")
+	}
+	th.Abort() // no-op on a finished thread
+}
+
+// TestHandoffAllocs: a steady-state NextOp+Complete round trip
+// allocates nothing.
+func TestHandoffAllocs(t *testing.T) {
+	th := NewCPUThread(0, func(c *CPUThread) {
+		for {
+			c.Load(0)
+		}
+	})
+	defer th.Abort()
+	if got := testing.AllocsPerRun(100, func() {
+		th.NextOp()
+		th.Complete(0)
+	}); got != 0 {
+		t.Fatalf("handoff allocates %.1f/op, want 0", got)
+	}
+}
+
+// BenchmarkHandoff measures one executor↔program round trip: NextOp
+// resumes the program up to its next op and Complete hands back the
+// result. The benchgate baseline pins it at 0 allocs/op.
+func BenchmarkHandoff(b *testing.B) {
+	th := NewCPUThread(0, func(c *CPUThread) {
+		for {
+			c.Load(0)
+		}
+	})
+	defer th.Abort()
+	th.NextOp() // start the coroutine outside the measurement
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Complete(0)
+		th.NextOp()
 	}
 }
 
@@ -214,16 +277,20 @@ func TestWaveRendezvous(t *testing.T) {
 	fm := memdata.New()
 	fm.Write(0, 11)
 	fm.Write(8, 22)
-	var vals []uint64
+	var vals, again []uint64
 	w := NewWave(0, 1, 2, func(wv *Wave) {
 		vals = wv.VecLoad([]memdata.Addr{0, 8})
 		wv.Store(16, vals[0]+vals[1])
+		again = wv.VecLoad([]memdata.Addr{16, 0})
 		wv.Barrier()
 		wv.Compute(5)
 	})
 	if w.WG != 0 || w.Lane != 1 || w.Global != 2 {
 		t.Fatal("wave ids wrong")
 	}
+	// Like the gpu executor, this one hands every load the same buffer:
+	// VecLoad must return a copy that outlives later ops.
+	var buf []uint64
 	for {
 		op, ok := w.NextOp()
 		if !ok {
@@ -231,11 +298,11 @@ func TestWaveRendezvous(t *testing.T) {
 		}
 		switch op.Kind {
 		case WaveVecLoad:
-			out := make([]uint64, len(op.Addrs))
-			for i, a := range op.Addrs {
-				out[i] = fm.Read(a)
+			buf = buf[:0]
+			for _, a := range op.Addrs {
+				buf = append(buf, fm.Read(a))
 			}
-			w.Complete(out)
+			w.Complete(buf)
 		case WaveVecStore:
 			for i, a := range op.Addrs {
 				fm.Write(a, op.Values[i])
@@ -247,6 +314,9 @@ func TestWaveRendezvous(t *testing.T) {
 	}
 	if vals[0] != 11 || vals[1] != 22 || fm.Read(16) != 33 {
 		t.Fatalf("vals=%v sum=%d", vals, fm.Read(16))
+	}
+	if again[0] != 33 || again[1] != 11 {
+		t.Fatalf("second VecLoad = %v, want [33 11]", again)
 	}
 }
 

@@ -381,10 +381,15 @@ func (s *System) Run(w Workload) (Results, error) {
 	for i, fn := range w.Threads {
 		threads[i] = prog.NewCPUThread(i, fn)
 	}
+	// Stop every workload coroutine still parked when the run ends:
+	// on success they have all returned, but a run cut short (MaxTicks,
+	// an interrupt, a deadlock, a panic) leaves threads and resident
+	// waves suspended mid-op.
 	defer func() {
 		for _, t := range threads {
 			t.Abort()
 		}
+		s.GPU.Abort()
 	}()
 	for i, t := range threads {
 		s.Cores[i].Run(t, func() { finished++ })
