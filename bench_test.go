@@ -280,7 +280,7 @@ func BenchmarkReachStatesPerSec(b *testing.B) {
 
 // BenchmarkSimulatorThroughput is a plain performance benchmark of the
 // simulator itself: simulated events per wall-clock second through the
-// full system model (calendar-queue engine + pooled messages; the
+// full system model (calendar-queue engine + value-typed messages; the
 // microbenchmark for the bare engine is sim.BenchmarkEventsPerSec).
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	var events uint64

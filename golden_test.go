@@ -7,9 +7,10 @@
 // a single event, message, or counter anywhere in a run fails here.
 //
 // The pinned hashes were generated on the seed binary-heap scheduler;
-// the calendar-queue event loop and the message pool reproduce them
-// byte-for-byte, which is the central safety argument for that swap
-// (see DESIGN.md, "Event loop"). Regenerate (only for intentional
+// the calendar-queue event loop and the value-typed messages carried
+// in the interconnect's slot table reproduce them byte-for-byte, which
+// is the central safety argument for both changes (see DESIGN.md,
+// "Event loop"). Regenerate (only for intentional
 // simulation-visible changes, alongside an engine.Version bump) with:
 //
 //	go test -run TestGoldenRuns -update-goldens .

@@ -13,13 +13,11 @@ import (
 // oracle (and the model checker, given the same mutator) must catch. It
 // is a pure function of the message, as both fault-injection hooks
 // (system.Config.Mutate and verify.Config.Mutate) require.
-func WeakenProbes(m *msg.Message) *msg.Message {
+func WeakenProbes(m msg.Message) (msg.Message, bool) {
 	if m.Type == msg.PrbInv {
-		c := *m
-		c.Type = msg.PrbDowngrade
-		return &c
+		m.Type = msg.PrbDowngrade
 	}
-	return m
+	return m, true
 }
 
 // Minimize shrinks a failing case with greedy delta debugging: drop

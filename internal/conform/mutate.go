@@ -17,11 +17,11 @@ import (
 // receives its data): the weakening surfaces as a livelock the model
 // checker's drain check reports, and as a wedged run the differential
 // harness reports as a tick-budget failure.
-func DropDirtyProbeAck(m *msg.Message) *msg.Message {
+func DropDirtyProbeAck(m msg.Message) (msg.Message, bool) {
 	if m.Type == msg.PrbAck && m.Dirty {
-		return nil
+		return m, false
 	}
-	return m
+	return m, true
 }
 
 // ReorderVictims models victim write-backs reordered behind demand
@@ -32,11 +32,11 @@ func DropDirtyProbeAck(m *msg.Message) *msg.Message {
 // next access to the line stalls on the WBAck that cannot arrive. The
 // model checker reports the wedge as a deadlock; the differential
 // harness as a tick-budget failure.
-func ReorderVictims(m *msg.Message) *msg.Message {
+func ReorderVictims(m msg.Message) (msg.Message, bool) {
 	if m.Type == msg.VicDirty || m.Type == msg.VicClean {
-		return nil
+		return m, false
 	}
-	return m
+	return m, true
 }
 
 // StaleSharerMask returns a mutator that models one sharer missing
@@ -45,13 +45,11 @@ func ReorderVictims(m *msg.Message) *msg.Message {
 // Shared copy the directory believes invalidated. The next write the
 // directory grants violates SWMR, which the oracle reports.
 func StaleSharerMask(node msg.NodeID) noc.Mutator {
-	return func(m *msg.Message) *msg.Message {
+	return func(m msg.Message) (msg.Message, bool) {
 		if m.Type == msg.PrbInv && m.Dst == node {
-			c := *m
-			c.Type = msg.PrbDowngrade
-			return &c
+			m.Type = msg.PrbDowngrade
 		}
-		return m
+		return m, true
 	}
 }
 

@@ -33,7 +33,7 @@ type Directory struct {
 	dirArr *cachearray.Array[dirEntry] // nil when Tracking == TrackNone
 
 	txns     map[cachearray.LineAddr]*txn
-	pend     map[cachearray.LineAddr][]*msg.Message //hsclint:stallqueue — drained by drainPending on txn completion
+	pend     map[cachearray.LineAddr][]msg.Message //hsclint:stallqueue — drained by drainPending on txn completion
 	nextID   uint64
 	roRanges []LineRange
 
@@ -115,7 +115,7 @@ func NewDirectory(engine *sim.Engine, ic noc.Fabric, mem MemPort,
 		tccIDs:  append([]msg.NodeID(nil), cfg.TCCs...),
 		llc:     newLLC(cfg.Geo, cfg.Opts, mem, llcScope),
 		txns:    make(map[cachearray.LineAddr]*txn),
-		pend:    make(map[cachearray.LineAddr][]*msg.Message),
+		pend:    make(map[cachearray.LineAddr][]msg.Message),
 
 		requests:    sc.Counter("requests"),
 		probesSent:  sc.Counter("probes_sent"),
@@ -169,7 +169,7 @@ func (d *Directory) targetIndex(n msg.NodeID) int {
 // stall in d.pend (the paper's blocked B/_PM/_Pm/_M states).
 type txn struct {
 	id    uint64
-	req   *msg.Message
+	req   msg.Message
 	addr  cachearray.LineAddr
 	start sim.Tick
 
@@ -201,35 +201,29 @@ type txn struct {
 // (development aid; set via the HSCSIM_DEBUG_LINE env hook in tests).
 var debugLine cachearray.LineAddr
 
-// Receive implements noc.Handler. Request messages are Held (the
-// directory keeps them as txn.req or in d.pend until complete); acks
-// and unblocks are consumed in place.
-//
-//msgown:owns m
-func (d *Directory) Receive(m *msg.Message) {
+// Receive implements noc.Handler. Requests are kept (as txn.req for
+// the life of their transaction, or queued in d.pend); acks and
+// unblocks update the transaction they name.
+func (d *Directory) Receive(m msg.Message) {
 	if debugLine != 0 && m.Addr == debugLine {
 		fmt.Printf("[%d] dir recv %s txn=%d hasData=%v dirty=%v\n", d.engine.Now(), m, m.TxnID, m.HasData, m.Dirty)
 	}
 	switch m.Type {
 	case msg.PrbAck:
-		d.handleAck(m)
+		d.handleAck(&m)
 	case msg.Unblock:
-		d.handleUnblock(m)
+		d.handleUnblock(&m)
 	default:
 		if !m.Type.IsRequest() {
 			d.violate("dispatch", m.Addr, m.TxnID, m, "directory received a non-request message")
 		}
-		d.enqueue(m)
+		d.enqueue(&m)
 	}
 }
 
 func (d *Directory) enqueue(m *msg.Message) {
-	// The directory retains every request message — as t.req for the
-	// life of its transaction, or queued in d.pend — so take ownership
-	// from the fabric here and release it in complete.
-	m.Hold()
 	if _, busy := d.txns[m.Addr]; busy {
-		d.pend[m.Addr] = append(d.pend[m.Addr], m)
+		d.pend[m.Addr] = append(d.pend[m.Addr], *m)
 		return
 	}
 	d.start(m)
@@ -237,7 +231,7 @@ func (d *Directory) enqueue(m *msg.Message) {
 
 func (d *Directory) start(m *msg.Message) {
 	d.requests.Inc()
-	t := &txn{id: d.nextID, req: m, addr: m.Addr, start: d.engine.Now()}
+	t := &txn{id: d.nextID, req: *m, addr: m.Addr, start: d.engine.Now()}
 	d.nextID++
 	d.txns[m.Addr] = t
 	// The directory-cache/transaction-table access costs DirLatency.
@@ -261,7 +255,7 @@ func (d *Directory) begin(t *txn) {
 // and reads the LLC (falling back to memory).
 
 func (d *Directory) beginStateless(t *txn) {
-	m := t.req
+	m := &t.req
 	switch m.Type {
 	case msg.RdBlk, msg.RdBlkS, msg.RdBlkM:
 		d.opts.Recorder.Record(machStateless, "-", m.Type.String(), "-") //proto:events RdBlk,RdBlkS,RdBlkM //proto:actions broadcast probes, read LLC/mem, grant //proto:emits PrbInv,PrbDowngrade,Resp
@@ -319,7 +313,7 @@ func (d *Directory) beginStateless(t *txn) {
 		d.maybeProgress(t)
 
 	default:
-		d.violate("dispatch", t.addr, t.id, m, "request type not handled by the stateless directory")
+		d.violate("dispatch", t.addr, t.id, *m, "request type not handled by the stateless directory")
 	}
 }
 
@@ -355,9 +349,7 @@ func (d *Directory) sendProbes(t *txn, inv bool, dsts []msg.NodeID) {
 		if debugLine != 0 && t.addr == debugLine {
 			fmt.Printf("[%d] dir probe %s line=%#x txn=%d dst=%d\n", d.engine.Now(), typ, uint64(t.addr), t.id, dst)
 		}
-		pm := d.ic.Alloc()
-		pm.Type, pm.Addr, pm.Src, pm.Dst, pm.TxnID = typ, t.addr, d.id, dst, t.id
-		d.ic.Send(pm)
+		d.ic.Send(msg.Message{Type: typ, Addr: t.addr, Src: d.id, Dst: dst, TxnID: t.id})
 	}
 	t.pendingAcks += len(dsts)
 	if len(dsts) == 0 && !t.eviction {
@@ -387,7 +379,6 @@ func (d *Directory) llcRead(t *txn) {
 const (
 	dirKindBegin   uint8 = iota // obj: *txn — transaction-table access done
 	dirKindLLCRead              // obj: *txn — LLC array access done
-	dirKindSend                 // obj: *msg.Message — delayed response send
 )
 
 // OnEvent implements sim.Handler for the directory's scheduled work, so
@@ -398,8 +389,6 @@ func (d *Directory) OnEvent(kind uint8, arg uint64, obj any) {
 		d.begin(obj.(*txn))
 	case dirKindLLCRead:
 		d.llcRead(obj.(*txn))
-	case dirKindSend:
-		d.ic.Send(obj.(*msg.Message))
 	}
 }
 
@@ -410,7 +399,7 @@ func (d *Directory) handleAck(m *msg.Message) {
 		if t != nil {
 			have = fmt.Sprintf("txn id=%d type=%s pendingAcks=%d", t.id, t.req.Type, t.pendingAcks)
 		}
-		d.violate("stray-probe-ack", m.Addr, m.TxnID, m, "ack for "+have)
+		d.violate("stray-probe-ack", m.Addr, m.TxnID, *m, "ack for "+have)
 	}
 	d.acksRecv.Inc()
 	t.pendingAcks--
@@ -426,7 +415,7 @@ func (d *Directory) handleAck(m *msg.Message) {
 func (d *Directory) handleUnblock(m *msg.Message) {
 	t := d.txns[m.Addr]
 	if t == nil {
-		d.violate("stray-unblock", m.Addr, m.TxnID, m, "no transaction in flight for the line")
+		d.violate("stray-unblock", m.Addr, m.TxnID, *m, "no transaction in flight for the line")
 	}
 	t.unblocked = true
 	d.maybeProgress(t)
@@ -479,19 +468,23 @@ func (d *Directory) respond(t *txn) {
 		t.onData()
 		t.onData = nil
 	}
-	resp := d.buildResponse(t)
-	if t.extraLatency > 0 {
-		d.engine.Post(t.extraLatency, d, dirKindSend, 0, resp)
-	} else {
-		d.ic.Send(resp)
-	}
+	d.send(t, d.buildResponse(t))
 	d.maybeProgress(t)
 }
 
-func (d *Directory) buildResponse(t *txn) *msg.Message {
-	m := t.req
-	out := d.ic.Alloc()
-	out.Addr, out.Src, out.Dst, out.TxnID, out.FromCache = t.addr, d.id, m.Src, t.id, t.dataFromCache
+// send emits a transaction's response after any extra latency its
+// commit charged.
+func (d *Directory) send(t *txn, out msg.Message) {
+	if t.extraLatency > 0 {
+		d.ic.SendAfter(t.extraLatency, out)
+	} else {
+		d.ic.Send(out)
+	}
+}
+
+func (d *Directory) buildResponse(t *txn) msg.Message {
+	m := &t.req
+	out := msg.Message{Addr: t.addr, Src: d.id, Dst: m.Src, TxnID: t.id, FromCache: t.dataFromCache}
 	switch m.Type {
 	case msg.RdBlk:
 		out.Type = msg.Resp
@@ -509,11 +502,11 @@ func (d *Directory) buildResponse(t *txn) *msg.Message {
 		out.Type = msg.WBAck
 	case msg.Atomic:
 		out.Type = msg.AtomicResp
-		out.Old = t.req.Old // filled by commitAtomic
+		out.Old = m.Old // filled by commitAtomic
 	case msg.Flush:
 		out.Type = msg.FlushAck
 	default:
-		d.violate("dispatch", t.addr, t.id, m, "no response defined for request type")
+		d.violate("dispatch", t.addr, t.id, *m, "no response defined for request type")
 	}
 	return out
 }
@@ -529,13 +522,7 @@ func (t *txn) grantForRdBlk() msg.Grant {
 
 func (d *Directory) respondAndFinish(t *txn, typ msg.Type) {
 	t.responded = true
-	out := d.ic.Alloc()
-	out.Type, out.Addr, out.Src, out.Dst, out.TxnID = typ, t.addr, d.id, t.req.Src, t.id
-	if t.extraLatency > 0 {
-		d.engine.Post(t.extraLatency, d, dirKindSend, 0, out)
-	} else {
-		d.ic.Send(out)
-	}
+	d.send(t, msg.Message{Type: typ, Addr: t.addr, Src: d.id, Dst: t.req.Src, TxnID: t.id})
 	d.maybeProgress(t)
 }
 
@@ -551,8 +538,6 @@ func (d *Directory) complete(t *txn) {
 		fmt.Printf("[%d] dir complete txn=%d type=%s\n", d.engine.Now(), t.id, t.req.Type)
 	}
 	delete(d.txns, t.addr)
-	d.ic.Release(t.req)
-	t.req = nil
 	d.drainPending(t.addr)
 }
 
@@ -568,7 +553,7 @@ func (d *Directory) drainPending(addr cachearray.LineAddr) {
 	} else {
 		d.pend[addr] = q[1:]
 	}
-	d.start(next)
+	d.start(&next)
 }
 
 // ---------------------------------------------------------------------
@@ -638,7 +623,7 @@ func (d *Directory) commitWT(addr cachearray.LineAddr) sim.Tick {
 // commitAtomic performs the system-scope read-modify-write at the
 // directory (system-level visibility, §II-C) and writes the result.
 func (d *Directory) commitAtomic(t *txn) {
-	m := t.req
+	m := &t.req
 	m.Old = d.funcMem.RMW(m.WordAddr, m.AOp, m.Operand, m.Compare)
 	t.extraLatency += d.commitWT(t.addr)
 }

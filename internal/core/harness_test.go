@@ -25,8 +25,8 @@ type fakeCache struct {
 	hasLine map[cachearray.LineAddr]bool // line → dirty
 	isTCC   bool                         // TCC never forwards data
 
-	probes      []*msg.Message
-	resps       []*msg.Message
+	probes      []msg.Message
+	resps       []msg.Message
 	respTicks   []sim.Tick
 	autoUnblock bool
 }
@@ -38,12 +38,11 @@ func newFake(t *testing.T, e *sim.Engine, ic *noc.Interconnect, id, dir msg.Node
 	return f
 }
 
-func (f *fakeCache) Receive(m *msg.Message) {
+func (f *fakeCache) Receive(m msg.Message) {
 	switch m.Type {
 	case msg.PrbInv, msg.PrbDowngrade:
-		m.Hold() // retained for test assertions; never released
 		f.probes = append(f.probes, m)
-		ack := &msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: f.id, Dst: m.Src, TxnID: m.TxnID}
+		ack := msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: f.id, Dst: m.Src, TxnID: m.TxnID}
 		if dirty, ok := f.hasLine[m.Addr]; ok && !f.isTCC {
 			ack.HasData = true
 			ack.Dirty = dirty
@@ -55,11 +54,10 @@ func (f *fakeCache) Receive(m *msg.Message) {
 		}
 		f.ic.Send(ack)
 	case msg.Resp, msg.WBAck, msg.AtomicResp, msg.FlushAck:
-		m.Hold() // retained for test assertions; never released
 		f.resps = append(f.resps, m)
 		f.respTicks = append(f.respTicks, f.e.Now())
 		if m.Type == msg.Resp && f.autoUnblock && !f.isTCC {
-			f.ic.Send(&msg.Message{Type: msg.Unblock, Addr: m.Addr, Src: f.id, Dst: f.dir, TxnID: m.TxnID})
+			f.ic.Send(msg.Message{Type: msg.Unblock, Addr: m.Addr, Src: f.id, Dst: f.dir, TxnID: m.TxnID})
 		}
 	default:
 		f.t.Errorf("fake %d: unexpected %s", f.id, m)
@@ -67,10 +65,10 @@ func (f *fakeCache) Receive(m *msg.Message) {
 }
 
 func (f *fakeCache) send(typ msg.Type, addr cachearray.LineAddr) {
-	f.ic.Send(&msg.Message{Type: typ, Addr: addr, Src: f.id, Dst: f.dir})
+	f.ic.Send(msg.Message{Type: typ, Addr: addr, Src: f.id, Dst: f.dir})
 }
 
-func (f *fakeCache) lastResp() *msg.Message {
+func (f *fakeCache) lastResp() msg.Message {
 	if len(f.resps) == 0 {
 		f.t.Fatalf("fake %d: no responses", f.id)
 	}

@@ -48,7 +48,7 @@ func (d *Directory) isReadOnly(line cachearray.LineAddr) bool {
 
 // beginReadOnly handles any request for a read-only line.
 func (d *Directory) beginReadOnly(t *txn) {
-	m := t.req
+	m := &t.req
 	switch m.Type {
 	case msg.RdBlk, msg.RdBlkS, msg.DMARd:
 		d.opts.Recorder.Record(machRO, "-", m.Type.String(), "-") //proto:events RdBlk,RdBlkS,DMARd //proto:actions elide probes and tracking, serve LLC/mem Shared //proto:emits Resp
@@ -68,7 +68,7 @@ func (d *Directory) beginReadOnly(t *txn) {
 		d.respondAndFinish(t, msg.WBAck)
 
 	default:
-		d.violate("read-only", t.addr, t.id, m, "write-class request to a declared read-only line — the workload violated its guarantee")
+		d.violate("read-only", t.addr, t.id, *m, "write-class request to a declared read-only line — the workload violated its guarantee")
 	}
 }
 

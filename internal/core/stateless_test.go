@@ -213,7 +213,7 @@ func TestAtomicExecutesAtDirectory(t *testing.T) {
 	r := newRig(t, Options{}, testGeo())
 	r.fm.Write(0x100*64+8, 10)
 	r.e.Schedule(0, func() {
-		r.dir.Receive(&msg.Message{
+		r.dir.Receive(msg.Message{
 			Type: msg.Atomic, Addr: 0x100, Src: r.tcc.id, Dst: 4,
 			AOp: memdata.AtomicAdd, WordAddr: 0x100*64 + 8, Operand: 5,
 		})

@@ -43,7 +43,7 @@ type t1cache struct {
 	grant  msg.Grant
 }
 
-func (c *t1cache) Receive(m *msg.Message) {
+func (c *t1cache) Receive(m msg.Message) {
 	switch m.Type {
 	case msg.PrbInv, msg.PrbDowngrade:
 		kind := "inv"
@@ -51,7 +51,7 @@ func (c *t1cache) Receive(m *msg.Message) {
 			kind = "down"
 		}
 		c.probed = append(c.probed, kind)
-		ack := &msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: c.id, Dst: m.Src, TxnID: m.TxnID}
+		ack := msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: c.id, Dst: m.Src, TxnID: m.TxnID}
 		if dirty, ok := c.hasLine[m.Addr]; ok && !c.isTCC {
 			ack.HasData = true
 			ack.Dirty = dirty
@@ -63,7 +63,7 @@ func (c *t1cache) Receive(m *msg.Message) {
 	case msg.Resp:
 		c.grant = m.Grant
 		if !c.isTCC {
-			c.ic.Send(&msg.Message{Type: msg.Unblock, Addr: m.Addr, Src: c.id, Dst: m.Src, TxnID: m.TxnID})
+			c.ic.Send(msg.Message{Type: msg.Unblock, Addr: m.Addr, Src: c.id, Dst: m.Src, TxnID: m.TxnID})
 		}
 	case msg.WBAck, msg.AtomicResp, msg.FlushAck:
 	default:
@@ -123,7 +123,7 @@ func (r *t1rig) run() {
 }
 
 func (r *t1rig) send(src *t1cache, typ msg.Type, retain bool) {
-	m := &msg.Message{Type: typ, Addr: r.line, Src: src.id, Dst: 4, Retain: retain}
+	m := msg.Message{Type: typ, Addr: r.line, Src: src.id, Dst: 4, Retain: retain}
 	if typ == msg.Atomic {
 		m.WordAddr = memdata.Addr(r.line) * 64
 	}

@@ -11,7 +11,7 @@ import (
 // fewest-sharers policy), and backward invalidations on entry eviction.
 
 func (d *Directory) beginTracked(t *txn) {
-	m := t.req
+	m := &t.req
 	switch m.Type {
 	case msg.RdBlk, msg.RdBlkS, msg.RdBlkM:
 		ln := d.dirArr.Lookup(t.addr)
@@ -57,7 +57,7 @@ func (d *Directory) beginTracked(t *txn) {
 // trackedRead handles RdBlk/RdBlkS/RdBlkM with a resident entry.
 // fresh reports that the entry was just allocated (state I semantics).
 func (d *Directory) trackedRead(t *txn, e *dirEntry, fresh bool) {
-	m := t.req
+	m := &t.req
 	reqIdx := d.targetIndex(m.Src)
 	t.needUnblock = !d.isTCC(m.Src)
 	isWrite := m.Type == msg.RdBlkM
@@ -180,7 +180,7 @@ func (d *Directory) trackedRead(t *txn, e *dirEntry, fresh bool) {
 
 // trackedVictim handles VicDirty/VicClean per Table I.
 func (d *Directory) trackedVictim(t *txn) {
-	m := t.req
+	m := &t.req
 	dirty := m.Type == msg.VicDirty
 	ln := d.dirArr.Lookup(t.addr)
 	reqIdx := d.targetIndex(m.Src)
@@ -416,7 +416,7 @@ func (d *Directory) evictEntry(victim *cachearray.Line[dirEntry], then func()) {
 	victim.Meta.Busy = true
 	et := &txn{id: d.nextID, addr: line, eviction: true}
 	d.nextID++
-	et.req = &msg.Message{Type: msg.PrbInv, Addr: line}
+	et.req = msg.Message{Type: msg.PrbInv, Addr: line}
 	et.onData = then
 	d.txns[line] = et
 	targets := d.invTargets(&victim.Meta, msg.NodeID(-1))

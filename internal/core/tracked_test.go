@@ -292,7 +292,7 @@ func TestTableI_VicCleanFromExclusiveOwner(t *testing.T) {
 func TestTableI_WTRetainKeepsTCCSharer(t *testing.T) {
 	r := newRig(t, sharersOpts(), testGeo())
 	r.l2a.send(msg.RdBlkS, 0x10)
-	r.tcc.ic.Send(&msg.Message{Type: msg.WT, Addr: 0x10, Src: r.tcc.id, Dst: 4, Retain: true})
+	r.tcc.ic.Send(msg.Message{Type: msg.WT, Addr: 0x10, Src: r.tcc.id, Dst: 4, Retain: true})
 	r.run()
 	// The CPU sharer is invalidated; the write-through TCC keeps a
 	// valid copy and is tracked as the only sharer.
@@ -308,7 +308,7 @@ func TestTableI_WTRetainKeepsTCCSharer(t *testing.T) {
 func TestTableI_WTWritebackDeallocates(t *testing.T) {
 	r := newRig(t, sharersOpts(), testGeo())
 	r.tcc.send(msg.RdBlk, 0x10) // S{TCC}
-	r.tcc.ic.Send(&msg.Message{Type: msg.WT, Addr: 0x10, Src: r.tcc.id, Dst: 4, Retain: false})
+	r.tcc.ic.Send(msg.Message{Type: msg.WT, Addr: 0x10, Src: r.tcc.id, Dst: 4, Retain: false})
 	r.run()
 	if st, _, _ := r.entry(0x10); st != "I" {
 		t.Fatalf("entry = %s, want I after a write-back WT", st)
@@ -319,7 +319,7 @@ func TestTableI_AtomicInvalidatesAndDeallocates(t *testing.T) {
 	r := newRig(t, sharersOpts(), testGeo())
 	r.l2a.send(msg.RdBlkM, 0x10)
 	r.l2a.hasLine[0x10] = true
-	r.tcc.ic.Send(&msg.Message{
+	r.tcc.ic.Send(msg.Message{
 		Type: msg.Atomic, Addr: 0x10, Src: r.tcc.id, Dst: 4,
 		AOp: 0 /* Add */, WordAddr: 0x10 * 64, Operand: 3,
 	})

@@ -138,7 +138,7 @@ type CorePair struct {
 	// the store pipeline the same way; the deferral is bounded by the
 	// fixed L1 latency, so it cannot deadlock.
 	pendingStores map[cachearray.LineAddr]int //hsclint:stallqueue — decremented by each store completion callback
-	probeWait     map[cachearray.LineAddr][]*msg.Message
+	probeWait     map[cachearray.LineAddr][]msg.Message
 
 	// rec records fired protocol transitions for the static-vs-dynamic
 	// cross-check (cmd/hscproto); nil (the default) disables recording.
@@ -174,7 +174,7 @@ func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID, cfg Config, sc
 		wb:            make(map[cachearray.LineAddr]bool),
 		wbWait:        make(map[cachearray.LineAddr][]waiter),
 		pendingStores: make(map[cachearray.LineAddr]int),
-		probeWait:     make(map[cachearray.LineAddr][]*msg.Message),
+		probeWait:     make(map[cachearray.LineAddr][]msg.Message),
 		loads:         sc.Counter("loads"),
 		stores:        sc.Counter("stores"),
 		l1Hits:        sc.Counter("l1_hits"),
@@ -295,36 +295,24 @@ func (cp *CorePair) miss(line cachearray.LineAddr, t msg.Type, w waiter) {
 		return
 	}
 	cp.mshr[line] = &mshrEntry{waiters: []waiter{w}, issued: cp.engine.Now(), typ: t}
-	rm := cp.ic.Alloc()
-	rm.Type, rm.Addr, rm.Src, rm.Dst = t, line, cp.id, cp.dirID
-	cp.engine.Post(cp.cfg.L2Latency, cp, cpKindSend, 0, rm)
+	cp.ic.SendAfter(cp.cfg.L2Latency, msg.Message{Type: t, Addr: line, Src: cp.id, Dst: cp.dirID})
 }
 
-// CorePair event kinds (sim.Handler dispatch).
-const (
-	cpKindSend        uint8 = iota // obj: *msg.Message — delayed send
-	cpKindStoreCommit              // arg: line, obj: done func() — commit window closes
-)
+// cpKindStoreCommit is the CorePair's one event kind: a store's commit
+// window closes (arg: line, obj: done func()).
+const cpKindStoreCommit uint8 = 0
 
 // OnEvent implements sim.Handler for the CorePair's scheduled work.
-func (cp *CorePair) OnEvent(kind uint8, arg uint64, obj any) {
-	switch kind {
-	case cpKindSend:
-		cp.ic.Send(obj.(*msg.Message))
-	case cpKindStoreCommit:
-		cp.storeCommitDone(cachearray.LineAddr(arg), obj.(func()))
-	}
+func (cp *CorePair) OnEvent(_ uint8, arg uint64, obj any) {
+	cp.storeCommitDone(cachearray.LineAddr(arg), obj.(func()))
 }
 
 // Receive implements noc.Handler. Probes that arrive inside a store
-// commit window are Held (probe defers them until the commit drains);
-// everything else is consumed in place.
-//
-//msgown:owns m
-func (cp *CorePair) Receive(m *msg.Message) {
+// commit window are kept in probeWait until the commit drains.
+func (cp *CorePair) Receive(m msg.Message) {
 	switch m.Type {
 	case msg.Resp:
-		cp.fill(m)
+		cp.fill(&m)
 	case msg.WBAck:
 		cp.rec.Record(machine, "WB", "WBAck", "I") //proto:actions retire victim, replay stalled accesses
 		delete(cp.wb, m.Addr)
@@ -335,7 +323,7 @@ func (cp *CorePair) Receive(m *msg.Message) {
 			}
 		}
 	case msg.PrbInv, msg.PrbDowngrade:
-		cp.probe(m)
+		cp.probe(&m)
 	default:
 		panic(fmt.Sprintf("corepair: unexpected %s", m))
 	}
@@ -345,7 +333,7 @@ func (cp *CorePair) Receive(m *msg.Message) {
 func (cp *CorePair) fill(m *msg.Message) {
 	e := cp.mshr[m.Addr]
 	if e == nil {
-		panic(fmt.Sprintf("corepair %d: fill without MSHR: %s", cp.id, m))
+		panic(fmt.Sprintf("corepair %d: fill without MSHR: %s", cp.id, *m))
 	}
 	delete(cp.mshr, m.Addr)
 	cp.missLat.Observe(uint64(cp.engine.Now() - e.issued))
@@ -385,9 +373,7 @@ func (cp *CorePair) fill(m *msg.Message) {
 	}
 	// End of the coherence transaction at the directory (reply to the
 	// responding bank: the directory may be distributed, §VII).
-	ub := cp.ic.Alloc()
-	ub.Type, ub.Addr, ub.Src, ub.Dst, ub.TxnID = msg.Unblock, m.Addr, cp.id, m.Src, m.TxnID
-	cp.ic.Send(ub)
+	cp.ic.Send(msg.Message{Type: msg.Unblock, Addr: m.Addr, Src: cp.id, Dst: m.Src, TxnID: m.TxnID})
 
 	for _, w := range e.waiters {
 		// Replay: hits now, or triggers a further upgrade.
@@ -408,9 +394,7 @@ func (cp *CorePair) victimize(line cachearray.LineAddr, st MOESI) {
 		cp.vicClean.Inc()
 	}
 	cp.wb[line] = st.dirty()
-	vm := cp.ic.Alloc()
-	vm.Type, vm.Addr, vm.Src, vm.Dst = t, line, cp.id, cp.dirID
-	cp.ic.Send(vm)
+	cp.ic.Send(msg.Message{Type: t, Addr: line, Src: cp.id, Dst: cp.dirID})
 }
 
 func (cp *CorePair) invalidateL1s(line cachearray.LineAddr) {
@@ -441,32 +425,25 @@ func (cp *CorePair) storeCommitDone(line cachearray.LineAddr, done func()) {
 	delete(cp.pendingStores, line)
 	deferred := cp.probeWait[line]
 	delete(cp.probeWait, line)
-	for _, pm := range deferred {
-		// A replayed probe that is serviced is done with its message;
-		// if done() reopened the commit window it re-defers (and stays
-		// Held).
-		if cp.probe(pm) {
-			cp.ic.Release(pm)
-		}
+	for i := range deferred {
+		// If done() reopened the commit window, the probe re-defers.
+		cp.probe(&deferred[i])
 	}
 }
 
 // probe services a directory probe: acknowledge with data when the line
 // is held (or sits in the victim buffer awaiting its WBAck), downgrading
-// or invalidating as requested. It reports whether the probe was
-// serviced; a deferred probe is Held in probeWait until the commit
-// window closes.
-func (cp *CorePair) probe(m *msg.Message) bool {
+// or invalidating as requested. A probe that arrives inside a store
+// commit window waits in probeWait until the window closes.
+func (cp *CorePair) probe(m *msg.Message) {
 	if cp.pendingStores[m.Addr] > 0 {
 		// A store hit on this line is inside its commit window; answer
 		// after it retires so the acknowledgment carries its data.
-		m.Hold()
-		cp.probeWait[m.Addr] = append(cp.probeWait[m.Addr], m)
-		return false
+		cp.probeWait[m.Addr] = append(cp.probeWait[m.Addr], *m)
+		return
 	}
 	cp.probesRecv.Inc()
-	ack := cp.ic.Alloc()
-	ack.Type, ack.Addr, ack.Src, ack.Dst, ack.TxnID = msg.PrbAck, m.Addr, cp.id, m.Src, m.TxnID
+	ack := msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: cp.id, Dst: m.Src, TxnID: m.TxnID}
 
 	if dirty, inWB := cp.wb[m.Addr]; inWB {
 		// The victim crossed this probe in flight: supply from the
@@ -502,7 +479,6 @@ func (cp *CorePair) probe(m *msg.Message) bool {
 		cp.rec.Record(machine, "I", m.Type.String(), "I") //proto:events PrbInv,PrbDowngrade //proto:actions ack without data //proto:emits PrbAck
 	}
 	cp.ic.Send(ack)
-	return true
 }
 
 // L2State reports the MOESI state of a line (test/invariant hook).

@@ -21,7 +21,7 @@ type grantAll struct {
 	victims int
 }
 
-func (d *grantAll) Receive(m *msg.Message) {
+func (d *grantAll) Receive(m msg.Message) {
 	switch m.Type {
 	case msg.RdBlk, msg.RdBlkS, msg.RdBlkM:
 		d.demand++
@@ -32,10 +32,10 @@ func (d *grantAll) Receive(m *msg.Message) {
 		if m.Type == msg.RdBlkM {
 			g = msg.GrantM
 		}
-		d.ic.Send(&msg.Message{Type: msg.Resp, Addr: m.Addr, Src: d.id, Dst: m.Src, Grant: g})
+		d.ic.Send(msg.Message{Type: msg.Resp, Addr: m.Addr, Src: d.id, Dst: m.Src, Grant: g})
 	case msg.VicDirty, msg.VicClean:
 		d.victims++
-		d.ic.Send(&msg.Message{Type: msg.WBAck, Addr: m.Addr, Src: d.id, Dst: m.Src})
+		d.ic.Send(msg.Message{Type: msg.WBAck, Addr: m.Addr, Src: d.id, Dst: m.Src})
 	case msg.Unblock:
 	}
 }

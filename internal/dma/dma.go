@@ -61,9 +61,7 @@ func (e *Engine) ReadBlock(line cachearray.LineAddr, done func()) {
 	e.rec.Record(machine, "-", "Rd", "-") //proto:actions issue DMARd //proto:emits DMARd
 	e.reads.Inc()
 	e.rdWaiters[line] = append(e.rdWaiters[line], done)
-	rm := e.ic.Alloc()
-	rm.Type, rm.Addr, rm.Src, rm.Dst = msg.DMARd, line, e.id, e.dirID
-	e.ic.Send(rm)
+	e.ic.Send(msg.Message{Type: msg.DMARd, Addr: line, Src: e.id, Dst: e.dirID})
 }
 
 // WriteBlock issues a DMAWr for one line.
@@ -71,9 +69,7 @@ func (e *Engine) WriteBlock(line cachearray.LineAddr, done func()) {
 	e.rec.Record(machine, "-", "Wr", "-") //proto:actions issue DMAWr //proto:emits DMAWr
 	e.writes.Inc()
 	e.wrWaiters[line] = append(e.wrWaiters[line], done)
-	wm := e.ic.Alloc()
-	wm.Type, wm.Addr, wm.Src, wm.Dst = msg.DMAWr, line, e.id, e.dirID
-	e.ic.Send(wm)
+	e.ic.Send(msg.Message{Type: msg.DMAWr, Addr: line, Src: e.id, Dst: e.dirID})
 }
 
 // Stream transfers length bytes starting at byte address base, keeping
@@ -118,14 +114,14 @@ func (e *Engine) Stream(base uint64, length int, write bool, maxOutstanding int,
 }
 
 // Receive implements noc.Handler.
-func (e *Engine) Receive(m *msg.Message) {
+func (e *Engine) Receive(m msg.Message) {
 	switch m.Type {
 	case msg.Resp:
 		e.rec.Record(machine, "-", "Resp", "-") //proto:actions complete oldest read on the line
-		e.pop(e.rdWaiters, m)
+		e.pop(e.rdWaiters, &m)
 	case msg.WBAck:
 		e.rec.Record(machine, "-", "WBAck", "-") //proto:actions complete oldest write on the line
-		e.pop(e.wrWaiters, m)
+		e.pop(e.wrWaiters, &m)
 	default:
 		panic(fmt.Sprintf("dma: unexpected %s", m))
 	}
@@ -134,7 +130,7 @@ func (e *Engine) Receive(m *msg.Message) {
 func (e *Engine) pop(w map[cachearray.LineAddr][]func(), m *msg.Message) {
 	q := w[m.Addr]
 	if len(q) == 0 {
-		panic(fmt.Sprintf("dma: stray response %s", m))
+		panic(fmt.Sprintf("dma: stray response %s", *m))
 	}
 	done := q[0]
 	if len(q) == 1 {

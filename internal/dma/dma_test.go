@@ -20,12 +20,12 @@ type echoDir struct {
 	writes   []cachearray.LineAddr
 }
 
-func (d *echoDir) Receive(m *msg.Message) {
+func (d *echoDir) Receive(m msg.Message) {
 	d.inflight++
 	if d.inflight > d.peak {
 		d.peak = d.inflight
 	}
-	reply := &msg.Message{Addr: m.Addr, Src: d.id, Dst: m.Src}
+	reply := msg.Message{Addr: m.Addr, Src: d.id, Dst: m.Src}
 	switch m.Type {
 	case msg.DMARd:
 		d.reads = append(d.reads, m.Addr)
@@ -124,7 +124,7 @@ func TestStrayResponsePanics(t *testing.T) {
 			t.Error("stray response did not panic")
 		}
 	}()
-	r.eng.Receive(&msg.Message{Type: msg.Resp, Addr: 0x99})
+	r.eng.Receive(msg.Message{Type: msg.Resp, Addr: 0x99})
 }
 
 func TestDuplicateLineRequests(t *testing.T) {

@@ -19,17 +19,17 @@ type grantDir struct {
 	fm *memdata.Memory
 }
 
-func (d *grantDir) Receive(m *msg.Message) {
+func (d *grantDir) Receive(m msg.Message) {
 	switch m.Type {
 	case msg.RdBlk:
-		d.ic.Send(&msg.Message{Type: msg.Resp, Addr: m.Addr, Src: d.id, Dst: m.Src, Grant: msg.GrantS})
+		d.ic.Send(msg.Message{Type: msg.Resp, Addr: m.Addr, Src: d.id, Dst: m.Src, Grant: msg.GrantS})
 	case msg.WT:
-		d.ic.Send(&msg.Message{Type: msg.WBAck, Addr: m.Addr, Src: d.id, Dst: m.Src})
+		d.ic.Send(msg.Message{Type: msg.WBAck, Addr: m.Addr, Src: d.id, Dst: m.Src})
 	case msg.Atomic:
 		old := d.fm.RMW(m.WordAddr, m.AOp, m.Operand, m.Compare)
-		d.ic.Send(&msg.Message{Type: msg.AtomicResp, Addr: m.Addr, Src: d.id, Dst: m.Src, Old: old})
+		d.ic.Send(msg.Message{Type: msg.AtomicResp, Addr: m.Addr, Src: d.id, Dst: m.Src, Old: old})
 	case msg.Flush:
-		d.ic.Send(&msg.Message{Type: msg.FlushAck, Addr: m.Addr, Src: d.id, Dst: m.Src})
+		d.ic.Send(msg.Message{Type: msg.FlushAck, Addr: m.Addr, Src: d.id, Dst: m.Src})
 	}
 }
 

@@ -205,13 +205,11 @@ func (g *GPUCaches) ReadLine(cu int, line cachearray.LineAddr, done func()) {
 }
 
 // GPUCaches event kinds (sim.Handler dispatch). The vector read/write
-// paths are the GPU's hot loops, so their TCP→TCC hops and delayed
-// sends carry (kind, arg, obj) instead of allocating closures. A line
-// address is a byte address >> 6, so its top 8 bits are free to carry
-// the CU index.
+// paths are the GPU's hot loops, so their TCP→TCC hops carry (kind,
+// arg, obj) instead of allocating closures. A line address is a byte
+// address >> 6, so its top 8 bits are free to carry the CU index.
 const (
-	gpuKindSend     uint8 = iota // obj: *msg.Message — delayed send
-	gpuKindTCCRead               // arg: cu<<56|line, obj: done func()
+	gpuKindTCCRead  uint8 = iota // arg: cu<<56|line, obj: done func()
 	gpuKindTCCWrite              // arg: line, obj: done func()
 )
 
@@ -222,8 +220,6 @@ func packCULine(cu int, line cachearray.LineAddr) uint64 {
 // OnEvent implements sim.Handler for the GPU cache complex's events.
 func (g *GPUCaches) OnEvent(kind uint8, arg uint64, obj any) {
 	switch kind {
-	case gpuKindSend:
-		g.ic.Send(obj.(*msg.Message))
 	case gpuKindTCCRead:
 		g.tccRead(int(arg>>56), cachearray.LineAddr(arg&(1<<56-1)), obj.(func()))
 	case gpuKindTCCWrite:
@@ -246,9 +242,7 @@ func (g *GPUCaches) tccRead(cu int, line cachearray.LineAddr, done func()) {
 		return
 	}
 	g.mshr[line] = []gpuWaiter{{cu, done}}
-	rm := g.ic.Alloc()
-	rm.Type, rm.Addr, rm.Src, rm.Dst = msg.RdBlk, line, g.idOf(line), g.dirID
-	g.engine.Post(g.cfg.TCCLatency, g, gpuKindSend, 0, rm)
+	g.ic.SendAfter(g.cfg.TCCLatency, msg.Message{Type: msg.RdBlk, Addr: line, Src: g.idOf(line), Dst: g.dirID})
 }
 
 // WriteLine services a coalesced vector store for one line. In the
@@ -296,9 +290,7 @@ func (g *GPUCaches) sendWT(line cachearray.LineAddr, retain bool, done func()) {
 	} else {
 		g.wtAcks[line] = append(g.wtAcks[line], func() {})
 	}
-	wm := g.ic.Alloc()
-	wm.Type, wm.Addr, wm.Src, wm.Dst, wm.Retain = msg.WT, line, g.idOf(line), g.dirID, retain
-	g.engine.Post(g.cfg.TCCLatency, g, gpuKindSend, 0, wm)
+	g.ic.SendAfter(g.cfg.TCCLatency, msg.Message{Type: msg.WT, Addr: line, Src: g.idOf(line), Dst: g.dirID, Retain: retain})
 }
 
 // insertTCC allocates (or refreshes) a TCC line, writing back a
@@ -336,10 +328,8 @@ func (g *GPUCaches) AtomicSystem(cu int, line cachearray.LineAddr, word memdata.
 		g.rec.Record(machine, "I", "AtomicSys", "I") //proto:actions issue Atomic (bypass) //proto:emits Atomic
 	}
 	g.atomics[line] = append(g.atomics[line], done)
-	am := g.ic.Alloc()
-	am.Type, am.Addr, am.Src, am.Dst = msg.Atomic, line, g.idOf(line), g.dirID
-	am.AOp, am.WordAddr, am.Operand, am.Compare = op, word, operand, compare
-	g.engine.Post(g.cfg.TCCLatency, g, gpuKindSend, 0, am)
+	g.ic.SendAfter(g.cfg.TCCLatency, msg.Message{Type: msg.Atomic, Addr: line, Src: g.idOf(line), Dst: g.dirID,
+		AOp: op, WordAddr: word, Operand: operand, Compare: compare})
 }
 
 // AtomicDevice executes a device-scope (GLC) atomic at the TCC (GPU
@@ -413,13 +403,11 @@ func (g *GPUCaches) ReleaseFlush(done func()) {
 		}
 	}
 	g.flushes = append(g.flushes, done)
-	fm := g.ic.Alloc()
-	fm.Type, fm.Addr, fm.Src, fm.Dst = msg.Flush, 0, g.ids[0], g.dirID
-	g.ic.Send(fm)
+	g.ic.Send(msg.Message{Type: msg.Flush, Addr: 0, Src: g.ids[0], Dst: g.dirID})
 }
 
 // Receive implements noc.Handler.
-func (g *GPUCaches) Receive(m *msg.Message) {
+func (g *GPUCaches) Receive(m msg.Message) {
 	switch m.Type {
 	case msg.Resp:
 		ws := g.mshr[m.Addr]
@@ -485,17 +473,13 @@ func (g *GPUCaches) Receive(m *msg.Message) {
 		} else {
 			g.rec.Record(machine, "I", "PrbInv", "I") //proto:actions ack without data //proto:emits PrbAck
 		}
-		ack := g.ic.Alloc()
-		ack.Type, ack.Addr, ack.Src, ack.Dst, ack.TxnID = msg.PrbAck, m.Addr, g.idOf(m.Addr), m.Src, m.TxnID
-		g.ic.Send(ack)
+		g.ic.Send(msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: g.idOf(m.Addr), Dst: m.Src, TxnID: m.TxnID})
 
 	case msg.PrbDowngrade:
 		// The TCC holds no exclusive permission to surrender: ack only.
 		g.rec.Record(machine, "-", "PrbDowngrade", "-") //proto:actions ack, keep state //proto:emits PrbAck
 		g.probesRecv.Inc()
-		ack := g.ic.Alloc()
-		ack.Type, ack.Addr, ack.Src, ack.Dst, ack.TxnID = msg.PrbAck, m.Addr, g.idOf(m.Addr), m.Src, m.TxnID
-		g.ic.Send(ack)
+		g.ic.Send(msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: g.idOf(m.Addr), Dst: m.Src, TxnID: m.TxnID})
 
 	default:
 		panic(fmt.Sprintf("gpucache: unexpected %s", m))

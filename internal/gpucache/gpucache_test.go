@@ -15,23 +15,22 @@ import (
 type fakeDir struct {
 	ic   *noc.Interconnect
 	id   msg.NodeID
-	reqs []*msg.Message
+	reqs []msg.Message
 	fm   *memdata.Memory
 }
 
-func (d *fakeDir) Receive(m *msg.Message) {
-	m.Hold() // retained in reqs for test assertions; never released
+func (d *fakeDir) Receive(m msg.Message) {
 	d.reqs = append(d.reqs, m)
 	switch m.Type {
 	case msg.RdBlk:
-		d.ic.Send(&msg.Message{Type: msg.Resp, Addr: m.Addr, Src: d.id, Dst: m.Src, Grant: msg.GrantS})
+		d.ic.Send(msg.Message{Type: msg.Resp, Addr: m.Addr, Src: d.id, Dst: m.Src, Grant: msg.GrantS})
 	case msg.WT:
-		d.ic.Send(&msg.Message{Type: msg.WBAck, Addr: m.Addr, Src: d.id, Dst: m.Src})
+		d.ic.Send(msg.Message{Type: msg.WBAck, Addr: m.Addr, Src: d.id, Dst: m.Src})
 	case msg.Atomic:
 		old := d.fm.RMW(m.WordAddr, m.AOp, m.Operand, m.Compare)
-		d.ic.Send(&msg.Message{Type: msg.AtomicResp, Addr: m.Addr, Src: d.id, Dst: m.Src, Old: old})
+		d.ic.Send(msg.Message{Type: msg.AtomicResp, Addr: m.Addr, Src: d.id, Dst: m.Src, Old: old})
 	case msg.Flush:
-		d.ic.Send(&msg.Message{Type: msg.FlushAck, Addr: m.Addr, Src: d.id, Dst: m.Src})
+		d.ic.Send(msg.Message{Type: msg.FlushAck, Addr: m.Addr, Src: d.id, Dst: m.Src})
 	}
 }
 
@@ -168,7 +167,7 @@ func TestWriteBackBuffersDirtyAndEvicts(t *testing.T) {
 	if r.dir.count(msg.WT) != 1 {
 		t.Fatalf("WTs after eviction = %d, want 1", r.dir.count(msg.WT))
 	}
-	var wt *msg.Message
+	var wt msg.Message
 	for _, m := range r.dir.reqs {
 		if m.Type == msg.WT {
 			wt = m
@@ -242,9 +241,9 @@ func TestProbeInvalidatesWithoutForwarding(t *testing.T) {
 	r := newGPURig(t, tinyGPUConfig())
 	r.g.ReadLine(0, 0x10, func() {})
 	r.run()
-	got := []*msg.Message{}
-	r.g.ic.Register(msg.NodeID(99), noc.HandlerFunc(func(m *msg.Message) { m.Hold(); got = append(got, m) }))
-	r.g.Receive(&msg.Message{Type: msg.PrbInv, Addr: 0x10, Src: 99, Dst: r.g.ids[0], TxnID: 3})
+	got := []msg.Message{}
+	r.g.ic.Register(msg.NodeID(99), noc.HandlerFunc(func(m msg.Message) { got = append(got, m) }))
+	r.g.Receive(msg.Message{Type: msg.PrbInv, Addr: 0x10, Src: 99, Dst: r.g.ids[0], TxnID: 3})
 	r.run()
 	if len(got) != 1 || got[0].Type != msg.PrbAck {
 		t.Fatalf("acks = %v", got)
@@ -264,7 +263,7 @@ func TestProbeInvalidateDirtyWBLineFlushes(t *testing.T) {
 	r := newGPURig(t, cfg)
 	r.g.WriteLine(0, 0x10, func() {})
 	r.run()
-	r.g.Receive(&msg.Message{Type: msg.PrbInv, Addr: 0x10, Src: 6, Dst: r.g.ids[0], TxnID: 3})
+	r.g.Receive(msg.Message{Type: msg.PrbInv, Addr: 0x10, Src: 6, Dst: r.g.ids[0], TxnID: 3})
 	r.run()
 	if r.dir.count(msg.WT) != 1 {
 		t.Fatal("invalidated dirty WB line must be flushed out")
@@ -342,7 +341,7 @@ func TestMultiTCCBankRouting(t *testing.T) {
 		t.Fatal("fills missing")
 	}
 	// A probe for lineB invalidates only bank 1's copy.
-	r.g.Receive(&msg.Message{Type: msg.PrbInv, Addr: lineB, Src: 6, Dst: r.g.idOf(lineB), TxnID: 9})
+	r.g.Receive(msg.Message{Type: msg.PrbInv, Addr: lineB, Src: 6, Dst: r.g.idOf(lineB), TxnID: 9})
 	r.run()
 	if r.g.TCCHas(lineB) {
 		t.Fatal("probe did not invalidate the owning bank")

@@ -5,12 +5,12 @@ import (
 	"go/token"
 )
 
-// This file is the control-flow-graph half of the msgown analyzer: a
-// small, hand-rolled CFG over ast.Stmt with the same dependency
+// This file is the control-flow-graph half of the lockcheck analyzer:
+// a small, hand-rolled CFG over ast.Stmt with the same dependency
 // posture as the rest of the package (stdlib only, no
 // golang.org/x/tools/go/cfg). Blocks hold a flat list of ast.Node
 // "atoms" — statements or sub-expressions in evaluation order — and
-// the dataflow in msgown.go interprets each atom with a transfer
+// the dataflow in lockcheck.go interprets each atom with a transfer
 // function.
 //
 // The builder covers the statement forms the simulator actually uses:
@@ -232,9 +232,9 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 }
 
 // nilGuard is a synthetic CFG atom recording that expression x is (or
-// is not) nil on the edge it sits on. The dataflow uses it to drop
-// ownership tracking on nil paths: a nil pointer can't leak and pool
-// ops on it are a separate (dynamic) failure, not an ownership bug.
+// is not) nil on the edge it sits on, for a dataflow that refines its
+// facts on nil paths. lockcheck's held-lock facts do not depend on
+// nil-ness, so it steps over these atoms.
 type nilGuard struct {
 	x     ast.Expr
 	isNil bool
@@ -461,7 +461,7 @@ func fallsThrough(body []ast.Stmt) bool {
 
 // isPanicOrExit reports whether the expression statement unconditionally
 // terminates the path: panic(...) or os.Exit(...). Testing helpers
-// (t.Fatal) don't appear in the packages msgown analyzes.
+// (t.Fatal) don't appear in the packages lockcheck analyzes.
 func isPanicOrExit(e ast.Expr) bool {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {

@@ -6,28 +6,40 @@ import (
 	"strings"
 )
 
+// deterministicMarker suppresses a map-range finding when it appears
+// on the range statement's line or the line above it — the author
+// asserts the loop body is insensitive to iteration order (commutative
+// accumulation, or keys sorted before use).
+const deterministicMarker = "hsclint:deterministic"
+
 // detPackages are the packages whose behavior must be a pure function
-// of (workload, config, seed): the hot-path simulator packages plus
-// everything the harnesses replay — the model checker re-executes
-// action prefixes from scratch and the conformance matrix diffs final
-// images across runs, so any wall-clock or ambient-randomness
-// dependence in these packages breaks both. Workload generators are
-// included: their outputs are the reproducers the minimizer shrinks.
-var detPackages = func() map[string]bool {
-	m := map[string]bool{
-		"hscsim/internal/chai":       true,
-		"hscsim/internal/conform":    true,
-		"hscsim/internal/fsm":        true,
-		"hscsim/internal/heterosync": true,
-		"hscsim/internal/memdata":    true,
-		"hscsim/internal/stats":      true,
-		"hscsim/internal/verify":     true,
-	}
-	for pkg := range hotPackages { //hsclint:deterministic — building a set
-		m[pkg] = true
-	}
-	return m
-}()
+// of (workload, config, seed): the simulator packages plus everything
+// the harnesses replay — the model checker re-executes action prefixes
+// from scratch and the conformance matrix diffs final images across
+// runs, so any wall-clock, ambient-randomness or map-order dependence
+// in these packages breaks both. Workload generators are included:
+// their outputs are the reproducers the minimizer shrinks.
+var detPackages = map[string]bool{
+	"hscsim/internal/cachearray": true,
+	"hscsim/internal/chai":       true,
+	"hscsim/internal/conform":    true,
+	"hscsim/internal/core":       true,
+	"hscsim/internal/corepair":   true,
+	"hscsim/internal/cpu":        true,
+	"hscsim/internal/dma":        true,
+	"hscsim/internal/fsm":        true,
+	"hscsim/internal/gpu":        true,
+	"hscsim/internal/gpucache":   true,
+	"hscsim/internal/heterosync": true,
+	"hscsim/internal/memctrl":    true,
+	"hscsim/internal/memdata":    true,
+	"hscsim/internal/noc":        true,
+	"hscsim/internal/prog":       true,
+	"hscsim/internal/sim":        true,
+	"hscsim/internal/stats":      true,
+	"hscsim/internal/system":     true,
+	"hscsim/internal/verify":     true,
+}
 
 // bannedTimeFuncs are the wall-clock entry points of package time. The
 // pure constructors and arithmetic (Duration, Unix, Date…) stay legal:
@@ -57,11 +69,12 @@ var allowedRandFuncs = map[string]bool{
 	"NewZipf":   true,
 }
 
-// Determinism bans ambient nondeterminism — wall-clock reads and the
-// process-global math/rand source — in simulation-reachable packages.
+// Determinism bans ambient nondeterminism — raw map iteration,
+// wall-clock reads and the process-global math/rand source — in
+// simulation-reachable packages.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no wall-clock time or global math/rand in simulation-reachable packages",
+	Doc:  "no map iteration, wall-clock time or global math/rand in simulation-reachable packages",
 	Run:  runDeterminism,
 }
 
@@ -69,11 +82,19 @@ func runDeterminism(p *Pass) {
 	if !detPackages[p.Pkg.PkgPath] {
 		return
 	}
-	// Map iteration order is ambient nondeterminism too. The hot-path
-	// packages are maploop's territory; cover the remaining
-	// simulation-reachable ones here so each range is reported once.
-	if !hotPackages[p.Pkg.PkgPath] {
-		reportMapRanges(p, "map iteration order is randomized and this package is simulation-reachable; iterate sorted keys, or annotate //%s if order provably cannot matter")
+	for _, file := range p.Pkg.Files {
+		marked := markerLines(p, file, deterministicMarker)
+		ast.Inspect(file, func(n ast.Node) bool {
+			if rs, ok := n.(*ast.RangeStmt); ok && isMap(p, rs.X) {
+				line := p.Pkg.Fset.Position(rs.Pos()).Line
+				if !marked[line] && !marked[line-1] {
+					p.Report(rs.Pos(),
+						"map iteration order is randomized and this package is simulation-reachable; iterate sorted keys, or annotate //%s if order provably cannot matter",
+						deterministicMarker)
+				}
+			}
+			return true
+		})
 	}
 	p.inspect(func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
@@ -122,4 +143,14 @@ func pkgFuncOf(p *Pass, sel *ast.SelectorExpr) (string, string) {
 	// "vendor/" prefix so the match is on the canonical import path.
 	path = strings.TrimPrefix(path, "vendor/")
 	return path, sel.Sel.Name
+}
+
+// isMap reports whether e has map type.
+func isMap(p *Pass, e ast.Expr) bool {
+	tv, ok := p.Pkg.Info.Types[e]
+	if !ok {
+		return false
+	}
+	_, m := tv.Type.Underlying().(*types.Map)
+	return m
 }

@@ -8,11 +8,9 @@ import (
 )
 
 // This file is the shared analyzer driver: the package-walking,
-// marker-scanning and annotation-indexing boilerplate that every
-// analyzer used to hand-roll (msgswitch/maploop/statsreg/determinism/
-// stallwake each carried its own file loop, msgown its own annotation
-// index). New analyzers — lockcheck is the first — compose these
-// helpers instead of re-implementing them.
+// marker-scanning and annotation-indexing boilerplate the analyzers
+// compose instead of each hand-rolling its own file loop and
+// annotation index.
 
 // inspect runs fn over every file in the package under analysis, in
 // file order (the ast.Inspect contract: return false to skip a
@@ -72,7 +70,7 @@ func (d directive) args() []string {
 
 // parseDirectives extracts every `//<prefix><verb> <rest>` directive
 // from the comment groups. prefix includes the trailing colon
-// ("msgown:", "lockcheck:").
+// ("lockcheck:").
 func parseDirectives(prefix string, groups ...*ast.CommentGroup) []directive {
 	var out []directive
 	for _, cg := range groups {
@@ -94,9 +92,8 @@ func parseDirectives(prefix string, groups ...*ast.CommentGroup) []directive {
 // funcDirectives collects `//<prefix>...` directives from every
 // function declaration and interface method across all loaded
 // packages, keyed by types.Func full name — so cross-package call
-// sites (which see a distinct export-data object) still resolve. This
-// is the cross-function annotation mechanism msgown introduced,
-// factored out for any annotation vocabulary (lockcheck reuses it).
+// sites (which see a distinct export-data object) still resolve. It
+// serves any annotation vocabulary; lockcheck's is the one in use.
 func funcDirectives(pkgs []*Package, prefix string) map[string][]directive {
 	idx := make(map[string][]directive)
 	for _, pkg := range pkgs {

@@ -11,29 +11,24 @@
 //     clause or enumerate every message type. Protocol dispatch that
 //     silently ignores an unlisted message is how lost-ack deadlocks
 //     are born.
-//   - maploop: simulator hot-path packages must not range over maps —
-//     Go randomizes map iteration order, which would break the
-//     determinism the whole simulator (and its model checker) relies
-//     on. Ranges proven order-insensitive are annotated
-//     `//hsclint:deterministic`.
 //   - statsreg: every *stats.Counter / *stats.Histogram struct field
 //     must be assigned somewhere in its package (i.e. registered via a
 //     Scope); an unassigned field is a latent nil-dereference that only
 //     fires when the counter is first bumped.
+//   - determinism: simulation-reachable packages must be a pure
+//     function of (workload, config, seed) — no raw map iteration (Go
+//     randomizes its order; ranges proven order-insensitive are
+//     annotated `//hsclint:deterministic`), no wall-clock reads and no
+//     draws from the process-global math/rand source. The model
+//     checker's replay and the conformance diffs depend on it.
 //   - stallwake: queue fields that park protocol work (the directory's
 //     pend map, MSHR waiter lists) must be annotated
 //     `//hsclint:stallqueue`, and every annotated queue needs both a
 //     park site and a wake site in its package — a queue that is
 //     filled but never drained is a hung transaction waiting to
 //     happen.
-//   - msgown: pooled messages and events must follow the
-//     release-on-consume ownership discipline on every path — a
-//     flow-sensitive dataflow over a per-function CFG catches
-//     use-after-release, double-release, leak-on-return and
-//     send-after-hold statically, with //msgown: annotations declaring
-//     cross-function ownership transfer (see msgown.go).
 //   - lockcheck: lock discipline for the concurrent job engine —
-//     a flow-sensitive held-lock dataflow over the same CFG catches
+//     a flow-sensitive held-lock dataflow over a per-function CFG catches
 //     blocking calls under //lockcheck:fast locks (the PR 9 HTTP-under-
 //     engine-mutex incident, statically), missing unlocks on early
 //     returns, double-locks, inversions of the declared
@@ -77,7 +72,7 @@ type Analyzer struct {
 
 // Pass carries one analyzer's run over one package. All holds every
 // package in the run, so analyzers that honor cross-package
-// annotations (msgown) can index declarations outside the package
+// annotations (lockcheck) can index declarations outside the package
 // under analysis.
 type Pass struct {
 	Pkg      *Package
@@ -97,7 +92,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...interface{}) {
 
 // All returns every registered analyzer.
 func All() []*Analyzer {
-	return []*Analyzer{MsgSwitch, MapLoop, StatsReg, Determinism, StallWake, MsgOwn, LockCheck}
+	return []*Analyzer{MsgSwitch, StatsReg, Determinism, StallWake, LockCheck}
 }
 
 // Check runs the analyzers over the packages and returns findings

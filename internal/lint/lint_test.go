@@ -11,12 +11,17 @@ const badPkg = "hscsim/internal/lint/testdata/bad"
 
 func loadBad(t *testing.T) []*Package {
 	t.Helper()
-	pkgs, err := Load(".", badPkg)
+	return loadPkg(t, badPkg)
+}
+
+func loadPkg(t *testing.T, pattern string) []*Package {
+	t.Helper()
+	pkgs, err := Load(".", pattern)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages, want 1", len(pkgs))
+		t.Fatalf("loaded %d packages for %s, want 1", len(pkgs), pattern)
 	}
 	return pkgs
 }
@@ -48,28 +53,6 @@ func TestMsgSwitchCatchesNonExhaustive(t *testing.T) {
 	}
 }
 
-func TestMapLoopCatchesUnannotatedRange(t *testing.T) {
-	pkgs := loadBad(t)
-	// The testdata package is not on the real hot list; mark it hot for
-	// the duration of the test.
-	hotPackages[badPkg] = true
-	defer delete(hotPackages, badPkg)
-
-	diags := Check(pkgs, []*Analyzer{MapLoop})
-	if len(diags) != 1 {
-		t.Fatalf("diags = %v, want exactly 1 (the annotated range must be suppressed)", diags)
-	}
-	if !strings.Contains(diags[0].Message, "map iteration") {
-		t.Fatalf("unexpected message: %s", diags[0].Message)
-	}
-}
-
-func TestMapLoopIgnoresColdPackages(t *testing.T) {
-	if diags := Check(loadBad(t), []*Analyzer{MapLoop}); len(diags) != 0 {
-		t.Fatalf("cold package reported: %v", diags)
-	}
-}
-
 func TestStatsRegCatchesUnassignedFields(t *testing.T) {
 	diags := Check(loadBad(t), []*Analyzer{StatsReg})
 	// Two unassigned fields (misses, lat), one handle copied from
@@ -96,6 +79,38 @@ func TestStatsRegCatchesUnassignedFields(t *testing.T) {
 	}
 }
 
+// mapRangeDiags runs Determinism over pkgs and keeps only its map-range
+// findings.
+func mapRangeDiags(pkgs []*Package) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range Check(pkgs, []*Analyzer{Determinism}) {
+		if strings.Contains(d.Message, "map iteration") {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+func TestMapLoopCatchesUnannotatedRange(t *testing.T) {
+	pkgs := loadBad(t)
+	// The testdata package is not in the real set; add it for the
+	// duration of the test.
+	detPackages[badPkg] = true
+	defer delete(detPackages, badPkg)
+
+	// sum has two map ranges; the one annotated //hsclint:deterministic
+	// must be suppressed.
+	if diags := mapRangeDiags(pkgs); len(diags) != 1 {
+		t.Fatalf("map-range diags = %v, want exactly 1 (the annotated range must be suppressed)", diags)
+	}
+}
+
+func TestMapLoopIgnoresColdPackages(t *testing.T) {
+	if diags := mapRangeDiags(loadBad(t)); len(diags) != 0 {
+		t.Fatalf("map range outside the simulation-reachable set reported: %v", diags)
+	}
+}
+
 func TestDeterminismCatchesClockAndGlobalRand(t *testing.T) {
 	pkgs := loadBad(t)
 	detPackages[badPkg] = true
@@ -113,9 +128,8 @@ func TestDeterminismCatchesClockAndGlobalRand(t *testing.T) {
 		}
 	}
 	// False-positive guard: exactly the two clock reads, the two global
-	// draws, and sum's unannotated map range (det-only packages get the
-	// map check from this analyzer) — so rand.New, rand.NewSource, the
-	// *rand.Rand method call and the Duration arithmetic all passed.
+	// draws and sum's unannotated map range — so rand.New, rand.NewSource,
+	// the *rand.Rand method call and the Duration arithmetic all passed.
 	if len(diags) != 5 {
 		t.Errorf("got %d diagnostics, want 5:\n%s", len(diags), joined)
 	}
@@ -205,12 +219,8 @@ func checkGoldens(t *testing.T, pkgs []*Package, analyzers []*Analyzer, srcPath 
 // and matches the diagnostics against the //want comments.
 func TestGoldenExpectations(t *testing.T) {
 	pkgs := loadBad(t)
-	hotPackages[badPkg] = true
 	detPackages[badPkg] = true
-	defer func() {
-		delete(hotPackages, badPkg)
-		delete(detPackages, badPkg)
-	}()
+	defer delete(detPackages, badPkg)
 	checkGoldens(t, pkgs, All(), "testdata/bad/bad.go", 14)
 }
 

@@ -10,7 +10,7 @@ import (
 
 // LockCheck is a flow-sensitive lock-discipline analyzer for the
 // concurrent job engine. It interprets each function over the
-// same CFG msgown built (cfg.go), tracking a held-lock fact per
+// hand-rolled CFG in cfg.go, tracking a held-lock fact per
 // sync.Mutex / sync.RWMutex field, and reports:
 //
 //   - blocking-under-lock: a channel send/receive, net/http call,
@@ -36,7 +36,7 @@ import (
 //
 // Cross-function effects propagate through //lockcheck: annotations on
 // function declarations and interface methods, indexed by types.Func
-// full name exactly like msgown's transfer annotations:
+// full name (funcDirectives in driver.go):
 //
 //	//lockcheck:blocks                 — may block; never call under a fast lock
 //	//lockcheck:neutral                — no lock effects and never blocks

@@ -69,12 +69,12 @@ func newRelay(sc *stats.Scope, w *widget) *relay {
 // package re-exports internal/engine's Engine exactly this way).
 type RemoteGadget = gadget.Gadget
 
-// sum ranges over a map unannotated → maploop (when the test marks this
-// package hot). The second loop carries the suppression marker and an
-// order-insensitive body, so it must NOT be reported.
+// sum ranges over a map unannotated → determinism (when the test adds
+// this package to the set). The second loop carries the suppression
+// marker and an order-insensitive body, so it must NOT be reported.
 func sum(m map[int]int) int {
 	total := 0
-	for _, v := range m { //want maploop "map iteration"
+	for _, v := range m { //want determinism "map iteration"
 		total += v
 	}
 	for k := range m { //hsclint:deterministic — max is order-free

@@ -177,11 +177,17 @@ func (g Grant) String() string {
 // Message is a single coherence message. Data payloads are not carried:
 // values are functional (package memdata); HasData/Dirty model the
 // protocol-visible properties of the payload.
+//
+// A Message is a plain value with no pointer fields: senders build a
+// literal and pass it to noc.Fabric.Send, and every receiver gets its
+// own copy, which it may keep for as long as it likes. The one-byte
+// fields share a word, which keeps the struct at 72 bytes.
 type Message struct {
-	Type Type
 	Addr cachearray.LineAddr
 	Src  NodeID
 	Dst  NodeID
+
+	Type Type
 
 	// Probe acknowledgment fields.
 	HasData bool // the probed cache held the line and forwarded data
@@ -204,10 +210,6 @@ type Message struct {
 
 	// TxnID ties probes and acks to a directory transaction.
 	TxnID uint64
-
-	// state is the pool lifecycle (see pool.go). The zero value marks a
-	// foreign (non-pooled) message, so literals keep working unchanged.
-	state uint8
 }
 
 // ControlBytes and DataBytes size messages for network-traffic
@@ -218,7 +220,7 @@ const (
 )
 
 // Bytes returns the on-wire size of the message.
-func (m *Message) Bytes() int {
+func (m Message) Bytes() int {
 	switch m.Type {
 	case VicDirty, VicClean, WT, Resp:
 		return DataBytes
@@ -232,6 +234,6 @@ func (m *Message) Bytes() int {
 	}
 }
 
-func (m *Message) String() string {
+func (m Message) String() string {
 	return fmt.Sprintf("%s addr=%#x src=%d dst=%d", m.Type, uint64(m.Addr), m.Src, m.Dst)
 }

@@ -1,8 +1,10 @@
 package msg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestTypeString(t *testing.T) {
@@ -116,28 +118,45 @@ func TestGrantString(t *testing.T) {
 }
 
 func TestBytes(t *testing.T) {
-	if (&Message{Type: RdBlk}).Bytes() != ControlBytes {
+	if (Message{Type: RdBlk}).Bytes() != ControlBytes {
 		t.Error("request should be control-sized")
 	}
 	for _, d := range []Type{VicDirty, VicClean, WT, Resp} {
-		if (&Message{Type: d}).Bytes() != DataBytes {
+		if (Message{Type: d}).Bytes() != DataBytes {
 			t.Errorf("%s should be data-sized", d)
 		}
 	}
-	if (&Message{Type: PrbAck}).Bytes() != ControlBytes {
+	if (Message{Type: PrbAck}).Bytes() != ControlBytes {
 		t.Error("dataless ack should be control-sized")
 	}
-	if (&Message{Type: PrbAck, HasData: true}).Bytes() != DataBytes {
+	if (Message{Type: PrbAck, HasData: true}).Bytes() != DataBytes {
 		t.Error("data ack should be data-sized")
 	}
 }
 
 func TestMessageString(t *testing.T) {
-	m := &Message{Type: RdBlkM, Addr: 0x42, Src: 1, Dst: 6}
+	m := Message{Type: RdBlkM, Addr: 0x42, Src: 1, Dst: 6}
 	s := m.String()
 	for _, part := range []string{"RdBlkM", "0x42", "src=1", "dst=6"} {
 		if !strings.Contains(s, part) {
 			t.Errorf("String %q missing %q", s, part)
+		}
+	}
+}
+
+// TestMessageIsCompactValue pins what lets messages travel by value:
+// no field holds a pointer (a copy shares nothing with its source) and
+// the struct stays at 72 bytes, so a copy is a few register moves.
+func TestMessageIsCompactValue(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got != 72 {
+		t.Errorf("Message is %d bytes, want 72", got)
+	}
+	typ := reflect.TypeOf(Message{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("field %s has reference kind %s", f.Name, f.Type.Kind())
 		}
 	}
 }

@@ -15,45 +15,40 @@ import (
 	"hscsim/internal/stats"
 )
 
-// Handler receives delivered messages. The fabric still owns m during
-// Receive (release-on-consume); an implementation that keeps it past
-// the return must Hold it — hence the conditional-ownership
-// annotation.
+// Handler receives delivered messages. Each receiver gets its own copy
+// of the message and may keep it for as long as it likes.
 type Handler interface {
-	Receive(m *msg.Message) //msgown:owns m
+	Receive(m msg.Message)
 }
 
 // HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(m *msg.Message)
+type HandlerFunc func(m msg.Message)
 
-// Receive calls f(m), which may Hold it like any Handler.
-//
-//msgown:owns m
-func (f HandlerFunc) Receive(m *msg.Message) { f(m) }
+// Receive calls f(m).
+func (f HandlerFunc) Receive(m msg.Message) { f(m) }
 
 // Fabric is the interface cache controllers use to reach the
 // interconnect. The production implementation is *Interconnect; the
 // model checker in internal/verify substitutes a fabric that buffers
 // in-flight messages so delivery order can be explored exhaustively.
 //
-// Alloc returns a message for sending; on the production fabric it
-// comes from a pool and is reclaimed automatically after the
-// destination handler consumes it (release-on-consume). A receiver
-// that keeps a delivered message past its Receive return must call
-// msg.Message.Hold and later Release it; plain &msg.Message{} literals
-// remain valid everywhere and are never reclaimed. The chaos fabric
-// allocates plain literals, so model-checker runs are pool-free.
+// Messages travel by value: a sender builds a literal and sends it, and
+// nothing it does afterwards can reach the copy in flight.
 type Fabric interface {
 	Register(id msg.NodeID, h Handler)
-	Send(m *msg.Message)
-	Alloc() *msg.Message
-	Release(m *msg.Message)
+	// Send injects m now.
+	Send(m msg.Message)
+	// SendAfter injects m delay ticks from now, as if Send were called
+	// then: traffic counters, tracing and egress-port occupancy all
+	// apply at departure. It models a controller's pipeline latency
+	// ahead of the network.
+	SendAfter(delay sim.Tick, m msg.Message)
 }
 
 // DeliveryHook observes every message just after the destination
 // handler has processed it. The runtime coherence oracle attaches here
 // to cross-check cache states against a golden functional memory.
-type DeliveryHook func(t sim.Tick, m *msg.Message)
+type DeliveryHook func(t sim.Tick, m msg.Message)
 
 // Config sets interconnect timing.
 type Config struct {
@@ -70,24 +65,32 @@ type Config struct {
 func DefaultConfig() Config { return Config{Latency: 4, WidthBytes: 32} }
 
 // Tracer observes every message at send time.
-type Tracer func(t sim.Tick, m *msg.Message)
+type Tracer func(t sim.Tick, m msg.Message)
 
-// Mutator rewrites (or drops, by returning nil) a message at delivery
-// time. It exists purely for fault injection: the conformance harness
+// Mutator rewrites a message at delivery time, or drops it by returning
+// false. It exists purely for fault injection: the conformance harness
 // (internal/conform) seeds protocol weakenings to prove the oracle and
 // differential checks catch them. It must be a pure function of the
 // message.
-type Mutator func(m *msg.Message) *msg.Message
+type Mutator func(m msg.Message) (msg.Message, bool)
 
 // Interconnect is a crossbar connecting registered nodes. Node IDs are
 // small and dense (see system.nodeLayout), so handlers and port clocks
 // live in ID-indexed slices rather than maps.
+//
+// Messages in flight wait in a slot table: Send and SendAfter copy the
+// message into a free slot and post an engine event carrying the slot
+// index, and the event copies the message out (freeing the slot) before
+// acting on it. The table grows to the peak number of messages in
+// flight and is reused from then on, so steady-state traffic allocates
+// nothing.
 type Interconnect struct {
 	engine     *sim.Engine
 	cfg        Config
 	handlers   []Handler
 	portFree   []sim.Tick
-	pool       msg.Pool
+	slots      []msg.Message
+	freeSlots  []uint32
 	tracer     Tracer
 	mutate     Mutator
 	onDelivery DeliveryHook
@@ -99,6 +102,12 @@ type Interconnect struct {
 	dataMsgs  *stats.Counter
 	portStall *stats.Counter
 }
+
+// Interconnect event kinds (sim.Handler dispatch); arg is a slot index.
+const (
+	nocKindDeliver uint8 = iota // the message reaches its destination
+	nocKindDepart               // a SendAfter delay elapsed: Send now
+)
 
 // New creates an interconnect.
 func New(engine *sim.Engine, cfg Config, sc *stats.Scope) *Interconnect {
@@ -127,14 +136,6 @@ func (ic *Interconnect) Register(id msg.NodeID, h Handler) {
 	ic.handlers[id] = h
 }
 
-// Alloc returns a pooled message; the fabric reclaims it once its
-// destination consumes it (or Send is never called and the caller
-// Releases it).
-func (ic *Interconnect) Alloc() *msg.Message { return ic.pool.Get() }
-
-// Release returns a Held (or allocated-but-unsent) message to the pool.
-func (ic *Interconnect) Release(m *msg.Message) { ic.pool.Put(m) }
-
 // SetTracer installs (or, with nil, removes) a message tracer.
 func (ic *Interconnect) SetTracer(t Tracer) { ic.tracer = t }
 
@@ -148,18 +149,34 @@ func (ic *Interconnect) SetMutator(mu Mutator) { ic.mutate = mu }
 // sees the receiver's state with the message already applied.
 func (ic *Interconnect) SetDeliveryHook(h DeliveryHook) { ic.onDelivery = h }
 
+// park copies m into a free slot and returns the slot index.
+func (ic *Interconnect) park(m *msg.Message) uint64 {
+	if n := len(ic.freeSlots); n > 0 {
+		i := ic.freeSlots[n-1]
+		ic.freeSlots = ic.freeSlots[:n-1]
+		ic.slots[i] = *m
+		return uint64(i)
+	}
+	ic.slots = append(ic.slots, *m)
+	return uint64(len(ic.slots) - 1)
+}
+
+// SendAfter injects m delay ticks from now. The departure is an engine
+// event posted now, so it takes its place in the event order at the
+// call, exactly like a controller's own delayed-send event would.
+func (ic *Interconnect) SendAfter(delay sim.Tick, m msg.Message) {
+	ic.engine.Post(delay, ic, nocKindDepart, ic.park(&m), nil)
+}
+
 // Send delivers m to m.Dst after the configured latency, counting
-// traffic by class. Sending transfers ownership of a pooled message to
-// the fabric (a receiver may therefore zero-copy forward the message it
-// is currently handling by re-Sending it).
-func (ic *Interconnect) Send(m *msg.Message) {
+// traffic by class.
+func (ic *Interconnect) Send(m msg.Message) {
 	if ic.tracer != nil {
 		ic.tracer(ic.engine.Now(), m)
 	}
 	if int(m.Dst) >= len(ic.handlers) || ic.handlers[m.Dst] == nil {
 		panic(fmt.Sprintf("noc: send to unregistered node %d (%s)", m.Dst, m))
 	}
-	m.MarkSent()
 	ic.msgs.Inc()
 	bytes := m.Bytes()
 	ic.bytes.Add(uint64(bytes))
@@ -189,34 +206,29 @@ func (ic *Interconnect) Send(m *msg.Message) {
 		occupancy := sim.Tick((bytes + ic.cfg.WidthBytes - 1) / ic.cfg.WidthBytes)
 		ic.portFree[m.Src] = depart + occupancy
 	}
-	// Dispatch form: no closure, no per-send allocation. The handler is
-	// resolved at delivery time from m.Dst (identical to the seed
-	// behavior, since only a Mutator can rewrite Dst in flight).
-	ic.engine.PostAt(depart+ic.cfg.Latency, ic, 0, 0, m)
+	// The handler is resolved at delivery time from m.Dst (only a
+	// Mutator can rewrite Dst in flight).
+	ic.engine.PostAt(depart+ic.cfg.Latency, ic, nocKindDeliver, ic.park(&m), nil)
 }
 
-// OnEvent delivers a message; it implements sim.Handler for the events
-// Send posts.
-func (ic *Interconnect) OnEvent(kind uint8, arg uint64, obj any) {
-	m := obj.(*msg.Message)
+// OnEvent implements sim.Handler for the events Send and SendAfter
+// post. The message leaves its slot before anything else runs, so a
+// handler that sends reuses the slot it was delivered from.
+func (ic *Interconnect) OnEvent(kind uint8, arg uint64, _ any) {
+	m := ic.slots[arg]
+	ic.freeSlots = append(ic.freeSlots, uint32(arg))
+	if kind == nocKindDepart {
+		ic.Send(m)
+		return
+	}
 	if ic.mutate != nil {
-		mutated := ic.mutate(m)
-		if mutated != m {
-			// The fault injector dropped or replaced the message; the
-			// original's flight ends here either way.
-			ic.pool.Put(m)
-			if mutated == nil {
-				return
-			}
-			m = mutated
+		var keep bool
+		if m, keep = ic.mutate(m); !keep {
+			return
 		}
 	}
-	m.BeginDelivery()
 	ic.handlers[m.Dst].Receive(m)
 	if ic.onDelivery != nil {
 		ic.onDelivery(ic.engine.Now(), m)
-	}
-	if m.Consumed() {
-		ic.pool.Put(m)
 	}
 }

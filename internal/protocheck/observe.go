@@ -61,7 +61,7 @@ func (o *Observer) Stats() (states, samples, skipped int) {
 	return len(o.observed), o.samples, o.skipped
 }
 
-func (o *Observer) onDeliver(_ sim.Tick, m *msg.Message) {
+func (o *Observer) onDeliver(_ sim.Tick, m msg.Message) {
 	line := m.Addr
 	if !o.quiescent(line) {
 		o.skipped++

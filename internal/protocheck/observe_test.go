@@ -55,11 +55,11 @@ func TestContainmentCatchesGrantMutation(t *testing.T) {
 	opts := core.Options{EarlyDirtyResponse: true}
 	r := exploreCached(t, ConfigFor(opts))
 	cfg := ObserverConfig(opts)
-	cfg.Mutate = func(m *msg.Message) *msg.Message {
+	cfg.Mutate = func(m msg.Message) (msg.Message, bool) {
 		if m.Type == msg.Resp && m.Grant == msg.GrantS && int(m.Dst) < 2 {
 			m.Grant = msg.GrantM
 		}
-		return m
+		return m, true
 	}
 	sys := system.New(cfg)
 	obs, err := NewObserver(sys)

@@ -152,8 +152,6 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // alloc takes an Event from the free list, or allocates one if the pool
 // is dry (only while the in-flight population is still growing).
-//
-//msgown:transfer return
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
@@ -167,8 +165,6 @@ func (e *Engine) alloc() *Event {
 // release returns an Event to the pool. Bumping gen invalidates every
 // outstanding Handle to this event, which is what makes cancel-after-
 // fire (and cancel-after-recycle) a safe no-op.
-//
-//msgown:releases ev
 func (e *Engine) release(ev *Event) {
 	ev.gen++
 	ev.state = evFree
@@ -183,8 +179,6 @@ func (e *Engine) release(ev *Event) {
 // winStart, so the in-window test needs no lower bound. The queue owns
 // the event from here; callers may still read it (Schedule builds the
 // Handle from ev.gen after inserting) but not release it.
-//
-//msgown:owns ev
 func (e *Engine) insert(ev *Event) {
 	if ev.when-e.winStart < Tick(len(e.buckets)) {
 		b := &e.buckets[ev.when&e.mask]
@@ -290,8 +284,6 @@ func (e *Engine) advance(newStart Tick) {
 // next pops the earliest queued live event, reaping cancelled entries
 // along the way, or returns nil when the queue is empty. The caller
 // owns the popped event and must release it.
-//
-//msgown:transfer return
 func (e *Engine) next() *Event {
 	for {
 		if e.size == 0 {
@@ -338,9 +330,8 @@ func (e *Engine) step() (bool, error) {
 	if e.MaxTicks != 0 && e.now > e.MaxTicks {
 		// The popped event is ours now: without this release it would
 		// neither fire nor return to the free list, leaking one pooled
-		// event (and pinning its target/obj) per MaxTicks abort. Found
-		// statically by the msgown lint; pinned by
-		// TestMaxTicksReleasesPoppedEvent.
+		// event (and pinning its target/obj) per MaxTicks abort. Pinned
+		// by TestMaxTicksReleasesPoppedEvent.
 		e.release(ev)
 		return false, fmt.Errorf("sim: exceeded MaxTicks=%d with %d events pending", e.MaxTicks, e.size+1)
 	}
@@ -436,7 +427,6 @@ func (h overflowHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-//msgown:owns ev
 func (h *overflowHeap) push(ev *Event) {
 	*h = append(*h, ev)
 	q := *h
@@ -451,7 +441,6 @@ func (h *overflowHeap) push(ev *Event) {
 	}
 }
 
-//msgown:transfer return
 func (h *overflowHeap) pop() *Event {
 	q := *h
 	top := q[0]

@@ -137,10 +137,10 @@ func TestMaxTicks(t *testing.T) {
 	}
 }
 
-// TestMaxTicksReleasesPoppedEvent pins the leak the msgown lint found
-// in step(): the MaxTicks abort path popped the over-limit event off
-// the queue and returned without releasing it, so every abort bled one
-// event (and its target/obj references) out of the free list.
+// TestMaxTicksReleasesPoppedEvent pins a leak once present in step():
+// the MaxTicks abort path popped the over-limit event off the queue
+// and returned without releasing it, so every abort bled one event
+// (and its target/obj references) out of the free list.
 func TestMaxTicksReleasesPoppedEvent(t *testing.T) {
 	e := NewEngine()
 	e.MaxTicks = 5

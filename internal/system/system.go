@@ -60,12 +60,12 @@ type Config struct {
 	// slowdown.
 	Oracle bool
 
-	// Mutate, when non-nil, rewrites (or drops, by returning nil) every
-	// interconnect message at delivery time. Fault injection for the
-	// conformance harness (internal/conform): seeding a protocol
+	// Mutate, when non-nil, rewrites (or drops, by returning false)
+	// every interconnect message at delivery time. Fault injection for
+	// the conformance harness (internal/conform): seeding a protocol
 	// weakening here must make the oracle or the differential check
 	// fail. Never set in measurement runs.
-	Mutate func(*msg.Message) *msg.Message
+	Mutate noc.Mutator
 
 	// MaxTicks aborts deadlocked/runaway runs.
 	MaxTicks sim.Tick
@@ -180,10 +180,8 @@ type dirRouter struct {
 	banks []*core.Directory
 }
 
-// Receive forwards to the owning bank, which may Hold the request.
-//
-//msgown:owns m
-func (r *dirRouter) Receive(m *msg.Message) {
+// Receive forwards to the owning bank.
+func (r *dirRouter) Receive(m msg.Message) {
 	r.banks[dirBankFor(m.Addr, len(r.banks))].Receive(m)
 }
 
@@ -324,7 +322,7 @@ func (s *System) TraceTo(w io.Writer) {
 		return
 	}
 	tw := trace.NewWriter(w)
-	s.IC.SetTracer(func(t sim.Tick, m *msg.Message) {
+	s.IC.SetTracer(func(t sim.Tick, m msg.Message) {
 		// Encoding errors surface at analysis time; tracing must never
 		// perturb the run.
 		_ = tw.Write(trace.FromMessage(t, m))

@@ -30,7 +30,7 @@ func TestEveryTypeRoundTrips(t *testing.T) {
 		}
 		seen[typ] = true
 
-		m := &msg.Message{Type: typ, Addr: 0x1234, Src: 2, Dst: 7}
+		m := msg.Message{Type: typ, Addr: 0x1234, Src: 2, Dst: 7}
 		switch typ {
 		case msg.PrbAck:
 			m.HasData = true

@@ -32,7 +32,7 @@ type Event struct {
 }
 
 // FromMessage converts an interconnect message at a tick.
-func FromMessage(t sim.Tick, m *msg.Message) Event {
+func FromMessage(t sim.Tick, m msg.Message) Event {
 	ev := Event{
 		Tick: uint64(t),
 		Type: m.Type.String(),

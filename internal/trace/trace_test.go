@@ -46,12 +46,12 @@ func TestReadSkipsBlankAndRejectsGarbage(t *testing.T) {
 }
 
 func TestFromMessage(t *testing.T) {
-	ev := FromMessage(42, &msg.Message{Type: msg.PrbAck, Addr: 7, Src: 1, Dst: 6, Dirty: true, HasData: true})
+	ev := FromMessage(42, msg.Message{Type: msg.PrbAck, Addr: 7, Src: 1, Dst: 6, Dirty: true, HasData: true})
 	if ev.Tick != 42 || ev.Type != "PrbAck" || !ev.Dirty || !ev.HasData {
 		t.Fatalf("ev = %+v", ev)
 	}
 	// Grant recorded only on responses; ack flags only on acks.
-	ev = FromMessage(1, &msg.Message{Type: msg.Resp, Addr: 7, Grant: msg.GrantE, Dirty: true})
+	ev = FromMessage(1, msg.Message{Type: msg.Resp, Addr: 7, Grant: msg.GrantE, Dirty: true})
 	if ev.Grant != "E" || ev.Dirty {
 		t.Fatalf("ev = %+v", ev)
 	}

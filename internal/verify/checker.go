@@ -6,7 +6,7 @@ import (
 
 	"hscsim/internal/cachearray"
 	"hscsim/internal/core"
-	"hscsim/internal/msg"
+	"hscsim/internal/noc"
 )
 
 // Ordering selects the network delivery model the checker explores.
@@ -38,13 +38,13 @@ type Config struct {
 	Scenario Scenario
 	// Order is the delivery model (default: fully unordered).
 	Order Ordering
-	// Mutate, when non-nil, rewrites (or drops, by returning nil) every
-	// message at delivery time. Used by negative tests to seed protocol
-	// bugs the checker must catch. It MUST be a pure function of the
-	// message: the stateless search re-executes action prefixes from
-	// scratch, so a mutator that keeps state across calls would make
-	// replays diverge from the runs that discovered them.
-	Mutate func(*msg.Message) *msg.Message
+	// Mutate, when non-nil, rewrites (or drops, by returning false)
+	// every message at delivery time. Used by negative tests to seed
+	// protocol bugs the checker must catch. It MUST be a pure function
+	// of the message: the stateless search re-executes action prefixes
+	// from scratch, so a mutator that keeps state across calls would
+	// make replays diverge from the runs that discovered them.
+	Mutate noc.Mutator
 	// MaxStates bounds exploration (0 = the package default). Hitting
 	// the bound sets Result.Truncated rather than failing.
 	MaxStates int

@@ -88,11 +88,8 @@ func TestSeededDroppedAck(t *testing.T) {
 	res := Run(Config{
 		Opts:     core.Options{},
 		Scenario: Scenarios()[0], // single-line contention forces probes
-		Mutate: func(m *msg.Message) *msg.Message {
-			if m.Type == msg.PrbAck && m.Src == 1 {
-				return nil
-			}
-			return m
+		Mutate: func(m msg.Message) (msg.Message, bool) {
+			return m, m.Type != msg.PrbAck || m.Src != 1
 		},
 	})
 	if res.Violation == nil {
@@ -111,13 +108,11 @@ func TestSeededWeakProbe(t *testing.T) {
 	res := Run(Config{
 		Opts:     core.Options{},
 		Scenario: Scenarios()[0],
-		Mutate: func(m *msg.Message) *msg.Message {
+		Mutate: func(m msg.Message) (msg.Message, bool) {
 			if m.Type == msg.PrbInv {
-				mm := *m
-				mm.Type = msg.PrbDowngrade
-				return &mm
+				m.Type = msg.PrbDowngrade
 			}
-			return m
+			return m, true
 		},
 	})
 	if res.Violation == nil {

@@ -23,8 +23,8 @@ import (
 // message at delivery time to seed protocol bugs for negative tests.
 type chaosFabric struct {
 	handlers  map[msg.NodeID]noc.Handler
-	pending   []*msg.Message //hsclint:stallqueue — the checker delivers (and removes) any element
-	mutate    func(*msg.Message) *msg.Message
+	pending   []msg.Message //hsclint:stallqueue — the checker delivers (and removes) any element
+	mutate    noc.Mutator
 	onDeliver noc.DeliveryHook
 	engine    *sim.Engine
 }
@@ -36,28 +36,26 @@ func (f *chaosFabric) Register(id msg.NodeID, h noc.Handler) {
 	f.handlers[id] = h
 }
 
-func (f *chaosFabric) Send(m *msg.Message) {
+func (f *chaosFabric) Send(m msg.Message) {
 	if _, ok := f.handlers[m.Dst]; !ok {
 		panic(fmt.Sprintf("verify: send to unregistered node %d (%s)", m.Dst, m))
 	}
 	f.pending = append(f.pending, m)
 }
 
-// Alloc returns a plain (foreign) message: the checker buffers,
-// reorders, and retains messages freely, so pooling is deliberately
-// disabled here — every pool operation on a foreign message no-ops.
-func (f *chaosFabric) Alloc() *msg.Message { return &msg.Message{} }
-
-// Release is a no-op for the chaos fabric's foreign messages.
-func (f *chaosFabric) Release(m *msg.Message) {}
+// SendAfter buffers m once the delay elapses on the engine, which the
+// checker drains between deliveries.
+func (f *chaosFabric) SendAfter(delay sim.Tick, m msg.Message) {
+	f.engine.Schedule(delay, func() { f.Send(m) })
+}
 
 // deliver hands pending message i to its destination handler.
 func (f *chaosFabric) deliver(i int) {
 	m := f.pending[i]
 	f.pending = append(f.pending[:i], f.pending[i+1:]...)
 	if f.mutate != nil {
-		m = f.mutate(m)
-		if m == nil {
+		var keep bool
+		if m, keep = f.mutate(m); !keep {
 			return // dropped
 		}
 	}
@@ -186,7 +184,7 @@ const (
 	nodeDMA = msg.NodeID(4)
 )
 
-func newHarness(opts core.Options, sc Scenario, order Ordering, mutate func(*msg.Message) *msg.Message) *harness {
+func newHarness(opts core.Options, sc Scenario, order Ordering, mutate noc.Mutator) *harness {
 	engine := sim.NewEngine()
 	reg := stats.NewRegistry()
 	fab := &chaosFabric{handlers: make(map[msg.NodeID]noc.Handler), mutate: mutate, engine: engine}

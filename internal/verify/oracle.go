@@ -152,7 +152,7 @@ func (o *Oracle) serializeWrite(line cachearray.LineAddr) {
 
 // OnDeliver implements noc.DeliveryHook: the destination handler has
 // already processed m.
-func (o *Oracle) OnDeliver(_ sim.Tick, m *msg.Message) {
+func (o *Oracle) OnDeliver(_ sim.Tick, m msg.Message) {
 	switch m.Type {
 	case msg.Flush, msg.FlushAck:
 		return // no line association
@@ -196,7 +196,7 @@ func (o *Oracle) OnDeliver(_ sim.Tick, m *msg.Message) {
 		// Requests and remaining replies don't move the version mirror;
 		// they still trigger the line-state check below.
 	}
-	o.checkLine(m.Addr, m)
+	o.checkLine(m.Addr, &m)
 }
 
 // LoadIssued implements cpu.Observer: the token is the line version at
