@@ -15,7 +15,7 @@ import (
 // fakeCache is a scripted interconnect endpoint standing in for an L2,
 // the TCC, or the DMA engine in directory unit tests.
 type fakeCache struct {
-	t   *testing.T
+	t   testing.TB
 	e   *sim.Engine
 	ic  *noc.Interconnect
 	id  msg.NodeID
@@ -31,7 +31,7 @@ type fakeCache struct {
 	autoUnblock bool
 }
 
-func newFake(t *testing.T, e *sim.Engine, ic *noc.Interconnect, id, dir msg.NodeID) *fakeCache {
+func newFake(t testing.TB, e *sim.Engine, ic *noc.Interconnect, id, dir msg.NodeID) *fakeCache {
 	f := &fakeCache{t: t, e: e, ic: ic, id: id, dir: dir,
 		hasLine: make(map[cachearray.LineAddr]bool), autoUnblock: true}
 	ic.Register(id, f)
@@ -78,7 +78,7 @@ func (f *fakeCache) lastResp() msg.Message {
 // rig is a directory test rig with two fake L2s, a fake TCC and a fake
 // DMA engine.
 type rig struct {
-	t    *testing.T
+	t    testing.TB
 	e    *sim.Engine
 	reg  *stats.Registry
 	mem  *memctrl.Controller
@@ -91,7 +91,7 @@ type rig struct {
 	opts Options
 }
 
-func newRig(t *testing.T, opts Options, geo Geometry) *rig {
+func newRig(t testing.TB, opts Options, geo Geometry) *rig {
 	t.Helper()
 	e := sim.NewEngine()
 	e.MaxTicks = 1_000_000

@@ -67,7 +67,7 @@ func (l *llc) insert(addr cachearray.LineAddr, dirty bool) (displacedDirty bool)
 	ln, evTag, evMeta, evicted := l.arr.Insert(addr, nil)
 	if evicted && evMeta.Dirty {
 		l.dirtyEvict.Inc()
-		l.mem.Write(evTag, nil)
+		l.mem.Write(evTag)
 		displacedDirty = true
 	}
 	ln.Meta.Dirty = dirty

@@ -109,6 +109,33 @@ func TestEarlyDirtyResponse(t *testing.T) {
 	}
 }
 
+// TestEarlyResponseKeepsTxnUntilMemoryRead: a §III-A early response
+// leaves its memory read in flight, so the transaction must outlive its
+// response. A request for another line that starts in that window gets
+// a different txn record, and both transactions complete.
+func TestEarlyResponseKeepsTxnUntilMemoryRead(t *testing.T) {
+	r := newRig(t, Options{EarlyDirtyResponse: true}, testGeo())
+	r.l2b.hasLine[0x100] = true
+	r.l2a.send(msg.RdBlk, 0x100)
+	r.e.Schedule(20, func() {
+		if len(r.l2a.resps) != 1 || !r.dir.LineBusy(0x100) {
+			t.Fatalf("at tick 20: %d responses, line busy %v; want the early response sent with the memory read in flight",
+				len(r.l2a.resps), r.dir.LineBusy(0x100))
+		}
+		r.l2b.send(msg.RdBlk, 0x200)
+	})
+	r.run()
+	if r.dir.EarlyResponses() != 1 {
+		t.Fatalf("early responses = %d, want 1", r.dir.EarlyResponses())
+	}
+	if len(r.l2b.resps) != 1 || r.l2b.resps[0].Addr != 0x200 {
+		t.Fatalf("second request's responses = %v", r.l2b.resps)
+	}
+	if got := r.reg.Get("dir.requests"); got != 2 {
+		t.Fatalf("requests = %d, want 2", got)
+	}
+}
+
 func TestVictimWritePolicies(t *testing.T) {
 	cases := []struct {
 		name         string

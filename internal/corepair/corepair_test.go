@@ -62,13 +62,13 @@ func (d *fakeDir) Receive(m msg.Message) {
 }
 
 type cpRig struct {
-	t   *testing.T
+	t   testing.TB
 	e   *sim.Engine
 	cp  *CorePair
 	dir *fakeDir
 }
 
-func newCPRig(t *testing.T, cfg Config) *cpRig {
+func newCPRig(t testing.TB, cfg Config) *cpRig {
 	t.Helper()
 	e := sim.NewEngine()
 	e.MaxTicks = 1_000_000
@@ -188,6 +188,36 @@ func TestMSHRCoalescing(t *testing.T) {
 	}
 	if len(r.dir.reqs) != 1 {
 		t.Fatalf("reqs = %d, want 1 (coalesced)", len(r.dir.reqs))
+	}
+}
+
+// TestFillReplayReopensMiss: replaying a fill's waiters can open a new
+// miss on the same line (a store joined a load's RdBlk, and the Shared
+// grant makes it upgrade). Every waiter still runs, and the upgrade gets
+// its own MSHR entry.
+func TestFillReplayReopensMiss(t *testing.T) {
+	r := newCPRig(t, tinyConfig())
+	r.dir.grant = func(m msg.Message) msg.Grant {
+		if m.Type == msg.RdBlkM {
+			return msg.GrantM
+		}
+		return msg.GrantS
+	}
+	loaded, stored := false, false
+	r.cp.Access(0, Load, 0x10, func() { loaded = true })
+	r.cp.Access(1, Store, 0x10, func() { stored = true })
+	r.run()
+	if !loaded || !stored {
+		t.Fatalf("load done %v, store done %v", loaded, stored)
+	}
+	if len(r.dir.reqs) != 2 || r.dir.reqs[0].Type != msg.RdBlk || r.dir.reqs[1].Type != msg.RdBlkM {
+		t.Fatalf("reqs = %v, want RdBlk then RdBlkM", r.dir.reqs)
+	}
+	if len(r.dir.unblocks) != 2 || r.cp.OutstandingMisses() != 0 {
+		t.Fatalf("unblocks = %d, outstanding misses = %d", len(r.dir.unblocks), r.cp.OutstandingMisses())
+	}
+	if r.cp.L2State(0x10) != Modified {
+		t.Fatalf("state = %s, want M", r.cp.L2State(0x10))
 	}
 }
 

@@ -254,47 +254,10 @@ func waveOpAllocs(t *testing.T, wavesPerWG int, op func(w *prog.Wave)) float64 {
 	return (launch(2*allocOps) - launch(allocOps)) / float64(wavesPerWG*allocOps)
 }
 
-// atomicChain issues system atomics straight into the cache complex,
-// each from the previous one's completion, through one bound callback.
-type atomicChain struct {
-	r    *gpuRig
-	left int
-	done func(old uint64)
-}
-
-func (c *atomicChain) next(uint64) {
-	if c.left == 0 {
-		return
-	}
-	c.left--
-	c.r.d.caches.AtomicSystem(0, 4, 256, memdata.AtomicAdd, 1, 0, c.done)
-}
-
-// cacheAtomicAllocs returns the steady-state allocations of a system
-// atomic with no wave executor around it (gpucache's own bookkeeping
-// and the test directory's reply), measured like waveOpAllocs.
-func cacheAtomicAllocs(t *testing.T) float64 {
-	cfg := DefaultConfig()
-	cfg.NumCUs = 1
-	c := &atomicChain{r: newGPURig(t, cfg)}
-	c.done = c.next
-	chain := func(n int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			c.left = n
-			c.r.e.Schedule(0, func() { c.next(0) })
-			if err := c.r.e.Run(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	chain(4 * allocOps)
-	return (chain(2*allocOps) - chain(allocOps)) / allocOps
-}
-
-// TestSteadyStateWaveOpAllocs: the wave executor adds no allocation to
-// compute, barrier, single-word load and atomic ops, and a VecLoad
-// allocates exactly its result. A wave's atomic costs what the same
-// atomic issued straight into the cache complex costs.
+// TestSteadyStateWaveOpAllocs: compute, barrier, single-word load and
+// system atomic ops allocate nothing in the wave executor or the cache
+// complex (gpucache.TestSteadyStateAllocs gates the latter alone), and
+// a VecLoad allocates exactly its result.
 func TestSteadyStateWaveOpAllocs(t *testing.T) {
 	addrs := []memdata.Addr{0, 8, 64, 72, 4096}
 	for _, tc := range []struct {
@@ -307,7 +270,7 @@ func TestSteadyStateWaveOpAllocs(t *testing.T) {
 		{"Barrier", 4, func(w *prog.Wave) { w.Barrier() }, 0},
 		{"Load", 1, func(w *prog.Wave) { w.Load(8) }, 0},
 		{"VecLoad", 1, func(w *prog.Wave) { w.VecLoad(addrs) }, 1},
-		{"AtomicSys", 1, func(w *prog.Wave) { w.AtomicSysAdd(256, 1) }, cacheAtomicAllocs(t)},
+		{"AtomicSys", 1, func(w *prog.Wave) { w.AtomicSysAdd(256, 1) }, 0},
 	} {
 		if got := waveOpAllocs(t, tc.wavesPerWG, tc.op); got != tc.want {
 			t.Errorf("%s allocates %g/op, want %g", tc.name, got, tc.want)

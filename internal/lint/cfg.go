@@ -192,79 +192,27 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 		b.cur = head
 	}
 	after := b.newBlock()
-	thenGuard, elseGuard := nilGuards(s.Cond)
 
 	then := b.newBlock()
 	b.link(head, then)
-	if thenGuard != nil {
-		then.nodes = append(then.nodes, thenGuard)
-	}
 	b.cur = then
 	b.stmtList(s.Body.List)
 	if b.cur != nil {
 		b.link(b.cur, after)
 	}
 
-	switch {
-	case s.Else != nil:
+	if s.Else != nil {
 		els := b.newBlock()
 		b.link(head, els)
-		if elseGuard != nil {
-			els.nodes = append(els.nodes, elseGuard)
-		}
 		b.cur = els
 		b.stmt(s.Else)
 		if b.cur != nil {
 			b.link(b.cur, after)
 		}
-	case elseGuard != nil:
-		// No else branch, but the fallthrough edge still learns the
-		// negated condition (`if ev == nil { return }` proves ev
-		// non-nil below) — give the guard its own block.
-		els := b.newBlock()
-		els.nodes = append(els.nodes, elseGuard)
-		b.link(head, els)
-		b.link(els, after)
-	default:
+	} else {
 		b.link(head, after)
 	}
 	b.cur = after
-}
-
-// nilGuard is a synthetic CFG atom recording that expression x is (or
-// is not) nil on the edge it sits on, for a dataflow that refines its
-// facts on nil paths. lockcheck's held-lock facts do not depend on
-// nil-ness, so it steps over these atoms.
-type nilGuard struct {
-	x     ast.Expr
-	isNil bool
-}
-
-func (g *nilGuard) Pos() token.Pos { return g.x.Pos() }
-func (g *nilGuard) End() token.Pos { return g.x.End() }
-
-// nilGuards extracts then/else guards from an `x == nil` / `x != nil`
-// condition. Compound conditions (&&, ||) are left unrefined.
-func nilGuards(cond ast.Expr) (then, els ast.Node) {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return nil, nil
-	}
-	var x ast.Expr
-	if isNilIdent(be.Y) {
-		x = be.X
-	} else if isNilIdent(be.X) {
-		x = be.Y
-	} else {
-		return nil, nil
-	}
-	eq := be.Op == token.EQL
-	return &nilGuard{x: x, isNil: eq}, &nilGuard{x: x, isNil: !eq}
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
 }
 
 func (b *cfgBuilder) forStmt(s *ast.ForStmt) {

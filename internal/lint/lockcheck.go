@@ -799,8 +799,6 @@ func (lf *lockFunc) replayDefer(call *ast.CallExpr, facts lockFacts) {
 // is the reporting sweep; the fixpoint passes stay silent.
 func (lf *lockFunc) interpret(atom ast.Node, facts lockFacts, emit bool) {
 	switch n := atom.(type) {
-	case *nilGuard:
-		return
 	case *ast.RangeStmt:
 		// The atom covers X's evaluation only; the body has its own
 		// blocks. Range over a channel parks until the channel closes.

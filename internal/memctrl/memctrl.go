@@ -3,9 +3,10 @@
 //
 // The directory is the only agent that talks to memory, over an ordered
 // interface (§III-C), so the model is a single FIFO channel with a fixed
-// access latency and a bandwidth limit. Reads invoke a completion
-// callback; writes are posted (non-blocking for the requester) but still
-// occupy channel bandwidth. Read/write counts feed Fig. 5.
+// access latency and a bandwidth limit. A read completes as a
+// dispatch-form event on the engine; writes are posted (non-blocking for
+// the requester) but still occupy channel bandwidth. Read/write counts
+// feed Fig. 5.
 package memctrl
 
 import (
@@ -94,21 +95,18 @@ func (c *Controller) occupy(addr cachearray.LineAddr) sim.Tick {
 	return begin + c.cfg.Latency
 }
 
-// Read fetches a line; done fires when the data is available.
-func (c *Controller) Read(addr cachearray.LineAddr, done func()) {
+// Read fetches a line. When the data is available the engine calls
+// h.OnEvent(kind, uint64(addr), obj), so a read schedules no closure.
+func (c *Controller) Read(addr cachearray.LineAddr, h sim.Handler, kind uint8, obj any) {
 	c.reads.Inc()
-	c.engine.At(c.occupy(addr), done)
+	c.engine.PostAt(c.occupy(addr), h, kind, uint64(addr), obj)
 }
 
 // Write stores a line. The write is posted: it consumes a channel slot
-// but the caller does not wait. If done is non-nil it fires when the
-// write is globally visible (used by fences and flushes).
-func (c *Controller) Write(addr cachearray.LineAddr, done func()) {
+// but nothing waits for it.
+func (c *Controller) Write(addr cachearray.LineAddr) {
 	c.writes.Inc()
-	t := c.occupy(addr)
-	if done != nil {
-		c.engine.At(t, done)
-	}
+	c.occupy(addr)
 }
 
 // Reads returns the number of line reads issued.

@@ -13,11 +13,17 @@ func newCtrl(t *testing.T, cfg Config) (*sim.Engine, *Controller) {
 	return e, New(e, cfg, stats.NewRegistry().Scope("mem"))
 }
 
+// onRead adapts a test callback to the dispatch form a read completes
+// through.
+type onRead func()
+
+func (f onRead) OnEvent(uint8, uint64, any) { f() }
+
 func TestReadLatency(t *testing.T) {
 	e, c := newCtrl(t, Config{Latency: 100, CyclesPerAccess: 4})
 	var done sim.Tick
 	e.Schedule(10, func() {
-		c.Read(1, func() { done = e.Now() })
+		c.Read(1, onRead(func() { done = e.Now() }), 0, nil)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -35,7 +41,7 @@ func TestBandwidthSerialization(t *testing.T) {
 	var finish []sim.Tick
 	e.Schedule(0, func() {
 		for i := 0; i < 3; i++ {
-			c.Read(1, func() { finish = append(finish, e.Now()) })
+			c.Read(1, onRead(func() { finish = append(finish, e.Now()) }), 0, nil)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -52,17 +58,18 @@ func TestBandwidthSerialization(t *testing.T) {
 
 func TestPostedWrite(t *testing.T) {
 	e, c := newCtrl(t, Config{Latency: 50, CyclesPerAccess: 2})
-	var done sim.Tick
+	var readDone sim.Tick
 	e.Schedule(0, func() {
-		c.Write(1, nil) // posted, no callback
-		c.Write(2, func() { done = e.Now() })
+		c.Write(1)
+		c.Write(2)
+		c.Read(3, onRead(func() { readDone = e.Now() }), 0, nil)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Second write occupies slot 2 → visible at 52.
-	if done != 52 {
-		t.Fatalf("write visible at %d, want 52", done)
+	// The posted writes occupy slots 0 and 2, so the read issues at 4.
+	if readDone != 54 {
+		t.Fatalf("read after two posted writes done at %d, want 54", readDone)
 	}
 	if c.Writes() != 2 {
 		t.Fatalf("writes = %d", c.Writes())
@@ -73,8 +80,8 @@ func TestWritesConsumeReadBandwidth(t *testing.T) {
 	e, c := newCtrl(t, Config{Latency: 10, CyclesPerAccess: 4})
 	var readDone sim.Tick
 	e.Schedule(0, func() {
-		c.Write(1, nil)
-		c.Read(2, func() { readDone = e.Now() })
+		c.Write(1)
+		c.Read(2, onRead(func() { readDone = e.Now() }), 0, nil)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -102,9 +109,9 @@ func TestBankedOccupancy(t *testing.T) {
 	e, c := newCtrl(t, Config{Latency: 10, CyclesPerAccess: 1, Banks: 4, BankCycles: 50})
 	var sameBank, otherBank sim.Tick
 	e.Schedule(0, func() {
-		c.Read(0, func() {})                      // bank 0 busy until 50
-		c.Read(4, func() { sameBank = e.Now() })  // bank 0 again: waits
-		c.Read(1, func() { otherBank = e.Now() }) // bank 1: only channel slot
+		c.Read(0, onRead(func() {}), 0, nil)                      // bank 0 busy until 50
+		c.Read(4, onRead(func() { sameBank = e.Now() }), 0, nil)  // bank 0 again: waits
+		c.Read(1, onRead(func() { otherBank = e.Now() }), 0, nil) // bank 1: only channel slot
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package memdata
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -80,6 +81,28 @@ func TestMaxMinAreSigned(t *testing.T) {
 	}
 }
 
+// refRMW is the reference read-modify-write: the value op leaves in a
+// word holding old, and whether it stores at all.
+func refRMW(old uint64, op AtomicOp, operand, compare uint64) (v uint64, stores bool) {
+	switch op {
+	case AtomicAdd:
+		return old + operand, true
+	case AtomicMax:
+		return operand, int64(operand) > int64(old)
+	case AtomicMin:
+		return operand, int64(operand) < int64(old)
+	case AtomicExch:
+		return operand, true
+	case AtomicCAS:
+		return operand, old == compare
+	case AtomicAnd:
+		return old & operand, true
+	case AtomicOr:
+		return old | operand, true
+	}
+	return old, false
+}
+
 // TestRMWAgainstReference property-checks RMW against an independent
 // model over random operation sequences.
 func TestRMWAgainstReference(t *testing.T) {
@@ -100,27 +123,8 @@ func TestRMWAgainstReference(t *testing.T) {
 			if old != refOld {
 				return false
 			}
-			switch op {
-			case AtomicAdd:
-				ref[a] = refOld + s.Operand
-			case AtomicMax:
-				if int64(s.Operand) > int64(refOld) {
-					ref[a] = s.Operand
-				}
-			case AtomicMin:
-				if int64(s.Operand) < int64(refOld) {
-					ref[a] = s.Operand
-				}
-			case AtomicExch:
-				ref[a] = s.Operand
-			case AtomicCAS:
-				if refOld == s.Compare {
-					ref[a] = s.Operand
-				}
-			case AtomicAnd:
-				ref[a] = refOld & s.Operand
-			case AtomicOr:
-				ref[a] = refOld | s.Operand
+			if v, stores := refRMW(refOld, op, s.Operand, s.Compare); stores {
+				ref[a] = v
 			}
 			if m.Read(a) != ref[a] {
 				return false
@@ -130,6 +134,102 @@ func TestRMWAgainstReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// regionBases are where accesses land in TestPagesAgainstReference: low
+// memory, the workloads' data region, their kernel-code region and the
+// top of the address space.
+var regionBases = []Addr{0, 0x1000_0000, 0xF800_0000, 0xFFFF_FFFF_FFFF_0000}
+
+// TestPagesAgainstReference property-checks Read, Write and RMW against
+// a word map over windows of three pages in each region, so consecutive
+// accesses keep crossing page boundaries and regions. Afterwards every
+// word reads back, Snapshot equals the reference image, and Len counts
+// the distinct words ever stored.
+func TestPagesAgainstReference(t *testing.T) {
+	type step struct {
+		Kind    uint8 // read, write or RMW
+		Region  uint8
+		Off     uint16
+		Value   uint64
+		Compare uint64
+	}
+	f := func(steps []step) bool {
+		m := New()
+		ref := make(map[Addr]uint64)
+		stored := make(map[Addr]bool)
+		for _, s := range steps {
+			a := regionBases[int(s.Region)%len(regionBases)] + Addr(s.Off)%(3*4096)
+			w := a &^ 7
+			switch s.Kind % 3 {
+			case 0:
+				if m.Read(a) != ref[w] {
+					return false
+				}
+			case 1:
+				m.Write(a, s.Value)
+				ref[w], stored[w] = s.Value, true
+			case 2:
+				op := AtomicOp(s.Value % 7)
+				if m.RMW(a, op, s.Value, s.Compare) != ref[w] {
+					return false
+				}
+				if v, stores := refRMW(ref[w], op, s.Value, s.Compare); stores {
+					ref[w], stored[w] = v, true
+				}
+			}
+		}
+		image := make(map[Addr]uint64)
+		for a, v := range ref {
+			if m.Read(a) != v {
+				return false
+			}
+			if v != 0 {
+				image[a] = v
+			}
+		}
+		return reflect.DeepEqual(m.Snapshot(), image) && m.Len() == len(stored)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLenCountsDistinctWrittenWords: rewrites and zero writes count once
+// per word; an RMW that stores nothing (failed CAS, Max below the word)
+// counts nothing.
+func TestLenCountsDistinctWrittenWords(t *testing.T) {
+	m := New()
+	m.Write(0x1000_0000, 1)
+	m.Write(0x1000_0004, 2) // same word
+	m.Write(0x1000_0008, 0) // a written zero still counts
+	m.RMW(0x1000_1000, AtomicCAS, 5, 9)
+	m.RMW(0x1000_1008, AtomicMax, 0, 0)
+	if m.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", m.Len())
+	}
+	m.RMW(0x1000_1000, AtomicAdd, 0, 0) // stores (the unchanged) zero
+	if m.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", m.Len())
+	}
+	if img := m.Snapshot(); len(img) != 1 || img[0x1000_0000] != 2 {
+		t.Fatalf("Snapshot = %v, want only the non-zero word", img)
+	}
+}
+
+var sinkWord uint64
+
+// TestReadUnwrittenPageAllocs: reading a page no write has touched
+// neither allocates nor creates the page.
+func TestReadUnwrittenPageAllocs(t *testing.T) {
+	m := New()
+	m.Write(0x1000_0000, 7)
+	if got := testing.AllocsPerRun(100, func() { sinkWord = m.Read(0xF800_0000) }); got != 0 {
+		t.Fatalf("Read of an unwritten page allocates %.1f/op, want 0", got)
+	}
+	if m.Len() != 1 || len(m.pages) != 1 {
+		t.Fatalf("Len = %d, pages = %d after reads; want 1, 1", m.Len(), len(m.pages))
 	}
 }
 

@@ -204,8 +204,8 @@ func dirProbeRespond(sp *stepper, s state, cfg ModelConfig) {
 }
 
 // dirRespondCPURead responds to the active RdBlk/RdBlkS/RdBlkM and
-// applies the tracked entry update (the concrete t.onData runs at
-// respond time).
+// applies the tracked entry update (the concrete directory applies its
+// txn's commit kind at respond time).
 func dirRespondCPURead(sp *stepper, s state, cfg ModelConfig) {
 	req := reqIdx(s, func(a agent) byte { return a.MissP })
 	k := s.Ag[req].Miss

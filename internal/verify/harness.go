@@ -66,32 +66,32 @@ func (f *chaosFabric) deliver(i int) {
 }
 
 // chaosMem implements core.MemPort with explicit completion: read
-// callbacks are buffered until the checker fires them, exploring memory
-// reordering against probe traffic. Posted writes complete instantly
-// (they carry no callback in the directory).
+// completions are buffered until the checker fires them, exploring
+// memory reordering against probe traffic. Posted writes complete
+// instantly (nothing waits for them).
 type chaosMem struct {
 	pending []pendingMem //hsclint:stallqueue — the checker completes (and removes) any element
 }
 
+// pendingMem is one buffered read completion: the dispatch triple the
+// directory handed to Read.
 type pendingMem struct {
 	addr cachearray.LineAddr
-	done func()
+	h    sim.Handler
+	kind uint8
+	obj  any
 }
 
-func (c *chaosMem) Read(addr cachearray.LineAddr, done func()) {
-	c.pending = append(c.pending, pendingMem{addr, done})
+func (c *chaosMem) Read(addr cachearray.LineAddr, h sim.Handler, kind uint8, obj any) {
+	c.pending = append(c.pending, pendingMem{addr, h, kind, obj})
 }
 
-func (c *chaosMem) Write(addr cachearray.LineAddr, done func()) {
-	if done != nil {
-		c.pending = append(c.pending, pendingMem{addr, done})
-	}
-}
+func (c *chaosMem) Write(cachearray.LineAddr) {}
 
 func (c *chaosMem) deliver(i int) {
 	p := c.pending[i]
 	c.pending = append(c.pending[:i], c.pending[i+1:]...)
-	p.done()
+	p.h.OnEvent(p.kind, uint64(p.addr), p.obj)
 }
 
 // OpKind is one agent operation class.
