@@ -143,22 +143,24 @@ func TestDeterminismIgnoresUnreachablePackages(t *testing.T) {
 
 func TestStallWakeQueueRules(t *testing.T) {
 	diags := Check(loadBad(t), []*Analyzer{StallWake})
-	if len(diags) != 3 {
-		t.Fatalf("diags = %v, want exactly 3 (stalledReqs, noWake, neverFilled)", diags)
+	if len(diags) != 4 {
+		t.Fatalf("diags = %v, want exactly 4 (stalledReqs, noWake, neverFilled, pushOnly)", diags)
 	}
 	var msgs []string
 	for _, d := range diags {
 		msgs = append(msgs, d.Message)
 	}
 	joined := strings.Join(msgs, "\n")
-	for _, want := range []string{"stalledReqs", "noWake", "neverFilled"} {
+	for _, want := range []string{"stalledReqs", "noWake", "neverFilled", "pushOnly"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing a %s diagnostic in:\n%s", want, joined)
 		}
 	}
-	// The annotated queue with both a park and a wake site must pass.
-	if strings.Contains(joined, "good") {
-		t.Errorf("correct park/wake queue reported:\n%s", joined)
+	// The annotated queues with both a park and a wake site must pass.
+	for _, ok := range []string{"good", "wrapped"} {
+		if strings.Contains(joined, ok) {
+			t.Errorf("correct park/wake queue %s reported:\n%s", ok, joined)
+		}
 	}
 }
 
@@ -221,7 +223,7 @@ func TestGoldenExpectations(t *testing.T) {
 	pkgs := loadBad(t)
 	detPackages[badPkg] = true
 	defer delete(detPackages, badPkg)
-	checkGoldens(t, pkgs, All(), "testdata/bad/bad.go", 14)
+	checkGoldens(t, pkgs, All(), "testdata/bad/bad.go", 15)
 }
 
 // TestRepoIsClean is the enforcement test: the whole module must pass

@@ -13,7 +13,7 @@ import (
 // must have a wake path in the same package.
 //
 // The controllers stall work by appending the blocked message (or a
-// waiter record) to a queue field — the directory's pend map, the
+// waiter record) to a queue field — the directory's pend queues, the
 // MSHR waiter lists — and wake it from a completion handler that
 // drains the queue. Losing the drain site is how a stalled request
 // becomes a hung transaction. The rule:
@@ -24,9 +24,12 @@ import (
 //     annotation, so new queues cannot dodge the lint.
 //   - Every annotated queue must have, in its package, at least one
 //     park site (append to the field, insert into it, increment an
-//     entry, send on it) and at least one wake site (delete from it,
-//     clear or reslice it, range over it to replay, decrement an
-//     entry, receive from it, or hand it to a drain helper).
+//     entry, send on it, call its Push method) and at least one wake
+//     site (delete from it, clear or reslice it, range over it to
+//     replay, decrement an entry, receive from it, call its Pop or
+//     Take method, or hand it to a drain helper). The methods are
+//     those of a queue type that wraps its storage, such as
+//     recycle.Queues.
 var StallWake = &Analyzer{
 	Name: "stallwake",
 	Doc:  "stall queues must be annotated and every annotated queue needs both a park and a wake site",
@@ -94,6 +97,16 @@ func runStallWake(p *Pass) {
 				}
 			}
 		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+				if q := fieldOf(p, queues, baseExpr(sel.X)); q != nil {
+					switch sel.Sel.Name {
+					case "Push":
+						q.parks++
+					case "Pop", "Take":
+						q.wakes++
+					}
+				}
+			}
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
 				switch id.Name {
 				case "delete":
@@ -145,7 +158,7 @@ func runStallWake(p *Pass) {
 		case q.parks == 0:
 			p.Report(q.pos, "annotated stall queue %s never parks any work in this package — stale annotation or the park site moved", q.name)
 		case q.wakes == 0:
-			p.Report(q.pos, "stall queue %s parks work but has no wake site in this package (no delete/clear/reslice/range/receive) — parked work can never resume", q.name)
+			p.Report(q.pos, "stall queue %s parks work but has no wake site in this package (no delete/clear/reslice/range/receive/Pop/Take) — parked work can never resume", q.name)
 		}
 	}
 }

@@ -105,25 +105,41 @@ func draw() int {
 
 // parkedQueues exercises stallwake: a queue-shaped name without the
 // annotation, an annotated queue that is filled but never drained, an
-// annotated queue that is never filled, and a correct park/wake pair
-// (the false-positive guard).
+// annotated queue that is never filled, a queue type parked through
+// its Push method but never popped, and correct park/wake pairs on a
+// map and through Push/Pop (the false-positive guards).
 type parkedQueues struct {
 	stalledReqs map[int]int   //want stallwake "looks like a stall/wait queue"
 	noWake      []int         //hsclint:stallqueue //want stallwake "no wake site"
 	neverFilled []int         //hsclint:stallqueue //want stallwake "never parks"
 	good        map[int][]int //hsclint:stallqueue
+	pushOnly    lineQueue     //hsclint:stallqueue //want stallwake "no wake site"
+	wrapped     lineQueue     //hsclint:stallqueue
+}
+
+// lineQueue is a queue type that wraps its storage.
+type lineQueue struct{ m map[int][]int }
+
+func (q *lineQueue) Push(k, v int) { q.m[k] = append(q.m[k], v) }
+
+func (q *lineQueue) Pop(k int) int {
+	v := q.m[k][0]
+	q.m[k] = q.m[k][1:]
+	return v
 }
 
 func (pq *parkedQueues) park(k, v int) {
 	pq.stalledReqs[k] = v
 	pq.noWake = append(pq.noWake, v)
 	pq.good[k] = append(pq.good[k], v)
+	pq.pushOnly.Push(k, v)
+	pq.wrapped.Push(k, v)
 }
 
 func (pq *parkedQueues) wake(k int) []int {
 	q := pq.good[k]
 	delete(pq.good, k)
-	return q
+	return append(q, pq.wrapped.Pop(k))
 }
 
 var _ = classify
