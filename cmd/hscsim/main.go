@@ -112,6 +112,6 @@ func main() {
 			fmt.Printf("%-44s %12d\n", n, res.Stats[n])
 		}
 		fmt.Println()
-		fmt.Print(s.Registry.DumpHistograms())
+		fmt.Print(s.DumpHistograms())
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"hscsim"
@@ -114,5 +115,59 @@ func TestGoldenRuns(t *testing.T) {
 			t.Errorf("%s: run hash %s != golden %s — the simulation is no longer byte-identical; "+
 				"if this change is intentional it needs an engine.Version bump and -update-goldens", key, gh, wh)
 		}
+	}
+}
+
+// bankedStatsPath pins the complete counter snapshot of one banked,
+// multi-TCC run: the unbanked golden hashes above never produce the
+// dirN/llcN scope names.
+const bankedStatsPath = "testdata/golden_banked_stats.txt"
+
+// bankedStatsLines runs tq on EvalConfig with two directory banks and
+// two TCCs and renders the cycle count plus every counter, sorted by
+// name, one name=value line each.
+func bankedStatsLines(t testing.TB) string {
+	t.Helper()
+	w, err := hscsim.NewBenchmark("tq", hscsim.Params{Scale: 1, CPUThreads: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := hscsim.EvalConfig(hscsim.ProtocolOptions{EarlyDirtyResponse: true, LLCWriteBack: true, Tracking: hscsim.TrackOwner})
+	cfg.DirBanks = 2
+	cfg.GPU.NumTCCs = 2
+	res, err := hscsim.NewSystem(cfg).Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(res.Stats))
+	for k := range res.Stats { //hsclint:deterministic — sorted below
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	fmt.Fprintf(&b, "cycles=%d\n", res.Cycles)
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s=%d\n", k, res.Stats[k])
+	}
+	return b.String()
+}
+
+func TestGoldenBankedStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full CHAI run; skipped in -short")
+	}
+	got := bankedStatsLines(t)
+	if *updateGoldens {
+		if err := os.WriteFile(bankedStatsPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(bankedStatsPath)
+	if err != nil {
+		t.Fatalf("%v (generate with: go test -run TestGoldenBankedStats -update-goldens .)", err)
+	}
+	if got != string(want) {
+		t.Errorf("banked counter snapshot differs from %s:\n got:\n%s\nwant:\n%s", bankedStatsPath, got, want)
 	}
 }

@@ -5,6 +5,7 @@
 package cachearray
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -19,19 +20,28 @@ type Config struct {
 	BlockSize int // line size in bytes (64 throughout the paper)
 }
 
-// Sets returns the number of sets implied by the configuration.
-func (c Config) Sets() int {
+// Check reports why New would refuse the configuration, or nil.
+func (c Config) Check() error {
 	if c.Assoc <= 0 || c.BlockSize <= 0 {
-		panic("cachearray: non-positive associativity or block size")
+		return errors.New("cachearray: non-positive associativity or block size")
 	}
 	sets := c.SizeBytes / (c.Assoc * c.BlockSize)
 	if sets <= 0 {
-		panic(fmt.Sprintf("cachearray: config %+v yields no sets", c))
+		return fmt.Errorf("cachearray: config %+v yields no sets", c)
 	}
 	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cachearray: set count %d not a power of two", sets))
+		return fmt.Errorf("cachearray: set count %d not a power of two", sets)
 	}
-	return sets
+	return nil
+}
+
+// Sets returns the number of sets implied by the configuration. It
+// panics if Check fails.
+func (c Config) Sets() int {
+	if err := c.Check(); err != nil {
+		panic(err.Error())
+	}
+	return c.SizeBytes / (c.Assoc * c.BlockSize)
 }
 
 // Line is one way of one set. T carries protocol-specific metadata

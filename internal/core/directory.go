@@ -50,21 +50,27 @@ type Directory struct {
 	// fresh closure to the directory array.
 	pinEntry func(*cachearray.Line[dirEntry]) bool
 
-	// Statistics.
-	requests    *stats.Counter
-	probesSent  *stats.Counter
-	acksRecv    *stats.Counter
-	earlyResps  *stats.Counter
-	dirEvicts   *stats.Counter
-	backInvals  *stats.Counter
-	probeElided *stats.Counter
-	staleVics   *stats.Counter
-	allocStalls *stats.Counter
-	flushes     *stats.Counter
-	atomics     *stats.Counter
-	wts         *stats.Counter
-	roElided    *stats.Counter
-	txnLatency  *stats.Histogram
+	Stats DirStats
+}
+
+// DirStats are the directory's counters and its transaction-latency
+// histogram.
+type DirStats struct {
+	Requests              uint64 `stat:"requests"`
+	ProbesSent            uint64 `stat:"probes_sent"` // Fig. 7's metric, backward invalidations included
+	ProbeAcks             uint64 `stat:"probe_acks"`
+	EarlyResponses        uint64 `stat:"early_responses"` // §III-A
+	EntryEvictions        uint64 `stat:"entry_evictions"`
+	BackwardInvalProbes   uint64 `stat:"backward_inval_probes"`
+	ProbeFreeTransactions uint64 `stat:"probe_free_transactions"`
+	StaleVictims          uint64 `stat:"stale_victims"`
+	AllocStalls           uint64 `stat:"alloc_stalls"`
+	Flushes               uint64 `stat:"flushes"`
+	Atomics               uint64 `stat:"atomics"`
+	WriteThroughs         uint64 `stat:"write_throughs"`
+	ReadOnlyElided        uint64 `stat:"readonly_elided"` // probe- and tracking-free read-only transactions
+
+	TxnLatency stats.Histogram `stat:"txn_latency"`
 }
 
 // dirState is a stable state of the tracking directory (§IV-A). Absence
@@ -114,7 +120,7 @@ type DirectoryConfig struct {
 // NewDirectory creates the directory, its LLC, and (in tracking modes)
 // the directory cache.
 func NewDirectory(engine *sim.Engine, ic noc.Fabric, mem MemPort,
-	fm *memdata.Memory, cfg DirectoryConfig, sc *stats.Scope, llcScope *stats.Scope) *Directory {
+	fm *memdata.Memory, cfg DirectoryConfig) *Directory {
 
 	d := &Directory{
 		engine:  engine,
@@ -126,23 +132,8 @@ func NewDirectory(engine *sim.Engine, ic noc.Fabric, mem MemPort,
 		id:      cfg.ID,
 		l2s:     append([]msg.NodeID(nil), cfg.L2s...),
 		tccIDs:  append([]msg.NodeID(nil), cfg.TCCs...),
-		llc:     newLLC(cfg.Geo, cfg.Opts, mem, llcScope),
+		llc:     newLLC(cfg.Geo, cfg.Opts, mem),
 		txns:    make(map[cachearray.LineAddr]*txn),
-
-		requests:    sc.Counter("requests"),
-		probesSent:  sc.Counter("probes_sent"),
-		acksRecv:    sc.Counter("probe_acks"),
-		earlyResps:  sc.Counter("early_responses"),
-		dirEvicts:   sc.Counter("entry_evictions"),
-		backInvals:  sc.Counter("backward_inval_probes"),
-		probeElided: sc.Counter("probe_free_transactions"),
-		staleVics:   sc.Counter("stale_victims"),
-		allocStalls: sc.Counter("alloc_stalls"),
-		flushes:     sc.Counter("flushes"),
-		atomics:     sc.Counter("atomics"),
-		wts:         sc.Counter("write_throughs"),
-		roElided:    sc.Counter("readonly_elided"),
-		txnLatency:  sc.Histogram("txn_latency"),
 	}
 	d.targets = append(append([]msg.NodeID(nil), d.l2s...), d.tccIDs...)
 	d.dsts = make([]msg.NodeID, 0, len(d.targets))
@@ -263,7 +254,7 @@ func (d *Directory) enqueue(m *msg.Message) {
 }
 
 func (d *Directory) start(m *msg.Message) {
-	d.requests.Inc()
+	d.Stats.Requests++
 	t := d.freeTxns.Get()
 	*t = txn{id: d.nextID, req: *m, addr: m.Addr, start: d.engine.Now()}
 	d.nextID++
@@ -308,14 +299,14 @@ func (d *Directory) beginStateless(t *txn) {
 
 	case msg.WT:
 		d.opts.Recorder.Record(machStateless, "-", "WT", "-") //proto:actions broadcast inv probes, commit WT (dir.llc), WBAck //proto:emits PrbInv,WBAck
-		d.wts.Inc()
+		d.Stats.WriteThroughs++
 		d.sendProbes(t, true, d.probeSet(true, m.Src))
 		t.commit = commitWrite
 		d.maybeProgress(t)
 
 	case msg.Atomic:
 		d.opts.Recorder.Record(machStateless, "-", "Atomic", "-") //proto:actions broadcast inv probes, RMW at directory, AtomicResp //proto:emits PrbInv,AtomicResp
-		d.atomics.Inc()
+		d.Stats.Atomics++
 		t.needData = true
 		d.sendProbes(t, true, d.probeSet(true, m.Src))
 		d.issueRead(t)
@@ -324,7 +315,7 @@ func (d *Directory) beginStateless(t *txn) {
 
 	case msg.Flush:
 		d.opts.Recorder.Record(machStateless, "-", "Flush", "-") //proto:actions FlushAck //proto:emits FlushAck
-		d.flushes.Inc()
+		d.Stats.Flushes++
 		d.respondAndFinish(t, msg.FlushAck)
 
 	case msg.DMARd:
@@ -389,15 +380,15 @@ func (d *Directory) sendProbes(t *txn, inv bool, dsts []msg.NodeID) {
 		typ = msg.PrbInv
 	}
 	for _, dst := range dsts {
-		d.probesSent.Inc()
+		d.Stats.ProbesSent++
 		if t.eviction {
-			d.backInvals.Inc()
+			d.Stats.BackwardInvalProbes++
 		}
 		d.ic.Send(msg.Message{Type: typ, Addr: t.addr, Src: d.id, Dst: dst, TxnID: t.id})
 	}
 	t.pendingAcks += len(dsts)
 	if len(dsts) == 0 && !t.eviction {
-		d.probeElided.Inc()
+		d.Stats.ProbeFreeTransactions++
 	}
 }
 
@@ -450,7 +441,7 @@ func (d *Directory) handleAck(m *msg.Message) {
 		}
 		d.violate("stray-probe-ack", m.Addr, m.TxnID, *m, "ack for "+have)
 	}
-	d.acksRecv.Inc()
+	d.Stats.ProbeAcks++
 	t.pendingAcks--
 	if m.HasData {
 		t.dataFromCache = true
@@ -516,7 +507,7 @@ func (d *Directory) respond(t *txn) {
 	t.responded = true
 	if d.opts.EarlyDirtyResponse && t.downgrade && t.dirtyAck &&
 		(t.pendingAcks > 0 || (t.memIssued && !t.memDone)) {
-		d.earlyResps.Inc()
+		d.Stats.EarlyResponses++
 	}
 	switch t.commit {
 	case commitWrite:
@@ -605,7 +596,7 @@ func (d *Directory) respondAndFinish(t *txn, typ msg.Type) {
 }
 
 func (d *Directory) complete(t *txn) {
-	d.txnLatency.Observe(uint64(d.engine.Now() - t.start))
+	d.Stats.TxnLatency.Observe(uint64(d.engine.Now() - t.start))
 	delete(d.txns, t.addr)
 	d.drainPending(t.addr)
 	// Nothing refers to t any more: its begin, LLC-read and memory-read
@@ -694,17 +685,8 @@ func (d *Directory) commitAtomic(t *txn) {
 	t.extraLatency += d.commitWT(t.addr)
 }
 
-// Stats accessors used by the harness and tests.
-
-// ProbesSent returns the number of probe messages the directory issued
-// (Fig. 7's metric), including backward invalidations.
-func (d *Directory) ProbesSent() uint64 { return d.probesSent.Value() }
-
-// EarlyResponses returns how many §III-A early responses fired.
-func (d *Directory) EarlyResponses() uint64 { return d.earlyResps.Value() }
-
-// LLCReadHits returns LLC read hits.
-func (d *Directory) LLCReadHits() uint64 { return d.llc.readHits.Value() }
+// LLCStats returns the LLC's counters.
+func (d *Directory) LLCStats() *LLCStats { return &d.llc.stats }
 
 // LLCHas reports whether the LLC holds addr (test hook).
 func (d *Directory) LLCHas(addr cachearray.LineAddr) bool { return d.llc.present(addr) }

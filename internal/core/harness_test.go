@@ -9,7 +9,6 @@ import (
 	"hscsim/internal/msg"
 	"hscsim/internal/noc"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // fakeCache is a scripted interconnect endpoint standing in for an L2,
@@ -80,7 +79,6 @@ func (f *fakeCache) lastResp() msg.Message {
 type rig struct {
 	t    testing.TB
 	e    *sim.Engine
-	reg  *stats.Registry
 	mem  *memctrl.Controller
 	fm   *memdata.Memory
 	dir  *Directory
@@ -95,9 +93,8 @@ func newRig(t testing.TB, opts Options, geo Geometry) *rig {
 	t.Helper()
 	e := sim.NewEngine()
 	e.MaxTicks = 1_000_000
-	reg := stats.NewRegistry()
-	ic := noc.New(e, noc.Config{Latency: 2}, reg.Scope("noc"))
-	mem := memctrl.New(e, memctrl.Config{Latency: 50, CyclesPerAccess: 2}, reg.Scope("mem"))
+	ic := noc.New(e, noc.Config{Latency: 2})
+	mem := memctrl.New(e, memctrl.Config{Latency: 50, CyclesPerAccess: 2})
 	fm := memdata.New()
 
 	const (
@@ -110,11 +107,11 @@ func newRig(t testing.TB, opts Options, geo Geometry) *rig {
 	d := NewDirectory(e, ic, mem, fm, DirectoryConfig{
 		ID: dirID, L2s: []msg.NodeID{l2aID, l2bID}, TCCs: []msg.NodeID{tccID},
 		Opts: opts, Timing: Timing{DirLatency: 5, LLCLatency: 5}, Geo: geo,
-	}, reg.Scope("dir"), reg.Scope("llc"))
+	})
 	ic.Register(dirID, d)
 
 	r := &rig{
-		t: t, e: e, reg: reg, mem: mem, fm: fm, dir: d, opts: opts,
+		t: t, e: e, mem: mem, fm: fm, dir: d, opts: opts,
 		l2a: newFake(t, e, ic, l2aID, dirID),
 		l2b: newFake(t, e, ic, l2bID, dirID),
 		tcc: newFake(t, e, ic, tccID, dirID),

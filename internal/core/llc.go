@@ -1,9 +1,6 @@
 package core
 
-import (
-	"hscsim/internal/cachearray"
-	"hscsim/internal/stats"
-)
+import "hscsim/internal/cachearray"
 
 // llcMeta is the per-line LLC metadata. The baseline LLC records only
 // validity; the §III-C write-back LLC adds the dirty bit.
@@ -20,34 +17,35 @@ type llc struct {
 	opts Options
 	mem  MemPort
 
-	reads      *stats.Counter
-	readHits   *stats.Counter
-	writes     *stats.Counter
-	dirtyEvict *stats.Counter
+	stats LLCStats
 }
 
-func newLLC(geo Geometry, opts Options, mem MemPort, sc *stats.Scope) *llc {
+// LLCStats are the LLC's counters.
+type LLCStats struct {
+	Reads          uint64 `stat:"reads"`
+	ReadHits       uint64 `stat:"read_hits"`
+	Writes         uint64 `stat:"writes"`
+	DirtyEvictions uint64 `stat:"dirty_evictions"`
+}
+
+func newLLC(geo Geometry, opts Options, mem MemPort) *llc {
 	return &llc{
 		arr: cachearray.New[llcMeta](cachearray.Config{
 			SizeBytes: geo.LLCSizeBytes,
 			Assoc:     geo.LLCAssoc,
 			BlockSize: geo.BlockSize,
 		}, nil),
-		opts:       opts,
-		mem:        mem,
-		reads:      sc.Counter("reads"),
-		readHits:   sc.Counter("read_hits"),
-		writes:     sc.Counter("writes"),
-		dirtyEvict: sc.Counter("dirty_evictions"),
+		opts: opts,
+		mem:  mem,
 	}
 }
 
 // read probes the LLC for addr. It returns true on hit. Misses do NOT
 // allocate (victim cache). The caller models the access latency.
 func (l *llc) read(addr cachearray.LineAddr) bool {
-	l.reads.Inc()
+	l.stats.Reads++
 	if l.arr.Lookup(addr) != nil {
-		l.readHits.Inc()
+		l.stats.ReadHits++
 		return true
 	}
 	return false
@@ -59,14 +57,14 @@ func (l *llc) read(addr cachearray.LineAddr) bool {
 // line was displaced, which puts the insertion on the critical path
 // (§III-C's "minor latency penalty").
 func (l *llc) insert(addr cachearray.LineAddr, dirty bool) (displacedDirty bool) {
-	l.writes.Inc()
+	l.stats.Writes++
 	if ln := l.arr.Lookup(addr); ln != nil {
 		ln.Meta.Dirty = ln.Meta.Dirty || dirty
 		return false
 	}
 	ln, evTag, evMeta, evicted := l.arr.Insert(addr, nil)
 	if evicted && evMeta.Dirty {
-		l.dirtyEvict.Inc()
+		l.stats.DirtyEvictions++
 		l.mem.Write(evTag)
 		displacedDirty = true
 	}

@@ -52,7 +52,7 @@ func (d *Directory) beginReadOnly(t *txn) {
 	switch m.Type {
 	case msg.RdBlk, msg.RdBlkS, msg.DMARd:
 		d.opts.Recorder.Record(machRO, "-", m.Type.String(), "-") //proto:events RdBlk,RdBlkS,DMARd //proto:actions elide probes and tracking, serve LLC/mem Shared //proto:emits Resp
-		d.roElided.Inc()
+		d.Stats.ReadOnlyElided++
 		t.forceShared = true
 		t.needData = true
 		t.needUnblock = m.Type != msg.DMARd && !d.isTCC(m.Src)
@@ -71,7 +71,3 @@ func (d *Directory) beginReadOnly(t *txn) {
 		d.violate("read-only", t.addr, t.id, *m, "write-class request to a declared read-only line — the workload violated its guarantee")
 	}
 }
-
-// ReadOnlyElided returns how many probe-and-tracking-free read-only
-// transactions were served.
-func (d *Directory) ReadOnlyElided() uint64 { return d.roElided.Value() }

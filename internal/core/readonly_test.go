@@ -21,14 +21,14 @@ func TestReadOnlyElidesProbesAndTracking(t *testing.T) {
 			r.l2b.send(msg.RdBlkS, 0x150)
 			r.tcc.send(msg.RdBlk, 0x150)
 			r.run()
-			if got := r.dir.ProbesSent(); got != 0 {
+			if got := r.dir.Stats.ProbesSent; got != 0 {
 				t.Fatalf("probes = %d, want 0", got)
 			}
 			if r.l2a.lastResp().Grant != msg.GrantS {
 				t.Fatal("read-only reads must be forced Shared")
 			}
-			if r.dir.ReadOnlyElided() != 3 {
-				t.Fatalf("elided = %d, want 3", r.dir.ReadOnlyElided())
+			if r.dir.Stats.ReadOnlyElided != 3 {
+				t.Fatalf("elided = %d, want 3", r.dir.Stats.ReadOnlyElided)
 			}
 			if mode != TrackNone {
 				if st, _, _ := r.entry(0x150); st != "I" {
@@ -44,7 +44,7 @@ func TestReadOnlyLinesOutsideRangesUnaffected(t *testing.T) {
 	r.dir.SetReadOnly([]LineRange{{First: 0x100, Last: 0x1FF}})
 	r.l2a.send(msg.RdBlk, 0x50) // outside the range
 	r.run()
-	if r.dir.ProbesSent() == 0 {
+	if r.dir.Stats.ProbesSent == 0 {
 		t.Fatal("non-read-only line skipped probes")
 	}
 	if r.l2a.lastResp().Grant != msg.GrantE {
@@ -91,7 +91,7 @@ func TestReadOnlyDisabledIgnoresRanges(t *testing.T) {
 	r.dir.SetReadOnly([]LineRange{{First: 0x100, Last: 0x1FF}})
 	r.l2a.send(msg.RdBlk, 0x150)
 	r.run()
-	if r.dir.ProbesSent() == 0 {
+	if r.dir.Stats.ProbesSent == 0 {
 		t.Fatal("ranges must be inert without the option")
 	}
 }

@@ -30,8 +30,8 @@ func TestStatelessRdBlkMissGrantsExclusive(t *testing.T) {
 	if len(r.tcc.probes) != 0 {
 		t.Fatal("TCC must not receive downgrading probes")
 	}
-	if r.mem.Reads() != 1 {
-		t.Fatalf("memory reads = %d, want 1 (LLC miss)", r.mem.Reads())
+	if r.mem.Stats.Reads != 1 {
+		t.Fatalf("memory reads = %d, want 1 (LLC miss)", r.mem.Stats.Reads)
 	}
 }
 
@@ -104,8 +104,8 @@ func TestEarlyDirtyResponse(t *testing.T) {
 	r.l2b.hasLine[0x100] = true
 	r.l2a.send(msg.RdBlk, 0x100)
 	r.run()
-	if r.dir.EarlyResponses() != 1 {
-		t.Fatalf("early responses = %d, want 1", r.dir.EarlyResponses())
+	if r.dir.Stats.EarlyResponses != 1 {
+		t.Fatalf("early responses = %d, want 1", r.dir.Stats.EarlyResponses)
 	}
 }
 
@@ -125,13 +125,13 @@ func TestEarlyResponseKeepsTxnUntilMemoryRead(t *testing.T) {
 		r.l2b.send(msg.RdBlk, 0x200)
 	})
 	r.run()
-	if r.dir.EarlyResponses() != 1 {
-		t.Fatalf("early responses = %d, want 1", r.dir.EarlyResponses())
+	if r.dir.Stats.EarlyResponses != 1 {
+		t.Fatalf("early responses = %d, want 1", r.dir.Stats.EarlyResponses)
 	}
 	if len(r.l2b.resps) != 1 || r.l2b.resps[0].Addr != 0x200 {
 		t.Fatalf("second request's responses = %v", r.l2b.resps)
 	}
-	if got := r.reg.Get("dir.requests"); got != 2 {
+	if got := r.dir.Stats.Requests; got != 2 {
 		t.Fatalf("requests = %d, want 2", got)
 	}
 }
@@ -158,7 +158,7 @@ func TestVictimWritePolicies(t *testing.T) {
 			r := newRig(t, c.opts, testGeo())
 			r.l2a.send(c.vic, 0x200)
 			r.run()
-			if got := r.mem.Writes(); got != c.wantMemWr {
+			if got := r.mem.Stats.Writes; got != c.wantMemWr {
 				t.Errorf("memory writes = %d, want %d", got, c.wantMemWr)
 			}
 			if got := r.dir.LLCHas(0x200); got != c.wantLLC {
@@ -185,10 +185,10 @@ func TestLLCWriteBackEvictionWritesMemory(t *testing.T) {
 	r.l2a.send(msg.VicDirty, 0x20)
 	r.l2a.send(msg.VicDirty, 0x30)
 	r.run()
-	if got := r.mem.Writes(); got != 1 {
+	if got := r.mem.Stats.Writes; got != 1 {
 		t.Fatalf("memory writes = %d, want exactly 1 (displaced dirty LLC line)", got)
 	}
-	if got := r.reg.Get("llc.dirty_evictions"); got != 1 {
+	if got := r.dir.LLCStats().DirtyEvictions; got != 1 {
 		t.Fatalf("dirty evictions = %d, want 1", got)
 	}
 }
@@ -210,7 +210,7 @@ func TestWTPolicies(t *testing.T) {
 			r := newRig(t, c.opts, testGeo())
 			r.tcc.send(msg.WT, 0x300)
 			r.run()
-			if got := r.mem.Writes(); got != c.wantMemWr {
+			if got := r.mem.Stats.Writes; got != c.wantMemWr {
 				t.Errorf("memory writes = %d, want %d", got, c.wantMemWr)
 			}
 			if got := r.dir.LLCHas(0x300); got != c.wantLLC {
@@ -286,7 +286,7 @@ func TestDMAWriteProbesAllAndSkipsLLC(t *testing.T) {
 	if r.dir.LLCHas(0x400) {
 		t.Fatal("DMA writes must not update the L3 — stale copy must go")
 	}
-	if r.mem.Writes() == 0 {
+	if r.mem.Stats.Writes == 0 {
 		t.Fatal("DMA write did not reach memory")
 	}
 }
@@ -330,7 +330,7 @@ func TestStatelessProbeCounts(t *testing.T) {
 		r.l2a.send(msg.RdBlk, cachearray.LineAddr(0x1000+i))
 	}
 	r.run()
-	if got := r.dir.ProbesSent(); got != 10 {
+	if got := r.dir.Stats.ProbesSent; got != 10 {
 		t.Fatalf("probes = %d, want 10 (1 peer L2 × 10 compulsory misses)", got)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"hscsim/internal/msg"
 	"hscsim/internal/noc"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // This file regenerates the paper's Table I — the state-transition
@@ -87,9 +86,8 @@ type t1rig struct {
 func newT1() *t1rig {
 	e := sim.NewEngine()
 	e.MaxTicks = 1_000_000
-	reg := stats.NewRegistry()
-	ic := noc.New(e, noc.Config{Latency: 2}, reg.Scope("noc"))
-	mem := memctrl.New(e, memctrl.Config{Latency: 20, CyclesPerAccess: 1}, reg.Scope("mem"))
+	ic := noc.New(e, noc.Config{Latency: 2})
+	mem := memctrl.New(e, memctrl.Config{Latency: 20, CyclesPerAccess: 1})
 	fm := memdata.New()
 
 	mk := func(id msg.NodeID, name string, isTCC bool) *t1cache {
@@ -111,7 +109,7 @@ func newT1() *t1rig {
 		Opts:   Options{Tracking: TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true},
 		Timing: Timing{DirLatency: 2, LLCLatency: 2},
 		Geo:    Geometry{LLCSizeBytes: 16 << 10, LLCAssoc: 4, DirEntries: 64, DirAssoc: 4, BlockSize: 64},
-	}, reg.Scope("dir"), reg.Scope("llc"))
+	})
 	ic.Register(4, r.dir)
 	return r
 }

@@ -25,18 +25,18 @@ func (d *Directory) beginTracked(t *txn) {
 		d.trackedVictim(t)
 
 	case msg.WT:
-		d.wts.Inc()
+		d.Stats.WriteThroughs++
 		d.trackedWritePerm(t)
 
 	case msg.Atomic:
-		d.atomics.Inc()
+		d.Stats.Atomics++
 		t.needData = true
 		d.issueRead(t)
 		d.trackedWritePerm(t)
 
 	case msg.Flush:
 		d.opts.Recorder.Record(machTracked, "-", "Flush", "-") //proto:actions FlushAck //proto:emits FlushAck
-		d.flushes.Inc()
+		d.Stats.Flushes++
 		d.respondAndFinish(t, msg.FlushAck)
 
 	case msg.DMARd:
@@ -179,7 +179,7 @@ func (d *Directory) trackedVictim(t *txn) {
 		// invalidation already captured the data) or raced away. The
 		// write is a harmless duplicate of identical data.
 		d.opts.Recorder.Record(machTracked, "I", m.Type.String(), "I") //proto:events VicClean,VicDirty //proto:actions stale victim, commit write, WBAck //proto:emits WBAck
-		d.staleVics.Inc()
+		d.Stats.StaleVictims++
 		d.commitVictim(t, dirty)
 		d.respondAndFinish(t, msg.WBAck)
 		return
@@ -203,7 +203,7 @@ func (d *Directory) trackedVictim(t *txn) {
 		// Dirty victim from a non-owner: it raced a transaction that
 		// already moved ownership; the data was superseded. Drop it.
 		d.opts.Recorder.Record(machTracked, e.State.String(), "VicDirty", e.State.String()) //proto:states S,O //proto:next S,O //proto:actions superseded dirty victim dropped //proto:emits WBAck
-		d.staleVics.Inc()
+		d.Stats.StaleVictims++
 	case e.State == dirS || e.State == dirO:
 		// Clean victim: remove the sharer (footnote g: an O-state line
 		// can send VicClean when the L2 held it Exclusive).
@@ -364,7 +364,7 @@ func (d *Directory) allocateEntry(t *txn) {
 	}
 	if victim == nil || (victim.Valid && d.entryPinned(victim)) {
 		// Every way is busy; retry after a directory-cycle.
-		d.allocStalls.Inc()
+		d.Stats.AllocStalls++
 		d.engine.Post(d.timing.DirLatency, d, dirKindAllocRetry, 0, t)
 		return
 	}
@@ -415,7 +415,7 @@ func (d *Directory) fewestSharersVictim(addr cachearray.LineAddr, pin func(*cach
 // data pulled back into the LLC, deallocate, then resume the read
 // waiting for the way.
 func (d *Directory) evictEntry(victim *cachearray.Line[dirEntry], waiting *txn) {
-	d.dirEvicts.Inc()
+	d.Stats.EntryEvictions++
 	line := victim.Tag
 	victim.Meta.Busy = true
 	et := d.freeTxns.Get()

@@ -135,7 +135,7 @@ func TestTableI_O_RdBlkProbesOwnerOnly(t *testing.T) {
 	r.l2a.send(msg.RdBlkM, 0x10) // l2a owns
 	r.run()
 	r.l2a.hasLine[0x10] = true // dirty at the owner
-	memReadsBefore := r.mem.Reads()
+	memReadsBefore := r.mem.Stats.Reads
 	r.l2b.send(msg.RdBlk, 0x10)
 	r.run()
 	// Only the owner is probed; the LLC read is elided entirely.
@@ -145,7 +145,7 @@ func TestTableI_O_RdBlkProbesOwnerOnly(t *testing.T) {
 	if len(r.tcc.probes) != 0 {
 		t.Fatal("O-state read must not probe non-owners")
 	}
-	if r.mem.Reads() != memReadsBefore {
+	if r.mem.Stats.Reads != memReadsBefore {
 		t.Fatal("O-state read must elide the LLC/memory read")
 	}
 	resp := r.l2b.lastResp()
@@ -240,13 +240,13 @@ func TestTableI_VicDirtyFromOwner(t *testing.T) {
 func TestTableI_VicDirtyFromNonOwnerDropped(t *testing.T) {
 	r := newRig(t, sharersOpts(), testGeo())
 	r.l2a.send(msg.RdBlkM, 0x10) // l2a owns
-	llcWrites := r.reg.Get("llc.writes")
+	llcWrites := r.dir.LLCStats().Writes
 	r.l2b.send(msg.VicDirty, 0x10) // stale victim from a non-owner
 	r.run()
-	if got := r.reg.Get("llc.writes"); got != llcWrites {
+	if got := r.dir.LLCStats().Writes; got != llcWrites {
 		t.Fatal("stale victim wrote the LLC")
 	}
-	if r.reg.Get("dir.stale_victims") != 1 {
+	if r.dir.Stats.StaleVictims != 1 {
 		t.Fatal("stale victim not counted")
 	}
 	st, owner, _ := r.entry(0x10)
@@ -388,10 +388,10 @@ func TestDirectoryEvictionBackwardInvalidation(t *testing.T) {
 	r.l2a.send(msg.RdBlkM, 0x30) // set full → evict one
 	r.run()
 
-	if r.reg.Get("dir.entry_evictions") != 1 {
-		t.Fatalf("entry evictions = %d, want 1", r.reg.Get("dir.entry_evictions"))
+	if r.dir.Stats.EntryEvictions != 1 {
+		t.Fatalf("entry evictions = %d, want 1", r.dir.Stats.EntryEvictions)
 	}
-	if r.reg.Get("dir.backward_inval_probes") == 0 {
+	if r.dir.Stats.BackwardInvalProbes == 0 {
 		t.Fatal("no backward invalidation probes sent")
 	}
 	// Exactly one of the first two lines was evicted; its dirty data
@@ -487,11 +487,11 @@ func TestTrackedProbeFreeTransactionsCounted(t *testing.T) {
 		r.l2a.send(msg.RdBlk, cachearray.LineAddr(0x100+i))
 	}
 	r.run()
-	if got := r.reg.Get("dir.probe_free_transactions"); got != 5 {
+	if got := r.dir.Stats.ProbeFreeTransactions; got != 5 {
 		t.Fatalf("probe-free transactions = %d, want 5", got)
 	}
-	if r.dir.ProbesSent() != 0 {
-		t.Fatalf("probes = %d, want 0", r.dir.ProbesSent())
+	if r.dir.Stats.ProbesSent != 0 {
+		t.Fatalf("probes = %d, want 0", r.dir.Stats.ProbesSent)
 	}
 }
 

@@ -149,22 +149,27 @@ type CorePair struct {
 	// cross-check (cmd/hscproto); nil (the default) disables recording.
 	rec *fsm.Recorder
 
-	loads      *stats.Counter
-	stores     *stats.Counter
-	l1Hits     *stats.Counter
-	l2Hits     *stats.Counter
-	l2Misses   *stats.Counter
-	upgrades   *stats.Counter
-	vicClean   *stats.Counter
-	vicDirty   *stats.Counter
-	probesRecv *stats.Counter
-	probeHits  *stats.Counter
-	wbStalls   *stats.Counter
-	missLat    *stats.Histogram
+	Stats Stats
+}
+
+// Stats are the CorePair's counters and its L2 miss-latency histogram.
+type Stats struct {
+	Loads          uint64          `stat:"loads"`
+	Stores         uint64          `stat:"stores"`
+	L1Hits         uint64          `stat:"l1_hits"`
+	L2Hits         uint64          `stat:"l2_hits"`
+	L2Misses       uint64          `stat:"l2_misses"`
+	Upgrades       uint64          `stat:"upgrades"`
+	VicClean       uint64          `stat:"vic_clean"`
+	VicDirty       uint64          `stat:"vic_dirty"`
+	ProbesReceived uint64          `stat:"probes_received"`
+	ProbeHits      uint64          `stat:"probe_hits"`
+	WBStalls       uint64          `stat:"wb_stalls"`
+	MissLatency    stats.Histogram `stat:"miss_latency"`
 }
 
 // New creates a CorePair attached to the interconnect at node id.
-func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID, cfg Config, sc *stats.Scope) *CorePair {
+func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID, cfg Config) *CorePair {
 	cp := &CorePair{
 		engine: engine,
 		ic:     ic,
@@ -180,18 +185,6 @@ func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID, cfg Config, sc
 		wbWait:        make(map[cachearray.LineAddr][]waiter),
 		pendingStores: make(map[cachearray.LineAddr]int),
 		probeWait:     make(map[cachearray.LineAddr][]msg.Message),
-		loads:         sc.Counter("loads"),
-		stores:        sc.Counter("stores"),
-		l1Hits:        sc.Counter("l1_hits"),
-		l2Hits:        sc.Counter("l2_hits"),
-		l2Misses:      sc.Counter("l2_misses"),
-		upgrades:      sc.Counter("upgrades"),
-		vicClean:      sc.Counter("vic_clean"),
-		vicDirty:      sc.Counter("vic_dirty"),
-		probesRecv:    sc.Counter("probes_received"),
-		probeHits:     sc.Counter("probe_hits"),
-		wbStalls:      sc.Counter("wb_stalls"),
-		missLat:       sc.Histogram("miss_latency"),
 	}
 	for i := range cp.l1d {
 		cp.l1d[i] = cachearray.New[struct{}](cachearray.Config{
@@ -219,9 +212,9 @@ func (cp *CorePair) l1For(core int, kind AccessKind) *cachearray.Array[struct{}]
 // functional value lives in memdata and is read/written by the core).
 func (cp *CorePair) Access(core int, kind AccessKind, line cachearray.LineAddr, done func()) {
 	if kind.needsWrite() {
-		cp.stores.Inc()
+		cp.Stats.Stores++
 	} else {
-		cp.loads.Inc()
+		cp.Stats.Loads++
 	}
 	cp.access(core, kind, line, done)
 }
@@ -236,11 +229,11 @@ func (cp *CorePair) access(core int, kind AccessKind, line cachearray.LineAddr, 
 		if !kind.needsWrite() {
 			cp.rec.Record(machine, st.String(), "Load", st.String()) //proto:states S,E,O,M //proto:next S,E,O,M //proto:actions serve from L1/L2
 			if l1.Lookup(line) != nil {
-				cp.l1Hits.Inc()
+				cp.Stats.L1Hits++
 				cp.engine.Schedule(cp.cfg.L1Latency, done)
 				return
 			}
-			cp.l2Hits.Inc()
+			cp.Stats.L2Hits++
 			l1.Insert(line, nil)
 			cp.engine.Schedule(cp.cfg.L2Latency, done)
 			return
@@ -248,7 +241,7 @@ func (cp *CorePair) access(core int, kind AccessKind, line cachearray.LineAddr, 
 		switch st {
 		case Modified:
 			cp.rec.Record(machine, "M", "Store", "M") //proto:actions commit in place
-			cp.l2Hits.Inc()
+			cp.Stats.L2Hits++
 			l1.Insert(line, nil)
 			cp.openStoreCommit(line, done)
 			return
@@ -256,14 +249,14 @@ func (cp *CorePair) access(core int, kind AccessKind, line cachearray.LineAddr, 
 			// Silent E→M: the directory is not informed (§II-B).
 			cp.rec.Record(machine, "E", "Store", "M") //proto:actions silent upgrade
 			ln.Meta.State = Modified
-			cp.l2Hits.Inc()
+			cp.Stats.L2Hits++
 			l1.Insert(line, nil)
 			cp.openStoreCommit(line, done)
 			return
 		default:
 			// Store to S or O: upgrade via RdBlkM.
 			cp.rec.Record(machine, st.String(), "Store", st.String()) //proto:states S,O //proto:next S,O //proto:actions issue RdBlkM upgrade //proto:emits RdBlkM
-			cp.upgrades.Inc()
+			cp.Stats.Upgrades++
 			cp.miss(line, msg.RdBlkM, waiter{core, kind, done})
 			return
 		}
@@ -275,12 +268,12 @@ func (cp *CorePair) access(core int, kind AccessKind, line cachearray.LineAddr, 
 		// while the refetched L2 copy kept its grant, breaking SWMR.
 		// Stall until the writeback acknowledgment retires the victim.
 		cp.rec.Record(machine, "WB", kind.event(), "WB") //proto:events Load,Store //proto:actions stall until WBAck
-		cp.wbStalls.Inc()
+		cp.Stats.WBStalls++
 		cp.wbWait[line] = append(cp.wbWait[line], waiter{core, kind, done})
 		return
 	}
 	cp.rec.Record(machine, "I", kind.event(), "I") //proto:events Load,Store //proto:actions issue RdBlk/RdBlkS/RdBlkM //proto:emits RdBlk,RdBlkS,RdBlkM
-	cp.l2Misses.Inc()
+	cp.Stats.L2Misses++
 	var t msg.Type
 	switch {
 	case kind.needsWrite():
@@ -344,7 +337,7 @@ func (cp *CorePair) fill(m *msg.Message) {
 		panic(fmt.Sprintf("corepair %d: fill without MSHR: %s", cp.id, *m))
 	}
 	delete(cp.mshr, m.Addr)
-	cp.missLat.Observe(uint64(cp.engine.Now() - e.issued))
+	cp.Stats.MissLatency.Observe(uint64(cp.engine.Now() - e.issued))
 
 	var st MOESI
 	switch m.Grant {
@@ -402,9 +395,9 @@ func (cp *CorePair) victimize(line cachearray.LineAddr, st MOESI) {
 	t := msg.VicClean
 	if st.dirty() {
 		t = msg.VicDirty
-		cp.vicDirty.Inc()
+		cp.Stats.VicDirty++
 	} else {
-		cp.vicClean.Inc()
+		cp.Stats.VicClean++
 	}
 	cp.wb[line] = st.dirty()
 	cp.ic.Send(msg.Message{Type: t, Addr: line, Src: cp.id, Dst: cp.dirID})
@@ -455,7 +448,7 @@ func (cp *CorePair) probe(m *msg.Message) {
 		cp.probeWait[m.Addr] = append(cp.probeWait[m.Addr], *m)
 		return
 	}
-	cp.probesRecv.Inc()
+	cp.Stats.ProbesReceived++
 	ack := msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: cp.id, Dst: m.Src, TxnID: m.TxnID}
 
 	if dirty, inWB := cp.wb[m.Addr]; inWB {
@@ -464,9 +457,9 @@ func (cp *CorePair) probe(m *msg.Message) {
 		cp.rec.Record(machine, "WB", m.Type.String(), "WB") //proto:events PrbInv,PrbDowngrade //proto:actions answer from victim buffer //proto:emits PrbAck
 		ack.HasData = true
 		ack.Dirty = dirty
-		cp.probeHits.Inc()
+		cp.Stats.ProbeHits++
 	} else if ln := cp.l2.Peek(m.Addr); ln != nil {
-		cp.probeHits.Inc()
+		cp.Stats.ProbeHits++
 		ack.HasData = true
 		ack.Dirty = ln.Meta.State.dirty()
 		if m.Type == msg.PrbInv {

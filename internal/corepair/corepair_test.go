@@ -7,7 +7,6 @@ import (
 	"hscsim/internal/msg"
 	"hscsim/internal/noc"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // fakeDir is a scripted directory endpoint: it answers every request
@@ -72,12 +71,11 @@ func newCPRig(t testing.TB, cfg Config) *cpRig {
 	t.Helper()
 	e := sim.NewEngine()
 	e.MaxTicks = 1_000_000
-	reg := stats.NewRegistry()
-	ic := noc.New(e, noc.Config{Latency: 2}, reg.Scope("noc"))
+	ic := noc.New(e, noc.Config{Latency: 2})
 	const cpID, dirID = msg.NodeID(0), msg.NodeID(9)
 	d := &fakeDir{e: e, ic: ic, id: dirID}
 	ic.Register(dirID, d)
-	cp := New(e, ic, cpID, dirID, cfg, reg.Scope("cp"))
+	cp := New(e, ic, cpID, dirID, cfg)
 	return &cpRig{t: t, e: e, cp: cp, dir: d}
 }
 
@@ -225,10 +223,10 @@ func TestL1HitAfterFill(t *testing.T) {
 	r := newCPRig(t, tinyConfig())
 	r.cp.Access(0, Load, 0x10, func() {})
 	r.run()
-	hitsBefore := r.cp.l1Hits.Value()
+	hitsBefore := r.cp.Stats.L1Hits
 	r.cp.Access(0, Load, 0x10, func() {})
 	r.run()
-	if r.cp.l1Hits.Value() != hitsBefore+1 {
+	if r.cp.Stats.L1Hits != hitsBefore+1 {
 		t.Fatal("second load did not hit the L1")
 	}
 	if len(r.dir.reqs) != 1 {

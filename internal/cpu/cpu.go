@@ -15,7 +15,6 @@ import (
 	"hscsim/internal/msg"
 	"hscsim/internal/prog"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // Dispatcher launches GPU kernels on behalf of host threads.
@@ -103,9 +102,14 @@ type Core struct {
 	afterDrain func() // one deferred action waiting for an empty buffer
 	afterPop   func() // one deferred action waiting for a free slot
 
-	ops      *stats.Counter
-	sbStalls *stats.Counter
-	sbFwds   *stats.Counter
+	Stats Stats
+}
+
+// Stats are the core's counters.
+type Stats struct {
+	Ops                 uint64 `stat:"ops"`
+	StoreBufferStalls   uint64 `stat:"store_buffer_stalls"`
+	StoreBufferForwards uint64 `stat:"store_buffer_forwards"`
 }
 
 type pendingStore struct {
@@ -115,13 +119,10 @@ type pendingStore struct {
 
 // New creates a core bound to slot `slot` of pair.
 func New(engine *sim.Engine, pair *corepair.CorePair, slot int, fm *memdata.Memory,
-	gpu Dispatcher, dma DMAStreamer, cfg Config, codeBase memdata.Addr, sc *stats.Scope) *Core {
+	gpu Dispatcher, dma DMAStreamer, cfg Config, codeBase memdata.Addr) *Core {
 	c := &Core{
 		engine: engine, pair: pair, slot: slot, fm: fm, gpu: gpu, dma: dma, cfg: cfg,
 		codeBase: codeBase,
-		ops:      sc.Counter("ops"),
-		sbStalls: sc.Counter("store_buffer_stalls"),
-		sbFwds:   sc.Counter("store_buffer_forwards"),
 	}
 	c.cb.execCur = c.execCur
 	c.cb.fenced = c.fenced
@@ -164,7 +165,7 @@ func (c *Core) step() {
 		c.whenDrained(c.onExit)
 		return
 	}
-	c.ops.Inc()
+	c.Stats.Ops++
 	c.cur = op
 	c.fetchThen(c.cb.execCur)
 }
@@ -244,7 +245,7 @@ func (c *Core) execCur() {
 			word := op.Addr &^ 7
 			for i := len(c.sb) - 1; i >= 0; i-- {
 				if c.sb[i].addr&^7 == word {
-					c.sbFwds.Inc()
+					c.Stats.StoreBufferForwards++
 					c.engine.Post(1, c, cpuKindResume, c.sb[i].val, nil)
 					return
 				}
@@ -258,7 +259,7 @@ func (c *Core) execCur() {
 		if c.cfg.StoreBufferSize > 0 {
 			if len(c.sb) >= c.cfg.StoreBufferSize {
 				// Full: retry once the head retires.
-				c.sbStalls.Inc()
+				c.Stats.StoreBufferStalls++
 				c.whenDrainedBelow(c.cfg.StoreBufferSize, c.cb.execCur)
 				return
 			}

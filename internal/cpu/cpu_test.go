@@ -9,7 +9,6 @@ import (
 	"hscsim/internal/noc"
 	"hscsim/internal/prog"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // grantAll is a minimal directory granting every request.
@@ -64,24 +63,18 @@ type coreRig struct {
 	dma  *fakeDMA
 }
 
-func statsScope(t *testing.T) *stats.Scope {
-	t.Helper()
-	return stats.NewRegistry().Scope("core")
-}
-
 func newCoreRig(t *testing.T) *coreRig {
 	t.Helper()
 	e := sim.NewEngine()
 	e.MaxTicks = 1_000_000
-	reg := stats.NewRegistry()
-	ic := noc.New(e, noc.Config{Latency: 2}, reg.Scope("noc"))
+	ic := noc.New(e, noc.Config{Latency: 2})
 	fm := memdata.New()
 	d := &grantAll{ic: ic, id: 9}
 	ic.Register(9, d)
-	pair := corepair.New(e, ic, 0, 9, corepair.DefaultConfig(), reg.Scope("cp"))
+	pair := corepair.New(e, ic, 0, 9, corepair.DefaultConfig())
 	gpu := &fakeDispatcher{}
 	dma := &fakeDMA{}
-	c := New(e, pair, 0, fm, gpu, dma, DefaultConfig(), 0xF0000000, reg.Scope("core"))
+	c := New(e, pair, 0, fm, gpu, dma, DefaultConfig(), 0xF0000000)
 	return &coreRig{t: t, e: e, core: c, fm: fm, dir: d, gpu: gpu, dma: dma}
 }
 
@@ -178,8 +171,7 @@ func newSBCoreRig(t *testing.T, sbSize int) *coreRig {
 	// Rebuild the core with a store buffer.
 	cfg := DefaultConfig()
 	cfg.StoreBufferSize = sbSize
-	r.core = New(r.core.engine, r.core.pair, 0, r.fm, r.gpu, r.dma, cfg, 0xF0000000,
-		statsScope(t))
+	r.core = New(r.core.engine, r.core.pair, 0, r.fm, r.gpu, r.dma, cfg, 0xF0000000)
 	return r
 }
 
@@ -254,7 +246,7 @@ func TestStoreBufferCapacityStalls(t *testing.T) {
 			t.Fatalf("store %d = %d", i, got)
 		}
 	}
-	if r.core.sbStalls.Value() == 0 {
+	if r.core.Stats.StoreBufferStalls == 0 {
 		t.Fatal("no capacity stalls counted")
 	}
 }

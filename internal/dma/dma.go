@@ -14,7 +14,6 @@ import (
 	"hscsim/internal/msg"
 	"hscsim/internal/noc"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // machine names the DMA engine's request state machine in the
@@ -36,18 +35,21 @@ type Engine struct {
 	// cross-check (cmd/hscproto); nil (the default) disables recording.
 	rec *fsm.Recorder
 
-	reads  *stats.Counter
-	writes *stats.Counter
+	Stats Stats
+}
+
+// Stats are the DMA engine's counters.
+type Stats struct {
+	Reads  uint64 `stat:"reads"`
+	Writes uint64 `stat:"writes"`
 }
 
 // New creates a DMA engine at node id.
-func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID, sc *stats.Scope) *Engine {
+func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID) *Engine {
 	e := &Engine{
 		engine: engine, ic: ic, id: id, dirID: dirID,
 		rdWaiters: make(map[cachearray.LineAddr][]func()),
 		wrWaiters: make(map[cachearray.LineAddr][]func()),
-		reads:     sc.Counter("reads"),
-		writes:    sc.Counter("writes"),
 	}
 	ic.Register(id, e)
 	return e
@@ -59,7 +61,7 @@ func (e *Engine) SetRecorder(r *fsm.Recorder) { e.rec = r }
 // ReadBlock issues a DMARd for one line.
 func (e *Engine) ReadBlock(line cachearray.LineAddr, done func()) {
 	e.rec.Record(machine, "-", "Rd", "-") //proto:actions issue DMARd //proto:emits DMARd
-	e.reads.Inc()
+	e.Stats.Reads++
 	e.rdWaiters[line] = append(e.rdWaiters[line], done)
 	e.ic.Send(msg.Message{Type: msg.DMARd, Addr: line, Src: e.id, Dst: e.dirID})
 }
@@ -67,7 +69,7 @@ func (e *Engine) ReadBlock(line cachearray.LineAddr, done func()) {
 // WriteBlock issues a DMAWr for one line.
 func (e *Engine) WriteBlock(line cachearray.LineAddr, done func()) {
 	e.rec.Record(machine, "-", "Wr", "-") //proto:actions issue DMAWr //proto:emits DMAWr
-	e.writes.Inc()
+	e.Stats.Writes++
 	e.wrWaiters[line] = append(e.wrWaiters[line], done)
 	e.ic.Send(msg.Message{Type: msg.DMAWr, Addr: line, Src: e.id, Dst: e.dirID})
 }

@@ -7,7 +7,6 @@ import (
 	"hscsim/internal/msg"
 	"hscsim/internal/noc"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // echoDir acknowledges every DMA request, tracking peak concurrency.
@@ -50,11 +49,10 @@ func newDMARig(t *testing.T) *dmaRig {
 	t.Helper()
 	e := sim.NewEngine()
 	e.MaxTicks = 1_000_000
-	reg := stats.NewRegistry()
-	ic := noc.New(e, noc.Config{Latency: 3}, reg.Scope("noc"))
+	ic := noc.New(e, noc.Config{Latency: 3})
 	d := &echoDir{ic: ic, id: 9}
 	ic.Register(9, d)
-	eng := New(e, ic, 5, 9, reg.Scope("dma"))
+	eng := New(e, ic, 5, 9)
 	return &dmaRig{t: t, e: e, eng: eng, dir: d}
 }
 

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"hscsim/internal/stats"
 	"hscsim/internal/system"
 )
 
@@ -189,9 +189,6 @@ type Config struct {
 	RetainJobs int
 	// JobTimeout bounds each job's execution (0 = none).
 	JobTimeout time.Duration
-	// Registry receives the engine's counters under the "engine" scope
-	// (nil = a private registry). Safe for concurrent snapshots.
-	Registry *stats.Registry
 	// Exec executes one spec (nil = Execute, the real simulator).
 	// Tests substitute stubs to exercise scheduling and shutdown.
 	Exec func(context.Context, Spec) ([]byte, error)
@@ -207,15 +204,16 @@ type Config struct {
 //lockcheck:order engine.Engine.mu < engine.Job.mu
 
 type Engine struct {
-	exec     func(context.Context, Spec) ([]byte, error)
-	cache    *Cache
-	timeout  time.Duration
-	registry *stats.Registry
-	retain   int
+	exec    func(context.Context, Spec) ([]byte, error)
+	cache   *Cache
+	timeout time.Duration
+	retain  int
 
-	cSubmitted, cDedup, cCacheHits       *stats.Counter
-	cDone, cFailed, cCanceled, cTimeouts *stats.Counter
-	cRejected, cEvicted                  *stats.Counter
+	// Counters: bumped by Submit and the workers, read by Stats from
+	// any goroutine.
+	cSubmitted, cDedup, cCacheHits       atomic.Uint64
+	cDone, cFailed, cCanceled, cTimeouts atomic.Uint64
+	cRejected, cEvicted                  atomic.Uint64
 
 	queue chan *Job
 	wg    sync.WaitGroup
@@ -248,31 +246,16 @@ func New(cfg Config) *Engine {
 	if retain <= 0 {
 		retain = 512
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = stats.NewRegistry()
-	}
 	exec := cfg.Exec
 	if exec == nil {
 		exec = Execute
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	sc := reg.Scope("engine")
 	e := &Engine{
 		exec:       exec,
 		cache:      cache,
 		timeout:    cfg.JobTimeout,
-		registry:   reg,
 		retain:     retain,
-		cSubmitted: sc.Counter("jobs_submitted"),
-		cDedup:     sc.Counter("dedup_hits"),
-		cCacheHits: sc.Counter("cache_hits"),
-		cDone:      sc.Counter("jobs_done"),
-		cFailed:    sc.Counter("jobs_failed"),
-		cCanceled:  sc.Counter("jobs_canceled"),
-		cTimeouts:  sc.Counter("jobs_timed_out"),
-		cRejected:  sc.Counter("queue_rejects"),
-		cEvicted:   sc.Counter("jobs_evicted"),
 		queue:      make(chan *Job, depth),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -284,12 +267,6 @@ func New(cfg Config) *Engine {
 	}
 	return e
 }
-
-// Registry exposes the engine's stats registry (the "engine" scope
-// plus whatever the caller shares it with).
-//
-//lockcheck:neutral
-func (e *Engine) Registry() *stats.Registry { return e.registry }
 
 // Cache exposes the engine's result cache.
 //
@@ -326,7 +303,7 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 	// job's result is in the cache (the probe below serves it and
 	// counts a cache hit), and Failed/Canceled jobs are retried.
 	if j, ok := e.jobs[hash]; ok && !j.State().Terminal() {
-		e.cDedup.Inc()
+		e.cDedup.Add(1)
 		e.mu.Unlock()
 		return j, nil
 	}
@@ -344,7 +321,7 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 		j.cached = true
 		j.finishLocked(v, nil, Done)
 		j.mu.Unlock()
-		e.cCacheHits.Inc()
+		e.cCacheHits.Add(1)
 		return j, nil
 	}
 
@@ -358,7 +335,7 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 	// and that job may even have finished since the probe missed.
 	if j, ok := e.jobs[hash]; ok {
 		if st := j.State(); st != Failed && st != Canceled {
-			e.cDedup.Inc()
+			e.cDedup.Add(1)
 			return j, nil
 		}
 	}
@@ -366,11 +343,11 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 	select {
 	case e.queue <- j:
 	default:
-		e.cRejected.Inc()
+		e.cRejected.Add(1)
 		return nil, ErrQueueFull
 	}
 	e.jobs[hash] = j
-	e.cSubmitted.Inc()
+	e.cSubmitted.Add(1)
 	return j, nil
 }
 
@@ -429,7 +406,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 					break flush
 				}
 				j.Cancel()
-				e.cCanceled.Inc()
+				e.cCanceled.Add(1)
 			default:
 				break flush
 			}
@@ -488,15 +465,15 @@ func (e *Engine) Stats() EngineStats {
 	running, jobs := e.running, len(e.jobs)
 	e.mu.Unlock()
 	return EngineStats{
-		Submitted:  e.cSubmitted.Value(),
-		DedupHits:  e.cDedup.Value(),
-		CacheHits:  e.cCacheHits.Value(),
-		Done:       e.cDone.Value(),
-		Failed:     e.cFailed.Value(),
-		Canceled:   e.cCanceled.Value(),
-		TimedOut:   e.cTimeouts.Value(),
-		Rejected:   e.cRejected.Value(),
-		Evicted:    e.cEvicted.Value(),
+		Submitted:  e.cSubmitted.Load(),
+		DedupHits:  e.cDedup.Load(),
+		CacheHits:  e.cCacheHits.Load(),
+		Done:       e.cDone.Load(),
+		Failed:     e.cFailed.Load(),
+		Canceled:   e.cCanceled.Load(),
+		TimedOut:   e.cTimeouts.Load(),
+		Rejected:   e.cRejected.Load(),
+		Evicted:    e.cEvicted.Load(),
 		QueueDepth: len(e.queue),
 		Running:    running,
 		Jobs:       jobs,
@@ -519,7 +496,7 @@ func (e *Engine) retire(hash string) {
 		e.retired = e.retired[1:]
 		if j, ok := e.jobs[old]; ok && j.State().Terminal() {
 			delete(e.jobs, old)
-			e.cEvicted.Inc()
+			e.cEvicted.Add(1)
 		}
 	}
 }
@@ -565,7 +542,7 @@ func (e *Engine) runJob(j *Job) {
 		j.mu.Lock()
 		j.finishLocked(nil, ErrCanceled, Canceled)
 		j.mu.Unlock()
-		e.cCanceled.Inc()
+		e.cCanceled.Add(1)
 		return
 	}
 
@@ -576,7 +553,7 @@ func (e *Engine) runJob(j *Job) {
 	defer cancel()
 	if !j.tryStart(cancel) {
 		// Cancelled while queued.
-		e.cCanceled.Inc()
+		e.cCanceled.Add(1)
 		return
 	}
 	e.mu.Lock()
@@ -603,19 +580,19 @@ func (e *Engine) runJob(j *Job) {
 	case err == nil:
 		j.finishLocked(result, nil, Done)
 		j.mu.Unlock()
-		e.cDone.Inc()
+		e.cDone.Add(1)
 		e.retire(j.Hash)
 		return
 	case errors.Is(err, context.DeadlineExceeded):
 		j.finishLocked(nil, fmt.Errorf("engine: job %s timed out after %v: %w", j.Spec, e.timeout, err), Failed)
-		e.cTimeouts.Inc()
-		e.cFailed.Inc()
+		e.cTimeouts.Add(1)
+		e.cFailed.Add(1)
 	case errors.Is(err, context.Canceled):
 		j.finishLocked(nil, fmt.Errorf("%w: %v", ErrCanceled, err), Canceled)
-		e.cCanceled.Inc()
+		e.cCanceled.Add(1)
 	default:
 		j.finishLocked(nil, err, Failed)
-		e.cFailed.Inc()
+		e.cFailed.Add(1)
 	}
 	j.mu.Unlock()
 	// Failed and cancelled jobs have no cached result to fall back on,

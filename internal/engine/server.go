@@ -166,7 +166,15 @@ func NewServer(e *Engine) http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		st := e.Stats()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, e.Registry().Dump())
+		fmt.Fprintf(w, "%-48s %12d\n", "engine.cache_hits", st.CacheHits)
+		fmt.Fprintf(w, "%-48s %12d\n", "engine.dedup_hits", st.DedupHits)
+		fmt.Fprintf(w, "%-48s %12d\n", "engine.jobs_canceled", st.Canceled)
+		fmt.Fprintf(w, "%-48s %12d\n", "engine.jobs_done", st.Done)
+		fmt.Fprintf(w, "%-48s %12d\n", "engine.jobs_evicted", st.Evicted)
+		fmt.Fprintf(w, "%-48s %12d\n", "engine.jobs_failed", st.Failed)
+		fmt.Fprintf(w, "%-48s %12d\n", "engine.jobs_submitted", st.Submitted)
+		fmt.Fprintf(w, "%-48s %12d\n", "engine.jobs_timed_out", st.TimedOut)
+		fmt.Fprintf(w, "%-48s %12d\n", "engine.queue_rejects", st.Rejected)
 		fmt.Fprintf(w, "%-48s %12d\n", "engine.queue_depth", st.QueueDepth)
 		fmt.Fprintf(w, "%-48s %12d\n", "engine.running", st.Running)
 		fmt.Fprintf(w, "%-48s %12d\n", "engine.jobs_known", st.Jobs)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -275,5 +276,123 @@ func TestServerServesRetiredJobFromCache(t *testing.T) {
 	}
 	if resp.Header.Get("X-Engine-Cached") != "true" {
 		t.Fatal("retired result not marked cached")
+	}
+}
+
+// metricNames are GET /metrics' lines, in order: the engine's nine job
+// counters sorted by name, then the live gauges and the cache counters.
+var metricNames = []string{
+	"engine.cache_hits", "engine.dedup_hits", "engine.jobs_canceled",
+	"engine.jobs_done", "engine.jobs_evicted", "engine.jobs_failed",
+	"engine.jobs_submitted", "engine.jobs_timed_out", "engine.queue_rejects",
+	"engine.queue_depth", "engine.running", "engine.jobs_known",
+	"engine.cache.entries", "engine.cache.hits", "engine.cache.disk_hits",
+	"engine.cache.misses", "engine.cache.puts", "engine.cache.evictions",
+}
+
+// scrapeMetrics fetches GET /metrics and returns its names in order and
+// its values by name.
+func scrapeMetrics(srv *httptest.Server) ([]string, map[string]uint64, error) {
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	var names []string
+	vals := make(map[string]uint64)
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		var name string
+		var v uint64
+		if _, err := fmt.Sscan(line, &name, &v); err != nil {
+			return nil, nil, fmt.Errorf("metrics line %q: %v", line, err)
+		}
+		names = append(names, name)
+		vals[name] = v
+	}
+	return names, vals, nil
+}
+
+// TestCountersUnderConcurrentReads runs jobs on four workers while
+// other goroutines scrape GET /metrics and Engine.Stats: the engine's
+// counters are the only ones shared across goroutines, so under -race
+// this is their data-race check. No increment may be lost, and no
+// reader may see jobs_done go backwards.
+func TestCountersUnderConcurrentReads(t *testing.T) {
+	bx := newBlockingExec()
+	close(bx.release)
+	const jobs = 64
+	e := New(Config{Workers: 4, QueueDepth: jobs, Exec: bx.exec})
+	defer e.Close()
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(viaHTTP bool) {
+			defer readers.Done()
+			var last uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				done := e.Stats().Done
+				if viaHTTP {
+					_, vals, err := scrapeMetrics(srv)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					done = vals["engine.jobs_done"]
+				}
+				if done < last {
+					t.Errorf("jobs_done went from %d to %d", last, done)
+					return
+				}
+				last = done
+			}
+		}(r > 0)
+	}
+
+	var submitters sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		submitters.Add(1)
+		go func(g int) {
+			defer submitters.Done()
+			for i := g; i < jobs; i += 2 {
+				j, err := e.Submit(Spec{Bench: fmt.Sprintf("s%d", i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := j.Wait(context.Background()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	submitters.Wait()
+	close(stop)
+	readers.Wait()
+
+	if st := e.Stats(); st.Submitted != jobs || st.Done != jobs {
+		t.Fatalf("Stats: submitted=%d done=%d, want %d each", st.Submitted, st.Done, jobs)
+	}
+	names, vals, err := scrapeMetrics(srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals["engine.jobs_submitted"] != jobs || vals["engine.jobs_done"] != jobs {
+		t.Fatalf("/metrics: jobs_submitted=%d jobs_done=%d, want %d each",
+			vals["engine.jobs_submitted"], vals["engine.jobs_done"], jobs)
+	}
+	if strings.Join(names, " ") != strings.Join(metricNames, " ") {
+		t.Fatalf("/metrics names:\n got %v\nwant %v", names, metricNames)
 	}
 }

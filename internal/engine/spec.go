@@ -205,6 +205,14 @@ func (s Spec) Validate() error {
 		s.Topology.DirEntries < 0 || s.Topology.StoreBufferSize < 0 {
 		return fmt.Errorf("engine: negative topology parameter in %+v", s.Topology)
 	}
+	cfg, err := buildConfig(s)
+	if err != nil {
+		return err
+	}
+	if err := cfg.GPU.TCCBank().Check(); err != nil {
+		return fmt.Errorf("engine: numTCCs=%d does not split the %d-byte TCC into valid banks: %w",
+			cfg.GPU.NumTCCs, cfg.GPU.TCCSizeBytes, err)
+	}
 	return nil
 }
 

@@ -13,7 +13,6 @@ import (
 	"hscsim/internal/memdata"
 	"hscsim/internal/prog"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // machine names the wavefront dispatcher's memory-operation dispatch
@@ -60,9 +59,14 @@ type Dispatcher struct {
 	// cross-check (cmd/hscproto); nil (the default) disables recording.
 	rec *fsm.Recorder
 
-	kernels   *stats.Counter
-	waveOps   *stats.Counter
-	wavesDone *stats.Counter
+	Stats Stats
+}
+
+// Stats are the dispatcher's counters.
+type Stats struct {
+	Kernels   uint64 `stat:"kernels"`
+	WaveOps   uint64 `stat:"wave_ops"`
+	WavesDone uint64 `stat:"waves_done"`
 }
 
 type launch struct {
@@ -106,13 +110,8 @@ type waveRun struct {
 
 // New creates the dispatcher.
 func New(engine *sim.Engine, caches *gpucache.GPUCaches, fm *memdata.Memory,
-	cfg Config, sc *stats.Scope) *Dispatcher {
-	return &Dispatcher{
-		engine: engine, caches: caches, fm: fm, cfg: cfg,
-		kernels:   sc.Counter("kernels"),
-		waveOps:   sc.Counter("wave_ops"),
-		wavesDone: sc.Counter("waves_done"),
-	}
+	cfg Config) *Dispatcher {
+	return &Dispatcher{engine: engine, caches: caches, fm: fm, cfg: cfg}
 }
 
 // SetRecorder attaches (or, with nil, detaches) a transition recorder.
@@ -137,7 +136,7 @@ func (d *Dispatcher) startNext() {
 	l := d.queue[0]
 	d.queue = d.queue[1:]
 	d.active = l
-	d.kernels.Inc()
+	d.Stats.Kernels++
 
 	l.wavesLeft = l.k.Workgroups * l.k.WavesPerWG
 	l.cuQueues = make([][]int, d.cfg.NumCUs)
@@ -204,7 +203,7 @@ func (wr *waveRun) step() {
 		wr.d.waveDone(wr)
 		return
 	}
-	wr.d.waveOps.Inc()
+	wr.d.Stats.WaveOps++
 	wr.opsN++
 	wr.cur = op
 	if wr.d.cfg.IFetchEvery > 0 && wr.opsN%wr.d.cfg.IFetchEvery == 1 {
@@ -316,7 +315,7 @@ func (wr *waveRun) resume(vals []uint64) {
 }
 
 func (d *Dispatcher) waveDone(wr *waveRun) {
-	d.wavesDone.Inc()
+	d.Stats.WavesDone++
 	last := d.resident[len(d.resident)-1]
 	last.slot = wr.slot
 	d.resident[wr.slot] = last

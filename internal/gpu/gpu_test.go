@@ -9,7 +9,6 @@ import (
 	"hscsim/internal/noc"
 	"hscsim/internal/prog"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // grantDir is a minimal directory for GPU-side tests.
@@ -44,15 +43,14 @@ func newGPURig(t *testing.T, cfg Config) *gpuRig {
 	t.Helper()
 	e := sim.NewEngine()
 	e.MaxTicks = 10_000_000
-	reg := stats.NewRegistry()
-	ic := noc.New(e, noc.Config{Latency: 2}, reg.Scope("noc"))
+	ic := noc.New(e, noc.Config{Latency: 2})
 	fm := memdata.New()
 	dir := &grantDir{ic: ic, id: 9, fm: fm}
 	ic.Register(9, dir)
 	gcfg := gpucache.DefaultConfig()
 	gcfg.NumCUs = cfg.NumCUs
-	caches := gpucache.New(e, ic, []msg.NodeID{4}, 9, fm, gcfg, reg.Scope("gpu"))
-	d := New(e, caches, fm, cfg, reg.Scope("disp"))
+	caches := gpucache.New(e, ic, []msg.NodeID{4}, 9, fm, gcfg)
+	d := New(e, caches, fm, cfg)
 	return &gpuRig{t: t, e: e, d: d, fm: fm}
 }
 

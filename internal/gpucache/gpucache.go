@@ -20,7 +20,6 @@ import (
 	"hscsim/internal/noc"
 	"hscsim/internal/recycle"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // machine names the TCC's VIPER state machine in the transition tables
@@ -78,6 +77,16 @@ func DefaultConfig() Config {
 	}
 }
 
+// TCCBank is the tag-array geometry of one TCC bank: the TCC capacity
+// split evenly over NumTCCs banks (at least one).
+func (c Config) TCCBank() cachearray.Config {
+	return cachearray.Config{
+		SizeBytes: c.TCCSizeBytes / max(c.NumTCCs, 1),
+		Assoc:     c.TCCAssoc,
+		BlockSize: c.BlockSize,
+	}
+}
+
 type tccMeta struct {
 	Dirty bool
 }
@@ -124,24 +133,29 @@ type GPUCaches struct {
 	// cross-check (cmd/hscproto); nil (the default) disables recording.
 	rec *fsm.Recorder
 
-	reads      *stats.Counter
-	writes     *stats.Counter
-	tcpHits    *stats.Counter
-	tccHits    *stats.Counter
-	tccMisses  *stats.Counter
-	wtSent     *stats.Counter
-	sysAtomics *stats.Counter
-	devAtomics *stats.Counter
-	probesRecv *stats.Counter
-	sqcHits    *stats.Counter
-	sqcMisses  *stats.Counter
+	Stats Stats
+}
+
+// Stats are the GPU cache complex's counters, summed over its banks.
+type Stats struct {
+	Reads          uint64 `stat:"reads"`
+	Writes         uint64 `stat:"writes"`
+	TCPHits        uint64 `stat:"tcp_hits"`
+	TCCHits        uint64 `stat:"tcc_hits"`
+	TCCMisses      uint64 `stat:"tcc_misses"`
+	WriteThroughs  uint64 `stat:"write_throughs"`
+	SystemAtomics  uint64 `stat:"system_atomics"`
+	DeviceAtomics  uint64 `stat:"device_atomics"`
+	ProbesReceived uint64 `stat:"probes_received"`
+	SQCHits        uint64 `stat:"sqc_hits"`
+	SQCMisses      uint64 `stat:"sqc_misses"`
 }
 
 // New creates the GPU cache complex. ids carries one interconnect node
 // per TCC bank (len(ids) == max(cfg.NumTCCs, 1)); the Table II TCC
 // capacity is split across the banks.
 func New(engine *sim.Engine, ic noc.Fabric, ids []msg.NodeID, dirID msg.NodeID,
-	fm *memdata.Memory, cfg Config, sc *stats.Scope) *GPUCaches {
+	fm *memdata.Memory, cfg Config) *GPUCaches {
 	if cfg.NumTCCs < 1 {
 		cfg.NumTCCs = 1
 	}
@@ -157,21 +171,9 @@ func New(engine *sim.Engine, ic noc.Fabric, ids []msg.NodeID, dirID msg.NodeID,
 		funcMem: fm,
 		sqc: cachearray.New[struct{}](cachearray.Config{
 			SizeBytes: cfg.SQCSizeBytes, Assoc: cfg.SQCAssoc, BlockSize: cfg.BlockSize}, nil),
-		reads:      sc.Counter("reads"),
-		writes:     sc.Counter("writes"),
-		tcpHits:    sc.Counter("tcp_hits"),
-		tccHits:    sc.Counter("tcc_hits"),
-		tccMisses:  sc.Counter("tcc_misses"),
-		wtSent:     sc.Counter("write_throughs"),
-		sysAtomics: sc.Counter("system_atomics"),
-		devAtomics: sc.Counter("device_atomics"),
-		probesRecv: sc.Counter("probes_received"),
-		sqcHits:    sc.Counter("sqc_hits"),
-		sqcMisses:  sc.Counter("sqc_misses"),
 	}
 	for b := 0; b < cfg.NumTCCs; b++ {
-		g.tccs = append(g.tccs, cachearray.New[tccMeta](cachearray.Config{
-			SizeBytes: cfg.TCCSizeBytes / cfg.NumTCCs, Assoc: cfg.TCCAssoc, BlockSize: cfg.BlockSize}, nil))
+		g.tccs = append(g.tccs, cachearray.New[tccMeta](cfg.TCCBank(), nil))
 		ic.Register(ids[b], g)
 	}
 	for i := 0; i < cfg.NumCUs; i++ {
@@ -206,10 +208,10 @@ func (g *GPUCaches) SetRecorder(r *fsm.Recorder) { g.rec = r }
 // ReadLine services a coalesced vector load for one cache line from a
 // CU's TCP; done fires when the data is available.
 func (g *GPUCaches) ReadLine(cu int, line cachearray.LineAddr, done func()) {
-	g.reads.Inc()
+	g.Stats.Reads++
 	tcp := g.tcps[cu]
 	if tcp.Lookup(line) != nil {
-		g.tcpHits.Inc()
+		g.Stats.TCPHits++
 		g.engine.Schedule(g.cfg.TCPLatency, done)
 		return
 	}
@@ -245,13 +247,13 @@ func (g *GPUCaches) OnEvent(kind uint8, arg uint64, obj any) {
 func (g *GPUCaches) tccRead(cu int, line cachearray.LineAddr, done func()) {
 	if ln := g.tccOf(line).Lookup(line); ln != nil {
 		g.rec.Record(machine, tccState(ln), "Rd", tccState(ln)) //proto:states V,D //proto:next V,D //proto:actions serve from TCC
-		g.tccHits.Inc()
+		g.Stats.TCCHits++
 		g.tcps[cu].Insert(line, nil)
 		g.engine.Schedule(g.cfg.TCCLatency, done)
 		return
 	}
 	g.rec.Record(machine, "I", "Rd", "I") //proto:actions issue RdBlk (or join MSHR) //proto:emits RdBlk
-	g.tccMisses.Inc()
+	g.Stats.TCCMisses++
 	if !g.mshr.Push(line, gpuWaiter{cu, done}) {
 		return // joined the outstanding miss
 	}
@@ -263,7 +265,7 @@ func (g *GPUCaches) tccRead(cu int, line cachearray.LineAddr, done func()) {
 // directory for system-level visibility; in WB_L2 mode the TCC buffers
 // the dirty line and writes it back on eviction or flush.
 func (g *GPUCaches) WriteLine(cu int, line cachearray.LineAddr, done func()) {
-	g.writes.Inc()
+	g.Stats.Writes++
 	tcp := g.tcps[cu]
 	if g.cfg.WriteBackL1 {
 		tcp.Insert(line, nil)
@@ -297,7 +299,7 @@ func (g *GPUCaches) tccWrite(line cachearray.LineAddr, done func()) {
 }
 
 func (g *GPUCaches) sendWT(line cachearray.LineAddr, retain bool, done func()) {
-	g.wtSent.Inc()
+	g.Stats.WriteThroughs++
 	if done == nil {
 		done = func() {}
 	}
@@ -329,7 +331,7 @@ func (g *GPUCaches) insertTCC(line cachearray.LineAddr, dirty bool) {
 // Local copies are dropped so later reads observe the result.
 func (g *GPUCaches) AtomicSystem(cu int, line cachearray.LineAddr, word memdata.Addr,
 	op memdata.AtomicOp, operand, compare uint64, done func(old uint64)) {
-	g.sysAtomics.Inc()
+	g.Stats.SystemAtomics++
 	g.tcps[cu].Invalidate(line)
 	if meta, ok := g.tccOf(line).Invalidate(line); ok && meta.Dirty {
 		g.rec.Record(machine, "D", "AtomicSys", "I") //proto:actions flush dirty copy (WT), issue Atomic //proto:emits Atomic,WT
@@ -349,7 +351,7 @@ func (g *GPUCaches) AtomicSystem(cu int, line cachearray.LineAddr, word memdata.
 // directory as a WT; in write-back mode the line turns dirty.
 func (g *GPUCaches) AtomicDevice(cu int, line cachearray.LineAddr, word memdata.Addr,
 	op memdata.AtomicOp, operand, compare uint64, done func(old uint64)) {
-	g.devAtomics.Inc()
+	g.Stats.DeviceAtomics++
 	g.tcps[cu].Invalidate(line)
 	a := g.freeDevAtomics.Get()
 	*a = devAtomic{line: line, word: word, op: op, operand: operand, compare: compare, done: done}
@@ -387,11 +389,11 @@ func (g *GPUCaches) deviceAtomic(rec *devAtomic) {
 // IFetch services a wavefront instruction fetch through the SQC.
 func (g *GPUCaches) IFetch(cu int, line cachearray.LineAddr, done func()) {
 	if g.sqc.Lookup(line) != nil {
-		g.sqcHits.Inc()
+		g.Stats.SQCHits++
 		g.engine.Schedule(g.cfg.SQCLatency, done)
 		return
 	}
-	g.sqcMisses.Inc()
+	g.Stats.SQCMisses++
 	g.sqc.Insert(line, nil)
 	g.engine.Post(g.cfg.SQCLatency, g, gpuKindTCCRead, packCULine(0, line), done)
 }
@@ -471,7 +473,7 @@ func (g *GPUCaches) Receive(m msg.Message) {
 
 	case msg.PrbInv:
 		// The TCC invalidates itself and never forwards data (§II-C).
-		g.probesRecv.Inc()
+		g.Stats.ProbesReceived++
 		if meta, ok := g.tccOf(m.Addr).Invalidate(m.Addr); ok && meta.Dirty {
 			// A dirty WB-mode line is lost to the probe; VIPER relies on
 			// the write-through of its data having system visibility, so
@@ -488,7 +490,7 @@ func (g *GPUCaches) Receive(m msg.Message) {
 	case msg.PrbDowngrade:
 		// The TCC holds no exclusive permission to surrender: ack only.
 		g.rec.Record(machine, "-", "PrbDowngrade", "-") //proto:actions ack, keep state //proto:emits PrbAck
-		g.probesRecv.Inc()
+		g.Stats.ProbesReceived++
 		g.ic.Send(msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: g.idOf(m.Addr), Dst: m.Src, TxnID: m.TxnID})
 
 	default:

@@ -8,7 +8,6 @@ import (
 	"hscsim/internal/msg"
 	"hscsim/internal/noc"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // fakeDir answers TCC requests with canned responses.
@@ -56,8 +55,7 @@ func newGPURig(t *testing.T, cfg Config) *gpuRig {
 	t.Helper()
 	e := sim.NewEngine()
 	e.MaxTicks = 1_000_000
-	reg := stats.NewRegistry()
-	ic := noc.New(e, noc.Config{Latency: 2}, reg.Scope("noc"))
+	ic := noc.New(e, noc.Config{Latency: 2})
 	fm := memdata.New()
 	const dirID = msg.NodeID(6)
 	d := &fakeDir{ic: ic, id: dirID, fm: fm}
@@ -69,7 +67,7 @@ func newGPURig(t *testing.T, cfg Config) *gpuRig {
 			ids = append(ids, msg.NodeID(4+b*10))
 		}
 	}
-	g := New(e, ic, ids, dirID, fm, cfg, reg.Scope("gpu"))
+	g := New(e, ic, ids, dirID, fm, cfg)
 	return &gpuRig{t: t, e: e, g: g, dir: d, fm: fm}
 }
 
@@ -276,10 +274,10 @@ func TestAcquireInvalidateDropsTCP(t *testing.T) {
 	r.run()
 	r.g.AcquireInvalidate(0)
 	// The next read misses the TCP but hits the TCC.
-	tccHits := r.g.tccHits.Value()
+	tccHits := r.g.Stats.TCCHits
 	r.g.ReadLine(0, 0x10, func() {})
 	r.run()
-	if r.g.tccHits.Value() != tccHits+1 {
+	if r.g.Stats.TCCHits != tccHits+1 {
 		t.Fatal("post-acquire read should hit the TCC, not the TCP")
 	}
 }
@@ -292,12 +290,12 @@ func TestIFetchThroughSQC(t *testing.T) {
 	if !done {
 		t.Fatal("ifetch never completed")
 	}
-	if r.g.sqcMisses.Value() != 1 {
+	if r.g.Stats.SQCMisses != 1 {
 		t.Fatal("cold ifetch should miss the SQC")
 	}
 	r.g.IFetch(1, 0x40, func() {})
 	r.run()
-	if r.g.sqcHits.Value() != 1 {
+	if r.g.Stats.SQCHits != 1 {
 		t.Fatal("warm ifetch should hit the SQC")
 	}
 }
@@ -358,10 +356,10 @@ func TestWriteBackL1AllocatesTCP(t *testing.T) {
 	r.g.WriteLine(0, 0x60, func() {})
 	r.run()
 	// WB_L1 allocates the line in the TCP, so a subsequent read hits it.
-	hits := r.g.tcpHits.Value()
+	hits := r.g.Stats.TCPHits
 	r.g.ReadLine(0, 0x60, func() {})
 	r.run()
-	if r.g.tcpHits.Value() != hits+1 {
+	if r.g.Stats.TCPHits != hits+1 {
 		t.Fatal("WB_L1 store did not allocate in the TCP")
 	}
 }

@@ -11,10 +11,6 @@
 //     clause or enumerate every message type. Protocol dispatch that
 //     silently ignores an unlisted message is how lost-ack deadlocks
 //     are born.
-//   - statsreg: every *stats.Counter / *stats.Histogram struct field
-//     must be assigned somewhere in its package (i.e. registered via a
-//     Scope); an unassigned field is a latent nil-dereference that only
-//     fires when the counter is first bumped.
 //   - determinism: simulation-reachable packages must be a pure
 //     function of (workload, config, seed) — no raw map iteration (Go
 //     randomizes its order; ranges proven order-insensitive are
@@ -92,7 +88,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...interface{}) {
 
 // All returns every registered analyzer.
 func All() []*Analyzer {
-	return []*Analyzer{MsgSwitch, StatsReg, Determinism, StallWake, LockCheck}
+	return []*Analyzer{MsgSwitch, Determinism, StallWake, LockCheck}
 }
 
 // Check runs the analyzers over the packages and returns findings

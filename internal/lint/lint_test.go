@@ -53,32 +53,6 @@ func TestMsgSwitchCatchesNonExhaustive(t *testing.T) {
 	}
 }
 
-func TestStatsRegCatchesUnassignedFields(t *testing.T) {
-	diags := Check(loadBad(t), []*Analyzer{StatsReg})
-	// Two unassigned fields (misses, lat), one handle copied from
-	// another struct, one wrong-kind registration, one duplicate name.
-	if len(diags) != 5 {
-		t.Fatalf("diags = %v, want exactly 5", diags)
-	}
-	var msgs []string
-	for _, d := range diags {
-		msgs = append(msgs, d.Message)
-	}
-	joined := strings.Join(msgs, "\n")
-	for _, want := range []string{
-		"widget.misses", "widget.lat",
-		"straight from Scope.Counter", "straight from Scope.Histogram",
-		"duplicate registration of Counter",
-	} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("missing a diagnostic matching %q in:\n%s", want, joined)
-		}
-	}
-	if strings.Contains(joined, "widget.hits") || strings.Contains(joined, `"out"`) {
-		t.Fatalf("correctly registered field reported: %v", diags)
-	}
-}
-
 // mapRangeDiags runs Determinism over pkgs and keeps only its map-range
 // findings.
 func mapRangeDiags(pkgs []*Package) []Diagnostic {
@@ -223,7 +197,7 @@ func TestGoldenExpectations(t *testing.T) {
 	pkgs := loadBad(t)
 	detPackages[badPkg] = true
 	defer delete(detPackages, badPkg)
-	checkGoldens(t, pkgs, All(), "testdata/bad/bad.go", 15)
+	checkGoldens(t, pkgs, All(), "testdata/bad/bad.go", 10)
 }
 
 // TestRepoIsClean is the enforcement test: the whole module must pass

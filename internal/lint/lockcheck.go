@@ -65,7 +65,6 @@ var LockCheck = &Analyzer{
 // goroutines and disk or network I/O.
 var lockPackages = map[string]bool{
 	"hscsim/internal/engine": true,
-	"hscsim/internal/stats":  true,
 	"hscsim/cmd/hscserve":    true,
 }
 
@@ -410,7 +409,7 @@ func fieldOwner(pkg *types.Package, v *types.Var) string {
 }
 
 // lockVarOf resolves the receiver expression of a mutex method call
-// (e.mu, s.registry.mu, &x.mu, plain mu) to its variable.
+// (e.mu, j.cache.mu, &x.mu, plain mu) to its variable.
 func (ctx *lockCtx) lockVarOf(e ast.Expr) *types.Var {
 	info := ctx.pass.Pkg.Info
 	switch e := ast.Unparen(e).(type) {

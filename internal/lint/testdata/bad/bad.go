@@ -10,9 +10,7 @@ import (
 	"math/rand"
 	"time"
 
-	"hscsim/internal/lint/testdata/gadget"
 	"hscsim/internal/msg"
-	"hscsim/internal/stats"
 )
 
 // classify switches on msg.Type without a default and without covering
@@ -26,48 +24,6 @@ func classify(t msg.Type) int {
 	}
 	return 0
 }
-
-// widget declares stats fields its constructor never registers →
-// statsreg (misses and lat; hits is the false-positive guard).
-type widget struct {
-	hits   *stats.Counter
-	misses *stats.Counter   //want statsreg "widget.misses"
-	lat    *stats.Histogram //want statsreg "widget.lat"
-}
-
-func newWidget(sc *stats.Scope) *widget {
-	return &widget{hits: sc.Counter("hits")}
-}
-
-// relay exercises the statsreg companion rules: counter and histogram
-// handles copied from another struct (each aliases whatever the source
-// field counts), and the same name registered twice on one scope. out
-// is the false-positive guard — a correct registration in an ordinary
-// assignment.
-type relay struct {
-	in   *stats.Counter
-	out  *stats.Counter
-	lat  *stats.Histogram
-	dup  *stats.Counter
-	dup2 *stats.Counter
-}
-
-func newRelay(sc *stats.Scope, w *widget) *relay {
-	r := &relay{
-		in: w.hits, //want statsreg "must be assigned straight from Scope.Counter"
-	}
-	r.out = sc.Counter("out")
-	r.lat = w.lat //want statsreg "must be assigned straight from Scope.Histogram"
-	r.dup = sc.Counter("frames")
-	r.dup2 = sc.Counter("frames") //want statsreg "duplicate registration of Counter"
-	return r
-}
-
-// RemoteGadget aliases another package's struct: its stats fields
-// belong to gadget, whose own constructor registers them, so statsreg
-// must not report them here (false-positive guard — the public API
-// package re-exports internal/engine's Engine exactly this way).
-type RemoteGadget = gadget.Gadget
 
 // sum ranges over a map unannotated → determinism (when the test adds
 // this package to the set). The second loop carries the suppression
@@ -143,8 +99,6 @@ func (pq *parkedQueues) wake(k int) []int {
 }
 
 var _ = classify
-var _ = newWidget
-var _ = newRelay
 var _ = sum
 var _ = stamp
 var _ = draw

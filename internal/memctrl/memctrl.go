@@ -12,7 +12,6 @@ package memctrl
 import (
 	"hscsim/internal/cachearray"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // Config sets memory timing.
@@ -47,26 +46,25 @@ type Controller struct {
 	nextFree sim.Tick
 	bankFree []sim.Tick
 
-	reads      *stats.Counter
-	writes     *stats.Counter
-	bankStalls *stats.Counter
+	Stats Stats
+}
+
+// Stats are the memory controller's counters.
+type Stats struct {
+	Reads           uint64 `stat:"reads"`
+	Writes          uint64 `stat:"writes"`
+	BankStallCycles uint64 `stat:"bank_stall_cycles"`
 }
 
 // New creates a memory controller.
-func New(engine *sim.Engine, cfg Config, sc *stats.Scope) *Controller {
+func New(engine *sim.Engine, cfg Config) *Controller {
 	if cfg.CyclesPerAccess == 0 {
 		cfg.CyclesPerAccess = 1
 	}
 	if cfg.Banks > 1 && cfg.BankCycles == 0 {
 		cfg.BankCycles = 40
 	}
-	ctl := &Controller{
-		engine:     engine,
-		cfg:        cfg,
-		reads:      sc.Counter("reads"),
-		writes:     sc.Counter("writes"),
-		bankStalls: sc.Counter("bank_stall_cycles"),
-	}
+	ctl := &Controller{engine: engine, cfg: cfg}
 	if cfg.Banks > 1 {
 		ctl.bankFree = make([]sim.Tick, cfg.Banks)
 	}
@@ -87,7 +85,7 @@ func (c *Controller) occupy(addr cachearray.LineAddr) sim.Tick {
 	if c.bankFree != nil {
 		b := int(uint64(addr) % uint64(len(c.bankFree)))
 		if c.bankFree[b] > begin {
-			c.bankStalls.Add(uint64(c.bankFree[b] - begin))
+			c.Stats.BankStallCycles += uint64(c.bankFree[b] - begin)
 			begin = c.bankFree[b]
 		}
 		c.bankFree[b] = begin + c.cfg.BankCycles
@@ -98,19 +96,13 @@ func (c *Controller) occupy(addr cachearray.LineAddr) sim.Tick {
 // Read fetches a line. When the data is available the engine calls
 // h.OnEvent(kind, uint64(addr), obj), so a read schedules no closure.
 func (c *Controller) Read(addr cachearray.LineAddr, h sim.Handler, kind uint8, obj any) {
-	c.reads.Inc()
+	c.Stats.Reads++
 	c.engine.PostAt(c.occupy(addr), h, kind, uint64(addr), obj)
 }
 
 // Write stores a line. The write is posted: it consumes a channel slot
 // but nothing waits for it.
 func (c *Controller) Write(addr cachearray.LineAddr) {
-	c.writes.Inc()
+	c.Stats.Writes++
 	c.occupy(addr)
 }
-
-// Reads returns the number of line reads issued.
-func (c *Controller) Reads() uint64 { return c.reads.Value() }
-
-// Writes returns the number of line writes issued.
-func (c *Controller) Writes() uint64 { return c.writes.Value() }

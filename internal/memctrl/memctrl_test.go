@@ -4,13 +4,12 @@ import (
 	"testing"
 
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 func newCtrl(t *testing.T, cfg Config) (*sim.Engine, *Controller) {
 	t.Helper()
 	e := sim.NewEngine()
-	return e, New(e, cfg, stats.NewRegistry().Scope("mem"))
+	return e, New(e, cfg)
 }
 
 // onRead adapts a test callback to the dispatch form a read completes
@@ -31,8 +30,8 @@ func TestReadLatency(t *testing.T) {
 	if done != 110 {
 		t.Fatalf("read completed at %d, want 110", done)
 	}
-	if c.Reads() != 1 || c.Writes() != 0 {
-		t.Fatalf("reads=%d writes=%d", c.Reads(), c.Writes())
+	if c.Stats.Reads != 1 || c.Stats.Writes != 0 {
+		t.Fatalf("reads=%d writes=%d", c.Stats.Reads, c.Stats.Writes)
 	}
 }
 
@@ -71,8 +70,8 @@ func TestPostedWrite(t *testing.T) {
 	if readDone != 54 {
 		t.Fatalf("read after two posted writes done at %d, want 54", readDone)
 	}
-	if c.Writes() != 2 {
-		t.Fatalf("writes = %d", c.Writes())
+	if c.Stats.Writes != 2 {
+		t.Fatalf("writes = %d", c.Stats.Writes)
 	}
 }
 
@@ -122,7 +121,7 @@ func TestBankedOccupancy(t *testing.T) {
 	if otherBank != 12 { // channel slot 2, +10 latency
 		t.Fatalf("other-bank read done at %d, want 12", otherBank)
 	}
-	if c.bankStalls.Value() == 0 {
+	if c.Stats.BankStallCycles == 0 {
 		t.Fatal("bank stalls not counted")
 	}
 }

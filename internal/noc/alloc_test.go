@@ -5,7 +5,6 @@ import (
 
 	"hscsim/internal/msg"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // TestDeliverSteadyStateAllocs is the interconnect's alloc gate: once
@@ -14,7 +13,7 @@ import (
 // trips must keep reusing the same slot instead of growing the table.
 func TestDeliverSteadyStateAllocs(t *testing.T) {
 	e := sim.NewEngine()
-	ic := New(e, DefaultConfig(), stats.NewRegistry().Scope("noc"))
+	ic := New(e, DefaultConfig())
 	delivered := 0
 	ic.Register(1, HandlerFunc(func(m msg.Message) { delivered++ }))
 	ic.Register(2, HandlerFunc(func(m msg.Message) {}))

@@ -5,7 +5,6 @@ import (
 
 	"hscsim/internal/msg"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // BenchmarkNoCDeliver measures one message's trip through the
@@ -13,7 +12,7 @@ import (
 // handler call.
 func BenchmarkNoCDeliver(b *testing.B) {
 	e := sim.NewEngine()
-	ic := New(e, DefaultConfig(), stats.NewRegistry().Scope("noc"))
+	ic := New(e, DefaultConfig())
 	ic.Register(1, HandlerFunc(func(msg.Message) {}))
 	ic.Register(2, HandlerFunc(func(msg.Message) {}))
 	deliver := func() {

@@ -12,7 +12,6 @@ import (
 
 	"hscsim/internal/msg"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // Handler receives delivered messages. Each receiver gets its own copy
@@ -95,12 +94,17 @@ type Interconnect struct {
 	mutate     Mutator
 	onDelivery DeliveryHook
 
-	msgs      *stats.Counter
-	bytes     *stats.Counter
-	probes    *stats.Counter
-	probeAcks *stats.Counter
-	dataMsgs  *stats.Counter
-	portStall *stats.Counter
+	Stats Stats
+}
+
+// Stats are the interconnect's traffic counters.
+type Stats struct {
+	Messages        uint64 `stat:"messages"`
+	Bytes           uint64 `stat:"bytes"`
+	Probes          uint64 `stat:"probes"`
+	ProbeAcks       uint64 `stat:"probe_acks"`
+	DataMessages    uint64 `stat:"data_messages"`
+	PortStallCycles uint64 `stat:"port_stall_cycles"`
 }
 
 // Interconnect event kinds (sim.Handler dispatch); arg is a slot index.
@@ -110,17 +114,8 @@ const (
 )
 
 // New creates an interconnect.
-func New(engine *sim.Engine, cfg Config, sc *stats.Scope) *Interconnect {
-	return &Interconnect{
-		engine:    engine,
-		cfg:       cfg,
-		msgs:      sc.Counter("messages"),
-		bytes:     sc.Counter("bytes"),
-		probes:    sc.Counter("probes"),
-		probeAcks: sc.Counter("probe_acks"),
-		dataMsgs:  sc.Counter("data_messages"),
-		portStall: sc.Counter("port_stall_cycles"),
-	}
+func New(engine *sim.Engine, cfg Config) *Interconnect {
+	return &Interconnect{engine: engine, cfg: cfg}
 }
 
 // Register attaches a handler to a node ID. Registering the same ID
@@ -177,19 +172,19 @@ func (ic *Interconnect) Send(m msg.Message) {
 	if int(m.Dst) >= len(ic.handlers) || ic.handlers[m.Dst] == nil {
 		panic(fmt.Sprintf("noc: send to unregistered node %d (%s)", m.Dst, m))
 	}
-	ic.msgs.Inc()
+	ic.Stats.Messages++
 	bytes := m.Bytes()
-	ic.bytes.Add(uint64(bytes))
+	ic.Stats.Bytes += uint64(bytes)
 	switch m.Type {
 	case msg.PrbInv, msg.PrbDowngrade:
-		ic.probes.Inc()
+		ic.Stats.Probes++
 	case msg.PrbAck:
-		ic.probeAcks.Inc()
+		ic.Stats.ProbeAcks++
 	default:
 		// Only probe traffic is classified separately.
 	}
 	if bytes == msg.DataBytes {
-		ic.dataMsgs.Inc()
+		ic.Stats.DataMessages++
 	}
 	depart := ic.engine.Now()
 	if ic.cfg.WidthBytes > 0 {
@@ -200,7 +195,7 @@ func (ic *Interconnect) Send(m msg.Message) {
 			ic.portFree = append(ic.portFree, 0)
 		}
 		if free := ic.portFree[m.Src]; free > depart {
-			ic.portStall.Add(uint64(free - depart))
+			ic.Stats.PortStallCycles += uint64(free - depart)
 			depart = free
 		}
 		occupancy := sim.Tick((bytes + ic.cfg.WidthBytes - 1) / ic.cfg.WidthBytes)

@@ -5,18 +5,16 @@ import (
 
 	"hscsim/internal/msg"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
-func newIC(t *testing.T, latency sim.Tick) (*sim.Engine, *Interconnect, *stats.Registry) {
+func newIC(t *testing.T, latency sim.Tick) (*sim.Engine, *Interconnect) {
 	t.Helper()
 	e := sim.NewEngine()
-	reg := stats.NewRegistry()
-	return e, New(e, Config{Latency: latency}, reg.Scope("noc")), reg
+	return e, New(e, Config{Latency: latency})
 }
 
 func TestDeliveryLatencyAndOrder(t *testing.T) {
-	e, ic, _ := newIC(t, 4)
+	e, ic := newIC(t, 4)
 	var got []sim.Tick
 	var payloads []msg.Type
 	ic.Register(1, HandlerFunc(func(m msg.Message) {
@@ -40,7 +38,7 @@ func TestDeliveryLatencyAndOrder(t *testing.T) {
 }
 
 func TestTrafficAccounting(t *testing.T) {
-	e, ic, reg := newIC(t, 1)
+	e, ic := newIC(t, 1)
 	ic.Register(1, HandlerFunc(func(msg.Message) {}))
 	e.Schedule(0, func() {
 		ic.Send(msg.Message{Type: msg.PrbInv, Dst: 1})
@@ -51,26 +49,26 @@ func TestTrafficAccounting(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Get("noc.messages"); got != 4 {
+	if got := ic.Stats.Messages; got != 4 {
 		t.Fatalf("messages = %d", got)
 	}
-	if got := reg.Get("noc.probes"); got != 2 {
+	if got := ic.Stats.Probes; got != 2 {
 		t.Fatalf("probes = %d", got)
 	}
-	if got := reg.Get("noc.probe_acks"); got != 1 {
+	if got := ic.Stats.ProbeAcks; got != 1 {
 		t.Fatalf("probe_acks = %d", got)
 	}
-	if got := reg.Get("noc.data_messages"); got != 2 {
+	if got := ic.Stats.DataMessages; got != 2 {
 		t.Fatalf("data_messages = %d", got)
 	}
 	wantBytes := uint64(msg.ControlBytes*2 + msg.DataBytes*2)
-	if got := reg.Get("noc.bytes"); got != wantBytes {
+	if got := ic.Stats.Bytes; got != wantBytes {
 		t.Fatalf("bytes = %d, want %d", got, wantBytes)
 	}
 }
 
 func TestDuplicateRegisterPanics(t *testing.T) {
-	_, ic, _ := newIC(t, 1)
+	_, ic := newIC(t, 1)
 	ic.Register(1, HandlerFunc(func(msg.Message) {}))
 	defer func() {
 		if recover() == nil {
@@ -81,7 +79,7 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 }
 
 func TestSendToUnregisteredPanics(t *testing.T) {
-	_, ic, _ := newIC(t, 1)
+	_, ic := newIC(t, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("send to unregistered node did not panic")
@@ -98,8 +96,7 @@ func TestDefaultConfig(t *testing.T) {
 
 func TestEgressPortSerialization(t *testing.T) {
 	e := sim.NewEngine()
-	reg := stats.NewRegistry()
-	ic := New(e, Config{Latency: 4, WidthBytes: 8}, reg.Scope("noc"))
+	ic := New(e, Config{Latency: 4, WidthBytes: 8})
 	var arrivals []sim.Tick
 	ic.Register(1, HandlerFunc(func(m msg.Message) { arrivals = append(arrivals, e.Now()) }))
 	e.Schedule(0, func() {
@@ -120,7 +117,7 @@ func TestEgressPortSerialization(t *testing.T) {
 	if arrivals[2] != 13 { // departs at 9, +4 latency
 		t.Fatalf("stalled arrival %d, want 13", arrivals[2])
 	}
-	if reg.Get("noc.port_stall_cycles") == 0 {
+	if ic.Stats.PortStallCycles == 0 {
 		t.Fatal("stall cycles not counted")
 	}
 }
@@ -129,7 +126,7 @@ func TestEgressPortSerialization(t *testing.T) {
 // handed. Messages kept past Receive must not change when later sends
 // reuse the slots the earlier ones travelled in.
 func TestDeliveredCopiesSurviveSlotReuse(t *testing.T) {
-	e, ic, _ := newIC(t, 2)
+	e, ic := newIC(t, 2)
 	var kept []msg.Message
 	ic.Register(1, HandlerFunc(func(m msg.Message) { kept = append(kept, m) }))
 	var sent []msg.Message
@@ -163,18 +160,17 @@ func TestDeliveredCopiesSurviveSlotReuse(t *testing.T) {
 // stall the port imposes at departure.
 func TestSendAfterDepartsLate(t *testing.T) {
 	e := sim.NewEngine()
-	reg := stats.NewRegistry()
-	ic := New(e, Config{Latency: 4, WidthBytes: 8}, reg.Scope("noc"))
+	ic := New(e, Config{Latency: 4, WidthBytes: 8})
 	var arrivals []sim.Tick
 	ic.Register(1, HandlerFunc(func(m msg.Message) { arrivals = append(arrivals, e.Now()) }))
 	e.Schedule(10, func() {
 		ic.SendAfter(5, msg.Message{Type: msg.RdBlk, Src: 0, Dst: 1})
 	})
 	e.Schedule(12, func() {
-		if got := reg.Get("noc.messages"); got != 0 {
+		if got := ic.Stats.Messages; got != 0 {
 			t.Errorf("messages = %d before the delay elapsed, want 0", got)
 		}
-		if got := reg.Get("noc.bytes"); got != 0 {
+		if got := ic.Stats.Bytes; got != 0 {
 			t.Errorf("bytes = %d before the delay elapsed, want 0", got)
 		}
 		// The delayed message has not claimed the port: this 72-byte
@@ -189,10 +185,10 @@ func TestSendAfterDepartsLate(t *testing.T) {
 	if len(arrivals) != 2 || arrivals[0] != 16 || arrivals[1] != 25 {
 		t.Fatalf("arrivals = %v, want [16 25]", arrivals)
 	}
-	if got := reg.Get("noc.port_stall_cycles"); got != 6 {
+	if got := ic.Stats.PortStallCycles; got != 6 {
 		t.Fatalf("port_stall_cycles = %d, want 6", got)
 	}
-	if got := reg.Get("noc.messages"); got != 2 {
+	if got := ic.Stats.Messages; got != 2 {
 		t.Fatalf("messages = %d, want 2", got)
 	}
 }

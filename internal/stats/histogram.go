@@ -3,18 +3,12 @@ package stats
 import (
 	"fmt"
 	"math/bits"
-	"strings"
-	"sync"
 )
 
 // Histogram accumulates a distribution in power-of-two buckets —
 // enough resolution for latency distributions without per-sample
-// storage. Observe and the read accessors are safe to call
-// concurrently (a single mutex; histograms are off the simulator's
-// per-event hot path).
+// storage. The zero value is an empty histogram.
 type Histogram struct {
-	name    string
-	mu      sync.Mutex //lockcheck:fast
 	buckets [64]uint64
 	count   uint64
 	sum     uint64
@@ -23,11 +17,7 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-//
-//lockcheck:neutral
 func (h *Histogram) Observe(v uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	b := bits.Len64(v) // bucket b holds [2^(b-1), 2^b)
 	h.buckets[b]++
 	h.count++
@@ -41,24 +31,10 @@ func (h *Histogram) Observe(v uint64) {
 }
 
 // Count returns the number of samples.
-//
-//lockcheck:neutral
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *Histogram) Count() uint64 { return h.count }
 
 // Mean returns the arithmetic mean (0 with no samples).
-//
-//lockcheck:neutral
 func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.mean()
-}
-
-func (h *Histogram) mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -66,34 +42,14 @@ func (h *Histogram) mean() float64 {
 }
 
 // Min returns the smallest observed sample (0 with no samples).
-//
-//lockcheck:neutral
-func (h *Histogram) Min() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
+func (h *Histogram) Min() uint64 { return h.min }
 
 // Max returns the largest observed sample.
-//
-//lockcheck:neutral
-func (h *Histogram) Max() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
+func (h *Histogram) Max() uint64 { return h.max }
 
 // Percentile returns an upper bound on the p-th percentile (p in
 // [0,100]): the top of the bucket containing it.
-//
-//lockcheck:neutral
 func (h *Histogram) Percentile(p float64) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.percentile(p)
-}
-
-func (h *Histogram) percentile(p float64) uint64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -121,69 +77,11 @@ func (h *Histogram) percentile(p float64) uint64 {
 }
 
 // String summarizes the distribution.
-//
-//lockcheck:neutral
 func (h *Histogram) String() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.count == 0 {
-		return fmt.Sprintf("%s: no samples", h.name)
+		return "no samples"
 	}
-	return fmt.Sprintf("%s: n=%d mean=%.1f min=%d p50≤%d p90≤%d p99≤%d max=%d",
-		h.name, h.count, h.mean(), h.min,
-		h.percentile(50), h.percentile(90), h.percentile(99), h.max)
-}
-
-// Histogram returns (creating if needed) the named histogram in this
-// scope.
-func (s *Scope) Histogram(name string) *Histogram {
-	s.registry.mu.Lock()
-	defer s.registry.mu.Unlock()
-	if s.hists == nil {
-		s.hists = make(map[string]*Histogram)
-	}
-	if h, ok := s.hists[name]; ok {
-		return h
-	}
-	h := &Histogram{name: s.prefix + "." + name}
-	s.hists[name] = h
-	s.registry.allHists = append(s.registry.allHists, h)
-	return h
-}
-
-// Histograms returns every histogram, keyed by full name.
-//
-//lockcheck:neutral
-func (r *Registry) Histograms() map[string]*Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]*Histogram, len(r.allHists))
-	for _, h := range r.allHists {
-		out[h.name] = h
-	}
-	return out
-}
-
-// DumpHistograms renders every histogram, sorted by name.
-//
-//lockcheck:neutral
-func (r *Registry) DumpHistograms() string {
-	hs := r.Histograms()
-	names := make([]string, 0, len(hs))
-	for n := range hs { //hsclint:deterministic — keys are sorted before rendering
-		names = append(names, n)
-	}
-	// Sorted for deterministic output.
-	for i := 0; i < len(names); i++ {
-		for j := i + 1; j < len(names); j++ {
-			if names[j] < names[i] {
-				names[i], names[j] = names[j], names[i]
-			}
-		}
-	}
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintln(&b, hs[n].String())
-	}
-	return b.String()
+	return fmt.Sprintf("n=%d mean=%.1f min=%d p50≤%d p90≤%d p99≤%d max=%d",
+		h.count, h.Mean(), h.min,
+		h.Percentile(50), h.Percentile(90), h.Percentile(99), h.max)
 }

@@ -1,162 +1,95 @@
-// Package stats collects named counters for simulation components.
+// Package stats names the simulator's counters.
 //
-// Every controller owns a *Scope; scopes roll up into a Registry that the
-// benchmark harness formats into the paper's tables and figures.
-//
-// A Registry is safe for concurrent use: counters are atomic and the
-// scope/counter maps are mutex-protected, so the job engine
-// (internal/engine) can snapshot its registry from HTTP handlers while
-// worker goroutines mutate counters. Within one simulation the registry
-// is still effectively single-goroutine (the event loop), so the
-// synchronization never contends on the hot path.
+// A component declares its counters as a struct of plain uint64 fields
+// plus Histogram values, each named by a `stat:"name"` tag, and bumps
+// them in place. Every simulated system runs on one goroutine, so
+// nothing here is atomic or locked. A Table, built once per struct type
+// at package init, turns such a struct into the flat "prefix.name" →
+// value map that run results carry; the caller picks each component's
+// prefix.
 package stats
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
+	"reflect"
 )
 
-// Counter is a monotonically increasing statistic.
-type Counter struct {
-	name string
-	v    atomic.Uint64
+// field is one named field of a counter struct.
+type field struct {
+	name  string
+	index int
 }
 
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Name returns the fully qualified counter name.
-func (c *Counter) Name() string { return c.name }
-
-// Scope is a named group of counters (one per component instance).
-type Scope struct {
-	prefix   string
-	registry *Registry
-	counters map[string]*Counter
-	hists    map[string]*Histogram
+// Table is the name table of one counter struct type T.
+type Table[T any] struct {
+	counters []field
+	hists    []field
 }
 
-// Counter returns (creating if needed) the counter with the given short
-// name within this scope.
-func (s *Scope) Counter(name string) *Counter {
-	s.registry.mu.Lock()
-	defer s.registry.mu.Unlock()
-	if c, ok := s.counters[name]; ok {
-		return c
+var (
+	counterType   = reflect.TypeOf(uint64(0))
+	histogramType = reflect.TypeOf(Histogram{})
+)
+
+// NewTable builds T's name table. It panics unless T is a struct whose
+// every field is an exported uint64 or Histogram carrying a non-empty
+// `stat` tag, with no tag used twice — so a counter can be neither
+// unnamed nor share a name with another. Build tables in package-level
+// variables, where a bad struct fails at init.
+func NewTable[T any]() *Table[T] {
+	typ := reflect.TypeOf((*T)(nil)).Elem()
+	if typ.Kind() != reflect.Struct {
+		panic(fmt.Sprintf("stats: %v is not a struct", typ))
 	}
-	c := &Counter{name: s.prefix + "." + name}
-	s.counters[name] = c
-	s.registry.all = append(s.registry.all, c)
-	return c
-}
-
-// Registry owns all scopes for a simulation run.
-type Registry struct {
-	mu       sync.Mutex //lockcheck:fast
-	scopes   map[string]*Scope
-	all      []*Counter
-	allHists []*Histogram
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{scopes: make(map[string]*Scope)}
-}
-
-// Scope returns (creating if needed) the scope with the given prefix.
-//
-//lockcheck:neutral
-func (r *Registry) Scope(prefix string) *Scope {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.scopes[prefix]; ok {
-		return s
-	}
-	s := &Scope{prefix: prefix, registry: r, counters: make(map[string]*Counter)}
-	r.scopes[prefix] = s
-	return s
-}
-
-// Get returns the value of a fully qualified counter name, or 0 if the
-// counter was never created.
-//
-//lockcheck:neutral
-func (r *Registry) Get(fullName string) uint64 {
-	dot := strings.LastIndex(fullName, ".")
-	if dot < 0 {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.scopes[fullName[:dot]]
-	if !ok {
-		return 0
-	}
-	c, ok := s.counters[fullName[dot+1:]]
-	if !ok {
-		return 0
-	}
-	return c.Value()
-}
-
-// Sum adds up counter short-name `name` across every scope whose prefix
-// begins with scopePrefix.
-//
-//lockcheck:neutral
-func (r *Registry) Sum(scopePrefix, name string) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var total uint64
-	for p, s := range r.scopes { //hsclint:deterministic — commutative sum
-		if !strings.HasPrefix(p, scopePrefix) {
-			continue
+	t := &Table[T]{}
+	seen := make(map[string]string, typ.NumField())
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name := f.Tag.Get("stat")
+		switch {
+		case name == "":
+			panic(fmt.Sprintf("stats: %v.%s has no stat tag", typ, f.Name))
+		case !f.IsExported():
+			panic(fmt.Sprintf("stats: %v.%s is unexported", typ, f.Name))
+		case seen[name] != "":
+			panic(fmt.Sprintf("stats: %v.%s and %v.%s are both named %q", typ, seen[name], typ, f.Name, name))
 		}
-		if c, ok := s.counters[name]; ok {
-			total += c.Value()
+		seen[name] = f.Name
+		switch f.Type {
+		case counterType:
+			t.counters = append(t.counters, field{name, i})
+		case histogramType:
+			t.hists = append(t.hists, field{name, i})
+		default:
+			panic(fmt.Sprintf("stats: %v.%s is a %v, not a uint64 or Histogram", typ, f.Name, f.Type))
 		}
 	}
-	return total
+	return t
 }
 
-// Snapshot returns all counters as a sorted name→value map. Counters
-// mutated concurrently land in the snapshot with whichever value the
-// atomic load observed; the map itself is a private copy.
-//
-//lockcheck:neutral
-func (r *Registry) Snapshot() map[string]uint64 {
-	r.mu.Lock()
-	all := make([]*Counter, len(r.all))
-	copy(all, r.all)
-	r.mu.Unlock()
-	m := make(map[string]uint64, len(all))
-	for _, c := range all {
-		m[c.name] = c.Value()
+// Append adds v's counters to counters and its histograms to hists,
+// each keyed "prefix.name"; either map may be nil to skip that kind. It
+// panics on a key already present, which is what two components given
+// one prefix would produce.
+func (t *Table[T]) Append(counters map[string]uint64, hists map[string]*Histogram, prefix string, v *T) {
+	rv := reflect.ValueOf(v).Elem()
+	if counters != nil {
+		for _, f := range t.counters {
+			counters[key(counters, prefix, f.name)] = rv.Field(f.index).Uint()
+		}
 	}
-	return m
+	if hists != nil {
+		for _, f := range t.hists {
+			hists[key(hists, prefix, f.name)] = rv.Field(f.index).Addr().Interface().(*Histogram)
+		}
+	}
 }
 
-// Dump renders every counter, sorted by name, one per line.
-//
-//lockcheck:neutral
-func (r *Registry) Dump() string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap))
-	for n := range snap { //hsclint:deterministic — keys are sorted before rendering
-		names = append(names, n)
+// key returns prefix.name, panicking if m already holds it.
+func key[V any](m map[string]V, prefix, name string) string {
+	k := prefix + "." + name
+	if _, dup := m[k]; dup {
+		panic(fmt.Sprintf("stats: %s appended twice", k))
 	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%-48s %12d\n", n, snap[n])
-	}
-	return b.String()
+	return k
 }

@@ -1,83 +1,117 @@
 package stats
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 )
 
+type widgetStats struct {
+	Hits    uint64    `stat:"hits"`
+	Misses  uint64    `stat:"misses"`
+	Latency Histogram `stat:"latency"`
+}
+
+var widgetTable = NewTable[widgetStats]()
+
 func TestCounterBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Scope("dir").Counter("probes")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("value = %d, want 5", c.Value())
+	var w widgetStats
+	w.Hits++
+	w.Misses += 4
+	w.Latency.Observe(7)
+	counters := make(map[string]uint64)
+	hists := make(map[string]*Histogram)
+	widgetTable.Append(counters, hists, "w0", &w)
+	if len(counters) != 2 || counters["w0.hits"] != 1 || counters["w0.misses"] != 4 {
+		t.Fatalf("counters = %v", counters)
 	}
-	if c.Name() != "dir.probes" {
-		t.Fatalf("name = %q", c.Name())
+	if len(hists) != 1 || hists["w0.latency"] != &w.Latency {
+		t.Fatalf("histograms = %v, want w0.latency aliasing the struct's field", hists)
 	}
-}
-
-func TestScopeAndCounterReuse(t *testing.T) {
-	r := NewRegistry()
-	a := r.Scope("cp0").Counter("loads")
-	b := r.Scope("cp0").Counter("loads")
-	if a != b {
-		t.Fatal("same scope/counter returned distinct objects")
-	}
-	a.Inc()
-	if r.Get("cp0.loads") != 1 {
-		t.Fatalf("Get = %d, want 1", r.Get("cp0.loads"))
+	// Either map may be skipped.
+	widgetTable.Append(nil, nil, "w1", &w)
+	only := make(map[string]uint64)
+	widgetTable.Append(only, nil, "w1", &w)
+	if len(only) != 2 {
+		t.Fatalf("counters-only append = %v", only)
 	}
 }
 
-func TestGetMissing(t *testing.T) {
-	r := NewRegistry()
-	if r.Get("nope.counter") != 0 {
-		t.Fatal("missing counter should read 0")
+// mustPanic runs f and returns its panic message, failing the test if
+// f returns normally.
+func mustPanic(t *testing.T, f func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("did not panic")
+		}
+		msg, _ = r.(string)
+	}()
+	f()
+	return ""
+}
+
+// TestUnnamedOrDuplicateFieldPanics covers the two ways a counter
+// struct could leave a counter uncounted or double-counted: two fields
+// sharing a name, and a field with no name. Each panics at table build.
+func TestUnnamedOrDuplicateFieldPanics(t *testing.T) {
+	t.Run("duplicate name", func(t *testing.T) {
+		type dup struct {
+			In  uint64 `stat:"frames"`
+			Out uint64 `stat:"frames"`
+		}
+		if msg := mustPanic(t, func() { NewTable[dup]() }); !strings.Contains(msg, `both named "frames"`) {
+			t.Fatalf("panic = %q", msg)
+		}
+	})
+	t.Run("untagged field", func(t *testing.T) {
+		type untagged struct {
+			Hits   uint64 `stat:"hits"`
+			Misses uint64
+		}
+		if msg := mustPanic(t, func() { NewTable[untagged]() }); !strings.Contains(msg, "Misses has no stat tag") {
+			t.Fatalf("panic = %q", msg)
+		}
+	})
+}
+
+// TestSharedPrefixPanics covers two components appended under one
+// prefix, whose counters would otherwise alias: the second Append
+// panics, for counters and histograms alike.
+func TestSharedPrefixPanics(t *testing.T) {
+	var a, b widgetStats
+	counters := make(map[string]uint64)
+	widgetTable.Append(counters, nil, "w", &a)
+	if msg := mustPanic(t, func() { widgetTable.Append(counters, nil, "w", &b) }); !strings.Contains(msg, "w.hits appended twice") {
+		t.Fatalf("panic = %q", msg)
 	}
-	if r.Get("malformed") != 0 {
-		t.Fatal("malformed name should read 0")
-	}
-	r.Scope("a").Counter("x").Inc()
-	if r.Get("a.y") != 0 {
-		t.Fatal("missing counter in existing scope should read 0")
+	hists := make(map[string]*Histogram)
+	widgetTable.Append(nil, hists, "w", &a)
+	if msg := mustPanic(t, func() { widgetTable.Append(nil, hists, "w", &b) }); !strings.Contains(msg, "w.latency appended twice") {
+		t.Fatalf("panic = %q", msg)
 	}
 }
 
-func TestSumAcrossScopes(t *testing.T) {
-	r := NewRegistry()
-	r.Scope("cp0").Counter("loads").Add(3)
-	r.Scope("cp1").Counter("loads").Add(4)
-	r.Scope("gpu").Counter("loads").Add(100)
-	if got := r.Sum("cp", "loads"); got != 7 {
-		t.Fatalf("Sum(cp, loads) = %d, want 7", got)
+func TestTableRejectsOtherFields(t *testing.T) {
+	type narrow struct {
+		N uint32 `stat:"n"`
 	}
-	if got := r.Sum("", "loads"); got != 107 {
-		t.Fatalf("Sum(all, loads) = %d, want 107", got)
+	type hidden struct {
+		n uint64 `stat:"n"`
 	}
-}
-
-func TestSnapshotAndDump(t *testing.T) {
-	r := NewRegistry()
-	r.Scope("z").Counter("b").Add(2)
-	r.Scope("a").Counter("c").Add(1)
-	snap := r.Snapshot()
-	if len(snap) != 2 || snap["z.b"] != 2 || snap["a.c"] != 1 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	d := r.Dump()
-	// Dump is sorted by name.
-	if strings.Index(d, "a.c") > strings.Index(d, "z.b") {
-		t.Fatalf("dump not sorted:\n%s", d)
+	for name, build := range map[string]func(){
+		"not a uint64 or Histogram": func() { NewTable[narrow]() },
+		"is unexported":             func() { NewTable[hidden]() },
+		"is not a struct":           func() { NewTable[uint64]() },
+	} {
+		if msg := mustPanic(t, build); !strings.Contains(msg, name) {
+			t.Errorf("panic = %q, want it to say %q", msg, name)
+		}
 	}
 }
 
 func TestHistogramBasics(t *testing.T) {
-	r := NewRegistry()
-	h := r.Scope("dir").Histogram("txn_latency")
+	var h Histogram
 	for _, v := range []uint64{1, 2, 3, 100, 200, 1000} {
 		h.Observe(v)
 	}
@@ -100,77 +134,8 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Percentile(-5) > h.Percentile(200) {
 		t.Fatal("clamping broken")
 	}
-	if !strings.Contains(h.String(), "dir.txn_latency") {
-		t.Fatalf("string = %q", h.String())
-	}
-	if !strings.Contains(r.DumpHistograms(), "n=6") {
-		t.Fatal("dump missing histogram")
-	}
-	// Same-name lookup returns the same histogram.
-	if r.Scope("dir").Histogram("txn_latency") != h {
-		t.Fatal("histogram not reused")
-	}
-}
-
-// TestConcurrentMutationAndSnapshot is the job-engine usage pattern:
-// worker goroutines create scopes and bump counters/histograms while
-// other goroutines snapshot, dump and sum the same registry. Run under
-// -race this proves the registry is safe for concurrent use; the final
-// totals prove no increment is lost.
-func TestConcurrentMutationAndSnapshot(t *testing.T) {
-	r := NewRegistry()
-	const (
-		writers = 8
-		perG    = 2000
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < writers; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Half the writers share a scope, half own one — exercises
-			// both the creation and the reuse paths concurrently.
-			sc := r.Scope(fmt.Sprintf("w%d", g%4))
-			c := sc.Counter("jobs")
-			h := sc.Histogram("latency")
-			for i := 0; i < perG; i++ {
-				c.Inc()
-				r.Scope("shared").Counter("total").Add(2)
-				h.Observe(uint64(i))
-			}
-		}()
-	}
-	// Concurrent readers: snapshots, dumps and sums must not race with
-	// the writers above.
-	var rg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		rg.Add(1)
-		go func() {
-			defer rg.Done()
-			for i := 0; i < 200; i++ {
-				_ = r.Snapshot()
-				_ = r.Dump()
-				_ = r.Sum("w", "jobs")
-				_ = r.Get("shared.total")
-				_ = r.DumpHistograms()
-			}
-		}()
-	}
-	wg.Wait()
-	rg.Wait()
-	if got := r.Sum("w", "jobs"); got != writers*perG {
-		t.Fatalf("Sum(w, jobs) = %d, want %d", got, writers*perG)
-	}
-	if got := r.Get("shared.total"); got != writers*perG*2 {
-		t.Fatalf("shared.total = %d, want %d", got, writers*perG*2)
-	}
-	// Each of the 4 scopes was written by exactly 2 goroutines.
-	for i := 0; i < 4; i++ {
-		h := r.Scope(fmt.Sprintf("w%d", i)).Histogram("latency")
-		if h.Count() != 2*perG {
-			t.Fatalf("w%d.latency count = %d, want %d", i, h.Count(), 2*perG)
-		}
+	if got, want := h.String(), "n=6 mean=217.7 min=1 p50≤3 p90≤255 p99≤255 max=1000"; got != want {
+		t.Fatalf("string = %q, want %q", got, want)
 	}
 }
 
@@ -179,7 +144,7 @@ func TestHistogramEmpty(t *testing.T) {
 	if h.Percentile(50) != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram should be zero-valued")
 	}
-	if !strings.Contains(h.String(), "no samples") {
-		t.Fatal("empty string form")
+	if h.String() != "no samples" {
+		t.Fatalf("empty string form = %q", h.String())
 	}
 }

@@ -7,6 +7,8 @@ package system
 import (
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 
 	"hscsim/internal/cachearray"
 	"hscsim/internal/core"
@@ -127,10 +129,9 @@ type Workload struct {
 
 // System is the assembled APU.
 type System struct {
-	Cfg      Config
-	Engine   *sim.Engine
-	Registry *stats.Registry
-	FuncMem  *memdata.Memory
+	Cfg     Config
+	Engine  *sim.Engine
+	FuncMem *memdata.Memory
 
 	IC        *noc.Interconnect
 	Mem       *memctrl.Controller
@@ -190,11 +191,10 @@ func New(cfg Config) *System {
 	engine := sim.NewEngine()
 	engine.MaxTicks = cfg.MaxTicks
 	engine.Interrupt = cfg.Interrupt
-	reg := stats.NewRegistry()
 	fm := memdata.New()
 
-	ic := noc.New(engine, cfg.NoC, reg.Scope("noc"))
-	mem := memctrl.New(engine, cfg.Mem, reg.Scope("mem"))
+	ic := noc.New(engine, cfg.NoC)
+	mem := memctrl.New(engine, cfg.Mem)
 
 	nTCCs := cfg.GPU.NumTCCs
 	if nTCCs < 1 {
@@ -203,12 +203,11 @@ func New(cfg Config) *System {
 	l2IDs, tccIDs, dmaID, dirID := nodeLayout(cfg.NumCorePairs, nTCCs)
 
 	s := &System{
-		Cfg:      cfg,
-		Engine:   engine,
-		Registry: reg,
-		FuncMem:  fm,
-		IC:       ic,
-		Mem:      mem,
+		Cfg:     cfg,
+		Engine:  engine,
+		FuncMem: fm,
+		IC:      ic,
+		Mem:     mem,
 	}
 
 	banks := cfg.DirBanks
@@ -222,16 +221,14 @@ func New(cfg Config) *System {
 	bankGeo.LLCSizeBytes /= banks
 	bankGeo.DirEntries /= banks
 	for b := 0; b < banks; b++ {
-		dirScope, llcScope := "dir", "llc"
 		bankID := dirID
 		if banks > 1 {
-			dirScope, llcScope = fmt.Sprintf("dir%d", b), fmt.Sprintf("llc%d", b)
 			bankID = dirID + 1 + msg.NodeID(b)
 		}
 		bank := core.NewDirectory(engine, ic, mem, fm, core.DirectoryConfig{
 			ID: bankID, L2s: l2IDs, TCCs: tccIDs,
 			Opts: cfg.Protocol, Timing: cfg.Timing, Geo: bankGeo,
-		}, reg.Scope(dirScope), reg.Scope(llcScope))
+		})
 		ic.Register(bankID, bank)
 		s.DirBanks = append(s.DirBanks, bank)
 	}
@@ -245,15 +242,14 @@ func New(cfg Config) *System {
 	gcfg := cfg.GPU
 	gcfg.NumCUs = cfg.GPUDisp.NumCUs
 	gcfg.NumTCCs = nTCCs
-	s.GPUCaches = gpucache.New(engine, ic, tccIDs, dirID, fm, gcfg, reg.Scope("gpu"))
-	s.GPU = gpu.New(engine, s.GPUCaches, fm, cfg.GPUDisp, reg.Scope("gpudisp"))
-	s.DMA = dma.New(engine, ic, dmaID, dirID, reg.Scope("dma"))
+	s.GPUCaches = gpucache.New(engine, ic, tccIDs, dirID, fm, gcfg)
+	s.GPU = gpu.New(engine, s.GPUCaches, fm, cfg.GPUDisp)
+	s.DMA = dma.New(engine, ic, dmaID, dirID)
 
 	// Code regions live high in the address space, far from data.
 	const codeBase = memdata.Addr(0xF000_0000)
 	for p := 0; p < cfg.NumCorePairs; p++ {
-		pair := corepair.New(engine, ic, l2IDs[p], dirID, cfg.CorePair,
-			reg.Scope(fmt.Sprintf("cp%d", p)))
+		pair := corepair.New(engine, ic, l2IDs[p], dirID, cfg.CorePair)
 		s.CorePairs = append(s.CorePairs, pair)
 	}
 	if r := cfg.Protocol.Recorder; r != nil {
@@ -294,8 +290,7 @@ func New(cfg Config) *System {
 		for c := 0; c < cfg.CoresPerPair; c++ {
 			coreIdx := p*cfg.CoresPerPair + c
 			base := codeBase + memdata.Addr(coreIdx)*0x10000
-			s.Cores = append(s.Cores, cpu.New(engine, pair, c, fm, s.GPU, s.DMA,
-				cfg.CPU, base, reg.Scope(fmt.Sprintf("core%d", coreIdx))))
+			s.Cores = append(s.Cores, cpu.New(engine, pair, c, fm, s.GPU, s.DMA, cfg.CPU, base))
 		}
 	}
 	return s
@@ -419,15 +414,75 @@ func (s *System) Run(w Workload) (Results, error) {
 		}
 	}
 
-	return Results{
-		Name:       w.Name,
-		Config:     s.Cfg.Protocol.Named(),
-		Cycles:     uint64(s.Engine.Now()),
-		MemReads:   s.Mem.Reads(),
-		MemWrites:  s.Mem.Writes(),
-		ProbesSent: s.Registry.Sum("dir", "probes_sent"),
-		LLCHits:    s.Registry.Sum("llc", "read_hits"),
-		NoCBytes:   s.Registry.Get("noc.bytes"),
-		Stats:      s.Registry.Snapshot(),
-	}, nil
+	res := Results{
+		Name:      w.Name,
+		Config:    s.Cfg.Protocol.Named(),
+		Cycles:    uint64(s.Engine.Now()),
+		MemReads:  s.Mem.Stats.Reads,
+		MemWrites: s.Mem.Stats.Writes,
+		NoCBytes:  s.IC.Stats.Bytes,
+		Stats:     make(map[string]uint64, 128),
+	}
+	for _, bank := range s.DirBanks {
+		res.ProbesSent += bank.Stats.ProbesSent
+		res.LLCHits += bank.LLCStats().ReadHits
+	}
+	s.appendStats(res.Stats, nil)
+	return res, nil
+}
+
+// Counter name tables, one per component type.
+var (
+	nocStats      = stats.NewTable[noc.Stats]()
+	memStats      = stats.NewTable[memctrl.Stats]()
+	dirStats      = stats.NewTable[core.DirStats]()
+	llcStats      = stats.NewTable[core.LLCStats]()
+	gpuCacheStats = stats.NewTable[gpucache.Stats]()
+	gpuDispStats  = stats.NewTable[gpu.Stats]()
+	dmaStats      = stats.NewTable[dma.Stats]()
+	corePairStats = stats.NewTable[corepair.Stats]()
+	coreStats     = stats.NewTable[cpu.Stats]()
+)
+
+// appendStats adds every component's counters to counters and its
+// histograms to hists (either may be nil), keyed "prefix.name". The
+// prefixes are noc, mem, dir and llc (dirN and llcN per bank when the
+// directory is banked), gpu (the caches), gpudisp, dma, cpN and coreN.
+func (s *System) appendStats(counters map[string]uint64, hists map[string]*stats.Histogram) {
+	nocStats.Append(counters, hists, "noc", &s.IC.Stats)
+	memStats.Append(counters, hists, "mem", &s.Mem.Stats)
+	for b, bank := range s.DirBanks {
+		dir, llc := "dir", "llc"
+		if len(s.DirBanks) > 1 {
+			dir, llc = fmt.Sprintf("dir%d", b), fmt.Sprintf("llc%d", b)
+		}
+		dirStats.Append(counters, hists, dir, &bank.Stats)
+		llcStats.Append(counters, hists, llc, bank.LLCStats())
+	}
+	gpuCacheStats.Append(counters, hists, "gpu", &s.GPUCaches.Stats)
+	gpuDispStats.Append(counters, hists, "gpudisp", &s.GPU.Stats)
+	dmaStats.Append(counters, hists, "dma", &s.DMA.Stats)
+	for p, pair := range s.CorePairs {
+		corePairStats.Append(counters, hists, fmt.Sprintf("cp%d", p), &pair.Stats)
+	}
+	for i, c := range s.Cores {
+		coreStats.Append(counters, hists, fmt.Sprintf("core%d", i), &c.Stats)
+	}
+}
+
+// DumpHistograms renders every latency histogram, sorted by name, one
+// "name: summary" line each.
+func (s *System) DumpHistograms() string {
+	hists := make(map[string]*stats.Histogram)
+	s.appendStats(nil, hists)
+	names := make([]string, 0, len(hists))
+	for n := range hists { //hsclint:deterministic — keys are sorted before rendering
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, n := range names {
+		fmt.Fprintf(&b, "%s: %s\n", n, hists[n])
+	}
+	return b.String()
 }

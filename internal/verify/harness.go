@@ -14,7 +14,6 @@ import (
 	"hscsim/internal/msg"
 	"hscsim/internal/noc"
 	"hscsim/internal/sim"
-	"hscsim/internal/stats"
 )
 
 // chaosFabric implements noc.Fabric with explicit delivery: Send only
@@ -186,7 +185,6 @@ const (
 
 func newHarness(opts core.Options, sc Scenario, order Ordering, mutate noc.Mutator) *harness {
 	engine := sim.NewEngine()
-	reg := stats.NewRegistry()
 	fab := &chaosFabric{handlers: make(map[msg.NodeID]noc.Handler), mutate: mutate, engine: engine}
 	cmem := &chaosMem{}
 	fm := memdata.New()
@@ -199,8 +197,8 @@ func newHarness(opts core.Options, sc Scenario, order Ordering, mutate noc.Mutat
 	}
 	h := &harness{engine: engine, fab: fab, mem: cmem, fm: fm, lines: sc.Lines, order: order}
 	h.cpus = append(h.cpus,
-		corepair.New(engine, fab, nodeL2A, nodeDir, cpCfg, reg.Scope("l2a")),
-		corepair.New(engine, fab, nodeL2B, nodeDir, cpCfg, reg.Scope("l2b")),
+		corepair.New(engine, fab, nodeL2A, nodeDir, cpCfg),
+		corepair.New(engine, fab, nodeL2B, nodeDir, cpCfg),
 	)
 	h.gpu = gpucache.New(engine, fab, []msg.NodeID{nodeTCC}, nodeDir, fm, gpucache.Config{
 		NumCUs: 1, NumTCCs: 1,
@@ -208,7 +206,7 @@ func newHarness(opts core.Options, sc Scenario, order Ordering, mutate noc.Mutat
 		TCCSizeBytes: 128, TCCAssoc: 1,
 		SQCSizeBytes: 64, SQCAssoc: 1,
 		BlockSize: 64, TCPLatency: 1, TCCLatency: 1, SQCLatency: 1,
-	}, reg.Scope("gpu"))
+	})
 	dirEntries := sc.DirEntries
 	if dirEntries == 0 {
 		dirEntries = 16
@@ -221,9 +219,9 @@ func newHarness(opts core.Options, sc Scenario, order Ordering, mutate noc.Mutat
 			LLCSizeBytes: 128, LLCAssoc: 1, // 2 sets, conflicts with the L2 pattern
 			DirEntries: dirEntries, DirAssoc: 1, BlockSize: 64,
 		},
-	}, reg.Scope("dir"), reg.Scope("llc"))
+	})
 	fab.Register(nodeDir, h.dir)
-	h.dma = dma.New(engine, fab, nodeDMA, nodeDir, reg.Scope("dma"))
+	h.dma = dma.New(engine, fab, nodeDMA, nodeDir)
 
 	h.oracle = NewOracle(OracleConfig{
 		Engine: engine,
