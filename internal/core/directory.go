@@ -139,12 +139,7 @@ func NewDirectory(engine *sim.Engine, ic noc.Fabric, mem MemPort,
 	d.dsts = make([]msg.NodeID, 0, len(d.targets))
 	d.pinEntry = d.entryPinned
 	if cfg.Opts.Tracking != TrackNone {
-		entries := cfg.Geo.DirEntries
-		d.dirArr = cachearray.New[dirEntry](cachearray.Config{
-			SizeBytes: entries, // 1 byte per entry (Table II)
-			Assoc:     cfg.Geo.DirAssoc,
-			BlockSize: 1,
-		}, nil)
+		d.dirArr = cachearray.New[dirEntry](cfg.Geo.DirArray(), nil)
 	}
 	return d
 }

@@ -30,11 +30,7 @@ type LLCStats struct {
 
 func newLLC(geo Geometry, opts Options, mem MemPort) *llc {
 	return &llc{
-		arr: cachearray.New[llcMeta](cachearray.Config{
-			SizeBytes: geo.LLCSizeBytes,
-			Assoc:     geo.LLCAssoc,
-			BlockSize: geo.BlockSize,
-		}, nil),
+		arr:  cachearray.New[llcMeta](geo.LLCArray(), nil),
 		opts: opts,
 		mem:  mem,
 	}

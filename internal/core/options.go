@@ -16,6 +16,7 @@
 package core
 
 import (
+	"hscsim/internal/cachearray"
 	"hscsim/internal/fsm"
 	"hscsim/internal/sim"
 )
@@ -172,4 +173,23 @@ func DefaultGeometry() Geometry {
 		DirAssoc:     32,
 		BlockSize:    64,
 	}
+}
+
+// Bank is the geometry of one of banks directory banks: the LLC and the
+// directory cache split evenly over them.
+func (g Geometry) Bank(banks int) Geometry {
+	g.LLCSizeBytes /= banks
+	g.DirEntries /= banks
+	return g
+}
+
+// LLCArray is the LLC's tag-array geometry.
+func (g Geometry) LLCArray() cachearray.Config {
+	return cachearray.Config{SizeBytes: g.LLCSizeBytes, Assoc: g.LLCAssoc, BlockSize: g.BlockSize}
+}
+
+// DirArray is the directory cache's tag-array geometry, at one byte per
+// entry (Table II).
+func (g Geometry) DirArray() cachearray.Config {
+	return cachearray.Config{SizeBytes: g.DirEntries, Assoc: g.DirAssoc, BlockSize: 1}
 }

@@ -109,6 +109,12 @@ func TestEarlyDirtyResponse(t *testing.T) {
 	}
 }
 
+// eventFunc adapts a test callback to sim.Handler, to act at a given
+// tick.
+type eventFunc func()
+
+func (f eventFunc) OnEvent(uint8, uint64, any) { f() }
+
 // TestEarlyResponseKeepsTxnUntilMemoryRead: a §III-A early response
 // leaves its memory read in flight, so the transaction must outlive its
 // response. A request for another line that starts in that window gets
@@ -117,13 +123,13 @@ func TestEarlyResponseKeepsTxnUntilMemoryRead(t *testing.T) {
 	r := newRig(t, Options{EarlyDirtyResponse: true}, testGeo())
 	r.l2b.hasLine[0x100] = true
 	r.l2a.send(msg.RdBlk, 0x100)
-	r.e.Schedule(20, func() {
+	r.e.Post(20, eventFunc(func() {
 		if len(r.l2a.resps) != 1 || !r.dir.LineBusy(0x100) {
 			t.Fatalf("at tick 20: %d responses, line busy %v; want the early response sent with the memory read in flight",
 				len(r.l2a.resps), r.dir.LineBusy(0x100))
 		}
 		r.l2b.send(msg.RdBlk, 0x200)
-	})
+	}), 0, 0, nil)
 	r.run()
 	if r.dir.Stats.EarlyResponses != 1 {
 		t.Fatalf("early responses = %d, want 1", r.dir.Stats.EarlyResponses)
@@ -239,11 +245,9 @@ func TestWTBypassInvalidatesStaleLLC(t *testing.T) {
 func TestAtomicExecutesAtDirectory(t *testing.T) {
 	r := newRig(t, Options{}, testGeo())
 	r.fm.Write(0x100*64+8, 10)
-	r.e.Schedule(0, func() {
-		r.dir.Receive(msg.Message{
-			Type: msg.Atomic, Addr: 0x100, Src: r.tcc.id, Dst: 4,
-			AOp: memdata.AtomicAdd, WordAddr: 0x100*64 + 8, Operand: 5,
-		})
+	r.dir.Receive(msg.Message{
+		Type: msg.Atomic, Addr: 0x100, Src: r.tcc.id, Dst: 4,
+		AOp: memdata.AtomicAdd, WordAddr: 0x100*64 + 8, Operand: 5,
 	})
 	r.run()
 	if got := r.fm.Read(0x100*64 + 8); got != 15 {

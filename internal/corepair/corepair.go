@@ -230,12 +230,12 @@ func (cp *CorePair) access(core int, kind AccessKind, line cachearray.LineAddr, 
 			cp.rec.Record(machine, st.String(), "Load", st.String()) //proto:states S,E,O,M //proto:next S,E,O,M //proto:actions serve from L1/L2
 			if l1.Lookup(line) != nil {
 				cp.Stats.L1Hits++
-				cp.engine.Schedule(cp.cfg.L1Latency, done)
+				cp.engine.Post(cp.cfg.L1Latency, cp, cpKindDone, 0, done)
 				return
 			}
 			cp.Stats.L2Hits++
 			l1.Insert(line, nil)
-			cp.engine.Schedule(cp.cfg.L2Latency, done)
+			cp.engine.Post(cp.cfg.L2Latency, cp, cpKindDone, 0, done)
 			return
 		}
 		switch st {
@@ -299,12 +299,19 @@ func (cp *CorePair) miss(line cachearray.LineAddr, t msg.Type, w waiter) {
 	cp.ic.SendAfter(cp.cfg.L2Latency, msg.Message{Type: t, Addr: line, Src: cp.id, Dst: cp.dirID})
 }
 
-// cpKindStoreCommit is the CorePair's one event kind: a store's commit
-// window closes (arg: line, obj: done func()).
-const cpKindStoreCommit uint8 = 0
+// CorePair event kinds (sim.Handler dispatch); obj is the access's
+// done func().
+const (
+	cpKindStoreCommit uint8 = iota // a store's commit window closes (arg: line)
+	cpKindDone                     // a load hit's L1/L2 latency elapsed
+)
 
 // OnEvent implements sim.Handler for the CorePair's scheduled work.
-func (cp *CorePair) OnEvent(_ uint8, arg uint64, obj any) {
+func (cp *CorePair) OnEvent(kind uint8, arg uint64, obj any) {
+	if kind == cpKindDone {
+		obj.(func())()
+		return
+	}
 	cp.storeCommitDone(cachearray.LineAddr(arg), obj.(func()))
 }
 

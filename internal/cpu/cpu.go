@@ -138,7 +138,7 @@ func New(engine *sim.Engine, pair *corepair.CorePair, slot int, fm *memdata.Memo
 func (c *Core) Run(thread *prog.CPUThread, onExit func()) {
 	c.thread = thread
 	c.onExit = onExit
-	c.engine.Schedule(0, c.step)
+	c.engine.Post(0, c, cpuKindStep, 0, nil)
 }
 
 func line(a memdata.Addr) cachearray.LineAddr { return cachearray.LineAddr(a >> 6) }
@@ -148,11 +148,16 @@ func line(a memdata.Addr) cachearray.LineAddr { return cachearray.LineAddr(a >> 
 const (
 	cpuKindResume uint8 = iota // resume the thread with the value in arg
 	cpuKindLaunch              // launch latency elapsed: hand cur's kernel to the GPU
+	cpuKindStep                // Run's first step: fetch the thread's first op
 )
 
 // OnEvent implements sim.Handler.
 func (c *Core) OnEvent(kind uint8, arg uint64, obj any) {
-	if kind == cpuKindLaunch {
+	switch kind {
+	case cpuKindStep:
+		c.step()
+		return
+	case cpuKindLaunch:
 		c.gpu.Launch(c.cur.Kernel, c.cur.Handle)
 	}
 	c.resume(arg)

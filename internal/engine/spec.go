@@ -213,6 +213,18 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("engine: numTCCs=%d does not split the %d-byte TCC into valid banks: %w",
 			cfg.GPU.NumTCCs, cfg.GPU.TCCSizeBytes, err)
 	}
+	banks := max(cfg.DirBanks, 1)
+	geo := cfg.Geometry.Bank(banks)
+	if err := geo.LLCArray().Check(); err != nil {
+		return fmt.Errorf("engine: dirBanks=%d does not split the %d-byte LLC into valid banks: %w",
+			banks, cfg.Geometry.LLCSizeBytes, err)
+	}
+	if cfg.Protocol.Tracking != core.TrackNone {
+		if err := geo.DirArray().Check(); err != nil {
+			return fmt.Errorf("engine: dirEntries=%d over dirBanks=%d gives no valid directory cache: %w",
+				cfg.Geometry.DirEntries, banks, err)
+		}
+	}
 	return nil
 }
 

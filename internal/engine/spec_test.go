@@ -38,3 +38,49 @@ func TestValidateMatchesBuildableTCCCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateMatchesBuildableDirGeometry: every directory geometry
+// Validate accepts builds a system. Under tracking, entry counts whose
+// per-bank directory cache has no power-of-two set count are rejected
+// up front instead of panicking the job later, and so are bank counts
+// that leave an LLC bank without sets.
+func TestValidateMatchesBuildableDirGeometry(t *testing.T) {
+	for _, base := range []string{ConfigEval, ConfigFull} {
+		for _, tracking := range []string{"", "owner"} {
+			for _, banks := range []int{1, 2, 4, 1024} {
+				for entries := 1; entries <= 16; entries++ {
+					sp := Spec{Bench: "bs", Config: base, Protocol: ProtocolSpec{Tracking: tracking},
+						Topology: TopologySpec{DirBanks: banks, DirEntries: entries}}
+					if sp.Validate() != nil {
+						continue
+					}
+					cfg, err := buildConfig(sp.Normalized())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r := newSystemPanic(cfg); r != nil {
+						t.Errorf("Validate accepted %s/tracking=%q/dirBanks=%d/dirEntries=%d, but system.New panicked: %v",
+							base, tracking, banks, entries, r)
+					}
+				}
+			}
+		}
+	}
+	for _, sp := range []Spec{
+		{Bench: "bs", Config: ConfigEval, Protocol: ProtocolSpec{Tracking: "owner"}, Topology: TopologySpec{DirEntries: 3}},
+		{Bench: "bs", Config: ConfigEval, Topology: TopologySpec{DirBanks: 1024}},
+	} {
+		if sp.Validate() == nil {
+			t.Errorf("%s/tracking=%q with %+v: Validate accepted a directory geometry system.New cannot build",
+				sp.Config, sp.Protocol.Tracking, sp.Topology)
+		}
+	}
+}
+
+// newSystemPanic builds a system from cfg and returns what the build
+// panicked with, or nil.
+func newSystemPanic(cfg system.Config) (r any) {
+	defer func() { r = recover() }()
+	system.New(cfg)
+	return nil
+}

@@ -57,7 +57,7 @@ func newGPURig(t *testing.T, cfg Config) *gpuRig {
 func (r *gpuRig) launch(k *prog.Kernel) *prog.KernelHandle {
 	r.t.Helper()
 	h := &prog.KernelHandle{}
-	r.e.Schedule(0, func() { r.d.Launch(k, h) })
+	r.d.Launch(k, h)
 	if err := r.e.Run(); err != nil {
 		r.t.Fatal(err)
 	}
@@ -149,10 +149,8 @@ func TestKernelsQueueSerially(t *testing.T) {
 			}}
 	}
 	h1, h2 := &prog.KernelHandle{}, &prog.KernelHandle{}
-	r.e.Schedule(0, func() {
-		r.d.Launch(mk("a"), h1)
-		r.d.Launch(mk("b"), h2)
-	})
+	r.d.Launch(mk("a"), h1)
+	r.d.Launch(mk("b"), h2)
 	if err := r.e.Run(); err != nil {
 		t.Fatal(err)
 	}

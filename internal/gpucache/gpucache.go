@@ -212,7 +212,7 @@ func (g *GPUCaches) ReadLine(cu int, line cachearray.LineAddr, done func()) {
 	tcp := g.tcps[cu]
 	if tcp.Lookup(line) != nil {
 		g.Stats.TCPHits++
-		g.engine.Schedule(g.cfg.TCPLatency, done)
+		g.engine.Post(g.cfg.TCPLatency, g, gpuKindDone, 0, done)
 		return
 	}
 	g.engine.Post(g.cfg.TCPLatency, g, gpuKindTCCRead, packCULine(cu, line), done)
@@ -226,6 +226,7 @@ const (
 	gpuKindTCCRead   uint8 = iota // arg: cu<<56|line, obj: done func()
 	gpuKindTCCWrite               // arg: line, obj: done func()
 	gpuKindDevAtomic              // obj: *devAtomic
+	gpuKindDone                   // a hit's latency elapsed (obj: done func())
 )
 
 func packCULine(cu int, line cachearray.LineAddr) uint64 {
@@ -241,6 +242,8 @@ func (g *GPUCaches) OnEvent(kind uint8, arg uint64, obj any) {
 		g.tccWrite(cachearray.LineAddr(arg), obj.(func()))
 	case gpuKindDevAtomic:
 		g.deviceAtomic(obj.(*devAtomic))
+	case gpuKindDone:
+		obj.(func())()
 	}
 }
 
@@ -249,7 +252,7 @@ func (g *GPUCaches) tccRead(cu int, line cachearray.LineAddr, done func()) {
 		g.rec.Record(machine, tccState(ln), "Rd", tccState(ln)) //proto:states V,D //proto:next V,D //proto:actions serve from TCC
 		g.Stats.TCCHits++
 		g.tcps[cu].Insert(line, nil)
-		g.engine.Schedule(g.cfg.TCCLatency, done)
+		g.engine.Post(g.cfg.TCCLatency, g, gpuKindDone, 0, done)
 		return
 	}
 	g.rec.Record(machine, "I", "Rd", "I") //proto:actions issue RdBlk (or join MSHR) //proto:emits RdBlk
@@ -284,7 +287,7 @@ func (g *GPUCaches) tccWrite(line cachearray.LineAddr, done func()) {
 			g.rec.Record(machine, "I", "Wr", "D") //proto:actions allocate dirty (WB_L2)
 			g.insertTCC(line, true)
 		}
-		g.engine.Schedule(g.cfg.TCCLatency, done)
+		g.engine.Post(g.cfg.TCCLatency, g, gpuKindDone, 0, done)
 		return
 	}
 	// Write-through: the TCC keeps/updates a valid copy and forwards the
@@ -390,7 +393,7 @@ func (g *GPUCaches) deviceAtomic(rec *devAtomic) {
 func (g *GPUCaches) IFetch(cu int, line cachearray.LineAddr, done func()) {
 	if g.sqc.Lookup(line) != nil {
 		g.Stats.SQCHits++
-		g.engine.Schedule(g.cfg.SQCLatency, done)
+		g.engine.Post(g.cfg.SQCLatency, g, gpuKindDone, 0, done)
 		return
 	}
 	g.Stats.SQCMisses++

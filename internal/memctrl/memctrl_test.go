@@ -12,18 +12,18 @@ func newCtrl(t *testing.T, cfg Config) (*sim.Engine, *Controller) {
 	return e, New(e, cfg)
 }
 
-// onRead adapts a test callback to the dispatch form a read completes
-// through.
-type onRead func()
+// eventFunc adapts a test callback to sim.Handler: a read's completion,
+// or an action posted for a given tick.
+type eventFunc func()
 
-func (f onRead) OnEvent(uint8, uint64, any) { f() }
+func (f eventFunc) OnEvent(uint8, uint64, any) { f() }
 
 func TestReadLatency(t *testing.T) {
 	e, c := newCtrl(t, Config{Latency: 100, CyclesPerAccess: 4})
 	var done sim.Tick
-	e.Schedule(10, func() {
-		c.Read(1, onRead(func() { done = e.Now() }), 0, nil)
-	})
+	e.Post(10, eventFunc(func() {
+		c.Read(1, eventFunc(func() { done = e.Now() }), 0, nil)
+	}), 0, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +38,9 @@ func TestReadLatency(t *testing.T) {
 func TestBandwidthSerialization(t *testing.T) {
 	e, c := newCtrl(t, Config{Latency: 100, CyclesPerAccess: 4})
 	var finish []sim.Tick
-	e.Schedule(0, func() {
-		for i := 0; i < 3; i++ {
-			c.Read(1, onRead(func() { finish = append(finish, e.Now()) }), 0, nil)
-		}
-	})
+	for i := 0; i < 3; i++ {
+		c.Read(1, eventFunc(func() { finish = append(finish, e.Now()) }), 0, nil)
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +56,9 @@ func TestBandwidthSerialization(t *testing.T) {
 func TestPostedWrite(t *testing.T) {
 	e, c := newCtrl(t, Config{Latency: 50, CyclesPerAccess: 2})
 	var readDone sim.Tick
-	e.Schedule(0, func() {
-		c.Write(1)
-		c.Write(2)
-		c.Read(3, onRead(func() { readDone = e.Now() }), 0, nil)
-	})
+	c.Write(1)
+	c.Write(2)
+	c.Read(3, eventFunc(func() { readDone = e.Now() }), 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +74,8 @@ func TestPostedWrite(t *testing.T) {
 func TestWritesConsumeReadBandwidth(t *testing.T) {
 	e, c := newCtrl(t, Config{Latency: 10, CyclesPerAccess: 4})
 	var readDone sim.Tick
-	e.Schedule(0, func() {
-		c.Write(1)
-		c.Read(2, onRead(func() { readDone = e.Now() }), 0, nil)
-	})
+	c.Write(1)
+	c.Read(2, eventFunc(func() { readDone = e.Now() }), 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +101,9 @@ func TestDefaultConfig(t *testing.T) {
 func TestBankedOccupancy(t *testing.T) {
 	e, c := newCtrl(t, Config{Latency: 10, CyclesPerAccess: 1, Banks: 4, BankCycles: 50})
 	var sameBank, otherBank sim.Tick
-	e.Schedule(0, func() {
-		c.Read(0, onRead(func() {}), 0, nil)                      // bank 0 busy until 50
-		c.Read(4, onRead(func() { sameBank = e.Now() }), 0, nil)  // bank 0 again: waits
-		c.Read(1, onRead(func() { otherBank = e.Now() }), 0, nil) // bank 1: only channel slot
-	})
+	c.Read(0, eventFunc(func() {}), 0, nil)                      // bank 0 busy until 50
+	c.Read(4, eventFunc(func() { sameBank = e.Now() }), 0, nil)  // bank 0 again: waits
+	c.Read(1, eventFunc(func() { otherBank = e.Now() }), 0, nil) // bank 1: only channel slot
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

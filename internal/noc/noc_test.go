@@ -7,6 +7,12 @@ import (
 	"hscsim/internal/sim"
 )
 
+// eventFunc adapts a test callback to sim.Handler, to act at a given
+// tick.
+type eventFunc func()
+
+func (f eventFunc) OnEvent(uint8, uint64, any) { f() }
+
 func newIC(t *testing.T, latency sim.Tick) (*sim.Engine, *Interconnect) {
 	t.Helper()
 	e := sim.NewEngine()
@@ -21,10 +27,10 @@ func TestDeliveryLatencyAndOrder(t *testing.T) {
 		got = append(got, e.Now())
 		payloads = append(payloads, m.Type)
 	}))
-	e.Schedule(10, func() {
+	e.Post(10, eventFunc(func() {
 		ic.Send(msg.Message{Type: msg.RdBlk, Dst: 1})
 		ic.Send(msg.Message{Type: msg.RdBlkM, Dst: 1})
-	})
+	}), 0, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +46,10 @@ func TestDeliveryLatencyAndOrder(t *testing.T) {
 func TestTrafficAccounting(t *testing.T) {
 	e, ic := newIC(t, 1)
 	ic.Register(1, HandlerFunc(func(msg.Message) {}))
-	e.Schedule(0, func() {
-		ic.Send(msg.Message{Type: msg.PrbInv, Dst: 1})
-		ic.Send(msg.Message{Type: msg.PrbDowngrade, Dst: 1})
-		ic.Send(msg.Message{Type: msg.PrbAck, Dst: 1, HasData: true})
-		ic.Send(msg.Message{Type: msg.Resp, Dst: 1})
-	})
+	ic.Send(msg.Message{Type: msg.PrbInv, Dst: 1})
+	ic.Send(msg.Message{Type: msg.PrbDowngrade, Dst: 1})
+	ic.Send(msg.Message{Type: msg.PrbAck, Dst: 1, HasData: true})
+	ic.Send(msg.Message{Type: msg.Resp, Dst: 1})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +103,10 @@ func TestEgressPortSerialization(t *testing.T) {
 	ic := New(e, Config{Latency: 4, WidthBytes: 8})
 	var arrivals []sim.Tick
 	ic.Register(1, HandlerFunc(func(m msg.Message) { arrivals = append(arrivals, e.Now()) }))
-	e.Schedule(0, func() {
-		// A 72-byte data message occupies the port for 9 ticks.
-		ic.Send(msg.Message{Type: msg.Resp, Src: 0, Dst: 1})
-		ic.Send(msg.Message{Type: msg.RdBlk, Src: 0, Dst: 1}) // stalls behind it
-		ic.Send(msg.Message{Type: msg.RdBlk, Src: 2, Dst: 1}) // different port: no stall
-	})
+	// A 72-byte data message occupies the port for 9 ticks.
+	ic.Send(msg.Message{Type: msg.Resp, Src: 0, Dst: 1})
+	ic.Send(msg.Message{Type: msg.RdBlk, Src: 0, Dst: 1}) // stalls behind it
+	ic.Send(msg.Message{Type: msg.RdBlk, Src: 2, Dst: 1}) // different port: no stall
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +165,10 @@ func TestSendAfterDepartsLate(t *testing.T) {
 	ic := New(e, Config{Latency: 4, WidthBytes: 8})
 	var arrivals []sim.Tick
 	ic.Register(1, HandlerFunc(func(m msg.Message) { arrivals = append(arrivals, e.Now()) }))
-	e.Schedule(10, func() {
+	e.Post(10, eventFunc(func() {
 		ic.SendAfter(5, msg.Message{Type: msg.RdBlk, Src: 0, Dst: 1})
-	})
-	e.Schedule(12, func() {
+	}), 0, 0, nil)
+	e.Post(12, eventFunc(func() {
 		if got := ic.Stats.Messages; got != 0 {
 			t.Errorf("messages = %d before the delay elapsed, want 0", got)
 		}
@@ -176,7 +178,7 @@ func TestSendAfterDepartsLate(t *testing.T) {
 		// The delayed message has not claimed the port: this 72-byte
 		// send departs at once and holds the port until tick 21.
 		ic.Send(msg.Message{Type: msg.Resp, Src: 0, Dst: 1})
-	})
+	}), 0, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -16,25 +16,35 @@ var benchDelays = [8]Tick{1, 1, 4, 4, 13, 25, 100, 200}
 // directory transactions).
 const benchChains = 256
 
+// benchChain is one of the benchmark's event chains: each firing
+// re-posts the chain after the next delay in the mix until b.N events
+// have been scheduled.
+type benchChain struct {
+	e        *Engine
+	c, n     int
+	executed *int
+}
+
+func (ch *benchChain) OnEvent(kind uint8, arg uint64, obj any) {
+	*ch.executed++
+	if *ch.executed+benchChains <= ch.n {
+		ch.e.Post(benchDelays[(*ch.executed+ch.c)&7], ch, kind, arg, obj)
+	}
+}
+
 // BenchmarkEventsPerSec measures raw scheduler throughput: b.N events
-// scheduled and executed through closure-form Schedule, the API every
-// cold path uses. events/s is the headline number ROADMAP tracks.
+// posted and executed through Post, the engine's one event form.
+// events/s is the headline number ROADMAP tracks.
 func BenchmarkEventsPerSec(b *testing.B) {
 	e := NewEngine()
 	executed := 0
-	fns := make([]func(), benchChains)
-	for c := 0; c < benchChains; c++ {
-		c := c
-		fns[c] = func() {
-			executed++
-			if executed+benchChains <= b.N {
-				e.Schedule(benchDelays[(executed+c)&7], fns[c])
-			}
-		}
+	chains := make([]benchChain, benchChains)
+	for c := range chains {
+		chains[c] = benchChain{e: e, c: c, n: b.N, executed: &executed}
 	}
 	b.ResetTimer()
 	for c := 0; c < benchChains && c < b.N; c++ {
-		e.Schedule(benchDelays[c&7], fns[c])
+		e.Post(benchDelays[c&7], &chains[c], 0, 0, nil)
 	}
 	if err := e.Run(); err != nil {
 		b.Fatal(err)

@@ -1,152 +1,83 @@
-// Differential suite: randomized Schedule/At/Cancel/Ticker/Stop
-// programs executed against the calendar-queue engine (both the closure
-// and the dispatch form) and the retained seed binary heap
-// (internal/sim/refsched), asserting identical (tick, seq) execution
-// order — same-tick FIFO ties, cancel-after-pop, far-future overflow
-// promotion, window growth, and mixed Run/Step driving all included.
+// Differential suite: randomized programs of Post/PostAt ops executed
+// against the calendar-queue engine and the seed binary heap
+// (refEngine, ref_test.go), asserting identical (tick, seq) execution
+// order — same-tick FIFO ties, zero-delay posts behind queued events,
+// far-future overflow promotion, window growth, and mixed Run/Step
+// driving all included.
 //
 // The op interpreter consumes the program *from inside event handlers*
-// (each fired event performs the next op), so scheduling, cancelling
-// and stopping happen mid-run at arbitrary points, exactly like real
-// components. The committed corpus under testdata/fuzz seeds go test
-// -fuzz=FuzzSchedulerEquivalence with programs targeting each of those
-// behaviors.
+// (each fired event performs the next ops), so posting happens mid-run
+// at arbitrary points, exactly like real components. The committed
+// corpus under testdata/fuzz seeds go test -fuzz=FuzzSchedulerEquivalence
+// with programs targeting each of those behaviors.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"hscsim/internal/sim/refsched"
 )
 
-// scheduler abstracts the three implementations under test.
+// scheduler is what the op interpreter drives: the engine under test or
+// the reference heap.
 type scheduler interface {
-	schedule(d Tick, fn func()) (cancel func())
-	at(t Tick, fn func()) (cancel func())
-	ticker(p Tick, fn func() bool)
-	stop()
-	run() error
+	schedule(d Tick, fn func())
+	at(t Tick, fn func())
+	run()
 	step() bool
 	now() Tick
 	executed() uint64
 	pending() int
 }
 
-// calClosure drives the calendar engine through Schedule/At closures.
-type calClosure struct{ e *Engine }
-
-func (c calClosure) schedule(d Tick, fn func()) func() {
-	h := c.e.Schedule(d, fn)
-	return func() { c.e.Cancel(h) }
-}
-func (c calClosure) at(t Tick, fn func()) func() {
-	h := c.e.At(t, fn)
-	return func() { c.e.Cancel(h) }
-}
-func (c calClosure) ticker(p Tick, fn func() bool) { c.e.Ticker(p, fn) }
-func (c calClosure) stop()                         { c.e.Stop() }
-func (c calClosure) run() error                    { return c.e.Run() }
-func (c calClosure) step() bool {
-	ok, err := c.e.Step()
-	if err != nil {
-		panic(err)
-	}
-	return ok
-}
-func (c calClosure) now() Tick        { return c.e.now }
-func (c calClosure) executed() uint64 { return c.e.Executed() }
-func (c calClosure) pending() int     { return c.e.Pending() }
-
-// funcHandler adapts the dispatch form back to closures so calPost can
-// run the same programs: obj carries the func, kind/arg are ignored.
+// funcHandler runs the func carried in obj; kind and arg are ignored.
+// It is how a test posts a closure: sim itself has no closure form.
 type funcHandler struct{}
 
 func (funcHandler) OnEvent(kind uint8, arg uint64, obj any) { obj.(func())() }
 
-// calPost drives the calendar engine through the Post/PostAt dispatch
-// form, proving it orders identically to the closure form.
-type calPost struct {
-	e *Engine
-	h funcHandler
-}
+// calendar drives the engine under test through Post and PostAt.
+type calendar struct{ e *Engine }
 
-func (c *calPost) schedule(d Tick, fn func()) func() {
-	h := c.e.Post(d, &c.h, 0, 0, fn)
-	return func() { c.e.Cancel(h) }
-}
-func (c *calPost) at(t Tick, fn func()) func() {
-	h := c.e.PostAt(t, &c.h, 0, 0, fn)
-	return func() { c.e.Cancel(h) }
-}
-func (c *calPost) ticker(p Tick, fn func() bool) {
-	// Ticker uses Schedule internally in both engines; rebuild it on
-	// Post so the dispatch form carries the recurrence too.
-	if p == 0 {
-		panic("sim: zero ticker period")
+func (c calendar) schedule(d Tick, fn func()) { c.e.Post(d, funcHandler{}, 0, 0, fn) }
+func (c calendar) at(t Tick, fn func())       { c.e.PostAt(t, funcHandler{}, 0, 0, fn) }
+func (c calendar) run() {
+	if err := c.e.Run(); err != nil {
+		panic(err)
 	}
-	var step func()
-	step = func() {
-		if fn() {
-			c.schedule(p, step)
-		}
-	}
-	c.schedule(p, step)
 }
-func (c *calPost) stop()      { c.e.Stop() }
-func (c *calPost) run() error { return c.e.Run() }
-func (c *calPost) step() bool {
+func (c calendar) step() bool {
 	ok, err := c.e.Step()
 	if err != nil {
 		panic(err)
 	}
 	return ok
 }
-func (c *calPost) now() Tick        { return c.e.now }
-func (c *calPost) executed() uint64 { return c.e.Executed() }
-func (c *calPost) pending() int     { return c.e.Pending() }
+func (c calendar) now() Tick        { return c.e.Now() }
+func (c calendar) executed() uint64 { return c.e.Executed() }
+func (c calendar) pending() int     { return c.e.Pending() }
 
-// refHeap drives the seed binary-heap oracle.
-type refHeap struct{ e *refsched.Engine }
-
-func (r refHeap) schedule(d Tick, fn func()) func() {
-	ev := r.e.Schedule(refsched.Tick(d), fn)
-	return func() { r.e.Cancel(ev) }
-}
-func (r refHeap) at(t Tick, fn func()) func() {
-	ev := r.e.At(refsched.Tick(t), fn)
-	return func() { r.e.Cancel(ev) }
-}
-func (r refHeap) ticker(p Tick, fn func() bool) { r.e.Ticker(refsched.Tick(p), fn) }
-func (r refHeap) stop()                         { r.e.Stop() }
-func (r refHeap) run() error                    { return r.e.Run() }
-func (r refHeap) step() bool                    { return r.e.Step() }
-func (r refHeap) now() Tick                     { return Tick(r.e.Now()) }
-func (r refHeap) executed() uint64              { return r.e.Executed() }
-func (r refHeap) pending() int                  { return r.e.Pending() }
-
-// A program is a byte string decoded 3 bytes per op.
+// A program is a byte string decoded 3 bytes per op: c, a, b. c%numOps
+// picks the op, and the event the op posts performs the next
+// c/numOps%4 ops when it fires: 0 ends its chain, 2 and 3 fan out, so
+// the queue depth rises and falls with the program.
 const (
-	opSchedule = iota // schedule(delay, logging event); delay may be far-future
-	opAt              // at(now + offset)
-	opCancel          // cancel the (a<<8|b)-th handle issued so far (fired or not)
-	opTicker          // ticker(1+a%60) firing b%6 times
-	opStop            // stop the current run (rare: only when b%4 == 0)
-	opZero            // schedule(0): same-tick FIFO behind already-queued events
-	opFar             // schedule far beyond the window: overflow + promotion
+	opSchedule = iota // post after a%97 ticks
+	opAt              // post at now+a%211 (offset 0 is the current tick)
+	opZero            // post after 0 ticks: same-tick FIFO behind queued events
+	opFar             // post 300+a*89+b ticks ahead: overflow, promotion, window growth
 	numOps
 )
 
 type progOp struct {
-	kind byte
-	a, b byte
+	kind, fan, a, b byte
 }
 
 func decodeProgram(data []byte) []progOp {
 	var ops []progOp
 	for i := 0; i+2 < len(data) && len(ops) < 400; i += 3 {
-		ops = append(ops, progOp{data[i] % numOps, data[i+1], data[i+2]})
+		c := data[i]
+		ops = append(ops, progOp{c % numOps, c / numOps % 4, data[i+1], data[i+2]})
 	}
 	return ops
 }
@@ -154,22 +85,24 @@ func decodeProgram(data []byte) []progOp {
 // progState interprets a program on one scheduler, consuming ops from
 // inside fired events and logging every observable transition.
 type progState struct {
-	s       scheduler
-	ops     []progOp
-	pc      int
-	nextID  int
-	cancels []func()
-	log     []string
+	s      scheduler
+	ops    []progOp
+	pc     int
+	nextID int
+	log    []string
 }
 
-func (p *progState) fire(id int) func() {
+func (p *progState) fire(id int, fan byte) func() {
 	return func() {
 		p.log = append(p.log, fmt.Sprintf("e%d@%d", id, p.s.now()))
-		p.doOp()
+		for i := byte(0); i < fan; i++ {
+			p.doOp()
+		}
 	}
 }
 
-// doOp consumes and performs the next op, if any.
+// doOp consumes and performs the next op, if any. Every op posts one
+// event.
 func (p *progState) doOp() {
 	if p.pc >= len(p.ops) {
 		return
@@ -177,125 +110,89 @@ func (p *progState) doOp() {
 	op := p.ops[p.pc]
 	p.pc++
 	a, b := Tick(op.a), Tick(op.b)
+	fn := p.fire(p.nextID, op.fan)
+	p.nextID++
 	switch op.kind {
 	case opSchedule:
-		id := p.nextID
-		p.nextID++
-		p.cancels = append(p.cancels, p.s.schedule(a%97, p.fire(id)))
+		p.s.schedule(a%97, fn)
 	case opAt:
-		id := p.nextID
-		p.nextID++
-		p.cancels = append(p.cancels, p.s.at(p.s.now()+a%211, p.fire(id)))
-	case opCancel:
-		if len(p.cancels) > 0 {
-			p.cancels[(int(op.a)<<8|int(op.b))%len(p.cancels)]()
-		}
-	case opTicker:
-		id := p.nextID
-		p.nextID++
-		limit := int(op.b % 6)
-		n := 0
-		p.s.ticker(1+a%60, func() bool {
-			p.log = append(p.log, fmt.Sprintf("t%d@%d", id, p.s.now()))
-			p.doOp()
-			n++
-			return n < limit
-		})
-	case opStop:
-		if op.b%4 == 0 {
-			p.log = append(p.log, fmt.Sprintf("stop@%d", p.s.now()))
-			p.s.stop()
-		}
+		p.s.at(p.s.now()+a%211, fn)
 	case opZero:
-		id := p.nextID
-		p.nextID++
-		p.cancels = append(p.cancels, p.s.schedule(0, p.fire(id)))
+		p.s.schedule(0, fn)
 	case opFar:
 		// Far enough to cross the initial window (256) and, when
 		// bursty, to trigger adaptive window growth; ties on (a,b)
 		// exercise same-tick FIFO inside promoted buckets.
-		id := p.nextID
-		p.nextID++
-		p.cancels = append(p.cancels, p.s.schedule(300+a*89+b, p.fire(id)))
+		p.s.schedule(300+a*89+b, fn)
 	}
 }
 
-// runProgram executes a decoded program to completion, alternating Run
-// phases with Step bursts so both driving modes are compared.
+// runProgram executes a decoded program to completion. Two Step bursts
+// of up to five events precede each Run to a drained queue, so both
+// driving modes are compared, and an empty queue is primed with the
+// next op. Every round consumes an op or fires an event, so it ends.
 func runProgram(s scheduler, ops []progOp) *progState {
 	p := &progState{s: s, ops: ops}
-	for round := 0; round < 200; round++ {
-		if p.pc >= len(p.ops) && s.pending() == 0 {
-			break
-		}
+	for round := 0; p.pc < len(p.ops) || s.pending() > 0; round++ {
 		if s.pending() == 0 {
-			// Prime the queue: consume ops directly until something is
-			// scheduled (cancels/stops consumed here act immediately).
-			for i := 0; i < 8 && s.pending() == 0 && p.pc < len(p.ops); i++ {
-				p.doOp()
-			}
-			if s.pending() == 0 {
-				continue
-			}
+			p.doOp()
 		}
 		if round%3 == 2 {
-			for i := 0; i < 5 && p.s.step(); i++ {
+			s.run()
+			p.log = append(p.log, fmt.Sprintf("ran@%d", s.now()))
+		} else {
+			for i := 0; i < 5 && s.step(); i++ {
 			}
 			p.log = append(p.log, fmt.Sprintf("stepped@%d", s.now()))
-		} else {
-			err := s.run()
-			p.log = append(p.log, fmt.Sprintf("ran:%v@%d", err != nil, s.now()))
 		}
 	}
 	return p
 }
 
-// checkEquivalence runs one program on all three implementations and
-// fails on any observable divergence.
+// checkEquivalence runs one program on the engine and the reference
+// heap and fails on any observable divergence.
 func checkEquivalence(t *testing.T, data []byte) {
 	t.Helper()
 	ops := decodeProgram(data)
 	if len(ops) == 0 {
 		return
 	}
-	ref := runProgram(refHeap{refsched.NewEngine()}, ops)
-	cal := runProgram(calClosure{NewEngine()}, ops)
-	post := runProgram(&calPost{e: NewEngine()}, ops)
+	ref := runProgram(&refEngine{}, ops)
+	got := runProgram(calendar{NewEngine()}, ops)
 
-	for name, got := range map[string]*progState{"calendar": cal, "dispatch": post} {
-		if len(got.log) != len(ref.log) {
-			t.Fatalf("%s: %d log entries, reference %d\n%s: %v\nref: %v",
-				name, len(got.log), len(ref.log), name, got.log, ref.log)
+	if len(got.log) != len(ref.log) {
+		t.Fatalf("%d log entries, reference %d\ngot: %v\nref: %v", len(got.log), len(ref.log), got.log, ref.log)
+	}
+	for i := range ref.log {
+		if got.log[i] != ref.log[i] {
+			t.Fatalf("diverges at entry %d: %q vs reference %q\ngot: %v\nref: %v",
+				i, got.log[i], ref.log[i], got.log, ref.log)
 		}
-		for i := range ref.log {
-			if got.log[i] != ref.log[i] {
-				t.Fatalf("%s diverges at entry %d: %q vs reference %q\n%s: %v\nref: %v",
-					name, i, got.log[i], ref.log[i], name, got.log, ref.log)
-			}
-		}
-		if got.s.now() != ref.s.now() || got.s.executed() != ref.s.executed() || got.s.pending() != ref.s.pending() {
-			t.Fatalf("%s final state (now=%d exec=%d pend=%d) != reference (now=%d exec=%d pend=%d)",
-				name, got.s.now(), got.s.executed(), got.s.pending(),
-				ref.s.now(), ref.s.executed(), ref.s.pending())
-		}
+	}
+	if got.s.now() != ref.s.now() || got.s.executed() != ref.s.executed() || got.s.pending() != ref.s.pending() {
+		t.Fatalf("final state (now=%d exec=%d pend=%d) != reference (now=%d exec=%d pend=%d)",
+			got.s.now(), got.s.executed(), got.s.pending(),
+			ref.s.now(), ref.s.executed(), ref.s.pending())
 	}
 }
 
 // FuzzSchedulerEquivalence is the fuzz entry; the committed corpus in
 // testdata/fuzz/FuzzSchedulerEquivalence pins programs for same-tick
-// ties, cancel-after-pop, overflow promotion, window growth, tickers,
-// and stop/step interleavings. CI runs it for 10s per push.
+// ties, overflow promotion, window growth, and Step bursts between
+// Runs. CI runs it for 10s per push.
 func FuzzSchedulerEquivalence(f *testing.F) {
-	// Same-tick FIFO: many schedules with identical delays.
-	f.Add([]byte{0, 7, 0, 0, 7, 0, 0, 7, 0, 5, 0, 0, 5, 0, 0, 0, 7, 0})
-	// Cancel storm, including handles that already fired.
-	f.Add([]byte{0, 3, 0, 0, 9, 0, 2, 0, 0, 2, 0, 1, 0, 5, 0, 2, 0, 0, 2, 0, 3})
-	// Far-future overflow promotion with ties.
-	f.Add([]byte{6, 10, 4, 6, 10, 4, 6, 200, 9, 0, 1, 0, 6, 10, 4})
-	// Tickers and a stop mid-run.
-	f.Add([]byte{3, 9, 5, 3, 30, 3, 0, 40, 0, 4, 0, 0, 0, 2, 0})
+	// Same-tick FIFO: two posts and a PostAt for tick 7, then
+	// zero-delay posts behind them.
+	f.Add([]byte{14, 0, 0, 4, 7, 0, 4, 7, 0, 10, 0, 0, 5, 7, 0, 2, 0, 0, 2, 0, 0})
+	// PostAt at the current tick interleaved with zero-delay posts.
+	f.Add([]byte{13, 0, 0, 1, 211, 0, 6, 0, 0, 9, 0, 0, 2, 0, 0, 1, 0, 0, 2, 0, 0})
+	// Far-future overflow promotion, with a tie between events posted
+	// at different ticks.
+	f.Add([]byte{14, 0, 0, 7, 10, 4, 7, 10, 4, 8, 5, 0, 3, 9, 88, 3, 200, 9, 3, 10, 4})
+	// Chains that die inside Step bursts and re-prime.
+	f.Add([]byte{4, 9, 0, 0, 3, 0, 10, 0, 0, 4, 5, 0, 5, 2, 0, 2, 0, 0, 0, 40, 0, 4, 1, 0, 2, 0, 0})
 	// Mixed everything.
-	f.Add([]byte{0, 96, 1, 6, 255, 255, 1, 200, 0, 3, 59, 5, 2, 0, 2, 5, 0, 0, 4, 0, 4, 6, 0, 0, 0, 1, 1})
+	f.Add([]byte{8, 96, 1, 7, 255, 255, 9, 200, 0, 14, 59, 5, 0, 2, 0, 5, 0, 0, 3, 1, 1, 4, 13, 0, 2, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkEquivalence(t, data)
 	})

@@ -11,11 +11,15 @@
 // near-future window [winStart, winStart+len(buckets)), and events beyond
 // the window wait in a small (tick, seq)-ordered overflow heap until the
 // window advances over them. Scheduling into the window is O(1) append;
-// popping is O(1) amortized. Events come from a free-list pool, so the
-// steady-state hot path (Schedule + fire) performs zero allocations —
-// see DESIGN.md, "Event loop", for the sizing heuristic and the
-// determinism argument. The seed binary-heap implementation survives as
-// the test-only oracle in internal/sim/refsched.
+// popping is O(1) amortized.
+//
+// Every event has one form: Post or PostAt names a Handler, a kind, a
+// scalar arg and an optional obj, and the engine calls
+// target.OnEvent(kind, arg, obj) when it fires. Events come from a
+// free-list pool, so the steady-state hot path (Post + fire) performs
+// zero allocations — see DESIGN.md, "Event loop", for the sizing
+// heuristic and the determinism argument. The seed binary-heap
+// scheduler survives only as the test oracle in ref_test.go.
 package sim
 
 import (
@@ -53,7 +57,7 @@ const minBuckets = 256
 // single pop can perform on a sparse queue.
 const maxBuckets = 4096
 
-// Handler is the zero-alloc dispatch target for Post/PostAt. kind
+// Handler is the target of every event Post and PostAt schedule. kind
 // demultiplexes within a component, arg carries a packed scalar payload
 // (an address, a resume value), and obj carries an optional reference
 // payload. Pointer-shaped obj values (pointers, func values) do not
@@ -63,54 +67,30 @@ type Handler interface {
 	OnEvent(kind uint8, arg uint64, obj any)
 }
 
-// event state machine: free (on the pool) → queued (in a bucket or the
-// overflow heap) → free again when fired, or queued → cancelled →
-// free when the cancelled entry is popped and discarded.
-const (
-	evFree uint8 = iota
-	evQueued
-	evCancelled
-)
-
-// Event is a unit of scheduled work, owned by the engine's pool. An
-// event carries either a closure (fn) or a dispatch triple
-// (target, kind, arg, obj); fn != nil selects the closure form.
-type Event struct {
+// event is a unit of scheduled work, owned by the engine's pool: the
+// (when, seq) ordering header and the dispatch payload.
+type event struct {
 	when   Tick
 	seq    uint64
 	arg    uint64
-	fn     func()
 	target Handler
 	obj    any
-	gen    uint32
 	kind   uint8
-	state  uint8
-}
-
-// Handle names a scheduled event for cancellation. The generation
-// counter makes Cancel safe against the pool recycling the underlying
-// Event: cancelling after the event fired (or was itself cancelled and
-// reaped) is a no-op, even if the Event object now carries an unrelated
-// scheduled event. The zero Handle is valid and cancels nothing.
-type Handle struct {
-	ev  *Event
-	gen uint32
 }
 
 // bucket is one calendar slot: a FIFO of events for a single tick.
 // head avoids shifting on pop; the slice is reset (retaining capacity)
 // once drained.
 type bucket struct {
-	evs  []*Event
+	evs  []*event
 	head int
 }
 
 // Engine is the discrete-event scheduler. The zero value is not usable;
 // create one with NewEngine.
 type Engine struct {
-	now     Tick
-	seq     uint64
-	stopped bool
+	now Tick
+	seq uint64
 
 	// Calendar state. buckets[t&mask] holds exactly the events for tick
 	// t when winStart ≤ t < winStart+len(buckets); cur is the scan
@@ -120,9 +100,9 @@ type Engine struct {
 	winStart Tick
 	cur      Tick
 	overflow overflowHeap
-	size     int // queued events, including cancelled-but-unreaped
+	size     int // queued events
 
-	free []*Event
+	free []*event
 
 	// MaxTicks aborts the run when exceeded (0 means no limit). It is a
 	// safety net against livelocked protocols or non-terminating spins.
@@ -150,25 +130,21 @@ func (e *Engine) Now() Tick { return e.now }
 // Executed returns the number of events executed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// alloc takes an Event from the free list, or allocates one if the pool
+// alloc takes an event from the free list, or allocates one if the pool
 // is dry (only while the in-flight population is still growing).
-func (e *Engine) alloc() *Event {
+func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &Event{}
+	return &event{}
 }
 
-// release returns an Event to the pool. Bumping gen invalidates every
-// outstanding Handle to this event, which is what makes cancel-after-
-// fire (and cancel-after-recycle) a safe no-op.
-func (e *Engine) release(ev *Event) {
-	ev.gen++
-	ev.state = evFree
-	ev.fn = nil
+// release returns an event to the pool, dropping its references so a
+// pooled event pins neither its target nor its payload.
+func (e *Engine) release(ev *event) {
 	ev.target = nil
 	ev.obj = nil
 	e.free = append(e.free, ev)
@@ -177,9 +153,8 @@ func (e *Engine) release(ev *Event) {
 // insert places a queued event into its calendar bucket or, beyond the
 // window, into the overflow heap. Callers guarantee ev.when ≥ now ≥
 // winStart, so the in-window test needs no lower bound. The queue owns
-// the event from here; callers may still read it (Schedule builds the
-// Handle from ev.gen after inserting) but not release it.
-func (e *Engine) insert(ev *Event) {
+// the event from here.
+func (e *Engine) insert(ev *event) {
 	if ev.when-e.winStart < Tick(len(e.buckets)) {
 		b := &e.buckets[ev.when&e.mask]
 		b.evs = append(b.evs, ev)
@@ -189,44 +164,16 @@ func (e *Engine) insert(ev *Event) {
 	e.size++
 }
 
-// Schedule runs fn after delay ticks (0 means "later this tick", after
-// events already queued for the current tick).
-func (e *Engine) Schedule(delay Tick, fn func()) Handle {
-	ev := e.alloc()
-	ev.when = e.now + delay
-	ev.seq = e.seq
-	e.seq++
-	ev.fn = fn
-	ev.state = evQueued
-	e.insert(ev)
-	return Handle{ev, ev.gen}
-}
-
-// At runs fn at absolute tick t, which must not be in the past.
-func (e *Engine) At(t Tick, fn func()) Handle {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
-	}
-	ev := e.alloc()
-	ev.when = t
-	ev.seq = e.seq
-	e.seq++
-	ev.fn = fn
-	ev.state = evQueued
-	e.insert(ev)
-	return Handle{ev, ev.gen}
-}
-
-// Post schedules a dispatch-form event after delay ticks: when it fires
-// the engine calls target.OnEvent(kind, arg, obj). This is the
-// zero-alloc form the hot delivery paths use — no closure is built, and
-// the Event comes from the pool.
-func (e *Engine) Post(delay Tick, target Handler, kind uint8, arg uint64, obj any) Handle {
-	return e.PostAt(e.now+delay, target, kind, arg, obj)
+// Post schedules an event after delay ticks (0 means "later this tick",
+// after events already queued for the current tick): when it fires the
+// engine calls target.OnEvent(kind, arg, obj). No closure is built, and
+// the event comes from the pool.
+func (e *Engine) Post(delay Tick, target Handler, kind uint8, arg uint64, obj any) {
+	e.PostAt(e.now+delay, target, kind, arg, obj)
 }
 
 // PostAt is Post at an absolute tick, which must not be in the past.
-func (e *Engine) PostAt(t Tick, target Handler, kind uint8, arg uint64, obj any) Handle {
+func (e *Engine) PostAt(t Tick, target Handler, kind uint8, arg uint64, obj any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %d before now %d", t, e.now))
 	}
@@ -238,29 +185,20 @@ func (e *Engine) PostAt(t Tick, target Handler, kind uint8, arg uint64, obj any)
 	ev.kind = kind
 	ev.arg = arg
 	ev.obj = obj
-	ev.state = evQueued
 	e.insert(ev)
-	return Handle{ev, ev.gen}
 }
 
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Pending reports the number of queued events (cancelled entries count
-// until they are reaped by the pop scan).
+// Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.size }
 
 // advance moves the calendar window to start at newStart and promotes
 // newly covered overflow events into their buckets. It must only be
-// called when every bucket is empty, which holds at both call sites:
-// either nothing was bucketed at all (jump to the overflow minimum), or
-// the pop scan just verified each bucket in the old window empty — and
-// nothing can have been inserted behind the scan, because insertions
-// happen at ≥ now and now never exceeds the scan cursor outside next.
+// called when every bucket is empty, which next checks before calling
+// it (every queued event is in the overflow heap).
 //
 // Promotion pops the overflow heap in (when, seq) order, so events for
 // a given tick are appended to its bucket in seq order; any later
-// Schedule targeting that tick carries a strictly larger seq and
+// Post targeting that tick carries a strictly larger seq and
 // appends behind them. Bucket FIFO order therefore IS (tick, seq)
 // order, which is the whole determinism argument.
 func (e *Engine) advance(newStart Tick) {
@@ -281,21 +219,25 @@ func (e *Engine) advance(newStart Tick) {
 	}
 }
 
-// next pops the earliest queued live event, reaping cancelled entries
-// along the way, or returns nil when the queue is empty. The caller
-// owns the popped event and must release it.
-func (e *Engine) next() *Event {
+// next pops the earliest queued event, or returns nil when the queue is
+// empty. The caller owns the popped event and must release it.
+//
+// The scan never runs off the end of the window: between pops cur ==
+// now, posts are never in the past, so every bucketed event lies in
+// [cur, winStart+len(buckets)), and with none bucketed the window jumps
+// first.
+func (e *Engine) next() *event {
+	if e.size == 0 {
+		return nil
+	}
+	if e.size == len(e.overflow) {
+		// Nothing bucketed: jump the window straight to the earliest
+		// overflow event instead of scanning empty ticks.
+		e.advance(e.overflow[0].when)
+	}
 	for {
-		if e.size == 0 {
-			return nil
-		}
-		if e.size == len(e.overflow) {
-			// Nothing bucketed: jump the window straight to the
-			// earliest overflow event instead of scanning empty ticks.
-			e.advance(e.overflow[0].when)
-		}
 		b := &e.buckets[e.cur&e.mask]
-		for b.head < len(b.evs) {
+		if b.head < len(b.evs) {
 			ev := b.evs[b.head]
 			b.evs[b.head] = nil
 			b.head++
@@ -304,16 +246,9 @@ func (e *Engine) next() *Event {
 				b.head = 0
 			}
 			e.size--
-			if ev.state == evCancelled {
-				e.release(ev)
-				continue
-			}
 			return ev
 		}
 		e.cur++
-		if e.cur-e.winStart == Tick(len(e.buckets)) {
-			e.advance(e.cur)
-		}
 	}
 }
 
@@ -335,18 +270,13 @@ func (e *Engine) step() (bool, error) {
 		e.release(ev)
 		return false, fmt.Errorf("sim: exceeded MaxTicks=%d with %d events pending", e.MaxTicks, e.size+1)
 	}
-	// Release before dispatch: the Event returns to the pool first, so
-	// a handler that immediately schedules reuses it without growing
-	// the pool. Safe because ordering depends only on (when, seq),
-	// both assigned at schedule time — see DESIGN.md.
-	if fn := ev.fn; fn != nil {
-		e.release(ev)
-		fn()
-	} else {
-		target, kind, arg, obj := ev.target, ev.kind, ev.arg, ev.obj
-		e.release(ev)
-		target.OnEvent(kind, arg, obj)
-	}
+	// Release before dispatch: the event returns to the pool first, so
+	// a handler that immediately posts reuses it without growing the
+	// pool. Safe because ordering depends only on (when, seq), both
+	// assigned at post time — see DESIGN.md.
+	target, kind, arg, obj := ev.target, ev.kind, ev.arg, ev.obj
+	e.release(ev)
+	target.OnEvent(kind, arg, obj)
 	e.executed++
 	if e.Interrupt != nil && e.executed%interruptPollInterval == 0 {
 		select {
@@ -358,26 +288,20 @@ func (e *Engine) step() (bool, error) {
 	return true, nil
 }
 
-// Run executes events until the queue drains, Stop is called, MaxTicks
-// is exceeded, or Interrupt fires. It returns an error only on
-// tick-limit exhaustion (a protocol deadlock or runaway workload) or
-// interruption.
+// Run executes events until the queue drains, MaxTicks is exceeded, or
+// Interrupt fires. It returns an error only on tick-limit exhaustion (a
+// protocol deadlock or runaway workload) or interruption.
 func (e *Engine) Run() error {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		ok, err := e.step()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
 	}
-	return nil
 }
 
-// Step executes exactly one event (skipping cancelled entries) and
-// reports whether it did; false means the queue is empty. It is the
+// Step executes exactly one event and reports whether it did; false
+// means the queue is empty. It is the
 // single-step primitive the model checker (internal/verify) uses to
 // drain handler cascades under an event budget. Step enforces MaxTicks
 // and polls Interrupt exactly as Run does (Run is Step in a loop); an
@@ -386,39 +310,10 @@ func (e *Engine) Step() (bool, error) {
 	return e.step()
 }
 
-// Cancel prevents a scheduled event from firing. Safe to call on
-// handles whose event already fired or was cancelled — the generation
-// check makes those no-ops even after the pool recycles the Event.
-func (e *Engine) Cancel(h Handle) {
-	if h.ev == nil || h.ev.gen != h.gen || h.ev.state != evQueued {
-		return
-	}
-	// Leave the entry queued; the pop scan reaps it. Dropping the
-	// payload now lets the GC collect captured state early.
-	h.ev.state = evCancelled
-	h.ev.fn = nil
-	h.ev.target = nil
-	h.ev.obj = nil
-}
-
-// Ticker invokes fn every period ticks until fn returns false.
-func (e *Engine) Ticker(period Tick, fn func() bool) {
-	if period == 0 {
-		panic("sim: zero ticker period")
-	}
-	var step func()
-	step = func() {
-		if fn() {
-			e.Schedule(period, step)
-		}
-	}
-	e.Schedule(period, step)
-}
-
 // overflowHeap is a hand-rolled (when, seq) min-heap over far-future
 // events. container/heap would box every push through interface{}; this
 // stays monomorphic and allocation-free on the hot path.
-type overflowHeap []*Event
+type overflowHeap []*event
 
 func (h overflowHeap) less(i, j int) bool {
 	if h[i].when != h[j].when {
@@ -427,7 +322,7 @@ func (h overflowHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h *overflowHeap) push(ev *Event) {
+func (h *overflowHeap) push(ev *event) {
 	*h = append(*h, ev)
 	q := *h
 	i := len(q) - 1
@@ -441,7 +336,7 @@ func (h *overflowHeap) push(ev *Event) {
 	}
 }
 
-func (h *overflowHeap) pop() *Event {
+func (h *overflowHeap) pop() *event {
 	q := *h
 	top := q[0]
 	n := len(q) - 1

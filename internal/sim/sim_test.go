@@ -2,24 +2,22 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
-	var order []int
-	e.Schedule(10, func() { order = append(order, 2) })
-	e.Schedule(5, func() { order = append(order, 1) })
-	e.Schedule(10, func() { order = append(order, 3) }) // same tick: FIFO
-	e.Schedule(20, func() { order = append(order, 4) })
+	r := &recordingHandler{}
+	e.Post(10, r, 0, 2, nil)
+	e.Post(5, r, 0, 1, nil)
+	e.Post(10, r, 0, 3, nil) // same tick: FIFO
+	e.Post(20, r, 0, 4, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{1, 2, 3, 4}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if want := []uint64{1, 2, 3, 4}; !slices.Equal(r.args, want) {
+		t.Fatalf("order = %v, want %v", r.args, want)
 	}
 	if e.Now() != 20 {
 		t.Fatalf("Now = %d, want 20", e.Now())
@@ -32,11 +30,11 @@ func TestScheduleOrdering(t *testing.T) {
 func TestSameTickFIFOWithinHandler(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.Schedule(1, func() {
-		e.Schedule(0, func() { order = append(order, 2) })
+	e.Post(1, funcHandler{}, 0, 0, func() {
+		e.Post(0, funcHandler{}, 0, 0, func() { order = append(order, 2) })
 		order = append(order, 1)
 	})
-	e.Schedule(1, func() { order = append(order, 3) })
+	e.Post(1, funcHandler{}, 0, 0, func() { order = append(order, 3) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,80 +47,28 @@ func TestSameTickFIFOWithinHandler(t *testing.T) {
 
 func TestAtAbsolute(t *testing.T) {
 	e := NewEngine()
-	fired := false
-	e.At(42, func() { fired = true })
+	r := &recordingHandler{}
+	e.PostAt(42, r, 0, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !fired || e.Now() != 42 {
-		t.Fatalf("fired=%v now=%d", fired, e.Now())
+	if len(r.kinds) != 1 || e.Now() != 42 {
+		t.Fatalf("fired=%d now=%d", len(r.kinds), e.Now())
 	}
 }
 
 func TestAtPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	e.Post(10, funcHandler{}, 0, 0, func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("At in the past did not panic")
+				t.Error("PostAt in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
+		e.PostAt(5, nopHandler{}, 0, 0, nil)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(5, func() { fired = true })
-	e.Cancel(ev)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	e.Cancel(ev)       // double-cancel is safe
-	e.Cancel(Handle{}) // zero handle is safe
-}
-
-func TestCancelAfterFireIsNoop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	h := e.Schedule(1, func() { fired++ })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// The pool has recycled the Event; schedule something new that will
-	// reuse it, then cancel the stale handle — the new event must still
-	// fire (generation mismatch makes the cancel a no-op).
-	reused := false
-	e.Schedule(1, func() { reused = true })
-	e.Cancel(h)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 || !reused {
-		t.Fatalf("fired=%d reused=%v; stale cancel hit a recycled event", fired, reused)
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.Schedule(1, func() { n++; e.Stop() })
-	e.Schedule(2, func() { n++ })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("ran %d events after Stop, want 1", n)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
 	}
 }
 
@@ -130,8 +76,8 @@ func TestMaxTicks(t *testing.T) {
 	e := NewEngine()
 	e.MaxTicks = 100
 	var loop func()
-	loop = func() { e.Schedule(10, loop) }
-	e.Schedule(10, loop)
+	loop = func() { e.Post(10, funcHandler{}, 0, 0, loop) }
+	e.Post(10, funcHandler{}, 0, 0, loop)
 	if err := e.Run(); err == nil {
 		t.Fatal("expected MaxTicks error")
 	}
@@ -144,66 +90,36 @@ func TestMaxTicks(t *testing.T) {
 func TestMaxTicksReleasesPoppedEvent(t *testing.T) {
 	e := NewEngine()
 	e.MaxTicks = 5
-	e.Schedule(10, func() { t.Fatal("event beyond MaxTicks must not fire") })
+	e.Post(10, funcHandler{}, 0, 0, func() { t.Fatal("event beyond MaxTicks must not fire") })
 	if err := e.Run(); err == nil {
 		t.Fatal("expected MaxTicks error")
 	}
 	if len(e.free) != 1 {
 		t.Fatalf("free list has %d events after MaxTicks abort, want 1 (popped event leaked)", len(e.free))
 	}
-	// The recycled event must be fully neutral: a poisoned fn/obj here
-	// would resurrect the aborted dispatch on the next Schedule.
+	// The recycled event must be fully neutral: a target or obj left
+	// here would pin the aborted dispatch's handler and payload.
 	ev := e.free[0]
-	if ev.fn != nil || ev.target != nil || ev.obj != nil {
-		t.Fatal("released event still references its cancelled dispatch")
+	if ev.target != nil || ev.obj != nil {
+		t.Fatal("released event still references its aborted dispatch")
 	}
-}
-
-func TestTicker(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	e.Ticker(10, func() bool {
-		n++
-		return n < 5
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("ticker fired %d times, want 5", n)
-	}
-	if e.Now() != 50 {
-		t.Fatalf("Now = %d, want 50", e.Now())
-	}
-}
-
-func TestTickerZeroPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero ticker period did not panic")
-		}
-	}()
-	NewEngine().Ticker(0, func() bool { return false })
 }
 
 func TestDeterminism(t *testing.T) {
-	run := func() []int {
+	run := func() []uint64 {
 		e := NewEngine()
-		var order []int
+		r := &recordingHandler{}
 		for i := 0; i < 100; i++ {
-			i := i
-			e.Schedule(Tick(i%7), func() { order = append(order, i) })
+			e.Post(Tick(i%7), r, 0, uint64(i), nil)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return order
+		return r.args
 	}
 	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("non-deterministic at %d: %d vs %d", i, a[i], b[i])
-		}
+	if len(a) != 100 || !slices.Equal(a, b) {
+		t.Fatalf("non-deterministic: %v vs %v", a, b)
 	}
 }
 
@@ -212,27 +128,20 @@ func TestDeterminism(t *testing.T) {
 // checks global (tick, seq) order survives window advances.
 func TestOverflowPromotion(t *testing.T) {
 	e := NewEngine()
-	var order []int
+	r := &recordingHandler{}
 	// Far-future events first (lower seq), spanning several windows.
 	for i := 0; i < 8; i++ {
-		i := i
-		e.Schedule(Tick(10000+10*i), func() { order = append(order, 100+i) })
+		e.Post(Tick(10000+10*i), r, 0, uint64(100+i), nil)
 	}
-	// Same far tick as the first, scheduled later: must fire after it.
-	e.Schedule(10000, func() { order = append(order, 200) })
+	// Same far tick as the first, posted later: must fire after it.
+	e.Post(10000, r, 0, 200, nil)
 	// Near events fire first.
-	e.Schedule(3, func() { order = append(order, 0) })
+	e.Post(3, r, 0, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{0, 100, 200, 101, 102, 103, 104, 105, 106, 107}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if want := []uint64{0, 100, 200, 101, 102, 103, 104, 105, 106, 107}; !slices.Equal(r.args, want) {
+		t.Fatalf("order = %v, want %v", r.args, want)
 	}
 	if e.Now() != 10070 {
 		t.Fatalf("Now = %d, want 10070", e.Now())
@@ -249,10 +158,10 @@ func TestSparseWindowJumps(t *testing.T) {
 	hop = func() {
 		hops++
 		if hops < 50 {
-			e.Schedule(1_000_003, hop) // prime: never window-aligned
+			e.Post(1_000_003, funcHandler{}, 0, 0, hop) // prime: never window-aligned
 		}
 	}
-	e.Schedule(1, hop)
+	e.Post(1, funcHandler{}, 0, 0, hop)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +176,12 @@ func TestSparseWindowJumps(t *testing.T) {
 // promotion path is affected).
 func TestWindowGrowth(t *testing.T) {
 	e := NewEngine()
-	var order []int
+	r := &recordingHandler{}
 	const n = 3 * minBuckets
 	for i := 0; i < n; i++ {
-		i := i
 		// Spread over [500, 500+4n): far outside the initial window,
 		// wider than maxBuckets once grown.
-		e.Schedule(Tick(500+4*(n-1-i)), func() { order = append(order, n-1-i) })
+		e.Post(Tick(500+4*(n-1-i)), r, 0, uint64(n-1-i), nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -282,8 +190,8 @@ func TestWindowGrowth(t *testing.T) {
 		t.Fatalf("window did not grow: %d buckets", len(e.buckets))
 	}
 	for i := 0; i < n; i++ {
-		if order[i] != i {
-			t.Fatalf("order[%d] = %d, want %d", i, order[i], i)
+		if r.args[i] != uint64(i) {
+			t.Fatalf("order[%d] = %d, want %d", i, r.args[i], i)
 		}
 	}
 }
@@ -304,42 +212,28 @@ func (r *recordingHandler) OnEvent(kind uint8, arg uint64, obj any) {
 	r.objs = append(r.objs, obj)
 }
 
-// TestPostDispatch checks the (target, kind, arg, obj) form delivers
-// payloads intact and interleaves with closure events in (tick, seq)
-// order.
+// TestPostDispatch checks Post and PostAt deliver (kind, arg, obj)
+// intact and interleave two handlers' events in (tick, seq) order.
 func TestPostDispatch(t *testing.T) {
 	e := NewEngine()
 	r := &recordingHandler{}
-	var order []string
+	var seen []int // r's event count when each funcHandler event ran
 	payload := &struct{ x int }{7}
 	e.Post(5, r, 3, 42, payload)
-	e.Schedule(5, func() { order = append(order, "closure") })
+	e.Post(5, funcHandler{}, 0, 0, func() { seen = append(seen, len(r.kinds)) })
 	e.PostAt(2, r, 9, 1, nil)
+	e.PostAt(1, funcHandler{}, 0, 0, func() { seen = append(seen, len(r.kinds)) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.kinds) != 2 || r.kinds[0] != 9 || r.kinds[1] != 3 {
 		t.Fatalf("kinds = %v", r.kinds)
 	}
-	if r.args[0] != 1 || r.args[1] != 42 || r.objs[1] != any(payload) {
+	if r.args[0] != 1 || r.args[1] != 42 || r.objs[0] != nil || r.objs[1] != any(payload) {
 		t.Fatalf("args = %v objs = %v", r.args, r.objs)
 	}
-	if len(order) != 1 {
-		t.Fatalf("closure did not interleave: %v", order)
-	}
-}
-
-// TestPostCancel cancels a dispatch-form event through its handle.
-func TestPostCancel(t *testing.T) {
-	e := NewEngine()
-	r := &recordingHandler{}
-	h := e.Post(5, r, 1, 0, nil)
-	e.Cancel(h)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(r.kinds) != 0 {
-		t.Fatalf("cancelled dispatch event fired: %v", r.kinds)
+	if !slices.Equal(seen, []int{0, 2}) {
+		t.Fatalf("handlers did not interleave in (tick, seq) order: %v", seen)
 	}
 }
 
@@ -350,8 +244,8 @@ func TestStepEnforcesMaxTicks(t *testing.T) {
 	e := NewEngine()
 	e.MaxTicks = 100
 	var loop func()
-	loop = func() { e.Schedule(10, loop) }
-	e.Schedule(10, loop)
+	loop = func() { e.Post(10, funcHandler{}, 0, 0, loop) }
+	e.Post(10, funcHandler{}, 0, 0, loop)
 	steps := 0
 	for {
 		ok, err := e.Step()
@@ -380,8 +274,8 @@ func TestStepPollsInterrupt(t *testing.T) {
 	close(stop)
 	e.Interrupt = stop
 	var loop func()
-	loop = func() { e.Schedule(1, loop) }
-	e.Schedule(1, loop)
+	loop = func() { e.Post(1, funcHandler{}, 0, 0, loop) }
+	e.Post(1, funcHandler{}, 0, 0, loop)
 	steps := 0
 	for {
 		ok, err := e.Step()
@@ -409,9 +303,9 @@ func TestStepRunEquivalence(t *testing.T) {
 	build := func(e *Engine) {
 		for i := 0; i < 200; i++ {
 			i := i
-			e.Schedule(Tick(i%13), func() {
+			e.Post(Tick(i%13), funcHandler{}, 0, 0, func() {
 				if i%3 == 0 {
-					e.Schedule(Tick(i%5), func() {})
+					e.Post(Tick(i%5), nopHandler{}, 0, 0, nil)
 				}
 			})
 		}
@@ -438,35 +332,32 @@ func TestStepRunEquivalence(t *testing.T) {
 	}
 }
 
-// TestScheduleSteadyStateAllocs is the alloc gate for the tentpole:
-// once the pool is warm, Schedule + fire must not allocate.
+// chainHandler re-posts itself until every thousandth firing: one
+// chain of 1000 events per post from outside.
+type chainHandler struct {
+	e *Engine
+	n int
+}
+
+func (c *chainHandler) OnEvent(kind uint8, arg uint64, obj any) {
+	c.n++
+	if c.n%1000 != 0 {
+		c.e.Post(Tick(c.n%7), c, kind, arg, obj)
+	}
+}
+
+// TestScheduleSteadyStateAllocs is the pool's alloc gate: once the pool
+// is warm, Post + fire must not allocate.
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
-	var chain func()
-	n := 0
-	chain = func() {
-		n++
-		if n%1000 != 0 {
-			e.Schedule(Tick(n%7), chain)
-		}
-	}
+	chain := &chainHandler{e: e}
 	// Warm the pool, the bucket slices, and the free list.
-	e.Schedule(1, chain)
+	e.Post(1, chain, 0, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		e.Schedule(1, chain)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state Schedule+Run allocates %.1f/op, want 0", allocs)
-	}
-	var nop nopHandler
-	allocs = testing.AllocsPerRun(100, func() {
-		e.Post(1, &nop, 1, 99, nil)
+		e.Post(1, chain, 1, 99, chain)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -488,9 +379,9 @@ func TestInterrupt(t *testing.T) {
 		if executed == interruptPollInterval+1 {
 			close(stop)
 		}
-		e.Schedule(1, step)
+		e.Post(1, funcHandler{}, 0, 0, step)
 	}
-	e.Schedule(0, step)
+	e.Post(0, funcHandler{}, 0, 0, step)
 	err := e.Run()
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("Run = %v, want ErrInterrupted", err)
@@ -513,10 +404,10 @@ func TestInterruptNeverFiredIsIdentity(t *testing.T) {
 		step = func() {
 			n++
 			if n < 3*interruptPollInterval {
-				e.Schedule(1, step)
+				e.Post(1, funcHandler{}, 0, 0, step)
 			}
 		}
-		e.Schedule(0, step)
+		e.Post(0, funcHandler{}, 0, 0, step)
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -217,9 +217,7 @@ func New(cfg Config) *System {
 	if banks&(banks-1) != 0 {
 		panic(fmt.Sprintf("system: DirBanks=%d is not a power of two", banks))
 	}
-	bankGeo := cfg.Geometry
-	bankGeo.LLCSizeBytes /= banks
-	bankGeo.DirEntries /= banks
+	bankGeo := cfg.Geometry.Bank(banks)
 	for b := 0; b < banks; b++ {
 		bankID := dirID
 		if banks > 1 {

@@ -45,8 +45,12 @@ func (f *chaosFabric) Send(m msg.Message) {
 // SendAfter buffers m once the delay elapses on the engine, which the
 // checker drains between deliveries.
 func (f *chaosFabric) SendAfter(delay sim.Tick, m msg.Message) {
-	f.engine.Schedule(delay, func() { f.Send(m) })
+	f.engine.Post(delay, f, 0, 0, m)
 }
+
+// OnEvent implements sim.Handler for SendAfter's one event: obj is the
+// delayed message.
+func (f *chaosFabric) OnEvent(_ uint8, _ uint64, obj any) { f.Send(obj.(msg.Message)) }
 
 // deliver hands pending message i to its destination handler.
 func (f *chaosFabric) deliver(i int) {
