@@ -72,7 +72,6 @@ func main() {
 
 	srv := &http.Server{Addr: *addr, Handler: engine.NewServer(eng)}
 	errc := make(chan error, 1)
-	//lockcheck:spawn process-lifetime accept loop; main exits through it or through a signal
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "hscserve: listening on %s (workers=%d queue=%d cache=%q)\n",
 		*addr, *workers, *queue, *cacheDir)

@@ -239,6 +239,7 @@ func diffWorkload(name string, build func() (system.Workload, error), cells []Ce
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		//hsclint:deterministic — each worker writes only results[i], read in cell order after wg.Wait
 		go func() {
 			defer wg.Done()
 			for i := range jobs {

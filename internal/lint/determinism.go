@@ -6,10 +6,12 @@ import (
 	"strings"
 )
 
-// deterministicMarker suppresses a map-range finding when it appears
-// on the range statement's line or the line above it — the author
-// asserts the loop body is insensitive to iteration order (commutative
-// accumulation, or keys sorted before use).
+// deterministicMarker suppresses a map-range or go-statement finding
+// when it appears on the statement's line or the line above it — the
+// author asserts the loop body is insensitive to iteration order
+// (commutative accumulation, or keys sorted before use), or that what
+// the goroutine computes cannot depend on how it is scheduled (each
+// worker writes only its own slot, read after a join).
 const deterministicMarker = "hsclint:deterministic"
 
 // detPackages are the packages whose behavior must be a pure function
@@ -69,12 +71,12 @@ var allowedRandFuncs = map[string]bool{
 	"NewZipf":   true,
 }
 
-// Determinism bans ambient nondeterminism — raw map iteration,
-// wall-clock reads and the process-global math/rand source — in
-// simulation-reachable packages.
+// Determinism bans ambient nondeterminism — raw map iteration, go
+// statements, wall-clock reads and the process-global math/rand
+// source — in simulation-reachable packages.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no map iteration, wall-clock time or global math/rand in simulation-reachable packages",
+	Doc:  "no map iteration, go statements, wall-clock time or global math/rand in simulation-reachable packages",
 	Run:  runDeterminism,
 }
 
@@ -84,12 +86,22 @@ func runDeterminism(p *Pass) {
 	}
 	for _, file := range p.Pkg.Files {
 		marked := markerLines(p, file, deterministicMarker)
+		unmarked := func(n ast.Node) bool {
+			line := p.Pkg.Fset.Position(n.Pos()).Line
+			return !marked[line] && !marked[line-1]
+		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			if rs, ok := n.(*ast.RangeStmt); ok && isMap(p, rs.X) {
-				line := p.Pkg.Fset.Position(rs.Pos()).Line
-				if !marked[line] && !marked[line-1] {
-					p.Report(rs.Pos(),
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				if isMap(p, n.X) && unmarked(n) {
+					p.Report(n.Pos(),
 						"map iteration order is randomized and this package is simulation-reachable; iterate sorted keys, or annotate //%s if order provably cannot matter",
+						deterministicMarker)
+				}
+			case *ast.GoStmt:
+				if unmarked(n) {
+					p.Report(n.Pos(),
+						"go statement in a simulation-reachable package: the Go scheduler interleaves goroutines nondeterministically; run the work on the event loop, or annotate //%s if what the goroutine computes cannot depend on scheduling",
 						deterministicMarker)
 				}
 			}

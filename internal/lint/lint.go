@@ -13,22 +13,22 @@
 //     are born.
 //   - determinism: simulation-reachable packages must be a pure
 //     function of (workload, config, seed) — no raw map iteration (Go
-//     randomizes its order; ranges proven order-insensitive are
-//     annotated `//hsclint:deterministic`), no wall-clock reads and no
-//     draws from the process-global math/rand source. The model
-//     checker's replay and the conformance diffs depend on it.
+//     randomizes its order), no go statements (the Go scheduler
+//     interleaves goroutines nondeterministically), no wall-clock reads
+//     and no draws from the process-global math/rand source. A map
+//     range proven order-insensitive, or a goroutine whose effect
+//     cannot depend on scheduling, is annotated
+//     `//hsclint:deterministic`. The model checker's replay and the
+//     conformance diffs depend on it.
 //   - stallwake: queue fields that park protocol work (the directory's
 //     pend map, MSHR waiter lists) must be annotated
 //     `//hsclint:stallqueue`, and every annotated queue needs both a
 //     park site and a wake site in its package — a queue that is
 //     filled but never drained is a hung transaction waiting to
 //     happen.
-//   - lockcheck: lock discipline for the concurrent job engine —
-//     a flow-sensitive held-lock dataflow over a per-function CFG catches
-//     blocking calls under //lockcheck:fast locks (the PR 9 HTTP-under-
-//     engine-mutex incident, statically), missing unlocks on early
-//     returns, double-locks, inversions of the declared
-//     //lockcheck:order, and untracked goroutines (see lockcheck.go).
+//
+// No analyzer checks the job engine's locks: internal/engine has two
+// mutexes that never nest, and its tests pin the rest at run time.
 package lint
 
 import (
@@ -66,13 +66,9 @@ type Analyzer struct {
 	Run  func(*Pass)
 }
 
-// Pass carries one analyzer's run over one package. All holds every
-// package in the run, so analyzers that honor cross-package
-// annotations (lockcheck) can index declarations outside the package
-// under analysis.
+// Pass carries one analyzer's run over one package.
 type Pass struct {
 	Pkg      *Package
-	All      []*Package
 	analyzer *Analyzer
 	diags    *[]Diagnostic
 }
@@ -88,7 +84,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...interface{}) {
 
 // All returns every registered analyzer.
 func All() []*Analyzer {
-	return []*Analyzer{MsgSwitch, Determinism, StallWake, LockCheck}
+	return []*Analyzer{MsgSwitch, Determinism, StallWake}
 }
 
 // Check runs the analyzers over the packages and returns findings
@@ -97,7 +93,7 @@ func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			a.Run(&Pass{Pkg: pkg, All: pkgs, analyzer: a, diags: &diags})
+			a.Run(&Pass{Pkg: pkg, analyzer: a, diags: &diags})
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {

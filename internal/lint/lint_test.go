@@ -11,17 +11,12 @@ const badPkg = "hscsim/internal/lint/testdata/bad"
 
 func loadBad(t *testing.T) []*Package {
 	t.Helper()
-	return loadPkg(t, badPkg)
-}
-
-func loadPkg(t *testing.T, pattern string) []*Package {
-	t.Helper()
-	pkgs, err := Load(".", pattern)
+	pkgs, err := Load(".", badPkg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) != 1 {
-		t.Fatalf("loaded %d packages for %s, want 1", len(pkgs), pattern)
+		t.Fatalf("loaded %d packages for %s, want 1", len(pkgs), badPkg)
 	}
 	return pkgs
 }
@@ -96,16 +91,18 @@ func TestDeterminismCatchesClockAndGlobalRand(t *testing.T) {
 		msgs = append(msgs, d.Message)
 	}
 	joined := strings.Join(msgs, "\n")
-	for _, want := range []string{"time.Now", "time.Since", "rand.Seed", "rand.Intn"} {
+	for _, want := range []string{"time.Now", "time.Since", "rand.Seed", "rand.Intn", "go statement"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing a %s diagnostic in:\n%s", want, joined)
 		}
 	}
 	// False-positive guard: exactly the two clock reads, the two global
-	// draws and sum's unannotated map range — so rand.New, rand.NewSource,
-	// the *rand.Rand method call and the Duration arithmetic all passed.
-	if len(diags) != 5 {
-		t.Errorf("got %d diagnostics, want 5:\n%s", len(diags), joined)
+	// draws, sum's unannotated map range and fanOut's unmarked go
+	// statement — so rand.New, rand.NewSource, the *rand.Rand method
+	// call, the Duration arithmetic and the marked go statement all
+	// passed.
+	if len(diags) != 6 {
+		t.Errorf("got %d diagnostics, want 6:\n%s", len(diags), joined)
 	}
 }
 
@@ -141,19 +138,21 @@ func TestStallWakeQueueRules(t *testing.T) {
 // wantRE matches one golden expectation: //want <analyzer> "<substring>"
 var wantRE = regexp.MustCompile(`//want (\w+) "([^"]+)"`)
 
-// checkGoldens runs the analyzers over pkgs and matches the
-// diagnostics, line by line, against the //want comments in srcPath
-// (the analysistest idiom): every diagnostic needs a matching
-// expectation and every expectation a diagnostic, so a golden test
-// fails on both missed bugs and false positives. minWants guards
-// against the testdata silently losing expectations.
-func checkGoldens(t *testing.T, pkgs []*Package, analyzers []*Analyzer, srcPath string, minWants int) {
-	t.Helper()
+// TestGoldenExpectations runs every analyzer over the testdata package
+// and matches the diagnostics, line by line, against the //want
+// comments in bad.go (the analysistest idiom): every diagnostic needs a
+// matching expectation and every expectation a diagnostic, so the test
+// fails on both missed bugs and false positives.
+func TestGoldenExpectations(t *testing.T) {
+	pkgs := loadBad(t)
+	detPackages[badPkg] = true
+	defer delete(detPackages, badPkg)
+
 	type want struct {
 		analyzer, substr string
 		matched          bool
 	}
-	src, err := os.ReadFile(srcPath)
+	src, err := os.ReadFile("testdata/bad/bad.go")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +164,12 @@ func checkGoldens(t *testing.T, pkgs []*Package, analyzers []*Analyzer, srcPath 
 			total++
 		}
 	}
-	if total < minWants {
-		t.Fatalf("only %d //want expectations parsed from %s — the testdata lost some", total, srcPath)
+	// Guards against the testdata silently losing expectations.
+	if total < 11 {
+		t.Fatalf("only %d //want expectations parsed from bad.go — the testdata lost some", total)
 	}
 
-	for _, d := range Check(pkgs, analyzers) {
+	for _, d := range Check(pkgs, All()) {
 		matched := false
 		for _, w := range wants[d.Pos.Line] {
 			if !w.matched && w.analyzer == d.Analyzer && strings.Contains(d.Message, w.substr) {
@@ -189,15 +189,6 @@ func checkGoldens(t *testing.T, pkgs []*Package, analyzers []*Analyzer, srcPath 
 			}
 		}
 	}
-}
-
-// TestGoldenExpectations runs every analyzer over the testdata package
-// and matches the diagnostics against the //want comments.
-func TestGoldenExpectations(t *testing.T) {
-	pkgs := loadBad(t)
-	detPackages[badPkg] = true
-	defer delete(detPackages, badPkg)
-	checkGoldens(t, pkgs, All(), "testdata/bad/bad.go", 10)
 }
 
 // TestRepoIsClean is the enforcement test: the whole module must pass

@@ -8,6 +8,7 @@ package bad
 
 import (
 	"math/rand"
+	"sync"
 	"time"
 
 	"hscsim/internal/msg"
@@ -59,6 +60,18 @@ func draw() int {
 	return r.Intn(10) + rand.Intn(10) //want determinism "rand.Intn"
 }
 
+// fanOut starts two goroutines → determinism for the unmarked one. The
+// marked one (it writes only its own slot, read after the join) is the
+// false-positive guard.
+func fanOut(out []int) {
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); out[0] = 1 }() //want determinism "go statement"
+	//hsclint:deterministic — writes only out[1], read after wg.Wait
+	go func() { defer wg.Done(); out[1] = 2 }()
+	wg.Wait()
+}
+
 // parkedQueues exercises stallwake: a queue-shaped name without the
 // annotation, an annotated queue that is filled but never drained, an
 // annotated queue that is never filled, a queue type parked through
@@ -102,5 +115,6 @@ var _ = classify
 var _ = sum
 var _ = stamp
 var _ = draw
+var _ = fanOut
 var _ = (*parkedQueues).park
 var _ = (*parkedQueues).wake
