@@ -44,48 +44,33 @@ func (c Config) Sets() int {
 	return c.SizeBytes / (c.Assoc * c.BlockSize)
 }
 
-// Line is one way of one set. T carries protocol-specific metadata
-// (MOESI state, VI state, directory entry, dirty bit, ...).
-type Line[T any] struct {
-	Valid bool
-	Tag   LineAddr
-	Meta  T
-}
-
-// Array is a set-associative array of Lines with a replacement policy.
+// Array is a set-associative array with tree-PLRU replacement (the
+// paper's default). T carries protocol-specific metadata (MOESI state,
+// VI state, directory entry, dirty bit, ...).
+//
+// Tags and metadata live in parallel set-major slices, so a lookup
+// scans one set's 8-byte tags contiguously. A tag slot stores addr+1,
+// which makes 0 mean "invalid way" without a separate valid bit.
 type Array[T any] struct {
 	cfg      Config
-	sets     int
+	assoc    int
 	setMask  LineAddr
-	lines    []Line[T] // sets*assoc, set-major
-	repl     Policy
+	tags     []LineAddr // sets*assoc: addr+1, or 0 for an invalid way
+	meta     []T        // parallel to tags
+	plru     treePLRU
 	occupied int
 }
 
-// Policy chooses victims within a set and observes accesses.
-// Implementations are per-array (they size themselves from sets/assoc).
-type Policy interface {
-	// Touch records an access to way w of set s.
-	Touch(s, w int)
-	// Victim proposes the way of set s to evict. candidates is a bitmask
-	// of ways that may be chosen (invalid or deprioritized ways are
-	// resolved by the caller before this is consulted).
-	Victim(s int, candidates uint64) int
-}
-
-// New creates an array with the given replacement policy constructor.
-// If newPolicy is nil, tree-PLRU (the paper's default) is used.
-func New[T any](cfg Config, newPolicy func(sets, assoc int) Policy) *Array[T] {
+// New creates an empty array.
+func New[T any](cfg Config) *Array[T] {
 	sets := cfg.Sets()
-	if newPolicy == nil {
-		newPolicy = NewTreePLRU
-	}
 	return &Array[T]{
 		cfg:     cfg,
-		sets:    sets,
+		assoc:   cfg.Assoc,
 		setMask: LineAddr(sets - 1),
-		lines:   make([]Line[T], sets*cfg.Assoc),
-		repl:    newPolicy(sets, cfg.Assoc),
+		tags:    make([]LineAddr, sets*cfg.Assoc),
+		meta:    make([]T, sets*cfg.Assoc),
+		plru:    newTreePLRU(sets, cfg.Assoc),
 	}
 }
 
@@ -93,7 +78,7 @@ func New[T any](cfg Config, newPolicy func(sets, assoc int) Policy) *Array[T] {
 func (a *Array[T]) Config() Config { return a.cfg }
 
 // Sets returns the number of sets.
-func (a *Array[T]) Sets() int { return a.sets }
+func (a *Array[T]) Sets() int { return int(a.setMask) + 1 }
 
 // Occupied returns the number of valid lines.
 func (a *Array[T]) Occupied() int { return a.occupied }
@@ -101,204 +86,227 @@ func (a *Array[T]) Occupied() int { return a.occupied }
 // SetIndex maps a line address to its set.
 func (a *Array[T]) SetIndex(addr LineAddr) int { return int(addr & a.setMask) }
 
-func (a *Array[T]) line(s, w int) *Line[T] { return &a.lines[s*a.cfg.Assoc+w] }
-
-// Lookup finds addr and returns its line, touching the replacement state.
-// Returns nil on miss.
-func (a *Array[T]) Lookup(addr LineAddr) *Line[T] {
-	s := a.SetIndex(addr)
-	for w := 0; w < a.cfg.Assoc; w++ {
-		ln := a.line(s, w)
-		if ln.Valid && ln.Tag == addr {
-			a.repl.Touch(s, w)
-			return ln
+// find returns addr's set and way, with w = -1 on a miss.
+func (a *Array[T]) find(addr LineAddr) (s, w int) {
+	s = int(addr & a.setMask)
+	base := s * a.assoc
+	want := addr + 1
+	for w, t := range a.tags[base : base+a.assoc] {
+		if t == want {
+			return s, w
 		}
 	}
-	return nil
+	return s, -1
+}
+
+// Lookup finds addr and returns its metadata, touching the replacement
+// state. It returns nil on a miss.
+func (a *Array[T]) Lookup(addr LineAddr) *T {
+	s, w := a.find(addr)
+	if w < 0 {
+		return nil
+	}
+	a.plru.touch(s, w)
+	return &a.meta[s*a.assoc+w]
 }
 
 // Peek finds addr without touching replacement state. Returns nil on miss.
-func (a *Array[T]) Peek(addr LineAddr) *Line[T] {
-	s := a.SetIndex(addr)
-	for w := 0; w < a.cfg.Assoc; w++ {
-		ln := a.line(s, w)
-		if ln.Valid && ln.Tag == addr {
-			return ln
-		}
+func (a *Array[T]) Peek(addr LineAddr) *T {
+	if s, w := a.find(addr); w >= 0 {
+		return &a.meta[s*a.assoc+w]
 	}
 	return nil
 }
 
-// FindVictim returns the line that Insert would replace for addr: an
-// invalid way if one exists, otherwise the policy's choice among ways
-// allowed by the pin function (pin!=nil && pin(meta)==true excludes a
-// way; if everything is pinned the policy chooses among all ways).
-func (a *Array[T]) FindVictim(addr LineAddr, pin func(*Line[T]) bool) *Line[T] {
-	s := a.SetIndex(addr)
-	var mask uint64
-	for w := 0; w < a.cfg.Assoc; w++ {
-		ln := a.line(s, w)
-		if !ln.Valid {
-			return ln
-		}
-		if pin == nil || !pin(ln) {
-			mask |= 1 << uint(w)
-		}
-	}
-	if mask == 0 {
-		mask = (1 << uint(a.cfg.Assoc)) - 1
-	}
-	return a.line(s, a.repl.Victim(s, mask))
+// Way reports way w of addr's set: its tag and metadata, and whether
+// it holds a valid line. meta is never nil.
+func (a *Array[T]) Way(addr LineAddr, w int) (tag LineAddr, meta *T, valid bool) {
+	return a.slot(int(addr&a.setMask)*a.assoc + w)
 }
 
-// Insert places addr into the set, evicting the victim chosen as in
-// FindVictim. It returns the line (now tagged addr with zero metadata)
-// and, if a valid line was displaced, its previous tag and metadata.
-// Inserting a resident tag reuses its line (metadata reset, no
-// eviction) rather than duplicating it in another way.
-func (a *Array[T]) Insert(addr LineAddr, pin func(*Line[T]) bool) (ln *Line[T], evictedTag LineAddr, evictedMeta T, evicted bool) {
-	if existing := a.Lookup(addr); existing != nil {
-		var zero T
-		existing.Meta = zero
-		return existing, 0, zero, false
+// slot reports the tag, metadata and validity of slot i.
+func (a *Array[T]) slot(i int) (tag LineAddr, meta *T, valid bool) {
+	return a.tags[i] - 1, &a.meta[i], a.tags[i] != 0
+}
+
+// victim returns the way Insert would fill for a miss in set s: the
+// first invalid way, otherwise the policy's choice among the ways the
+// pin function allows (pin != nil && pin(tag, meta) excludes a way; if
+// every way is pinned the policy chooses among all of them).
+func (a *Array[T]) victim(s int, pin func(LineAddr, *T) bool) int {
+	base := s * a.assoc
+	ways := a.tags[base : base+a.assoc]
+	for w, t := range ways {
+		if t == 0 {
+			return w
+		}
 	}
-	ln = a.FindVictim(addr, pin)
-	if ln.Valid {
-		evictedTag, evictedMeta, evicted = ln.Tag, ln.Meta, true
-	} else {
-		a.occupied++
+	all := uint64(1)<<uint(a.assoc) - 1
+	mask := all
+	if pin != nil {
+		mask = 0
+		for w, t := range ways {
+			if !pin(t-1, &a.meta[base+w]) {
+				mask |= 1 << uint(w)
+			}
+		}
+		if mask == 0 {
+			mask = all
+		}
 	}
-	var zero T
-	ln.Valid = true
-	ln.Tag = addr
-	ln.Meta = zero
-	s := a.SetIndex(addr)
-	for w := 0; w < a.cfg.Assoc; w++ {
-		if a.line(s, w) == ln {
-			a.repl.Touch(s, w)
+	return a.plru.victim(s, mask)
+}
+
+// FindVictim reports the way Insert would fill for addr (see victim
+// for the choice): its tag and metadata, and whether it holds a valid
+// line that Insert would evict.
+func (a *Array[T]) FindVictim(addr LineAddr, pin func(LineAddr, *T) bool) (tag LineAddr, meta *T, valid bool) {
+	s := int(addr & a.setMask)
+	return a.slot(s*a.assoc + a.victim(s, pin))
+}
+
+// Insert places addr into its set, filling the way FindVictim reports,
+// in one scan of the set's tags for a hit or a free way. It returns
+// the line's metadata (zeroed) and, if a valid line was displaced, its
+// previous tag and metadata. Inserting a resident tag reuses its way
+// (metadata reset, no eviction) rather than duplicating it in another
+// way.
+func (a *Array[T]) Insert(addr LineAddr, pin func(LineAddr, *T) bool) (meta *T, evictedTag LineAddr, evictedMeta T, evicted bool) {
+	s := int(addr & a.setMask)
+	base := s * a.assoc
+	want := addr + 1
+	w := -1
+	for i, t := range a.tags[base : base+a.assoc] {
+		if t == want {
+			w = i
 			break
 		}
+		if t == 0 && w < 0 {
+			w = i
+		}
 	}
-	return ln, evictedTag, evictedMeta, evicted
-}
-
-// Ways returns the lines of addr's set (all ways, valid or not). The
-// slice aliases the array; callers may mutate metadata in place.
-func (a *Array[T]) Ways(addr LineAddr) []Line[T] {
-	s := a.SetIndex(addr)
-	return a.lines[s*a.cfg.Assoc : (s+1)*a.cfg.Assoc]
+	switch {
+	case w < 0:
+		w = a.victim(s, pin)
+		evictedTag, evictedMeta, evicted = a.tags[base+w]-1, a.meta[base+w], true
+	case a.tags[base+w] == 0:
+		a.occupied++
+	}
+	i := base + w
+	var zero T
+	a.tags[i] = want
+	a.meta[i] = zero
+	a.plru.touch(s, w)
+	return &a.meta[i], evictedTag, evictedMeta, evicted
 }
 
 // Invalidate removes addr if present, returning its metadata.
 func (a *Array[T]) Invalidate(addr LineAddr) (meta T, ok bool) {
-	ln := a.Peek(addr)
-	if ln == nil {
+	s, w := a.find(addr)
+	if w < 0 {
 		return meta, false
 	}
-	meta = ln.Meta
-	ln.Valid = false
+	i := s*a.assoc + w
+	meta = a.meta[i]
 	var zero T
-	ln.Meta = zero
+	a.tags[i] = 0
+	a.meta[i] = zero
 	a.occupied--
 	return meta, true
 }
 
 // Clear invalidates every line (bulk invalidation at GPU acquire points).
 func (a *Array[T]) Clear() {
-	var zero T
-	for i := range a.lines {
-		a.lines[i].Valid = false
-		a.lines[i].Meta = zero
-	}
+	clear(a.tags)
+	clear(a.meta)
 	a.occupied = 0
 }
 
 // ForEach visits every valid line. Mutating line metadata is allowed;
 // do not invalidate lines from inside the callback.
 func (a *Array[T]) ForEach(fn func(addr LineAddr, meta *T)) {
-	for i := range a.lines {
-		if a.lines[i].Valid {
-			fn(a.lines[i].Tag, &a.lines[i].Meta)
+	for i, t := range a.tags {
+		if t != 0 {
+			fn(t-1, &a.meta[i])
 		}
 	}
 }
 
-// treePLRU implements tree pseudo-LRU per set; associativity is rounded
-// up to a power of two internally.
+// treePLRU is tree pseudo-LRU with one word of node bits per set;
+// associativity is rounded up to a power of two internally. Node n's
+// children are 2n+1 (left) and 2n+2 (right); a set bit points the next
+// victim at the right subtree.
 type treePLRU struct {
-	assoc int
-	nodes int
-	bits  []uint64 // one word of tree bits per set (supports assoc<=64)
+	ways  int         // associativity rounded up to a power of two
+	masks []touchMask // per way; shared by every array of this width
+	bits  []uint64    // one word of tree bits per set (ways <= 64)
 }
 
-// NewTreePLRU returns the paper's default replacement policy.
-func NewTreePLRU(sets, assoc int) Policy {
+// touchMask is the effect of touching one way: the nodes on its
+// root-to-leaf path that must point right (set) and left (clr), i.e.
+// away from the way.
+type touchMask struct{ set, clr uint64 }
+
+// touchMasks[k] holds the per-way masks for 1<<k ways, k = 0..6.
+var touchMasks = func() (t [7][]touchMask) {
+	for k := range t {
+		ways := 1 << uint(k)
+		t[k] = make([]touchMask, ways)
+		for w := range t[k] {
+			m := &t[k][w]
+			node, lo, hi := 0, 0, ways
+			for hi-lo > 1 {
+				mid := (lo + hi) / 2
+				if w < mid {
+					m.set |= 1 << uint(node)
+					node, hi = 2*node+1, mid
+				} else {
+					m.clr |= 1 << uint(node)
+					node, lo = 2*node+2, mid
+				}
+			}
+		}
+	}
+	return t
+}()
+
+// newTreePLRU sizes the policy for sets × assoc ways.
+func newTreePLRU(sets, assoc int) treePLRU {
 	if assoc > 64 {
 		panic("cachearray: tree-PLRU supports at most 64 ways")
 	}
-	pow := 1 << uint(bits.Len(uint(assoc-1)))
-	if assoc == 1 {
-		pow = 1
-	}
-	return &treePLRU{assoc: pow, nodes: pow - 1, bits: make([]uint64, sets)}
+	k := bits.Len(uint(assoc - 1))
+	return treePLRU{ways: 1 << uint(k), masks: touchMasks[k], bits: make([]uint64, sets)}
 }
 
-func (p *treePLRU) Touch(s, w int) {
-	if p.nodes == 0 {
-		return
-	}
-	// Walk from root to leaf w, pointing each node away from w.
-	node := 0
-	lo, hi := 0, p.assoc
+// touch points every node on way w's path away from it.
+func (p *treePLRU) touch(s, w int) {
+	m := p.masks[w]
+	p.bits[s] = p.bits[s]&^m.clr | m.set
+}
+
+// victim follows set s's tree bits to a leaf, taking the other side
+// wherever the pointed-to subtree holds no candidate (a bitmask of the
+// ways that may be chosen; it must be non-empty).
+func (p *treePLRU) victim(s int, candidates uint64) int {
 	word := p.bits[s]
+	node, lo, hi := 0, 0, p.ways
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if w < mid {
-			word |= 1 << uint(node) // 1 = next victim on the right
-			node = 2*node + 1
-			hi = mid
+		right := word&(1<<uint(node)) != 0
+		if right && candidates&span(mid, hi) == 0 || !right && candidates&span(lo, mid) == 0 {
+			right = !right
+		}
+		if right {
+			node, lo = 2*node+2, mid
 		} else {
-			word &^= 1 << uint(node) // 0 = next victim on the left
-			node = 2*node + 2
-			lo = mid
+			node, hi = 2*node+1, mid
 		}
 	}
-	p.bits[s] = word
+	return lo
 }
 
-func (p *treePLRU) Victim(s int, candidates uint64) int {
-	if p.nodes == 0 {
-		return 0
-	}
-	// Follow the tree; if the pointed-to subtree holds no candidate,
-	// take the other side.
-	var walk func(node, lo, hi int) int
-	word := p.bits[s]
-	subtreeHas := func(lo, hi int) bool {
-		for w := lo; w < hi; w++ {
-			if candidates&(1<<uint(w)) != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	walk = func(node, lo, hi int) int {
-		if hi-lo == 1 {
-			return lo
-		}
-		mid := (lo + hi) / 2
-		right := word&(1<<uint(node)) != 0
-		if right && subtreeHas(mid, hi) {
-			return walk(2*node+2, mid, hi)
-		}
-		if !right && subtreeHas(lo, mid) {
-			return walk(2*node+1, lo, mid)
-		}
-		// Pointed side empty of candidates; take the other.
-		if subtreeHas(mid, hi) {
-			return walk(2*node+2, mid, hi)
-		}
-		return walk(2*node+1, lo, mid)
-	}
-	return walk(0, 0, p.assoc)
+// span is the bitmask of ways [lo, hi), hi <= 64.
+func span(lo, hi int) uint64 {
+	return (uint64(1)<<uint(hi) - 1) &^ (uint64(1)<<uint(lo) - 1)
 }

@@ -9,7 +9,7 @@ import (
 func smallArray(t *testing.T) *Array[int] {
 	t.Helper()
 	// 4 sets × 2 ways of 64-byte lines.
-	return New[int](Config{SizeBytes: 4 * 2 * 64, Assoc: 2, BlockSize: 64}, nil)
+	return New[int](Config{SizeBytes: 4 * 2 * 64, Assoc: 2, BlockSize: 64})
 }
 
 func TestConfigSets(t *testing.T) {
@@ -43,12 +43,12 @@ func TestLookupInsertInvalidate(t *testing.T) {
 	if a.Lookup(5) != nil {
 		t.Fatal("lookup on empty array hit")
 	}
-	ln, _, _, ev := a.Insert(5, nil)
+	m, _, _, ev := a.Insert(5, nil)
 	if ev {
 		t.Fatal("insert into empty set evicted")
 	}
-	ln.Meta = 99
-	if got := a.Lookup(5); got == nil || got.Meta != 99 {
+	*m = 99
+	if got := a.Lookup(5); got == nil || *got != 99 {
 		t.Fatal("lookup after insert failed")
 	}
 	if a.Occupied() != 1 {
@@ -84,48 +84,46 @@ func TestEvictionWithinSet(t *testing.T) {
 
 func TestTreePLRUVictim(t *testing.T) {
 	// 1 set × 4 ways; inserts touch in order 0,1,2,3.
-	a := New[int](Config{SizeBytes: 4 * 64, Assoc: 4, BlockSize: 64}, nil)
+	a := New[int](Config{SizeBytes: 4 * 64, Assoc: 4, BlockSize: 64})
 	for i := LineAddr(0); i < 4; i++ {
 		a.Insert(i, nil)
 	}
 	// Tree-PLRU after touches 0,1,2,3: both tree levels point left → 0.
-	if v := a.FindVictim(7, nil); v.Tag != 0 {
-		t.Fatalf("victim = %d, want 0", v.Tag)
+	if v, _, _ := a.FindVictim(7, nil); v != 0 {
+		t.Fatalf("victim = %d, want 0", v)
 	}
 	// Touching 0 flips the root right; the right pair's bit still
 	// points at 2 (3 was touched after 2).
 	a.Lookup(0)
-	if v := a.FindVictim(7, nil); v.Tag != 2 {
-		t.Fatalf("victim after touch(0) = %d, want 2", v.Tag)
+	if v, _, _ := a.FindVictim(7, nil); v != 2 {
+		t.Fatalf("victim after touch(0) = %d, want 2", v)
 	}
 }
 
 func TestFindVictimHonorsPin(t *testing.T) {
-	a := New[int](Config{SizeBytes: 4 * 64, Assoc: 4, BlockSize: 64}, nil)
+	a := New[int](Config{SizeBytes: 4 * 64, Assoc: 4, BlockSize: 64})
 	for i := LineAddr(0); i < 4; i++ {
-		ln, _, _, _ := a.Insert(i, nil)
-		ln.Meta = int(i)
+		m, _, _, _ := a.Insert(i, nil)
+		*m = int(i)
 	}
-	pinNot2 := func(ln *Line[int]) bool { return ln.Meta != 2 }
-	v := a.FindVictim(9, pinNot2)
-	if v.Meta != 2 {
-		t.Fatalf("victim meta = %d, want 2 (only unpinned way)", v.Meta)
+	pinNot2 := func(_ LineAddr, m *int) bool { return *m != 2 }
+	if _, m, _ := a.FindVictim(9, pinNot2); *m != 2 {
+		t.Fatalf("victim meta = %d, want 2 (only unpinned way)", *m)
 	}
 	// All pinned: falls back to choosing among all ways.
-	v = a.FindVictim(9, func(*Line[int]) bool { return true })
-	if v == nil {
-		t.Fatal("all-pinned victim is nil")
+	if _, m, valid := a.FindVictim(9, func(LineAddr, *int) bool { return true }); m == nil || !valid {
+		t.Fatal("all-pinned victim is not a valid way")
 	}
 }
 
 func TestPeekDoesNotTouch(t *testing.T) {
-	a := New[int](Config{SizeBytes: 2 * 64, Assoc: 2, BlockSize: 64}, nil)
+	a := New[int](Config{SizeBytes: 2 * 64, Assoc: 2, BlockSize: 64})
 	a.Insert(0, nil)
 	a.Insert(1, nil)
 	a.Lookup(1) // 0 becomes PLRU victim
 	a.Peek(0)   // must not promote 0
-	if v := a.FindVictim(2, nil); v.Tag != 0 {
-		t.Fatalf("peek promoted the line: victim = %d", v.Tag)
+	if v, _, _ := a.FindVictim(2, nil); v != 0 {
+		t.Fatalf("peek promoted the line: victim = %d", v)
 	}
 }
 
@@ -133,9 +131,10 @@ func TestWaysAndForEachAndClear(t *testing.T) {
 	a := smallArray(t)
 	a.Insert(0, nil)
 	a.Insert(4, nil)
-	ways := a.Ways(0)
-	if len(ways) != 2 {
-		t.Fatalf("ways = %d", len(ways))
+	for w, want := range []LineAddr{0, 4} {
+		if tag, _, valid := a.Way(0, w); !valid || tag != want {
+			t.Fatalf("way %d = %d (valid %t), want %d", w, tag, valid, want)
+		}
 	}
 	n := 0
 	a.ForEach(func(addr LineAddr, meta *int) { n++ })
@@ -151,7 +150,7 @@ func TestWaysAndForEachAndClear(t *testing.T) {
 func TestNonPowerOfTwoAssoc(t *testing.T) {
 	// 3-way: tree-PLRU rounds to 4 internally but must only return
 	// valid ways when candidates restrict it.
-	a := New[int](Config{SizeBytes: 2 * 3 * 64, Assoc: 3, BlockSize: 64}, nil)
+	a := New[int](Config{SizeBytes: 2 * 3 * 64, Assoc: 3, BlockSize: 64})
 	for i := 0; i < 12; i++ {
 		a.Insert(LineAddr(i), nil)
 	}
@@ -165,7 +164,7 @@ func TestNonPowerOfTwoAssoc(t *testing.T) {
 func TestAgainstReferenceModel(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a := New[int](Config{SizeBytes: 8 * 4 * 64, Assoc: 4, BlockSize: 64}, nil)
+		a := New[int](Config{SizeBytes: 8 * 4 * 64, Assoc: 4, BlockSize: 64})
 		ref := make(map[LineAddr]bool)
 		for op := 0; op < 500; op++ {
 			addr := LineAddr(r.Intn(64))
@@ -194,13 +193,13 @@ func TestAgainstReferenceModel(t *testing.T) {
 			// No set may exceed its associativity or hold duplicates.
 			for s := 0; s < a.Sets(); s++ {
 				seen := map[LineAddr]bool{}
-				for _, ln := range a.Ways(LineAddr(s)) {
-					if ln.Valid {
-						if seen[ln.Tag] {
+				for w := 0; w < a.Config().Assoc; w++ {
+					if tag, _, valid := a.Way(LineAddr(s), w); valid {
+						if seen[tag] {
 							return false
 						}
-						seen[ln.Tag] = true
-						if a.SetIndex(ln.Tag) != s {
+						seen[tag] = true
+						if a.SetIndex(tag) != s {
 							return false
 						}
 					}
@@ -220,5 +219,5 @@ func TestTreePLRUTooManyWaysPanics(t *testing.T) {
 			t.Error("65-way tree-PLRU did not panic")
 		}
 	}()
-	NewTreePLRU(1, 65)
+	newTreePLRU(1, 65)
 }

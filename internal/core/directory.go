@@ -33,7 +33,7 @@ type Directory struct {
 	llc    *llc
 	dirArr *cachearray.Array[dirEntry] // nil when Tracking == TrackNone
 
-	txns map[cachearray.LineAddr]*txn
+	txns recycle.Table[cachearray.LineAddr, *txn]
 	// pend parks requests for a busy line; drained queues' backing
 	// arrays are reused.
 	pend     recycle.Queues[cachearray.LineAddr, msg.Message] //hsclint:stallqueue — drained by drainPending on txn completion
@@ -48,7 +48,7 @@ type Directory struct {
 	dsts     []msg.NodeID
 	// pinEntry is entryPinned bound once, so allocation passes no
 	// fresh closure to the directory array.
-	pinEntry func(*cachearray.Line[dirEntry]) bool
+	pinEntry func(cachearray.LineAddr, *dirEntry) bool
 
 	Stats DirStats
 }
@@ -133,13 +133,12 @@ func NewDirectory(engine *sim.Engine, ic noc.Fabric, mem MemPort,
 		l2s:     append([]msg.NodeID(nil), cfg.L2s...),
 		tccIDs:  append([]msg.NodeID(nil), cfg.TCCs...),
 		llc:     newLLC(cfg.Geo, cfg.Opts, mem),
-		txns:    make(map[cachearray.LineAddr]*txn),
 	}
 	d.targets = append(append([]msg.NodeID(nil), d.l2s...), d.tccIDs...)
 	d.dsts = make([]msg.NodeID, 0, len(d.targets))
 	d.pinEntry = d.entryPinned
 	if cfg.Opts.Tracking != TrackNone {
-		d.dirArr = cachearray.New[dirEntry](cfg.Geo.DirArray(), nil)
+		d.dirArr = cachearray.New[dirEntry](cfg.Geo.DirArray())
 	}
 	return d
 }
@@ -241,7 +240,7 @@ func (d *Directory) Receive(m msg.Message) {
 }
 
 func (d *Directory) enqueue(m *msg.Message) {
-	if _, busy := d.txns[m.Addr]; busy {
+	if d.txns.Find(m.Addr) != nil {
 		d.pend.Push(m.Addr, *m)
 		return
 	}
@@ -253,7 +252,7 @@ func (d *Directory) start(m *msg.Message) {
 	t := d.freeTxns.Get()
 	*t = txn{id: d.nextID, req: *m, addr: m.Addr, start: d.engine.Now()}
 	d.nextID++
-	d.txns[m.Addr] = t
+	*d.txns.Put(m.Addr) = t
 	// The directory-cache/transaction-table access costs DirLatency.
 	d.engine.Post(d.timing.DirLatency, d, dirKindBegin, 0, t)
 }
@@ -428,7 +427,7 @@ func (d *Directory) OnEvent(kind uint8, arg uint64, obj any) {
 }
 
 func (d *Directory) handleAck(m *msg.Message) {
-	t := d.txns[m.Addr]
+	t, _ := d.txns.Get(m.Addr)
 	if t == nil || t.id != m.TxnID {
 		have := "none"
 		if t != nil {
@@ -448,7 +447,7 @@ func (d *Directory) handleAck(m *msg.Message) {
 }
 
 func (d *Directory) handleUnblock(m *msg.Message) {
-	t := d.txns[m.Addr]
+	t, _ := d.txns.Get(m.Addr)
 	if t == nil {
 		d.violate("stray-unblock", m.Addr, m.TxnID, *m, "no transaction in flight for the line")
 	}
@@ -592,7 +591,7 @@ func (d *Directory) respondAndFinish(t *txn, typ msg.Type) {
 
 func (d *Directory) complete(t *txn) {
 	d.Stats.TxnLatency.Observe(uint64(d.engine.Now() - t.start))
-	delete(d.txns, t.addr)
+	d.txns.Delete(t.addr)
 	d.drainPending(t.addr)
 	// Nothing refers to t any more: its begin, LLC-read and memory-read
 	// events have all fired (completion waits for memDone), every probe
@@ -690,13 +689,13 @@ func (d *Directory) LLCHas(addr cachearray.LineAddr) bool { return d.llc.present
 func (d *Directory) LLCDirty(addr cachearray.LineAddr) bool { return d.llc.dirtyLine(addr) }
 
 // Idle reports whether the directory has no in-flight transactions.
-func (d *Directory) Idle() bool { return len(d.txns) == 0 && d.pend.Len() == 0 }
+func (d *Directory) Idle() bool { return d.txns.Len() == 0 && d.pend.Len() == 0 }
 
 // LineBusy reports whether a transaction is in flight (or queued) for
 // addr (checker/oracle hook: stable-state invariants are only asserted
 // on quiescent lines).
 func (d *Directory) LineBusy(addr cachearray.LineAddr) bool {
-	return d.txns[addr] != nil || len(d.pend.At(addr)) > 0
+	return d.txns.Find(addr) != nil || len(d.pend.At(addr)) > 0
 }
 
 // LineFingerprint renders the directory's complete per-line state —
@@ -704,7 +703,7 @@ func (d *Directory) LineBusy(addr cachearray.LineAddr) bool {
 // LLC state — as a canonical string for the model checker's state hash.
 func (d *Directory) LineFingerprint(addr cachearray.LineAddr) string {
 	var b strings.Builder
-	if t := d.txns[addr]; t != nil {
+	if t, ok := d.txns.Get(addr); ok {
 		fmt.Fprintf(&b, "txn(%s,%d,a%d,r%t,mi%t,md%t,u%t,nu%t,nd%t,dfc%t,da%t,dg%t,fs%t,ev%t,id%d)",
 			t.req.Type, t.req.Src, t.pendingAcks, t.responded, t.memIssued, t.memDone,
 			t.unblocked, t.needUnblock, t.needData, t.dataFromCache, t.dirtyAck, t.downgrade,

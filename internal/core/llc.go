@@ -30,7 +30,7 @@ type LLCStats struct {
 
 func newLLC(geo Geometry, opts Options, mem MemPort) *llc {
 	return &llc{
-		arr:  cachearray.New[llcMeta](geo.LLCArray(), nil),
+		arr:  cachearray.New[llcMeta](geo.LLCArray()),
 		opts: opts,
 		mem:  mem,
 	}
@@ -54,17 +54,17 @@ func (l *llc) read(addr cachearray.LineAddr) bool {
 // (§III-C's "minor latency penalty").
 func (l *llc) insert(addr cachearray.LineAddr, dirty bool) (displacedDirty bool) {
 	l.stats.Writes++
-	if ln := l.arr.Lookup(addr); ln != nil {
-		ln.Meta.Dirty = ln.Meta.Dirty || dirty
+	if m := l.arr.Lookup(addr); m != nil {
+		m.Dirty = m.Dirty || dirty
 		return false
 	}
-	ln, evTag, evMeta, evicted := l.arr.Insert(addr, nil)
+	m, evTag, evMeta, evicted := l.arr.Insert(addr, nil)
 	if evicted && evMeta.Dirty {
 		l.stats.DirtyEvictions++
 		l.mem.Write(evTag)
 		displacedDirty = true
 	}
-	ln.Meta.Dirty = dirty
+	m.Dirty = dirty
 	return displacedDirty
 }
 
@@ -83,6 +83,6 @@ func (l *llc) present(addr cachearray.LineAddr) bool {
 
 // dirtyLine reports whether addr is cached dirty.
 func (l *llc) dirtyLine(addr cachearray.LineAddr) bool {
-	ln := l.arr.Peek(addr)
-	return ln != nil && ln.Meta.Dirty
+	m := l.arr.Peek(addr)
+	return m != nil && m.Dirty
 }

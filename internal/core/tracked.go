@@ -14,12 +14,12 @@ func (d *Directory) beginTracked(t *txn) {
 	m := &t.req
 	switch m.Type {
 	case msg.RdBlk, msg.RdBlkS, msg.RdBlkM:
-		ln := d.dirArr.Lookup(t.addr)
-		if ln == nil {
+		e := d.dirArr.Lookup(t.addr)
+		if e == nil {
 			d.allocateEntry(t)
 			return
 		}
-		d.trackedRead(t, &ln.Meta, false)
+		d.trackedRead(t, e, false)
 
 	case msg.VicDirty, msg.VicClean:
 		d.trackedVictim(t)
@@ -171,10 +171,10 @@ func (d *Directory) commitOwnerRead(t *txn) {
 func (d *Directory) trackedVictim(t *txn) {
 	m := &t.req
 	dirty := m.Type == msg.VicDirty
-	ln := d.dirArr.Lookup(t.addr)
+	e := d.dirArr.Lookup(t.addr)
 	reqIdx := d.targetIndex(m.Src)
 
-	if ln == nil {
+	if e == nil {
 		// Untracked victim: the entry was evicted (its backward
 		// invalidation already captured the data) or raced away. The
 		// write is a harmless duplicate of identical data.
@@ -184,7 +184,6 @@ func (d *Directory) trackedVictim(t *txn) {
 		d.respondAndFinish(t, msg.WBAck)
 		return
 	}
-	e := &ln.Meta
 	switch {
 	case dirty && e.State == dirO && int(e.Owner) == reqIdx:
 		d.commitVictim(t, true)
@@ -236,11 +235,11 @@ func (d *Directory) trackedVictim(t *txn) {
 // the entry, then (commitWritePerm) commit the write and update the
 // entry.
 func (d *Directory) trackedWritePerm(t *txn) {
-	if ln := d.dirArr.Lookup(t.addr); ln == nil {
+	if e := d.dirArr.Lookup(t.addr); e == nil {
 		// Inclusive directory: no processor cache holds the line.
 		d.sendProbes(t, true, nil)
 	} else {
-		t.entry = &ln.Meta
+		t.entry = e
 		d.sendProbes(t, true, d.invTargets(t.entry, t.req.Src))
 	}
 	t.commit = commitWritePerm
@@ -273,15 +272,15 @@ func (d *Directory) commitWritePerm(t *txn) {
 // beyond the owner's natural M→O downgrade.
 func (d *Directory) trackedDMARead(t *txn) {
 	t.needData = true
-	ln := d.dirArr.Lookup(t.addr)
-	if ln != nil && ln.Meta.State == dirO {
-		owner := int(ln.Meta.Owner)
+	e := d.dirArr.Lookup(t.addr)
+	if e != nil && e.State == dirO {
+		owner := int(e.Owner)
 		t.downgrade = true
 		d.sendProbes(t, false, []msg.NodeID{d.targets[owner]})
-		t.entry, t.owner = &ln.Meta, int8(owner)
+		t.entry, t.owner = e, int8(owner)
 		t.commit = commitDMAOwner
 	} else {
-		if ln == nil {
+		if e == nil {
 			d.opts.Recorder.Record(machTracked, "I", "DMARd", "I") //proto:actions no probes, serve LLC/mem //proto:emits Resp
 		} else {
 			d.opts.Recorder.Record(machTracked, "S", "DMARd", "S") //proto:actions no probes, serve LLC/mem //proto:emits Resp
@@ -349,81 +348,83 @@ func (d *Directory) addSharer(e *dirEntry, idx int) {
 
 // entryPinned reports whether a directory way must not be evicted: its
 // entry is being evicted already, or a live txn refers to it.
-func (d *Directory) entryPinned(ln *cachearray.Line[dirEntry]) bool {
-	return ln.Meta.Busy || d.txns[ln.Tag] != nil
+func (d *Directory) entryPinned(line cachearray.LineAddr, e *dirEntry) bool {
+	return e.Busy || d.txns.Find(line) != nil
 }
 
 // allocateEntry finds a way for read t's line, evicting (with backward
 // invalidations) if the set is full, then serves t from the new entry.
 func (d *Directory) allocateEntry(t *txn) {
-	var victim *cachearray.Line[dirEntry]
+	var (
+		tag   cachearray.LineAddr
+		e     *dirEntry
+		valid bool
+	)
 	if d.opts.DirRepl == DirReplFewestSharers {
-		victim = d.fewestSharersVictim(t.addr, d.pinEntry)
+		tag, e, valid = d.fewestSharersVictim(t.addr)
 	} else {
-		victim = d.dirArr.FindVictim(t.addr, d.pinEntry)
+		tag, e, valid = d.dirArr.FindVictim(t.addr, d.pinEntry)
 	}
-	if victim == nil || (victim.Valid && d.entryPinned(victim)) {
+	if e == nil || (valid && d.entryPinned(tag, e)) {
 		// Every way is busy; retry after a directory-cycle.
 		d.Stats.AllocStalls++
 		d.engine.Post(d.timing.DirLatency, d, dirKindAllocRetry, 0, t)
 		return
 	}
-	if !victim.Valid {
+	if !valid {
 		d.installEntry(t)
 		return
 	}
-	d.evictEntry(victim, t)
+	d.evictEntry(tag, e, t)
 }
 
 // installEntry allocates read t's entry in a free way and serves t as a
 // state-I read.
 func (d *Directory) installEntry(t *txn) {
-	ln, _, _, _ := d.dirArr.Insert(t.addr, d.pinEntry)
-	ln.Meta.Owner = -1
-	d.trackedRead(t, &ln.Meta, true)
+	e, _, _, _ := d.dirArr.Insert(t.addr, d.pinEntry)
+	e.Owner = -1
+	d.trackedRead(t, e, true)
 }
 
 // fewestSharersVictim implements the §VII future-work policy: prefer
 // unmodified (S) entries with the fewest sharers; fall back to any
-// unpinned way; deterministic first-match tie-break.
-func (d *Directory) fewestSharersVictim(addr cachearray.LineAddr, pin func(*cachearray.Line[dirEntry]) bool) *cachearray.Line[dirEntry] {
-	ways := d.dirArr.Ways(addr)
-	var best *cachearray.Line[dirEntry]
+// unpinned way; deterministic first-match tie-break. e is nil when
+// every way is pinned.
+func (d *Directory) fewestSharersVictim(addr cachearray.LineAddr) (tag cachearray.LineAddr, e *dirEntry, valid bool) {
 	bestScore := 1 << 30
-	for i := range ways {
-		ln := &ways[i]
-		if !ln.Valid {
-			return ln
+	for w := 0; w < d.dirArr.Config().Assoc; w++ {
+		wtag, we, wvalid := d.dirArr.Way(addr, w)
+		if !wvalid {
+			return wtag, we, false
 		}
-		if pin(ln) {
+		if d.entryPinned(wtag, we) {
 			continue
 		}
-		score := ln.Meta.sharerCount()
-		if ln.Meta.State == dirO {
+		score := we.sharerCount()
+		if we.State == dirO {
 			score += 1 << 16 // deprioritize modified entries
 		}
 		if score < bestScore {
 			bestScore = score
-			best = ln
+			tag, e, valid = wtag, we, true
 		}
 	}
-	return best
+	return tag, e, valid
 }
 
 // evictEntry performs the backward invalidation of a directory entry:
 // probe-invalidate every (tracked or possible) holder, write any dirty
 // data pulled back into the LLC, deallocate, then resume the read
 // waiting for the way.
-func (d *Directory) evictEntry(victim *cachearray.Line[dirEntry], waiting *txn) {
+func (d *Directory) evictEntry(line cachearray.LineAddr, victim *dirEntry, waiting *txn) {
 	d.Stats.EntryEvictions++
-	line := victim.Tag
-	victim.Meta.Busy = true
+	victim.Busy = true
 	et := d.freeTxns.Get()
 	*et = txn{id: d.nextID, addr: line, eviction: true, waiting: waiting,
 		req: msg.Message{Type: msg.PrbInv, Addr: line}}
 	d.nextID++
-	d.txns[line] = et
-	targets := d.invTargets(&victim.Meta, msg.NodeID(-1))
+	*d.txns.Put(line) = et
+	targets := d.invTargets(victim, msg.NodeID(-1))
 	d.sendProbes(et, true, targets)
 	if et.pendingAcks == 0 {
 		d.finishEviction(et)
@@ -444,7 +445,7 @@ func (d *Directory) finishEviction(et *txn) {
 		}
 	}
 	d.dirArr.Invalidate(et.addr)
-	delete(d.txns, et.addr)
+	d.txns.Delete(et.addr)
 	d.installEntry(et.waiting)
 	d.drainPending(et.addr)
 	// Nothing refers to et any more: every backward-invalidation ack has
@@ -459,11 +460,11 @@ func (d *Directory) EntryState(addr cachearray.LineAddr) (state string, owner in
 	if d.dirArr == nil {
 		return "untracked", -1, 0
 	}
-	ln := d.dirArr.Peek(addr)
-	if ln == nil {
+	e := d.dirArr.Peek(addr)
+	if e == nil {
 		return "I", -1, 0
 	}
-	return ln.Meta.State.String(), int(ln.Meta.Owner), ln.Meta.Sharers
+	return e.State.String(), int(e.Owner), e.Sharers
 }
 
 // DirOccupancy returns the number of valid directory entries.

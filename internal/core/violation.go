@@ -71,7 +71,7 @@ func (v *ProtocolViolation) String() string { return v.Error() }
 // state and LLC state for the offending line.
 func (d *Directory) stateDump(addr cachearray.LineAddr) []AgentState {
 	var out []AgentState
-	if t := d.txns[addr]; t != nil {
+	if t, ok := d.txns.Get(addr); ok {
 		out = append(out, AgentState{Agent: "dir.txn", State: fmt.Sprintf(
 			"id=%d req=%s pendingAcks=%d responded=%v memIssued=%v memDone=%v unblocked=%v eviction=%v",
 			t.id, t.req.Type, t.pendingAcks, t.responded, t.memIssued, t.memDone, t.unblocked, t.eviction)})
@@ -90,11 +90,11 @@ func (d *Directory) stateDump(addr cachearray.LineAddr) []AgentState {
 	out = append(out, AgentState{Agent: "llc", State: fmt.Sprintf("present=%v dirty=%v", d.llc.present(addr), d.llc.dirtyLine(addr))})
 	// Other lines with in-flight transactions, for cross-line deadlocks.
 	var busy []uint64
-	for a := range d.txns { //hsclint:deterministic — sorted below before use
+	d.txns.ForEach(func(a cachearray.LineAddr, _ **txn) {
 		if a != addr {
 			busy = append(busy, uint64(a))
 		}
-	}
+	})
 	sort.Slice(busy, func(i, j int) bool { return busy[i] < busy[j] })
 	if len(busy) > 0 {
 		parts := make([]string, len(busy))

@@ -128,10 +128,10 @@ type CorePair struct {
 	l1d [2]*cachearray.Array[struct{}]
 	l1i *cachearray.Array[struct{}]
 
-	mshr      map[cachearray.LineAddr]*mshrEntry
+	mshr      recycle.Table[cachearray.LineAddr, *mshrEntry]
 	freeMSHRs recycle.Free[mshrEntry]
-	wb        map[cachearray.LineAddr]bool     // victim buffer: line → dirty
-	wbWait    map[cachearray.LineAddr][]waiter // accesses stalled on an outstanding writeback
+	wb        recycle.Table[cachearray.LineAddr, bool] // victim buffer: line → dirty
+	wbWait    map[cachearray.LineAddr][]waiter         // accesses stalled on an outstanding writeback
 
 	// pendingStores counts store/RMW hits whose completion callback is
 	// still in flight (the L1-latency commit window); probeWait holds
@@ -142,7 +142,7 @@ type CorePair struct {
 	// (stale data at the requester). Real L2s serialize probes against
 	// the store pipeline the same way; the deferral is bounded by the
 	// fixed L1 latency, so it cannot deadlock.
-	pendingStores map[cachearray.LineAddr]int //hsclint:stallqueue — decremented by each store completion callback
+	pendingStores recycle.Table[cachearray.LineAddr, int] //hsclint:stallqueue — deleted by the last store completion callback
 	probeWait     map[cachearray.LineAddr][]msg.Message
 
 	// rec records fired protocol transitions for the static-vs-dynamic
@@ -177,18 +177,15 @@ func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID, cfg Config) *C
 		id:     id,
 		dirID:  dirID,
 		l2: cachearray.New[l2Meta](cachearray.Config{
-			SizeBytes: cfg.L2SizeBytes, Assoc: cfg.L2Assoc, BlockSize: cfg.BlockSize}, nil),
+			SizeBytes: cfg.L2SizeBytes, Assoc: cfg.L2Assoc, BlockSize: cfg.BlockSize}),
 		l1i: cachearray.New[struct{}](cachearray.Config{
-			SizeBytes: cfg.L1ISizeBytes, Assoc: cfg.L1IAssoc, BlockSize: cfg.BlockSize}, nil),
-		mshr:          make(map[cachearray.LineAddr]*mshrEntry),
-		wb:            make(map[cachearray.LineAddr]bool),
-		wbWait:        make(map[cachearray.LineAddr][]waiter),
-		pendingStores: make(map[cachearray.LineAddr]int),
-		probeWait:     make(map[cachearray.LineAddr][]msg.Message),
+			SizeBytes: cfg.L1ISizeBytes, Assoc: cfg.L1IAssoc, BlockSize: cfg.BlockSize}),
+		wbWait:    make(map[cachearray.LineAddr][]waiter),
+		probeWait: make(map[cachearray.LineAddr][]msg.Message),
 	}
 	for i := range cp.l1d {
 		cp.l1d[i] = cachearray.New[struct{}](cachearray.Config{
-			SizeBytes: cfg.L1DSizeBytes, Assoc: cfg.L1DAssoc, BlockSize: cfg.BlockSize}, nil)
+			SizeBytes: cfg.L1DSizeBytes, Assoc: cfg.L1DAssoc, BlockSize: cfg.BlockSize})
 	}
 	ic.Register(id, cp)
 	return cp
@@ -222,10 +219,10 @@ func (cp *CorePair) Access(core int, kind AccessKind, line cachearray.LineAddr, 
 // access is Access without demand counting (used to replay waiters).
 func (cp *CorePair) access(core int, kind AccessKind, line cachearray.LineAddr, done func()) {
 	l1 := cp.l1For(core, kind)
-	ln := cp.l2.Lookup(line)
+	meta := cp.l2.Lookup(line)
 
-	if ln != nil {
-		st := ln.Meta.State
+	if meta != nil {
+		st := meta.State
 		if !kind.needsWrite() {
 			cp.rec.Record(machine, st.String(), "Load", st.String()) //proto:states S,E,O,M //proto:next S,E,O,M //proto:actions serve from L1/L2
 			if l1.Lookup(line) != nil {
@@ -248,7 +245,7 @@ func (cp *CorePair) access(core int, kind AccessKind, line cachearray.LineAddr, 
 		case Exclusive:
 			// Silent E→M: the directory is not informed (§II-B).
 			cp.rec.Record(machine, "E", "Store", "M") //proto:actions silent upgrade
-			ln.Meta.State = Modified
+			meta.State = Modified
 			cp.Stats.L2Hits++
 			l1.Insert(line, nil)
 			cp.openStoreCommit(line, done)
@@ -261,7 +258,7 @@ func (cp *CorePair) access(core int, kind AccessKind, line cachearray.LineAddr, 
 			return
 		}
 	}
-	if _, inWB := cp.wb[line]; inWB {
+	if cp.wb.Find(line) != nil {
 		// The line sits in the victim buffer awaiting its WBAck.
 		// Re-acquiring it now would leave two live copies — a probe
 		// crossing the window would be answered from the stale victim
@@ -288,14 +285,14 @@ func (cp *CorePair) access(core int, kind AccessKind, line cachearray.LineAddr, 
 
 // miss allocates (or joins) an MSHR entry and issues the request.
 func (cp *CorePair) miss(line cachearray.LineAddr, t msg.Type, w waiter) {
-	if e, ok := cp.mshr[line]; ok {
+	if e, ok := cp.mshr.Get(line); ok {
 		e.waiters = append(e.waiters, w)
 		return
 	}
 	e := cp.freeMSHRs.Get()
 	e.waiters = append(e.waiters, w)
 	e.issued, e.typ = cp.engine.Now(), t
-	cp.mshr[line] = e
+	*cp.mshr.Put(line) = e
 	cp.ic.SendAfter(cp.cfg.L2Latency, msg.Message{Type: t, Addr: line, Src: cp.id, Dst: cp.dirID})
 }
 
@@ -323,7 +320,7 @@ func (cp *CorePair) Receive(m msg.Message) {
 		cp.fill(&m)
 	case msg.WBAck:
 		cp.rec.Record(machine, "WB", "WBAck", "I") //proto:actions retire victim, replay stalled accesses
-		delete(cp.wb, m.Addr)
+		cp.wb.Delete(m.Addr)
 		if ws := cp.wbWait[m.Addr]; len(ws) > 0 {
 			delete(cp.wbWait, m.Addr)
 			for _, w := range ws {
@@ -339,11 +336,11 @@ func (cp *CorePair) Receive(m msg.Message) {
 
 // fill installs a granted line and replays the waiting accesses.
 func (cp *CorePair) fill(m *msg.Message) {
-	e := cp.mshr[m.Addr]
+	e, _ := cp.mshr.Get(m.Addr)
 	if e == nil {
 		panic(fmt.Sprintf("corepair %d: fill without MSHR: %s", cp.id, *m))
 	}
-	delete(cp.mshr, m.Addr)
+	cp.mshr.Delete(m.Addr)
 	cp.Stats.MissLatency.Observe(uint64(cp.engine.Now() - e.issued))
 
 	var st MOESI
@@ -357,8 +354,8 @@ func (cp *CorePair) fill(m *msg.Message) {
 	}
 	if existing := cp.l2.Lookup(m.Addr); existing != nil {
 		// Upgrade response for a line already resident (S/O → M).
-		cp.rec.Record(machine, existing.Meta.State.String(), "Fill", st.String()) //proto:states S,O //proto:next M //proto:actions install upgrade grant //proto:consumes Resp //proto:emits Unblock
-		existing.Meta.State = st
+		cp.rec.Record(machine, existing.State.String(), "Fill", st.String()) //proto:states S,O //proto:next M //proto:actions install upgrade grant //proto:consumes Resp //proto:emits Unblock
+		existing.State = st
 	} else {
 		cp.rec.Record(machine, "I", "Fill", st.String()) //proto:next S,E,M //proto:actions install grant, send Unblock //proto:consumes Resp //proto:emits Unblock
 		// Pin lines with an outstanding miss: victimizing a line whose
@@ -367,13 +364,12 @@ func (cp *CorePair) fill(m *msg.Message) {
 		// entry — a stale copy that answers probes after the upgrade
 		// grant lands (SWMR breaks). The MSHR entry for m.Addr itself was
 		// deleted above, so this fill never pins its own way.
-		ln, evTag, evMeta, evicted := cp.l2.Insert(m.Addr, func(l *cachearray.Line[l2Meta]) bool {
-			_, inFlight := cp.mshr[l.Tag]
-			return inFlight
+		meta, evTag, evMeta, evicted := cp.l2.Insert(m.Addr, func(tag cachearray.LineAddr, _ *l2Meta) bool {
+			return cp.mshr.Find(tag) != nil
 		})
-		ln.Meta.State = st
+		meta.State = st
 		if evicted {
-			if _, inFlight := cp.mshr[evTag]; inFlight {
+			if cp.mshr.Find(evTag) != nil {
 				panic(fmt.Sprintf("corepair %d: evicted line %#x with miss in flight (all ways pinned?)", cp.id, evTag))
 			}
 			cp.victimize(evTag, evMeta.State)
@@ -406,7 +402,7 @@ func (cp *CorePair) victimize(line cachearray.LineAddr, st MOESI) {
 	} else {
 		cp.Stats.VicClean++
 	}
-	cp.wb[line] = st.dirty()
+	*cp.wb.Put(line) = st.dirty()
 	cp.ic.Send(msg.Message{Type: t, Addr: line, Src: cp.id, Dst: cp.dirID})
 }
 
@@ -423,7 +419,7 @@ func (cp *CorePair) invalidateL1s(line cachearray.LineAddr) {
 // The completion is a dispatch-form event (cpKindStoreCommit), so a
 // store hit schedules nothing but the pooled event itself.
 func (cp *CorePair) openStoreCommit(line cachearray.LineAddr, done func()) {
-	cp.pendingStores[line]++
+	*cp.pendingStores.Put(line)++
 	cp.engine.Post(cp.cfg.L1Latency, cp, cpKindStoreCommit, uint64(line), done)
 }
 
@@ -431,11 +427,11 @@ func (cp *CorePair) openStoreCommit(line cachearray.LineAddr, done func()) {
 // deferred behind it.
 func (cp *CorePair) storeCommitDone(line cachearray.LineAddr, done func()) {
 	done()
-	cp.pendingStores[line]--
-	if cp.pendingStores[line] > 0 {
+	if n := cp.pendingStores.Find(line); *n > 1 {
+		*n--
 		return
 	}
-	delete(cp.pendingStores, line)
+	cp.pendingStores.Delete(line)
 	deferred := cp.probeWait[line]
 	delete(cp.probeWait, line)
 	for i := range deferred {
@@ -449,7 +445,7 @@ func (cp *CorePair) storeCommitDone(line cachearray.LineAddr, done func()) {
 // or invalidating as requested. A probe that arrives inside a store
 // commit window waits in probeWait until the window closes.
 func (cp *CorePair) probe(m *msg.Message) {
-	if cp.pendingStores[m.Addr] > 0 {
+	if cp.pendingStores.Find(m.Addr) != nil {
 		// A store hit on this line is inside its commit window; answer
 		// after it retires so the acknowledgment carries its data.
 		cp.probeWait[m.Addr] = append(cp.probeWait[m.Addr], *m)
@@ -458,32 +454,32 @@ func (cp *CorePair) probe(m *msg.Message) {
 	cp.Stats.ProbesReceived++
 	ack := msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: cp.id, Dst: m.Src, TxnID: m.TxnID}
 
-	if dirty, inWB := cp.wb[m.Addr]; inWB {
+	if dirty, inWB := cp.wb.Get(m.Addr); inWB {
 		// The victim crossed this probe in flight: supply from the
 		// victim buffer.
 		cp.rec.Record(machine, "WB", m.Type.String(), "WB") //proto:events PrbInv,PrbDowngrade //proto:actions answer from victim buffer //proto:emits PrbAck
 		ack.HasData = true
 		ack.Dirty = dirty
 		cp.Stats.ProbeHits++
-	} else if ln := cp.l2.Peek(m.Addr); ln != nil {
+	} else if meta := cp.l2.Peek(m.Addr); meta != nil {
 		cp.Stats.ProbeHits++
 		ack.HasData = true
-		ack.Dirty = ln.Meta.State.dirty()
+		ack.Dirty = meta.State.dirty()
 		if m.Type == msg.PrbInv {
-			cp.rec.Record(machine, ln.Meta.State.String(), "PrbInv", "I") //proto:states S,E,O,M //proto:actions ack with data, invalidate //proto:emits PrbAck
+			cp.rec.Record(machine, meta.State.String(), "PrbInv", "I") //proto:states S,E,O,M //proto:actions ack with data, invalidate //proto:emits PrbAck
 			cp.l2.Invalidate(m.Addr)
 			cp.invalidateL1s(m.Addr)
 		} else {
-			switch ln.Meta.State {
+			switch meta.State {
 			case Modified:
 				cp.rec.Record(machine, "M", "PrbDowngrade", "O") //proto:emits PrbAck
-				ln.Meta.State = Owned
+				meta.State = Owned
 			case Exclusive:
 				cp.rec.Record(machine, "E", "PrbDowngrade", "S") //proto:emits PrbAck
-				ln.Meta.State = Shared
+				meta.State = Shared
 			default:
 				// S and O already lack write permission: ack, keep state.
-				cp.rec.Record(machine, ln.Meta.State.String(), "PrbDowngrade", ln.Meta.State.String()) //proto:states S,O //proto:next S,O //proto:emits PrbAck
+				cp.rec.Record(machine, meta.State.String(), "PrbDowngrade", meta.State.String()) //proto:states S,O //proto:next S,O //proto:emits PrbAck
 			}
 		}
 	} else {
@@ -496,8 +492,8 @@ func (cp *CorePair) probe(m *msg.Message) {
 
 // L2State reports the MOESI state of a line (test/invariant hook).
 func (cp *CorePair) L2State(line cachearray.LineAddr) MOESI {
-	if ln := cp.l2.Peek(line); ln != nil {
-		return ln.Meta.State
+	if meta := cp.l2.Peek(line); meta != nil {
+		return meta.State
 	}
 	return Invalid
 }
@@ -508,19 +504,19 @@ func (cp *CorePair) ForEachL2Line(fn func(line cachearray.LineAddr, st MOESI)) {
 }
 
 // OutstandingMisses reports MSHR occupancy (quiesce checks).
-func (cp *CorePair) OutstandingMisses() int { return len(cp.mshr) }
+func (cp *CorePair) OutstandingMisses() int { return cp.mshr.Len() }
 
 // WBState reports whether line sits in the victim buffer awaiting its
 // WBAck, and whether the buffered data is dirty (checker/oracle hook).
 func (cp *CorePair) WBState(line cachearray.LineAddr) (present, dirty bool) {
-	d, ok := cp.wb[line]
+	d, ok := cp.wb.Get(line)
 	return ok, d
 }
 
 // MissType reports the request type of line's outstanding miss, if any
 // (checker/observer hook).
 func (cp *CorePair) MissType(line cachearray.LineAddr) (msg.Type, bool) {
-	if e, ok := cp.mshr[line]; ok {
+	if e, ok := cp.mshr.Get(line); ok {
 		return e.typ, true
 	}
 	return 0, false
@@ -529,7 +525,7 @@ func (cp *CorePair) MissType(line cachearray.LineAddr) (msg.Type, bool) {
 // MSHRWaiters reports the number of accesses parked on an outstanding
 // miss to line (checker hook).
 func (cp *CorePair) MSHRWaiters(line cachearray.LineAddr) int {
-	if e, ok := cp.mshr[line]; ok {
+	if e, ok := cp.mshr.Get(line); ok {
 		return len(e.waiters)
 	}
 	return 0

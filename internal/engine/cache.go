@@ -2,7 +2,9 @@ package engine
 
 import (
 	"container/list"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -19,7 +21,9 @@ import (
 // never leave a corrupt entry behind — the key simply stays absent
 // until a complete write lands. The same rename makes one directory
 // safe to share between processes: each sees a key as absent or
-// complete, never half-written.
+// complete, never half-written. Each file ends in a CRC-32C of its
+// result, so an entry damaged after the rename (emptied, truncated,
+// overwritten) reads as a miss, and the re-run replaces it.
 type Cache struct {
 	max int
 	dir string
@@ -30,6 +34,7 @@ type Cache struct {
 	hits    uint64 // in-memory hits
 	disk    uint64 // disk hits (promoted into memory)
 	misses  uint64
+	corrupt uint64 // disk entries that failed their checksum (also misses)
 	puts    uint64
 	evicted uint64
 }
@@ -45,6 +50,7 @@ type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	DiskHits  uint64 `json:"diskHits"`
 	Misses    uint64 `json:"misses"`
+	Corrupt   uint64 `json:"corrupt"`
 	Puts      uint64 `json:"puts"`
 	Evictions uint64 `json:"evictions"`
 }
@@ -70,7 +76,8 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 }
 
 // Get returns a copy of the cached result for key. A memory miss falls
-// through to the disk store; a disk hit is promoted into memory. The
+// through to the disk store; a disk hit is promoted into memory, and a
+// disk entry that fails its checksum counts as corrupt and misses. The
 // disk read runs outside the cache lock, and may be slow: callers must
 // not hold a lock of their own across Get.
 func (c *Cache) Get(key string) ([]byte, bool) {
@@ -84,6 +91,14 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	b, err := os.ReadFile(c.path(key))
 	if err != nil {
 		c.count(&c.misses)
+		return nil, false
+	}
+	b, ok := unseal(b)
+	if !ok {
+		c.mu.Lock()
+		c.corrupt++
+		c.misses++
+		c.mu.Unlock()
 		return nil, false
 	}
 	c.mu.Lock()
@@ -124,7 +139,7 @@ func (c *Cache) Put(key string, val []byte) error {
 	if err != nil {
 		return fmt.Errorf("engine: cache write: %w", err)
 	}
-	if _, err := tmp.Write(val); err != nil {
+	if _, err := tmp.Write(seal(val)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("engine: cache write: %w", err)
@@ -156,6 +171,7 @@ func (c *Cache) Stats() CacheStats {
 		Hits:      c.hits,
 		DiskHits:  c.disk,
 		Misses:    c.misses,
+		Corrupt:   c.corrupt,
 		Puts:      c.puts,
 		Evictions: c.evicted,
 	}
@@ -186,6 +202,27 @@ func (c *Cache) count(field *uint64) {
 
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
+}
+
+// castagnoli is the CRC-32C table of the disk entries' trailers.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// seal returns a disk entry: val followed by its 4-byte big-endian
+// CRC-32C.
+func seal(val []byte) []byte {
+	out := make([]byte, len(val), len(val)+4)
+	copy(out, val)
+	return binary.BigEndian.AppendUint32(out, crc32.Checksum(val, castagnoli))
+}
+
+// unseal returns the result a disk entry holds, and false when the
+// entry is too short or its checksum does not match.
+func unseal(b []byte) ([]byte, bool) {
+	n := len(b) - 4
+	if n < 0 || crc32.Checksum(b[:n], castagnoli) != binary.BigEndian.Uint32(b[n:]) {
+		return nil, false
+	}
+	return b[:n], true
 }
 
 func cloneBytes(b []byte) []byte {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -104,6 +105,99 @@ func TestCacheIgnoresPartialWrites(t *testing.T) {
 	}
 	if _, ok := c.Get("put-123456"); ok {
 		t.Fatal("partial write visible as a cache entry")
+	}
+}
+
+// TestCacheCorruptDiskEntryIsMiss: a disk entry emptied or truncated
+// after it landed fails its checksum, so Get reports a miss and counts
+// it as corrupt instead of serving the damaged bytes.
+func TestCacheCorruptDiskEntryIsMiss(t *testing.T) {
+	val := []byte(`{"bench":"bs","cycles":12345}`)
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+	}{
+		{"empty", func([]byte) []byte { return nil }},
+		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"trailer only", func(b []byte) []byte { return b[len(b)-4:] }},
+		{"bit flip", func(b []byte) []byte { b[3] ^= 1; return b }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := NewCache(0, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Put("k", val); err != nil {
+				t.Fatal(err)
+			}
+			path := c.path("k")
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewCache(0, dir) // empty memory: Get reads disk
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := fresh.Get("k"); ok {
+				t.Fatalf("damaged entry served as a hit: %q", got)
+			}
+			if st := fresh.Stats(); st.Corrupt != 1 || st.Misses != 1 || st.DiskHits != 0 {
+				t.Fatalf("stats = %+v, want one corrupt miss", st)
+			}
+		})
+	}
+}
+
+// TestCorruptEntryReRunAndRepaired: a job whose disk entry is empty
+// runs again instead of completing as a cached Done job with an empty
+// result, and its Put replaces the entry, so the next process serves
+// the same bytes from disk.
+func TestCorruptEntryReRunAndRepaired(t *testing.T) {
+	dir := t.TempDir()
+	sp := Spec{Bench: "repair"}
+	if err := os.WriteFile(filepath.Join(dir, sp.Normalized().Hash()+".json"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := []byte(`{"bench":"repair"}`)
+	runs := 0
+	open := func() *Engine {
+		c, err := NewCache(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return New(Config{Workers: 1, Cache: c, Exec: func(context.Context, Spec) ([]byte, error) {
+			runs++
+			return want, nil
+		}})
+	}
+	e := open()
+	j, err := e.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := j.Wait(context.Background())
+	if err != nil || j.Cached() || !bytes.Equal(got, want) || runs != 1 {
+		t.Fatalf("first run: result %q, cached %t, err %v, runs %d; want a fresh run of %s", got, j.Cached(), err, runs, want)
+	}
+	if st := e.Stats().Cache; st.Corrupt != 1 {
+		t.Fatalf("cache stats = %+v, want the empty entry counted as corrupt", st)
+	}
+	e.Close()
+
+	e = open()
+	defer e.Close()
+	j, err = e.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = j.Wait(context.Background())
+	if err != nil || !j.Cached() || !bytes.Equal(got, want) || runs != 1 {
+		t.Fatalf("second process: result %q, cached %t, err %v, runs %d; want the repaired entry from disk", got, j.Cached(), err, runs)
 	}
 }
 

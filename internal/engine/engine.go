@@ -520,9 +520,16 @@ func (e *Engine) execRecovered(ctx context.Context, sp Spec) (result []byte, err
 // runJob executes one job with timeout and cancellation, classifies
 // the outcome, and memoizes successes.
 func (e *Engine) runJob(j *Job) {
-	ctx, cancel := context.WithCancel(e.baseCtx)
+	// Exactly one context per job, cancelled on return: a second,
+	// overwritten one would stay registered on e.baseCtx until Close.
+	var (
+		ctx    context.Context
+		cancel context.CancelFunc
+	)
 	if e.timeout > 0 {
 		ctx, cancel = context.WithTimeout(e.baseCtx, e.timeout)
+	} else {
+		ctx, cancel = context.WithCancel(e.baseCtx)
 	}
 	defer cancel()
 	if !e.start(j, cancel) {

@@ -559,3 +559,43 @@ func TestFailedJobsAlsoRetired(t *testing.T) {
 		t.Fatalf("failed-job churn grew the index to %d (retain=4)", st.Jobs)
 	}
 }
+
+// TestJobTimeoutLeavesNoContextPerJob: with JobTimeout set, a finished
+// job must leave nothing registered on the engine's base context. The
+// heap that survives GC across 20 000 failing stub jobs may grow no
+// faster than it does without a timeout; a cancel func dropped per job
+// kept about 124 B each until Close.
+func TestJobTimeoutLeavesNoContextPerJob(t *testing.T) {
+	const jobs = 20000
+	heapPerJob := func(timeout time.Duration) float64 {
+		e := New(Config{Workers: 1, RetainJobs: 1, JobTimeout: timeout,
+			Exec: func(context.Context, Spec) ([]byte, error) { return nil, errors.New("stub failure") }})
+		defer e.Close()
+		run := func(from, n int) {
+			for i := from; i < from+n; i++ {
+				j, err := e.Submit(Spec{Bench: fmt.Sprintf("leak-%d", i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				j.Wait(context.Background())
+			}
+		}
+		heap := func() uint64 {
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			return ms.HeapAlloc
+		}
+		run(0, 1000) // the index and the retention FIFO reach steady state
+		before := heap()
+		run(1000, jobs)
+		return (float64(heap()) - float64(before)) / jobs
+	}
+	untimed := heapPerJob(0)
+	timed := heapPerJob(time.Hour)
+	if timed-untimed > 32 {
+		t.Fatalf("heap grew %.1f B/job with JobTimeout 1h against %.1f B/job without: jobs leak their contexts",
+			timed, untimed)
+	}
+}

@@ -127,7 +127,7 @@ func TestSubmitProbesCacheOutsideEngineLock(t *testing.T) {
 	}
 
 	const want = `{"bench":"probe"}`
-	releasePipe(t, fd, want)
+	releasePipe(t, fd, string(seal([]byte(want))))
 	select {
 	case r := <-probed:
 		if r.err != nil {
@@ -176,7 +176,7 @@ func TestCacheDiskReadOutsideCacheLock(t *testing.T) {
 		t.Fatal("Len, Stats, Put or Get blocked for 2 s behind a Get reading disk")
 	}
 
-	releasePipe(t, fd, "P")
+	releasePipe(t, fd, string(seal([]byte("P"))))
 	select {
 	case v := <-got:
 		if string(v) != "P" {

@@ -180,6 +180,7 @@ func NewServer(e *Engine) http.Handler {
 		fmt.Fprintf(w, "%-48s %12d\n", "engine.cache.misses", st.Cache.Misses)
 		fmt.Fprintf(w, "%-48s %12d\n", "engine.cache.puts", st.Cache.Puts)
 		fmt.Fprintf(w, "%-48s %12d\n", "engine.cache.evictions", st.Cache.Evictions)
+		fmt.Fprintf(w, "%-48s %12d\n", "engine.cache.corrupt", st.Cache.Corrupt)
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

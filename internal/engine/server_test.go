@@ -289,6 +289,7 @@ var metricNames = []string{
 	"engine.queue_depth", "engine.running", "engine.jobs_known",
 	"engine.cache.entries", "engine.cache.hits", "engine.cache.disk_hits",
 	"engine.cache.misses", "engine.cache.puts", "engine.cache.evictions",
+	"engine.cache.corrupt",
 }
 
 // scrapeMetrics fetches GET /metrics and returns its names in order and

@@ -28,11 +28,11 @@ import (
 const machine = "gpu.tcc"
 
 // tccState renders a TCC line's VIPER state for transition recording.
-func tccState(ln *cachearray.Line[tccMeta]) string {
-	if ln == nil {
+func tccState(m *tccMeta) string {
+	if m == nil {
 		return "I"
 	}
-	if ln.Meta.Dirty {
+	if m.Dirty {
 		return "D"
 	}
 	return "V"
@@ -170,15 +170,15 @@ func New(engine *sim.Engine, ic noc.Fabric, ids []msg.NodeID, dirID msg.NodeID,
 		dirID:   dirID,
 		funcMem: fm,
 		sqc: cachearray.New[struct{}](cachearray.Config{
-			SizeBytes: cfg.SQCSizeBytes, Assoc: cfg.SQCAssoc, BlockSize: cfg.BlockSize}, nil),
+			SizeBytes: cfg.SQCSizeBytes, Assoc: cfg.SQCAssoc, BlockSize: cfg.BlockSize}),
 	}
 	for b := 0; b < cfg.NumTCCs; b++ {
-		g.tccs = append(g.tccs, cachearray.New[tccMeta](cfg.TCCBank(), nil))
+		g.tccs = append(g.tccs, cachearray.New[tccMeta](cfg.TCCBank()))
 		ic.Register(ids[b], g)
 	}
 	for i := 0; i < cfg.NumCUs; i++ {
 		g.tcps = append(g.tcps, cachearray.New[struct{}](cachearray.Config{
-			SizeBytes: cfg.TCPSizeBytes, Assoc: cfg.TCPAssoc, BlockSize: cfg.BlockSize}, nil))
+			SizeBytes: cfg.TCPSizeBytes, Assoc: cfg.TCPAssoc, BlockSize: cfg.BlockSize}))
 	}
 	return g
 }
@@ -248,8 +248,8 @@ func (g *GPUCaches) OnEvent(kind uint8, arg uint64, obj any) {
 }
 
 func (g *GPUCaches) tccRead(cu int, line cachearray.LineAddr, done func()) {
-	if ln := g.tccOf(line).Lookup(line); ln != nil {
-		g.rec.Record(machine, tccState(ln), "Rd", tccState(ln)) //proto:states V,D //proto:next V,D //proto:actions serve from TCC
+	if m := g.tccOf(line).Lookup(line); m != nil {
+		g.rec.Record(machine, tccState(m), "Rd", tccState(m)) //proto:states V,D //proto:next V,D //proto:actions serve from TCC
 		g.Stats.TCCHits++
 		g.tcps[cu].Insert(line, nil)
 		g.engine.Post(g.cfg.TCCLatency, g, gpuKindDone, 0, done)
@@ -280,9 +280,9 @@ func (g *GPUCaches) WriteLine(cu int, line cachearray.LineAddr, done func()) {
 
 func (g *GPUCaches) tccWrite(line cachearray.LineAddr, done func()) {
 	if g.cfg.WriteBackL2 {
-		if ln := g.tccOf(line).Lookup(line); ln != nil {
-			g.rec.Record(machine, tccState(ln), "Wr", "D") //proto:states V,D //proto:actions mark dirty (WB_L2)
-			ln.Meta.Dirty = true
+		if m := g.tccOf(line).Lookup(line); m != nil {
+			g.rec.Record(machine, tccState(m), "Wr", "D") //proto:states V,D //proto:actions mark dirty (WB_L2)
+			m.Dirty = true
 		} else {
 			g.rec.Record(machine, "I", "Wr", "D") //proto:actions allocate dirty (WB_L2)
 			g.insertTCC(line, true)
@@ -315,12 +315,12 @@ func (g *GPUCaches) sendWT(line cachearray.LineAddr, retain bool, done func()) {
 // must not clobber a write that landed while the miss was in flight.
 func (g *GPUCaches) insertTCC(line cachearray.LineAddr, dirty bool) {
 	arr := g.tccOf(line)
-	if ln := arr.Lookup(line); ln != nil {
-		ln.Meta.Dirty = ln.Meta.Dirty || dirty
+	if m := arr.Lookup(line); m != nil {
+		m.Dirty = m.Dirty || dirty
 		return
 	}
-	ln, evTag, evMeta, evicted := arr.Insert(line, nil)
-	ln.Meta.Dirty = dirty
+	m, evTag, evMeta, evicted := arr.Insert(line, nil)
+	m.Dirty = dirty
 	if evicted && evMeta.Dirty {
 		g.rec.Record(machine, "D", "Evict", "I") //proto:actions write back victim (WT) //proto:emits WT
 		g.sendWT(evTag, false, nil)
@@ -370,9 +370,9 @@ func (g *GPUCaches) deviceAtomic(rec *devAtomic) {
 	line := a.line
 	old := g.funcMem.RMW(a.word, a.op, a.operand, a.compare)
 	if g.cfg.WriteBackL2 {
-		if ln := g.tccOf(line).Lookup(line); ln != nil {
-			g.rec.Record(machine, tccState(ln), "AtomicDev", "D") //proto:states V,D //proto:actions RMW at TCC, mark dirty
-			ln.Meta.Dirty = true
+		if m := g.tccOf(line).Lookup(line); m != nil {
+			g.rec.Record(machine, tccState(m), "AtomicDev", "D") //proto:states V,D //proto:actions RMW at TCC, mark dirty
+			m.Dirty = true
 		} else {
 			g.rec.Record(machine, "I", "AtomicDev", "D") //proto:actions RMW at TCC, allocate dirty
 			g.insertTCC(line, true)
@@ -422,8 +422,8 @@ func (g *GPUCaches) ReleaseFlush(done func()) {
 		}
 		for _, a := range dirtyLines {
 			g.rec.Record(machine, "D", "FlushWB", "V") //proto:actions write back dirty line at release //proto:emits WT
-			if ln := g.tccOf(a).Peek(a); ln != nil {
-				ln.Meta.Dirty = false
+			if m := g.tccOf(a).Peek(a); m != nil {
+				m.Dirty = false
 			}
 			g.sendWT(a, true, nil)
 		}
@@ -507,8 +507,8 @@ func (g *GPUCaches) TCCHas(line cachearray.LineAddr) bool { return g.tccOf(line)
 // TCCDirty reports whether the owning TCC bank holds line dirty
 // (WB_L2 mode; checker hook).
 func (g *GPUCaches) TCCDirty(line cachearray.LineAddr) bool {
-	ln := g.tccOf(line).Peek(line)
-	return ln != nil && ln.Meta.Dirty
+	m := g.tccOf(line).Peek(line)
+	return m != nil && m.Dirty
 }
 
 // PendingLine reports the per-line in-flight transaction counts

@@ -114,21 +114,21 @@ func TestDeterminismIgnoresUnreachablePackages(t *testing.T) {
 
 func TestStallWakeQueueRules(t *testing.T) {
 	diags := Check(loadBad(t), []*Analyzer{StallWake})
-	if len(diags) != 4 {
-		t.Fatalf("diags = %v, want exactly 4 (stalledReqs, noWake, neverFilled, pushOnly)", diags)
+	if len(diags) != 5 {
+		t.Fatalf("diags = %v, want exactly 5 (stalledReqs, noWake, neverFilled, pushOnly, putOnly)", diags)
 	}
 	var msgs []string
 	for _, d := range diags {
 		msgs = append(msgs, d.Message)
 	}
 	joined := strings.Join(msgs, "\n")
-	for _, want := range []string{"stalledReqs", "noWake", "neverFilled", "pushOnly"} {
+	for _, want := range []string{"stalledReqs", "noWake", "neverFilled", "pushOnly", "putOnly"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing a %s diagnostic in:\n%s", want, joined)
 		}
 	}
 	// The annotated queues with both a park and a wake site must pass.
-	for _, ok := range []string{"good", "wrapped"} {
+	for _, ok := range []string{"good", "wrapped", "counted"} {
 		if strings.Contains(joined, ok) {
 			t.Errorf("correct park/wake queue %s reported:\n%s", ok, joined)
 		}

@@ -24,12 +24,13 @@ import (
 //     annotation, so new queues cannot dodge the lint.
 //   - Every annotated queue must have, in its package, at least one
 //     park site (append to the field, insert into it, increment an
-//     entry, send on it, call its Push method) and at least one wake
-//     site (delete from it, clear or reslice it, range over it to
-//     replay, decrement an entry, receive from it, call its Pop or
-//     Take method, or hand it to a drain helper). The methods are
-//     those of a queue type that wraps its storage, such as
-//     recycle.Queues.
+//     entry, send on it, call its Push or Put method) and at least one
+//     wake site (delete from it, clear or reslice it, range over it to
+//     replay, decrement an entry, receive from it, call its Pop, Take
+//     or Delete method, or hand it to a drain helper). The methods are
+//     those of a type that wraps its storage: recycle.Queues parks
+//     with Push and wakes with Pop or Take, recycle.Table parks with
+//     Put and wakes with Delete.
 var StallWake = &Analyzer{
 	Name: "stallwake",
 	Doc:  "stall queues must be annotated and every annotated queue needs both a park and a wake site",
@@ -100,9 +101,9 @@ func runStallWake(p *Pass) {
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
 				if q := fieldOf(p, queues, baseExpr(sel.X)); q != nil {
 					switch sel.Sel.Name {
-					case "Push":
+					case "Push", "Put":
 						q.parks++
-					case "Pop", "Take":
+					case "Pop", "Take", "Delete":
 						q.wakes++
 					}
 				}
@@ -158,7 +159,7 @@ func runStallWake(p *Pass) {
 		case q.parks == 0:
 			p.Report(q.pos, "annotated stall queue %s never parks any work in this package — stale annotation or the park site moved", q.name)
 		case q.wakes == 0:
-			p.Report(q.pos, "stall queue %s parks work but has no wake site in this package (no delete/clear/reslice/range/receive/Pop/Take) — parked work can never resume", q.name)
+			p.Report(q.pos, "stall queue %s parks work but has no wake site in this package (no delete/clear/reslice/range/receive/Pop/Take/Delete) — parked work can never resume", q.name)
 		}
 	}
 }

@@ -75,8 +75,9 @@ func fanOut(out []int) {
 // parkedQueues exercises stallwake: a queue-shaped name without the
 // annotation, an annotated queue that is filled but never drained, an
 // annotated queue that is never filled, a queue type parked through
-// its Push method but never popped, and correct park/wake pairs on a
-// map and through Push/Pop (the false-positive guards).
+// its Push method but never popped, a table parked through Put but
+// never deleted from, and correct park/wake pairs on a map, through
+// Push/Pop and through Put/Delete (the false-positive guards).
 type parkedQueues struct {
 	stalledReqs map[int]int   //want stallwake "looks like a stall/wait queue"
 	noWake      []int         //hsclint:stallqueue //want stallwake "no wake site"
@@ -84,6 +85,8 @@ type parkedQueues struct {
 	good        map[int][]int //hsclint:stallqueue
 	pushOnly    lineQueue     //hsclint:stallqueue //want stallwake "no wake site"
 	wrapped     lineQueue     //hsclint:stallqueue
+	putOnly     lineTable     //hsclint:stallqueue //want stallwake "no wake site"
+	counted     lineTable     //hsclint:stallqueue
 }
 
 // lineQueue is a queue type that wraps its storage.
@@ -97,17 +100,33 @@ func (q *lineQueue) Pop(k int) int {
 	return v
 }
 
+// lineTable is a per-key counter table: Put returns the count to
+// bump in place, Delete drops the key.
+type lineTable struct{ m map[int]*int }
+
+func (t *lineTable) Put(k int) *int {
+	if t.m[k] == nil {
+		t.m[k] = new(int)
+	}
+	return t.m[k]
+}
+
+func (t *lineTable) Delete(k int) { delete(t.m, k) }
+
 func (pq *parkedQueues) park(k, v int) {
 	pq.stalledReqs[k] = v
 	pq.noWake = append(pq.noWake, v)
 	pq.good[k] = append(pq.good[k], v)
 	pq.pushOnly.Push(k, v)
 	pq.wrapped.Push(k, v)
+	*pq.putOnly.Put(k)++
+	*pq.counted.Put(k)++
 }
 
 func (pq *parkedQueues) wake(k int) []int {
 	q := pq.good[k]
 	delete(pq.good, k)
+	pq.counted.Delete(k)
 	return append(q, pq.wrapped.Pop(k))
 }
 

@@ -228,8 +228,8 @@ func TestReadUnwrittenPageAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { sinkWord = m.Read(0xF800_0000) }); got != 0 {
 		t.Fatalf("Read of an unwritten page allocates %.1f/op, want 0", got)
 	}
-	if m.Len() != 1 || len(m.pages) != 1 {
-		t.Fatalf("Len = %d, pages = %d after reads; want 1, 1", m.Len(), len(m.pages))
+	if m.Len() != 1 || m.pages.Len() != 1 {
+		t.Fatalf("Len = %d, pages = %d after reads; want 1, 1", m.Len(), m.pages.Len())
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package recycle holds the free lists that let the coherence
+// Package recycle holds the storage that lets the coherence
 // controllers serve a steady-state request without allocating: Free
-// reuses per-request records, and Queues keeps per-key FIFOs whose
-// backing arrays are reused once a key's queue drains.
+// reuses per-request records, Table indexes per-line in-flight state
+// without Go maps, and Queues keeps per-key FIFOs whose backing arrays
+// are reused once a key's queue drains.
 package recycle
 
 // Free is a free list of *T records. The zero value is empty and ready
@@ -28,40 +29,38 @@ func (f *Free[T]) Put(p *T) { f.free = append(f.free, p) }
 
 // Queues maps keys to FIFO queues whose backing arrays are reused once
 // a key's queue drains. The zero value is empty and ready to use.
-type Queues[K comparable, T any] struct {
-	m    map[K][]T
+type Queues[K ~uint64, T any] struct {
+	idx  Table[K, []T] // only non-empty queues have an entry
 	free [][]T
 }
 
 // Push appends v to k's queue and reports whether the queue was empty.
 func (q *Queues[K, T]) Push(k K, v T) (first bool) {
-	if q.m == nil {
-		q.m = make(map[K][]T)
-	}
-	s, ok := q.m[k]
-	if !ok {
+	s := q.idx.Put(k)
+	if first = len(*s) == 0; first {
 		if n := len(q.free); n > 0 {
-			s = q.free[n-1]
+			*s = q.free[n-1]
 			q.free = q.free[:n-1]
 		}
 	}
-	q.m[k] = append(s, v)
-	return !ok
+	*s = append(*s, v)
+	return first
 }
 
 // Pop removes and returns k's oldest entry; ok is false when k's queue
 // is empty.
 func (q *Queues[K, T]) Pop(k K) (v T, ok bool) {
-	s := q.m[k]
-	if len(s) == 0 {
+	p := q.idx.Find(k)
+	if p == nil {
 		return v, false
 	}
+	s := *p
 	v = s[0]
 	if len(s) == 1 {
-		delete(q.m, k)
+		q.idx.Delete(k)
 		q.Recycle(s)
 	} else {
-		q.m[k] = s[:copy(s, s[1:])]
+		*p = s[:copy(s, s[1:])]
 		var zero T
 		s[len(s)-1] = zero
 	}
@@ -71,8 +70,12 @@ func (q *Queues[K, T]) Pop(k K) (v T, ok bool) {
 // Take removes k's whole queue, oldest first (nil when it is empty).
 // The caller hands it to Recycle once done with it.
 func (q *Queues[K, T]) Take(k K) []T {
-	s := q.m[k]
-	delete(q.m, k)
+	p := q.idx.Find(k)
+	if p == nil {
+		return nil
+	}
+	s := *p
+	q.idx.Delete(k)
 	return s
 }
 
@@ -83,7 +86,12 @@ func (q *Queues[K, T]) Recycle(s []T) {
 }
 
 // At returns k's queue, oldest first, leaving it in place.
-func (q *Queues[K, T]) At(k K) []T { return q.m[k] }
+func (q *Queues[K, T]) At(k K) []T {
+	if p := q.idx.Find(k); p != nil {
+		return *p
+	}
+	return nil
+}
 
 // Len reports how many keys have a non-empty queue.
-func (q *Queues[K, T]) Len() int { return len(q.m) }
+func (q *Queues[K, T]) Len() int { return q.idx.Len() }

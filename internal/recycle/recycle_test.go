@@ -19,7 +19,7 @@ func TestFreeReusesReleasedRecords(t *testing.T) {
 }
 
 func TestQueuesFIFOPerKey(t *testing.T) {
-	var q Queues[int, string]
+	var q Queues[uint64, string]
 	if !q.Push(1, "a") || q.Push(1, "b") || !q.Push(2, "x") {
 		t.Fatal("Push must report first only for an empty queue")
 	}
@@ -42,7 +42,7 @@ func TestQueuesFIFOPerKey(t *testing.T) {
 // TestQueuesReuseDrainedArrays: once warm, a push/pop cycle and a
 // push/take/recycle cycle allocate nothing.
 func TestQueuesReuseDrainedArrays(t *testing.T) {
-	var q Queues[int, int]
+	var q Queues[uint64, int]
 	q.Push(1, 1)
 	q.Pop(1)
 	if got := testing.AllocsPerRun(100, func() {

@@ -8,10 +8,10 @@
 // The scheduler is a calendar queue tuned to the tick distribution the
 // system actually produces (cache hits at 1–4 ticks, GPU cache levels at
 // 13–25, memory at ~160): a ring of per-tick FIFO buckets covers the
-// near-future window [winStart, winStart+len(buckets)), and events beyond
-// the window wait in a small (tick, seq)-ordered overflow heap until the
-// window advances over them. Scheduling into the window is O(1) append;
-// popping is O(1) amortized.
+// near-future window [cur, cur+len(buckets)), which slides forward with
+// the scan cursor, and events beyond the window wait in a small
+// (tick, seq)-ordered overflow heap until the window reaches them.
+// Scheduling into the window is O(1) append; popping is O(1) amortized.
 //
 // Every event has one form: Post or PostAt names a Handler, a kind, a
 // scalar arg and an optional obj, and the engine calls
@@ -93,11 +93,11 @@ type Engine struct {
 	seq uint64
 
 	// Calendar state. buckets[t&mask] holds exactly the events for tick
-	// t when winStart ≤ t < winStart+len(buckets); cur is the scan
-	// cursor (winStart ≤ cur, and no queued event is earlier than cur).
+	// t when cur ≤ t < cur+len(buckets); cur is the scan cursor (no
+	// queued event is earlier than cur), and every queued event at or
+	// beyond cur+len(buckets) waits in overflow.
 	buckets  []bucket
 	mask     Tick
-	winStart Tick
 	cur      Tick
 	overflow overflowHeap
 	size     int // queued events
@@ -152,10 +152,10 @@ func (e *Engine) release(ev *event) {
 
 // insert places a queued event into its calendar bucket or, beyond the
 // window, into the overflow heap. Callers guarantee ev.when ≥ now ≥
-// winStart, so the in-window test needs no lower bound. The queue owns
-// the event from here.
+// cur, so the in-window test needs no lower bound. The queue owns the
+// event from here.
 func (e *Engine) insert(ev *event) {
-	if ev.when-e.winStart < Tick(len(e.buckets)) {
+	if ev.when-e.cur < Tick(len(e.buckets)) {
 		b := &e.buckets[ev.when&e.mask]
 		b.evs = append(b.evs, ev)
 	} else {
@@ -191,27 +191,17 @@ func (e *Engine) PostAt(t Tick, target Handler, kind uint8, arg uint64, obj any)
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return e.size }
 
-// advance moves the calendar window to start at newStart and promotes
-// newly covered overflow events into their buckets. It must only be
-// called when every bucket is empty, which next checks before calling
-// it (every queued event is in the overflow heap).
+// promote moves the overflow events the window now covers, those
+// before cur+len(buckets), into their buckets.
 //
-// Promotion pops the overflow heap in (when, seq) order, so events for
-// a given tick are appended to its bucket in seq order; any later
-// Post targeting that tick carries a strictly larger seq and
-// appends behind them. Bucket FIFO order therefore IS (tick, seq)
-// order, which is the whole determinism argument.
-func (e *Engine) advance(newStart Tick) {
-	// Adaptive sizing: if the overflow population reached the window
-	// width, the tick distribution outgrew the window — double it (the
-	// buckets are all empty, so regrowing is just a reallocation).
-	for len(e.overflow) >= len(e.buckets) && len(e.buckets) < maxBuckets {
-		e.buckets = make([]bucket, 2*len(e.buckets))
-		e.mask = Tick(len(e.buckets) - 1)
-	}
-	e.winStart = newStart
-	e.cur = newStart
-	end := newStart + Tick(len(e.buckets))
+// An event goes to overflow only while its tick is at least
+// len(buckets) ahead of cur, so it reaches its bucket here before any
+// event posted into the window for the same tick: such a post comes
+// later, with a larger seq. Promotion pops the heap in (when, seq)
+// order, so each bucket's FIFO order IS (tick, seq) order, which is the
+// whole determinism argument.
+func (e *Engine) promote() {
+	end := e.cur + Tick(len(e.buckets))
 	for len(e.overflow) > 0 && e.overflow[0].when < end {
 		ev := e.overflow.pop()
 		b := &e.buckets[ev.when&e.mask]
@@ -219,13 +209,29 @@ func (e *Engine) advance(newStart Tick) {
 	}
 }
 
+// jump moves the cursor to t and promotes what the window then covers.
+// It must only be called when every bucket is empty, which next checks
+// before calling it (every queued event is in the overflow heap).
+func (e *Engine) jump(t Tick) {
+	// Adaptive sizing: if the overflow population reached the window
+	// width, the tick distribution outgrew the window — double it (the
+	// buckets are all empty, so regrowing is just a reallocation).
+	for len(e.overflow) >= len(e.buckets) && len(e.buckets) < maxBuckets {
+		e.buckets = make([]bucket, 2*len(e.buckets))
+		e.mask = Tick(len(e.buckets) - 1)
+	}
+	e.cur = t
+	e.promote()
+}
+
 // next pops the earliest queued event, or returns nil when the queue is
 // empty. The caller owns the popped event and must release it.
 //
 // The scan never runs off the end of the window: between pops cur ==
 // now, posts are never in the past, so every bucketed event lies in
-// [cur, winStart+len(buckets)), and with none bucketed the window jumps
-// first.
+// [cur, cur+len(buckets)), and with none bucketed the window jumps
+// first. Each step of the cursor slides the window one tick and
+// promotes the overflow events for the tick it now covers.
 func (e *Engine) next() *event {
 	if e.size == 0 {
 		return nil
@@ -233,7 +239,7 @@ func (e *Engine) next() *event {
 	if e.size == len(e.overflow) {
 		// Nothing bucketed: jump the window straight to the earliest
 		// overflow event instead of scanning empty ticks.
-		e.advance(e.overflow[0].when)
+		e.jump(e.overflow[0].when)
 	}
 	for {
 		b := &e.buckets[e.cur&e.mask]
@@ -249,6 +255,9 @@ func (e *Engine) next() *event {
 			return ev
 		}
 		e.cur++
+		if len(e.overflow) > 0 && e.overflow[0].when < e.cur+Tick(len(e.buckets)) {
+			e.promote()
+		}
 	}
 }
 

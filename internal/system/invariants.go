@@ -28,26 +28,31 @@ func (s *System) CheckCoherence() error {
 			return fmt.Errorf("coherence check requires quiescence")
 		}
 	}
+	// holders counts the pairs holding a line, in any state, M or E,
+	// and O, and names the first pair of the latter two. Values, not
+	// records: the check allocates nothing per line.
 	type holders struct {
-		me    []int // pairs holding M or E
-		owned []int // pairs holding O
-		any   []int
+		n, nME, nOwned int32
+		me, owned      int32
 	}
-	lines := make(map[cachearray.LineAddr]*holders)
+	lines := make(map[cachearray.LineAddr]holders)
 	for p, cp := range s.CorePairs {
 		cp.ForEachL2Line(func(line cachearray.LineAddr, st corepair.MOESI) {
 			h := lines[line]
-			if h == nil {
-				h = &holders{}
-				lines[line] = h
-			}
-			h.any = append(h.any, p)
+			h.n++
 			switch st {
 			case corepair.Modified, corepair.Exclusive:
-				h.me = append(h.me, p)
+				if h.nME == 0 {
+					h.me = int32(p)
+				}
+				h.nME++
 			case corepair.Owned:
-				h.owned = append(h.owned, p)
+				if h.nOwned == 0 {
+					h.owned = int32(p)
+				}
+				h.nOwned++
 			}
+			lines[line] = h
 		})
 	}
 	tracking := s.Cfg.Protocol.Tracking != core.TrackNone
@@ -59,15 +64,15 @@ func (s *System) CheckCoherence() error {
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	for _, line := range order {
 		h := lines[line]
-		if len(h.me) > 1 {
-			return fmt.Errorf("line %#x: %d M/E holders", uint64(line), len(h.me))
+		if h.nME > 1 {
+			return fmt.Errorf("line %#x: %d M/E holders", uint64(line), h.nME)
 		}
-		if len(h.me) == 1 && len(h.any) > 1 {
+		if h.nME == 1 && h.n > 1 {
 			return fmt.Errorf("line %#x: M/E in pair %d with %d total holders",
-				uint64(line), h.me[0], len(h.any))
+				uint64(line), h.me, h.n)
 		}
-		if len(h.owned) > 1 {
-			return fmt.Errorf("line %#x: %d Owned holders", uint64(line), len(h.owned))
+		if h.nOwned > 1 {
+			return fmt.Errorf("line %#x: %d Owned holders", uint64(line), h.nOwned)
 		}
 		if !tracking {
 			continue
@@ -80,13 +85,13 @@ func (s *System) CheckCoherence() error {
 		state, owner, _ := s.BankFor(line).EntryState(line)
 		if state == "I" {
 			return fmt.Errorf("line %#x: cached in L2s %v but untracked (inclusion violated)",
-				uint64(line), h.any)
+				uint64(line), s.l2Holders(line))
 		}
 		dirtyHolder := -1
-		if len(h.me) == 1 {
-			dirtyHolder = h.me[0]
-		} else if len(h.owned) == 1 {
-			dirtyHolder = h.owned[0]
+		if h.nME == 1 {
+			dirtyHolder = int(h.me)
+		} else if h.nOwned == 1 {
+			dirtyHolder = int(h.owned)
 		}
 		if dirtyHolder >= 0 {
 			if state != "O" {
@@ -102,6 +107,17 @@ func (s *System) CheckCoherence() error {
 		}
 	}
 	return nil
+}
+
+// l2Holders lists the pairs whose L2 holds line, in pair order.
+func (s *System) l2Holders(line cachearray.LineAddr) []int {
+	var out []int
+	for p, cp := range s.CorePairs {
+		if cp.L2State(line) != corepair.Invalid {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 func (s *System) lineIsReadOnly(line cachearray.LineAddr) bool {
