@@ -51,7 +51,11 @@ func sharedEngine(b *testing.B) *hscsim.JobEngine {
 
 func evalRun(b *testing.B, bench string, opts hscsim.ProtocolOptions) hscsim.Results {
 	b.Helper()
-	res, err := sharedEngine(b).RunResults(context.Background(), hscsim.EvalJobSpec(bench, opts))
+	out, err := sharedEngine(b).Run(context.Background(), hscsim.EvalJobSpec(bench, opts))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := hscsim.DecodeJobResult(out)
 	if err != nil {
 		b.Fatal(err)
 	}

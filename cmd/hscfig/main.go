@@ -1,16 +1,25 @@
 // Command hscfig regenerates the paper's evaluation tables and figures
-// (Tables II/III, Figs. 4–7) by sweeping the CHAI workloads over the
-// protocol variants. With no flags it regenerates everything.
+// (Tables I–III, Figs. 4–7), the energy estimate, the §V HeteroSync
+// comparison, the extended CHAI suite and the ablations. With no
+// section flags it regenerates everything.
+//
+// Every simulated number is one engine.Spec cell. The report is
+// rendered twice: a first pass only records the cells the selected
+// sections read; their distinct cells then run as one engine batch, in
+// parallel on the worker pool and, with -cache, memoized across
+// invocations; the second pass renders from the results.
 //
 // Usage:
 //
-//	hscfig [-fig4] [-fig5] [-fig6] [-fig7] [-table2] [-table3] [-ablations]
+//	hscfig [-fig4] [-fig5] [-fig6] [-fig7] [-table1] [-table2] [-table3] [-energy]
+//	       [-heterosync] [-extended] [-ablations] [-csv file] [-cache dir] [-j N]
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hscsim/internal/chai"
@@ -20,206 +29,143 @@ import (
 	"hscsim/internal/system"
 )
 
+// sections selects the parts of the report.
+type sections struct {
+	table1, table2, table3 bool
+	fig4, fig5, fig6, fig7 bool
+	energy, heterosync     bool
+	extended, ablations    bool
+}
+
+// everything selects every section.
+var everything = sections{true, true, true, true, true, true, true, true, true, true, true}
+
 func main() {
-	fig4 := flag.Bool("fig4", false, "regenerate Fig. 4 (optimization speedups)")
-	fig5 := flag.Bool("fig5", false, "regenerate Fig. 5 (memory accesses)")
-	fig6 := flag.Bool("fig6", false, "regenerate Fig. 6 (state-tracking speedups)")
-	fig7 := flag.Bool("fig7", false, "regenerate Fig. 7 (probe reduction)")
-	table1 := flag.Bool("table1", false, "regenerate Table I (directory transitions) from the implementation")
-	table2 := flag.Bool("table2", false, "print Table II (cache configurations)")
-	table3 := flag.Bool("table3", false, "print Table III (system configuration)")
-	ablations := flag.Bool("ablations", false, "run the extra ablations (§III-B1, §VII)")
-	energyFig := flag.Bool("energy", false, "print the first-order energy estimate")
-	hsFlag := flag.Bool("heterosync", false, "run the HeteroSync/Lulesh comparison (§V)")
-	extFlag := flag.Bool("extended", false, "run the 4 CHAI benchmarks gem5 could not (§V)")
+	var sel sections
+	flag.BoolVar(&sel.fig4, "fig4", false, "regenerate Fig. 4 (optimization speedups)")
+	flag.BoolVar(&sel.fig5, "fig5", false, "regenerate Fig. 5 (memory accesses)")
+	flag.BoolVar(&sel.fig6, "fig6", false, "regenerate Fig. 6 (state-tracking speedups)")
+	flag.BoolVar(&sel.fig7, "fig7", false, "regenerate Fig. 7 (probe reduction)")
+	flag.BoolVar(&sel.table1, "table1", false, "regenerate Table I (directory transitions) from the implementation")
+	flag.BoolVar(&sel.table2, "table2", false, "print Table II (cache configurations)")
+	flag.BoolVar(&sel.table3, "table3", false, "print Table III (system configuration)")
+	flag.BoolVar(&sel.ablations, "ablations", false, "run the extra ablations (§III-B1, §VII)")
+	flag.BoolVar(&sel.energy, "energy", false, "print the first-order energy estimate")
+	flag.BoolVar(&sel.heterosync, "heterosync", false, "run the HeteroSync/Lulesh comparison (§V)")
+	flag.BoolVar(&sel.extended, "extended", false, "run the 4 CHAI benchmarks gem5 could not (§V)")
 	csvPath := flag.String("csv", "", "also export the Fig. 4/5 sweep as CSV to this file")
-	cacheDir := flag.String("cache", "", "persist sweep results in this directory (re-runs become cache hits)")
+	cacheDir := flag.String("cache", "", "persist results in this directory (re-runs become cache hits)")
 	jobs := flag.Int("j", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
 	flag.Parse()
+	if sel == (sections{}) {
+		sel = everything
+	}
 
-	all := !(*fig4 || *fig5 || *fig6 || *fig7 || *table1 || *table2 || *table3 || *ablations || *energyFig || *hsFlag || *extFlag)
-	out := os.Stdout
-
-	// The figure sweeps run through the job engine: cells execute in
-	// parallel on the worker pool, and with -cache every cell is
-	// memoized across invocations.
+	cells, declared := declare(sel)
 	cache, err := engine.NewCache(0, *cacheDir)
 	check(err)
 	eng := engine.New(engine.Config{Workers: *jobs, Cache: cache})
 	defer eng.Close()
-	runSweep := func(benches []string, variants []core.Options) (*figures.Sweep, error) {
-		// Pre-submit every cell so the pool works on them concurrently;
-		// the sequential waits below then dedup against the live jobs.
-		for _, b := range benches {
-			for _, v := range variants {
-				if _, err := eng.Submit(engine.EvalSpec(b, v)); err != nil {
-					break // queue full: the Runner below resubmits
-				}
-			}
+	results := make(map[string]system.Results, len(cells))
+	simulated := 0
+	check(eng.Batch(context.Background(), cells, func(_ int, j *engine.Job, out []byte, err error) error {
+		if err != nil {
+			return err
 		}
-		return figures.RunSweepVia(func(bench string, opts core.Options) (system.Results, error) {
-			return eng.RunResults(context.Background(), engine.EvalSpec(bench, opts))
-		}, benches, variants)
-	}
+		if !j.Cached() {
+			simulated++
+		}
+		results[j.Hash], err = engine.DecodeResult(out)
+		return err
+	}))
 
-	if all || *table1 {
+	report(os.Stdout, sel, *csvPath, func(sp engine.Spec) system.Results {
+		res, ok := results[sp.Hash()]
+		if !ok {
+			panic("hscfig: a section read a cell it did not declare: " + sp.String())
+		}
+		return res
+	})
+	if len(cells) > 0 {
+		fmt.Fprintf(os.Stderr, "hscfig: %d cells (%d declared), %d simulated, %d served from cache\n",
+			len(cells), declared, simulated, len(cells)-simulated)
+	}
+}
+
+// report renders the selected sections to out, reading every
+// simulated number through get. With csvPath set it also exports the
+// Fig. 4/5 sweep as CSV.
+func report(out io.Writer, sel sections, csvPath string, get figures.Get) {
+	if sel.table1 {
 		core.WriteTableI(out)
 	}
-	if all || *table2 {
+	if sel.table2 {
 		figures.WriteTable2(out)
 	}
-	if all || *table3 {
+	if sel.table3 {
 		figures.WriteTable3(out)
 	}
-
-	if all || *fig4 || *fig5 {
-		// Figs. 4 and 5 share the baseline/noWBcleanVic/llcWB runs; run
-		// the union of their variants once.
-		variants := []core.Options{
+	if sel.fig4 || sel.fig5 {
+		// Figs. 4 and 5 share the baseline/noWBcleanVic/llcWB cells;
+		// read the union of their variants once.
+		sw := figures.EvalSweep(get, chai.Names(), []core.Options{
 			{},
 			{EarlyDirtyResponse: true},
 			{NoWBCleanVicToMem: true},
 			{LLCWriteBack: true},
 			{LLCWriteBack: true, UseL3OnWT: true},
-		}
-		sw, err := runSweep(chai.Names(), variants)
-		check(err)
-		if all || *fig4 {
+		})
+		if sel.fig4 {
 			figures.WriteFig4(out, sw)
 		}
-		if all || *fig5 {
+		if sel.fig5 {
 			figures.WriteFig5(out, sw)
 		}
-		if *csvPath != "" {
-			f, err := os.Create(*csvPath)
+		if csvPath != "" {
+			f, err := os.Create(csvPath)
 			check(err)
 			check(figures.WriteCSV(f, sw))
 			check(f.Close())
-			fmt.Fprintf(out, "\nCSV sweep written to %s\n", *csvPath)
+			fmt.Fprintf(out, "\nCSV sweep written to %s\n", csvPath)
 		}
 	}
-
-	if all || *fig6 || *fig7 || *energyFig {
-		sw, err := runSweep(chai.CollaborativeFive(), figures.Fig6Variants())
-		check(err)
-		if all || *fig6 {
+	if sel.fig6 || sel.fig7 || sel.energy {
+		sw := figures.EvalSweep(get, chai.CollaborativeFive(), figures.Fig6Variants())
+		if sel.fig6 {
 			figures.WriteFig6(out, sw)
 		}
-		if all || *fig7 {
+		if sel.fig7 {
 			figures.WriteFig7(out, sw)
 		}
-		if all || *energyFig {
+		if sel.energy {
 			figures.WriteEnergy(out, sw)
 		}
 	}
-
-	if all || *hsFlag {
-		check(figures.WriteHeteroSync(out))
+	if sel.heterosync {
+		figures.WriteHeteroSync(out, get)
 	}
-
-	if all || *extFlag {
-		check(figures.WriteExtended(out))
+	if sel.extended {
+		figures.WriteExtended(out, get)
 	}
-
-	if all || *ablations {
-		runAblations(out)
-	}
-
-	if st := eng.Stats(); st.Submitted+st.CacheHits > 0 {
-		fmt.Fprintf(os.Stderr, "hscfig: engine ran %d simulations, %d served from cache\n",
-			st.Done, st.CacheHits)
+	if sel.ablations {
+		figures.WriteAblations(out, get)
 	}
 }
 
-// runAblations covers the paper's secondary design points: dropping
-// clean victims from the LLC entirely (§III-B1), the limited-pointer
-// sharer list (§IV-B), and the future-work directory replacement policy
-// and dirty-sharer deallocation rule (§VII).
-func runAblations(out *os.File) {
-	fmt.Fprintf(out, "\nAblations\n=========\n")
-	cases := []struct {
-		label string
-		opts  core.Options
-	}{
-		{"baseline", core.Options{}},
-		{"noWBcleanVicLLC (III-B1)", core.Options{NoWBCleanVicToMem: true, NoWBCleanVicToLLC: true}},
-		{"sharers, limited-4 ptrs", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, LimitedPointers: 4}},
-		{"sharers, fewest-sharers repl", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, DirRepl: core.DirReplFewestSharers}},
-		{"sharers, keep dirty sharers", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, KeepDirtySharersOnEvict: true}},
-	}
-	fmt.Fprintf(out, "%-30s %-8s %12s %10s %10s\n", "variant", "bench", "cycles", "mem", "probes")
-	for _, bench := range chai.CollaborativeFive() {
-		for _, c := range cases {
-			res, err := figures.Run(bench, c.opts)
-			check(err)
-			fmt.Fprintf(out, "%-30s %-8s %12d %10d %10d\n",
-				c.label, bench, res.Cycles, res.MemAccesses(), res.ProbesSent)
+// declare renders the selected sections without results and returns
+// the distinct cells they read, in first-read order, and how many
+// cells they read in all.
+func declare(sel sections) (cells []engine.Spec, declared int) {
+	seen := make(map[string]bool)
+	report(io.Discard, sel, "", func(sp engine.Spec) system.Results {
+		declared++
+		if h := sp.Hash(); !seen[h] {
+			seen[h] = true
+			cells = append(cells, sp)
 		}
-	}
-
-	// Directory-pressure study (§VII future work): with a directory far
-	// smaller than the working set, entry evictions and their backward
-	// invalidations dominate, and the replacement policy matters.
-	fmt.Fprintf(out, "\nDirectory-pressure ablation (512-entry directory)\n")
-	fmt.Fprintf(out, "%-30s %-8s %12s %10s %12s %12s\n",
-		"variant", "bench", "cycles", "probes", "dirEvicts", "backInvals")
-	pressure := []struct {
-		label string
-		opts  core.Options
-	}{
-		{"sharers, tree-PLRU", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true}},
-		{"sharers, fewest-sharers repl", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, DirRepl: core.DirReplFewestSharers}},
-		{"sharers, keep dirty sharers", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, KeepDirtySharersOnEvict: true}},
-	}
-	for _, bench := range chai.CollaborativeFive() {
-		for _, c := range pressure {
-			cfg := figures.EvalSystemConfig(c.opts)
-			cfg.Geometry.DirEntries = 512
-			res, err := figures.RunOn(bench, cfg)
-			check(err)
-			fmt.Fprintf(out, "%-30s %-8s %12d %10d %12d %12d\n",
-				c.label, bench, res.Cycles, res.ProbesSent,
-				res.Stats["dir.entry_evictions"], res.Stats["dir.backward_inval_probes"])
-		}
-	}
-
-	// Read-only elision (§IX future work) on the benchmarks with
-	// read-only inputs.
-	fmt.Fprintf(out, "\nRead-only elision ablation (§IX)\n")
-	fmt.Fprintf(out, "%-8s %-18s %12s %10s %12s\n", "bench", "variant", "cycles", "probes", "roElided")
-	for _, bench := range []string{"bs", "sc", "hsti", "hsto", "rscd", "rsct"} {
-		for _, c := range []struct {
-			label string
-			opts  core.Options
-		}{
-			{"baseline", core.Options{}},
-			{"baseline+RO", core.Options{ReadOnlyElision: true}},
-			{"sharers", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true}},
-			{"sharers+RO", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, ReadOnlyElision: true}},
-		} {
-			res, err := figures.Run(bench, c.opts)
-			check(err)
-			fmt.Fprintf(out, "%-8s %-18s %12d %10d %12d\n",
-				bench, c.label, res.Cycles, res.ProbesSent,
-				res.Stats["dir.readonly_elided"])
-		}
-	}
-
-	// Distributed directory (§VII future work): the tracked protocol
-	// over 1/2/4 address-interleaved banks.
-	fmt.Fprintf(out, "\nDistributed-directory ablation (§VII)\n")
-	fmt.Fprintf(out, "%-8s %6s %12s %10s %10s\n", "bench", "banks", "cycles", "probes", "mem")
-	for _, bench := range chai.CollaborativeFive() {
-		for _, banks := range []int{1, 2, 4} {
-			cfg := figures.EvalSystemConfig(core.Options{
-				Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true})
-			cfg.DirBanks = banks
-			res, err := figures.RunOn(bench, cfg)
-			check(err)
-			fmt.Fprintf(out, "%-8s %6d %12d %10d %10d\n",
-				bench, banks, res.Cycles, res.ProbesSent, res.MemAccesses())
-		}
-	}
+		return system.Results{}
+	})
+	return cells, declared
 }
 
 func check(err error) {

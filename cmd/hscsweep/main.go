@@ -166,20 +166,15 @@ func runLocal(sweep engine.SweepSpec, cells []engine.Spec, cacheDir string, jobs
 	eng := engine.New(engine.Config{Workers: jobs, Cache: cache})
 	defer eng.Close()
 
-	// Submit every point up front so the pool simulates them in
-	// parallel; the waits below collect the deduplicated jobs in order.
-	for _, c := range cells {
-		if _, err := eng.Submit(c); err != nil {
-			break // queue full: the Run below resubmits
-		}
-	}
+	// One batch, the same windowed loop POST /sweeps runs: the pool
+	// simulates the points in parallel and they are collected in order.
 	results := make([][]byte, len(cells))
-	for i, c := range cells {
-		b, err := eng.Run(context.Background(), c)
-		if err != nil {
-			return nil, "", err
-		}
-		results[i] = b
+	err = eng.Batch(context.Background(), cells, func(i int, _ *engine.Job, out []byte, err error) error {
+		results[i] = out
+		return err
+	})
+	if err != nil {
+		return nil, "", err
 	}
 	st := eng.Stats()
 	return results, fmt.Sprintf("engine: %d simulated, %d served from cache", st.Done, st.CacheHits), nil

@@ -30,7 +30,6 @@ import (
 	"hscsim/internal/core"
 	"hscsim/internal/energy"
 	"hscsim/internal/engine"
-	"hscsim/internal/figures"
 	"hscsim/internal/heterosync"
 	"hscsim/internal/memdata"
 	"hscsim/internal/prog"
@@ -106,7 +105,7 @@ func DefaultConfig() Config { return system.Default() }
 // EvalConfig returns the evaluation configuration used to regenerate
 // the paper's figures: Table II with caches scaled to the bundled
 // workload sizes (see DESIGN.md).
-func EvalConfig(opts ProtocolOptions) Config { return figures.EvalSystemConfig(opts) }
+func EvalConfig(opts ProtocolOptions) Config { return engine.EvalConfig(opts) }
 
 // DefaultParams returns the default workload scaling.
 func DefaultParams() Params { return chai.DefaultParams() }
@@ -198,7 +197,7 @@ func NewJobCache(maxEntries int, dir string) (*JobCache, error) {
 }
 
 // EvalJobSpec is the job for one cell of the paper's evaluation sweep
-// (the figures configuration at the figures workload sizes).
+// (EvalConfig at the evaluation workload sizes).
 func EvalJobSpec(bench string, opts ProtocolOptions) JobSpec {
 	return engine.EvalSpec(bench, opts)
 }

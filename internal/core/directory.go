@@ -90,6 +90,11 @@ func (s dirState) String() string {
 	return "S"
 }
 
+// MaxTrackedTargets is the most probe targets (L2s, then TCC banks) a
+// tracking directory can address: dirEntry.Sharers is a bitmap over
+// their indexes.
+const MaxTrackedTargets = 64
+
 // dirEntry is the per-line tracking state.
 type dirEntry struct {
 	State    dirState
@@ -138,6 +143,9 @@ func NewDirectory(engine *sim.Engine, ic noc.Fabric, mem MemPort,
 	d.dsts = make([]msg.NodeID, 0, len(d.targets))
 	d.pinEntry = d.entryPinned
 	if cfg.Opts.Tracking != TrackNone {
+		if n := len(d.targets); n > MaxTrackedTargets {
+			panic(fmt.Sprintf("core: %d probe targets; a tracking directory tracks at most %d", n, MaxTrackedTargets))
+		}
 		d.dirArr = cachearray.New[dirEntry](cfg.Geo.DirArray())
 	}
 	return d

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"hscsim/internal/system"
 )
 
 // Typed job-lifecycle errors.
@@ -331,9 +329,9 @@ func (e *Engine) Job(hash string) (*Job, bool) {
 	return j, ok
 }
 
-// Run is Submit plus Wait: the synchronous client call. Library
-// clients (cmd/hscsweep, cmd/hscfig, the benchmark harness) use this —
-// with a warm cache it returns in microseconds.
+// Run is Submit plus Wait: the synchronous client call for one spec —
+// with a warm cache it returns in microseconds. Many specs go through
+// Batch.
 func (e *Engine) Run(ctx context.Context, sp Spec) ([]byte, error) {
 	j, err := e.Submit(sp)
 	if err != nil {
@@ -342,14 +340,60 @@ func (e *Engine) Run(ctx context.Context, sp Spec) ([]byte, error) {
 	return j.Wait(ctx)
 }
 
-// RunResults is Run with the canonical encoding decoded back into
-// system.Results.
-func (e *Engine) RunResults(ctx context.Context, sp Spec) (system.Results, error) {
-	b, err := e.Run(ctx, sp)
-	if err != nil {
-		return system.Results{}, err
+// maxCellsInFlight bounds how many of one batch's cells are submitted
+// ahead of the cell being reported, so one large batch cannot fill the
+// whole job queue; batchBackoff is the pause before resubmitting when
+// the queue is full and none of the batch's own cells is in flight.
+const (
+	maxCellsInFlight = 16
+	batchBackoff     = 50 * time.Millisecond
+)
+
+// Batch runs cells and calls report once per cell, in order, with the
+// cell's job (nil when Submit refused it) and its result bytes or
+// error. At most maxCellsInFlight cells are submitted ahead of the one
+// being reported. A full queue waits for the batch's oldest in-flight
+// cell, or, with none in flight, backs off and resubmits. Batch stops
+// at the first error report returns and returns it, or returns
+// ctx.Err() once ctx ends. Cells already submitted keep running either
+// way, so repeating the batch joins them instead of simulating twice.
+//
+// POST /sweeps, hscsweep and hscfig all run their cells through here.
+func (e *Engine) Batch(ctx context.Context, cells []Spec, report func(i int, j *Job, out []byte, err error) error) error {
+	jobs := make([]*Job, len(cells))
+	errs := make([]error, len(cells))
+	next := 0 // cells [i, next) are in flight
+	for i := range cells {
+		for next < len(cells) && next-i < maxCellsInFlight {
+			j, err := e.Submit(cells[next])
+			if errors.Is(err, ErrQueueFull) {
+				if next > i {
+					break // the oldest in-flight cell frees a slot first
+				}
+				select {
+				case <-time.After(batchBackoff):
+					continue
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+			jobs[next], errs[next] = j, err
+			next++
+		}
+
+		j, out, err := jobs[i], []byte(nil), errs[i]
+		if j != nil {
+			out, err = j.Wait(ctx)
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+		}
+		jobs[i] = nil
+		if err := report(i, j, out, err); err != nil {
+			return err
+		}
 	}
-	return DecodeResult(b)
+	return nil
 }
 
 // Drain performs a graceful shutdown: Submit starts failing with

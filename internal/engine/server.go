@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 )
 
 // MaxJobBody and MaxSweepBody bound POST /jobs and POST /sweeps request
@@ -16,15 +15,6 @@ import (
 const (
 	MaxJobBody   = 1 << 20
 	MaxSweepBody = 1 << 20
-)
-
-// maxCellsInFlight bounds how many of one sweep's cells are submitted
-// ahead of the cell being streamed, so one large sweep cannot fill the
-// whole job queue; sweepBackoff is the pause before resubmitting when
-// the queue is full and none of the sweep's own cells is in flight.
-const (
-	maxCellsInFlight = 16
-	sweepBackoff     = 50 * time.Millisecond
 )
 
 // JobStatus is the service's JSON view of a job.
@@ -203,12 +193,14 @@ type sweepCell struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
+// errClientGone stops a sweep whose stream can no longer be written.
+var errClientGone = errors.New("engine: sweep client gone")
+
 // serveSweep answers POST /sweeps. It expands the sweep and streams
 // NDJSON, one flushed line per object: a "sweep" header with the cell
 // count, one "cell" line per cell in expansion order carrying its
 // canonical result bytes (or its error), and a "summary" with the
-// failed and cache-served counts. At most maxCellsInFlight cells are
-// submitted ahead of the one being streamed.
+// failed and cache-served counts. The cells run through Engine.Batch.
 //
 // The sweep lives only as long as its request. A client that loses the
 // stream re-POSTs the same sweep: finished cells are then cache hits
@@ -246,40 +238,13 @@ func serveSweep(e *Engine, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx := r.Context()
-	jobs := make([]*Job, len(cells))
-	errs := make([]error, len(cells))
-	next := 0 // cells [i, next) are in flight
 	failed, cached := 0, 0
-	for i, cell := range cells {
-		for next < len(cells) && next-i < maxCellsInFlight {
-			j, err := e.Submit(cells[next])
-			if errors.Is(err, ErrQueueFull) {
-				if next > i {
-					break // the oldest in-flight cell frees a slot first
-				}
-				select {
-				case <-time.After(sweepBackoff):
-					continue
-				case <-ctx.Done():
-					return
-				}
-			}
-			jobs[next], errs[next] = j, err
-			next++
-		}
-
-		line := sweepCell{Type: "cell", Index: i, Bench: cell.Bench, Label: spec.cellLabel(i)}
-		var out []byte
-		err := errs[i]
-		if j := jobs[i]; j != nil {
-			out, err = j.Wait(ctx)
-			if ctx.Err() != nil {
-				return // client gone; its submitted cells keep running
-			}
+	err = e.Batch(r.Context(), cells, func(i int, j *Job, out []byte, err error) error {
+		line := sweepCell{Type: "cell", Index: i, Bench: cells[i].Bench, Label: spec.cellLabel(i)}
+		if j != nil {
 			line.Hash, line.Cached = j.Hash, j.Cached()
 		} else {
-			line.Hash = cell.Hash()
+			line.Hash = cells[i].Hash()
 		}
 		if err != nil {
 			line.State, line.Error = "failed", err.Error()
@@ -290,10 +255,13 @@ func serveSweep(e *Engine, w http.ResponseWriter, r *http.Request) {
 				cached++
 			}
 		}
-		jobs[i] = nil
 		if !emit(line) {
-			return
+			return errClientGone
 		}
+		return nil
+	})
+	if err != nil {
+		return // client gone; its submitted cells keep running
 	}
 	emit(map[string]any{"type": "summary", "total": len(cells), "failed": failed, "cached": cached})
 }

@@ -23,7 +23,6 @@ import (
 
 	"hscsim/internal/chai"
 	"hscsim/internal/core"
-	"hscsim/internal/figures"
 	"hscsim/internal/heterosync"
 	"hscsim/internal/sim"
 	"hscsim/internal/system"
@@ -129,8 +128,8 @@ type TopologySpec struct {
 
 // Base system configurations a spec can start from.
 const (
-	// ConfigEval is figures.EvalSystemConfig: Table II scaled to the
-	// bundled workload sizes (the default).
+	// ConfigEval is EvalConfig: Table II scaled to the bundled
+	// workload sizes (the default).
 	ConfigEval = "eval"
 	// ConfigFull is system.Default: the paper's full-size Tables II/III.
 	ConfigFull = "full"
@@ -220,6 +219,10 @@ func (s Spec) Validate() error {
 			banks, cfg.Geometry.LLCSizeBytes, err)
 	}
 	if cfg.Protocol.Tracking != core.TrackNone {
+		if n := cfg.NumCorePairs + max(cfg.GPU.NumTCCs, 1); n > core.MaxTrackedTargets {
+			return fmt.Errorf("engine: numCorePairs=%d plus numTCCs=%d gives %d probe targets; a tracking directory tracks at most %d",
+				cfg.NumCorePairs, max(cfg.GPU.NumTCCs, 1), n, core.MaxTrackedTargets)
+		}
 		if err := geo.DirArray().Check(); err != nil {
 			return fmt.Errorf("engine: dirEntries=%d over dirBanks=%d gives no valid directory cache: %w",
 				cfg.Geometry.DirEntries, banks, err)
@@ -261,12 +264,46 @@ func (s Spec) String() string {
 	return fmt.Sprintf("%s/%s@%s", s.Bench, name, s.Hash()[:12])
 }
 
-// EvalSpec is the spec for one cell of the paper's evaluation sweep:
-// the figures system configuration at the figures workload sizes. The
-// sweep drivers and the benchmark harness all build their jobs through
-// this, so the same cell requested by any of them is one cache entry.
+// EvalParams are the workload sizes of the paper's evaluation.
+func EvalParams() chai.Params { return chai.Params{Scale: 2, CPUThreads: 8} }
+
+// EvalConfig returns the system configuration of the paper's
+// evaluation (ConfigEval). It is Table II with every cache scaled down
+// by the same factor as the workload working sets (the paper's
+// full-size inputs are impractical in a pure-Go event simulator;
+// keeping the cache-to-working-set ratio preserves victim, probe and
+// miss behaviour — see DESIGN.md, substitutions).
+func EvalConfig(opts core.Options) system.Config {
+	cfg := system.Default()
+	cfg.Protocol = opts
+
+	// CPU caches (÷64 from Table II).
+	cfg.CorePair.L2SizeBytes = 32 << 10
+	cfg.CorePair.L1DSizeBytes = 4 << 10
+	cfg.CorePair.L1ISizeBytes = 4 << 10
+	// GPU caches (÷8: GPU working sets are streamed).
+	cfg.GPU.TCCSizeBytes = 32 << 10
+	cfg.GPU.TCPSizeBytes = 4 << 10
+	cfg.GPU.SQCSizeBytes = 8 << 10
+	// LLC and directory (÷32; the directory keeps as many entries as
+	// the LLC has lines, the Table II ratio).
+	cfg.Geometry.LLCSizeBytes = 512 << 10
+	cfg.Geometry.DirEntries = 8 << 10
+	// Memory channel: scaled-down workloads produce proportionally less
+	// traffic, so the channel is narrowed to keep the same relative
+	// contention the full-size system sees (the §III-B/C optimizations
+	// buy back channel occupancy, which is where their cycles come from).
+	cfg.Mem.CyclesPerAccess = 8
+	return cfg
+}
+
+// EvalSpec is the spec for one cell of the paper's evaluation: the
+// evaluation configuration at the evaluation workload sizes. Every
+// figure, table and ablation cell and the benchmark harness build
+// their jobs through this, so the same cell requested by any of them
+// is one cache entry.
 func EvalSpec(bench string, opts core.Options) Spec {
-	p := figures.EvalParams()
+	p := EvalParams()
 	return Spec{
 		Bench:    bench,
 		Scale:    p.Scale,
@@ -277,7 +314,7 @@ func EvalSpec(bench string, opts core.Options) Spec {
 }
 
 // buildWorkload resolves the spec's benchmark, CHAI first then
-// HeteroSync, exactly like the sweep drivers do.
+// HeteroSync.
 func buildWorkload(s Spec) (system.Workload, error) {
 	w, err := chai.ByName(s.Bench, chai.Params{Scale: s.Scale, CPUThreads: s.Threads, Seed: s.Seed})
 	if err == nil {
@@ -299,7 +336,7 @@ func buildConfig(s Spec) (system.Config, error) {
 	var cfg system.Config
 	switch s.Config {
 	case ConfigEval, "":
-		cfg = figures.EvalSystemConfig(opts)
+		cfg = EvalConfig(opts)
 	case ConfigFull:
 		cfg = system.Default()
 		cfg.Protocol = opts

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"hscsim/internal/core"
 	"hscsim/internal/system"
 )
 
@@ -74,6 +75,48 @@ func TestValidateMatchesBuildableDirGeometry(t *testing.T) {
 			t.Errorf("%s/tracking=%q with %+v: Validate accepted a directory geometry system.New cannot build",
 				sp.Config, sp.Protocol.Tracking, sp.Topology)
 		}
+	}
+}
+
+// TestValidateMatchesBuildableProbeTargets: every CorePair and TCC
+// count Validate accepts builds a system. Under tracking, more probe
+// targets than a directory entry's sharer bitmap holds are rejected up
+// front; without tracking the count is not limited.
+func TestValidateMatchesBuildableProbeTargets(t *testing.T) {
+	for _, tracking := range []string{"", "owner", "owner+sharers"} {
+		for _, topo := range []TopologySpec{
+			{NumCorePairs: 63},
+			{NumCorePairs: 64},
+			{NumCorePairs: 62, NumTCCs: 2},
+			{NumCorePairs: 63, NumTCCs: 2},
+			{NumCorePairs: 200},
+		} {
+			sp := Spec{Bench: "bs", Protocol: ProtocolSpec{Tracking: tracking}, Topology: topo}
+			targets := topo.NumCorePairs + max(topo.NumTCCs, 1)
+			err := sp.Validate()
+			if tracking != "" && targets > core.MaxTrackedTargets {
+				if err == nil {
+					t.Errorf("tracking=%q with %+v: Validate accepted %d probe targets", tracking, topo, targets)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("tracking=%q with %+v: %v", tracking, topo, err)
+				continue
+			}
+			cfg, err := buildConfig(sp.Normalized())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := newSystemPanic(cfg); r != nil {
+				t.Errorf("Validate accepted tracking=%q with %+v, but system.New panicked: %v", tracking, topo, r)
+			}
+		}
+	}
+	cfg := EvalConfig(core.Options{Tracking: core.TrackOwnerSharers})
+	cfg.NumCorePairs = core.MaxTrackedTargets
+	if newSystemPanic(cfg) == nil {
+		t.Errorf("system.New built a tracking directory over %d probe targets", core.MaxTrackedTargets+1)
 	}
 }
 

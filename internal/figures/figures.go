@@ -1,142 +1,50 @@
-// Package figures regenerates every table and figure of the paper's
+// Package figures renders every table and figure of the paper's
 // evaluation (§VI): Fig. 4 (speedup of the §III optimizations), Fig. 5
 // (directory↔memory traffic), Fig. 6 (speedup of state tracking),
-// Fig. 7 (probe reduction), and the configuration Tables II/III.
+// Fig. 7 (probe reduction), the configuration Tables II/III, the §V
+// HeteroSync comparison, the extended CHAI suite and the ablations.
+//
+// It simulates nothing. Every number is read through a Get, one
+// engine.Spec per cell, beside the row that prints it; cmd/hscfig
+// serves those cells from one batch of engine jobs.
 package figures
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"hscsim/internal/chai"
 	"hscsim/internal/core"
 	"hscsim/internal/energy"
+	"hscsim/internal/engine"
 	"hscsim/internal/heterosync"
 	"hscsim/internal/system"
 )
 
-// EvalParams are the workload sizes used for figure regeneration.
-func EvalParams() chai.Params { return chai.Params{Scale: 2, CPUThreads: 8} }
-
-// EvalSystemConfig returns the system configuration used to regenerate
-// the figures. It is Table II with every cache scaled down by the same
-// factor as the workload working sets (the paper's full-size inputs are
-// impractical in a pure-Go event simulator; keeping the cache-to-
-// working-set ratio preserves victim, probe and miss behaviour — see
-// DESIGN.md, substitutions).
-func EvalSystemConfig(opts core.Options) system.Config {
-	cfg := system.Default()
-	cfg.Protocol = opts
-
-	// CPU caches (÷64 from Table II).
-	cfg.CorePair.L2SizeBytes = 32 << 10
-	cfg.CorePair.L1DSizeBytes = 4 << 10
-	cfg.CorePair.L1ISizeBytes = 4 << 10
-	// GPU caches (÷8: GPU working sets are streamed).
-	cfg.GPU.TCCSizeBytes = 32 << 10
-	cfg.GPU.TCPSizeBytes = 4 << 10
-	cfg.GPU.SQCSizeBytes = 8 << 10
-	// LLC and directory (÷32; the directory keeps as many entries as
-	// the LLC has lines, the Table II ratio).
-	cfg.Geometry.LLCSizeBytes = 512 << 10
-	cfg.Geometry.DirEntries = 8 << 10
-	// Memory channel: scaled-down workloads produce proportionally less
-	// traffic, so the channel is narrowed to keep the same relative
-	// contention the full-size system sees (the §III-B/C optimizations
-	// buy back channel occupancy, which is where their cycles come from).
-	cfg.Mem.CyclesPerAccess = 8
-	return cfg
-}
-
-// Run executes one benchmark under one protocol variant on the
-// evaluation configuration.
-func Run(bench string, opts core.Options) (system.Results, error) {
-	return RunOn(bench, EvalSystemConfig(opts))
-}
-
-// RunOn executes one benchmark — CHAI or HeteroSync — on an arbitrary
-// system configuration (used by the ablations).
-func RunOn(bench string, cfg system.Config) (system.Results, error) {
-	w, err := chai.ByName(bench, EvalParams())
-	if err != nil {
-		w, err = heterosync.ByName(bench, heterosync.Params{Scale: EvalParams().Scale})
-	}
-	if err != nil {
-		return system.Results{}, err
-	}
-	s := system.New(cfg)
-	res, err := s.Run(w)
-	if err != nil {
-		return system.Results{}, err
-	}
-	if cerr := s.CheckCoherence(); cerr != nil {
-		return system.Results{}, fmt.Errorf("%s/%s: %w", bench, cfg.Protocol.Named(), cerr)
-	}
-	return res, nil
-}
+// Get returns the simulated results of one cell.
+type Get func(engine.Spec) system.Results
 
 // Sweep holds results keyed by benchmark then configuration name.
 type Sweep struct {
 	Benches []string
-	Configs []string
 	Results map[string]map[string]system.Results
 }
 
-// Runner executes one sweep cell. RunSweep uses Run, the direct
-// in-process simulator; cmd/hscfig substitutes an engine-backed runner
-// (internal/engine) so repeated sweeps are served from the result cache
-// and independent cells run on the worker pool.
-type Runner func(bench string, opts core.Options) (system.Results, error)
-
-// RunSweep runs every benchmark × protocol variant combination.
-func RunSweep(benches []string, variants []core.Options) (*Sweep, error) {
-	return RunSweepVia(Run, benches, variants)
-}
-
-// RunSweepVia runs every benchmark × protocol variant combination
-// through run.
-func RunSweepVia(run Runner, benches []string, variants []core.Options) (*Sweep, error) {
+// EvalSweep reads every benchmark × protocol variant cell of the
+// evaluation configuration (engine.EvalSpec) through get.
+func EvalSweep(get Get, benches []string, variants []core.Options) *Sweep {
 	sw := &Sweep{
 		Benches: benches,
 		Results: make(map[string]map[string]system.Results),
 	}
-	for _, v := range variants {
-		sw.Configs = append(sw.Configs, v.Named())
-	}
 	for _, b := range benches {
 		sw.Results[b] = make(map[string]system.Results)
 		for _, v := range variants {
-			res, err := run(b, v)
-			if err != nil {
-				return nil, err
-			}
-			sw.Results[b][v.Named()] = res
+			sw.Results[b][v.Named()] = get(engine.EvalSpec(b, v))
 		}
 	}
-	return sw, nil
-}
-
-// Fig4Variants are the §III optimizations evaluated one at a time
-// against the baseline, as in Fig. 4.
-func Fig4Variants() []core.Options {
-	return []core.Options{
-		{},
-		{EarlyDirtyResponse: true},
-		{NoWBCleanVicToMem: true},
-		{LLCWriteBack: true},
-	}
-}
-
-// Fig5Variants are the memory-traffic configurations of Fig. 5.
-func Fig5Variants() []core.Options {
-	return []core.Options{
-		{},
-		{NoWBCleanVicToMem: true},
-		{LLCWriteBack: true},
-		{LLCWriteBack: true, UseL3OnWT: true},
-	}
+	return sw
 }
 
 // Fig6Variants are baseline plus the two tracking organizations
@@ -267,7 +175,7 @@ func WriteFig7(w io.Writer, sw *Sweep) {
 func WriteTable2(w io.Writer) {
 	header(w, "Table II — Cache configurations")
 	full := system.Default()
-	eval := EvalSystemConfig(core.Options{})
+	eval := engine.EvalConfig(core.Options{})
 	row := func(name string, fullSz, evalSz, assoc, lat int) {
 		fmt.Fprintf(w, "%-12s %10s %12s %6d-way %6d cy\n",
 			name, sizeStr(fullSz), sizeStr(evalSz), assoc, lat)
@@ -298,10 +206,10 @@ func WriteTable3(w io.Writer) {
 	fmt.Fprintf(w, "Interconnect                 : crossbar, %d cy per hop\n", cfg.NoC.Latency)
 }
 
-// WriteExtended runs the four CHAI benchmarks the paper could not
+// WriteExtended renders the four CHAI benchmarks the paper could not
 // execute under gem5's O3 CPU (§V) across the main protocol variants —
 // results the original evaluation could not obtain.
-func WriteExtended(w io.Writer) error {
+func WriteExtended(w io.Writer, get Get) {
 	header(w, "Extended CHAI suite — the 4 benchmarks gem5 could not run (§V)")
 	variants := []core.Options{
 		{},
@@ -313,10 +221,7 @@ func WriteExtended(w io.Writer) error {
 	for _, b := range chai.ExtendedNames() {
 		var base system.Results
 		for i, v := range variants {
-			res, err := Run(b, v)
-			if err != nil {
-				return err
-			}
+			res := get(engine.EvalSpec(b, v))
 			if i == 0 {
 				base = res
 			}
@@ -327,7 +232,6 @@ func WriteExtended(w io.Writer) error {
 			fmt.Fprintln(w)
 		}
 	}
-	return nil
 }
 
 // WriteHeteroSync reproduces the paper's §V negative result: the
@@ -335,49 +239,34 @@ func WriteExtended(w io.Writer) error {
 // properties", so the enhancements buy far less than on the
 // collaborative CHAI five. It prints the tracked-stack speedup for
 // both suites side by side.
-func WriteHeteroSync(w io.Writer) error {
+func WriteHeteroSync(w io.Writer, get Get) {
 	header(w, "HeteroSync / Lulesh — limited collaboration, limited benefit (§V)")
 	opts := core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true}
 	fmt.Fprintf(w, "%-10s %-10s %12s %12s %9s %14s\n",
 		"suite", "bench", "base cycles", "trk cycles", "saved", "probes saved")
-	run := func(suite string, names []string, writeBackTCC bool) (avg float64, err error) {
+	run := func(suite string, names []string, writeBackTCC bool) float64 {
 		var sum float64
 		for _, b := range names {
-			cfgBase := EvalSystemConfig(core.Options{})
-			cfgTrk := EvalSystemConfig(opts)
-			if writeBackTCC {
-				// HeteroSync relies on scoped synchronization: the TCC
-				// runs write-back (the gem5 WB_L2 configuration), so its
-				// device-scope atomics never reach the directory.
-				cfgBase.GPU.WriteBackL2 = true
-				cfgTrk.GPU.WriteBackL2 = true
+			// HeteroSync relies on scoped synchronization: the TCC runs
+			// write-back (the gem5 WB_L2 configuration), so its
+			// device-scope atomics never reach the directory.
+			cell := func(opts core.Options) system.Results {
+				sp := engine.EvalSpec(b, opts)
+				sp.Topology.GPUWriteBackL2 = writeBackTCC
+				return get(sp)
 			}
-			base, err := RunOn(b, cfgBase)
-			if err != nil {
-				return 0, err
-			}
-			trk, err := RunOn(b, cfgTrk)
-			if err != nil {
-				return 0, err
-			}
+			base, trk := cell(core.Options{}), cell(opts)
 			saved := PercentSaved(base, trk)
 			sum += saved
 			fmt.Fprintf(w, "%-10s %-10s %12d %12d %8.1f%% %13.1f%%\n",
 				suite, b, base.Cycles, trk.Cycles, saved, PercentProbeReduction(base, trk))
 		}
-		return sum / float64(len(names)), nil
+		return sum / float64(len(names))
 	}
-	hsAvg, err := run("heterosync", heterosync.Names(), true)
-	if err != nil {
-		return err
-	}
-	chaiAvg, err := run("chai-5", chai.CollaborativeFive(), false)
-	if err != nil {
-		return err
-	}
+	hsAvg := run("heterosync", heterosync.Names(), true)
+	chaiAvg := run("chai-5", chai.CollaborativeFive(), false)
 	fmt.Fprintf(w, "average saved cycles: heterosync %.1f%% vs collaborative CHAI %.1f%%\n", hsAvg, chaiAvg)
 	fmt.Fprintln(w, "(paper: 'the effects of the enhancements are not prominent due to their limited collaborative properties')")
-	return nil
 }
 
 // WriteEnergy renders the first-order energy estimate the paper's
@@ -416,11 +305,4 @@ func sizeStr(b int) string {
 		return fmt.Sprintf("%d KB", b>>10)
 	}
 	return fmt.Sprintf("%d", b)
-}
-
-// SortedConfigNames returns the sweep's configuration names sorted.
-func (sw *Sweep) SortedConfigNames() []string {
-	out := append([]string(nil), sw.Configs...)
-	sort.Strings(out)
-	return out
 }

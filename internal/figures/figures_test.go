@@ -1,26 +1,28 @@
 package figures
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"hscsim/internal/core"
+	"hscsim/internal/engine"
 	"hscsim/internal/system"
 )
 
-func TestRunSingle(t *testing.T) {
-	res, err := Run("bs", core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles == 0 || res.MemAccesses() == 0 {
-		t.Fatalf("empty results: %+v", res)
-	}
-}
-
-func TestRunUnknownBenchmark(t *testing.T) {
-	if _, err := Run("nope", core.Options{}); err == nil {
-		t.Fatal("unknown benchmark accepted")
+// execute simulates each cell in process, the way an engine worker
+// does.
+func execute(t *testing.T) Get {
+	return func(sp engine.Spec) system.Results {
+		b, err := engine.Execute(context.Background(), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := engine.DecodeResult(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 }
 
@@ -34,10 +36,7 @@ func TestSweepAndWriters(t *testing.T) {
 		{LLCWriteBack: true},
 		{LLCWriteBack: true, UseL3OnWT: true},
 	}
-	sw, err := RunSweep([]string{"tq"}, variants)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sw := EvalSweep(execute(t), []string{"tq"}, variants)
 	base := sw.Results["tq"]["baseline"]
 	tracked := sw.Results["tq"]["sharersTracking"]
 	if PercentProbeReduction(base, tracked) <= 50 {
@@ -66,7 +65,7 @@ func TestSweepAndWriters(t *testing.T) {
 			t.Errorf("output missing %q", want)
 		}
 	}
-	if len(sw.SortedConfigNames()) != len(variants) {
+	if len(sw.Results["tq"]) != len(variants) {
 		t.Error("config names lost")
 	}
 }
@@ -88,7 +87,6 @@ func results(cycles, mem, probes uint64) (r system.Results) {
 func TestWriteCSV(t *testing.T) {
 	sw := &Sweep{
 		Benches: []string{"tq"},
-		Configs: []string{"baseline"},
 		Results: map[string]map[string]system.Results{
 			"tq": {"baseline": {Cycles: 10, MemReads: 2, MemWrites: 3, ProbesSent: 4, LLCHits: 5, NoCBytes: 6}},
 		},
