@@ -10,12 +10,9 @@
 // Usage:
 //
 //	hscproto                      # summary: machines, transitions, static verdict
-//	hscproto -table               # print the tables as Markdown
-//	hscproto -json                # print the tables as JSON
 //	hscproto -write               # regenerate TABLES.md under -dir
 //	hscproto -check               # static checks + TABLES.md freshness (CI, per push)
 //	hscproto -cover [-quick] [-min 95]   # dynamic coverage cross-check (CI, nightly)
-//	hscproto -diff <baseline>     # per-arm deltas vs a committed baseline
 //	hscproto -reach [-limit N]    # exhaustive composite-state safety proof (CI, per push)
 //	hscproto -live                # liveness: every transient state drains (CI, per push)
 //	hscproto -deadlock [-dot]     # message-class dependency graph, fail on cycle (CI, per push)
@@ -23,14 +20,12 @@
 //	hscproto -contain             # observed states ⊆ static reachable set (CI, nightly)
 //	hscproto -symcheck            # symmetry reduction exact vs unreduced exploration (CI, nightly)
 //
-// -diff compares the extracted tables against a baseline file — either
-// a TABLES.md rendering or `hscproto -json` output; "-" reads stdin, so
+// TABLES.md is the one rendering of the tables: every entry attribute
+// an analysis reads is a column and each arm is one row, so
 //
-//	git show main:TABLES.md | go run ./cmd/hscproto -diff -
+//	go run ./cmd/hscproto -write && git diff TABLES.md
 //
-// prints exactly which transition arms a branch adds, removes or
-// reguards. Exits 1 when the tables differ (so it can gate a review),
-// 2 on usage errors.
+// shows exactly which arms a change adds, removes or re-guards.
 //
 // -check exits nonzero when a reachable (state, event) cell has no
 // handler and no waiver, when an arm handles a cell the spec declares
@@ -67,7 +62,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -89,12 +83,9 @@ import (
 
 func main() {
 	dir := flag.String("dir", ".", "module root to extract the controller sources from")
-	table := flag.Bool("table", false, "print the transition tables as Markdown")
-	jsonOut := flag.Bool("json", false, "print the transition tables as JSON")
 	write := flag.Bool("write", false, "regenerate TABLES.md under -dir")
 	check := flag.Bool("check", false, "static checks plus TABLES.md freshness; nonzero exit on failure")
 	cover := flag.Bool("cover", false, "dynamic coverage cross-check; nonzero exit on gaps")
-	diffBase := flag.String("diff", "", "baseline file (TABLES.md or -json output; \"-\" = stdin) to diff the tables against")
 	quick := flag.Bool("quick", false, "with -cover: reduced matrix (per-push CI budget)")
 	minPct := flag.Float64("min", 95, "with -cover: minimum percentage of non-exempt transitions fired")
 	reach := flag.Bool("reach", false, "exhaustive composite-state reachability + safety check; nonzero exit on violation")
@@ -117,15 +108,6 @@ func main() {
 
 	tablesPath := filepath.Join(*dir, "TABLES.md")
 	switch {
-	case *table:
-		fmt.Print(tbl.Markdown())
-	case *jsonOut:
-		b, err := tbl.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hscproto: %v\n", err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(append(b, '\n'))
 	case *write:
 		if err := os.WriteFile(tablesPath, []byte(tbl.Markdown()), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "hscproto: %v\n", err)
@@ -136,8 +118,6 @@ func main() {
 		os.Exit(runCheck(tbl, tablesPath))
 	case *cover:
 		os.Exit(runCover(tbl, *quick, *minPct))
-	case *diffBase != "":
-		os.Exit(runDiff(tbl, *diffBase))
 	case *reach, *live:
 		opts := protocheck.ExploreOpts{
 			Limit: *limit, Workers: *jobs, NoSym: *nosym,
@@ -195,35 +175,6 @@ func runCheck(tbl *proto.Table, tablesPath string) int {
 		return 1
 	}
 	fmt.Println("static check ok; TABLES.md up to date")
-	return 0
-}
-
-// runDiff compares the extracted tables against a committed baseline
-// and prints the per-arm deltas.
-func runDiff(tbl *proto.Table, path string) int {
-	var (
-		raw []byte
-		err error
-	)
-	if path == "-" {
-		raw, err = io.ReadAll(os.Stdin)
-	} else {
-		raw, err = os.ReadFile(path)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hscproto: baseline: %v\n", err)
-		return 2
-	}
-	baseline, err := proto.ParseBaseline(raw)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hscproto: %v\n", err)
-		return 2
-	}
-	deltas := proto.DiffArms(baseline, tbl.Arms())
-	fmt.Print(proto.FormatDiff(deltas))
-	if len(deltas) > 0 {
-		return 1
-	}
 	return 0
 }
 

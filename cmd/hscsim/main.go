@@ -21,28 +21,6 @@ import (
 	"hscsim"
 )
 
-func protocolByName(name string) (hscsim.ProtocolOptions, error) {
-	switch name {
-	case "baseline":
-		return hscsim.ProtocolOptions{}, nil
-	case "earlyResp":
-		return hscsim.ProtocolOptions{EarlyDirtyResponse: true}, nil
-	case "noWBcleanVic":
-		return hscsim.ProtocolOptions{NoWBCleanVicToMem: true}, nil
-	case "noWBcleanVicLLC":
-		return hscsim.ProtocolOptions{NoWBCleanVicToMem: true, NoWBCleanVicToLLC: true}, nil
-	case "llcWB":
-		return hscsim.ProtocolOptions{LLCWriteBack: true}, nil
-	case "llcWB+useL3OnWT":
-		return hscsim.ProtocolOptions{LLCWriteBack: true, UseL3OnWT: true}, nil
-	case "ownerTracking":
-		return hscsim.ProtocolOptions{Tracking: hscsim.TrackOwner, LLCWriteBack: true, UseL3OnWT: true}, nil
-	case "sharersTracking":
-		return hscsim.ProtocolOptions{Tracking: hscsim.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true}, nil
-	}
-	return hscsim.ProtocolOptions{}, fmt.Errorf("unknown protocol %q", name)
-}
-
 func main() {
 	bench := flag.String("bench", "tq", "benchmark: "+strings.Join(hscsim.Benchmarks(), ", "))
 	protocol := flag.String("protocol", "baseline", "protocol variant (see -help)")
@@ -54,7 +32,12 @@ func main() {
 	traceFile := flag.String("trace", "", "write a JSONL coherence-message trace (analyze with hsctrace)")
 	flag.Parse()
 
-	opts, err := protocolByName(*protocol)
+	variant, err := hscsim.NamedProtocolVariant(*protocol)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hscsim:", err)
+		os.Exit(2)
+	}
+	opts, err := variant.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hscsim:", err)
 		os.Exit(2)

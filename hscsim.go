@@ -217,8 +217,10 @@ type (
 	SweepPoint = engine.SweepPoint
 )
 
-// NamedProtocolVariant resolves the conventional variant names
-// (baseline, ownerTracking, sharersTracking) used across the tools.
+// NamedProtocolVariant resolves the eight variant names of the paper's
+// figure legends (baseline, earlyResp, noWBcleanVic, noWBcleanVicLLC,
+// llcWB, llcWB+useL3OnWT, ownerTracking, sharersTracking) used across
+// the tools.
 func NamedProtocolVariant(name string) (engine.ProtocolSpec, error) {
 	return engine.NamedVariant(name)
 }

@@ -20,6 +20,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 
 	"hscsim/internal/chai"
 	"hscsim/internal/core"
@@ -183,11 +185,15 @@ func (s Spec) Normalized() Spec {
 }
 
 // Validate rejects specs that cannot execute: unknown benchmarks, bad
-// enum strings, impossible topologies.
+// enum strings, impossible topologies, more CHAI threads than cores. It
+// builds neither the workload nor the system, so its cost does not
+// grow with the thread or core counts a spec asks for.
 func (s Spec) Validate() error {
 	s = s.Normalized()
-	if _, err := buildWorkload(s); err != nil {
-		return err
+	isCHAI := slices.Contains(chai.AllNames(), s.Bench)
+	if !isCHAI && !slices.Contains(heterosync.Names(), s.Bench) {
+		return fmt.Errorf("engine: unknown benchmark %q (CHAI: %s; HeteroSync: %s)", s.Bench,
+			strings.Join(chai.AllNames(), ", "), strings.Join(heterosync.Names(), ", "))
 	}
 	if _, err := s.Protocol.Options(); err != nil {
 		return err
@@ -207,6 +213,14 @@ func (s Spec) Validate() error {
 	cfg, err := buildConfig(s)
 	if err != nil {
 		return err
+	}
+	// A CHAI workload starts at most max(threads, 2) CPU threads (bfs,
+	// cedd and sssp run a host plus at least one worker; rscd only its
+	// host), and the smallest topology's one CorePair holds 2.
+	// HeteroSync starts one host thread whatever threads says.
+	if cores := cfg.NumCorePairs * cfg.CoresPerPair; isCHAI && s.Threads > cores {
+		return fmt.Errorf("engine: %s wants %d threads, numCorePairs=%d has %d cores",
+			s.Bench, s.Threads, cfg.NumCorePairs, cores)
 	}
 	if err := cfg.GPU.TCCBank().Check(); err != nil {
 		return fmt.Errorf("engine: numTCCs=%d does not split the %d-byte TCC into valid banks: %w",

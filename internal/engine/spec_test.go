@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
+	"hscsim/internal/chai"
 	"hscsim/internal/core"
+	"hscsim/internal/heterosync"
 	"hscsim/internal/system"
 )
 
@@ -118,6 +121,94 @@ func TestValidateMatchesBuildableProbeTargets(t *testing.T) {
 	if newSystemPanic(cfg) == nil {
 		t.Errorf("system.New built a tracking directory over %d probe targets", core.MaxTrackedTargets+1)
 	}
+}
+
+// TestValidateMatchesRunnableThreads: no spec Validate accepts starts
+// more CPU threads than its topology has cores, so none fails in
+// system.Run with "wants N threads", and every CHAI spec asking for at
+// most one thread per core is accepted. HeteroSync ignores threads.
+func TestValidateMatchesRunnableThreads(t *testing.T) {
+	for _, bench := range append(chai.AllNames(), heterosync.Names()...) {
+		for _, pairs := range []int{1, 2, 4} {
+			cores := 2 * pairs
+			for threads := 1; threads <= 9; threads++ {
+				sp := Spec{Bench: bench, Scale: 1, Threads: threads, Topology: TopologySpec{NumCorePairs: pairs}}
+				w, err := buildWorkload(sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = sp.Validate()
+				if err == nil && len(w.Threads) > cores {
+					t.Errorf("%s threads=%d numCorePairs=%d: Validate accepted %d threads on %d cores",
+						bench, threads, pairs, len(w.Threads), cores)
+				}
+				if err != nil && threads <= cores {
+					t.Errorf("%s threads=%d numCorePairs=%d: %v", bench, threads, pairs, err)
+				}
+			}
+		}
+	}
+	for _, sp := range []Spec{
+		{Bench: "bs", Threads: 9}, // the eval topology has 8 cores
+		{Bench: "bs", Threads: 3, Topology: TopologySpec{NumCorePairs: 1}},
+	} {
+		if sp.Validate() == nil {
+			t.Errorf("Validate accepted %s", sp.Canonical())
+		}
+	}
+}
+
+// TestValidateDoesNotBuildWorkload: Validate resolves the bench by name
+// instead of building the workload, whose constructors allocate per
+// thread, so a spec asking for 65 536 threads costs what one asking
+// for 8 does.
+func TestValidateDoesNotBuildWorkload(t *testing.T) {
+	sp := Spec{Bench: "bs", Threads: 1 << 16, Topology: TopologySpec{NumCorePairs: 1 << 15}}
+	if err := sp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() { _ = sp.Validate() }); n >= 100 {
+		t.Errorf("Validate made %.0f allocations for threads=%d, want fewer than 100", n, sp.Threads)
+	}
+}
+
+// FuzzSpecCanonical decodes arbitrary bytes into a Spec. No input may
+// panic, and for every spec Validate accepts, Normalized is idempotent
+// and the canonical encoding decodes back to the same canonical bytes
+// and hash: the cache key is a function of the spec, not of how a
+// client spelled it.
+func FuzzSpecCanonical(f *testing.F) {
+	for _, sp := range []Spec{
+		EvalSpec("tq", core.Options{}),
+		EvalSpec("hsti", core.Options{EarlyDirtyResponse: true, LLCWriteBack: true, Tracking: core.TrackOwnerSharers}),
+		EvalSpec("hs_mutex", core.Options{LLCWriteBack: true, UseL3OnWT: true}),
+		{Bench: "bs", Scale: 1, Threads: 2, Topology: TopologySpec{NumCorePairs: 2, DirBanks: 4, StoreBufferZero: true}},
+	} {
+		f.Add(sp.Canonical())
+	}
+	f.Add([]byte(`{"bench":"bs","threads":9}`))
+	f.Add([]byte(`{"bench":"bs","threads":3,"topology":{"numCorePairs":1}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sp Spec
+		if json.Unmarshal(data, &sp) != nil || sp.Validate() != nil {
+			return
+		}
+		n := sp.Normalized()
+		if n.Normalized() != n {
+			t.Fatalf("Normalized is not idempotent: %+v -> %+v", n, n.Normalized())
+		}
+		canon := sp.Canonical()
+		var back Spec
+		if err := json.Unmarshal(canon, &back); err != nil {
+			t.Fatalf("canonical form %s does not decode: %v", canon, err)
+		}
+		if got := back.Canonical(); string(got) != string(canon) {
+			t.Fatalf("canonical form not stable:\n %s\n %s", canon, got)
+		}
+		if back.Hash() != sp.Hash() {
+			t.Fatalf("hash changed across a canonical round trip: %s", canon)
+		}
+	})
 }
 
 // newSystemPanic builds a system from cfg and returns what the build

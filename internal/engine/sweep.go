@@ -3,6 +3,9 @@ package engine
 import (
 	"fmt"
 	"strconv"
+	"strings"
+
+	"hscsim/internal/core"
 )
 
 // MaxSweepCells bounds server-side sweep expansion: a single POST
@@ -119,16 +122,31 @@ func (s SweepSpec) cellLabel(i int) string {
 	return "v" + strconv.Itoa(vi) + "p" + strconv.Itoa(pi)
 }
 
-// NamedVariant resolves the conventional protocol-variant names shared
-// by cmd/hscsweep and the public API.
+// namedVariants are the eight protocol variants of the paper's figure
+// legends; each is known by its core.Options.Named name.
+var namedVariants = []core.Options{
+	{},
+	{EarlyDirtyResponse: true},
+	{NoWBCleanVicToMem: true},
+	{NoWBCleanVicToMem: true, NoWBCleanVicToLLC: true},
+	{LLCWriteBack: true},
+	{LLCWriteBack: true, UseL3OnWT: true},
+	{LLCWriteBack: true, UseL3OnWT: true, Tracking: core.TrackOwner},
+	{LLCWriteBack: true, UseL3OnWT: true, Tracking: core.TrackOwnerSharers},
+}
+
+// NamedVariant resolves a figure-legend variant name (baseline,
+// earlyResp, …, sharersTracking) for cmd/hscsim, cmd/hscsweep and the
+// public API.
 func NamedVariant(name string) (ProtocolSpec, error) {
-	switch name {
-	case "baseline":
-		return ProtocolSpec{}, nil
-	case "ownerTracking":
-		return ProtocolSpec{Tracking: "owner", LLCWriteBack: true, UseL3OnWT: true}, nil
-	case "sharersTracking":
-		return ProtocolSpec{Tracking: "owner+sharers", LLCWriteBack: true, UseL3OnWT: true}, nil
+	for _, o := range namedVariants {
+		if o.Named() == name {
+			return ProtocolFromOptions(o), nil
+		}
 	}
-	return ProtocolSpec{}, fmt.Errorf("engine: unknown protocol variant %q (baseline, ownerTracking, sharersTracking)", name)
+	names := make([]string, len(namedVariants))
+	for i, o := range namedVariants {
+		names[i] = o.Named()
+	}
+	return ProtocolSpec{}, fmt.Errorf("engine: unknown protocol variant %q (%s)", name, strings.Join(names, ", "))
 }

@@ -116,18 +116,36 @@ func TestSweepCellCap(t *testing.T) {
 	}
 }
 
+// TestNamedVariant round-trips all eight figure-legend names through
+// core.Options.Named and pins the three specs perfbench resolves: their
+// hashes key its result digests.
 func TestNamedVariant(t *testing.T) {
-	for _, name := range []string{"baseline", "ownerTracking", "sharersTracking"} {
+	pinned := map[string]ProtocolSpec{
+		"baseline":        {},
+		"ownerTracking":   {Tracking: "owner", LLCWriteBack: true, UseL3OnWT: true},
+		"sharersTracking": {Tracking: "owner+sharers", LLCWriteBack: true, UseL3OnWT: true},
+	}
+	for _, name := range []string{"baseline", "earlyResp", "noWBcleanVic", "noWBcleanVicLLC",
+		"llcWB", "llcWB+useL3OnWT", "ownerTracking", "sharersTracking"} {
 		v, err := NamedVariant(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := v.Options(); err != nil {
+		opts, err := v.Options()
+		if err != nil {
 			t.Fatalf("%s produced invalid options: %v", name, err)
 		}
+		if got := opts.Named(); got != name {
+			t.Errorf("NamedVariant(%q) resolves to %q", name, got)
+		}
+		if want, ok := pinned[name]; ok && v != want {
+			t.Errorf("NamedVariant(%q) = %+v, want %+v", name, v, want)
+		}
 	}
-	if _, err := NamedVariant("psychic"); err == nil {
-		t.Fatal("unknown variant resolved")
+	for _, name := range []string{"psychic", "earlyResponse", ""} {
+		if _, err := NamedVariant(name); err == nil {
+			t.Errorf("unknown variant %q resolved", name)
+		}
 	}
 }
 

@@ -59,9 +59,9 @@ type Site struct {
 
 // TKey identifies one transition within a machine.
 type TKey struct {
-	State string `json:"state"`
-	Event string `json:"event"`
-	Next  string `json:"next"`
+	State string
+	Event string
+	Next  string
 }
 
 func (k TKey) String() string {
@@ -70,8 +70,8 @@ func (k TKey) String() string {
 
 // Pair is a (state, event) cell of a machine's table.
 type Pair struct {
-	State string `json:"state"`
-	Event string `json:"event"`
+	State string
+	Event string
 }
 
 func (p Pair) String() string { return fmt.Sprintf("(%s, %s)", p.State, p.Event) }
@@ -80,8 +80,8 @@ func (p Pair) String() string { return fmt.Sprintf("(%s, %s)", p.State, p.Event)
 // option in Require is set and no option in Forbid is set. The zero
 // Guard is unconditional.
 type Guard struct {
-	Require []string `json:"require,omitempty"`
-	Forbid  []string `json:"forbid,omitempty"`
+	Require []string
+	Forbid  []string
 }
 
 // Active reports whether the guard admits the option set.
@@ -117,16 +117,16 @@ func (g Guard) String() string {
 // every site that can fire it.
 type Entry struct {
 	TKey
-	Actions []string `json:"actions,omitempty"`
-	Guards  []Guard  `json:"guards"` // site guards (disjunction)
-	Sites   []string `json:"sites"`
+	Actions []string
+	Guards  []Guard // site guards (disjunction)
+	Sites   []string
 	// Emits lists the msg.Type names the arm's actions may put on the
 	// wire; Consumes lists the types the arm retires beyond the message
 	// that is its own event (e.g. a queued victim replayed by a fill).
 	// Both come from //proto:emits / //proto:consumes annotations and
 	// feed the static safety analyses (internal/protocheck).
-	Emits    []string `json:"emits,omitempty"`
-	Consumes []string `json:"consumes,omitempty"`
+	Emits    []string
+	Consumes []string
 }
 
 // ActiveUnder reports whether the transition can fire under the given
@@ -155,8 +155,8 @@ func (e *Entry) EnabledBy(option string) bool {
 
 // Machine is one controller's extracted transition table.
 type Machine struct {
-	Name    string   `json:"machine"`
-	Entries []*Entry `json:"entries"`
+	Name    string
+	Entries []*Entry
 }
 
 // Entry returns the entry for the transition, or nil.
@@ -193,7 +193,7 @@ func (m *Machine) Pairs() []Pair {
 // Table is the full extracted transition table, one machine per
 // instrumented controller state machine.
 type Table struct {
-	Machines []*Machine `json:"machines"`
+	Machines []*Machine
 }
 
 // Machine returns the named machine's table, or nil.

@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -66,6 +68,55 @@ func TestRepoTableShape(t *testing.T) {
 			for _, e := range m.Entries {
 				t.Logf("  %s (%s)", e.TKey, siteList(e))
 			}
+		}
+	}
+}
+
+// TestRepoTablesFresh: the module root's TABLES.md is exactly what
+// Markdown renders from the sources, so a stale file fails go test as
+// well as CI's hscproto -check.
+func TestRepoTablesFresh(t *testing.T) {
+	tbl := repoExtract(t)
+	got, err := os.ReadFile(filepath.Join("..", "..", "TABLES.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != tbl.Markdown() {
+		t.Fatal("TABLES.md is stale; regenerate with go run ./cmd/hscproto -write")
+	}
+}
+
+// TestMarkdownRendersEveryAttribute: TABLES.md is the only rendering
+// of the tables, so an edit to any attribute an analysis reads must
+// change it — including the emits and consumes lists the deadlock
+// graph and the stall lint read.
+func TestMarkdownRendersEveryAttribute(t *testing.T) {
+	fixture := func() *Table {
+		return &Table{Machines: []*Machine{{Name: "dir.x", Entries: []*Entry{{
+			TKey:     TKey{State: "I", Event: "VicDirty", Next: "I"},
+			Actions:  []string{"commit victim"},
+			Guards:   []Guard{{Require: []string{"LLCWriteBack"}}},
+			Emits:    []string{"WBAck"},
+			Consumes: []string{"VicDirty"},
+		}}}}}
+	}
+	base := fixture().Markdown()
+	for _, tc := range []struct {
+		attr   string
+		mutate func(e *Entry)
+	}{
+		{"state", func(e *Entry) { e.State = "V" }},
+		{"event", func(e *Entry) { e.Event = "VicClean" }},
+		{"next", func(e *Entry) { e.Next = "V" }},
+		{"guard", func(e *Entry) { e.Guards = []Guard{{}} }},
+		{"actions", func(e *Entry) { e.Actions = []string{"commit victim, WBAck"} }},
+		{"emits", func(e *Entry) { e.Emits = []string{"WBAck", "Resp"} }},
+		{"consumes", func(e *Entry) { e.Consumes = nil }},
+	} {
+		tbl := fixture()
+		tc.mutate(tbl.Machines[0].Entries[0])
+		if tbl.Markdown() == base {
+			t.Errorf("editing the %s of an entry leaves Markdown unchanged", tc.attr)
 		}
 	}
 }

@@ -1,40 +1,39 @@
 package proto
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 )
 
-// JSON renders the table as indented JSON, machines and entries in
-// deterministic order.
-func (t *Table) JSON() ([]byte, error) {
-	return json.MarshalIndent(t, "", "  ")
-}
-
 // Markdown renders the table as one GitHub-flavored Markdown section
-// per machine, deterministic and diff-friendly (TABLES.md is generated
-// from this and checked in).
+// per machine, deterministic and diff-friendly. TABLES.md is generated
+// from this and checked in; it is the only rendering, so every entry
+// attribute an analysis reads is a column and each arm is one row.
 func (t *Table) Markdown() string {
 	var b strings.Builder
 	b.WriteString("# Protocol transition tables\n\n")
-	b.WriteString("Extracted from the controller sources by `go run ./cmd/hscproto -table`.\n")
-	b.WriteString("Regenerate with `go run ./cmd/hscproto -write` after changing any\n")
-	b.WriteString("`fsm.Recorder.Record` site; `hscproto -check` fails CI when this file\n")
-	b.WriteString("is stale. The Guard column lists the `core.Options` gates under which\n")
-	b.WriteString("a transition can fire (`always` = unconditional, `!X` = X unset).\n")
+	b.WriteString("Extracted from the controller sources by `go run ./cmd/hscproto -write`;\n")
+	b.WriteString("rerun it after changing any `fsm.Recorder.Record` site. `hscproto -check`\n")
+	b.WriteString("fails CI when this file is stale, so a protocol change reviews as\n")
+	b.WriteString("`git diff TABLES.md`, one row per arm. The Guard column lists the\n")
+	b.WriteString("`core.Options` gates under which a transition can fire (`always` =\n")
+	b.WriteString("unconditional, `!X` = X unset). Emits lists the message types the arm\n")
+	b.WriteString("may send (`//proto:emits`); Consumes lists the message types it retires\n")
+	b.WriteString("beyond its own event message (`//proto:consumes`). The deadlock graph\n")
+	b.WriteString("and the stall lint (`hscproto -deadlock`, `-stall`) read both.\n")
 	for _, m := range t.Machines {
 		fmt.Fprintf(&b, "\n## %s\n\n", m.Name)
 		if s := SpecFor(m.Name); s != nil {
 			fmt.Fprintf(&b, "%d transitions over %d (state, event) cells; %d cells impossible by construction.\n\n",
 				len(m.Entries), len(s.Reachable), len(s.Impossible))
 		}
-		b.WriteString("| State | Event | Next | Guard | Actions |\n")
-		b.WriteString("|---|---|---|---|---|\n")
+		b.WriteString("| State | Event | Next | Guard | Actions | Emits | Consumes |\n")
+		b.WriteString("|---|---|---|---|---|---|---|\n")
 		for _, e := range m.Entries {
-			fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n",
-				e.State, e.Event, e.Next, guardColumn(e), strings.Join(e.Actions, "; "))
+			fmt.Fprintf(&b, "| %s | %s | %s | %s | %s | %s | %s |\n",
+				e.State, e.Event, e.Next, guardColumn(e), strings.Join(e.Actions, "; "),
+				strings.Join(e.Emits, ", "), strings.Join(e.Consumes, ", "))
 		}
 		if s := SpecFor(m.Name); s != nil && len(s.Impossible) > 0 {
 			b.WriteString("\nImpossible cells:\n\n")

@@ -12,7 +12,7 @@ func BenchmarkNewHarness(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		harnessSink = newHarness(opts, sc, OrderUnordered, nil)
+		harnessSink = newHarness(opts, sc, nil)
 	}
 }
 

@@ -9,35 +9,10 @@ import (
 	"hscsim/internal/noc"
 )
 
-// Ordering selects the network delivery model the checker explores.
-type Ordering uint8
-
-// Delivery orderings.
-const (
-	// OrderUnordered explores every delivery order of every in-flight
-	// message — an adversarial fabric with no ordering guarantees at
-	// all, strictly weaker than what any real interconnect provides.
-	OrderUnordered Ordering = iota
-	// OrderPerLinkFIFO restricts delivery to the oldest in-flight
-	// message per (src, dst) pair: point-to-point ordering, the
-	// guarantee the paper's gem5 network (and this repo's noc, which
-	// has a single fixed latency) actually gives.
-	OrderPerLinkFIFO
-)
-
-func (o Ordering) String() string {
-	if o == OrderPerLinkFIFO {
-		return "fifo"
-	}
-	return "unordered"
-}
-
 // Config selects what the model checker explores.
 type Config struct {
 	Opts     core.Options
 	Scenario Scenario
-	// Order is the delivery model (default: fully unordered).
-	Order Ordering
 	// Mutate, when non-nil, rewrites (or drops, by returning false)
 	// every message at delivery time. Used by negative tests to seed
 	// protocol bugs the checker must catch. It MUST be a pure function
@@ -48,10 +23,6 @@ type Config struct {
 	// MaxStates bounds exploration (0 = the package default). Hitting
 	// the bound sets Result.Truncated rather than failing.
 	MaxStates int
-	// DrainBudget bounds engine events executed after each scheduling
-	// choice (0 = the package default); exhausting it with nothing
-	// buffered to unblock progress is reported as a livelock.
-	DrainBudget int
 }
 
 // Violation is a checker counterexample: the failed invariant plus the
@@ -79,8 +50,11 @@ type Result struct {
 }
 
 const (
-	defaultMaxStates   = 200000
-	defaultDrainBudget = 1024
+	defaultMaxStates = 200000
+	// drainBudget bounds the engine events executed after each
+	// scheduling choice; exhausting it with nothing buffered to unblock
+	// progress is reported as a livelock.
+	drainBudget = 1024
 )
 
 // Run explores every interleaving of message deliveries, memory
@@ -95,9 +69,6 @@ func Run(cfg Config) Result {
 	if c.cfg.MaxStates == 0 {
 		c.cfg.MaxStates = defaultMaxStates
 	}
-	if c.cfg.DrainBudget == 0 {
-		c.cfg.DrainBudget = defaultDrainBudget
-	}
 	c.dfs(nil)
 	return c.result
 }
@@ -111,11 +82,11 @@ type checker struct {
 // replay builds a fresh harness and re-executes the action path.
 // Returns nil if a violation fired mid-path (already recorded).
 func (c *checker) replay(path []int) *harness {
-	h := newHarness(c.cfg.Opts, c.cfg.Scenario, c.cfg.Order, c.cfg.Mutate)
-	h.drain(c.cfg.DrainBudget)
+	h := newHarness(c.cfg.Opts, c.cfg.Scenario, c.cfg.Mutate)
+	h.drain()
 	for _, ai := range path {
 		acts := h.enabled()
-		h.perform(acts[ai], c.cfg.DrainBudget)
+		h.perform(acts[ai])
 		if h.violation != nil {
 			c.fail(h, path, nil)
 			return nil
@@ -138,8 +109,8 @@ func (c *checker) fail(h *harness, path []int, extra *core.ProtocolViolation) {
 
 // trace re-executes the path once more purely to render each action.
 func (c *checker) trace(path []int) []string {
-	h := newHarness(c.cfg.Opts, c.cfg.Scenario, c.cfg.Order, c.cfg.Mutate)
-	h.drain(c.cfg.DrainBudget)
+	h := newHarness(c.cfg.Opts, c.cfg.Scenario, c.cfg.Mutate)
+	h.drain()
 	out := make([]string, 0, len(path))
 	for _, ai := range path {
 		acts := h.enabled()
@@ -148,7 +119,7 @@ func (c *checker) trace(path []int) []string {
 			return out
 		}
 		out = append(out, h.describe(acts[ai]))
-		h.perform(acts[ai], c.cfg.DrainBudget)
+		h.perform(acts[ai])
 	}
 	return out
 }

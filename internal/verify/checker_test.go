@@ -56,31 +56,6 @@ func TestDMAScenariosSweep(t *testing.T) {
 	}
 }
 
-// TestPerLinkFIFOSweep repeats the standard sweep under point-to-point
-// ordered delivery. Both orderings must be clean; FIFO explores a
-// subset of the unordered interleavings, so this also bounds runtime.
-func TestPerLinkFIFOSweep(t *testing.T) {
-	for _, opts := range Variants() {
-		for _, sc := range Scenarios() {
-			opts, sc := opts, sc
-			t.Run(opts.Named()+"/"+sc.Name, func(t *testing.T) {
-				t.Parallel()
-				res := Run(Config{Opts: opts, Scenario: sc, Order: OrderPerLinkFIFO})
-				if res.Violation != nil {
-					t.Fatalf("violation under per-link FIFO:\n%s", res.Violation)
-				}
-				if res.Truncated {
-					t.Fatalf("exploration truncated at %d states", res.States)
-				}
-				if res.Paths == 0 {
-					t.Fatalf("no complete path explored (states=%d)", res.States)
-				}
-				t.Logf("states=%d paths=%d", res.States, res.Paths)
-			})
-		}
-	}
-}
-
 // TestSeededDroppedAck drops every probe acknowledgment sent by CPU
 // L2 node 1. The directory then waits forever for its probe count; the
 // checker must report the resulting deadlock, not hang or pass.

@@ -174,7 +174,6 @@ type harness struct {
 	oracle *Oracle
 	agents []*agent
 	lines  []cachearray.LineAddr
-	order  Ordering
 
 	violation *core.ProtocolViolation
 }
@@ -187,7 +186,7 @@ const (
 	nodeDMA = msg.NodeID(4)
 )
 
-func newHarness(opts core.Options, sc Scenario, order Ordering, mutate noc.Mutator) *harness {
+func newHarness(opts core.Options, sc Scenario, mutate noc.Mutator) *harness {
 	engine := sim.NewEngine()
 	fab := &chaosFabric{handlers: make(map[msg.NodeID]noc.Handler), mutate: mutate, engine: engine}
 	cmem := &chaosMem{}
@@ -199,7 +198,7 @@ func newHarness(opts core.Options, sc Scenario, order Ordering, mutate noc.Mutat
 		L2SizeBytes: 128, L2Assoc: 1, // 2 sets: lines 0x10/0x12 conflict
 		BlockSize: 64, L1Latency: 1, L2Latency: 1,
 	}
-	h := &harness{engine: engine, fab: fab, mem: cmem, fm: fm, lines: sc.Lines, order: order}
+	h := &harness{engine: engine, fab: fab, mem: cmem, fm: fm, lines: sc.Lines}
 	h.cpus = append(h.cpus,
 		corepair.New(engine, fab, nodeL2A, nodeDir, cpCfg),
 		corepair.New(engine, fab, nodeL2B, nodeDir, cpCfg),
@@ -269,25 +268,12 @@ type action struct {
 	idx  int
 }
 
-// enabled lists the schedulable actions in a deterministic order. Under
-// OrderPerLinkFIFO only the oldest pending message of each (src, dst)
-// link is deliverable — the point-to-point ordering real networks
-// provide; OrderUnordered exposes every pending message.
+// enabled lists the schedulable actions in a deterministic order. Every
+// pending message is deliverable: the fabric is fully unordered.
 func (h *harness) enabled() []action {
 	var out []action
-	if h.order == OrderPerLinkFIFO {
-		heads := make(map[[2]msg.NodeID]bool, len(h.fab.pending))
-		for i, m := range h.fab.pending {
-			link := [2]msg.NodeID{m.Src, m.Dst}
-			if !heads[link] {
-				heads[link] = true
-				out = append(out, action{'m', i})
-			}
-		}
-	} else {
-		for i := range h.fab.pending {
-			out = append(out, action{'m', i})
-		}
+	for i := range h.fab.pending {
+		out = append(out, action{'m', i})
 	}
 	for i := range h.mem.pending {
 		out = append(out, action{'r', i})
@@ -316,7 +302,7 @@ func (h *harness) describe(a action) string {
 
 // perform executes one action and drains the engine. Defensive panics
 // inside the controllers become recorded violations.
-func (h *harness) perform(a action, drainBudget int) {
+func (h *harness) perform(a action) {
 	defer func() {
 		if r := recover(); r != nil {
 			if h.violation == nil {
@@ -332,13 +318,13 @@ func (h *harness) perform(a action, drainBudget int) {
 	default:
 		h.issue(a.idx)
 	}
-	h.drain(drainBudget)
+	h.drain()
 }
 
-// drain runs engine events up to budget. Exhausting the budget with no
-// external action left to unblock progress is a livelock.
-func (h *harness) drain(budget int) {
-	for i := 0; i < budget; i++ {
+// drain runs engine events up to drainBudget. Exhausting the budget
+// with no external action left to unblock progress is a livelock.
+func (h *harness) drain() {
+	for i := 0; i < drainBudget; i++ {
 		// The harness sets neither MaxTicks nor Interrupt, so Step can
 		// only error on those — treat one as a harness bug.
 		ok, err := h.engine.Step()
@@ -357,7 +343,7 @@ func (h *harness) drain(budget int) {
 			Rule:  "livelock",
 			Cycle: h.engine.Now(),
 			Detail: fmt.Sprintf("engine still busy after %d events with no pending message or memory completion to unblock it",
-				budget),
+				drainBudget),
 		}
 	}
 }
@@ -460,20 +446,6 @@ func (h *harness) fingerprint() string {
 	for i, m := range h.fab.pending {
 		msgs[i] = fmt.Sprintf("%d:%x:%d>%d:%d:%t%t%t:%d",
 			m.Type, uint64(m.Addr), m.Src, m.Dst, m.Grant, m.HasData, m.Dirty, m.Retain, m.TxnID)
-	}
-	if h.order == OrderPerLinkFIFO {
-		// Per-link queue order is part of the state (the pending slice
-		// preserves send order); the interleaving between links is not.
-		// Canonical form: per-link sequences, links sorted.
-		seq := make(map[[2]msg.NodeID][]string)
-		for i, m := range h.fab.pending {
-			link := [2]msg.NodeID{m.Src, m.Dst}
-			seq[link] = append(seq[link], msgs[i])
-		}
-		msgs = msgs[:0]
-		for _, q := range seq { //hsclint:deterministic — sorted below
-			msgs = append(msgs, strings.Join(q, ">"))
-		}
 	}
 	// Unordered delivery: the multiset is the state, order is free.
 	sort.Strings(msgs)
