@@ -16,6 +16,7 @@ package chai
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"hscsim/internal/memdata"
 	"hscsim/internal/system"
@@ -102,6 +103,22 @@ func ByName(name string, p Params) (system.Workload, error) {
 		return CannyTaskParallel(p), nil
 	}
 	return system.Workload{}, fmt.Errorf("chai: unknown benchmark %q", name)
+}
+
+// StartedThreads returns how many CPU threads the named benchmark
+// starts under p, and false for a name that is not a CHAI benchmark.
+// Most start p.CPUThreads. rscd runs only its host thread; bfs, cedd
+// and sssp run a host plus at least one worker. Two thread counts that
+// map to one value simulate the same run.
+func StartedThreads(name string, p Params) (int, bool) {
+	p = p.normalized()
+	switch name {
+	case "rscd":
+		return 1, true
+	case "bfs", "cedd", "sssp":
+		return max(p.CPUThreads, 2), true
+	}
+	return p.CPUThreads, slices.Contains(Names(), name) || slices.Contains(ExtendedNames(), name)
 }
 
 // All builds every benchmark.

@@ -2,32 +2,12 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 
 	"hscsim/internal/sim"
 	"hscsim/internal/system"
 )
-
-// EncodeResult renders a run's results in the engine's canonical form:
-// compact JSON with deterministic key order (encoding/json sorts map
-// keys, and Results.Stats is the only map). These are the bytes the
-// cache stores and the HTTP service returns; byte-for-byte equality of
-// two encodings means the runs agreed on every metric and every
-// counter.
-func EncodeResult(res system.Results) ([]byte, error) {
-	return json.Marshal(res)
-}
-
-// DecodeResult parses a canonical result encoding.
-func DecodeResult(b []byte) (system.Results, error) {
-	var res system.Results
-	if err := json.Unmarshal(b, &res); err != nil {
-		return system.Results{}, fmt.Errorf("engine: corrupt result encoding: %w", err)
-	}
-	return res, nil
-}
 
 // Execute runs one spec to completion on a fresh simulated system and
 // returns the canonical result encoding. It is the engine's default

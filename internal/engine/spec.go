@@ -167,13 +167,20 @@ type Spec struct {
 }
 
 // Normalized fills defaults so equivalent specs encode — and therefore
-// hash — identically.
+// hash — identically. Threads becomes the number of CPU threads the
+// workload starts, so specs that differ only in a thread count the
+// workload ignores are one cache entry.
 func (s Spec) Normalized() Spec {
 	if s.Scale <= 0 {
 		s.Scale = 1
 	}
 	if s.Threads <= 0 {
 		s.Threads = chai.DefaultParams().CPUThreads
+	}
+	if n, ok := chai.StartedThreads(s.Bench, chai.Params{CPUThreads: s.Threads}); ok {
+		s.Threads = n
+	} else if slices.Contains(heterosync.Names(), s.Bench) {
+		s.Threads = heterosync.CPUThreads
 	}
 	if s.Config == "" {
 		s.Config = ConfigEval
@@ -185,13 +192,12 @@ func (s Spec) Normalized() Spec {
 }
 
 // Validate rejects specs that cannot execute: unknown benchmarks, bad
-// enum strings, impossible topologies, more CHAI threads than cores. It
-// builds neither the workload nor the system, so its cost does not
+// enum strings, impossible topologies, more started threads than cores.
+// It builds neither the workload nor the system, so its cost does not
 // grow with the thread or core counts a spec asks for.
 func (s Spec) Validate() error {
 	s = s.Normalized()
-	isCHAI := slices.Contains(chai.AllNames(), s.Bench)
-	if !isCHAI && !slices.Contains(heterosync.Names(), s.Bench) {
+	if !slices.Contains(chai.AllNames(), s.Bench) && !slices.Contains(heterosync.Names(), s.Bench) {
 		return fmt.Errorf("engine: unknown benchmark %q (CHAI: %s; HeteroSync: %s)", s.Bench,
 			strings.Join(chai.AllNames(), ", "), strings.Join(heterosync.Names(), ", "))
 	}
@@ -214,11 +220,9 @@ func (s Spec) Validate() error {
 	if err != nil {
 		return err
 	}
-	// A CHAI workload starts at most max(threads, 2) CPU threads (bfs,
-	// cedd and sssp run a host plus at least one worker; rscd only its
-	// host), and the smallest topology's one CorePair holds 2.
-	// HeteroSync starts one host thread whatever threads says.
-	if cores := cfg.NumCorePairs * cfg.CoresPerPair; isCHAI && s.Threads > cores {
+	// Normalized set Threads to the number of threads the workload
+	// starts.
+	if cores := cfg.NumCorePairs * cfg.CoresPerPair; s.Threads > cores {
 		return fmt.Errorf("engine: %s wants %d threads, numCorePairs=%d has %d cores",
 			s.Bench, s.Threads, cfg.NumCorePairs, cores)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -123,8 +124,9 @@ func TestValidateMatchesBuildableProbeTargets(t *testing.T) {
 	}
 }
 
-// TestValidateMatchesRunnableThreads: no spec Validate accepts starts
-// more CPU threads than its topology has cores, so none fails in
+// TestValidateMatchesRunnableThreads: Normalized sets threads to the
+// number of CPU threads the workload starts, no spec Validate accepts
+// starts more of them than its topology has cores, so none fails in
 // system.Run with "wants N threads", and every CHAI spec asking for at
 // most one thread per core is accepted. HeteroSync ignores threads.
 func TestValidateMatchesRunnableThreads(t *testing.T) {
@@ -136,6 +138,9 @@ func TestValidateMatchesRunnableThreads(t *testing.T) {
 				w, err := buildWorkload(sp)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if n := sp.Normalized().Threads; len(w.Threads) != n {
+					t.Errorf("%s threads=%d starts %d CPU threads, Normalized says %d", bench, threads, len(w.Threads), n)
 				}
 				err = sp.Validate()
 				if err == nil && len(w.Threads) > cores {
@@ -156,6 +161,49 @@ func TestValidateMatchesRunnableThreads(t *testing.T) {
 			t.Errorf("Validate accepted %s", sp.Canonical())
 		}
 	}
+}
+
+// TestIgnoredThreadsShareOneCacheEntry: specs that differ only in a
+// thread count their workload does not start simulate the same run, so
+// they hash alike. Each runs with the threads it spells, not the
+// normalized count, so the shared hash is checked against the runs.
+func TestIgnoredThreadsShareOneCacheEntry(t *testing.T) {
+	for _, c := range []struct {
+		bench string
+		a, b  int
+	}{{"rscd", 2, 8}, {"bfs", 1, 2}, {"hs_mutex", 2, 8}} {
+		sa := Spec{Bench: c.bench, Scale: 1, Threads: c.a}
+		sb := Spec{Bench: c.bench, Scale: 1, Threads: c.b}
+		if sa.Hash() != sb.Hash() {
+			t.Errorf("%s: threads %d and %d hash differently: %s vs %s", c.bench, c.a, c.b, sa.Canonical(), sb.Canonical())
+		}
+		if !bytes.Equal(runAsSpelled(t, sa), runAsSpelled(t, sb)) {
+			t.Errorf("%s: threads %d and %d ran differently", c.bench, c.a, c.b)
+		}
+	}
+}
+
+// runAsSpelled is Execute without Normalized: the workload starts from
+// the threads sp asks for.
+func runAsSpelled(t *testing.T, sp Spec) []byte {
+	t.Helper()
+	cfg, err := buildConfig(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := buildWorkload(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := system.New(cfg).Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EncodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestValidateDoesNotBuildWorkload: Validate resolves the bench by name

@@ -34,6 +34,10 @@ func (p Params) normalized() Params {
 	return p
 }
 
+// CPUThreads is the number of CPU threads every workload in the suite
+// starts: one host thread that launches the kernels and waits on them.
+const CPUThreads = 1
+
 // Names lists the suite.
 func Names() []string { return []string{"hs_mutex", "hs_ticket", "hs_barrier", "hs_sema", "lulesh"} }
 
