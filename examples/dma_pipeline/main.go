@@ -36,20 +36,22 @@ func buildWorkload() hscsim.Workload {
 			Name: fmt.Sprintf("post%d", f), Workgroups: 8, WavesPerWG: 2,
 			CodeAddr: 0xFA00_0000,
 			Fn: func(w *hscsim.Wave) {
+				// One address buffer and one value buffer per wave:
+				// VecLoad appends into the buffer it is given.
+				addrs := make([]hscsim.Addr, 16)
+				dst := make([]hscsim.Addr, 16)
+				var vals []uint64
 				for base := w.Global * 16; base < px; base += gpuWaves * 16 {
-					addrs := make([]hscsim.Addr, 16)
 					for k := range addrs {
 						addrs[k] = at(mid, f*px+base+k)
 					}
-					vals := w.VecLoad(addrs)
+					vals = w.VecLoad(vals[:0], addrs)
 					w.Compute(16)
-					dst := make([]hscsim.Addr, 16)
-					res := make([]uint64, 16)
 					for k, v := range vals {
 						dst[k] = at(out, f*px+base+k)
-						res[k] = v + 1000
+						vals[k] = v + 1000
 					}
-					w.VecStore(dst, res)
+					w.VecStore(dst, vals)
 				}
 			},
 		}

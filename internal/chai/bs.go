@@ -42,12 +42,13 @@ func BezierSurface(p Params) system.Workload {
 			for c := range ctrlAddrs {
 				ctrlAddrs[c] = wa(ctrl, c)
 			}
+			var ctrlVals []uint64
+			addrs := make([]memdata.Addr, 16)
+			vals := make([]uint64, 16)
 			for i := cpuRows + w.Global; i < res; i += gpuWaves {
-				w.VecLoad(ctrlAddrs)
+				ctrlVals = w.VecLoad(ctrlVals[:0], ctrlAddrs)
 				for j := 0; j < res; j += 16 {
 					w.Compute(24)
-					addrs := make([]memdata.Addr, 16)
-					vals := make([]uint64, 16)
 					for k := 0; k < 16; k++ {
 						addrs[k] = wa(out, i*res+j+k)
 						vals[k] = point(i, j+k)

@@ -41,20 +41,20 @@ func CannyEdgeDetection(p Params) system.Workload {
 			Name: fmt.Sprintf("cedd_frame%d", f), Workgroups: 8, WavesPerWG: 2,
 			CodeAddr: kernelCode(7),
 			Fn: func(w *prog.Wave) {
+				addrs := make([]memdata.Addr, 16)
+				dst := make([]memdata.Addr, 16)
+				var vals []uint64
 				for base := w.Global * 16; base < px; base += gpuWaves * 16 {
-					addrs := make([]memdata.Addr, 16)
 					for k := range addrs {
 						addrs[k] = wa(tmp, f*px+base+k)
 					}
-					vals := w.VecLoad(addrs)
+					vals = w.VecLoad(vals[:0], addrs)
 					w.Compute(16)
-					dst := make([]memdata.Addr, 16)
-					res := make([]uint64, 16)
-					for k := range vals {
+					for k, v := range vals {
 						dst[k] = wa(out, f*px+base+k)
-						res[k] = canny(vals[k], f)
+						vals[k] = canny(v, f)
 					}
-					w.VecStore(dst, res)
+					w.VecStore(dst, vals)
 				}
 			},
 		}

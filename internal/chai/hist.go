@@ -30,12 +30,13 @@ func HistogramInput(p Params) system.Workload {
 	kernel := &prog.Kernel{
 		Name: "hsti_count", Workgroups: 8, WavesPerWG: 2, CodeAddr: kernelCode(1),
 		Fn: func(w *prog.Wave) {
+			addrs := make([]memdata.Addr, 16)
+			var vals []uint64
 			for base := cpuN + w.Global*16; base < n; base += gpuWaves * 16 {
-				addrs := make([]memdata.Addr, 16)
 				for k := range addrs {
 					addrs[k] = wa(in, base+k)
 				}
-				vals := w.VecLoad(addrs)
+				vals = w.VecLoad(vals[:0], addrs)
 				for _, v := range vals {
 					w.AtomicSysAdd(wa(bins, int(v)), 1)
 				}
@@ -93,12 +94,14 @@ func HistogramOutput(p Params) system.Workload {
 			lo := cpuBins + (histBins-cpuBins)*w.Global/gpuWaves
 			hi := cpuBins + (histBins-cpuBins)*(w.Global+1)/gpuWaves
 			local := make(map[int]uint64)
+			addrs := make([]memdata.Addr, 16)
+			var vals []uint64
 			for base := 0; base < n; base += 16 {
-				addrs := make([]memdata.Addr, 16)
 				for k := range addrs {
 					addrs[k] = wa(in, base+k)
 				}
-				for _, v := range w.VecLoad(addrs) {
+				vals = w.VecLoad(vals[:0], addrs)
+				for _, v := range vals {
 					if int(v) >= lo && int(v) < hi {
 						local[int(v)]++
 					}

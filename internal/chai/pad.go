@@ -39,6 +39,10 @@ func Padding(p Params) system.Workload {
 	}
 
 	gpuWork := func(wv *prog.Wave) {
+		src := make([]memdata.Addr, w)
+		dst := make([]memdata.Addr, wPad)
+		out := make([]uint64, wPad)
+		var vals []uint64 // the wave's own: read after the ops below
 		for {
 			old := wv.AtomicSysAdd(counter, ^uint64(0)) // fetch-and-decrement
 			if old == 0 || old > uint64(rows) {
@@ -46,11 +50,10 @@ func Padding(p Params) system.Workload {
 			}
 			r := int(old) - 1
 			// Read the packed source row.
-			src := make([]memdata.Addr, w)
 			for k := 0; k < w; k++ {
 				src[k] = wa(mat, r*w+k)
 			}
-			vals := wv.VecLoad(src)
+			vals = wv.VecLoad(vals[:0], src)
 			wv.Store(wa(flags, r), 1)
 			// Wait until every conflicting source row has been read.
 			for c := r + 1; c <= lastConflict(r); c++ {
@@ -59,8 +62,6 @@ func Padding(p Params) system.Workload {
 				}
 			}
 			// Write the padded destination row.
-			dst := make([]memdata.Addr, wPad)
-			out := make([]uint64, wPad)
 			for k := 0; k < wPad; k++ {
 				dst[k] = wa(mat, r*wPad+k)
 				if k < w {

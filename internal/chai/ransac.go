@@ -49,15 +49,18 @@ func RansacData(p Params) system.Workload {
 			Name: fmt.Sprintf("rscd_eval%d", iter), Workgroups: 8, WavesPerWG: 2,
 			CodeAddr: kernelCode(8),
 			Fn: func(w *prog.Wave) {
-				mvals := w.VecLoad([]memdata.Addr{model, model + 8})
-				m1, m2 := mvals[0], mvals[1]
+				addrs := make([]memdata.Addr, 16)
+				vals := make([]uint64, 0, 16)
+				addrs[0], addrs[1] = model, model+8
+				vals = w.VecLoad(vals, addrs[:2])
+				m1, m2 := vals[0], vals[1]
 				var local uint64
 				for base := w.Global * 16; base < n; base += gpuWaves * 16 {
-					addrs := make([]memdata.Addr, 16)
 					for k := range addrs {
 						addrs[k] = wa(data, base+k)
 					}
-					for _, v := range w.VecLoad(addrs) {
+					vals = w.VecLoad(vals[:0], addrs)
+					for _, v := range vals {
 						if ransacInlier(v, m1, m2) {
 							local++
 						}
@@ -145,22 +148,24 @@ func RansacTask(p Params) system.Workload {
 	kernel := &prog.Kernel{
 		Name: "rsct_iters", Workgroups: 8, WavesPerWG: 2, CodeAddr: kernelCode(9),
 		Fn: func(w *prog.Wave) {
+			addrs := make([]memdata.Addr, 16)
+			vals := make([]uint64, 0, 16)
 			for {
 				it := int(w.AtomicSysAdd(iterCtr, 1))
 				if it >= iters {
 					return
 				}
-				pts := w.VecLoad([]memdata.Addr{
-					wa(data, samples[it][0]), wa(data, samples[it][1])})
+				addrs[0], addrs[1] = wa(data, samples[it][0]), wa(data, samples[it][1])
+				vals = w.VecLoad(vals[:0], addrs[:2])
 				w.Compute(50)
-				m1, m2 := ransacModel(pts[0], pts[1])
+				m1, m2 := ransacModel(vals[0], vals[1])
 				var local uint64
 				for base := 0; base < n; base += 16 {
-					addrs := make([]memdata.Addr, 16)
 					for k := range addrs {
 						addrs[k] = wa(data, base+k)
 					}
-					for _, v := range w.VecLoad(addrs) {
+					vals = w.VecLoad(vals[:0], addrs)
+					for _, v := range vals {
 						if ransacInlier(v, m1, m2) {
 							local++
 						}

@@ -31,19 +31,22 @@ func StreamCompaction(p Params) system.Workload {
 	kernel := &prog.Kernel{
 		Name: "sc_compact", Workgroups: 8, WavesPerWG: 2, CodeAddr: kernelCode(3),
 		Fn: func(w *prog.Wave) {
+			addrs := make([]memdata.Addr, 16)
+			dst := make([]memdata.Addr, 0, 16)
+			var vals, keptVals []uint64
 			for {
 				t := w.AtomicSysAdd(counter, 1)
 				if int(t)*tile >= n {
 					return
 				}
 				base := int(t) * tile
-				var keptVals []uint64
+				keptVals = keptVals[:0]
 				for c := 0; c < tile; c += 16 {
-					addrs := make([]memdata.Addr, 16)
 					for k := range addrs {
 						addrs[k] = wa(in, base+c+k)
 					}
-					for _, v := range w.VecLoad(addrs) {
+					vals = w.VecLoad(vals[:0], addrs)
+					for _, v := range vals {
 						if keep(v) {
 							keptVals = append(keptVals, v)
 						}
@@ -58,11 +61,11 @@ func StreamCompaction(p Params) system.Workload {
 					if hi > len(keptVals) {
 						hi = len(keptVals)
 					}
-					addrs := make([]memdata.Addr, 0, 16)
+					dst = dst[:0]
 					for k := c; k < hi; k++ {
-						addrs = append(addrs, wa(out, off+k))
+						dst = append(dst, wa(out, off+k))
 					}
-					w.VecStore(addrs, keptVals[c:hi])
+					w.VecStore(dst, keptVals[c:hi])
 				}
 			}
 		},

@@ -63,8 +63,11 @@ func SSSP(p Params) system.Workload {
 			Name: fmt.Sprintf("sssp_r%d", round), Workgroups: 8, WavesPerWG: 2,
 			CodeAddr: kernelCode(11),
 			Fn: func(w *prog.Wave) {
+				addrs := make([]memdata.Addr, 3)
+				var vals []uint64
 				for i := cpuEdges + w.Global; i < edgeCount; i += gpuWaves {
-					vals := w.VecLoad([]memdata.Addr{wa(srcs, i), wa(dsts, i), wa(wts, i)})
+					addrs[0], addrs[1], addrs[2] = wa(srcs, i), wa(dsts, i), wa(wts, i)
+					vals = w.VecLoad(vals[:0], addrs)
 					from, to, wt := int(vals[0]), int(vals[1]), vals[2]
 					df := w.Load(wa(dist, from))
 					if df == inf {

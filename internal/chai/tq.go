@@ -37,6 +37,8 @@ func TaskQueue(p Params) system.Workload {
 	kernel := &prog.Kernel{
 		Name: "tq_consume", Workgroups: 8, WavesPerWG: 2, CodeAddr: kernelCode(5),
 		Fn: func(w *prog.Wave) {
+			addrs := make([]memdata.Addr, recWords)
+			var vals []uint64
 			for {
 				t := w.AtomicSysAdd(head, 1)
 				if int(t) >= nTasks {
@@ -46,11 +48,10 @@ func TaskQueue(p Params) system.Workload {
 				for w.Load(wa(ready, int(t))) == 0 {
 					w.Compute(48)
 				}
-				addrs := make([]memdata.Addr, recWords)
 				for k := range addrs {
 					addrs[k] = wa(records, int(t)*recWords+k)
 				}
-				vals := w.VecLoad(addrs)
+				vals = w.VecLoad(vals[:0], addrs)
 				var sum uint64
 				for _, v := range vals {
 					sum += v

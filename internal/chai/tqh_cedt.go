@@ -28,6 +28,8 @@ func TaskQueueHistogram(p Params) system.Workload {
 	kernel := &prog.Kernel{
 		Name: "tqh_consume", Workgroups: 8, WavesPerWG: 2, CodeAddr: kernelCode(12),
 		Fn: func(w *prog.Wave) {
+			addrs := make([]memdata.Addr, 16)
+			var vals []uint64
 			for {
 				t := w.AtomicSysAdd(head, 1)
 				if int(t) >= nBlocks {
@@ -37,11 +39,11 @@ func TaskQueueHistogram(p Params) system.Workload {
 					w.Compute(48)
 				}
 				for c := 0; c < blockPx; c += 16 {
-					addrs := make([]memdata.Addr, 16)
 					for k := range addrs {
 						addrs[k] = wa(pixels, int(t)*blockPx+c+k)
 					}
-					for _, v := range w.VecLoad(addrs) {
+					vals = w.VecLoad(vals[:0], addrs)
+					for _, v := range vals {
 						w.AtomicSysAdd(wa(bins, int(v)), 1)
 					}
 				}
@@ -117,6 +119,9 @@ func CannyTaskParallel(p Params) system.Workload {
 	kernel := &prog.Kernel{
 		Name: "cedt_strips", Workgroups: 8, WavesPerWG: 2, CodeAddr: kernelCode(13),
 		Fn: func(w *prog.Wave) {
+			addrs := make([]memdata.Addr, 16)
+			dst := make([]memdata.Addr, 16)
+			var vals []uint64
 			for {
 				s := w.AtomicSysAdd(pool, 1)
 				if int(s) >= strips {
@@ -124,19 +129,16 @@ func CannyTaskParallel(p Params) system.Workload {
 				}
 				basePx := int(s) * stripPx
 				for c := 0; c < stripPx; c += 16 {
-					addrs := make([]memdata.Addr, 16)
 					for k := range addrs {
 						addrs[k] = wa(in, basePx+c+k)
 					}
-					vals := w.VecLoad(addrs)
+					vals = w.VecLoad(vals[:0], addrs)
 					w.Compute(48)
-					dst := make([]memdata.Addr, 16)
-					res := make([]uint64, 16)
 					for k, v := range vals {
 						dst[k] = wa(out, basePx+c+k)
-						res[k] = fused(v)
+						vals[k] = fused(v)
 					}
-					w.VecStore(dst, res)
+					w.VecStore(dst, vals)
 				}
 			}
 		},

@@ -19,7 +19,7 @@ func BenchmarkDirectoryRequest(b *testing.B) {
 		r.l2a.resps, r.l2a.respTicks = r.l2a.resps[:0], r.l2a.respTicks[:0]
 		r.l2b.probes = r.l2b.probes[:0]
 	}
-	// Warm the free lists, the interconnect and every calendar bucket.
+	// Warm the free lists, the interconnect and the event pool.
 	for i := 0; i < 1024; i++ {
 		request()
 	}

@@ -18,7 +18,7 @@ func BenchmarkCorePairMiss(b *testing.B) {
 		r.cp.invalidateL1s(line)
 		r.dir.reqs, r.dir.unblocks = r.dir.reqs[:0], r.dir.unblocks[:0]
 	}
-	// Warm the free lists, the interconnect and every calendar bucket.
+	// Warm the free lists, the interconnect and the event pool.
 	for i := 0; i < 1024; i++ {
 		miss()
 	}

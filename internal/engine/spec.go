@@ -191,10 +191,26 @@ func (s Spec) Normalized() Spec {
 	return s
 }
 
+// Size limits Validate enforces, so that no small request body makes a
+// job whose workload or system cannot fit in memory. Each is the
+// largest size a client in this repository asks for, with headroom.
+const (
+	// MaxScale bounds the workload scale. perfbench's gpu-sync cells
+	// use 48; the paper's evaluation uses 2.
+	MaxScale = 64
+	// MaxCorePairs and MaxCUs bound the topology's CorePairs and GPU
+	// compute units. hscsweep sweeps up to 4 and 8.
+	MaxCorePairs = 64
+	MaxCUs       = 64
+	// MaxDirEntries bounds the directory's entry count. Table II's
+	// directory has 256 K entries.
+	MaxDirEntries = 1 << 20
+)
+
 // Validate rejects specs that cannot execute: unknown benchmarks, bad
-// enum strings, impossible topologies, more started threads than cores.
-// It builds neither the workload nor the system, so its cost does not
-// grow with the thread or core counts a spec asks for.
+// enum strings, sizes beyond the limits above, impossible topologies,
+// more started threads than cores. It builds neither the workload nor
+// the system, so its cost does not grow with the sizes a spec asks for.
 func (s Spec) Validate() error {
 	s = s.Normalized()
 	if !slices.Contains(chai.AllNames(), s.Bench) && !slices.Contains(heterosync.Names(), s.Bench) {
@@ -215,6 +231,19 @@ func (s Spec) Validate() error {
 	if s.Topology.NumCorePairs < 0 || s.Topology.NumCUs < 0 || s.Topology.NumTCCs < 0 ||
 		s.Topology.DirEntries < 0 || s.Topology.StoreBufferSize < 0 {
 		return fmt.Errorf("engine: negative topology parameter in %+v", s.Topology)
+	}
+	for _, f := range []struct {
+		name     string
+		v, limit int
+	}{
+		{"scale", s.Scale, MaxScale},
+		{"numCorePairs", s.Topology.NumCorePairs, MaxCorePairs},
+		{"numCUs", s.Topology.NumCUs, MaxCUs},
+		{"dirEntries", s.Topology.DirEntries, MaxDirEntries},
+	} {
+		if f.v > f.limit {
+			return fmt.Errorf("engine: %s=%d is above the limit of %d", f.name, f.v, f.limit)
+		}
 	}
 	cfg, err := buildConfig(s)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hscsim/internal/chai"
@@ -85,7 +86,7 @@ func TestValidateMatchesBuildableDirGeometry(t *testing.T) {
 // TestValidateMatchesBuildableProbeTargets: every CorePair and TCC
 // count Validate accepts builds a system. Under tracking, more probe
 // targets than a directory entry's sharer bitmap holds are rejected up
-// front; without tracking the count is not limited.
+// front; without tracking only MaxCorePairs limits the count.
 func TestValidateMatchesBuildableProbeTargets(t *testing.T) {
 	for _, tracking := range []string{"", "owner", "owner+sharers"} {
 		for _, topo := range []TopologySpec{
@@ -98,7 +99,7 @@ func TestValidateMatchesBuildableProbeTargets(t *testing.T) {
 			sp := Spec{Bench: "bs", Protocol: ProtocolSpec{Tracking: tracking}, Topology: topo}
 			targets := topo.NumCorePairs + max(topo.NumTCCs, 1)
 			err := sp.Validate()
-			if tracking != "" && targets > core.MaxTrackedTargets {
+			if topo.NumCorePairs > MaxCorePairs || tracking != "" && targets > core.MaxTrackedTargets {
 				if err == nil {
 					t.Errorf("tracking=%q with %+v: Validate accepted %d probe targets", tracking, topo, targets)
 				}
@@ -208,16 +209,137 @@ func runAsSpelled(t *testing.T, sp Spec) []byte {
 
 // TestValidateDoesNotBuildWorkload: Validate resolves the bench by name
 // instead of building the workload, whose constructors allocate per
-// thread, so a spec asking for 65 536 threads costs what one asking
-// for 8 does.
+// thread, so the most threads it accepts (two per core on MaxCorePairs
+// pairs) and a spec asking for 65 536, which the size limits reject,
+// cost what one asking for 8 does.
 func TestValidateDoesNotBuildWorkload(t *testing.T) {
-	sp := Spec{Bench: "bs", Threads: 1 << 16, Topology: TopologySpec{NumCorePairs: 1 << 15}}
-	if err := sp.Validate(); err != nil {
+	most := Spec{Bench: "bs", Threads: 2 * MaxCorePairs, Topology: TopologySpec{NumCorePairs: MaxCorePairs}}
+	if err := most.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(5, func() { _ = sp.Validate() }); n >= 100 {
-		t.Errorf("Validate made %.0f allocations for threads=%d, want fewer than 100", n, sp.Threads)
+	huge := Spec{Bench: "bs", Threads: 1 << 16, Topology: TopologySpec{NumCorePairs: 1 << 15}}
+	if huge.Validate() == nil {
+		t.Fatalf("Validate accepted %s", huge.Canonical())
 	}
+	for _, sp := range []Spec{most, huge} {
+		if n := testing.AllocsPerRun(5, func() { _ = sp.Validate() }); n >= 100 {
+			t.Errorf("Validate made %.0f allocations for threads=%d, want fewer than 100", n, sp.Threads)
+		}
+	}
+}
+
+// validateHeapBudget bounds what building a spec at the size limits
+// allocates: the system, the workload and its Setup of the inputs. trns
+// at MaxScale is the largest, at ≈222 MB (its matrix grows with the
+// square of the scale).
+const validateHeapBudget = 256 << 20
+
+// TestValidateBoundsSizes: Validate bounds every size field that sets
+// what a job allocates. Specs past a limit are rejected, among them
+// cedd at scale 10^6 (≈51 GB of inputs) and 2^30 CorePairs, CUs or
+// directory entries. Every size a client in this repository asks for
+// is still accepted (cmd/hscfig's TestReportCellsValidate checks each
+// of hscfig's cells). A spec at the limits builds within
+// validateHeapBudget.
+func TestValidateBoundsSizes(t *testing.T) {
+	tracked := ProtocolFromOptions(namedVariants[len(namedVariants)-1])
+	t.Run("rejects", func(t *testing.T) {
+		for _, sp := range []Spec{
+			{Bench: "cedd", Scale: 1_000_000},
+			{Bench: "bs", Topology: TopologySpec{NumCorePairs: 1 << 30}},
+			{Bench: "bs", Topology: TopologySpec{NumCUs: 1 << 30}},
+			{Bench: "bs", Protocol: tracked, Topology: TopologySpec{DirEntries: 1 << 30}},
+			{Bench: "bs", Scale: MaxScale + 1},
+			{Bench: "bs", Topology: TopologySpec{NumCorePairs: MaxCorePairs + 1}},
+			{Bench: "bs", Topology: TopologySpec{NumCUs: MaxCUs + 1}},
+			{Bench: "bs", Protocol: tracked, Topology: TopologySpec{DirEntries: 2 * MaxDirEntries}},
+		} {
+			if sp.Validate() == nil {
+				t.Errorf("Validate accepted %s", sp.Canonical())
+			}
+		}
+	})
+	t.Run("accepts", func(t *testing.T) {
+		var specs []Spec
+		for _, b := range append(chai.AllNames(), heterosync.Names()...) {
+			for _, o := range namedVariants {
+				specs = append(specs, EvalSpec(b, o),
+					Spec{Bench: b, Scale: 1, Config: ConfigFull, Protocol: ProtocolFromOptions(o)})
+			}
+		}
+		// cmd/hscsweep's grid, the ablations' small directory, perfbench's
+		// gpu-sync cells, the largest topologies the tests build, and
+		// every limit itself.
+		for _, p := range []SweepPoint{
+			{Topology: TopologySpec{NumCorePairs: 1}, Threads: 2},
+			{Topology: TopologySpec{NumCorePairs: 4}, Threads: 8},
+			{Topology: TopologySpec{NumCUs: 8}, Threads: 8},
+			{Topology: TopologySpec{DirBanks: 4}, Threads: 8},
+			{Topology: TopologySpec{NumTCCs: 2}, Threads: 8},
+			{Topology: TopologySpec{StoreBufferSize: 16}, Threads: 8},
+			{Topology: TopologySpec{StoreBufferZero: true}, Threads: 8},
+			{Topology: TopologySpec{DirEntries: 512}},
+		} {
+			specs = append(specs, Spec{Bench: "tq", Scale: 1, Threads: p.Threads, Protocol: tracked, Topology: p.Topology})
+		}
+		for _, b := range heterosync.Names() {
+			specs = append(specs, Spec{Bench: b, Scale: 48, Protocol: tracked, Topology: TopologySpec{GPUWriteBackL2: true}})
+		}
+		specs = append(specs,
+			Spec{Bench: "bs", Topology: TopologySpec{NumCorePairs: 64}},
+			Spec{Bench: "bs", Protocol: tracked, Topology: TopologySpec{NumCorePairs: 63}},
+			Spec{Bench: "trns", Scale: MaxScale},
+			Spec{Bench: "bs", Config: ConfigFull, Topology: TopologySpec{NumCorePairs: MaxCorePairs, NumCUs: MaxCUs}},
+			Spec{Bench: "bs", Config: ConfigFull, Protocol: tracked, Topology: TopologySpec{DirEntries: MaxDirEntries}},
+		)
+		for _, sp := range specs {
+			if err := sp.Validate(); err != nil {
+				t.Errorf("%s: %v", sp.Canonical(), err)
+			}
+		}
+	})
+	t.Run("heap", func(t *testing.T) {
+		specs := []Spec{
+			{Bench: "bs", Config: ConfigFull, Topology: TopologySpec{NumCorePairs: MaxCorePairs, NumCUs: MaxCUs, DirEntries: MaxDirEntries}},
+			{Bench: "bs", Config: ConfigFull, Protocol: tracked,
+				Topology: TopologySpec{NumCorePairs: core.MaxTrackedTargets - 1, NumCUs: MaxCUs, DirEntries: MaxDirEntries}},
+		}
+		for _, b := range append(chai.AllNames(), heterosync.Names()...) {
+			specs = append(specs, Spec{Bench: b, Scale: MaxScale})
+		}
+		for _, sp := range specs {
+			if err := sp.Validate(); err != nil {
+				t.Fatalf("%s: %v", sp.Canonical(), err)
+			}
+			if n := buildAllocBytes(t, sp.Normalized()); n > validateHeapBudget {
+				t.Errorf("%s: building it allocates %d MB, over the %d MB budget",
+					sp.Canonical(), n>>20, validateHeapBudget>>20)
+			}
+		}
+	})
+}
+
+// buildAllocBytes returns the bytes allocated while building sp's
+// system and workload and running the workload's Setup.
+func buildAllocBytes(t *testing.T, sp Spec) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cfg, err := buildConfig(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := buildWorkload(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := system.New(cfg)
+	if w.Setup != nil {
+		w.Setup(s.FuncMem)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // FuzzSpecCanonical decodes arbitrary bytes into a Spec. No input may

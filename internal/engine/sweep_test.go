@@ -116,6 +116,57 @@ func TestSweepCellCap(t *testing.T) {
 	}
 }
 
+// FuzzSweepSpec decodes arbitrary bytes into a SweepSpec. No input may
+// panic, and every sweep Validate accepts expands to at most
+// MaxSweepCells cells, one per bench, variant and point, each of them
+// normalized, labelled and accepted by Spec.Validate.
+func FuzzSweepSpec(f *testing.F) {
+	tracked, _ := NamedVariant("sharersTracking")
+	for _, sw := range []SweepSpec{
+		evalSweep(),
+		{Benches: []string{"tq", "hs_mutex"}, Variants: []ProtocolSpec{tracked}, Scale: 1, Points: []SweepPoint{
+			{Label: "pairs=4", Topology: TopologySpec{NumCorePairs: 4}, Threads: 8},
+			{Label: "CUs=8", Topology: TopologySpec{NumCUs: 8}, Threads: 8},
+			{Label: "slots=0", Topology: TopologySpec{StoreBufferZero: true}, Threads: 8},
+		}},
+	} {
+		b, err := json.Marshal(sw)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"benches":["cedd"],"scale":1000000}`))
+	f.Add([]byte(`{"benches":["bs"],"points":[{"topology":{"numCorePairs":1073741824}}]}`))
+	f.Add([]byte(`{"benches":["bs","bs"],"variants":[{},{}],"points":[{},{},{}],"threads":9}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sw SweepSpec
+		if json.Unmarshal(data, &sw) != nil || sw.Validate() != nil {
+			return
+		}
+		cells, err := sw.Cells()
+		if err != nil {
+			t.Fatalf("accepted sweep does not expand: %v", err)
+		}
+		n := sw.Normalized()
+		if want := len(n.Benches) * len(n.Variants) * len(n.Points); len(cells) != want || want > MaxSweepCells {
+			t.Fatalf("accepted sweep expands to %d cells, want %d and at most %d", len(cells), want, MaxSweepCells)
+		}
+		for i, c := range cells {
+			if c.Normalized() != c {
+				t.Fatalf("cell %d is not normalized: %s", i, c.Canonical())
+			}
+			if err := c.Validate(); err != nil {
+				t.Fatalf("cell %d of an accepted sweep: %v", i, err)
+			}
+			if n.cellLabel(i) == "" {
+				t.Fatalf("cell %d has no label", i)
+			}
+		}
+	})
+}
+
 // TestNamedVariant round-trips all eight figure-legend names through
 // core.Options.Named and pins the three specs perfbench resolves: their
 // hashes key its result digests.

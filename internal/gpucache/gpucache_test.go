@@ -44,14 +44,14 @@ func (d *fakeDir) count(typ msg.Type) int {
 }
 
 type gpuRig struct {
-	t   *testing.T
+	t   testing.TB
 	e   *sim.Engine
 	g   *GPUCaches
 	dir *fakeDir
 	fm  *memdata.Memory
 }
 
-func newGPURig(t *testing.T, cfg Config) *gpuRig {
+func newGPURig(t testing.TB, cfg Config) *gpuRig {
 	t.Helper()
 	e := sim.NewEngine()
 	e.MaxTicks = 1_000_000
@@ -392,7 +392,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 			tc.op()
 			r.run()
 		}
-		// Warm up until the engine's calendar buckets have all grown.
+		// Warm up the event pool, the interconnect and the per-line
+		// lists.
 		for i := 0; i < 512; i++ {
 			op()
 		}

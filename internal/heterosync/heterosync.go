@@ -309,17 +309,18 @@ func Lulesh(p Params) system.Workload {
 			Name: fmt.Sprintf("lulesh%d", it), Workgroups: 8, WavesPerWG: 2,
 			CodeAddr: 0xFE04_0000,
 			Fn: func(w *prog.Wave) {
+				load := make([]memdata.Addr, 18)
+				dsts := make([]memdata.Addr, 16)
+				vals := make([]uint64, 16)
+				var win []uint64
 				for basei := w.Global * 16; basei < n; basei += gpuWaves * 16 {
 					// One coalesced load of the 18-word stencil window
 					// (basei-1 .. basei+16, wrapped).
-					load := make([]memdata.Addr, 0, 18)
 					for k := -1; k <= 16; k++ {
-						load = append(load, wa(src, (basei+k+n)%n))
+						load[k+1] = wa(src, (basei+k+n)%n)
 					}
-					win := w.VecLoad(load)
+					win = w.VecLoad(win[:0], load)
 					w.Compute(32)
-					dsts := make([]memdata.Addr, 16)
-					vals := make([]uint64, 16)
 					for k := 0; k < 16; k++ {
 						dsts[k] = wa(dst, basei+k)
 						vals[k] = (win[k] + win[k+1]*2 + win[k+2]) / 4

@@ -21,7 +21,7 @@ func BenchmarkNoCDeliver(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// Warm the slot table and every calendar bucket of the engine.
+	// Warm the slot table and the engine's event pool.
 	for i := 0; i < 1024; i++ {
 		deliver()
 	}

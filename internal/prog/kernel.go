@@ -3,8 +3,6 @@
 package prog
 
 import (
-	"slices"
-
 	"hscsim/internal/memdata"
 )
 
@@ -102,10 +100,14 @@ func (w *Wave) do(op WaveOp) []uint64 {
 	return w.res
 }
 
-// VecLoad performs a coalesced vector load of the given word addresses
-// and returns their values in a new slice.
-func (w *Wave) VecLoad(addrs []memdata.Addr) []uint64 {
-	return slices.Clone(w.do(WaveOp{Kind: WaveVecLoad, Addrs: addrs}))
+// VecLoad performs a coalesced vector load of the given word addresses,
+// appends their values to dst and returns the extended slice, in the
+// style of strconv.AppendInt. dst is the caller's own buffer: a kernel
+// that passes the same one, truncated, to every load allocates nothing
+// once it has grown, and the values stay valid across later ops until
+// the kernel reuses it.
+func (w *Wave) VecLoad(dst []uint64, addrs []memdata.Addr) []uint64 {
+	return append(dst, w.do(WaveOp{Kind: WaveVecLoad, Addrs: addrs})...)
 }
 
 // Load reads a single word through the vector path.
@@ -161,7 +163,8 @@ func (w *Wave) NextOp() (WaveOp, bool) { return w.co.next() }
 
 // Complete records an operation's results (loaded values, or an
 // atomic's old value in v[0]; nil for the rest). v needs to stay valid
-// only until the wave's next NextOp: VecLoad copies it.
+// only until the wave's next NextOp: VecLoad appends it to the caller's
+// buffer, and Load and the atomics read a single word.
 func (w *Wave) Complete(v []uint64) { w.res = v }
 
 // Abort stops the wavefront (see CPUThread.Abort).

@@ -17,6 +17,13 @@
 // program; every coroutine must end in a return or an Abort, or its
 // goroutine stays parked for the life of the process.
 //
+// An operation's operand slices (addresses, store values) are read by
+// the executor only while the program is suspended on that operation,
+// and Wave.VecLoad appends its values to a buffer the program passes
+// in. A program may therefore reuse one address buffer and one value
+// buffer for all its vector operations, and a kernel written that way
+// allocates nothing per operation.
+//
 // Loads observe the functional memory at their completion time; atomics
 // read-modify-write at their serialization point (L2 ownership for CPU
 // atomics, TCC or directory for GPU atomics), matching the visibility

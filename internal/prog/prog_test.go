@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"slices"
 	"testing"
 
 	"hscsim/internal/memdata"
@@ -279,9 +280,9 @@ func TestWaveRendezvous(t *testing.T) {
 	fm.Write(8, 22)
 	var vals, again []uint64
 	w := NewWave(0, 1, 2, func(wv *Wave) {
-		vals = wv.VecLoad([]memdata.Addr{0, 8})
+		vals = wv.VecLoad(nil, []memdata.Addr{0, 8})
 		wv.Store(16, vals[0]+vals[1])
-		again = wv.VecLoad([]memdata.Addr{16, 0})
+		again = wv.VecLoad(vals, []memdata.Addr{16, 0})
 		wv.Barrier()
 		wv.Compute(5)
 	})
@@ -289,7 +290,8 @@ func TestWaveRendezvous(t *testing.T) {
 		t.Fatal("wave ids wrong")
 	}
 	// Like the gpu executor, this one hands every load the same buffer:
-	// VecLoad must return a copy that outlives later ops.
+	// VecLoad must append it to the program's own, which outlives later
+	// ops.
 	var buf []uint64
 	for {
 		op, ok := w.NextOp()
@@ -315,8 +317,8 @@ func TestWaveRendezvous(t *testing.T) {
 	if vals[0] != 11 || vals[1] != 22 || fm.Read(16) != 33 {
 		t.Fatalf("vals=%v sum=%d", vals, fm.Read(16))
 	}
-	if again[0] != 33 || again[1] != 11 {
-		t.Fatalf("second VecLoad = %v, want [33 11]", again)
+	if !slices.Equal(again, []uint64{11, 22, 33, 11}) || !slices.Equal(vals, []uint64{11, 22}) {
+		t.Fatalf("second VecLoad appended to %v gives %v, want [11 22 33 11]", vals, again)
 	}
 }
 

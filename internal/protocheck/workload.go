@@ -66,11 +66,12 @@ func ContendedWorkload(seed int64) system.Workload {
 		Name: "contend", Workgroups: 2, WavesPerWG: 2, CodeAddr: 0xFB00_0000,
 		Fn: func(w *prog.Wave) {
 			r := rand.New(rand.NewSource(seed + int64(w.Global)*104729))
+			var vals []uint64
 			for op := 0; op < 40; op++ {
 				i := r.Intn(poolWords)
 				switch r.Intn(4) {
 				case 0:
-					w.VecLoad([]memdata.Addr{at(i), at(i + 1)})
+					vals = w.VecLoad(vals[:0], []memdata.Addr{at(i), at(i + 1)})
 				case 1:
 					w.VecStore([]memdata.Addr{at(i)}, []uint64{uint64(op)})
 				case 2:

@@ -10,8 +10,10 @@
 // 13–25, memory at ~160): a ring of per-tick FIFO buckets covers the
 // near-future window [cur, cur+len(buckets)), which slides forward with
 // the scan cursor, and events beyond the window wait in a small
-// (tick, seq)-ordered overflow heap until the window reaches them.
-// Scheduling into the window is O(1) append; popping is O(1) amortized.
+// (tick, seq)-ordered overflow heap until the window reaches them. A
+// bucket is an intrusive list threaded through the events themselves,
+// so scheduling into the window is an O(1) link that never allocates;
+// popping is O(1) amortized.
 //
 // Every event has one form: Post or PostAt names a Handler, a kind, a
 // scalar arg and an optional obj, and the engine calls
@@ -68,22 +70,33 @@ type Handler interface {
 }
 
 // event is a unit of scheduled work, owned by the engine's pool: the
-// (when, seq) ordering header and the dispatch payload.
+// (when, seq) ordering header, the dispatch payload, and the link that
+// chains it into its bucket while queued or into the free list while
+// pooled.
 type event struct {
 	when   Tick
 	seq    uint64
 	arg    uint64
 	target Handler
 	obj    any
+	next   *event
 	kind   uint8
 }
 
-// bucket is one calendar slot: a FIFO of events for a single tick.
-// head avoids shifting on pop; the slice is reset (retaining capacity)
-// once drained.
+// bucket is one calendar slot: a FIFO list of the events for a single
+// tick, linked through event.next. Both ends are nil when it is empty.
 type bucket struct {
-	evs  []*event
-	head int
+	head, tail *event
+}
+
+// push appends ev at the tail.
+func (b *bucket) push(ev *event) {
+	if b.tail == nil {
+		b.head = ev
+	} else {
+		b.tail.next = ev
+	}
+	b.tail = ev
 }
 
 // Engine is the discrete-event scheduler. The zero value is not usable;
@@ -102,7 +115,7 @@ type Engine struct {
 	overflow overflowHeap
 	size     int // queued events
 
-	free []*event
+	free *event // pooled events, linked through next
 
 	// MaxTicks aborts the run when exceeded (0 means no limit). It is a
 	// safety net against livelocked protocols or non-terminating spins.
@@ -131,23 +144,25 @@ func (e *Engine) Now() Tick { return e.now }
 func (e *Engine) Executed() uint64 { return e.executed }
 
 // alloc takes an event from the free list, or allocates one if the pool
-// is dry (only while the in-flight population is still growing).
+// is dry (only while the in-flight population is still growing). The
+// event comes back unlinked.
 func (e *Engine) alloc() *event {
-	if n := len(e.free); n > 0 {
-		ev := e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		return ev
+	ev := e.free
+	if ev == nil {
+		return &event{}
 	}
-	return &event{}
+	e.free = ev.next
+	ev.next = nil
+	return ev
 }
 
-// release returns an event to the pool, dropping its references so a
-// pooled event pins neither its target nor its payload.
+// release returns an unlinked event to the pool, dropping its
+// references so a pooled event pins neither its target nor its payload.
 func (e *Engine) release(ev *event) {
 	ev.target = nil
 	ev.obj = nil
-	e.free = append(e.free, ev)
+	ev.next = e.free
+	e.free = ev
 }
 
 // insert places a queued event into its calendar bucket or, beyond the
@@ -156,8 +171,7 @@ func (e *Engine) release(ev *event) {
 // event from here.
 func (e *Engine) insert(ev *event) {
 	if ev.when-e.cur < Tick(len(e.buckets)) {
-		b := &e.buckets[ev.when&e.mask]
-		b.evs = append(b.evs, ev)
+		e.buckets[ev.when&e.mask].push(ev)
 	} else {
 		e.overflow.push(ev)
 	}
@@ -204,8 +218,7 @@ func (e *Engine) promote() {
 	end := e.cur + Tick(len(e.buckets))
 	for len(e.overflow) > 0 && e.overflow[0].when < end {
 		ev := e.overflow.pop()
-		b := &e.buckets[ev.when&e.mask]
-		b.evs = append(b.evs, ev)
+		e.buckets[ev.when&e.mask].push(ev)
 	}
 }
 
@@ -243,14 +256,12 @@ func (e *Engine) next() *event {
 	}
 	for {
 		b := &e.buckets[e.cur&e.mask]
-		if b.head < len(b.evs) {
-			ev := b.evs[b.head]
-			b.evs[b.head] = nil
-			b.head++
-			if b.head == len(b.evs) {
-				b.evs = b.evs[:0]
-				b.head = 0
+		if ev := b.head; ev != nil {
+			b.head = ev.next
+			if b.head == nil {
+				b.tail = nil
 			}
+			ev.next = nil
 			e.size--
 			return ev
 		}

@@ -94,12 +94,12 @@ func TestMaxTicksReleasesPoppedEvent(t *testing.T) {
 	if err := e.Run(); err == nil {
 		t.Fatal("expected MaxTicks error")
 	}
-	if len(e.free) != 1 {
-		t.Fatalf("free list has %d events after MaxTicks abort, want 1 (popped event leaked)", len(e.free))
+	ev := e.free
+	if ev == nil || ev.next != nil {
+		t.Fatal("free list does not hold exactly the one event after a MaxTicks abort (popped event leaked)")
 	}
 	// The recycled event must be fully neutral: a target or obj left
 	// here would pin the aborted dispatch's handler and payload.
-	ev := e.free[0]
 	if ev.target != nil || ev.obj != nil {
 		t.Fatal("released event still references its aborted dispatch")
 	}
@@ -351,7 +351,7 @@ func (c *chainHandler) OnEvent(kind uint8, arg uint64, obj any) {
 func TestScheduleSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
 	chain := &chainHandler{e: e}
-	// Warm the pool, the bucket slices, and the free list.
+	// Warm the event pool.
 	e.Post(1, chain, 0, 0, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -417,5 +417,35 @@ func TestInterruptNeverFiredIsIdentity(t *testing.T) {
 	bNow, bExec := run(true)
 	if aNow != bNow || aExec != bExec {
 		t.Fatalf("armed-but-idle interrupt changed the run: (%d,%d) vs (%d,%d)", aNow, aExec, bNow, bExec)
+	}
+}
+
+// sink keeps the engines of TestFreshWindowAllocatesOnlyEvents on the
+// heap, so the baseline and the measured run allocate them alike.
+var sink *Engine
+
+// TestFreshWindowAllocatesOnlyEvents posts several events into every
+// bucket of a fresh engine's window and runs them: the only allocations
+// beyond NewEngine's own are the events. A bucket is a list threaded
+// through its events, so filling one never grows a slice, and neither
+// does releasing the fired events to the free list.
+func TestFreshWindowAllocatesOnlyEvents(t *testing.T) {
+	const perTick = 3
+	base := testing.AllocsPerRun(10, func() { sink = NewEngine() })
+	allocs := testing.AllocsPerRun(10, func() {
+		e := NewEngine()
+		for tick := Tick(0); tick < minBuckets; tick++ {
+			for i := 0; i < perTick; i++ {
+				e.PostAt(tick, nopHandler{}, 0, 0, nil)
+			}
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		sink = e
+	})
+	if want := base + minBuckets*perTick; allocs != want {
+		t.Fatalf("a fresh window of %d events allocates %g, want %g (NewEngine's %g plus one per event)",
+			minBuckets*perTick, allocs, want, base)
 	}
 }

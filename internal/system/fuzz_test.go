@@ -52,7 +52,7 @@ func randomWorkload(seed int64, threads int) system.Workload {
 					for k := range addrs {
 						addrs[k] = at(i + k)
 					}
-					w.VecLoad(addrs)
+					w.VecLoad(nil, addrs)
 				case 1:
 					addrs := []memdata.Addr{at(i), at(i + 1)}
 					w.VecStore(addrs, []uint64{uint64(op), uint64(op + 1)})

@@ -1,8 +1,9 @@
 package system
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hscsim/internal/cachearray"
 	"hscsim/internal/core"
@@ -28,42 +29,49 @@ func (s *System) CheckCoherence() error {
 			return fmt.Errorf("coherence check requires quiescence")
 		}
 	}
-	// holders counts the pairs holding a line, in any state, M or E,
-	// and O, and names the first pair of the latter two. Values, not
-	// records: the check allocates nothing per line.
-	type holders struct {
-		n, nME, nOwned int32
-		me, owned      int32
+	// held has one record per line an L2 holds. Sorted by line, then
+	// pair, a line's holders are one run of it in pair order, and the
+	// sweep reports the first violation deterministically. It is sized
+	// for full L2s, which most runs end with, so it is allocated once.
+	type holding struct {
+		line cachearray.LineAddr
+		pair int32
+		st   corepair.MOESI
 	}
-	lines := make(map[cachearray.LineAddr]holders)
+	l2Lines := s.Cfg.CorePair.L2SizeBytes / s.Cfg.CorePair.BlockSize
+	held := make([]holding, 0, len(s.CorePairs)*l2Lines)
 	for p, cp := range s.CorePairs {
 		cp.ForEachL2Line(func(line cachearray.LineAddr, st corepair.MOESI) {
-			h := lines[line]
+			held = append(held, holding{line, int32(p), st})
+		})
+	}
+	slices.SortFunc(held, func(a, b holding) int {
+		return cmp.Or(cmp.Compare(a.line, b.line), cmp.Compare(a.pair, b.pair))
+	})
+	tracking := s.Cfg.Protocol.Tracking != core.TrackNone
+	for i := 0; i < len(held); {
+		// h counts the pairs holding the line, in any state, M or E,
+		// and O, and names the first pair of the latter two.
+		var h struct {
+			n, nME, nOwned int32
+			me, owned      int32
+		}
+		line := held[i].line
+		for ; i < len(held) && held[i].line == line; i++ {
 			h.n++
-			switch st {
+			switch held[i].st {
 			case corepair.Modified, corepair.Exclusive:
 				if h.nME == 0 {
-					h.me = int32(p)
+					h.me = held[i].pair
 				}
 				h.nME++
 			case corepair.Owned:
 				if h.nOwned == 0 {
-					h.owned = int32(p)
+					h.owned = held[i].pair
 				}
 				h.nOwned++
 			}
-			lines[line] = h
-		})
-	}
-	tracking := s.Cfg.Protocol.Tracking != core.TrackNone
-	// Sorted sweep so the first violation reported is deterministic.
-	order := make([]cachearray.LineAddr, 0, len(lines))
-	for line := range lines { //hsclint:deterministic — sorted below
-		order = append(order, line)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, line := range order {
-		h := lines[line]
+		}
 		if h.nME > 1 {
 			return fmt.Errorf("line %#x: %d M/E holders", uint64(line), h.nME)
 		}
