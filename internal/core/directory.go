@@ -36,7 +36,7 @@ type Directory struct {
 	txns recycle.Table[cachearray.LineAddr, *txn]
 	// pend parks requests for a busy line; drained queues' backing
 	// arrays are reused.
-	pend     recycle.Queues[cachearray.LineAddr, msg.Message] //hsclint:stallqueue — drained by drainPending on txn completion
+	pend     recycle.Queues[cachearray.LineAddr, msg.Message] // drained by drainPending on txn completion
 	nextID   uint64
 	roRanges []LineRange
 

@@ -10,6 +10,7 @@ import (
 	"hscsim/internal/memdata"
 	"hscsim/internal/msg"
 	"hscsim/internal/noc"
+	"hscsim/internal/recycle"
 	"hscsim/internal/sim"
 )
 
@@ -36,7 +37,7 @@ type t1cache struct {
 	dirID   msg.NodeID
 	name    string
 	isTCC   bool
-	hasLine map[cachearray.LineAddr]bool // line → dirty
+	hasLine recycle.Table[cachearray.LineAddr, bool] // line → dirty
 
 	probed []string
 	grant  msg.Grant
@@ -51,12 +52,12 @@ func (c *t1cache) Receive(m msg.Message) {
 		}
 		c.probed = append(c.probed, kind)
 		ack := msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: c.id, Dst: m.Src, TxnID: m.TxnID}
-		if dirty, ok := c.hasLine[m.Addr]; ok && !c.isTCC {
+		if dirty, ok := c.hasLine.Get(m.Addr); ok && !c.isTCC {
 			ack.HasData = true
 			ack.Dirty = dirty
 		}
 		if m.Type == msg.PrbInv {
-			delete(c.hasLine, m.Addr)
+			c.hasLine.Delete(m.Addr)
 		}
 		c.ic.Send(ack)
 	case msg.Resp:
@@ -91,8 +92,7 @@ func newT1() *t1rig {
 	fm := memdata.New()
 
 	mk := func(id msg.NodeID, name string, isTCC bool) *t1cache {
-		c := &t1cache{ic: ic, id: id, dirID: 4, name: name, isTCC: isTCC,
-			hasLine: make(map[cachearray.LineAddr]bool)}
+		c := &t1cache{ic: ic, id: id, dirID: 4, name: name, isTCC: isTCC}
 		ic.Register(id, c)
 		return c
 	}
@@ -181,17 +181,17 @@ func (r *t1rig) mkI() {}
 
 func (r *t1rig) mkS() { // S{L2a} via RdBlkS
 	r.send(r.l2a, msg.RdBlkS, false)
-	r.l2a.hasLine[r.line] = false
+	*r.l2a.hasLine.Put(r.line) = false
 }
 
 func (r *t1rig) mkODirty() { // O{L2a*} modified
 	r.send(r.l2a, msg.RdBlkM, false)
-	r.l2a.hasLine[r.line] = true
+	*r.l2a.hasLine.Put(r.line) = true
 }
 
 func (r *t1rig) mkOClean() { // O{L2a*} exclusive-clean
 	r.send(r.l2a, msg.RdBlk, false)
-	r.l2a.hasLine[r.line] = false
+	*r.l2a.hasLine.Put(r.line) = false
 }
 
 // TableI regenerates the transition table from the implementation.

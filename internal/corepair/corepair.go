@@ -107,13 +107,11 @@ type waiter struct {
 	done func()
 }
 
-// mshrEntry is one outstanding L2 miss. Entries come from
-// CorePair.freeMSHRs and return to it after fill, keeping their waiter
-// slice's capacity.
+// mshrEntry is one outstanding L2 miss; its accesses wait in
+// CorePair.mshrWait.
 type mshrEntry struct {
-	waiters []waiter //hsclint:stallqueue — replayed by fill when the response arrives
-	issued  sim.Tick
-	typ     msg.Type // the request in flight (RdBlk/RdBlkS/RdBlkM)
+	issued sim.Tick
+	typ    msg.Type // the request in flight (RdBlk/RdBlkS/RdBlkM)
 }
 
 // CorePair is the two-core CPU cluster cache subsystem.
@@ -128,10 +126,12 @@ type CorePair struct {
 	l1d [2]*cachearray.Array[struct{}]
 	l1i *cachearray.Array[struct{}]
 
-	mshr      recycle.Table[cachearray.LineAddr, *mshrEntry]
-	freeMSHRs recycle.Free[mshrEntry]
-	wb        recycle.Table[cachearray.LineAddr, bool] // victim buffer: line → dirty
-	wbWait    map[cachearray.LineAddr][]waiter         // accesses stalled on an outstanding writeback
+	// Per-line queues recycle their backing arrays, so a steady-state
+	// miss, writeback stall or deferred probe allocates nothing.
+	mshr     recycle.Table[cachearray.LineAddr, mshrEntry]
+	mshrWait recycle.Queues[cachearray.LineAddr, waiter] // accesses replayed by fill
+	wb       recycle.Table[cachearray.LineAddr, bool]    // victim buffer: line → dirty
+	wbWait   recycle.Queues[cachearray.LineAddr, waiter] // accesses stalled on an outstanding writeback
 
 	// pendingStores counts store/RMW hits whose completion callback is
 	// still in flight (the L1-latency commit window); probeWait holds
@@ -142,8 +142,8 @@ type CorePair struct {
 	// (stale data at the requester). Real L2s serialize probes against
 	// the store pipeline the same way; the deferral is bounded by the
 	// fixed L1 latency, so it cannot deadlock.
-	pendingStores recycle.Table[cachearray.LineAddr, int] //hsclint:stallqueue — deleted by the last store completion callback
-	probeWait     map[cachearray.LineAddr][]msg.Message
+	pendingStores recycle.Table[cachearray.LineAddr, int]
+	probeWait     recycle.Queues[cachearray.LineAddr, msg.Message]
 
 	// rec records fired protocol transitions for the static-vs-dynamic
 	// cross-check (cmd/hscproto); nil (the default) disables recording.
@@ -180,8 +180,6 @@ func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID, cfg Config) *C
 			SizeBytes: cfg.L2SizeBytes, Assoc: cfg.L2Assoc, BlockSize: cfg.BlockSize}),
 		l1i: cachearray.New[struct{}](cachearray.Config{
 			SizeBytes: cfg.L1ISizeBytes, Assoc: cfg.L1IAssoc, BlockSize: cfg.BlockSize}),
-		wbWait:    make(map[cachearray.LineAddr][]waiter),
-		probeWait: make(map[cachearray.LineAddr][]msg.Message),
 	}
 	for i := range cp.l1d {
 		cp.l1d[i] = cachearray.New[struct{}](cachearray.Config{
@@ -266,7 +264,7 @@ func (cp *CorePair) access(core int, kind AccessKind, line cachearray.LineAddr, 
 		// Stall until the writeback acknowledgment retires the victim.
 		cp.rec.Record(machine, "WB", kind.event(), "WB") //proto:events Load,Store //proto:actions stall until WBAck
 		cp.Stats.WBStalls++
-		cp.wbWait[line] = append(cp.wbWait[line], waiter{core, kind, done})
+		cp.wbWait.Push(line, waiter{core, kind, done})
 		return
 	}
 	cp.rec.Record(machine, "I", kind.event(), "I") //proto:events Load,Store //proto:actions issue RdBlk/RdBlkS/RdBlkM //proto:emits RdBlk,RdBlkS,RdBlkM
@@ -285,14 +283,10 @@ func (cp *CorePair) access(core int, kind AccessKind, line cachearray.LineAddr, 
 
 // miss allocates (or joins) an MSHR entry and issues the request.
 func (cp *CorePair) miss(line cachearray.LineAddr, t msg.Type, w waiter) {
-	if e, ok := cp.mshr.Get(line); ok {
-		e.waiters = append(e.waiters, w)
-		return
+	if !cp.mshrWait.Push(line, w) {
+		return // joined the outstanding miss
 	}
-	e := cp.freeMSHRs.Get()
-	e.waiters = append(e.waiters, w)
-	e.issued, e.typ = cp.engine.Now(), t
-	*cp.mshr.Put(line) = e
+	*cp.mshr.Put(line) = mshrEntry{issued: cp.engine.Now(), typ: t}
 	cp.ic.SendAfter(cp.cfg.L2Latency, msg.Message{Type: t, Addr: line, Src: cp.id, Dst: cp.dirID})
 }
 
@@ -321,12 +315,11 @@ func (cp *CorePair) Receive(m msg.Message) {
 	case msg.WBAck:
 		cp.rec.Record(machine, "WB", "WBAck", "I") //proto:actions retire victim, replay stalled accesses
 		cp.wb.Delete(m.Addr)
-		if ws := cp.wbWait[m.Addr]; len(ws) > 0 {
-			delete(cp.wbWait, m.Addr)
-			for _, w := range ws {
-				cp.access(w.core, w.kind, m.Addr, w.done)
-			}
+		ws := cp.wbWait.Take(m.Addr)
+		for _, w := range ws {
+			cp.access(w.core, w.kind, m.Addr, w.done)
 		}
+		cp.wbWait.Recycle(ws)
 	case msg.PrbInv, msg.PrbDowngrade:
 		cp.probe(&m)
 	default:
@@ -336,8 +329,8 @@ func (cp *CorePair) Receive(m msg.Message) {
 
 // fill installs a granted line and replays the waiting accesses.
 func (cp *CorePair) fill(m *msg.Message) {
-	e, _ := cp.mshr.Get(m.Addr)
-	if e == nil {
+	e, ok := cp.mshr.Get(m.Addr)
+	if !ok {
 		panic(fmt.Sprintf("corepair %d: fill without MSHR: %s", cp.id, *m))
 	}
 	cp.mshr.Delete(m.Addr)
@@ -379,15 +372,14 @@ func (cp *CorePair) fill(m *msg.Message) {
 	// responding bank: the directory may be distributed, §VII).
 	cp.ic.Send(msg.Message{Type: msg.Unblock, Addr: m.Addr, Src: cp.id, Dst: m.Src, TxnID: m.TxnID})
 
-	for _, w := range e.waiters {
+	ws := cp.mshrWait.Take(m.Addr)
+	for _, w := range ws {
 		// Replay: hits now, or triggers a further upgrade.
 		cp.access(w.core, w.kind, m.Addr, w.done)
 	}
-	// Release e only now: a replay can open a new miss on this line,
-	// which must not be handed e while its waiters are being replayed.
-	clear(e.waiters)
-	e.waiters = e.waiters[:0]
-	cp.freeMSHRs.Put(e)
+	// Recycle ws only now: a replay can open a new miss on this line,
+	// which starts a fresh queue because Take emptied this one.
+	cp.mshrWait.Recycle(ws)
 }
 
 // victimize writes back an evicted L2 line (noisy evictions: clean
@@ -432,12 +424,12 @@ func (cp *CorePair) storeCommitDone(line cachearray.LineAddr, done func()) {
 		return
 	}
 	cp.pendingStores.Delete(line)
-	deferred := cp.probeWait[line]
-	delete(cp.probeWait, line)
+	deferred := cp.probeWait.Take(line)
 	for i := range deferred {
 		// If done() reopened the commit window, the probe re-defers.
 		cp.probe(&deferred[i])
 	}
+	cp.probeWait.Recycle(deferred)
 }
 
 // probe services a directory probe: acknowledge with data when the line
@@ -448,7 +440,7 @@ func (cp *CorePair) probe(m *msg.Message) {
 	if cp.pendingStores.Find(m.Addr) != nil {
 		// A store hit on this line is inside its commit window; answer
 		// after it retires so the acknowledgment carries its data.
-		cp.probeWait[m.Addr] = append(cp.probeWait[m.Addr], *m)
+		cp.probeWait.Push(m.Addr, *m)
 		return
 	}
 	cp.Stats.ProbesReceived++
@@ -525,14 +517,11 @@ func (cp *CorePair) MissType(line cachearray.LineAddr) (msg.Type, bool) {
 // MSHRWaiters reports the number of accesses parked on an outstanding
 // miss to line (checker hook).
 func (cp *CorePair) MSHRWaiters(line cachearray.LineAddr) int {
-	if e, ok := cp.mshr.Get(line); ok {
-		return len(e.waiters)
-	}
-	return 0
+	return len(cp.mshrWait.At(line))
 }
 
 // WBWaiters reports the number of accesses stalled on line's
 // outstanding writeback (checker hook).
 func (cp *CorePair) WBWaiters(line cachearray.LineAddr) int {
-	return len(cp.wbWait[line])
+	return len(cp.wbWait.At(line))
 }

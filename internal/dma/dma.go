@@ -13,6 +13,7 @@ import (
 	"hscsim/internal/fsm"
 	"hscsim/internal/msg"
 	"hscsim/internal/noc"
+	"hscsim/internal/recycle"
 	"hscsim/internal/sim"
 )
 
@@ -28,8 +29,10 @@ type Engine struct {
 	id     msg.NodeID
 	dirID  msg.NodeID
 
-	rdWaiters map[cachearray.LineAddr][]func() //hsclint:stallqueue — popped by the Resp handler
-	wrWaiters map[cachearray.LineAddr][]func() //hsclint:stallqueue — popped by the WBAck handler
+	// Per-line completion FIFOs: a Resp completes the line's oldest
+	// read, a WBAck its oldest write.
+	rdWaiters recycle.Queues[cachearray.LineAddr, func()]
+	wrWaiters recycle.Queues[cachearray.LineAddr, func()]
 
 	// rec records fired protocol transitions for the static-vs-dynamic
 	// cross-check (cmd/hscproto); nil (the default) disables recording.
@@ -46,11 +49,7 @@ type Stats struct {
 
 // New creates a DMA engine at node id.
 func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID) *Engine {
-	e := &Engine{
-		engine: engine, ic: ic, id: id, dirID: dirID,
-		rdWaiters: make(map[cachearray.LineAddr][]func()),
-		wrWaiters: make(map[cachearray.LineAddr][]func()),
-	}
+	e := &Engine{engine: engine, ic: ic, id: id, dirID: dirID}
 	ic.Register(id, e)
 	return e
 }
@@ -62,7 +61,7 @@ func (e *Engine) SetRecorder(r *fsm.Recorder) { e.rec = r }
 func (e *Engine) ReadBlock(line cachearray.LineAddr, done func()) {
 	e.rec.Record(machine, "-", "Rd", "-") //proto:actions issue DMARd //proto:emits DMARd
 	e.Stats.Reads++
-	e.rdWaiters[line] = append(e.rdWaiters[line], done)
+	e.rdWaiters.Push(line, done)
 	e.ic.Send(msg.Message{Type: msg.DMARd, Addr: line, Src: e.id, Dst: e.dirID})
 }
 
@@ -70,7 +69,7 @@ func (e *Engine) ReadBlock(line cachearray.LineAddr, done func()) {
 func (e *Engine) WriteBlock(line cachearray.LineAddr, done func()) {
 	e.rec.Record(machine, "-", "Wr", "-") //proto:actions issue DMAWr //proto:emits DMAWr
 	e.Stats.Writes++
-	e.wrWaiters[line] = append(e.wrWaiters[line], done)
+	e.wrWaiters.Push(line, done)
 	e.ic.Send(msg.Message{Type: msg.DMAWr, Addr: line, Src: e.id, Dst: e.dirID})
 }
 
@@ -117,39 +116,33 @@ func (e *Engine) Stream(base uint64, length int, write bool, maxOutstanding int,
 
 // Receive implements noc.Handler.
 func (e *Engine) Receive(m msg.Message) {
+	var done func()
+	var ok bool
 	switch m.Type {
 	case msg.Resp:
 		e.rec.Record(machine, "-", "Resp", "-") //proto:actions complete oldest read on the line
-		e.pop(e.rdWaiters, &m)
+		done, ok = e.rdWaiters.Pop(m.Addr)
 	case msg.WBAck:
 		e.rec.Record(machine, "-", "WBAck", "-") //proto:actions complete oldest write on the line
-		e.pop(e.wrWaiters, &m)
+		done, ok = e.wrWaiters.Pop(m.Addr)
 	default:
 		panic(fmt.Sprintf("dma: unexpected %s", m))
 	}
-}
-
-func (e *Engine) pop(w map[cachearray.LineAddr][]func(), m *msg.Message) {
-	q := w[m.Addr]
-	if len(q) == 0 {
-		panic(fmt.Sprintf("dma: stray response %s", *m))
-	}
-	done := q[0]
-	if len(q) == 1 {
-		delete(w, m.Addr)
-	} else {
-		w[m.Addr] = q[1:]
+	if !ok {
+		panic(fmt.Sprintf("dma: stray response %s", m))
 	}
 	done()
 }
 
-// Outstanding reports in-flight DMA requests (quiesce checks).
-func (e *Engine) Outstanding() int { return len(e.rdWaiters) + len(e.wrWaiters) }
+// Outstanding counts the lines with a read pending plus the lines with
+// a write pending, not the requests; it is zero exactly when nothing is
+// in flight (quiesce checks).
+func (e *Engine) Outstanding() int { return e.rdWaiters.Len() + e.wrWaiters.Len() }
 
 // Pending reports the in-flight read and write requests for one line
 // (the model checker folds them into its state fingerprint).
 func (e *Engine) Pending(line cachearray.LineAddr) (rd, wr int) {
-	return len(e.rdWaiters[line]), len(e.wrWaiters[line])
+	return len(e.rdWaiters.At(line)), len(e.wrWaiters.At(line))
 }
 
 // NodeID returns the engine's interconnect node.

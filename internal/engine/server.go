@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -37,28 +38,38 @@ func statusOf(j *Job, v jobView) JobStatus {
 }
 
 // decodeBody decodes a JSON request body of at most limit bytes into v.
+// The body must be exactly one JSON value naming only fields v has, so
+// a misspelled field or a second object is refused rather than ignored.
 // It writes 413 for an oversize body and 400 for a malformed one, and
 // reports whether v was decoded.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
-			return false
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
 		}
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", mbe.Limit))
 		return false
 	}
-	return true
+	httpError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
+	return false
 }
 
 // NewServer returns the hscserve HTTP API over an engine:
 //
 //	POST /jobs              submit a Spec; 202 queued, 200 done (cache
-//	                        hit), 413 oversize body, 429 queue full,
-//	                        503 draining
+//	                        hit), 400 bad or inexact spec, 413 oversize
+//	                        body, 429 queue full, 503 draining
 //	GET  /jobs/{hash}       job status (cache-backed for retired jobs)
 //	GET  /jobs/{hash}/result  canonical result JSON; 202 while running
 //	POST /sweeps            submit a SweepSpec; streams NDJSON cell

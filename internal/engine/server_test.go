@@ -233,6 +233,45 @@ func TestServerRejectsOversizeBody(t *testing.T) {
 	}
 }
 
+// TestServerRejectsInexactSpec: a job body must be exactly one Spec. A
+// misspelled field (at the top level or nested), a field Spec does not
+// have and a second value after the first are refused with 400 before
+// the engine sees them; trailing whitespace is fine.
+func TestServerRejectsInexactSpec(t *testing.T) {
+	bx := newBlockingExec()
+	close(bx.release)
+	e := New(Config{Workers: 1, Exec: bx.exec})
+	defer e.Close()
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+
+	post := func(body string) int {
+		resp, err := srv.Client().Post(srv.URL+"/jobs?wait=1", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range []string{
+		`{"bench":"bs","scal":4}`,
+		`{"bench":"bs","protocol":{"traking":"owner"}}`,
+		`{"bench":"bs","oracle":true}`,
+		`{"bench":"bs"}{"bench":"tq"}`,
+		`{"bench":"bs"} 7`,
+	} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("%s: %d, want 400", body, code)
+		}
+	}
+	if st := e.Stats(); st.Submitted != 0 {
+		t.Fatalf("a rejected body reached the engine: %+v", st)
+	}
+	if code := post("{\"bench\":\"bs\"}\n "); code != http.StatusOK {
+		t.Fatalf("spec with trailing whitespace: %d, want 200", code)
+	}
+}
+
 // TestServerServesRetiredJobFromCache: after a job is evicted from the
 // in-memory index, GET /jobs/{hash} and /jobs/{hash}/result are still
 // answered from the result cache.

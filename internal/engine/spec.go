@@ -26,7 +26,6 @@ import (
 	"hscsim/internal/chai"
 	"hscsim/internal/core"
 	"hscsim/internal/heterosync"
-	"hscsim/internal/sim"
 	"hscsim/internal/system"
 )
 
@@ -159,11 +158,6 @@ type Spec struct {
 	// Config selects the base system configuration: ConfigEval
 	// (default) or ConfigFull.
 	Config string `json:"config"`
-	// Oracle attaches the runtime coherence oracle to the run.
-	Oracle bool `json:"oracle,omitempty"`
-	// MaxTicks overrides the base configuration's deadlock ceiling
-	// (0 = keep it).
-	MaxTicks uint64 `json:"maxTicks,omitempty"`
 }
 
 // Normalized fills defaults so equivalent specs encode — and therefore
@@ -415,9 +409,5 @@ func buildConfig(s Spec) (system.Config, error) {
 		cfg.CPU.StoreBufferSize = 0
 	}
 	cfg.GPU.WriteBackL2 = t.GPUWriteBackL2
-	cfg.Oracle = s.Oracle
-	if s.MaxTicks > 0 {
-		cfg.MaxTicks = sim.Tick(s.MaxTicks)
-	}
 	return cfg, nil
 }

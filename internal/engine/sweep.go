@@ -37,8 +37,6 @@ type SweepSpec struct {
 	Threads  int            `json:"threads,omitempty"`
 	Seed     int64          `json:"seed,omitempty"`
 	Config   string         `json:"config,omitempty"`
-	Oracle   bool           `json:"oracle,omitempty"`
-	MaxTicks uint64         `json:"maxTicks,omitempty"`
 }
 
 // Normalized fills defaults (one empty variant / one default point) so
@@ -87,8 +85,6 @@ func (s SweepSpec) Cells() ([]Spec, error) {
 					Protocol: v,
 					Topology: p.Topology,
 					Config:   s.Config,
-					Oracle:   s.Oracle,
-					MaxTicks: s.MaxTicks,
 				}.Normalized())
 			}
 		}

@@ -396,7 +396,8 @@ func TestSweepRepeatServedFromCache(t *testing.T) {
 }
 
 // TestSweepRejects: an oversize body is refused with 413, and a
-// malformed, invalid or over-cap sweep with 400, before any cell runs.
+// malformed, inexact (unknown field, second value), invalid or over-cap
+// sweep with 400, before any cell runs.
 func TestSweepRejects(t *testing.T) {
 	var execs atomic.Int64
 	e := New(Config{Workers: 1, Exec: countingExec(&execs)})
@@ -417,6 +418,8 @@ func TestSweepRejects(t *testing.T) {
 	}{
 		{"oversize", huge, http.StatusRequestEntityTooLarge},
 		{"malformed", []byte(`{"benches":`), http.StatusBadRequest},
+		{"unknown field", []byte(`{"benches":["bs"],"scal":3}`), http.StatusBadRequest},
+		{"second value", []byte(`{"benches":["bs"]}{"benches":["tq"]}`), http.StatusBadRequest},
 		{"no benches", []byte(`{}`), http.StatusBadRequest},
 		{"unknown bench", []byte(`{"benches":["no-such-bench"]}`), http.StatusBadRequest},
 		{"over MaxSweepCells", overCap, http.StatusBadRequest},

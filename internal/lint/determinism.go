@@ -20,7 +20,9 @@ const deterministicMarker = "hsclint:deterministic"
 // from scratch and the conformance matrix diffs final images across
 // runs, so any wall-clock, ambient-randomness or map-order dependence
 // in these packages breaks both. Workload generators are included:
-// their outputs are the reproducers the minimizer shrinks.
+// their outputs are the reproducers the minimizer shrinks. Every
+// project package internal/system imports, directly or not, is in the
+// set.
 var detPackages = map[string]bool{
 	"hscsim/internal/cachearray": true,
 	"hscsim/internal/chai":       true,
@@ -35,11 +37,14 @@ var detPackages = map[string]bool{
 	"hscsim/internal/heterosync": true,
 	"hscsim/internal/memctrl":    true,
 	"hscsim/internal/memdata":    true,
+	"hscsim/internal/msg":        true,
 	"hscsim/internal/noc":        true,
 	"hscsim/internal/prog":       true,
+	"hscsim/internal/recycle":    true,
 	"hscsim/internal/sim":        true,
 	"hscsim/internal/stats":      true,
 	"hscsim/internal/system":     true,
+	"hscsim/internal/trace":      true,
 	"hscsim/internal/verify":     true,
 }
 

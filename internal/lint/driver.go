@@ -34,19 +34,3 @@ func markerLines(p *Pass, file *ast.File, marker string) map[int]bool {
 	}
 	return marked
 }
-
-// commentsHaveMarker reports whether any of the comment groups (a
-// field's Doc or line Comment, typically) contains marker.
-func commentsHaveMarker(marker string, groups ...*ast.CommentGroup) bool {
-	for _, cg := range groups {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, marker) {
-				return true
-			}
-		}
-	}
-	return false
-}

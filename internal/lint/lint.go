@@ -20,12 +20,13 @@
 //     cannot depend on scheduling, is annotated
 //     `//hsclint:deterministic`. The model checker's replay and the
 //     conformance diffs depend on it.
-//   - stallwake: queue fields that park protocol work (the directory's
-//     pend map, MSHR waiter lists) must be annotated
-//     `//hsclint:stallqueue`, and every annotated queue needs both a
-//     park site and a wake site in its package — a queue that is
-//     filled but never drained is a hung transaction waiting to
-//     happen.
+//   - stallwake: in the coherence controllers (ControllerPackages),
+//     every recycle.Queues or recycle.Table field (the directory's
+//     pend queues, MSHR waiters, completion FIFOs, in-flight tables)
+//     needs a park call (Push, Put) and a wake call (Pop, Take,
+//     Delete) on it in its package, and no field may be a map. A
+//     queue that is filled but never drained is a hung transaction
+//     waiting to happen.
 //
 // No analyzer checks the job engine's locks: internal/engine has two
 // mutexes that never nest, and its tests pin the rest at run time.

@@ -2,7 +2,9 @@ package lint
 
 import (
 	"os"
+	"os/exec"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -112,25 +114,59 @@ func TestDeterminismIgnoresUnreachablePackages(t *testing.T) {
 	}
 }
 
+// addController adds the testdata package to the controller set for
+// the rest of the test.
+func addController(t *testing.T) {
+	saved := ControllerPackages
+	ControllerPackages = append(slices.Clip(saved), badPkg)
+	t.Cleanup(func() { ControllerPackages = saved })
+}
+
 func TestStallWakeQueueRules(t *testing.T) {
-	diags := Check(loadBad(t), []*Analyzer{StallWake})
+	pkgs := loadBad(t)
+	if diags := Check(pkgs, []*Analyzer{StallWake}); len(diags) != 0 {
+		t.Fatalf("package outside the controller set reported: %v", diags)
+	}
+	addController(t)
+	diags := Check(pkgs, []*Analyzer{StallWake})
 	if len(diags) != 5 {
-		t.Fatalf("diags = %v, want exactly 5 (stalledReqs, noWake, neverFilled, pushOnly, putOnly)", diags)
+		t.Fatalf("diags = %v, want exactly 5 (stalled, pushOnly, putOnly, neverFed, peekedOnly)", diags)
 	}
 	var msgs []string
 	for _, d := range diags {
 		msgs = append(msgs, d.Message)
 	}
 	joined := strings.Join(msgs, "\n")
-	for _, want := range []string{"stalledReqs", "noWake", "neverFilled", "pushOnly", "putOnly"} {
+	for _, want := range []string{"stalled", "pushOnly", "putOnly", "neverFed", "peekedOnly"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing a %s diagnostic in:\n%s", want, joined)
 		}
 	}
-	// The annotated queues with both a park and a wake site must pass.
-	for _, ok := range []string{"good", "wrapped", "counted"} {
+	// Fields with both a park and a wake call, and the plain slice the
+	// rule does not cover, must pass.
+	for _, ok := range []string{"popped", "taken", "counted", "flushes"} {
 		if strings.Contains(joined, ok) {
-			t.Errorf("correct park/wake queue %s reported:\n%s", ok, joined)
+			t.Errorf("correct field %s reported:\n%s", ok, joined)
+		}
+	}
+}
+
+// TestDetPackagesCoverSimulator: every project package the simulator
+// (internal/system) imports, directly or not, is simulation-reachable,
+// so the determinism rule must cover it.
+func TestDetPackagesCoverSimulator(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps",
+		"-f", "{{if not .Standard}}{{.ImportPath}}{{end}}", "hscsim/internal/system").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps := strings.Fields(string(out))
+	if len(deps) < 10 {
+		t.Fatalf("go list found only %d packages: %v", len(deps), deps)
+	}
+	for _, path := range deps {
+		if !detPackages[path] {
+			t.Errorf("internal/system imports %s, which detPackages omits", path)
 		}
 	}
 }
@@ -147,6 +183,7 @@ func TestGoldenExpectations(t *testing.T) {
 	pkgs := loadBad(t)
 	detPackages[badPkg] = true
 	defer delete(detPackages, badPkg)
+	addController(t)
 
 	type want struct {
 		analyzer, substr string

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hscsim/internal/msg"
+	"hscsim/internal/recycle"
 )
 
 // classify switches on msg.Type without a default and without covering
@@ -72,62 +73,47 @@ func fanOut(out []int) {
 	wg.Wait()
 }
 
-// parkedQueues exercises stallwake: a queue-shaped name without the
-// annotation, an annotated queue that is filled but never drained, an
-// annotated queue that is never filled, a queue type parked through
-// its Push method but never popped, a table parked through Put but
-// never deleted from, and correct park/wake pairs on a map, through
-// Push/Pop and through Put/Delete (the false-positive guards).
-type parkedQueues struct {
-	stalledReqs map[int]int   //want stallwake "looks like a stall/wait queue"
-	noWake      []int         //hsclint:stallqueue //want stallwake "no wake site"
-	neverFilled []int         //hsclint:stallqueue //want stallwake "never parks"
-	good        map[int][]int //hsclint:stallqueue
-	pushOnly    lineQueue     //hsclint:stallqueue //want stallwake "no wake site"
-	wrapped     lineQueue     //hsclint:stallqueue
-	putOnly     lineTable     //hsclint:stallqueue //want stallwake "no wake site"
-	counted     lineTable     //hsclint:stallqueue
+// parkedWork exercises stallwake (when the test adds this package to
+// the controller set): a map field, a queue pushed but never popped, a
+// table Put but never deleted from, a queue never pushed, and a queue
+// read only through At, which wakes nothing. Queues woken by Pop and by
+// Take, a table woken by Delete, and a plain slice, which the rule does
+// not cover, are the false-positive guards.
+type parkedWork struct {
+	stalled    map[uint64][]int            //want stallwake "is a map"
+	pushOnly   recycle.Queues[uint64, int] //want stallwake "no wake site"
+	putOnly    recycle.Table[uint64, int]  //want stallwake "no wake site"
+	neverFed   recycle.Queues[uint64, int] //want stallwake "never parks"
+	peekedOnly recycle.Queues[uint64, int] //want stallwake "no wake site"
+	popped     recycle.Queues[uint64, int]
+	taken      recycle.Queues[uint64, int]
+	counted    recycle.Table[uint64, int]
+	flushes    []int
 }
 
-// lineQueue is a queue type that wraps its storage.
-type lineQueue struct{ m map[int][]int }
-
-func (q *lineQueue) Push(k, v int) { q.m[k] = append(q.m[k], v) }
-
-func (q *lineQueue) Pop(k int) int {
-	v := q.m[k][0]
-	q.m[k] = q.m[k][1:]
-	return v
+func (w *parkedWork) park(k uint64, v int) {
+	w.stalled[k] = append(w.stalled[k], v)
+	w.pushOnly.Push(k, v)
+	*w.putOnly.Put(k)++
+	w.peekedOnly.Push(k, v)
+	w.popped.Push(k, v)
+	w.taken.Push(k, v)
+	*w.counted.Put(k)++
+	w.flushes = append(w.flushes, v)
 }
 
-// lineTable is a per-key counter table: Put returns the count to
-// bump in place, Delete drops the key.
-type lineTable struct{ m map[int]*int }
-
-func (t *lineTable) Put(k int) *int {
-	if t.m[k] == nil {
-		t.m[k] = new(int)
+func (w *parkedWork) wake(k uint64) int {
+	n := len(w.stalled[k]) + len(w.peekedOnly.At(k))
+	if v, ok := w.neverFed.Pop(k); ok {
+		n += v
 	}
-	return t.m[k]
-}
-
-func (t *lineTable) Delete(k int) { delete(t.m, k) }
-
-func (pq *parkedQueues) park(k, v int) {
-	pq.stalledReqs[k] = v
-	pq.noWake = append(pq.noWake, v)
-	pq.good[k] = append(pq.good[k], v)
-	pq.pushOnly.Push(k, v)
-	pq.wrapped.Push(k, v)
-	*pq.putOnly.Put(k)++
-	*pq.counted.Put(k)++
-}
-
-func (pq *parkedQueues) wake(k int) []int {
-	q := pq.good[k]
-	delete(pq.good, k)
-	pq.counted.Delete(k)
-	return append(q, pq.wrapped.Pop(k))
+	if v, ok := w.popped.Pop(k); ok {
+		n += v
+	}
+	w.taken.Recycle(w.taken.Take(k))
+	w.counted.Delete(k)
+	w.flushes = w.flushes[1:]
+	return n
 }
 
 var _ = classify
@@ -135,5 +121,5 @@ var _ = sum
 var _ = stamp
 var _ = draw
 var _ = fanOut
-var _ = (*parkedQueues).park
-var _ = (*parkedQueues).wake
+var _ = (*parkedWork).park
+var _ = (*parkedWork).wake

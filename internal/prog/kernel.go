@@ -21,7 +21,7 @@ type Kernel struct {
 // KernelHandle tracks kernel completion for host-side Wait.
 type KernelHandle struct {
 	done    bool
-	waiters []func() //hsclint:stallqueue — released by CompleteKernel
+	waiters []func() // released by CompleteKernel
 }
 
 // Done reports completion.

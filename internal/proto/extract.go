@@ -11,23 +11,13 @@ import (
 	"hscsim/internal/lint"
 )
 
-// ControllerPackages are the packages whose Record call sites define
-// the protocol transition tables.
-var ControllerPackages = []string{
-	"hscsim/internal/core",
-	"hscsim/internal/corepair",
-	"hscsim/internal/dma",
-	"hscsim/internal/gpu",
-	"hscsim/internal/gpucache",
-}
-
 const recorderPkg = "hscsim/internal/fsm"
 
-// Extract loads the controller packages (dir is any directory inside
-// the module) and returns the transition table reconstructed from
-// their Record call sites.
+// Extract loads the controller packages (lint.ControllerPackages; dir
+// is any directory inside the module) and returns the transition table
+// reconstructed from their Record call sites.
 func Extract(dir string) (*Table, error) {
-	sites, err := ExtractSites(dir, ControllerPackages...)
+	sites, err := ExtractSites(dir, lint.ControllerPackages...)
 	if err != nil {
 		return nil, err
 	}

@@ -79,8 +79,12 @@ func (q *Queues[K, T]) Take(k K) []T {
 	return s
 }
 
-// Recycle makes a drained queue's backing array reusable.
+// Recycle makes a drained queue's backing array reusable. It ignores
+// the nil that Take returns for an empty queue.
 func (q *Queues[K, T]) Recycle(s []T) {
+	if cap(s) == 0 {
+		return
+	}
 	clear(s)
 	q.free = append(q.free, s[:0])
 }

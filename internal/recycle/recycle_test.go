@@ -37,6 +37,10 @@ func TestQueuesFIFOPerKey(t *testing.T) {
 	if got := q.Take(2); !slices.Equal(got, []string{"x"}) || q.Len() != 0 {
 		t.Fatalf("Take(2) = %v, Len = %d", got, q.Len())
 	}
+	n := len(q.free)
+	if q.Recycle(q.Take(3)); len(q.free) != n {
+		t.Fatal("recycling an empty key's queue added an array to the free list")
+	}
 }
 
 // TestQueuesReuseDrainedArrays: once warm, a push/pop cycle and a

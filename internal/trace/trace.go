@@ -9,7 +9,9 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -50,24 +52,46 @@ func FromMessage(t sim.Tick, m msg.Message) Event {
 	return ev
 }
 
+// maxLineBytes caps one trace line, newline included: Read fails on a
+// longer line and Writer refuses to write one.
+const maxLineBytes = 1 << 20
+
+var errLineTooLong = errors.New("trace: line too long")
+
 // Writer streams events as JSON lines.
 type Writer struct {
-	enc *json.Encoder
+	w   io.Writer
+	buf bytes.Buffer
+	enc *json.Encoder // encodes into buf
 }
 
 // NewWriter wraps w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{enc: json.NewEncoder(w)}
+	tw := &Writer{w: w}
+	tw.enc = json.NewEncoder(&tw.buf)
+	return tw
 }
 
-// Write emits one event.
-func (w *Writer) Write(ev Event) error { return w.enc.Encode(ev) }
+// Write emits one event. An event whose line would exceed the cap Read
+// enforces (escaping can grow a string sixfold) is refused, so Read
+// reads back everything Write writes.
+func (w *Writer) Write(ev Event) error {
+	w.buf.Reset()
+	if err := w.enc.Encode(ev); err != nil {
+		return err
+	}
+	if n := w.buf.Len(); n > maxLineBytes {
+		return fmt.Errorf("%w: event encodes to %d bytes, over %d", errLineTooLong, n, maxLineBytes)
+	}
+	_, err := w.w.Write(w.buf.Bytes())
+	return err
+}
 
 // Read parses a JSONL trace.
 func Read(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	sc.Buffer(make([]byte, 1<<16), maxLineBytes)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -126,7 +150,7 @@ func Summarize(events []Event, topN int) Summary {
 			lc.Probes++
 		}
 	}
-	for _, lc := range perLine {
+	for _, lc := range perLine { //hsclint:deterministic — sorted by (Total, Addr) below
 		s.HotLines = append(s.HotLines, *lc)
 	}
 	sort.Slice(s.HotLines, func(i, j int) bool {
@@ -146,10 +170,15 @@ func (s Summary) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "messages: %d over ticks [%d, %d]\n", s.Messages, s.FirstTick, s.LastTick)
 	types := make([]string, 0, len(s.ByType))
-	for t := range s.ByType {
+	for t := range s.ByType { //hsclint:deterministic — sorted by (count, name) below
 		types = append(types, t)
 	}
-	sort.Slice(types, func(i, j int) bool { return s.ByType[types[i]] > s.ByType[types[j]] })
+	sort.Slice(types, func(i, j int) bool {
+		if ci, cj := s.ByType[types[i]], s.ByType[types[j]]; ci != cj {
+			return ci > cj
+		}
+		return types[i] < types[j]
+	})
 	fmt.Fprintf(&b, "by type:\n")
 	for _, t := range types {
 		fmt.Fprintf(&b, "  %-14s %8d\n", t, s.ByType[t])

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -92,4 +95,97 @@ func TestHistory(t *testing.T) {
 	if len(h) != 2 || h[0].Tick != 1 || h[1].Tick != 3 {
 		t.Fatalf("history = %+v", h)
 	}
+}
+
+// TestSummaryTiesRenderByName: message types with equal counts print in
+// name order, so one trace always renders the same summary.
+func TestSummaryTiesRenderByName(t *testing.T) {
+	names := []string{"Atomic", "PrbAck", "RdBlk", "RdBlkM", "RdBlkS", "Resp", "Unblock", "WT"}
+	evs := []Event{{Type: "PrbInv"}, {Type: "PrbInv"}}
+	for _, n := range names {
+		evs = append(evs, Event{Type: n})
+	}
+	first := Summarize(evs, 0).String()
+	byType := first[strings.Index(first, "by type:"):strings.Index(first, "hottest lines:")]
+	var got []string
+	for _, line := range strings.Split(byType, "\n")[1:] {
+		if f := strings.Fields(line); len(f) == 2 {
+			got = append(got, f[0])
+		}
+	}
+	if want := append([]string{"PrbInv"}, names...); !slices.Equal(got, want) {
+		t.Fatalf("by-type order = %v, want %v", got, want)
+	}
+	for i := 0; i < 200; i++ {
+		if again := Summarize(evs, 0).String(); again != first {
+			t.Fatalf("render %d differs from the first:\n%s\nvs\n%s", i, again, first)
+		}
+	}
+}
+
+// TestReadLineCap: a line up to the cap reads; a longer one is an
+// error, not a truncation.
+func TestReadLineCap(t *testing.T) {
+	pad := func(n int) string { return "{" + strings.Repeat(" ", n-2) + "}" }
+	if evs, err := Read(strings.NewReader(pad(maxLineBytes-1) + "\n")); err != nil || len(evs) != 1 {
+		t.Fatalf("line of %d bytes: %d events, %v", maxLineBytes-1, len(evs), err)
+	}
+	if _, err := Read(strings.NewReader(pad(maxLineBytes+1) + "\n")); err == nil {
+		t.Fatalf("line of %d bytes accepted", maxLineBytes+1)
+	}
+}
+
+// TestWriterRefusesOverlongLine: an event whose escaped line would
+// exceed the cap is refused and writes nothing, though Read accepts the
+// unescaped line it came from.
+func TestWriterRefusesOverlongLine(t *testing.T) {
+	in := `{"type":"` + strings.Repeat("<", maxLineBytes/6) + `"}`
+	evs, err := Read(strings.NewReader(in))
+	if err != nil || len(evs) != 1 {
+		t.Fatalf("Read: %d events, %v", len(evs), err)
+	}
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).Write(evs[0]); !errors.Is(err, errLineTooLong) || buf.Len() != 0 {
+		t.Fatalf("Write = %v with %d bytes written, want errLineTooLong and nothing", err, buf.Len())
+	}
+}
+
+// FuzzTraceRead: no input panics Read; a line over the cap is an
+// error; and whatever Read accepts re-encodes through Writer and reads
+// back equal, unless Writer refuses an event's escaped line as over
+// the cap.
+func FuzzTraceRead(f *testing.F) {
+	f.Add([]byte(`{"t":1,"type":"RdBlk","addr":16,"src":0,"dst":6}` + "\n"))
+	f.Add([]byte("\n \n{\"t\":12,\"type\":\"Resp\",\"addr\":16,\"src\":6,\"dst\":0,\"grant\":\"S\"}\r\n" +
+		`{"t":9,"type":"PrbAck","addr":16,"src":1,"dst":6,"dirty":true,"data":true}`))
+	f.Add([]byte(`{"t":-1,"type":7}`))
+	f.Add([]byte(`{"type":"<\u00e9\ufffd>","src":-3,"T":2,"t":5}`))
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := Read(bytes.NewReader(data))
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if len(line) > maxLineBytes && err == nil {
+				t.Fatalf("a %d-byte line was accepted", len(line))
+			}
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		for _, ev := range events {
+			if err := w.Write(ev); errors.Is(err, errLineTooLong) {
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded trace does not read: %v", err)
+		}
+		if !slices.Equal(again, events) {
+			t.Fatalf("round trip changed the events:\n%+v\n%+v", events, again)
+		}
+	})
 }

@@ -22,7 +22,7 @@ import (
 // message at delivery time to seed protocol bugs for negative tests.
 type chaosFabric struct {
 	handlers  map[msg.NodeID]noc.Handler
-	pending   []msg.Message //hsclint:stallqueue — the checker delivers (and removes) any element
+	pending   []msg.Message // the checker delivers (and removes) any element
 	mutate    noc.Mutator
 	onDeliver noc.DeliveryHook
 	engine    *sim.Engine
@@ -73,7 +73,7 @@ func (f *chaosFabric) deliver(i int) {
 // memory reordering against probe traffic. Posted writes complete
 // instantly (nothing waits for them).
 type chaosMem struct {
-	pending []pendingMem //hsclint:stallqueue — the checker completes (and removes) any element
+	pending []pendingMem // the checker completes (and removes) any element
 }
 
 // pendingMem is one buffered read completion: the dispatch triple the

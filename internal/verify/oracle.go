@@ -86,7 +86,7 @@ type Oracle struct {
 	// processing while a store hit sits in its commit window, and the
 	// data that flows home is whatever the cache holds when it finally
 	// acknowledges.
-	pendingPrb map[prbKey]msg.Type //hsclint:stallqueue — cleared when the PrbAck is observed
+	pendingPrb map[prbKey]msg.Type // cleared when the PrbAck is observed
 
 	checks uint64
 }
