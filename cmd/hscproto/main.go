@@ -16,7 +16,6 @@
 //	hscproto -reach [-limit N]    # exhaustive composite-state safety proof (CI, per push)
 //	hscproto -live                # liveness: every transient state drains (CI, per push)
 //	hscproto -deadlock [-dot]     # message-class dependency graph, fail on cycle (CI, per push)
-//	hscproto -stall               # stall/wake liveness lint (CI, per push)
 //	hscproto -contain             # observed states ⊆ static reachable set (CI, nightly)
 //	hscproto -symcheck            # symmetry reduction exact vs unreduced exploration (CI, nightly)
 //
@@ -28,9 +27,10 @@
 // shows exactly which arms a change adds, removes or re-guards.
 //
 // -check exits nonzero when a reachable (state, event) cell has no
-// handler and no waiver, when an arm handles a cell the spec declares
-// impossible, when the per-variant dir.llc tables diverge from the
-// paper's deltas, or when TABLES.md is stale. -cover exits nonzero
+// handler, when an arm handles a cell the spec declares impossible,
+// when an arm leaves its state on a message no other machine emits,
+// when the per-variant dir.llc tables diverge from the paper's deltas,
+// or when TABLES.md is stale. -cover exits nonzero
 // when a transition fires that the static table does not declare
 // (an extraction gap), or when fewer than -min percent of the
 // non-exempt declared transitions fired — each unfired transition is
@@ -52,11 +52,10 @@
 // cross-checking), and report per-level progress on stderr.
 // -deadlock builds the message-class wait-for graph
 // from the tables and exits nonzero on a cycle; -dot prints the graph
-// in Graphviz DOT form instead of the report. -stall lints stalling
-// arms for a matching wake path. -contain runs a contended concrete
-// workload per variant under the containment observer and exits
-// nonzero if any observed quiescent composite state escapes the
-// statically verified reachable set.
+// in Graphviz DOT form instead of the report. -contain runs a
+// contended concrete workload per variant under the containment
+// observer and exits nonzero if any observed quiescent composite state
+// escapes the statically verified reachable set.
 package main
 
 import (
@@ -95,7 +94,6 @@ func main() {
 	nosym := flag.Bool("nosym", false, "disable the agent-permutation symmetry reduction")
 	deadlock := flag.Bool("deadlock", false, "message-class deadlock-freedom check; nonzero exit on cycle")
 	dot := flag.Bool("dot", false, "with -deadlock: print the wait-for graph as Graphviz DOT")
-	stall := flag.Bool("stall", false, "stall/wake liveness lint; nonzero exit on findings")
 	contain := flag.Bool("contain", false, "dynamic containment: observed states must be statically reachable")
 	symcheck := flag.Bool("symcheck", false, "prove the symmetry reduction exact against an unreduced exploration")
 	flag.Parse()
@@ -126,8 +124,6 @@ func main() {
 		os.Exit(runReach(tbl, *reach, *live, opts))
 	case *deadlock:
 		os.Exit(runDeadlock(tbl, *dot))
-	case *stall:
-		os.Exit(runStall(tbl))
 	case *contain:
 		os.Exit(runContain(protocheck.ExploreOpts{Limit: *limit, Workers: *jobs, NoSym: *nosym}))
 	case *symcheck:
@@ -268,19 +264,6 @@ func runDeadlock(tbl *proto.Table, dot bool) int {
 	if !dot {
 		fmt.Println("message-class graph is acyclic: no protocol-level deadlock")
 	}
-	return 0
-}
-
-// runStall lints every stalling arm for a matching wake path.
-func runStall(tbl *proto.Table) int {
-	findings := protocheck.CheckStall(tbl)
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "hscproto: %s\n", f)
-	}
-	if len(findings) > 0 {
-		return 1
-	}
-	fmt.Println("stall/wake lint clean: every stalling arm has a wake path")
 	return 0
 }
 

@@ -1,5 +1,6 @@
-// Command hscsim runs one bundled CHAI workload under one protocol
-// variant and prints the measured results (optionally every counter).
+// Command hscsim runs one bundled CHAI or HeteroSync workload under one
+// protocol variant and prints the measured results (optionally every
+// counter).
 //
 // Usage:
 //
@@ -8,56 +9,76 @@
 // Protocol names match the paper's figure legends: baseline, earlyResp,
 // noWBcleanVic, noWBcleanVicLLC, llcWB, llcWB+useL3OnWT, ownerTracking,
 // sharersTracking.
+//
+// The flags make one engine.Spec, which is validated and then built by
+// engine.Build, exactly as the job engine builds it: a run here
+// simulates what hscfig, hscsweep and POST /jobs simulate for the same
+// spec. An invalid spec (unknown benchmark or protocol, a scale above
+// engine.MaxScale, more threads than cores) exits 2.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
 	"hscsim"
+	"hscsim/internal/engine"
 )
 
 func main() {
-	bench := flag.String("bench", "tq", "benchmark: "+strings.Join(hscsim.Benchmarks(), ", "))
-	protocol := flag.String("protocol", "baseline", "protocol variant (see -help)")
-	scale := flag.Int("scale", 1, "workload scale factor")
-	threads := flag.Int("threads", 8, "CPU threads (including the host thread)")
-	full := flag.Bool("full", false, "use the full Table II cache sizes instead of the eval scaling")
-	dumpStats := flag.Bool("stats", false, "dump every statistics counter")
-	showEnergy := flag.Bool("energy", false, "print the first-order energy estimate")
-	traceFile := flag.String("trace", "", "write a JSONL coherence-message trace (analyze with hsctrace)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	variant, err := hscsim.NamedProtocolVariant(*protocol)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hscsim:", err)
-		os.Exit(2)
+// run is the command with its arguments and output streams made
+// explicit; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hscsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	benches := append(append(hscsim.Benchmarks(), hscsim.ExtendedBenchmarks()...), hscsim.HeteroSyncBenchmarks()...)
+	bench := fs.String("bench", "tq", "benchmark: "+strings.Join(benches, ", "))
+	protocol := fs.String("protocol", "baseline", "protocol variant (see -help)")
+	scale := fs.Int("scale", 1, "workload scale factor")
+	threads := fs.Int("threads", 8, "CPU threads (including the host thread)")
+	full := fs.Bool("full", false, "use the full Table II cache sizes instead of the eval scaling")
+	dumpStats := fs.Bool("stats", false, "dump every statistics counter")
+	showEnergy := fs.Bool("energy", false, "print the first-order energy estimate")
+	traceFile := fs.String("trace", "", "write a JSONL coherence-message trace (analyze with hsctrace)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	opts, err := variant.Options()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hscsim:", err)
-		os.Exit(2)
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "hscsim:", err)
+		return code
 	}
-	cfg := hscsim.EvalConfig(opts)
+
+	variant, err := engine.NamedVariant(*protocol)
+	if err != nil {
+		return fail(2, err)
+	}
+	sp := engine.Spec{Bench: *bench, Scale: *scale, Threads: *threads, Protocol: variant, Config: engine.ConfigEval}
 	if *full {
-		cfg = hscsim.DefaultConfig()
-		cfg.Protocol = opts
+		sp.Config = engine.ConfigFull
 	}
-	w, err := hscsim.NewBenchmark(*bench, hscsim.Params{Scale: *scale, CPUThreads: *threads})
+	if err := sp.Validate(); err != nil {
+		return fail(2, err)
+	}
+	sp = sp.Normalized()
+	s, w, err := engine.Build(sp, nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hscsim:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
-	s := hscsim.NewSystem(cfg)
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hscsim:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 		defer f.Close()
 		bw := bufio.NewWriterSize(f, 1<<20)
@@ -66,21 +87,20 @@ func main() {
 	}
 	res, err := s.Run(w)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hscsim:", err)
-		os.Exit(1)
+		return fail(1, err)
 	}
 
-	fmt.Printf("benchmark        : %s (scale %d, %d CPU threads)\n", res.Name, *scale, *threads)
-	fmt.Printf("protocol         : %s\n", res.Config)
-	fmt.Printf("simulated cycles : %d\n", res.Cycles)
-	fmt.Printf("memory reads     : %d\n", res.MemReads)
-	fmt.Printf("memory writes    : %d\n", res.MemWrites)
-	fmt.Printf("probes sent      : %d\n", res.ProbesSent)
-	fmt.Printf("LLC read hits    : %d\n", res.LLCHits)
-	fmt.Printf("NoC bytes        : %d\n", res.NoCBytes)
+	fmt.Fprintf(stdout, "benchmark        : %s (scale %d, %d CPU threads)\n", res.Name, sp.Scale, sp.Threads)
+	fmt.Fprintf(stdout, "protocol         : %s\n", res.Config)
+	fmt.Fprintf(stdout, "simulated cycles : %d\n", res.Cycles)
+	fmt.Fprintf(stdout, "memory reads     : %d\n", res.MemReads)
+	fmt.Fprintf(stdout, "memory writes    : %d\n", res.MemWrites)
+	fmt.Fprintf(stdout, "probes sent      : %d\n", res.ProbesSent)
+	fmt.Fprintf(stdout, "LLC read hits    : %d\n", res.LLCHits)
+	fmt.Fprintf(stdout, "NoC bytes        : %d\n", res.NoCBytes)
 
 	if *showEnergy {
-		fmt.Printf("\nEnergy estimate (first-order, ratios meaningful):\n%s",
+		fmt.Fprintf(stdout, "\nEnergy estimate (first-order, ratios meaningful):\n%s",
 			hscsim.EstimateEnergy(res, hscsim.DefaultEnergyCosts()))
 	}
 
@@ -90,11 +110,12 @@ func main() {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for _, n := range names {
-			fmt.Printf("%-44s %12d\n", n, res.Stats[n])
+			fmt.Fprintf(stdout, "%-44s %12d\n", n, res.Stats[n])
 		}
-		fmt.Println()
-		fmt.Print(s.DumpHistograms())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, s.DumpHistograms())
 	}
+	return 0
 }

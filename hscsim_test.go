@@ -70,8 +70,11 @@ func TestCustomWorkloadThroughPublicAPI(t *testing.T) {
 
 func TestDefaultConfigMatchesTableIII(t *testing.T) {
 	cfg := hscsim.DefaultConfig()
-	if cfg.NumCorePairs != 4 || cfg.CoresPerPair != 2 {
+	if cfg.NumCorePairs != 4 {
 		t.Fatal("CorePair count deviates from Table III")
+	}
+	if n := len(hscsim.NewSystem(cfg).Cores); n != 8 {
+		t.Fatalf("%d CPU cores, Table III has 8", n)
 	}
 	if cfg.GPUDisp.NumCUs != 8 {
 		t.Fatal("CU count deviates from Table III")

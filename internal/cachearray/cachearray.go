@@ -10,14 +10,19 @@ import (
 	"math/bits"
 )
 
-// LineAddr is a cache-line address (byte address >> log2(blockSize)).
+// LineBytes is the size of every cache line in the simulated APU
+// (Table II). Addresses become line addresses by a shift of 6
+// throughout the simulator.
+const LineBytes = 64
+
+// LineAddr is a cache-line address (byte address / LineBytes).
 type LineAddr uint64
 
 // Config sizes a cache array.
 type Config struct {
 	SizeBytes int // total capacity in bytes
 	Assoc     int // ways per set
-	BlockSize int // line size in bytes (64 throughout the paper)
+	BlockSize int // bytes per way: LineBytes, or 1 for an array sized in entries
 }
 
 // Check reports why New would refuse the configuration, or nil.

@@ -215,7 +215,7 @@ const maxDeltasReported = 8
 // drains, so the reported failure and the returned outcome prefix are
 // identical to a sequential sweep.
 func DiffWorkload(name string, build func() (system.Workload, error), cells []Cell, maxTicks sim.Tick) (*Failure, []Outcome) {
-	return diffWorkload(name, build, cells, maxTicks, 0, false)
+	return diffWorkload(name, build, cells, maxTicks, false)
 }
 
 // cellResult is one cell's run, indexed for deterministic comparison.
@@ -226,13 +226,8 @@ type cellResult struct {
 }
 
 func diffWorkload(name string, build func() (system.Workload, error), cells []Cell,
-	maxTicks sim.Tick, workers int, record bool) (*Failure, []Outcome) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cells) {
-		workers = len(cells)
-	}
+	maxTicks sim.Tick, record bool) (*Failure, []Outcome) {
+	workers := min(runtime.GOMAXPROCS(0), len(cells))
 
 	results := make([]cellResult, len(cells))
 	jobs := make(chan int)
@@ -305,10 +300,7 @@ type CampaignConfig struct {
 	// Cells, when non-empty, overrides the Variants × Banks matrix with
 	// an explicit cell list (hscproto -cover adds GPU write-back and
 	// read-only-elision cells this way). Cells[0] is the reference.
-	Cells    []Cell
-	MaxTicks sim.Tick
-	// Workers caps the cell worker pool; 0 means GOMAXPROCS.
-	Workers int
+	Cells []Cell
 	// Record, when non-nil, accumulates every protocol transition the
 	// campaign fires, merged across cells in deterministic cell order
 	// after each benchmark's pool drains. Feeds hscproto -cover.
@@ -341,7 +333,7 @@ func Campaign(cfg CampaignConfig) ([]CampaignResult, []*Failure) {
 	for _, bench := range benches {
 		bench := bench
 		build := func() (system.Workload, error) { return chai.ByName(bench, cfg.Params) }
-		fail, outcomes := diffWorkload(bench, build, cells, cfg.MaxTicks, cfg.Workers, cfg.Record != nil)
+		fail, outcomes := diffWorkload(bench, build, cells, 0, cfg.Record != nil)
 		res := CampaignResult{Bench: bench, Cells: len(outcomes)}
 		for _, o := range outcomes {
 			res.OracleChecks += o.OracleChecks

@@ -123,7 +123,7 @@ func newRig(t testing.TB, opts Options, geo Geometry) *rig {
 }
 
 func testGeo() Geometry {
-	return Geometry{LLCSizeBytes: 16 << 10, LLCAssoc: 4, DirEntries: 64, DirAssoc: 4, BlockSize: 64}
+	return Geometry{LLCSizeBytes: 16 << 10, LLCAssoc: 4, DirEntries: 64, DirAssoc: 4}
 }
 
 func (r *rig) run() {

@@ -161,7 +161,6 @@ type Geometry struct {
 	LLCAssoc     int // 16
 	DirEntries   int // 256 K entries (256 KB at ~1 B/entry)
 	DirAssoc     int // 32
-	BlockSize    int // 64 B
 }
 
 // DefaultGeometry matches Table II.
@@ -171,7 +170,6 @@ func DefaultGeometry() Geometry {
 		LLCAssoc:     16,
 		DirEntries:   256 << 10,
 		DirAssoc:     32,
-		BlockSize:    64,
 	}
 }
 
@@ -185,7 +183,7 @@ func (g Geometry) Bank(banks int) Geometry {
 
 // LLCArray is the LLC's tag-array geometry.
 func (g Geometry) LLCArray() cachearray.Config {
-	return cachearray.Config{SizeBytes: g.LLCSizeBytes, Assoc: g.LLCAssoc, BlockSize: g.BlockSize}
+	return cachearray.Config{SizeBytes: g.LLCSizeBytes, Assoc: g.LLCAssoc, BlockSize: cachearray.LineBytes}
 }
 
 // DirArray is the directory cache's tag-array geometry, at one byte per

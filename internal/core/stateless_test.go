@@ -183,7 +183,7 @@ func TestVictimWritePolicies(t *testing.T) {
 // TestLLCWriteBackEvictionWritesMemory pins the §III-C dirty bit: dirty
 // LLC lines write memory only when victimized from the LLC.
 func TestLLCWriteBackEvictionWritesMemory(t *testing.T) {
-	geo := Geometry{LLCSizeBytes: 2 * 64, LLCAssoc: 2, DirEntries: 64, DirAssoc: 4, BlockSize: 64}
+	geo := Geometry{LLCSizeBytes: 2 * 64, LLCAssoc: 2, DirEntries: 64, DirAssoc: 4}
 	r := newRig(t, Options{LLCWriteBack: true}, geo)
 	// One LLC set (2 ways): three dirty victims to the same set force a
 	// dirty eviction.

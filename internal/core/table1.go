@@ -108,7 +108,7 @@ func newT1() *t1rig {
 		ID: 4, L2s: []msg.NodeID{0, 1}, TCCs: []msg.NodeID{2},
 		Opts:   Options{Tracking: TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true},
 		Timing: Timing{DirLatency: 2, LLCLatency: 2},
-		Geo:    Geometry{LLCSizeBytes: 16 << 10, LLCAssoc: 4, DirEntries: 64, DirAssoc: 4, BlockSize: 64},
+		Geo:    Geometry{LLCSizeBytes: 16 << 10, LLCAssoc: 4, DirEntries: 64, DirAssoc: 4},
 	})
 	ic.Register(4, r.dir)
 	return r

@@ -379,7 +379,7 @@ func TestTableI_DMAWrInvalidatesAndDeallocates(t *testing.T) {
 func TestDirectoryEvictionBackwardInvalidation(t *testing.T) {
 	// 1 directory set of 2 ways: a third tracked line evicts one entry
 	// with backward invalidations.
-	geo := Geometry{LLCSizeBytes: 16 << 10, LLCAssoc: 4, DirEntries: 2, DirAssoc: 2, BlockSize: 64}
+	geo := Geometry{LLCSizeBytes: 16 << 10, LLCAssoc: 4, DirEntries: 2, DirAssoc: 2}
 	r := newRig(t, sharersOpts(), geo)
 	r.l2a.send(msg.RdBlkM, 0x10)
 	r.l2a.hasLine[0x10] = true
@@ -436,7 +436,7 @@ func TestLimitedPointerOverflowBroadcasts(t *testing.T) {
 func TestFewestSharersReplacementPrefersCleanFewest(t *testing.T) {
 	opts := sharersOpts()
 	opts.DirRepl = DirReplFewestSharers
-	geo := Geometry{LLCSizeBytes: 16 << 10, LLCAssoc: 4, DirEntries: 2, DirAssoc: 2, BlockSize: 64}
+	geo := Geometry{LLCSizeBytes: 16 << 10, LLCAssoc: 4, DirEntries: 2, DirAssoc: 2}
 	r := newRig(t, opts, geo)
 	// Entry 0x10: O (modified) — should be deprioritized.
 	r.l2a.send(msg.RdBlkM, 0x10)

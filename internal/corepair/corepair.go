@@ -80,7 +80,6 @@ type Config struct {
 	L1DAssoc     int
 	L2SizeBytes  int // 2 MB, 8-way
 	L2Assoc      int
-	BlockSize    int // 64 B
 
 	L1Latency sim.Tick // 1 cy
 	L2Latency sim.Tick // L2 lookup
@@ -92,7 +91,6 @@ func DefaultConfig() Config {
 		L1ISizeBytes: 32 << 10, L1IAssoc: 2,
 		L1DSizeBytes: 64 << 10, L1DAssoc: 2,
 		L2SizeBytes: 2 << 20, L2Assoc: 8,
-		BlockSize: 64,
 		L1Latency: 1, L2Latency: 4,
 	}
 }
@@ -114,6 +112,10 @@ type mshrEntry struct {
 	typ    msg.Type // the request in flight (RdBlk/RdBlkS/RdBlkM)
 }
 
+// Cores is the number of CPU cores in a CorePair, each with its own
+// L1D in front of the shared L2.
+const Cores = 2
+
 // CorePair is the two-core CPU cluster cache subsystem.
 type CorePair struct {
 	engine *sim.Engine
@@ -123,7 +125,7 @@ type CorePair struct {
 	dirID  msg.NodeID
 
 	l2  *cachearray.Array[l2Meta]
-	l1d [2]*cachearray.Array[struct{}]
+	l1d [Cores]*cachearray.Array[struct{}]
 	l1i *cachearray.Array[struct{}]
 
 	// Per-line queues recycle their backing arrays, so a steady-state
@@ -177,13 +179,13 @@ func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID, cfg Config) *C
 		id:     id,
 		dirID:  dirID,
 		l2: cachearray.New[l2Meta](cachearray.Config{
-			SizeBytes: cfg.L2SizeBytes, Assoc: cfg.L2Assoc, BlockSize: cfg.BlockSize}),
+			SizeBytes: cfg.L2SizeBytes, Assoc: cfg.L2Assoc, BlockSize: cachearray.LineBytes}),
 		l1i: cachearray.New[struct{}](cachearray.Config{
-			SizeBytes: cfg.L1ISizeBytes, Assoc: cfg.L1IAssoc, BlockSize: cfg.BlockSize}),
+			SizeBytes: cfg.L1ISizeBytes, Assoc: cfg.L1IAssoc, BlockSize: cachearray.LineBytes}),
 	}
 	for i := range cp.l1d {
 		cp.l1d[i] = cachearray.New[struct{}](cachearray.Config{
-			SizeBytes: cfg.L1DSizeBytes, Assoc: cfg.L1DAssoc, BlockSize: cfg.BlockSize})
+			SizeBytes: cfg.L1DSizeBytes, Assoc: cfg.L1DAssoc, BlockSize: cachearray.LineBytes})
 	}
 	ic.Register(id, cp)
 	return cp

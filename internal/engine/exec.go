@@ -16,16 +16,10 @@ import (
 // a few thousand simulated events.
 func Execute(ctx context.Context, sp Spec) ([]byte, error) {
 	sp = sp.Normalized()
-	cfg, err := buildConfig(sp)
+	s, w, err := Build(sp, ctx.Done())
 	if err != nil {
 		return nil, err
 	}
-	w, err := buildWorkload(sp)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Interrupt = ctx.Done()
-	s := system.New(cfg)
 	res, err := s.Run(w)
 	if err != nil {
 		if errors.Is(err, sim.ErrInterrupted) && ctx.Err() != nil {
@@ -39,4 +33,22 @@ func Execute(ctx context.Context, sp Spec) ([]byte, error) {
 		return nil, fmt.Errorf("engine: %s: %w", sp, err)
 	}
 	return EncodeResult(res)
+}
+
+// Build assembles the system and the workload sp describes, ready to
+// Run. It is how Execute and cmd/hscsim turn a spec into a simulation,
+// so a spec runs the same through either. interrupt, when non-nil,
+// cancels the run once it closes (system.Config.Interrupt). Build
+// neither normalizes nor validates sp.
+func Build(sp Spec, interrupt <-chan struct{}) (*system.System, system.Workload, error) {
+	cfg, err := buildConfig(sp)
+	if err != nil {
+		return nil, system.Workload{}, err
+	}
+	w, err := buildWorkload(sp)
+	if err != nil {
+		return nil, system.Workload{}, err
+	}
+	cfg.Interrupt = interrupt
+	return system.New(cfg), w, nil
 }

@@ -25,6 +25,7 @@ import (
 
 	"hscsim/internal/chai"
 	"hscsim/internal/core"
+	"hscsim/internal/corepair"
 	"hscsim/internal/heterosync"
 	"hscsim/internal/system"
 )
@@ -245,7 +246,7 @@ func (s Spec) Validate() error {
 	}
 	// Normalized set Threads to the number of threads the workload
 	// starts.
-	if cores := cfg.NumCorePairs * cfg.CoresPerPair; s.Threads > cores {
+	if cores := cfg.NumCorePairs * corepair.Cores; s.Threads > cores {
 		return fmt.Errorf("engine: %s wants %d threads, numCorePairs=%d has %d cores",
 			s.Bench, s.Threads, cfg.NumCorePairs, cores)
 	}

@@ -188,15 +188,11 @@ func TestIgnoredThreadsShareOneCacheEntry(t *testing.T) {
 // the threads sp asks for.
 func runAsSpelled(t *testing.T, sp Spec) []byte {
 	t.Helper()
-	cfg, err := buildConfig(sp)
+	s, w, err := Build(sp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := buildWorkload(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := system.New(cfg).Run(w)
+	res, err := s.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,15 +322,10 @@ func buildAllocBytes(t *testing.T, sp Spec) uint64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	cfg, err := buildConfig(sp)
+	s, w, err := Build(sp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := buildWorkload(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := system.New(cfg)
 	if w.Setup != nil {
 		w.Setup(s.FuncMem)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"hscsim/internal/chai"
 	"hscsim/internal/core"
+	"hscsim/internal/corepair"
 	"hscsim/internal/energy"
 	"hscsim/internal/engine"
 	"hscsim/internal/heterosync"
@@ -197,7 +198,7 @@ func WriteTable3(w io.Writer) {
 	header(w, "Table III — System configuration")
 	cfg := system.Default()
 	fmt.Fprintf(w, "#CUs / waves resident per CU : %d / %d workgroups\n", cfg.GPUDisp.NumCUs, cfg.GPUDisp.MaxWGPerCU)
-	fmt.Fprintf(w, "#CorePairs / #CPUs           : %d / %d\n", cfg.NumCorePairs, cfg.NumCorePairs*cfg.CoresPerPair)
+	fmt.Fprintf(w, "#CorePairs / #CPUs           : %d / %d\n", cfg.NumCorePairs, cfg.NumCorePairs*corepair.Cores)
 	fmt.Fprintf(w, "CPU freq                     : 3.5 GHz (1 tick = 1 CPU cycle)\n")
 	fmt.Fprintf(w, "GPU freq                     : 1.1 GHz (%d/%d ticks per GPU cycle)\n",
 		cfg.GPUDisp.ClockNum, cfg.GPUDisp.ClockDen)

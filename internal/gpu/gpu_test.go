@@ -47,9 +47,7 @@ func newGPURig(t *testing.T, cfg Config) *gpuRig {
 	fm := memdata.New()
 	dir := &grantDir{ic: ic, id: 9, fm: fm}
 	ic.Register(9, dir)
-	gcfg := gpucache.DefaultConfig()
-	gcfg.NumCUs = cfg.NumCUs
-	caches := gpucache.New(e, ic, []msg.NodeID{4}, 9, fm, gcfg)
+	caches := gpucache.New(e, ic, []msg.NodeID{4}, 9, fm, gpucache.DefaultConfig(), cfg.NumCUs)
 	d := New(e, caches, fm, cfg)
 	return &gpuRig{t: t, e: e, d: d, fm: fm}
 }

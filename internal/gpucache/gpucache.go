@@ -41,7 +41,6 @@ func tccState(m *tccMeta) string {
 // Config sizes the GPU caches (Table II; latencies converted to CPU
 // ticks, the GPU running at 1.1 GHz vs the CPU's 3.5 GHz).
 type Config struct {
-	NumCUs int
 	// NumTCCs banks the shared TCC by address (Table III configures 1;
 	// the protocol supports several — the paper's "TCC(s)").
 	NumTCCs int
@@ -52,7 +51,6 @@ type Config struct {
 	TCCAssoc     int
 	SQCSizeBytes int // 32 KB, 8-way
 	SQCAssoc     int
-	BlockSize    int
 
 	TCPLatency sim.Tick
 	TCCLatency sim.Tick
@@ -68,11 +66,9 @@ type Config struct {
 // latencies ≈ 13 / 25 / 3 CPU ticks at the 3.5/1.1 clock ratio).
 func DefaultConfig() Config {
 	return Config{
-		NumCUs:       8,
 		TCPSizeBytes: 16 << 10, TCPAssoc: 16,
 		TCCSizeBytes: 256 << 10, TCCAssoc: 16,
 		SQCSizeBytes: 32 << 10, SQCAssoc: 8,
-		BlockSize:  64,
 		TCPLatency: 13, TCCLatency: 25, SQCLatency: 3,
 	}
 }
@@ -83,7 +79,7 @@ func (c Config) TCCBank() cachearray.Config {
 	return cachearray.Config{
 		SizeBytes: c.TCCSizeBytes / max(c.NumTCCs, 1),
 		Assoc:     c.TCCAssoc,
-		BlockSize: c.BlockSize,
+		BlockSize: cachearray.LineBytes,
 	}
 }
 
@@ -151,11 +147,12 @@ type Stats struct {
 	SQCMisses      uint64 `stat:"sqc_misses"`
 }
 
-// New creates the GPU cache complex. ids carries one interconnect node
-// per TCC bank (len(ids) == max(cfg.NumTCCs, 1)); the Table II TCC
-// capacity is split across the banks.
+// New creates the GPU cache complex with one TCP per compute unit.
+// ids carries one interconnect node per TCC bank (len(ids) ==
+// max(cfg.NumTCCs, 1)); the Table II TCC capacity is split across the
+// banks.
 func New(engine *sim.Engine, ic noc.Fabric, ids []msg.NodeID, dirID msg.NodeID,
-	fm *memdata.Memory, cfg Config) *GPUCaches {
+	fm *memdata.Memory, cfg Config, numCUs int) *GPUCaches {
 	if cfg.NumTCCs < 1 {
 		cfg.NumTCCs = 1
 	}
@@ -170,15 +167,15 @@ func New(engine *sim.Engine, ic noc.Fabric, ids []msg.NodeID, dirID msg.NodeID,
 		dirID:   dirID,
 		funcMem: fm,
 		sqc: cachearray.New[struct{}](cachearray.Config{
-			SizeBytes: cfg.SQCSizeBytes, Assoc: cfg.SQCAssoc, BlockSize: cfg.BlockSize}),
+			SizeBytes: cfg.SQCSizeBytes, Assoc: cfg.SQCAssoc, BlockSize: cachearray.LineBytes}),
 	}
 	for b := 0; b < cfg.NumTCCs; b++ {
 		g.tccs = append(g.tccs, cachearray.New[tccMeta](cfg.TCCBank()))
 		ic.Register(ids[b], g)
 	}
-	for i := 0; i < cfg.NumCUs; i++ {
+	for i := 0; i < numCUs; i++ {
 		g.tcps = append(g.tcps, cachearray.New[struct{}](cachearray.Config{
-			SizeBytes: cfg.TCPSizeBytes, Assoc: cfg.TCPAssoc, BlockSize: cfg.BlockSize}))
+			SizeBytes: cfg.TCPSizeBytes, Assoc: cfg.TCPAssoc, BlockSize: cachearray.LineBytes}))
 	}
 	return g
 }

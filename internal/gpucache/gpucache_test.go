@@ -67,13 +67,12 @@ func newGPURig(t testing.TB, cfg Config) *gpuRig {
 			ids = append(ids, msg.NodeID(4+b*10))
 		}
 	}
-	g := New(e, ic, ids, dirID, fm, cfg)
+	g := New(e, ic, ids, dirID, fm, cfg, 2) // CUs 0 and 1
 	return &gpuRig{t: t, e: e, g: g, dir: d, fm: fm}
 }
 
 func tinyGPUConfig() Config {
 	cfg := DefaultConfig()
-	cfg.NumCUs = 2
 	cfg.TCPSizeBytes = 2 * 64
 	cfg.TCPAssoc = 2
 	cfg.TCCSizeBytes = 4 * 2 * 64 // 4 sets × 2 ways

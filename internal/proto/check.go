@@ -2,8 +2,10 @@ package proto
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"hscsim/internal/core"
 	"hscsim/internal/msg"
 )
 
@@ -11,11 +13,13 @@ import (
 // spec and returns every problem found (empty means the table passes):
 //
 //   - the extracted machine set matches the spec machine set;
-//   - every state/event/next value lies in the spec domains;
-//   - Reachable and Impossible exactly partition States×Events;
-//   - every reachable (state, event) cell is handled or waived;
-//   - no extracted transition handles an unreachable cell;
-//   - no waiver or coverage exemption is stale;
+//   - every state/event/next value lies in the spec domains, and so
+//     does every impossible cell;
+//   - every reachable (state, event) cell is handled;
+//   - no extracted transition handles an impossible cell;
+//   - no coverage exemption is stale;
+//   - every arm that leaves its state on a delivered message is woken
+//     by another machine (checkWakes);
 //   - option guards reference real core.Options fields, and only the
 //     LLC write-policy machine carries guards at all;
 //   - the per-option table deltas and the per-variant active tables
@@ -50,6 +54,7 @@ func CheckStatic(t *Table) []string {
 
 	checkGuards(t, bad)
 	checkEmits(t, bad)
+	checkWakes(t, bad)
 	checkDeltas(t, bad)
 	checkVariants(t, bad)
 	return problems
@@ -75,41 +80,47 @@ func checkEmits(t *Table, bad func(string, ...interface{})) {
 	}
 }
 
+// checkWakes requires a wake for every arm that leaves its state on a
+// delivered message: some other machine must emit that message. A
+// controller waiting in a state cannot send itself the message that
+// moves it on, so an exit nobody else sends strands the line there —
+// the cpu.l2 victim buffer WB, for one, drains only on the directory's
+// WBAck.
+func checkWakes(t *Table, bad func(string, ...interface{})) {
+	emitters := make(map[string][]string) // message type → machines emitting it
+	for _, m := range t.Machines {
+		for _, e := range m.Entries {
+			for _, name := range e.Emits {
+				if !contains(emitters[name], m.Name) {
+					emitters[name] = append(emitters[name], m.Name)
+				}
+			}
+		}
+	}
+	for _, m := range t.Machines {
+		other := func(name string) bool { return name != m.Name }
+		for _, e := range m.Entries {
+			if e.State == e.Next {
+				continue
+			}
+			if _, ok := msg.TypeByName(e.Event); !ok {
+				continue
+			}
+			if !slices.ContainsFunc(emitters[e.Event], other) {
+				bad("%s: %s: leaves %s on %s, which no other machine emits", m.Name, siteList(e), e.State, e.Event)
+			}
+		}
+	}
+}
+
 func checkMachine(s *MachineSpec, m *Machine, bad func(string, ...interface{})) {
 	states := stringSet(s.States)
 	events := stringSet(s.Events)
 	nexts := stringSet(s.Nexts)
 
-	// Spec self-consistency: Reachable ∪ Impossible = States×Events,
-	// disjoint; waivers and exemptions point at real cells/transitions.
-	reach := make(map[Pair]bool, len(s.Reachable))
-	for _, p := range s.Reachable {
-		if reach[p] {
-			bad("%s: spec lists %s as reachable twice", s.Name, p)
-		}
-		reach[p] = true
-		if _, ok := s.Impossible[p]; ok {
-			bad("%s: spec lists %s as both reachable and impossible", s.Name, p)
-		}
-	}
-	for _, st := range s.States {
-		for _, ev := range s.Events {
-			p := Pair{State: st, Event: ev}
-			if !reach[p] {
-				if _, ok := s.Impossible[p]; !ok {
-					bad("%s: spec covers neither reachable nor impossible for %s", s.Name, p)
-				}
-			}
-		}
-	}
 	for p := range s.Impossible {
 		if !states[p.State] || !events[p.Event] {
 			bad("%s: impossible cell %s is outside the spec domains", s.Name, p)
-		}
-	}
-	for p := range s.Waived {
-		if !reach[p] {
-			bad("%s: waiver for %s, which the spec does not list as reachable", s.Name, p)
 		}
 	}
 
@@ -129,22 +140,11 @@ func checkMachine(s *MachineSpec, m *Machine, bad func(string, ...interface{})) 
 		handled[p] = true
 		if reason, ok := s.Impossible[p]; ok {
 			bad("%s: %s: handles %s, which the spec marks impossible (%s)", s.Name, siteList(e), p, reason)
-		} else if !reach[p] {
-			bad("%s: %s: handles %s, which the spec does not list as reachable", s.Name, siteList(e), p)
 		}
 	}
-	for _, p := range s.Reachable {
-		if handled[p] {
-			continue
-		}
-		if _, waived := s.Waived[p]; waived {
-			continue
-		}
-		bad("%s: reachable cell %s has no handler in the source", s.Name, p)
-	}
-	for p, reason := range s.Waived {
-		if handled[p] {
-			bad("%s: stale waiver: %s is handled at %v (waived as %q)", s.Name, p, m.entrySites(p), reason)
+	for _, p := range s.Reachable() {
+		if !handled[p] {
+			bad("%s: reachable cell %s has no handler in the source", s.Name, p)
 		}
 	}
 	for k := range s.CoverageExempt {
@@ -156,11 +156,12 @@ func checkMachine(s *MachineSpec, m *Machine, bad func(string, ...interface{})) 
 
 // checkGuards validates option names and confines guards to dir.llc.
 func checkGuards(t *Table, bad func(string, ...interface{})) {
+	known := OptionSet(core.Options{})
 	for _, m := range t.Machines {
 		for _, e := range m.Entries {
 			for _, g := range e.Guards {
 				for _, o := range append(append([]string{}, g.Require...), g.Forbid...) {
-					if !KnownOptions[o] {
+					if _, ok := known[o]; !ok {
 						bad("%s: %s: guard references unknown option %q", m.Name, siteList(e), o)
 					}
 				}
@@ -239,18 +240,6 @@ func checkVariants(t *Table, bad func(string, ...interface{})) {
 			}
 		}
 	}
-}
-
-// entrySites lists the sites handling one (state, event) cell.
-func (m *Machine) entrySites(p Pair) []string {
-	var out []string
-	for _, e := range m.Entries {
-		if e.State == p.State && e.Event == p.Event {
-			out = append(out, e.Sites...)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 func siteList(e *Entry) string {

@@ -1,7 +1,7 @@
 // Package proto statically reconstructs each controller's
 // (state, event) → {next state, actions} protocol transition table from
 // the simulator's source and checks it against the handwritten spec of
-// reachable pairs (spec.go). The dynamic side of the same table is the
+// each machine's alphabets and impossible cells (spec.go). The dynamic side of the same table is the
 // fsm.Recorder populated at run time; coverage.go cross-checks the two:
 // a transition statically declared but never fired, or fired but never
 // declared, is a finding.
@@ -167,27 +167,6 @@ func (m *Machine) Entry(k TKey) *Entry {
 		}
 	}
 	return nil
-}
-
-// Pairs returns the distinct (state, event) cells the table handles, in
-// sorted order.
-func (m *Machine) Pairs() []Pair {
-	seen := make(map[Pair]bool)
-	var out []Pair
-	for _, e := range m.Entries {
-		p := Pair{e.State, e.Event}
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].State != out[j].State {
-			return out[i].State < out[j].State
-		}
-		return out[i].Event < out[j].Event
-	})
-	return out
 }
 
 // Table is the full extracted transition table, one machine per

@@ -3,6 +3,7 @@ package proto
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -315,5 +316,71 @@ func TestStaticCheckCatchesDefects(t *testing.T) {
 	m.Entries = m.Entries[:len(m.Entries)-1]
 	if !found {
 		t.Error("out-of-domain transition not reported")
+	}
+}
+
+// editedRepoTable returns a copy of the repo table in which edit may
+// rewrite each entry's emits; entries edit returns false for are
+// dropped.
+func editedRepoTable(t *testing.T, edit func(machine string, e *Entry) bool) *Table {
+	t.Helper()
+	out := &Table{}
+	for _, m := range repoExtract(t).Machines {
+		mm := &Machine{Name: m.Name}
+		for _, e := range m.Entries {
+			ee := *e
+			ee.Emits = slices.Clone(e.Emits)
+			if edit(m.Name, &ee) {
+				mm.Entries = append(mm.Entries, &ee)
+			}
+		}
+		out.Machines = append(out.Machines, mm)
+	}
+	return out
+}
+
+// wantProblem fails unless CheckStatic reports a problem containing
+// want.
+func wantProblem(t *testing.T, tbl *Table, want string) {
+	t.Helper()
+	problems := CheckStatic(tbl)
+	for _, p := range problems {
+		if strings.Contains(p, want) {
+			return
+		}
+	}
+	t.Errorf("no problem contains %q; got %q", want, problems)
+}
+
+// TestStaticCheckCatchesUnwokenExit: the directory's WBAck is the only
+// wake of the cpu.l2 victim buffer WB. Strip it from every directory
+// arm's emits and the exit from WB has nothing to wake it.
+func TestStaticCheckCatchesUnwokenExit(t *testing.T) {
+	tbl := editedRepoTable(t, func(machine string, e *Entry) bool {
+		if strings.HasPrefix(machine, "dir.") {
+			e.Emits = slices.DeleteFunc(e.Emits, func(name string) bool { return name == "WBAck" })
+		}
+		return true
+	})
+	wantProblem(t, tbl, "leaves WB on WBAck, which no other machine emits")
+}
+
+// TestStaticCheckCatchesMissingExit: drop the (WB, WBAck) arm and the
+// victim buffer has no way out.
+func TestStaticCheckCatchesMissingExit(t *testing.T) {
+	tbl := editedRepoTable(t, func(machine string, e *Entry) bool {
+		return machine != "cpu.l2" || e.State != "WB" || e.Event != "WBAck"
+	})
+	wantProblem(t, tbl, "cpu.l2: reachable cell (WB, WBAck) has no handler")
+}
+
+// TestStaticCheckCatchesUnenteredState: drop the Evict arms into WB and
+// nothing enters the victim buffer.
+func TestStaticCheckCatchesUnenteredState(t *testing.T) {
+	tbl := editedRepoTable(t, func(machine string, e *Entry) bool {
+		return machine != "cpu.l2" || e.Next != "WB" || e.State == "WB"
+	})
+	for _, st := range []string{"S", "E", "O", "M"} {
+		wantProblem(t, tbl, "cpu.l2: reachable cell ("+st+", Evict) has no handler")
 	}
 }

@@ -7,31 +7,20 @@ import (
 )
 
 // MachineSpec is the handwritten ground truth for one controller state
-// machine: its state/event/next-state domains, which (state, event)
-// cells are reachable, and a justification for every cell that is not.
-// The static check (check.go) holds the extracted table to this spec in
-// both directions: every reachable cell handled, no handler outside the
-// reachable set.
+// machine: its state/event/next-state domains and a justification for
+// every (state, event) cell the controller can never observe. Every
+// other cell is reachable (Reachable). The static check (check.go)
+// holds the extracted table to this spec in both directions: every
+// reachable cell handled, no handler for an impossible cell.
 type MachineSpec struct {
 	Name   string
 	States []string
 	Events []string
 	Nexts  []string
 
-	// Reachable lists every (state, event) cell the controller can
-	// observe. Each must be covered by at least one extracted
-	// transition unless waived.
-	Reachable []Pair
-
-	// Impossible justifies each cell of States×Events absent from
-	// Reachable. Reachable and Impossible must exactly partition the
-	// cross product.
+	// Impossible justifies each cell of States×Events the controller
+	// can never observe.
 	Impossible map[Pair]string
-
-	// Waived excuses reachable cells from static exhaustiveness, with
-	// a justification. A waiver for a cell the extractor does find is a
-	// stale waiver and fails the check.
-	Waived map[Pair]string
 
 	// CoverageExempt excuses declared transitions from the dynamic
 	// firing requirement (coverage.go), with a justification. Exempt
@@ -40,20 +29,24 @@ type MachineSpec struct {
 	CoverageExempt map[TKey]string
 }
 
-// KnownOptions are the core.Options field names a //proto:when or
-// //proto:unless clause may reference.
-var KnownOptions = map[string]bool{
-	"EarlyDirtyResponse":      true,
-	"NoWBCleanVicToMem":       true,
-	"NoWBCleanVicToLLC":       true,
-	"LLCWriteBack":            true,
-	"UseL3OnWT":               true,
-	"ReadOnlyElision":         true,
-	"KeepDirtySharersOnEvict": true,
+// Reachable returns the cells the controller can observe:
+// States×Events minus Impossible, in declaration order.
+func (s *MachineSpec) Reachable() []Pair {
+	var out []Pair
+	for _, st := range s.States {
+		for _, ev := range s.Events {
+			p := Pair{State: st, Event: ev}
+			if _, ok := s.Impossible[p]; !ok {
+				out = append(out, p)
+			}
+		}
+	}
+	return out
 }
 
 // OptionSet converts core.Options to the option-name set guards are
-// evaluated against.
+// evaluated against. Its keys are the option names a //proto:when or
+// //proto:unless clause may reference.
 func OptionSet(o core.Options) map[string]bool {
 	return map[string]bool{
 		"EarlyDirtyResponse":      o.EarlyDirtyResponse,
@@ -211,14 +204,6 @@ func cpuL2Spec() *MachineSpec {
 		States: []string{"I", "S", "E", "O", "M", "WB"},
 		Events: []string{"Load", "Store", "Fill", "Evict", "WBAck", "PrbInv", "PrbDowngrade"},
 		Nexts:  []string{"I", "S", "E", "O", "M", "WB"},
-		Reachable: rows(
-			cells("I", "Load", "Store", "Fill", "PrbInv", "PrbDowngrade"),
-			cells("S", "Load", "Store", "Fill", "Evict", "PrbInv", "PrbDowngrade"),
-			cells("E", "Load", "Store", "Evict", "PrbInv", "PrbDowngrade"),
-			cells("O", "Load", "Store", "Fill", "Evict", "PrbInv", "PrbDowngrade"),
-			cells("M", "Load", "Store", "Evict", "PrbInv", "PrbDowngrade"),
-			cells("WB", "Load", "Store", "WBAck", "PrbInv", "PrbDowngrade"),
-		),
 	}
 	s.Impossible = impossible(s.Impossible,
 		"invalid lines are never chosen as victims",
@@ -248,11 +233,6 @@ func gpuTCCSpec() *MachineSpec {
 		States: []string{"I", "V", "D", "-"},
 		Events: []string{"Rd", "Wr", "Fill", "Evict", "AtomicSys", "AtomicDev", "FlushWB", "PrbInv", "PrbDowngrade", "WBAck", "AtomicResp", "FlushAck"},
 		Nexts:  []string{"I", "V", "D", "-"},
-		Reachable: rows(
-			cells("I", "Rd", "Wr", "Fill", "AtomicSys", "AtomicDev", "PrbInv"),
-			cells("V", "Rd", "Wr", "Fill", "Evict", "AtomicSys", "AtomicDev", "PrbInv"),
-			cells("D", "Rd", "Wr", "Fill", "Evict", "AtomicSys", "AtomicDev", "FlushWB", "PrbInv"),
-		),
 		CoverageExempt: map[TKey]string{
 			// A fill can observe a valid or dirty line only when a write
 			// allocated the line while the read miss was outstanding —
@@ -267,8 +247,6 @@ func gpuTCCSpec() *MachineSpec {
 			{State: "-", Event: "PrbDowngrade", Next: "-"}: "the directory never downgrade-probes the TCC; defensive ack-only arm",
 		},
 	}
-	s.Reachable = append(s.Reachable,
-		cells("-", "WBAck", "AtomicResp", "FlushAck", "PrbDowngrade")...)
 	s.Impossible = impossible(s.Impossible,
 		"point-to-point completions and downgrade acks never consult TCC line state; recorded state-independently under -",
 		rows(
@@ -292,11 +270,10 @@ func gpuTCCSpec() *MachineSpec {
 // cache-complex action each wave op kind triggers. Stateless.
 func gpuWaveSpec() *MachineSpec {
 	return &MachineSpec{
-		Name:      "gpu.wave",
-		States:    []string{"-"},
-		Events:    []string{"VecLoad", "VecStore", "AtomicSys", "AtomicDev", "Barrier", "Compute"},
-		Nexts:     []string{"-"},
-		Reachable: cells("-", "VecLoad", "VecStore", "AtomicSys", "AtomicDev", "Barrier", "Compute"),
+		Name:   "gpu.wave",
+		States: []string{"-"},
+		Events: []string{"VecLoad", "VecStore", "AtomicSys", "AtomicDev", "Barrier", "Compute"},
+		Nexts:  []string{"-"},
 	}
 }
 
@@ -304,11 +281,10 @@ func gpuWaveSpec() *MachineSpec {
 // dispatch (internal/core, beginStateless). Stateless by construction.
 func dirStatelessSpec() *MachineSpec {
 	return &MachineSpec{
-		Name:      "dir.stateless",
-		States:    []string{"-"},
-		Events:    []string{"RdBlk", "RdBlkS", "RdBlkM", "VicDirty", "VicClean", "WT", "Atomic", "Flush", "DMARd", "DMAWr"},
-		Nexts:     []string{"-"},
-		Reachable: cells("-", "RdBlk", "RdBlkS", "RdBlkM", "VicDirty", "VicClean", "WT", "Atomic", "Flush", "DMARd", "DMAWr"),
+		Name:   "dir.stateless",
+		States: []string{"-"},
+		Events: []string{"RdBlk", "RdBlkS", "RdBlkM", "VicDirty", "VicClean", "WT", "Atomic", "Flush", "DMARd", "DMAWr"},
+		Nexts:  []string{"-"},
 	}
 }
 
@@ -322,12 +298,6 @@ func dirTrackedSpec() *MachineSpec {
 		States: []string{"I", "S", "O", "-"},
 		Events: []string{"RdBlk", "RdBlkS", "RdBlkM", "VicDirty", "VicClean", "WT", "Atomic", "Flush", "DMARd", "DMAWr"},
 		Nexts:  []string{"I", "S", "O", "-"},
-		Reachable: rows(
-			cells("I", reqEvents...),
-			cells("S", reqEvents...),
-			cells("O", reqEvents...),
-			cells("-", "Flush"),
-		),
 		CoverageExempt: map[TKey]string{
 			// Superseded dirty victims need a VicDirty crossing an
 			// ownership transfer; kept in the table for the race, but
@@ -359,11 +329,10 @@ func dirTrackedSpec() *MachineSpec {
 // write), mem (memory only).
 func dirLLCSpec() *MachineSpec {
 	return &MachineSpec{
-		Name:      "dir.llc",
-		States:    []string{"-"},
-		Events:    []string{"VicDirty", "VicClean", "WT", "DMAWr", "BackInval"},
-		Nexts:     []string{"drop", "llc", "llc+mem", "llc-dirty", "mem"},
-		Reachable: cells("-", "VicDirty", "VicClean", "WT", "DMAWr", "BackInval"),
+		Name:   "dir.llc",
+		States: []string{"-"},
+		Events: []string{"VicDirty", "VicClean", "WT", "DMAWr", "BackInval"},
+		Nexts:  []string{"drop", "llc", "llc+mem", "llc-dirty", "mem"},
 	}
 }
 
@@ -373,11 +342,10 @@ func dirLLCSpec() *MachineSpec {
 // transitioning, so they have no cell here.
 func dirROSpec() *MachineSpec {
 	return &MachineSpec{
-		Name:      "dir.ro",
-		States:    []string{"-"},
-		Events:    []string{"RdBlk", "RdBlkS", "DMARd", "VicClean"},
-		Nexts:     []string{"-"},
-		Reachable: cells("-", "RdBlk", "RdBlkS", "DMARd", "VicClean"),
+		Name:   "dir.ro",
+		States: []string{"-"},
+		Events: []string{"RdBlk", "RdBlkS", "DMARd", "VicClean"},
+		Nexts:  []string{"-"},
 	}
 }
 
@@ -385,10 +353,9 @@ func dirROSpec() *MachineSpec {
 // events are state-independent.
 func dmaSpec() *MachineSpec {
 	return &MachineSpec{
-		Name:      "dma.engine",
-		States:    []string{"-"},
-		Events:    []string{"Rd", "Wr", "Resp", "WBAck"},
-		Nexts:     []string{"-"},
-		Reachable: cells("-", "Rd", "Wr", "Resp", "WBAck"),
+		Name:   "dma.engine",
+		States: []string{"-"},
+		Events: []string{"Rd", "Wr", "Resp", "WBAck"},
+		Nexts:  []string{"-"},
 	}
 }

@@ -21,12 +21,12 @@ func (t *Table) Markdown() string {
 	b.WriteString("unconditional, `!X` = X unset). Emits lists the message types the arm\n")
 	b.WriteString("may send (`//proto:emits`); Consumes lists the message types it retires\n")
 	b.WriteString("beyond its own event message (`//proto:consumes`). The deadlock graph\n")
-	b.WriteString("and the stall lint (`hscproto -deadlock`, `-stall`) read both.\n")
+	b.WriteString("(`hscproto -deadlock`) reads both, and the wake rule of `-check` reads Emits.\n")
 	for _, m := range t.Machines {
 		fmt.Fprintf(&b, "\n## %s\n\n", m.Name)
 		if s := SpecFor(m.Name); s != nil {
 			fmt.Fprintf(&b, "%d transitions over %d (state, event) cells; %d cells impossible by construction.\n\n",
-				len(m.Entries), len(s.Reachable), len(s.Impossible))
+				len(m.Entries), len(s.Reachable()), len(s.Impossible))
 		}
 		b.WriteString("| State | Event | Next | Guard | Actions | Emits | Consumes |\n")
 		b.WriteString("|---|---|---|---|---|---|---|\n")

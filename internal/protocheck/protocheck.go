@@ -1,7 +1,6 @@
 // Package protocheck is the static protocol safety analyzer. It
 // consumes the statically extracted transition tables (internal/proto)
-// and proves three families of properties without running the
-// simulator:
+// and proves these properties without running the simulator:
 //
 //   - reach.go: composite-state reachability. An abstract model of one
 //     cache line — two CPU L2 agents, the TCC, the DMA engine and the
@@ -20,12 +19,6 @@
 //     relations become class-level edges. The protocol is deadlock-free
 //     on finite virtual networks only if the graph is acyclic.
 //
-//   - stall.go: stall/wake liveness lint. Every arm that stalls work
-//     ("stall" in its actions) must have a wake arm — a transition out
-//     of the same state whose event is a message some other machine
-//     provably emits — and every transient state must be both
-//     enterable and exitable.
-//
 // observe.go closes the loop dynamically: it projects a running
 // system's per-line state onto the abstract composite state at every
 // message-delivery instant, so a conformance campaign can assert that
@@ -41,7 +34,7 @@ import (
 
 // Finding is one problem reported by an analysis.
 type Finding struct {
-	Analysis string // "reach", "deadlock", "stall"
+	Analysis string // "reach", "deadlock"
 	Machine  string // table machine, or "" for cross-machine findings
 	Detail   string
 }

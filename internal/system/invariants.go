@@ -38,7 +38,7 @@ func (s *System) CheckCoherence() error {
 		pair int32
 		st   corepair.MOESI
 	}
-	l2Lines := s.Cfg.CorePair.L2SizeBytes / s.Cfg.CorePair.BlockSize
+	l2Lines := s.Cfg.CorePair.L2SizeBytes / cachearray.LineBytes
 	held := make([]holding, 0, len(s.CorePairs)*l2Lines)
 	for p, cp := range s.CorePairs {
 		cp.ForEachL2Line(func(line cachearray.LineAddr, st corepair.MOESI) {

@@ -31,8 +31,7 @@ import (
 
 // Config describes the whole APU plus the protocol variant under test.
 type Config struct {
-	NumCorePairs int // 4 (Table III)
-	CoresPerPair int // 2
+	NumCorePairs int // 4 (Table III), each of corepair.Cores cores
 
 	CorePair corepair.Config
 	GPU      gpucache.Config
@@ -86,7 +85,6 @@ type Config struct {
 func Default() Config {
 	return Config{
 		NumCorePairs: 4,
-		CoresPerPair: 2,
 		CorePair:     corepair.DefaultConfig(),
 		GPU:          gpucache.DefaultConfig(),
 		GPUDisp:      gpu.DefaultConfig(),
@@ -109,7 +107,7 @@ type Workload struct {
 	// interest).
 	Setup func(fm *memdata.Memory)
 	// Threads are the CPU thread programs; len(Threads) must not exceed
-	// NumCorePairs*CoresPerPair. Threads communicate only through
+	// NumCorePairs*corepair.Cores. Threads communicate only through
 	// simulated memory and kernel handles.
 	Threads []func(*prog.CPUThread)
 	// Verify checks the computed results in functional memory.
@@ -238,9 +236,8 @@ func New(cfg Config) *System {
 	}
 
 	gcfg := cfg.GPU
-	gcfg.NumCUs = cfg.GPUDisp.NumCUs
 	gcfg.NumTCCs = nTCCs
-	s.GPUCaches = gpucache.New(engine, ic, tccIDs, dirID, fm, gcfg)
+	s.GPUCaches = gpucache.New(engine, ic, tccIDs, dirID, fm, gcfg, cfg.GPUDisp.NumCUs)
 	s.GPU = gpu.New(engine, s.GPUCaches, fm, cfg.GPUDisp)
 	s.DMA = dma.New(engine, ic, dmaID, dirID)
 
@@ -285,8 +282,8 @@ func New(cfg Config) *System {
 	}
 	for p := 0; p < cfg.NumCorePairs; p++ {
 		pair := s.CorePairs[p]
-		for c := 0; c < cfg.CoresPerPair; c++ {
-			coreIdx := p*cfg.CoresPerPair + c
+		for c := 0; c < corepair.Cores; c++ {
+			coreIdx := p*corepair.Cores + c
 			base := codeBase + memdata.Addr(coreIdx)*0x10000
 			s.Cores = append(s.Cores, cpu.New(engine, pair, c, fm, s.GPU, s.DMA, cfg.CPU, base))
 		}

@@ -196,7 +196,7 @@ func newHarness(opts core.Options, sc Scenario, mutate noc.Mutator) *harness {
 		L1ISizeBytes: 64, L1IAssoc: 1,
 		L1DSizeBytes: 64, L1DAssoc: 1,
 		L2SizeBytes: 128, L2Assoc: 1, // 2 sets: lines 0x10/0x12 conflict
-		BlockSize: 64, L1Latency: 1, L2Latency: 1,
+		L1Latency: 1, L2Latency: 1,
 	}
 	h := &harness{engine: engine, fab: fab, mem: cmem, fm: fm, lines: sc.Lines}
 	h.cpus = append(h.cpus,
@@ -204,12 +204,12 @@ func newHarness(opts core.Options, sc Scenario, mutate noc.Mutator) *harness {
 		corepair.New(engine, fab, nodeL2B, nodeDir, cpCfg),
 	)
 	h.gpu = gpucache.New(engine, fab, []msg.NodeID{nodeTCC}, nodeDir, fm, gpucache.Config{
-		NumCUs: 1, NumTCCs: 1,
+		NumTCCs:      1,
 		TCPSizeBytes: 64, TCPAssoc: 1,
 		TCCSizeBytes: 128, TCCAssoc: 1,
 		SQCSizeBytes: 64, SQCAssoc: 1,
-		BlockSize: 64, TCPLatency: 1, TCCLatency: 1, SQCLatency: 1,
-	})
+		TCPLatency: 1, TCCLatency: 1, SQCLatency: 1,
+	}, 1)
 	dirEntries := sc.DirEntries
 	if dirEntries == 0 {
 		dirEntries = 16
@@ -220,7 +220,7 @@ func newHarness(opts core.Options, sc Scenario, mutate noc.Mutator) *harness {
 		Timing: core.Timing{DirLatency: 1, LLCLatency: 1},
 		Geo: core.Geometry{
 			LLCSizeBytes: 128, LLCAssoc: 1, // 2 sets, conflicts with the L2 pattern
-			DirEntries: dirEntries, DirAssoc: 1, BlockSize: 64,
+			DirEntries: dirEntries, DirAssoc: 1,
 		},
 	})
 	fab.Register(nodeDir, h.dir)
