@@ -180,13 +180,12 @@ func BenchmarkTable2FullSize(b *testing.B) {
 }
 
 // BenchmarkTable3Ablations covers the secondary design points: §III-B1,
-// limited pointers, the §VII replacement policy and dirty-sharer rule.
+// limited pointers and the §VII replacement policy.
 func BenchmarkTable3Ablations(b *testing.B) {
 	ablations := map[string]hscsim.ProtocolOptions{
 		"noWBcleanVicLLC": {NoWBCleanVicToMem: true, NoWBCleanVicToLLC: true},
 		"limited4ptr":     {Tracking: hscsim.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, LimitedPointers: 4},
 		"fewestSharers":   {Tracking: hscsim.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, DirRepl: hscsim.DirReplFewestSharers},
-		"keepDirtyShare":  {Tracking: hscsim.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, KeepDirtySharersOnEvict: true},
 	}
 	for name, opts := range ablations {
 		opts := opts

@@ -9,8 +9,8 @@ import "testing"
 // run than are read.
 func TestReportCellsValidate(t *testing.T) {
 	cells, declared := declare(everything)
-	if declared != 180 || len(cells) != 147 {
-		t.Fatalf("full report reads %d cells, %d distinct; want 180 and 147", declared, len(cells))
+	if declared != 170 || len(cells) != 137 {
+		t.Fatalf("full report reads %d cells, %d distinct; want 170 and 137", declared, len(cells))
 	}
 	for _, c := range cells {
 		if err := c.Validate(); err != nil {

@@ -223,7 +223,7 @@ func runReach(tbl *proto.Table, doReach, doLive bool, opts protocheck.ExploreOpt
 		return 1
 	}
 	if doReach {
-		fmt.Printf("every reachable state satisfies SWMR, single-owner, no-stale-dirty and inclusivity; arm cross-check clean (%v)\n",
+		fmt.Printf("every reachable state satisfies the coherence invariants (verify.CheckLine); arm cross-check clean (%v)\n",
 			time.Since(start).Round(time.Millisecond))
 	}
 	if doLive {
@@ -364,7 +364,7 @@ func runCover(tbl *proto.Table, quick bool, minPct float64) int {
 
 	// 1. The differential conformance matrix: the six paper variants ×
 	// directory bankings, plus coverage cells for the orthogonal options
-	// (GPU write-back L2s, read-only elision, dirty-sharer retention).
+	// (GPU write-back L2s, read-only elision).
 	// The extra cells join the differential comparison — they must agree
 	// with the reference image too.
 	benches := chai.AllNames()
@@ -375,12 +375,9 @@ func runCover(tbl *proto.Table, quick bool, minPct float64) int {
 	}
 	roOpts := fullOpts
 	roOpts.ReadOnlyElision = true
-	kdOpts := fullOpts
-	kdOpts.KeepDirtySharersOnEvict = true
 	cells := append(conform.Cells(nil, banks),
 		conform.Cell{Opts: fullOpts, Banks: 1, GPUWB: true},
 		conform.Cell{Opts: roOpts, Banks: 1},
-		conform.Cell{Opts: kdOpts, Banks: 1},
 	)
 	fmt.Printf("conformance matrix: %d benchmarks x %d cells\n", len(benches), len(cells))
 	_, failures := conform.Campaign(conform.CampaignConfig{
@@ -447,7 +444,7 @@ func runCover(tbl *proto.Table, quick bool, minPct float64) int {
 	// write-through BackInval arm.
 	trackO := core.Options{EarlyDirtyResponse: true, LLCWriteBack: true, Tracking: core.TrackOwner}
 	trackONoWB := core.Options{EarlyDirtyResponse: true, Tracking: core.TrackOwner}
-	for _, opts := range []core.Options{trackO, trackONoWB, fullOpts, kdOpts} {
+	for _, opts := range []core.Options{trackO, trackONoWB, fullOpts} {
 		for _, bench := range []string{"bs", "hsto", "tq"} {
 			w, err := chai.ByName(bench, chai.Params{Scale: 1, CPUThreads: 4})
 			if err == nil {

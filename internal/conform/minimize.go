@@ -7,14 +7,18 @@ import (
 )
 
 // WeakenProbes is the canonical seeded protocol bug for negative tests:
-// it rewrites every invalidating probe into a downgrading one, so the
-// probed cache keeps a Shared copy the directory believes invalidated.
-// The next conflicting write then violates SWMR, which the runtime
-// oracle (and the model checker, given the same mutator) must catch. It
-// is a pure function of the message, as both fault-injection hooks
-// (system.Config.Mutate and verify.Config.Mutate) require.
+// it rewrites invalidating probes into downgrading ones, so the probed
+// cache keeps a Shared copy the directory believes invalidated. The
+// next conflicting write then violates SWMR, which the runtime oracle
+// (and the model checker, given the same mutator) must catch. It is a
+// pure function of the message, as both fault-injection hooks
+// (system.Config.Mutate and verify.Config.Mutate) require, so it
+// weakens the probes bound for nodes 0 and 1: the model checker's two
+// L2s, and the CorePairs that run a system's first four CPU threads
+// (both number their L2s first). A TCC is never downgrade-probed and
+// panics on a downgrade.
 func WeakenProbes(m msg.Message) (msg.Message, bool) {
-	if m.Type == msg.PrbInv {
+	if m.Type == msg.PrbInv && m.Dst <= 1 {
 		m.Type = msg.PrbDowngrade
 	}
 	return m, true

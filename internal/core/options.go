@@ -112,11 +112,6 @@ type Options struct {
 	// without directory tracking (see SetReadOnly).
 	ReadOnlyElision bool
 
-	// KeepDirtySharersOnEvict enables the §VII future-work optimization:
-	// directory-entry deallocation triggered by a dirty victim does not
-	// invalidate dirty sharers.
-	KeepDirtySharersOnEvict bool
-
 	// Recorder, when non-nil, receives every fired protocol transition
 	// for the static-vs-dynamic cross-check (cmd/hscproto). The system
 	// wires the same recorder into every controller; recording is

@@ -187,14 +187,12 @@ func (d *Directory) trackedVictim(t *txn) {
 	switch {
 	case dirty && e.State == dirO && int(e.Owner) == reqIdx:
 		d.commitVictim(t, true)
-		if e.Sharers != 0 && !d.opts.KeepDirtySharersOnEvict {
+		if e.Sharers != 0 {
 			// Remaining dirty sharers are now coherent with the LLC.
 			d.opts.Recorder.Record(machTracked, "O", "VicDirty", "S") //proto:actions commit dirty victim, sharers now coherent //proto:emits WBAck
 			e.State = dirS
 			e.Owner = -1
 		} else {
-			// No sharers — or §VII future work: deallocate without
-			// invalidating dirty sharers (they never forward data).
 			d.opts.Recorder.Record(machTracked, "O", "VicDirty", "I") //proto:actions commit dirty victim, deallocate entry //proto:emits WBAck
 			d.dirArr.Invalidate(t.addr)
 		}

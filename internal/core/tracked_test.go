@@ -456,31 +456,6 @@ func TestFewestSharersReplacementPrefersCleanFewest(t *testing.T) {
 	}
 }
 
-func TestKeepDirtySharersOnEvict(t *testing.T) {
-	opts := sharersOpts()
-	opts.KeepDirtySharersOnEvict = true
-	r := newRig(t, opts, testGeo())
-	r.l2a.send(msg.RdBlkM, 0x10)
-	r.run()
-	r.l2a.hasLine[0x10] = true
-	r.l2b.send(msg.RdBlk, 0x10) // becomes a dirty sharer
-	r.run()
-	r.l2b.hasLine[0x10] = true // fakes don't install lines on fills
-	r.l2b.probes = nil
-	r.l2a.send(msg.VicDirty, 0x10)
-	r.run()
-	// §VII: the entry deallocates without invalidating the dirty sharer.
-	if st, _, _ := r.entry(0x10); st != "I" {
-		t.Fatalf("entry = %s, want I (deallocated)", st)
-	}
-	if len(r.l2b.probes) != 0 {
-		t.Fatal("dirty sharer must not be invalidated")
-	}
-	if _, still := r.l2b.hasLine[0x10]; !still {
-		t.Fatal("sharer lost its line")
-	}
-}
-
 func TestTrackedProbeFreeTransactionsCounted(t *testing.T) {
 	r := newRig(t, sharersOpts(), testGeo())
 	for i := 0; i < 5; i++ {

@@ -43,29 +43,27 @@ const Version = "hscsim-engine/1"
 // Recorder, which is instrumentation, not protocol). Field names match
 // core.Options so specs read like the rest of the repository.
 type ProtocolSpec struct {
-	EarlyDirtyResponse      bool   `json:"earlyDirtyResponse,omitempty"`
-	NoWBCleanVicToMem       bool   `json:"noWBCleanVicToMem,omitempty"`
-	NoWBCleanVicToLLC       bool   `json:"noWBCleanVicToLLC,omitempty"`
-	LLCWriteBack            bool   `json:"llcWriteBack,omitempty"`
-	UseL3OnWT               bool   `json:"useL3OnWT,omitempty"`
-	Tracking                string `json:"tracking,omitempty"` // "", "owner", "owner+sharers"
-	DirRepl                 string `json:"dirRepl,omitempty"`  // "", "fewestSharers"
-	LimitedPointers         int    `json:"limitedPointers,omitempty"`
-	ReadOnlyElision         bool   `json:"readOnlyElision,omitempty"`
-	KeepDirtySharersOnEvict bool   `json:"keepDirtySharersOnEvict,omitempty"`
+	EarlyDirtyResponse bool   `json:"earlyDirtyResponse,omitempty"`
+	NoWBCleanVicToMem  bool   `json:"noWBCleanVicToMem,omitempty"`
+	NoWBCleanVicToLLC  bool   `json:"noWBCleanVicToLLC,omitempty"`
+	LLCWriteBack       bool   `json:"llcWriteBack,omitempty"`
+	UseL3OnWT          bool   `json:"useL3OnWT,omitempty"`
+	Tracking           string `json:"tracking,omitempty"` // "", "owner", "owner+sharers"
+	DirRepl            string `json:"dirRepl,omitempty"`  // "", "fewestSharers"
+	LimitedPointers    int    `json:"limitedPointers,omitempty"`
+	ReadOnlyElision    bool   `json:"readOnlyElision,omitempty"`
 }
 
 // ProtocolFromOptions converts core.Options into its spec form.
 func ProtocolFromOptions(o core.Options) ProtocolSpec {
 	p := ProtocolSpec{
-		EarlyDirtyResponse:      o.EarlyDirtyResponse,
-		NoWBCleanVicToMem:       o.NoWBCleanVicToMem,
-		NoWBCleanVicToLLC:       o.NoWBCleanVicToLLC,
-		LLCWriteBack:            o.LLCWriteBack,
-		UseL3OnWT:               o.UseL3OnWT,
-		LimitedPointers:         o.LimitedPointers,
-		ReadOnlyElision:         o.ReadOnlyElision,
-		KeepDirtySharersOnEvict: o.KeepDirtySharersOnEvict,
+		EarlyDirtyResponse: o.EarlyDirtyResponse,
+		NoWBCleanVicToMem:  o.NoWBCleanVicToMem,
+		NoWBCleanVicToLLC:  o.NoWBCleanVicToLLC,
+		LLCWriteBack:       o.LLCWriteBack,
+		UseL3OnWT:          o.UseL3OnWT,
+		LimitedPointers:    o.LimitedPointers,
+		ReadOnlyElision:    o.ReadOnlyElision,
 	}
 	switch o.Tracking {
 	case core.TrackOwner:
@@ -82,14 +80,13 @@ func ProtocolFromOptions(o core.Options) ProtocolSpec {
 // Options converts the spec back into core.Options.
 func (p ProtocolSpec) Options() (core.Options, error) {
 	o := core.Options{
-		EarlyDirtyResponse:      p.EarlyDirtyResponse,
-		NoWBCleanVicToMem:       p.NoWBCleanVicToMem,
-		NoWBCleanVicToLLC:       p.NoWBCleanVicToLLC,
-		LLCWriteBack:            p.LLCWriteBack,
-		UseL3OnWT:               p.UseL3OnWT,
-		LimitedPointers:         p.LimitedPointers,
-		ReadOnlyElision:         p.ReadOnlyElision,
-		KeepDirtySharersOnEvict: p.KeepDirtySharersOnEvict,
+		EarlyDirtyResponse: p.EarlyDirtyResponse,
+		NoWBCleanVicToMem:  p.NoWBCleanVicToMem,
+		NoWBCleanVicToLLC:  p.NoWBCleanVicToLLC,
+		LLCWriteBack:       p.LLCWriteBack,
+		UseL3OnWT:          p.UseL3OnWT,
+		LimitedPointers:    p.LimitedPointers,
+		ReadOnlyElision:    p.ReadOnlyElision,
 	}
 	switch p.Tracking {
 	case "":

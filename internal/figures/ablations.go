@@ -11,10 +11,9 @@ import (
 
 // WriteAblations renders the paper's secondary design points: dropping
 // clean victims from the LLC entirely (§III-B1), the limited-pointer
-// sharer list (§IV-B), the future-work directory replacement policy and
-// dirty-sharer deallocation rule (§VII) under normal and heavy
-// directory pressure, read-only elision (§IX) and the distributed
-// directory (§VII).
+// sharer list (§IV-B), the future-work directory replacement policy
+// (§VII) under normal and heavy directory pressure, read-only elision
+// (§IX) and the distributed directory (§VII).
 func WriteAblations(w io.Writer, get Get) {
 	// sharers adds o's knobs to the tracked stack of Fig. 6.
 	sharers := func(o core.Options) core.Options {
@@ -22,7 +21,6 @@ func WriteAblations(w io.Writer, get Get) {
 		return o
 	}
 	fewest := sharers(core.Options{DirRepl: core.DirReplFewestSharers})
-	keepDirty := sharers(core.Options{KeepDirtySharersOnEvict: true})
 	type variant struct {
 		label string
 		opts  core.Options
@@ -34,7 +32,6 @@ func WriteAblations(w io.Writer, get Get) {
 		{"noWBcleanVicLLC (III-B1)", core.Options{NoWBCleanVicToMem: true, NoWBCleanVicToLLC: true}},
 		{"sharers, limited-4 ptrs", sharers(core.Options{LimitedPointers: 4})},
 		{"sharers, fewest-sharers repl", fewest},
-		{"sharers, keep dirty sharers", keepDirty},
 	}
 	fmt.Fprintf(w, "%-30s %-8s %12s %10s %10s\n", "variant", "bench", "cycles", "mem", "probes")
 	for _, bench := range chai.CollaborativeFive() {
@@ -56,7 +53,6 @@ func WriteAblations(w io.Writer, get Get) {
 	pressure := []variant{
 		{"sharers, tree-PLRU", sharers(core.Options{})},
 		{"sharers, fewest-sharers repl", fewest},
-		{"sharers, keep dirty sharers", keepDirty},
 	}
 	for _, bench := range chai.CollaborativeFive() {
 		for _, c := range pressure {

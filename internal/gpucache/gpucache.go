@@ -426,6 +426,7 @@ func (g *GPUCaches) ReleaseFlush(done func()) {
 		}
 	}
 	g.flushes = append(g.flushes, done)
+	g.rec.Record(machine, "-", "Release", "-") //proto:actions send the release fence //proto:emits Flush
 	g.ic.Send(msg.Message{Type: msg.Flush, Addr: 0, Src: g.ids[0], Dst: g.dirID})
 }
 
@@ -485,12 +486,6 @@ func (g *GPUCaches) Receive(m msg.Message) {
 		} else {
 			g.rec.Record(machine, "I", "PrbInv", "I") //proto:actions ack without data //proto:emits PrbAck
 		}
-		g.ic.Send(msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: g.idOf(m.Addr), Dst: m.Src, TxnID: m.TxnID})
-
-	case msg.PrbDowngrade:
-		// The TCC holds no exclusive permission to surrender: ack only.
-		g.rec.Record(machine, "-", "PrbDowngrade", "-") //proto:actions ack, keep state //proto:emits PrbAck
-		g.Stats.ProbesReceived++
 		g.ic.Send(msg.Message{Type: msg.PrbAck, Addr: m.Addr, Src: g.idOf(m.Addr), Dst: m.Src, TxnID: m.TxnID})
 
 	default:

@@ -18,8 +18,8 @@ import (
 //   - every reachable (state, event) cell is handled;
 //   - no extracted transition handles an impossible cell;
 //   - no coverage exemption is stale;
-//   - every arm that leaves its state on a delivered message is woken
-//     by another machine (checkWakes);
+//   - every arm triggered by a delivered message has that message
+//     emitted by another machine (checkWakes);
 //   - option guards reference real core.Options fields, and only the
 //     LLC write-policy machine carries guards at all;
 //   - the per-option table deltas and the per-variant active tables
@@ -80,12 +80,12 @@ func checkEmits(t *Table, bad func(string, ...interface{})) {
 	}
 }
 
-// checkWakes requires a wake for every arm that leaves its state on a
+// checkWakes requires a sender for every arm whose event is a
 // delivered message: some other machine must emit that message. A
-// controller waiting in a state cannot send itself the message that
-// moves it on, so an exit nobody else sends strands the line there —
-// the cpu.l2 victim buffer WB, for one, drains only on the directory's
-// WBAck.
+// controller cannot send itself the message that moves it on, so an
+// exit nobody else sends strands the line in its state — the cpu.l2
+// victim buffer WB, for one, drains only on the directory's WBAck —
+// and any other arm nobody triggers is dead or unrecorded.
 func checkWakes(t *Table, bad func(string, ...interface{})) {
 	emitters := make(map[string][]string) // message type → machines emitting it
 	for _, m := range t.Machines {
@@ -100,9 +100,6 @@ func checkWakes(t *Table, bad func(string, ...interface{})) {
 	for _, m := range t.Machines {
 		other := func(name string) bool { return name != m.Name }
 		for _, e := range m.Entries {
-			if e.State == e.Next {
-				continue
-			}
 			if _, ok := msg.TypeByName(e.Event); !ok {
 				continue
 			}

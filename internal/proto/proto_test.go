@@ -365,6 +365,27 @@ func TestStaticCheckCatchesUnwokenExit(t *testing.T) {
 	wantProblem(t, tbl, "leaves WB on WBAck, which no other machine emits")
 }
 
+// TestStaticCheckCatchesUnsentMessage: the wake rule covers every arm
+// a message triggers, not just exits. The TCC's release arm is the only
+// sender of Flush; strip it and both directories' Flush arms, which
+// stay in state -, have nothing to trigger them.
+func TestStaticCheckCatchesUnsentMessage(t *testing.T) {
+	tbl := editedRepoTable(t, func(machine string, e *Entry) bool {
+		if machine == "gpu.tcc" && e.Event == "Release" {
+			e.Emits = slices.DeleteFunc(e.Emits, func(name string) bool { return name == "Flush" })
+		}
+		return true
+	})
+	problems := CheckStatic(tbl)
+	for _, dir := range []string{"dir.stateless", "dir.tracked"} {
+		if !slices.ContainsFunc(problems, func(p string) bool {
+			return strings.HasPrefix(p, dir+": ") && strings.HasSuffix(p, "leaves - on Flush, which no other machine emits")
+		}) {
+			t.Errorf("no %s problem for its unsent Flush arm; got %q", dir, problems)
+		}
+	}
+}
+
 // TestStaticCheckCatchesMissingExit: drop the (WB, WBAck) arm and the
 // victim buffer has no way out.
 func TestStaticCheckCatchesMissingExit(t *testing.T) {

@@ -49,13 +49,12 @@ func (s *MachineSpec) Reachable() []Pair {
 // //proto:unless clause may reference.
 func OptionSet(o core.Options) map[string]bool {
 	return map[string]bool{
-		"EarlyDirtyResponse":      o.EarlyDirtyResponse,
-		"NoWBCleanVicToMem":       o.NoWBCleanVicToMem,
-		"NoWBCleanVicToLLC":       o.NoWBCleanVicToLLC,
-		"LLCWriteBack":            o.LLCWriteBack,
-		"UseL3OnWT":               o.UseL3OnWT,
-		"ReadOnlyElision":         o.ReadOnlyElision,
-		"KeepDirtySharersOnEvict": o.KeepDirtySharersOnEvict,
+		"EarlyDirtyResponse": o.EarlyDirtyResponse,
+		"NoWBCleanVicToMem":  o.NoWBCleanVicToMem,
+		"NoWBCleanVicToLLC":  o.NoWBCleanVicToLLC,
+		"LLCWriteBack":       o.LLCWriteBack,
+		"UseL3OnWT":          o.UseL3OnWT,
+		"ReadOnlyElision":    o.ReadOnlyElision,
 	}
 }
 
@@ -231,7 +230,7 @@ func gpuTCCSpec() *MachineSpec {
 	s := &MachineSpec{
 		Name:   "gpu.tcc",
 		States: []string{"I", "V", "D", "-"},
-		Events: []string{"Rd", "Wr", "Fill", "Evict", "AtomicSys", "AtomicDev", "FlushWB", "PrbInv", "PrbDowngrade", "WBAck", "AtomicResp", "FlushAck"},
+		Events: []string{"Rd", "Wr", "Fill", "Evict", "AtomicSys", "AtomicDev", "FlushWB", "Release", "PrbInv", "PrbDowngrade", "WBAck", "AtomicResp", "FlushAck"},
 		Nexts:  []string{"I", "V", "D", "-"},
 		CoverageExempt: map[TKey]string{
 			// A fill can observe a valid or dirty line only when a write
@@ -239,21 +238,19 @@ func gpuTCCSpec() *MachineSpec {
 			// a same-line read/write race the workloads rarely produce.
 			{State: "V", Event: "Fill", Next: "V"}: "needs a write allocating the line while a read miss is in flight",
 			{State: "D", Event: "Fill", Next: "D"}: "needs a WB_L2 write allocating the line while a read miss is in flight",
-			// Unreachable by construction, kept as a defensive arm: the
-			// stateless directory sends downgrades only to L2s (fn. 4)
-			// and the tracked directory downgrade-probes only the owner,
-			// which the TCC can never be (its reads are forced Shared
-			// and it never issues RdBlkM).
-			{State: "-", Event: "PrbDowngrade", Next: "-"}: "the directory never downgrade-probes the TCC; defensive ack-only arm",
 		},
 	}
 	s.Impossible = impossible(s.Impossible,
-		"point-to-point completions and downgrade acks never consult TCC line state; recorded state-independently under -",
+		"the release fence and point-to-point completions never consult TCC line state; recorded state-independently under -",
 		rows(
-			cells("I", "WBAck", "AtomicResp", "FlushAck", "PrbDowngrade"),
-			cells("V", "WBAck", "AtomicResp", "FlushAck", "PrbDowngrade"),
-			cells("D", "WBAck", "AtomicResp", "FlushAck", "PrbDowngrade"),
+			cells("I", "Release", "WBAck", "AtomicResp", "FlushAck"),
+			cells("V", "Release", "WBAck", "AtomicResp", "FlushAck"),
+			cells("D", "Release", "WBAck", "AtomicResp", "FlushAck"),
 		)...)
+	s.Impossible = impossible(s.Impossible,
+		"stateless downgrades go only to L2s, and tracked downgrades go only to the owner, which is never the TCC (its reads are forced Shared and it never issues RdBlkM)",
+		Pair{State: "I", Event: "PrbDowngrade"}, Pair{State: "V", Event: "PrbDowngrade"},
+		Pair{State: "D", Event: "PrbDowngrade"}, Pair{State: "-", Event: "PrbDowngrade"})
 	s.Impossible = impossible(s.Impossible,
 		"line-indexed events always observe a concrete line state",
 		cells("-", "Rd", "Wr", "Fill", "Evict", "AtomicSys", "AtomicDev", "FlushWB", "PrbInv")...)

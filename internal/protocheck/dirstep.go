@@ -64,6 +64,7 @@ func dirActivations(sp *stepper, s state, cfg ModelConfig) {
 	}
 	// Release flush: touches no line state, so issue, service and the
 	// FlushAck collapse into one atomic (self-loop) step.
+	sp.addArmInject(s, machTCC, "-", "Release", "-", "tcc sends release flush")
 	sp.addArmInject(s, dirMach(cfg), "-", "Flush", "-", "directory acks release flush")
 	sp.addArmInject(s, machTCC, "-", "FlushAck", "-", "tcc completes release flush")
 
@@ -137,8 +138,8 @@ func sendPlan(s *state, p probePlan) {
 		}
 	}
 	if p.tcc {
-		if s.TCC.Prb != '-' {
-			panic(fmt.Sprintf("model bug: overlapping probes to tcc in %s", s))
+		if s.TCC.Prb != '-' || p.kind != 'i' {
+			panic(fmt.Sprintf("model bug: overlapping or downgrade probe to tcc in %s", s))
 		}
 		s.TCC.Prb = p.kind
 	}

@@ -34,10 +34,7 @@ func TestLiveHealthyNoLasso(t *testing.T) {
 // starved victim and whose cycle the system can repeat forever.
 func TestLiveCatchesDropWake(t *testing.T) {
 	cfg := ModelConfig{Mode: ModeStateless, EDR: true, Bug: BugDropWake}
-	r, err := Explore(cfg, ExploreOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := exploreCached(t, cfg)
 	if r.Violation != nil {
 		t.Fatalf("BugDropWake must stay safety-clean (it only loses a wake), got:\n%s", r.Violation)
 	}
@@ -72,10 +69,7 @@ func TestLiveCatchesDropWake(t *testing.T) {
 // early, so the liveness pass must refuse the truncated graph instead
 // of proving garbage.
 func TestLivenessRefusesIncompleteGraph(t *testing.T) {
-	r, err := Explore(ModelConfig{Mode: ModeStateless, EDR: true, Bug: BugVictimRefetch}, ExploreOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := exploreCached(t, ModelConfig{Mode: ModeStateless, EDR: true, Bug: BugVictimRefetch})
 	if r.Violation == nil {
 		t.Fatal("expected a safety violation")
 	}

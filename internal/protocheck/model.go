@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"hscsim/internal/corepair"
+	"hscsim/internal/verify"
 )
 
 // The abstract one-line protocol model.
@@ -129,7 +132,7 @@ type agent struct {
 type tccState struct {
 	Cache byte // 'I','V'
 	MissP byte // RdBlk: '-', 'o' outstanding, 'a' active, 'r' Resp in flight
-	Prb   byte // '-', 'i' PrbInv in flight, 'd' PrbDowngrade in flight, 'n' ack in flight (TCC acks carry no data)
+	Prb   byte // '-', 'i' PrbInv in flight (the directory never downgrade-probes the TCC), 'n' ack in flight (TCC acks carry no data)
 	Wt    byte // WT outstanding (saturating: 0 or 1 = "at least one")
 	At    byte // Atomic outstanding
 	Shr   bool // tracked entry lists the TCC as sharer
@@ -271,81 +274,38 @@ func (s state) stable() bool {
 }
 
 // ---------------------------------------------------------------------
-// Invariants. Checked on every reachable state; these mirror the
-// runtime oracle's per-delivery checks (internal/verify).
+// Invariants: every reachable state is checked against the coherence
+// invariants the runtime oracle and system.CheckCoherence check too
+// (verify.CheckLine).
 
-// violations returns every safety violation the state exhibits.
+// moesi maps the model's cache letters to the L2's states.
+var moesi = [256]corepair.MOESI{'S': corepair.Shared, 'E': corepair.Exclusive, 'O': corepair.Owned, 'M': corepair.Modified}
+
+// violations returns every coherence rule the state breaks.
 func (s state) violations(cfg ModelConfig) []string {
-	var out []string
-
-	// SWMR over the CPU L2s (the TCC is exempt: VIPER keeps no dirty
-	// CPU-coherent state in write-through mode).
-	exclusive, valid := 0, 0
-	for _, a := range s.Ag {
-		switch a.Cache {
-		case 'E', 'M':
-			exclusive++
-			valid++
-		case 'S', 'O':
-			valid++
-		}
+	var l2 [2]verify.L2Copy
+	v := verify.LineView{
+		L2:      l2[:],
+		Entries: cfg.Mode != ModeStateless && s.Dir.Busy == '-',
+		Entry:   'I',
+		Owner:   -1,
+		Exact:   cfg.Mode == ModeTrackOwnerSharers,
 	}
-	if exclusive > 1 || (exclusive == 1 && valid > 1) {
-		out = append(out, fmt.Sprintf("SWMR: %d exclusive holder(s) among %d valid CPU copies", exclusive, valid))
+	if s.Dir.Entry != '-' {
+		v.Entry = s.Dir.Entry
 	}
-
-	// Single owner: at most one Owned copy, and never alongside E/M.
-	owned := 0
-	for _, a := range s.Ag {
-		if a.Cache == 'O' {
-			owned++
-		}
-	}
-	if owned > 1 {
-		out = append(out, "single-owner: two Owned copies")
-	}
-	if owned == 1 && exclusive > 0 {
-		out = append(out, "single-owner: Owned copy alongside an Exclusive/Modified one")
-	}
-
-	// No stale dirty copy: a line cannot be live in the cache and in the
-	// victim buffer at once (probes would be answered from the stale
-	// victim while the cached copy keeps its grant).
 	for i, a := range s.Ag {
-		if a.Cache != 'I' && a.WBPh != '-' {
-			out = append(out, fmt.Sprintf("stale-victim: cpu%d holds %c while its victim buffer is live", i, a.Cache))
+		l2[i] = verify.L2Copy{State: moesi[a.Cache], Victim: a.WBPh != '-'}
+		if a.Own {
+			v.Owner = i
+		}
+		if a.Shr {
+			v.Sharers |= 1 << i
 		}
 	}
-
-	// Directory inclusivity (tracking modes, quiescent lines only —
-	// mirrors the oracle's dir-consistency check).
-	if cfg.Mode != ModeStateless && s.Dir.Busy == '-' {
-		for i, a := range s.Ag {
-			if a.Cache == 'I' {
-				continue
-			}
-			if s.Dir.Entry == '-' {
-				out = append(out, fmt.Sprintf("inclusivity: cpu%d holds %c but the directory tracks nothing", i, a.Cache))
-			}
-			if a.Cache == 'E' || a.Cache == 'M' {
-				if s.Dir.Entry != 'O' || !a.Own {
-					out = append(out, fmt.Sprintf("inclusivity: cpu%d holds %c but entry=%c own=%t", i, a.Cache, s.Dir.Entry, a.Own))
-				}
-			} else if cfg.Mode == ModeTrackOwnerSharers && !a.Own && !a.Shr {
-				out = append(out, fmt.Sprintf("inclusivity: cpu%d holds %c but is neither owner nor sharer", i, a.Cache))
-			}
-		}
-		if s.Dir.Entry == 'O' {
-			ownerHolds := false
-			for _, a := range s.Ag {
-				if a.Own && (a.Cache != 'I' || a.WBPh != '-') {
-					ownerHolds = true
-				}
-			}
-			if !ownerHolds {
-				out = append(out, "inclusivity: entry is O but no flagged owner holds anything")
-			}
-		}
+	var out []string
+	for _, b := range verify.CheckLine(nil, &v) {
+		out = append(out, b.String())
 	}
 	return out
 }

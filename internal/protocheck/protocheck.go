@@ -7,8 +7,9 @@
 //     directory, each reduced to its protocol-visible state plus the
 //     in-flight messages between them — is explored exhaustively from
 //     the quiescent state. Every reachable composite state is checked
-//     for SWMR, single-owner and no-stale-dirty; a violation comes with
-//     the minimal abstract trace that produces it. Each abstract step
+//     against the coherence invariants the runtime oracle and
+//     system.CheckCoherence check too (verify.CheckLine); a violation
+//     comes with the minimal abstract trace that produces it. Each abstract step
 //     is labeled with the transition-table arm it animates, and the
 //     step relation is cross-checked against the extracted table in
 //     both directions.

@@ -8,9 +8,12 @@ import (
 	"hscsim/internal/core"
 )
 
-// exploreCached shares full explorations across the package's tests:
-// the big tracked configurations take minutes, and the containment
-// tests need the same reachable sets the safety test checks.
+// exploreCached shares full explorations across the package's tests,
+// so each configuration, seeded bugs included, is explored once per
+// test binary: the big tracked configurations take minutes, and the
+// containment, liveness and replay tests need the same reachable sets
+// the safety tests check. A result is read-only after Explore, so
+// Liveness may run on it more than once.
 var (
 	exploreMu    sync.Mutex
 	exploreCache = map[ModelConfig]*ReachResult{}
@@ -32,24 +35,42 @@ func exploreCached(t *testing.T, cfg ModelConfig) *ReachResult {
 }
 
 // TestReachSafeAndCrossChecked: every abstract configuration is
-// explored exhaustively; every reachable composite state satisfies
-// SWMR, single-owner, no-stale-dirty and directory inclusivity; and the
-// arms the model animates agree with the extracted tables both ways.
+// explored exhaustively to its known state count; every reachable
+// composite state satisfies the coherence invariants (verify.CheckLine);
+// and the arms the model animates agree with the extracted tables both
+// ways.
 func TestReachSafeAndCrossChecked(t *testing.T) {
+	wantStates := []int{730280, 775912, 2911352, 825688} // in Configs() order
 	var results []*ReachResult
-	for _, cfg := range Configs() {
+	for i, cfg := range Configs() {
 		r := exploreCached(t, cfg)
 		results = append(results, r)
 		if r.Violation != nil {
 			t.Errorf("%s", r.Violation)
 		}
-		if r.States < 100 {
-			t.Errorf("%s explored only %d states — model collapsed?", r.Config, r.States)
+		if r.States != wantStates[i] {
+			t.Errorf("%s explored %d states, want %d", r.Config, r.States, wantStates[i])
 		}
 		t.Logf("%s: %d states (%d stable), %d arms", r.Config, r.States, len(r.Stable), len(r.ArmsUsed))
 	}
 	for _, f := range CrossCheckArms(repoTable(t), results) {
 		t.Errorf("%s", f)
+	}
+}
+
+// TestCleanStateAllocatesNothing: the prover checks the invariants on
+// every reachable state, so a clean one must not allocate.
+func TestCleanStateAllocatesNothing(t *testing.T) {
+	s := initial()
+	s.Dir.Entry = 'O'
+	s.Ag[0].Cache, s.Ag[0].Own = 'O', true
+	s.Ag[1].Cache, s.Ag[1].Shr = 'S', true
+	cfg := ModelConfig{Mode: ModeTrackOwnerSharers, EDR: true}
+	if probs := s.violations(cfg); probs != nil {
+		t.Fatalf("legal state reported %q", probs)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.violations(cfg) }); n != 0 {
+		t.Errorf("a clean state allocates %v times", n)
 	}
 }
 
@@ -85,10 +106,7 @@ func TestConfigFor(t *testing.T) {
 // hazard the cpu.l2 WB stall arm prevents.
 func TestReachCatchesVictimRefetch(t *testing.T) {
 	for _, mode := range []Mode{ModeStateless, ModeTrackOwnerSharers} {
-		r, err := Explore(ModelConfig{Mode: mode, EDR: true, Bug: BugVictimRefetch}, ExploreOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := exploreCached(t, ModelConfig{Mode: mode, EDR: true, Bug: BugVictimRefetch})
 		if r.Violation == nil {
 			t.Fatalf("%s: victim-refetch bug not caught in %d states", mode, r.States)
 		}
@@ -101,10 +119,7 @@ func TestReachCatchesVictimRefetch(t *testing.T) {
 // upgrade RdBlkM is still in flight; the late fill then installs
 // Modified next to the line's own live victim-buffer entry.
 func TestReachCatchesEvictDuringUpgrade(t *testing.T) {
-	r, err := Explore(ModelConfig{Mode: ModeStateless, Bug: BugEvictDuringUpgrade}, ExploreOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := exploreCached(t, ModelConfig{Mode: ModeStateless, Bug: BugEvictDuringUpgrade})
 	if r.Violation == nil {
 		t.Fatalf("evict-during-upgrade bug not caught in %d states", r.States)
 	}
@@ -117,14 +132,11 @@ func TestReachCatchesEvictDuringUpgrade(t *testing.T) {
 // SWMR.
 func TestReachCatchesSkipAck(t *testing.T) {
 	for _, mode := range []Mode{ModeStateless, ModeTrackOwnerSharers} {
-		r, err := Explore(ModelConfig{Mode: mode, EDR: true, Bug: BugSkipAck}, ExploreOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := exploreCached(t, ModelConfig{Mode: mode, EDR: true, Bug: BugSkipAck})
 		if r.Violation == nil {
 			t.Fatalf("%s: skipped-ack bug not caught in %d states", mode, r.States)
 		}
-		assertViolation(t, r.Violation, "SWMR")
+		assertViolation(t, r.Violation, "swmr")
 	}
 }
 

@@ -45,13 +45,10 @@ func TestCounterexampleReplay(t *testing.T) {
 	}{
 		{ModelConfig{Mode: ModeStateless, EDR: true, Bug: BugVictimRefetch}, "stale-victim"},
 		{ModelConfig{Mode: ModeStateless, Bug: BugEvictDuringUpgrade}, "stale-victim"},
-		{ModelConfig{Mode: ModeTrackOwnerSharers, EDR: true, Bug: BugSkipAck}, "SWMR"},
+		{ModelConfig{Mode: ModeTrackOwnerSharers, EDR: true, Bug: BugSkipAck}, "swmr"},
 	}
 	for _, c := range safety {
-		r, err := Explore(c.cfg, ExploreOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := exploreCached(t, c.cfg)
 		v := r.Violation
 		if v == nil {
 			t.Errorf("%v: bug not caught in %d states", c.cfg, r.States)
@@ -81,11 +78,7 @@ func TestCounterexampleReplay(t *testing.T) {
 	// the cycle must return to it, and every state on the cycle must be
 	// transient (a stable state on the cycle would mean it drains).
 	cfg := ModelConfig{Mode: ModeStateless, EDR: true, Bug: BugDropWake}
-	r, err := Explore(cfg, ExploreOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := r.Liveness()
+	l, err := exploreCached(t, cfg).Liveness()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -541,10 +541,6 @@ func tccSteps(sp *stepper, s state) {
 		} else {
 			sp.addArm(ns, machTCC, "I", "PrbInv", "I", "tcc acks probe without data")
 		}
-	case 'd':
-		ns := s
-		ns.TCC.Prb = 'n'
-		sp.addArm(ns, machTCC, "-", "PrbDowngrade", "-", "tcc acks downgrade, keeps state")
 	case 'n':
 		if s.Dir.Busy == '-' {
 			panic(fmt.Sprintf("model bug: tcc ack in flight with idle directory in %s", s))

@@ -27,53 +27,73 @@ func probe(s *system.System, p int, typ msg.Type, line cachearray.LineAddr) {
 	cp.Receive(msg.Message{Type: typ, Addr: line, Src: dir, Dst: cp.NodeID()})
 }
 
+// access runs a real access by pair p's first core to completion.
+func access(t *testing.T, s *system.System, p int, kind corepair.AccessKind, line cachearray.LineAddr) {
+	t.Helper()
+	s.CorePairs[p].Access(0, kind, line, func() {})
+	if err := s.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCheckCoherenceMessages pins CheckCoherence's report for each
 // invariant it checks, on L2 states forged past the protocol.
 func TestCheckCoherenceMessages(t *testing.T) {
 	const line = cachearray.LineAddr(0x40)
 	tracked := core.Options{Tracking: core.TrackOwnerSharers}
+	// ownedAndShared leaves pair 1 the tracked owner, holding the line
+	// Owned, and pair 2 a tracked sharer.
+	ownedAndShared := func(t *testing.T, s *system.System) {
+		access(t, s, 1, corepair.Store, line)
+		access(t, s, 2, corepair.Load, line)
+	}
 	for _, tc := range []struct {
 		name  string
 		opts  core.Options
-		setup func(*system.System)
+		setup func(*testing.T, *system.System)
 		want  string
 	}{
-		{"two M/E holders", core.Options{}, func(s *system.System) {
+		{"two M/E holders", core.Options{}, func(_ *testing.T, s *system.System) {
 			grant(s, 0, line, msg.GrantM)
 			grant(s, 1, line, msg.GrantE)
-		}, "line 0x40: 2 M/E holders"},
-		{"M/E with sharers", core.Options{}, func(s *system.System) {
+		}, "line 0x40: swmr: 2 exclusive holder(s) among 2 valid CPU copies"},
+		{"M/E with sharers", core.Options{}, func(_ *testing.T, s *system.System) {
 			grant(s, 1, line, msg.GrantS)
 			grant(s, 2, line, msg.GrantE)
 			grant(s, 3, line, msg.GrantS)
-		}, "line 0x40: M/E in pair 2 with 3 total holders"},
-		{"multiple owners", core.Options{}, func(s *system.System) {
+		}, "line 0x40: swmr: 1 exclusive holder(s) among 3 valid CPU copies"},
+		{"multiple owners", core.Options{}, func(_ *testing.T, s *system.System) {
 			for _, p := range []int{0, 2} {
 				grant(s, p, line, msg.GrantM)
 				probe(s, p, msg.PrbDowngrade, line) // M → O
 			}
-		}, "line 0x40: 2 Owned holders"},
-		{"lost inclusion", tracked, func(s *system.System) {
+		}, "line 0x40: single-owner: 2 Owned copies"},
+		{"lost inclusion", tracked, func(_ *testing.T, s *system.System) {
 			grant(s, 0, line, msg.GrantS)
 			grant(s, 3, line, msg.GrantS)
-		}, "line 0x40: cached in L2s [0 3] but untracked (inclusion violated)"},
-		{"wrong owner", tracked, func(s *system.System) {
+		}, "line 0x40: inclusivity: L2 0 holds the line S but the directory tracks nothing"},
+		{"wrong owner", tracked, func(t *testing.T, s *system.System) {
 			// A real store makes pair 1 the tracked owner; then pair 1
 			// silently loses the line and pair 0 gains it Modified.
-			s.CorePairs[1].Access(0, corepair.Store, line, func() {})
-			if err := s.Engine.Run(); err != nil {
-				t.Fatal(err)
-			}
+			access(t, s, 1, corepair.Store, line)
 			probe(s, 1, msg.PrbInv, line)
 			grant(s, 0, line, msg.GrantM)
-		}, "line 0x40: owner tracked as 1, actual 0"},
+		}, "line 0x40: inclusivity: L2 0 holds the line M but the entry is O with owner 1"},
+		{"missing sharer", tracked, func(t *testing.T, s *system.System) {
+			ownedAndShared(t, s)
+			grant(s, 0, line, msg.GrantS)
+		}, "line 0x40: inclusivity: L2 0 holds the line S but is neither owner nor sharer (entry O owner=1 sharers=0x4)"},
+		{"owner holds nothing", tracked, func(t *testing.T, s *system.System) {
+			ownedAndShared(t, s)
+			probe(s, 1, msg.PrbInv, line)
+		}, "line 0x40: inclusivity: entry is O with owner 1 but the owner holds nothing (not cached, not in the victim buffer)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := system.New(smallConfig(tc.opts))
 			if err := s.CheckCoherence(); err != nil {
 				t.Fatalf("fresh system: %v", err)
 			}
-			tc.setup(s)
+			tc.setup(t, s)
 			err := s.CheckCoherence()
 			if err == nil || err.Error() != tc.want {
 				t.Fatalf("CheckCoherence = %v, want %q", err, tc.want)

@@ -55,7 +55,8 @@ type Config struct {
 	// Oracle attaches the runtime coherence oracle (internal/verify):
 	// every message delivery is cross-checked against a golden version
 	// mirror, and Run fails with a *core.ProtocolViolation error on the
-	// first SWMR, data-value or directory-consistency breach. Directory
+	// first breach of the coherence invariants (verify.CheckLine), the
+	// data-value invariant or the oracle's mirror. Directory
 	// cross-checks follow BankFor, so banked directories are covered
 	// too. Simulation results are unchanged; expect a constant-factor
 	// slowdown.

@@ -174,7 +174,7 @@ func allVariants() []core.Options {
 		{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true},
 		{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, LimitedPointers: 2},
 		{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, DirRepl: core.DirReplFewestSharers},
-		{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true, KeepDirtySharersOnEvict: true},
+		{EarlyDirtyResponse: true, LLCWriteBack: true, Tracking: core.TrackOwnerSharers},
 	}
 }
 

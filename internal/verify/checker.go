@@ -59,8 +59,8 @@ const (
 
 // Run explores every interleaving of message deliveries, memory
 // completions and agent issue points for the scenario under the given
-// protocol options, checking SWMR, the data-value invariant, directory
-// consistency, and deadlock/livelock freedom. It is a stateless
+// protocol options, checking the coherence invariants (CheckLine), the
+// data-value invariant, and deadlock/livelock freedom. It is a stateless
 // (replay-based) search: each DFS node is reached by re-executing its
 // action path from the initial state, so the simulator itself never
 // needs checkpointing; a fingerprint set prunes revisits.

@@ -76,15 +76,16 @@ func TestSeededDroppedAck(t *testing.T) {
 	t.Logf("caught: %v", res.Violation.Err)
 }
 
-// TestSeededWeakProbe downgrades every invalidating probe to a
+// TestSeededWeakProbe downgrades every invalidating probe to an L2 to a
 // non-invalidating one, so stale copies survive writes — the checker
-// must flag an SWMR or data-value violation.
+// must flag an SWMR or data-value violation. (The TCC's probes stay
+// invalidations: it is never downgrade-probed and panics on one.)
 func TestSeededWeakProbe(t *testing.T) {
 	res := Run(Config{
 		Opts:     core.Options{},
 		Scenario: Scenarios()[0],
 		Mutate: func(m msg.Message) (msg.Message, bool) {
-			if m.Type == msg.PrbInv {
+			if m.Type == msg.PrbInv && m.Dst != nodeTCC {
 				m.Type = msg.PrbDowngrade
 			}
 			return m, true

@@ -41,7 +41,7 @@ type OracleConfig struct {
 	Opts   core.Options
 	// ReadOnly, when non-nil under Opts.ReadOnlyElision, reports lines
 	// the workload declared read-only: the directory intentionally
-	// leaves them untracked (§IX), so the inclusivity check skips them.
+	// leaves them untracked (§IX), so the inclusivity rules skip them.
 	ReadOnly func(cachearray.LineAddr) bool
 	// Report receives violations; the default panics with the violation,
 	// matching the controllers' own defensive checks. The model checker
@@ -53,18 +53,16 @@ type OracleConfig struct {
 // delivery (noc.DeliveryHook) and every CPU load/store retirement
 // (cpu.Observer) and asserts:
 //
-//   - SWMR: at most one CPU L2 holds a line Exclusive/Modified, and an
-//     exclusive holder excludes all other CPU copies. (The TCC is
-//     exempt: VIPER allows stale GPU copies until an acquire.)
+//   - The coherence invariants of the delivered line (CheckLine): SWMR,
+//     single-owner, stale-victim and, on tracking directories, directory
+//     inclusivity. (The TCC is exempt: VIPER allows stale GPU copies
+//     until an acquire.)
 //   - Data-value: a load retires with a line version at least as new as
 //     the line's global version when the load issued. Versions advance
 //     at store serialization points (CPU store/atomic retirement, WT /
 //     Atomic / DMA-write commits at the directory).
 //   - Mirror consistency: the oracle's message-derived mirror of each
 //     L2 agrees with the real cache (modulo victim-buffer windows).
-//   - Directory inclusivity (tracking modes, quiescent lines only):
-//     cached lines are tracked, exclusive holders are tracked as the
-//     owner, and a tracked owner actually holds the line.
 //
 // The version bookkeeping is deliberately conservative (monotone max
 // merges), so it never flags a legal execution; some exotic stale-data
@@ -73,7 +71,6 @@ type OracleConfig struct {
 type Oracle struct {
 	cfg       OracleConfig
 	cpuByNode map[msg.NodeID]*corepair.CorePair
-	cpuIndex  map[msg.NodeID]int // probe-target index
 
 	lineVer map[cachearray.LineAddr]uint64
 	homeVer map[cachearray.LineAddr]uint64
@@ -87,6 +84,11 @@ type Oracle struct {
 	// data that flows home is whatever the cache holds when it finally
 	// acknowledges.
 	pendingPrb map[prbKey]msg.Type // cleared when the PrbAck is observed
+
+	// view and breaches are checkLine's reused buffers, so a clean
+	// delivery allocates nothing.
+	view     LineView
+	breaches []Breach
 
 	checks uint64
 }
@@ -103,17 +105,16 @@ func NewOracle(cfg OracleConfig) *Oracle {
 	o := &Oracle{
 		cfg:        cfg,
 		cpuByNode:  make(map[msg.NodeID]*corepair.CorePair),
-		cpuIndex:   make(map[msg.NodeID]int),
 		lineVer:    make(map[cachearray.LineAddr]uint64),
 		homeVer:    make(map[cachearray.LineAddr]uint64),
 		copies:     make(map[msg.NodeID]map[cachearray.LineAddr]copyState),
 		pendingPrb: make(map[prbKey]msg.Type),
 	}
-	for i, cp := range cfg.CPUs {
+	for _, cp := range cfg.CPUs {
 		o.cpuByNode[cp.NodeID()] = cp
-		o.cpuIndex[cp.NodeID()] = i
 		o.copies[cp.NodeID()] = make(map[cachearray.LineAddr]copyState)
 	}
+	o.view.L2 = make([]L2Copy, len(cfg.CPUs))
 	if o.cfg.Report == nil {
 		o.cfg.Report = func(v *core.ProtocolViolation) { panic(v) }
 	}
@@ -231,89 +232,35 @@ func (o *Oracle) StoreRetired(node msg.NodeID, line cachearray.LineAddr) {
 func (o *Oracle) checkLine(line cachearray.LineAddr, m *msg.Message) {
 	o.checks++
 
-	// SWMR over the CPU L2s.
-	exclusive, valid := 0, 0
-	for _, cp := range o.cfg.CPUs {
-		switch cp.L2State(line) {
-		case corepair.Exclusive, corepair.Modified:
-			exclusive++
-			valid++
-		case corepair.Shared, corepair.Owned:
-			valid++
-		}
+	v := &o.view
+	for i, cp := range o.cfg.CPUs {
+		wb, _ := cp.WBState(line)
+		v.L2[i] = L2Copy{State: cp.L2State(line), Victim: wb}
 	}
-	if exclusive > 1 || (exclusive == 1 && valid > 1) {
-		o.report("swmr", line, m, fmt.Sprintf(
-			"%d exclusive holder(s) among %d valid CPU copies", exclusive, valid))
+	v.ReadDirectory(o.dirFor(line), line, o.cfg.Opts, o.cfg.ReadOnly)
+	o.breaches = CheckLine(o.breaches[:0], v)
+	for _, b := range o.breaches {
+		o.report(b.Rule, line, m, b.Detail)
 	}
 
 	// Mirror consistency. A pending probe opens a legal window in both
 	// directions: the cache may have invalidated already (the mirror
 	// surrenders the copy only at the acknowledgment), or may still be
 	// deferring the probe behind a store-commit window.
-	for _, cp := range o.cfg.CPUs {
+	for i, cp := range o.cfg.CPUs {
 		n := cp.NodeID()
 		if _, probing := o.pendingPrb[prbKey{n, line}]; probing {
 			continue
 		}
-		real := cp.L2State(line) != corepair.Invalid
-		wb, _ := cp.WBState(line)
+		real := v.L2[i].State != corepair.Invalid
 		mirror := o.copies[n][line].valid
 		if real && !mirror {
 			o.report("mirror", line, m, fmt.Sprintf(
 				"node %d holds the line but the oracle never saw it filled", n))
 		}
-		if mirror && !real && !wb {
+		if mirror && !real && !v.L2[i].Victim {
 			o.report("mirror", line, m, fmt.Sprintf(
 				"oracle believes node %d holds the line but it is neither cached nor in the victim buffer", n))
-		}
-	}
-
-	// Directory inclusivity (tracking modes, quiescent lines only:
-	// in-flight transactions legitimately pass through inconsistent
-	// transient states).
-	if o.cfg.Opts.ReadOnlyElision && o.cfg.ReadOnly != nil && o.cfg.ReadOnly(line) {
-		// Read-only lines are intentionally untracked (§IX); they can
-		// only ever be Shared, which the SWMR check already covers.
-		return
-	}
-	if dir := o.dirFor(line); o.cfg.Opts.Tracking != core.TrackNone && !dir.LineBusy(line) {
-		st, owner, sharers := dir.EntryState(line)
-		for _, cp := range o.cfg.CPUs {
-			n := cp.NodeID()
-			idx := o.cpuIndex[n]
-			cs := cp.L2State(line)
-			if cs == corepair.Invalid {
-				continue
-			}
-			if st == "I" {
-				o.report("inclusivity", line, m, fmt.Sprintf(
-					"node %d holds the line %s but the directory tracks nothing", n, cs))
-			}
-			if cs == corepair.Exclusive || cs == corepair.Modified {
-				if st != "O" || owner != idx {
-					o.report("inclusivity", line, m, fmt.Sprintf(
-						"node %d holds the line %s but the entry is %s with owner %d", n, cs, st, owner))
-				}
-			} else if o.cfg.Opts.Tracking == core.TrackOwnerSharers && o.cfg.Opts.LimitedPointers == 0 {
-				if owner != idx && sharers&(1<<uint(idx)) == 0 {
-					o.report("inclusivity", line, m, fmt.Sprintf(
-						"node %d holds the line %s but is neither owner nor sharer (entry %s owner=%d sharers=%#x)",
-						n, cs, st, owner, sharers))
-				}
-			}
-		}
-		if st == "O" {
-			ownerHolds := false
-			if owner >= 0 && owner < len(o.cfg.CPUs) {
-				cp := o.cfg.CPUs[owner]
-				wb, _ := cp.WBState(line)
-				ownerHolds = cp.L2State(line) != corepair.Invalid || wb
-			}
-			if !ownerHolds {
-				o.report("inclusivity", line, m, fmt.Sprintf(
-					"entry is O with owner %d but the owner holds nothing (not cached, not in the victim buffer)", owner))
-			}
 		}
 	}
 }
