@@ -107,8 +107,16 @@ type Outcome struct {
 	Transitions *fsm.Recorder
 }
 
-// runSystem executes one workload on one cell with the oracle on.
-func runSystem(w system.Workload, cl Cell, maxTicks sim.Tick, record bool) (Outcome, error) {
+// runSystem executes one workload on one cell with the oracle on. A
+// panic in the run, such as a controller meeting a message a seeded
+// mutator rewrote, fails the cell with an error naming it and the panic
+// value; the caller's worker and the process carry on.
+func runSystem(w system.Workload, cl Cell, maxTicks sim.Tick, record bool) (out Outcome, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = Outcome{}, fmt.Errorf("cell %s panicked: %v", cl, r)
+		}
+	}()
 	cfg := EvalConfig(cl.Opts)
 	cfg.DirBanks = cl.Banks
 	cfg.Oracle = true

@@ -1,12 +1,14 @@
 package conform
 
 import (
+	"strings"
 	"testing"
 
 	"hscsim/internal/cachearray"
 	"hscsim/internal/chai"
 	"hscsim/internal/core"
 	"hscsim/internal/sim"
+	"hscsim/internal/system"
 	"hscsim/internal/verify"
 )
 
@@ -63,6 +65,28 @@ func TestRandomCaseDifferential(t *testing.T) {
 		c := RandomCase(seed, 3, 24, 8)
 		if fail := DiffCase(c, cells, caseMaxTicks); fail != nil {
 			t.Fatalf("%s\n%s", fail.Error(), c)
+		}
+	}
+}
+
+// TestControllerPanicFailsCell: a mutator that rewrites an
+// invalidation bound for the TCC (node 4) into a downgrade makes the
+// GPU cache complex panic on a message it never expects. The panic must
+// fail that cell with an error naming the cell and the panic value, not
+// kill the test binary from a diffWorkload worker.
+func TestControllerPanicFailsCell(t *testing.T) {
+	build := func() (system.Workload, error) {
+		return chai.ByName("tq", chai.Params{Scale: 1, CPUThreads: 4, Seed: 1})
+	}
+	cell := Cell{Opts: verify.Variants()[0], Mutate: StaleSharerMask(4)}
+	fail, _ := DiffWorkload("tq", build, []Cell{cell}, 0)
+	if fail == nil || fail.Err == nil {
+		t.Fatalf("failure = %v, want the cell's run error", fail)
+	}
+	msg := fail.Err.Error()
+	for _, want := range []string{"cell " + cell.String() + " panicked", "unexpected PrbDowngrade"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q does not contain %q", msg, want)
 		}
 	}
 }

@@ -82,36 +82,47 @@ func (e *Engine) Stream(base uint64, length int, write bool, maxOutstanding int,
 	}
 	first := cachearray.LineAddr(base >> 6)
 	last := cachearray.LineAddr((base + uint64(length) - 1) >> 6)
-	total := int(last-first) + 1
-	next := first
-	inflight, finished := 0, 0
+	s := &stream{e: e, next: first, end: last + 1, write: write, max: maxOutstanding,
+		left: int(last-first) + 1, done: done}
+	s.lineDone = s.completeLine
+	s.pump()
+}
 
-	var pump func()
-	issue := func() {
-		line := next
-		next++
-		inflight++
-		cb := func() {
-			inflight--
-			finished++
-			if finished == total {
-				done()
-				return
-			}
-			pump()
-		}
-		if write {
-			e.WriteBlock(line, cb)
+// stream is one Stream call in flight. Every line request completes
+// through lineDone, bound once per stream.
+type stream struct {
+	e         *Engine
+	next, end cachearray.LineAddr // lines [next, end) are not yet issued
+	write     bool
+	max       int // requests kept in flight
+	inflight  int
+	left      int // lines not yet completed
+	done      func()
+	lineDone  func()
+}
+
+// pump issues lines until max are in flight or none is left.
+func (s *stream) pump() {
+	for s.inflight < s.max && s.next < s.end {
+		line := s.next
+		s.next++
+		s.inflight++
+		if s.write {
+			s.e.WriteBlock(line, s.lineDone)
 		} else {
-			e.ReadBlock(line, cb)
+			s.e.ReadBlock(line, s.lineDone)
 		}
 	}
-	pump = func() {
-		for inflight < maxOutstanding && int(next-first) < total {
-			issue()
-		}
+}
+
+func (s *stream) completeLine() {
+	s.inflight--
+	s.left--
+	if s.left == 0 {
+		s.done()
+		return
 	}
-	pump()
+	s.pump()
 }
 
 // Receive implements noc.Handler.

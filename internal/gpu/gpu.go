@@ -48,12 +48,22 @@ type Dispatcher struct {
 	fm     *memdata.Memory
 	cfg    Config
 
-	queue  []*launch
-	active *launch
+	queue   []launch // kernels waiting to start, oldest first
+	active  launch   // the running kernel; k is nil when none runs
+	flushed func()   // kernelFlushed, bound once
 
-	// resident lists the waves started and not yet finished, so a run
-	// torn down early can stop their coroutines (Abort).
+	// The running kernel's dispatch state, reset by startNext and
+	// reused by every kernel.
+	wavesLeft int
+	cus       []cuState // per CU
+	barriers  []barrier // per workgroup, reused across barriers and kernels
+
+	// Wave slots: resident lists the waves started and not yet
+	// finished, idle the slots free for the next wave to start. Every
+	// slot's coroutine stays parked, mid-op or between waves, until
+	// Abort stops it.
 	resident []*waveRun
+	idle     []*waveRun
 
 	// rec records fired dispatch transitions for the static-vs-dynamic
 	// cross-check (cmd/hscproto); nil (the default) disables recording.
@@ -72,12 +82,14 @@ type Stats struct {
 type launch struct {
 	k *prog.Kernel
 	h *prog.KernelHandle
+}
 
-	wavesLeft  int
-	cuQueues   [][]int   // per-CU list of assigned workgroups
-	cuActive   []int     // workgroups currently resident per CU
-	cuWaveDone []int     // per-CU finished-wave count (workgroup retirement)
-	barriers   []barrier // per workgroup, reused across its barriers
+// cuState is one CU's share of the running kernel. CU cu runs
+// workgroups cu, cu+NumCUs, cu+2·NumCUs, … in that order.
+type cuState struct {
+	next      int // next workgroup to start
+	active    int // workgroups resident
+	wavesDone int // finished waves (workgroup retirement)
 }
 
 // barrier collects a workgroup's waves until all have arrived.
@@ -85,17 +97,18 @@ type barrier struct {
 	waiting []*waveRun
 }
 
-// waveRun executes one wavefront. Like an in-order core it has at most
-// one op in flight: the op lives in cur, its line accesses count down
-// in pending, and the callbacks that finish it are bound once per wave,
-// so issuing an op builds no closure.
+// waveRun is a wave slot: it executes one wavefront at a time on its
+// prog.Wave, and the dispatcher keeps it, with its scratch buffers and
+// callbacks, for the waves and kernels that follow. Like an in-order
+// core it has at most one op in flight: the op lives in cur, its line
+// accesses count down in pending, and the callbacks that finish it are
+// bound once per slot, so issuing an op builds no closure.
 type waveRun struct {
 	d    *Dispatcher
-	l    *launch
 	w    *prog.Wave
 	cu   int
 	opsN int
-	slot int // index in d.resident
+	idx  int // index in d.resident
 
 	cur     prog.WaveOp
 	pending int                   // line accesses of cur still outstanding
@@ -111,7 +124,10 @@ type waveRun struct {
 // New creates the dispatcher.
 func New(engine *sim.Engine, caches *gpucache.GPUCaches, fm *memdata.Memory,
 	cfg Config) *Dispatcher {
-	return &Dispatcher{engine: engine, caches: caches, fm: fm, cfg: cfg}
+	d := &Dispatcher{engine: engine, caches: caches, fm: fm, cfg: cfg,
+		cus: make([]cuState, cfg.NumCUs)}
+	d.flushed = d.kernelFlushed
+	return d
 }
 
 // SetRecorder attaches (or, with nil, detaches) a transition recorder.
@@ -119,74 +135,91 @@ func (d *Dispatcher) SetRecorder(r *fsm.Recorder) { d.rec = r }
 
 // Launch implements cpu.Dispatcher.
 func (d *Dispatcher) Launch(k *prog.Kernel, h *prog.KernelHandle) {
-	d.queue = append(d.queue, &launch{k: k, h: h})
-	if d.active == nil {
+	d.queue = append(d.queue, launch{k: k, h: h})
+	if d.active.k == nil {
 		d.startNext()
 	}
 }
 
 // Busy reports whether a kernel is running or queued.
-func (d *Dispatcher) Busy() bool { return d.active != nil || len(d.queue) > 0 }
+func (d *Dispatcher) Busy() bool { return d.active.k != nil || len(d.queue) > 0 }
 
 func (d *Dispatcher) startNext() {
 	if len(d.queue) == 0 {
-		d.active = nil
+		d.active = launch{}
 		return
 	}
-	l := d.queue[0]
-	d.queue = d.queue[1:]
-	d.active = l
+	d.active = d.queue[0]
+	d.queue = slices.Delete(d.queue, 0, 1)
 	d.Stats.Kernels++
 
-	l.wavesLeft = l.k.Workgroups * l.k.WavesPerWG
-	l.cuQueues = make([][]int, d.cfg.NumCUs)
-	l.cuActive = make([]int, d.cfg.NumCUs)
-	l.barriers = make([]barrier, l.k.Workgroups)
-	for wg := 0; wg < l.k.Workgroups; wg++ {
-		cu := wg % d.cfg.NumCUs
-		l.cuQueues[cu] = append(l.cuQueues[cu], wg)
+	k := d.active.k
+	d.wavesLeft = k.Workgroups * k.WavesPerWG
+	for cu := range d.cus {
+		d.cus[cu] = cuState{next: cu}
+	}
+	if n := k.Workgroups - len(d.barriers); n > 0 {
+		d.barriers = append(d.barriers, make([]barrier, n)...)
 	}
 	// Kernel-launch acquire: invalidate the TCPs (VIPER acquire).
-	for cu := 0; cu < d.cfg.NumCUs; cu++ {
+	for cu := range d.cus {
 		d.caches.AcquireInvalidate(cu)
-		d.fillCU(l, cu)
+		d.fillCU(cu)
 	}
-	if l.wavesLeft == 0 { // empty grid
-		d.finish(l)
-	}
-}
-
-func (d *Dispatcher) fillCU(l *launch, cu int) {
-	for l.cuActive[cu] < d.cfg.MaxWGPerCU && len(l.cuQueues[cu]) > 0 {
-		wg := l.cuQueues[cu][0]
-		l.cuQueues[cu] = l.cuQueues[cu][1:]
-		l.cuActive[cu]++
-		d.startWorkgroup(l, cu, wg)
+	if d.wavesLeft == 0 { // empty grid
+		d.finish()
 	}
 }
 
-func (d *Dispatcher) startWorkgroup(l *launch, cu, wg int) {
-	for lane := 0; lane < l.k.WavesPerWG; lane++ {
-		global := wg*l.k.WavesPerWG + lane
-		wr := &waveRun{d: d, l: l, cu: cu, slot: len(d.resident)}
-		wr.w = prog.NewWave(wg, lane, global, l.k.Fn)
-		wr.cb.execCur = wr.execCur
-		wr.cb.lineRead = wr.lineRead
-		wr.cb.lineWritten = wr.lineWritten
-		wr.cb.atomicDone = wr.atomicDone
+func (d *Dispatcher) fillCU(cu int) {
+	c := &d.cus[cu]
+	for c.active < d.cfg.MaxWGPerCU && c.next < d.active.k.Workgroups {
+		wg := c.next
+		c.next += len(d.cus)
+		c.active++
+		d.startWorkgroup(cu, wg)
+	}
+}
+
+func (d *Dispatcher) startWorkgroup(cu, wg int) {
+	k := d.active.k
+	for lane := 0; lane < k.WavesPerWG; lane++ {
+		wr := d.slot()
+		wr.cu, wr.opsN, wr.idx = cu, 0, len(d.resident)
+		wr.w.Start(wg, lane, wg*k.WavesPerWG+lane, k.Fn)
 		d.resident = append(d.resident, wr)
 		d.engine.Post(0, wr, waveKindStart, 0, nil)
 	}
 }
 
-// Abort stops the coroutine of every wave still resident. A run that
-// ends early (MaxTicks, cancellation, a deadlock) calls it from its
-// teardown; waves that finished have already returned.
+// slot returns an idle wave slot, making one when none is free. Which
+// slot runs a wave never enters the event order.
+func (d *Dispatcher) slot() *waveRun {
+	if n := len(d.idle); n > 0 {
+		wr := d.idle[n-1]
+		d.idle = d.idle[:n-1]
+		return wr
+	}
+	wr := &waveRun{d: d, w: prog.NewWave()}
+	wr.cb.execCur = wr.execCur
+	wr.cb.lineRead = wr.lineRead
+	wr.cb.lineWritten = wr.lineWritten
+	wr.cb.atomicDone = wr.atomicDone
+	return wr
+}
+
+// Abort stops the coroutine of every wave slot, resident or idle. A run
+// calls it from its teardown: idle slots park between waves, and a run
+// that ends early (MaxTicks, cancellation, a deadlock) leaves resident
+// waves suspended mid-op.
 func (d *Dispatcher) Abort() {
 	for _, wr := range d.resident {
 		wr.w.Abort()
 	}
-	d.resident = nil
+	for _, wr := range d.idle {
+		wr.w.Abort()
+	}
+	d.resident, d.idle = nil, nil
 }
 
 // gpuTicks converts GPU cycles to engine ticks (rounded up).
@@ -207,7 +240,7 @@ func (wr *waveRun) step() {
 	wr.opsN++
 	wr.cur = op
 	if wr.d.cfg.IFetchEvery > 0 && wr.opsN%wr.d.cfg.IFetchEvery == 1 {
-		code := wr.l.k.CodeAddr + memdata.Addr((wr.opsN/wr.d.cfg.IFetchEvery)%64*64)
+		code := wr.d.active.k.CodeAddr + memdata.Addr((wr.opsN/wr.d.cfg.IFetchEvery)%64*64)
 		wr.d.caches.IFetch(wr.cu, cachearray.LineAddr(code>>6), wr.cb.execCur)
 		return
 	}
@@ -247,9 +280,9 @@ func (wr *waveRun) execCur() {
 
 	case prog.WaveBarrier:
 		d.rec.Record(machine, "-", "Barrier", "-") //proto:actions join workgroup barrier
-		b := &wr.l.barriers[wr.w.WG]
+		b := &d.barriers[wr.w.WG]
 		b.waiting = append(b.waiting, wr)
-		if len(b.waiting) == wr.l.k.WavesPerWG {
+		if len(b.waiting) == d.active.k.WavesPerWG {
 			for _, r := range b.waiting {
 				d.engine.Post(d.gpuTicks(4), r, waveKindResume, 0, nil)
 			}
@@ -317,44 +350,35 @@ func (wr *waveRun) resume(vals []uint64) {
 func (d *Dispatcher) waveDone(wr *waveRun) {
 	d.Stats.WavesDone++
 	last := d.resident[len(d.resident)-1]
-	last.slot = wr.slot
-	d.resident[wr.slot] = last
+	last.idx = wr.idx
+	d.resident[wr.idx] = last
 	d.resident[len(d.resident)-1] = nil
 	d.resident = d.resident[:len(d.resident)-1]
-	l := wr.l
-	l.wavesLeft--
-	// Track workgroup retirement: when every wave of the CU's resident
-	// workgroups has finished we can bring in the next workgroup. We
-	// retire at wave granularity: a workgroup slot frees after
-	// WavesPerWG waves of that CU finish.
-	wgWaves := l.k.WavesPerWG
-	if wgDone := wr.countCUWaveDone(wgWaves); wgDone {
-		l.cuActive[wr.cu]--
-		d.fillCU(l, wr.cu)
+	d.idle = append(d.idle, wr)
+	d.wavesLeft--
+	// Workgroups retire at wave granularity: every WavesPerWG-th wave
+	// to finish on a CU frees one of its workgroup places for the
+	// CU's next workgroup.
+	cu := wr.cu
+	c := &d.cus[cu]
+	c.wavesDone++
+	if c.wavesDone%d.active.k.WavesPerWG == 0 {
+		c.active--
+		d.fillCU(cu)
 	}
-	if l.wavesLeft == 0 {
-		d.finish(l)
+	if d.wavesLeft == 0 {
+		d.finish()
 	}
 }
 
-// countCUWaveDone tracks per-CU finished waves; every WavesPerWG-th
-// completion frees one workgroup slot.
-func (wr *waveRun) countCUWaveDone(wavesPerWG int) bool {
-	l := wr.l
-	if l.cuWaveDone == nil {
-		l.cuWaveDone = make([]int, len(l.cuActive))
-	}
-	l.cuWaveDone[wr.cu]++
-	return l.cuWaveDone[wr.cu]%wavesPerWG == 0
-}
+// finish releases the kernel once its last wave is done: a flush (WB
+// mode) and a fence at the directory, then kernelFlushed.
+func (d *Dispatcher) finish() { d.caches.ReleaseFlush(d.flushed) }
 
-func (d *Dispatcher) finish(l *launch) {
-	// Kernel-end release: flush (WB mode) and fence at the directory,
-	// then signal the host.
-	d.caches.ReleaseFlush(func() {
-		l.h.CompleteKernel()
-		d.startNext()
-	})
+// kernelFlushed signals the host and starts the next queued kernel.
+func (d *Dispatcher) kernelFlushed() {
+	d.active.h.CompleteKernel()
+	d.startNext()
 }
 
 // coalesce appends to dst the sorted, deduplicated line addresses of

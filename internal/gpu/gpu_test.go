@@ -33,13 +33,16 @@ func (d *grantDir) Receive(m msg.Message) {
 }
 
 type gpuRig struct {
-	t  *testing.T
+	t  testing.TB
 	e  *sim.Engine
 	d  *Dispatcher
 	fm *memdata.Memory
 }
 
-func newGPURig(t *testing.T, cfg Config) *gpuRig {
+// newGPURig builds a dispatcher over a GPU cache complex and a
+// directory that grants everything; the test's cleanup stops its wave
+// slots.
+func newGPURig(t testing.TB, cfg Config) *gpuRig {
 	t.Helper()
 	e := sim.NewEngine()
 	e.MaxTicks = 10_000_000
@@ -49,6 +52,7 @@ func newGPURig(t *testing.T, cfg Config) *gpuRig {
 	ic.Register(9, dir)
 	caches := gpucache.New(e, ic, []msg.NodeID{4}, 9, fm, gpucache.DefaultConfig(), cfg.NumCUs)
 	d := New(e, caches, fm, cfg)
+	t.Cleanup(d.Abort)
 	return &gpuRig{t: t, e: e, d: d, fm: fm}
 }
 
@@ -65,21 +69,30 @@ func (r *gpuRig) launch(k *prog.Kernel) *prog.KernelHandle {
 	return h
 }
 
+// TestKernelRunsAllWaves: a kernel with more waves than fit on the CUs
+// at once runs every wave, each with its own IDs, the later ones in the
+// slots earlier ones freed; the dispatcher keeps only as many slots as
+// were resident.
 func TestKernelRunsAllWaves(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NumCUs = 2
 	r := newGPURig(t, cfg)
-	ran := make(map[int]bool)
+	ran := make(map[[3]int]bool)
 	k := &prog.Kernel{
 		Name: "k", Workgroups: 6, WavesPerWG: 2,
 		Fn: func(w *prog.Wave) {
-			ran[w.Global] = true
-			w.Compute(4)
+			ran[[3]int{w.WG, w.Lane, w.Global}] = true
+			w.Compute(uint64(1 + w.Global%3))
 		},
 	}
 	r.launch(k)
-	if len(ran) != 12 {
-		t.Fatalf("ran %d waves, want 12", len(ran))
+	for g := 0; g < 12; g++ {
+		if !ran[[3]int{g / 2, g % 2, g}] {
+			t.Fatalf("wave %d did not run as lane %d of workgroup %d: ran %v", g, g%2, g/2, ran)
+		}
+	}
+	if len(ran) != 12 || len(r.d.idle) != 8 {
+		t.Fatalf("%d waves ran in %d slots, want 12 in 8 (2 CUs × 2 workgroups × 2 waves)", len(ran), len(r.d.idle))
 	}
 	if r.d.Busy() {
 		t.Fatal("dispatcher still busy")
@@ -271,5 +284,52 @@ func TestSteadyStateWaveOpAllocs(t *testing.T) {
 		if got := waveOpAllocs(t, tc.wavesPerWG, tc.op); got != tc.want {
 			t.Errorf("%s allocates %g/op, want %g", tc.name, got, tc.want)
 		}
+	}
+}
+
+// relaunchKernel is a 16-workgroup × 2-wave kernel whose waves each
+// issue a compute op, a system atomic and a load.
+func relaunchKernel() *prog.Kernel {
+	return &prog.Kernel{Name: "relaunch", Workgroups: 16, WavesPerWG: 2,
+		Fn: func(w *prog.Wave) {
+			w.Compute(4)
+			w.AtomicSysAdd(256, 1)
+			w.Load(memdata.Addr(64 * w.Global))
+		}}
+}
+
+// maxRelaunchAllocs bounds a warm relaunch of relaunchKernel: the
+// caller's KernelHandle, and nothing per kernel or wave.
+const maxRelaunchAllocs = 1
+
+// TestWarmRelaunchReusesWaveSlots: relaunching a kernel on a warm
+// dispatcher starts its 32 waves in the slots, executors and coroutines
+// the previous launch left idle, so it allocates no wave.
+func TestWarmRelaunchReusesWaveSlots(t *testing.T) {
+	r := newGPURig(t, DefaultConfig())
+	k := relaunchKernel()
+	r.launch(k)
+	slots := len(r.d.idle)
+	if got := testing.AllocsPerRun(10, func() { r.launch(k) }); got > maxRelaunchAllocs {
+		t.Errorf("a warm relaunch allocates %.0f, want at most %d", got, maxRelaunchAllocs)
+	}
+	if len(r.d.idle) != slots || len(r.d.resident) != 0 {
+		t.Errorf("%d idle and %d resident slots after relaunches, want %d and 0",
+			len(r.d.idle), len(r.d.resident), slots)
+	}
+}
+
+// BenchmarkKernelRelaunch measures a warm relaunch of a 16-workgroup ×
+// 2-wave kernel on one dispatcher, to completion: dispatch, 96 wave
+// ops through the caches and the release flush. The benchgate baseline
+// gates its allocations.
+func BenchmarkKernelRelaunch(b *testing.B) {
+	r := newGPURig(b, DefaultConfig())
+	k := relaunchKernel()
+	r.launch(k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.launch(k)
 	}
 }

@@ -58,6 +58,10 @@ const (
 	WaveAtomicDev
 	WaveBarrier
 	WaveCompute
+
+	// waveEnd is what a slot yields when a body returns; NextOp reports
+	// it as the end of the wave.
+	waveEnd
 )
 
 // WaveOp is one wavefront operation delivered to the executing CU.
@@ -72,13 +76,18 @@ type WaveOp struct {
 	Cycles  uint64
 }
 
-// Wave is the context a wavefront program runs against.
+// Wave is the context a wavefront program runs against. It is a slot:
+// one resident wave's coroutine, which runs the bodies Start loads one
+// after another, as a CU runs successive wavefronts in a fixed set of
+// wave slots. The executor keeps the slot, and the callbacks it binds
+// to it, across waves and kernels.
 type Wave struct {
 	WG     int // workgroup index
 	Lane   int // wavefront index within the workgroup
 	Global int // global wavefront index
 
 	co  coroutine[WaveOp]
+	fn  func(*Wave) // the body Start loaded, until it begins
 	res []uint64
 
 	// Single-word Load/Store operands: the executor reads them only
@@ -87,12 +96,36 @@ type Wave struct {
 	val1  [1]uint64
 }
 
-// NewWave returns the wavefront context; the program starts at the
-// first NextOp (see CPUThread.NextOp).
-func NewWave(wg, lane, global int, fn func(*Wave)) *Wave {
-	w := &Wave{WG: wg, Lane: lane, Global: global}
-	w.co.init(func() { fn(w) })
+// NewWave returns an idle slot; Start loads its first body. Its
+// coroutine starts at the first NextOp and parks between bodies, so an
+// executor must Abort every slot it made once the run ends.
+func NewWave() *Wave {
+	w := &Wave{}
+	w.co.init(w.run)
 	return w
+}
+
+// Start loads the next wave body into an idle slot (new, or one whose
+// NextOp has reported the end of its last body): fn runs as wavefront
+// global, lane lane of workgroup wg, from the slot's next NextOp.
+func (w *Wave) Start(wg, lane, global int, fn func(*Wave)) {
+	w.WG, w.Lane, w.Global = wg, lane, global
+	w.fn, w.res = fn, nil
+}
+
+// run is the slot's coroutine: each loaded body in turn, with a waveEnd
+// yield after each. A stop there ends the coroutine; a stop while a
+// body is suspended in an op unwinds that body (coroutine.issue).
+func (w *Wave) run() {
+	for {
+		if fn := w.fn; fn != nil {
+			w.fn = nil
+			fn(w)
+		}
+		if !w.co.yield(WaveOp{Kind: waveEnd}) {
+			return
+		}
+	}
 }
 
 func (w *Wave) do(op WaveOp) []uint64 {
@@ -157,9 +190,13 @@ func (w *Wave) Barrier() { w.do(WaveOp{Kind: WaveBarrier}) }
 // Compute advances the wavefront by the given number of GPU cycles.
 func (w *Wave) Compute(gpuCycles uint64) { w.do(WaveOp{Kind: WaveCompute, Cycles: gpuCycles}) }
 
-// NextOp resumes the wavefront until its next operation (see
-// CPUThread.NextOp).
-func (w *Wave) NextOp() (WaveOp, bool) { return w.co.next() }
+// NextOp resumes the wavefront until its next operation, or returns
+// ok == false once the body Start loaded has returned; the slot is then
+// idle. A panic in the body propagates out of NextOp and ends the slot.
+func (w *Wave) NextOp() (WaveOp, bool) {
+	op, ok := w.co.next()
+	return op, ok && op.Kind != waveEnd
+}
 
 // Complete records an operation's results (loaded values, or an
 // atomic's old value in v[0]; nil for the rest). v needs to stay valid
@@ -167,7 +204,9 @@ func (w *Wave) NextOp() (WaveOp, bool) { return w.co.next() }
 // buffer, and Load and the atomics read a single word.
 func (w *Wave) Complete(v []uint64) { w.res = v }
 
-// Abort stops the wavefront (see CPUThread.Abort).
+// Abort stops the slot: a body suspended in an op unwinds, a body
+// loaded but not begun never runs, an idle slot's coroutine returns,
+// and later NextOps report false. Idempotent.
 func (w *Wave) Abort() { w.co.stop() }
 
 // Arena is a bump allocator carving benchmark data structures out of

@@ -4,18 +4,22 @@
 // GPU wavefronts written as ordinary Go functions that issue memory
 // operations through a context object.
 //
-// Each thread/wavefront is an iter.Pull coroutine driven by its
-// executor (a cpu.Core or a gpu wave) on the simulation engine's own
-// goroutine. NextOp resumes the program until it issues its next
-// operation; Complete stores that operation's result, which the
-// program reads when the next NextOp resumes it. Control therefore
-// alternates strictly between engine and program, one program at a
-// time, and execution is fully deterministic. A program starts at its
-// executor's first NextOp, not at construction, so even the code before
-// its first operation runs on the executor's schedule; a panic in the
-// program surfaces from NextOp with its value. Abort stops a suspended
-// program; every coroutine must end in a return or an Abort, or its
-// goroutine stays parked for the life of the process.
+// Each CPU thread is an iter.Pull coroutine, and so is each GPU wave
+// slot (Wave), whose one coroutine runs the wave bodies loaded into it
+// one after another. The executor (a cpu.Core or a gpu wave slot)
+// drives the coroutine on the simulation engine's own goroutine.
+// NextOp resumes the program until it issues its next operation;
+// Complete stores that operation's result, which the program reads when
+// the next NextOp resumes it. Control therefore alternates strictly
+// between engine and program, one program at a time, and execution is
+// fully deterministic. A program starts at its executor's first NextOp,
+// not at construction, so even the code before its first operation runs
+// on the executor's schedule; a panic in the program surfaces from
+// NextOp with its value. Abort stops a coroutine, unwinding a program
+// suspended in an op. A thread's coroutine also ends when its program
+// returns, but a wave slot's parks between bodies, so only Abort ends
+// it. A coroutine that is never ended stays parked, with its goroutine,
+// for the life of the process.
 //
 // An operation's operand slices (addresses, store values) are read by
 // the executor only while the program is suspended on that operation,
@@ -54,11 +58,12 @@ type coroutine[O any] struct {
 	stop  func()
 }
 
-func (c *coroutine[O]) init(body func()) {
+// init makes run the coroutine's program; it starts at the first next.
+func (c *coroutine[O]) init(run func()) {
 	c.next, c.stop = iter.Pull(func(yield func(O) bool) {
 		c.yield = yield
 		defer recoverAborted()
-		body()
+		run()
 	})
 }
 

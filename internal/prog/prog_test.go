@@ -274,30 +274,19 @@ func TestKernelHandleWaiters(t *testing.T) {
 	}
 }
 
-func TestWaveRendezvous(t *testing.T) {
-	fm := memdata.New()
-	fm.Write(0, 11)
-	fm.Write(8, 22)
-	var vals, again []uint64
-	w := NewWave(0, 1, 2, func(wv *Wave) {
-		vals = wv.VecLoad(nil, []memdata.Addr{0, 8})
-		wv.Store(16, vals[0]+vals[1])
-		again = wv.VecLoad(vals, []memdata.Addr{16, 0})
-		wv.Barrier()
-		wv.Compute(5)
-	})
-	if w.WG != 0 || w.Lane != 1 || w.Global != 2 {
-		t.Fatal("wave ids wrong")
-	}
-	// Like the gpu executor, this one hands every load the same buffer:
-	// VecLoad must append it to the program's own, which outlives later
-	// ops.
+// driveWave runs the body loaded into w to its end against a plain
+// functional memory and returns the kinds of the ops it issued. Like the
+// gpu executor, it hands every load the same buffer: VecLoad must append
+// it to the program's own, which outlives later ops.
+func driveWave(w *Wave, fm *memdata.Memory) []WaveOpKind {
+	var kinds []WaveOpKind
 	var buf []uint64
 	for {
 		op, ok := w.NextOp()
 		if !ok {
-			break
+			return kinds
 		}
+		kinds = append(kinds, op.Kind)
 		switch op.Kind {
 		case WaveVecLoad:
 			buf = buf[:0]
@@ -314,6 +303,26 @@ func TestWaveRendezvous(t *testing.T) {
 			w.Complete(nil)
 		}
 	}
+}
+
+func TestWaveRendezvous(t *testing.T) {
+	fm := memdata.New()
+	fm.Write(0, 11)
+	fm.Write(8, 22)
+	var vals, again []uint64
+	w := NewWave()
+	defer w.Abort()
+	w.Start(0, 1, 2, func(wv *Wave) {
+		vals = wv.VecLoad(nil, []memdata.Addr{0, 8})
+		wv.Store(16, vals[0]+vals[1])
+		again = wv.VecLoad(vals, []memdata.Addr{16, 0})
+		wv.Barrier()
+		wv.Compute(5)
+	})
+	if w.WG != 0 || w.Lane != 1 || w.Global != 2 {
+		t.Fatal("wave ids wrong")
+	}
+	driveWave(w, fm)
 	if vals[0] != 11 || vals[1] != 22 || fm.Read(16) != 33 {
 		t.Fatalf("vals=%v sum=%d", vals, fm.Read(16))
 	}
@@ -323,7 +332,9 @@ func TestWaveRendezvous(t *testing.T) {
 }
 
 func TestVecStoreLengthMismatchPanics(t *testing.T) {
-	w := NewWave(0, 0, 0, func(wv *Wave) {
+	w := NewWave()
+	defer w.Abort()
+	w.Start(0, 0, 0, func(wv *Wave) {
 		defer func() {
 			if recover() == nil {
 				t.Error("mismatched VecStore did not panic")
@@ -331,16 +342,12 @@ func TestVecStoreLengthMismatchPanics(t *testing.T) {
 		}()
 		wv.VecStore([]memdata.Addr{0, 8}, []uint64{1})
 	})
-	for {
-		if _, ok := w.NextOp(); !ok {
-			break
-		}
-		w.Complete(nil)
-	}
+	driveWave(w, memdata.New())
 }
 
 func TestWaveAtomicsAndAbort(t *testing.T) {
-	w := NewWave(0, 0, 0, func(wv *Wave) {
+	w := NewWave()
+	w.Start(0, 0, 0, func(wv *Wave) {
 		wv.AtomicSysAdd(0, 1)
 		wv.AtomicDevAdd(8, 2)
 		wv.Load(16) // aborted here
@@ -361,6 +368,98 @@ func TestWaveAtomicsAndAbort(t *testing.T) {
 	w.Abort()
 	if _, ok := w.NextOp(); ok {
 		t.Fatal("aborted wave issued another op")
+	}
+}
+
+// TestWaveSlotRunsBodiesInTurn: one slot runs two bodies one after
+// the other on its one coroutine. Each sees the IDs Start gave it and
+// its own results, and NextOp reports the end of each body.
+func TestWaveSlotRunsBodiesInTurn(t *testing.T) {
+	fm := memdata.New()
+	fm.Write(0, 7)
+	type seen struct{ wg, lane, global int }
+	var ids []seen
+	var sum uint64
+	body := func(wv *Wave) {
+		ids = append(ids, seen{wv.WG, wv.Lane, wv.Global})
+		v := wv.Load(memdata.Addr(8 * wv.Global))
+		wv.Store(memdata.Addr(8*wv.Global+8), v+1)
+		sum += v
+	}
+	w := NewWave()
+	defer w.Abort()
+	w.Start(0, 0, 0, body)
+	first := driveWave(w, fm)
+	if _, ok := w.NextOp(); ok {
+		t.Fatal("an idle slot issued an op")
+	}
+	w.Start(3, 1, 1, body)
+	second := driveWave(w, fm)
+	want := []WaveOpKind{WaveVecLoad, WaveVecStore}
+	if !slices.Equal(first, want) || !slices.Equal(second, want) {
+		t.Fatalf("ops = %v then %v, want %v each", first, second, want)
+	}
+	if !slices.Equal(ids, []seen{{0, 0, 0}, {3, 1, 1}}) {
+		t.Fatalf("bodies saw ids %v", ids)
+	}
+	// The second body loaded the first one's store: 7, then 8.
+	if sum != 15 || fm.Read(16) != 9 {
+		t.Fatalf("sum = %d, [16] = %d; want 15 and 9", sum, fm.Read(16))
+	}
+}
+
+// TestWaveSlotAbortSkipsLoadedBody: a body loaded into a slot but not
+// yet begun never runs once the slot is aborted, on a new slot and on
+// one idle after an earlier body.
+func TestWaveSlotAbortSkipsLoadedBody(t *testing.T) {
+	ran := 0
+	body := func(wv *Wave) { ran++ }
+	fresh := NewWave()
+	fresh.Start(0, 0, 0, body)
+	fresh.Abort()
+
+	used := NewWave()
+	used.Start(0, 0, 0, body)
+	driveWave(used, memdata.New())
+	used.Start(0, 0, 1, body)
+	used.Abort()
+	used.Abort() // idempotent
+	for _, w := range []*Wave{fresh, used} {
+		if _, ok := w.NextOp(); ok {
+			t.Fatal("an aborted slot issued an op")
+		}
+	}
+	if ran != 1 {
+		t.Fatalf("%d bodies ran, want only the one driven before Abort", ran)
+	}
+}
+
+// TestWaveSlotPanicInLaterBody: a panic in a slot's second body
+// surfaces from NextOp with its value, and the slot is finished after.
+func TestWaveSlotPanicInLaterBody(t *testing.T) {
+	w := NewWave()
+	defer w.Abort()
+	w.Start(0, 0, 0, func(wv *Wave) { wv.Compute(1) })
+	driveWave(w, memdata.New())
+	w.Start(0, 0, 1, func(wv *Wave) {
+		wv.Compute(1)
+		panic("second body")
+	})
+	if _, ok := w.NextOp(); !ok {
+		t.Fatal("no first op from the second body")
+	}
+	w.Complete(nil)
+	func() {
+		defer func() {
+			if r := recover(); r != "second body" {
+				t.Fatalf("NextOp panicked with %v, want the body's value", r)
+			}
+		}()
+		w.NextOp()
+		t.Fatal("NextOp returned past the body's panic")
+	}()
+	if _, ok := w.NextOp(); ok {
+		t.Fatal("a panicked slot issued another op")
 	}
 }
 

@@ -2,16 +2,20 @@
 //
 // A component declares its counters as a struct of plain uint64 fields
 // plus Histogram values, each named by a `stat:"name"` tag, and bumps
-// them in place. Every simulated system runs on one goroutine, so
-// nothing here is atomic or locked. A Table, built once per struct type
-// at package init, turns such a struct into the flat "prefix.name" →
+// them in place. Every simulated system runs on one goroutine, so no
+// counter is atomic or locked. A Table, built once per struct type at
+// package init, turns such a struct into the flat "prefix.name" →
 // value map that run results carry; the caller picks each component's
-// prefix.
+// prefix. The key strings are built once per prefix and kept, so a
+// run's dump allocates no key; systems on several goroutines share
+// them, under a lock.
 package stats
 
 import (
 	"fmt"
 	"reflect"
+	"strconv"
+	"sync"
 )
 
 // field is one named field of a counter struct.
@@ -24,7 +28,13 @@ type field struct {
 type Table[T any] struct {
 	counters []field
 	hists    []field
+
+	mu   sync.Mutex
+	keys map[string]*keySet // by prefix
 }
+
+// keySet is one prefix's "prefix.name" keys, in field order.
+type keySet struct{ counters, hists []string }
 
 var (
 	counterType   = reflect.TypeOf(uint64(0))
@@ -41,7 +51,7 @@ func NewTable[T any]() *Table[T] {
 	if typ.Kind() != reflect.Struct {
 		panic(fmt.Sprintf("stats: %v is not a struct", typ))
 	}
-	t := &Table[T]{}
+	t := &Table[T]{keys: make(map[string]*keySet)}
 	seen := make(map[string]string, typ.NumField())
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
@@ -72,24 +82,71 @@ func NewTable[T any]() *Table[T] {
 // panics on a key already present, which is what two components given
 // one prefix would produce.
 func (t *Table[T]) Append(counters map[string]uint64, hists map[string]*Histogram, prefix string, v *T) {
+	ks := t.keysFor(prefix)
 	rv := reflect.ValueOf(v).Elem()
 	if counters != nil {
-		for _, f := range t.counters {
-			counters[key(counters, prefix, f.name)] = rv.Field(f.index).Uint()
+		for i, f := range t.counters {
+			counters[mustBeNew(counters, ks.counters[i])] = rv.Field(f.index).Uint()
 		}
 	}
 	if hists != nil {
-		for _, f := range t.hists {
-			hists[key(hists, prefix, f.name)] = rv.Field(f.index).Addr().Interface().(*Histogram)
+		for i, f := range t.hists {
+			hists[mustBeNew(hists, ks.hists[i])] = rv.Field(f.index).Addr().Interface().(*Histogram)
 		}
 	}
 }
 
-// key returns prefix.name, panicking if m already holds it.
-func key[V any](m map[string]V, prefix, name string) string {
-	k := prefix + "." + name
+// keysFor returns prefix's keys, building them on the prefix's first
+// Append.
+func (t *Table[T]) keysFor(prefix string) *keySet {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ks := t.keys[prefix]; ks != nil {
+		return ks
+	}
+	ks := &keySet{}
+	for _, f := range t.counters {
+		ks.counters = append(ks.counters, prefix+"."+f.name)
+	}
+	for _, f := range t.hists {
+		ks.hists = append(ks.hists, prefix+"."+f.name)
+	}
+	t.keys[prefix] = ks
+	return ks
+}
+
+// mustBeNew returns k, panicking if m already holds it.
+func mustBeNew[V any](m map[string]V, k string) string {
 	if _, dup := m[k]; dup {
 		panic(fmt.Sprintf("stats: %s appended twice", k))
 	}
 	return k
+}
+
+// Indexed returns prefix followed by i in decimal ("cp3"), the prefix
+// of the i-th of several like components. Like a Table's keys, each
+// string is built once and kept: a cache that no result depends on.
+func Indexed(prefix string, i int) string {
+	indexed.Lock()
+	defer indexed.Unlock()
+	k := indexedKey{prefix, i}
+	s, ok := indexed.names[k]
+	if !ok {
+		s = prefix + strconv.Itoa(i)
+		if indexed.names == nil {
+			indexed.names = make(map[indexedKey]string)
+		}
+		indexed.names[k] = s
+	}
+	return s
+}
+
+type indexedKey struct {
+	prefix string
+	i      int
+}
+
+var indexed struct {
+	sync.Mutex
+	names map[indexedKey]string
 }

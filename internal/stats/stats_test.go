@@ -2,6 +2,7 @@ package stats
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -90,6 +91,54 @@ func TestSharedPrefixPanics(t *testing.T) {
 	if msg := mustPanic(t, func() { widgetTable.Append(nil, hists, "w", &b) }); !strings.Contains(msg, "w.latency appended twice") {
 		t.Fatalf("panic = %q", msg)
 	}
+}
+
+// TestAppendBuildsKeysOnce: after a prefix's first Append, appending a
+// struct under it, and naming an indexed prefix, allocates nothing, so
+// a run's stats dump allocates no key.
+func TestAppendBuildsKeysOnce(t *testing.T) {
+	var w widgetStats
+	counters := make(map[string]uint64)
+	hists := make(map[string]*Histogram)
+	dump := func() {
+		clear(counters)
+		clear(hists)
+		widgetTable.Append(counters, hists, Indexed("w", 12), &w)
+	}
+	dump()
+	if got := testing.AllocsPerRun(100, dump); got != 0 {
+		t.Fatalf("a warm Append allocates %.1f/op, want 0", got)
+	}
+	if _, ok := counters["w12.misses"]; !ok || hists["w12.latency"] != &w.Latency {
+		t.Fatalf("counters = %v, histograms = %v", counters, hists)
+	}
+	if Indexed("cp", 0) != "cp0" || Indexed("cp", 10) != "cp10" {
+		t.Fatal("Indexed does not append the index in decimal")
+	}
+}
+
+// TestAppendFromSeveralGoroutines: systems on several goroutines share
+// a table's key cache and the Indexed names; each dump must still get
+// its own complete map (run with -race).
+func TestAppendFromSeveralGoroutines(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := widgetStats{Hits: uint64(g)}
+			for i := 0; i < 50; i++ {
+				counters := make(map[string]uint64)
+				widgetTable.Append(counters, nil, Indexed("g", i%3), &w)
+				widgetTable.Append(counters, nil, Indexed("h", g), &w)
+				if len(counters) != 4 || counters[Indexed("h", g)+".hits"] != uint64(g) {
+					t.Errorf("goroutine %d: counters = %v", g, counters)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestTableRejectsOtherFields(t *testing.T) {

@@ -450,7 +450,7 @@ func (s *System) appendStats(counters map[string]uint64, hists map[string]*stats
 	for b, bank := range s.DirBanks {
 		dir, llc := "dir", "llc"
 		if len(s.DirBanks) > 1 {
-			dir, llc = fmt.Sprintf("dir%d", b), fmt.Sprintf("llc%d", b)
+			dir, llc = stats.Indexed("dir", b), stats.Indexed("llc", b)
 		}
 		dirStats.Append(counters, hists, dir, &bank.Stats)
 		llcStats.Append(counters, hists, llc, bank.LLCStats())
@@ -459,10 +459,10 @@ func (s *System) appendStats(counters map[string]uint64, hists map[string]*stats
 	gpuDispStats.Append(counters, hists, "gpudisp", &s.GPU.Stats)
 	dmaStats.Append(counters, hists, "dma", &s.DMA.Stats)
 	for p, pair := range s.CorePairs {
-		corePairStats.Append(counters, hists, fmt.Sprintf("cp%d", p), &pair.Stats)
+		corePairStats.Append(counters, hists, stats.Indexed("cp", p), &pair.Stats)
 	}
 	for i, c := range s.Cores {
-		coreStats.Append(counters, hists, fmt.Sprintf("core%d", i), &c.Stats)
+		coreStats.Append(counters, hists, stats.Indexed("core", i), &c.Stats)
 	}
 }
 
