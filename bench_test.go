@@ -23,6 +23,7 @@ import (
 
 	"hscsim"
 	"hscsim/internal/protocheck"
+	"hscsim/internal/system"
 )
 
 var (
@@ -301,4 +302,31 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.ReportMetric(float64(s.Engine.Executed()), "events/run")
 	}
 	b.ReportMetric(float64(events)/time.Since(start).Seconds(), "events/s")
+}
+
+// BenchmarkKeptSystemThroughput is BenchmarkSimulatorThroughput on one
+// kept system, the way an engine worker runs a sequence of jobs: each
+// run resets the system its runner kept from the last one instead of
+// building it, and checks the final state's coherence. The benchgate
+// baseline gates its allocations, which are the workload's and the
+// run's own.
+func BenchmarkKeptSystemThroughput(b *testing.B) {
+	cfg := hscsim.EvalConfig(hscsim.ProtocolOptions{})
+	var r system.Runner
+	defer r.Close()
+	run := func() {
+		w, err := hscsim.NewBenchmark("hsti", hscsim.Params{Scale: 1, CPUThreads: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := r.Run(cfg, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // build the system outside the measurement
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
 }

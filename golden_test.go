@@ -19,6 +19,7 @@
 package hscsim_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
@@ -30,6 +31,7 @@ import (
 	"testing"
 
 	"hscsim"
+	"hscsim/internal/engine"
 	"hscsim/internal/verify"
 )
 
@@ -49,6 +51,13 @@ var goldenBenches = []string{"tq", "sc", "rscd", "cedd"}
 // observable output: every interconnect message (streamed through the
 // trace writer into the hash) followed by a canonical stats dump.
 func goldenHash(t testing.TB, bench string, opts hscsim.ProtocolOptions) string {
+	t.Helper()
+	h, _ := goldenRun(t, bench, opts)
+	return h
+}
+
+// goldenRun is goldenHash that also returns the cell's results.
+func goldenRun(t testing.TB, bench string, opts hscsim.ProtocolOptions) (string, hscsim.Results) {
 	t.Helper()
 	w, err := hscsim.NewBenchmark(bench, hscsim.Params{Scale: 1, CPUThreads: 4, Seed: 3})
 	if err != nil {
@@ -70,7 +79,7 @@ func goldenHash(t testing.TB, bench string, opts hscsim.ProtocolOptions) string 
 	for _, k := range keys {
 		fmt.Fprintf(h, "%s=%d\n", k, res.Stats[k])
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return fmt.Sprintf("%x", h.Sum(nil)), res
 }
 
 const goldenPath = "testdata/golden_runs.json"
@@ -119,6 +128,30 @@ func TestGoldenRuns(t *testing.T) {
 		} else if gh != wh {
 			t.Errorf("%s: run hash %s != golden %s — the simulation is no longer byte-identical; "+
 				"if this change is intentional it needs an engine.Version bump and -update-goldens", key, gh, wh)
+		}
+	}
+}
+
+// TestGoldenResultsEncodeAsJSON: the job engine's hand-written
+// EncodeResult writes every golden cell's results as json.Marshal does.
+func TestGoldenResultsEncodeAsJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full CHAI runs; skipped in -short")
+	}
+	for _, bench := range goldenBenches {
+		for _, opts := range verify.Variants() {
+			_, res := goldenRun(t, bench, opts)
+			got, err := engine.EncodeResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s/%s: EncodeResult\n got %s\nwant %s (json.Marshal)", bench, opts.Named(), got, want)
+			}
 		}
 	}
 }

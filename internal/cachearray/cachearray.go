@@ -227,6 +227,14 @@ func (a *Array[T]) Clear() {
 	a.occupied = 0
 }
 
+// Reset empties the array and its replacement state, returning it to
+// the state New makes. (Clear keeps the replacement state, as a bulk
+// invalidation in hardware does.)
+func (a *Array[T]) Reset() {
+	a.Clear()
+	clear(a.plru.bits)
+}
+
 // ForEach visits every valid line. Mutating line metadata is allowed;
 // do not invalidate lines from inside the callback.
 func (a *Array[T]) ForEach(fn func(addr LineAddr, meta *T)) {

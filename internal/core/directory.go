@@ -30,6 +30,7 @@ type Directory struct {
 	tccIDs  []msg.NodeID // TCC bank nodes (Table III configures 1)
 	targets []msg.NodeID // l2s + TCCs, in probe-index order
 
+	geo    Geometry
 	llc    *llc
 	dirArr *cachearray.Array[dirEntry] // nil when Tracking == TrackNone
 
@@ -132,23 +133,45 @@ func NewDirectory(engine *sim.Engine, ic noc.Fabric, mem MemPort,
 		ic:      ic,
 		mem:     mem,
 		funcMem: fm,
-		opts:    cfg.Opts,
 		timing:  cfg.Timing,
 		id:      cfg.ID,
 		l2s:     append([]msg.NodeID(nil), cfg.L2s...),
 		tccIDs:  append([]msg.NodeID(nil), cfg.TCCs...),
-		llc:     newLLC(cfg.Geo, cfg.Opts, mem),
+		geo:     cfg.Geo,
+		llc:     newLLC(cfg.Geo, mem),
 	}
 	d.targets = append(append([]msg.NodeID(nil), d.l2s...), d.tccIDs...)
 	d.dsts = make([]msg.NodeID, 0, len(d.targets))
 	d.pinEntry = d.entryPinned
-	if cfg.Opts.Tracking != TrackNone {
-		if n := len(d.targets); n > MaxTrackedTargets {
-			panic(fmt.Sprintf("core: %d probe targets; a tracking directory tracks at most %d", n, MaxTrackedTargets))
-		}
-		d.dirArr = cachearray.New[dirEntry](cfg.Geo.DirArray())
-	}
+	d.Reset(cfg.Opts)
 	return d
+}
+
+// Reset returns the directory to its just-constructed state under the
+// protocol variant opts: an empty LLC and directory cache, no
+// transactions or queued requests, transaction IDs restarting at 0, no
+// read-only ranges and zero counters. It keeps its storage (the cache
+// arrays, the in-flight tables' capacity and the txn free list); the
+// directory cache is dropped when opts tracks nothing and made on the
+// first reset that tracks.
+func (d *Directory) Reset(opts Options) {
+	d.opts = opts
+	d.llc.reset()
+	switch {
+	case opts.Tracking == TrackNone:
+		d.dirArr = nil
+	case len(d.targets) > MaxTrackedTargets:
+		panic(fmt.Sprintf("core: %d probe targets; a tracking directory tracks at most %d", len(d.targets), MaxTrackedTargets))
+	case d.dirArr == nil:
+		d.dirArr = cachearray.New[dirEntry](d.geo.DirArray())
+	default:
+		d.dirArr.Reset()
+	}
+	d.txns.Reset()
+	d.pend.Reset()
+	d.nextID = 0
+	d.roRanges = d.roRanges[:0]
+	d.Stats = DirStats{}
 }
 
 // isTCC reports whether a node is one of the TCC banks.

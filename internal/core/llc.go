@@ -13,9 +13,8 @@ type llcMeta struct {
 // are inserted only by victim write-backs (and TCC write-throughs under
 // UseL3OnWT), never on the refill path from memory.
 type llc struct {
-	arr  *cachearray.Array[llcMeta]
-	opts Options
-	mem  MemPort
+	arr *cachearray.Array[llcMeta]
+	mem MemPort
 
 	stats LLCStats
 }
@@ -28,12 +27,14 @@ type LLCStats struct {
 	DirtyEvictions uint64 `stat:"dirty_evictions"`
 }
 
-func newLLC(geo Geometry, opts Options, mem MemPort) *llc {
-	return &llc{
-		arr:  cachearray.New[llcMeta](geo.LLCArray()),
-		opts: opts,
-		mem:  mem,
-	}
+func newLLC(geo Geometry, mem MemPort) *llc {
+	return &llc{arr: cachearray.New[llcMeta](geo.LLCArray()), mem: mem}
+}
+
+// reset empties the LLC and zeroes its counters.
+func (l *llc) reset() {
+	l.arr.Reset()
+	l.stats = LLCStats{}
 }
 
 // read probes the LLC for addr. It returns true on hit. Misses do NOT

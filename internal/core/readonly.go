@@ -31,7 +31,7 @@ func (r LineRange) Contains(line cachearray.LineAddr) bool {
 // SetReadOnly installs the read-only line ranges. Only consulted when
 // Options.ReadOnlyElision is set.
 func (d *Directory) SetReadOnly(ranges []LineRange) {
-	d.roRanges = append([]LineRange(nil), ranges...)
+	d.roRanges = append(d.roRanges[:0], ranges...)
 }
 
 func (d *Directory) isReadOnly(line cachearray.LineAddr) bool {

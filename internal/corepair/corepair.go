@@ -188,7 +188,27 @@ func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID, cfg Config) *C
 			SizeBytes: cfg.L1DSizeBytes, Assoc: cfg.L1DAssoc, BlockSize: cachearray.LineBytes})
 	}
 	ic.Register(id, cp)
+	cp.Reset()
 	return cp
+}
+
+// Reset returns the CorePair to its just-constructed state: empty
+// caches, no miss, writeback or deferred probe in flight, and zero
+// counters. It keeps its wiring (the interconnect registration and the
+// recorder) and its storage.
+func (cp *CorePair) Reset() {
+	cp.l2.Reset()
+	for _, l1 := range cp.l1d {
+		l1.Reset()
+	}
+	cp.l1i.Reset()
+	cp.mshr.Reset()
+	cp.mshrWait.Reset()
+	cp.wb.Reset()
+	cp.wbWait.Reset()
+	cp.pendingStores.Reset()
+	cp.probeWait.Reset()
+	cp.Stats = Stats{}
 }
 
 // NodeID returns the CorePair's interconnect node.

@@ -82,6 +82,8 @@ type Core struct {
 	dma    DMAStreamer
 	cfg    Config
 
+	// thread is the core's thread slot, made by its first Run and kept
+	// across threads and runs until Abort.
 	thread   *prog.CPUThread
 	codeBase memdata.Addr
 	pc       uint64
@@ -131,14 +133,50 @@ func New(engine *sim.Engine, pair *corepair.CorePair, slot int, fm *memdata.Memo
 	c.cb.rmwDone = c.rmwDone
 	c.cb.drainDone = c.drainDone
 	c.cb.resumeZero = c.resumeZero
+	c.Reset()
 	return c
 }
 
-// Run starts executing thread; onExit fires when the thread returns.
-func (c *Core) Run(thread *prog.CPUThread, onExit func()) {
-	c.thread = thread
+// Reset returns the core to its just-constructed state: no thread or
+// op in flight, an empty store buffer, the program counter at the code
+// base and zero counters. It keeps an idle thread slot; a slot whose
+// thread had not finished is aborted and dropped.
+func (c *Core) Reset() {
+	if c.thread != nil && !c.thread.Idle() {
+		c.Abort()
+	}
+	c.pc = 0
+	c.onExit = nil
+	c.cur = prog.Op{}
+	c.loadToken = 0
+	clear(c.sb)
+	c.sb = c.sb[:0]
+	c.sbDraining = false
+	c.afterDrain, c.afterPop = nil, nil
+	c.Stats = Stats{}
+}
+
+// Run starts fn as thread id on the core's thread slot, making the
+// slot on first use; onExit fires once fn has returned and the store
+// buffer has drained.
+func (c *Core) Run(id int, fn func(*prog.CPUThread), onExit func()) {
+	if c.thread == nil {
+		c.thread = prog.NewCPUThread()
+	}
+	c.thread.Start(id, fn)
 	c.onExit = onExit
 	c.engine.Post(0, c, cpuKindStep, 0, nil)
+}
+
+// Abort stops the core's thread slot, unwinding a thread suspended in
+// an op, and drops it; the next Run makes a new one. A run's teardown
+// calls it: an idle slot parks between threads, and a run that ends
+// early leaves its thread suspended mid-op. Idempotent.
+func (c *Core) Abort() {
+	if c.thread != nil {
+		c.thread.Abort()
+		c.thread = nil
+	}
 }
 
 func line(a memdata.Addr) cachearray.LineAddr { return cachearray.LineAddr(a >> 6) }

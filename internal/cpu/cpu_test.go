@@ -81,8 +81,8 @@ func newCoreRig(t *testing.T) *coreRig {
 func (r *coreRig) runThread(fn func(*prog.CPUThread)) {
 	r.t.Helper()
 	exited := false
-	th := prog.NewCPUThread(0, fn)
-	r.core.Run(th, func() { exited = true })
+	r.core.Run(0, fn, func() { exited = true })
+	defer r.core.Abort()
 	if err := r.e.Run(); err != nil {
 		r.t.Fatal(err)
 	}

@@ -51,7 +51,16 @@ type Stats struct {
 func New(engine *sim.Engine, ic noc.Fabric, id, dirID msg.NodeID) *Engine {
 	e := &Engine{engine: engine, ic: ic, id: id, dirID: dirID}
 	ic.Register(id, e)
+	e.Reset()
 	return e
+}
+
+// Reset returns the engine to its just-constructed state: no request
+// in flight and zero counters. It keeps its wiring and storage.
+func (e *Engine) Reset() {
+	e.rdWaiters.Reset()
+	e.wrWaiters.Reset()
+	e.Stats = Stats{}
 }
 
 // SetRecorder attaches (or, with nil, detaches) a transition recorder.

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hscsim/internal/system"
 )
 
 // Typed job-lifecycle errors.
@@ -158,7 +160,8 @@ type Config struct {
 	RetainJobs int
 	// JobTimeout bounds each job's execution (0 = none).
 	JobTimeout time.Duration
-	// Exec executes one spec (nil = Execute, the real simulator).
+	// Exec executes one spec (nil = the real simulator, as Execute runs
+	// it, on a system each worker keeps and resets between jobs).
 	// Tests substitute stubs to exercise scheduling and shutdown.
 	Exec func(context.Context, Spec) ([]byte, error)
 }
@@ -174,7 +177,7 @@ type Config struct {
 // non-blocking channel operations, so cache disk I/O, executors and
 // cancel funcs always run outside it.
 type Engine struct {
-	exec    func(context.Context, Spec) ([]byte, error)
+	exec    func(context.Context, Spec) ([]byte, error) // nil: each worker's runner
 	cache   *Cache
 	timeout time.Duration
 	retain  int
@@ -216,13 +219,9 @@ func New(cfg Config) *Engine {
 	if retain <= 0 {
 		retain = 512
 	}
-	exec := cfg.Exec
-	if exec == nil {
-		exec = Execute
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &Engine{
-		exec:       exec,
+		exec:       cfg.Exec,
 		cache:      cache,
 		timeout:    cfg.JobTimeout,
 		retain:     retain,
@@ -531,11 +530,25 @@ func (e *Engine) complete(j *Job, st JobState, result []byte, err error) {
 	}
 }
 
-// worker executes jobs until the queue closes.
+// worker executes jobs until the queue closes. Without a configured
+// Exec it runs every job on one system.Runner, which keeps the last
+// job's system for the next while more jobs wait in the queue. Once
+// the queue is empty the worker closes the runner, stopping that
+// system's coroutines, so an idle worker holds no system.
 func (e *Engine) worker() {
 	defer e.wg.Done()
+	exec, idle := e.exec, func() {}
+	if exec == nil {
+		var r system.Runner
+		defer r.Close()
+		exec = func(ctx context.Context, sp Spec) ([]byte, error) { return execute(ctx, &r, sp) }
+		idle = r.Close
+	}
 	for j := range e.queue {
-		e.runJob(j)
+		e.runJob(j, exec)
+		if len(e.queue) == 0 {
+			idle()
+		}
 	}
 }
 
@@ -551,19 +564,19 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("engine: job %s panicked: %v", p.Spec, p.Value)
 }
 
-// execRecovered runs the executor, turning a panic into a *PanicError.
-func (e *Engine) execRecovered(ctx context.Context, sp Spec) (result []byte, err error) {
+// execRecovered runs exec, turning a panic into a *PanicError.
+func execRecovered(ctx context.Context, exec func(context.Context, Spec) ([]byte, error), sp Spec) (result []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			result, err = nil, &PanicError{Spec: sp, Value: r}
 		}
 	}()
-	return e.exec(ctx, sp)
+	return exec(ctx, sp)
 }
 
-// runJob executes one job with timeout and cancellation, classifies
-// the outcome, and memoizes successes.
-func (e *Engine) runJob(j *Job) {
+// runJob executes one job on exec with timeout and cancellation,
+// classifies the outcome, and memoizes successes.
+func (e *Engine) runJob(j *Job, exec func(context.Context, Spec) ([]byte, error)) {
 	// Exactly one context per job, cancelled on return: a second,
 	// overwritten one would stay registered on e.baseCtx until Close.
 	var (
@@ -582,7 +595,7 @@ func (e *Engine) runJob(j *Job) {
 		return
 	}
 
-	result, err := e.execRecovered(ctx, j.Spec)
+	result, err := execRecovered(ctx, exec, j.Spec)
 
 	// Counters are bumped before the job is published, so a waiter that
 	// wakes on Done reads Stats that already count its job.

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"unicode/utf8"
 
@@ -12,11 +15,13 @@ import (
 )
 
 // EncodeResult renders a run's results in the engine's canonical form:
-// compact JSON with deterministic key order (encoding/json sorts map
-// keys, and Results.Stats is the only map). These are the bytes the
-// cache stores and the HTTP service returns; byte-for-byte equality of
-// two encodings means the runs agreed on every metric and every
-// counter.
+// the bytes json.Marshal writes for them, compact JSON with the fields
+// in declaration order and the Stats keys sorted. These are the bytes
+// the cache stores and the HTTP service returns; byte-for-byte equality
+// of two encodings means the runs agreed on every metric and every
+// counter. It writes them by hand into one buffer of the exact length,
+// which it returns; json.Marshal stays the test oracle
+// (FuzzEncodeResult).
 //
 // A Name, Config or Stats key that is not valid UTF-8 is an error:
 // json.Marshal would rewrite it to U+FFFD, and the cache would serve
@@ -25,12 +30,110 @@ func EncodeResult(res system.Results) ([]byte, error) {
 	if !utf8.ValidString(res.Name) || !utf8.ValidString(res.Config) {
 		return nil, fmt.Errorf("engine: result name %q or config %q is not valid UTF-8", res.Name, res.Config)
 	}
-	for k := range res.Stats {
+	keys := make([]string, 0, len(res.Stats))
+	for k := range res.Stats { //hsclint:deterministic — sorted below
 		if !utf8.ValidString(k) {
 			return nil, fmt.Errorf("engine: result counter %q is not valid UTF-8", k)
 		}
+		keys = append(keys, k)
 	}
-	return json.Marshal(res)
+	slices.Sort(keys)
+
+	nums := [...]struct {
+		key string
+		v   uint64
+	}{
+		{`,"Cycles":`, res.Cycles},
+		{`,"MemReads":`, res.MemReads},
+		{`,"MemWrites":`, res.MemWrites},
+		{`,"ProbesSent":`, res.ProbesSent},
+		{`,"LLCHits":`, res.LLCHits},
+		{`,"NoCBytes":`, res.NoCBytes},
+	}
+	n := len(`{"Name":,"Config":,"Stats":}`) + quotedLen(res.Name) + quotedLen(res.Config)
+	for _, f := range nums {
+		n += len(f.key) + uintLen(f.v)
+	}
+	if res.Stats == nil {
+		n += len("null")
+	} else {
+		n += len("{}") + max(len(keys)-1, 0) // braces and commas
+		for _, k := range keys {
+			n += quotedLen(k) + len(":") + uintLen(res.Stats[k])
+		}
+	}
+
+	b := make([]byte, 0, n)
+	b = append(b, `{"Name":`...)
+	b = appendQuoted(b, res.Name)
+	b = append(b, `,"Config":`...)
+	b = appendQuoted(b, res.Config)
+	for _, f := range nums {
+		b = append(b, f.key...)
+		b = strconv.AppendUint(b, f.v, 10)
+	}
+	b = append(b, `,"Stats":`...)
+	if res.Stats == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '{')
+		for i, k := range keys {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendQuoted(b, k)
+			b = append(b, ':')
+			b = strconv.AppendUint(b, res.Stats[k], 10)
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}'), nil
+}
+
+// plainString reports whether json.Marshal writes s as '"' + s + '"':
+// s is valid UTF-8 and holds no byte or rune that it escapes.
+func plainString(s string) bool {
+	ascii := true
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return ascii || utf8.ValidString(s) && !strings.ContainsRune(s, '\u2028') && !strings.ContainsRune(s, '\u2029')
+}
+
+// quotedLen is the length of s as json.Marshal spells it.
+func quotedLen(s string) int {
+	if plainString(s) {
+		return len(s) + 2
+	}
+	q, _ := json.Marshal(s)
+	return len(q)
+}
+
+// appendQuoted appends s as json.Marshal spells it. A string that
+// needs escaping, which no simulated result has, takes json.Marshal's
+// own spelling, as the decoder's str does.
+func appendQuoted(b []byte, s string) []byte {
+	if plainString(s) {
+		b = append(b, '"')
+		b = append(b, s...)
+		return append(b, '"')
+	}
+	q, _ := json.Marshal(s)
+	return append(b, q...)
+}
+
+// uintLen is the number of decimal digits of v.
+func uintLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // DecodeResult parses a canonical result encoding: exactly the bytes

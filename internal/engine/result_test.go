@@ -7,9 +7,11 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"hscsim/internal/system"
 )
@@ -253,6 +255,84 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 	})
 }
+
+// encodeAsJSON checks EncodeResult against its oracle: for a result
+// json.Marshal encodes without rewriting a string, the same bytes in a
+// buffer of exactly their length; for any other, an error.
+func encodeAsJSON(t *testing.T, r system.Results) {
+	t.Helper()
+	got, err := EncodeResult(r)
+	valid := utf8.ValidString(r.Name) && utf8.ValidString(r.Config)
+	for k := range r.Stats {
+		valid = valid && utf8.ValidString(k)
+	}
+	if !valid {
+		if err == nil {
+			t.Fatalf("EncodeResult(%#v) = %s, want an error", r, got)
+		}
+		return
+	}
+	want, jerr := json.Marshal(r)
+	if err != nil || jerr != nil {
+		t.Fatalf("EncodeResult(%#v): %v (json.Marshal: %v)", r, err, jerr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("EncodeResult(%#v):\n got %s\nwant %s (json.Marshal)", r, got, want)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("EncodeResult returned %d bytes in a buffer of %d", len(got), cap(got))
+	}
+}
+
+// TestEncodeResultIsJSON: every codec result encodes as json.Marshal
+// encodes it, into a buffer of exactly its length.
+func TestEncodeResultIsJSON(t *testing.T) {
+	for _, r := range codecResults(t) {
+		encodeAsJSON(t, r)
+	}
+}
+
+// FuzzEncodeResult holds EncodeResult to json.Marshal on results with
+// arbitrary strings, counters and Stats keys, nil Stats included.
+func FuzzEncodeResult(f *testing.F) {
+	for _, r := range codecResults(f) {
+		keys := make([]string, 0, len(r.Stats))
+		for k := range r.Stats {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		k1, k2 := "", ""
+		var v1, v2 uint64
+		if len(keys) > 0 {
+			k1, v1 = keys[0], r.Stats[keys[0]]
+			k2, v2 = keys[len(keys)-1], r.Stats[keys[len(keys)-1]]
+		}
+		f.Add(r.Name, r.Config, r.Cycles, r.NoCBytes, k1, v1, k2, v2, r.Stats == nil)
+	}
+	f.Add("a\xffb", "baseline", uint64(1), uint64(2), "k", uint64(3), "k\xc0", uint64(4), false)
+	f.Fuzz(func(t *testing.T, name, config string, cycles, nocBytes uint64, k1 string, v1 uint64, k2 string, v2 uint64, nilStats bool) {
+		r := system.Results{Name: name, Config: config, Cycles: cycles, MemReads: cycles / 3,
+			MemWrites: v1, ProbesSent: v2, LLCHits: nocBytes / 7, NoCBytes: nocBytes}
+		if !nilStats {
+			r.Stats = map[string]uint64{k1: v1, k2: v2, k1 + "." + k2: cycles}
+		}
+		encodeAsJSON(t, r)
+	})
+}
+
+// BenchmarkEncodeResult encodes one eval-cell result, as every
+// simulated job does before its result is cached. The benchgate
+// baseline gates its allocations: the sorted key list and the result.
+func BenchmarkEncodeResult(b *testing.B) {
+	r := mustDecode(b, evalCellResult(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		encodeSink, _ = EncodeResult(r)
+	}
+}
+
+var encodeSink []byte
 
 // BenchmarkDecodeResult decodes one eval-cell result, as every warm
 // cache hit a figure run or the benchmark harness reads does.

@@ -127,7 +127,32 @@ func New(engine *sim.Engine, caches *gpucache.GPUCaches, fm *memdata.Memory,
 	d := &Dispatcher{engine: engine, caches: caches, fm: fm, cfg: cfg,
 		cus: make([]cuState, cfg.NumCUs)}
 	d.flushed = d.kernelFlushed
+	d.Reset()
 	return d
+}
+
+// Reset returns the dispatcher to its just-constructed state: no
+// kernel queued or running and zero counters. It keeps its wiring and
+// storage, idle wave slots included; the slots of waves that had not
+// finished are aborted and dropped.
+func (d *Dispatcher) Reset() {
+	clear(d.queue)
+	d.queue = d.queue[:0]
+	d.active = launch{}
+	d.wavesLeft = 0
+	clear(d.cus)
+	for _, wr := range d.resident {
+		wr.w.Abort()
+	}
+	clear(d.resident)
+	d.resident = d.resident[:0]
+	bs := d.barriers[:cap(d.barriers)]
+	for i := range bs {
+		clear(bs[i].waiting)
+		bs[i].waiting = bs[i].waiting[:0]
+	}
+	d.barriers = d.barriers[:0]
+	d.Stats = Stats{}
 }
 
 // SetRecorder attaches (or, with nil, detaches) a transition recorder.
@@ -158,8 +183,9 @@ func (d *Dispatcher) startNext() {
 	for cu := range d.cus {
 		d.cus[cu] = cuState{next: cu}
 	}
-	if n := k.Workgroups - len(d.barriers); n > 0 {
-		d.barriers = append(d.barriers, make([]barrier, n)...)
+	if n := k.Workgroups; n > len(d.barriers) {
+		// Entries past the length keep their empty waiting lists.
+		d.barriers = slices.Grow(d.barriers, n-len(d.barriers))[:n]
 	}
 	// Kernel-launch acquire: invalidate the TCPs (VIPER acquire).
 	for cu := range d.cus {

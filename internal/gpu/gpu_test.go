@@ -43,6 +43,11 @@ type gpuRig struct {
 // directory that grants everything; the test's cleanup stops its wave
 // slots.
 func newGPURig(t testing.TB, cfg Config) *gpuRig {
+	return newGPURigCaches(t, cfg, gpucache.DefaultConfig())
+}
+
+// newGPURigCaches is newGPURig over caches configured by ccfg.
+func newGPURigCaches(t testing.TB, cfg Config, ccfg gpucache.Config) *gpuRig {
 	t.Helper()
 	e := sim.NewEngine()
 	e.MaxTicks = 10_000_000
@@ -50,7 +55,7 @@ func newGPURig(t testing.TB, cfg Config) *gpuRig {
 	fm := memdata.New()
 	dir := &grantDir{ic: ic, id: 9, fm: fm}
 	ic.Register(9, dir)
-	caches := gpucache.New(e, ic, []msg.NodeID{4}, 9, fm, gpucache.DefaultConfig(), cfg.NumCUs)
+	caches := gpucache.New(e, ic, []msg.NodeID{4}, 9, fm, ccfg, cfg.NumCUs)
 	d := New(e, caches, fm, cfg)
 	t.Cleanup(d.Abort)
 	return &gpuRig{t: t, e: e, d: d, fm: fm}
@@ -288,13 +293,17 @@ func TestSteadyStateWaveOpAllocs(t *testing.T) {
 }
 
 // relaunchKernel is a 16-workgroup × 2-wave kernel whose waves each
-// issue a compute op, a system atomic and a load.
-func relaunchKernel() *prog.Kernel {
+// issue a compute op, a system atomic and a load, and, with store, a
+// store of their own line.
+func relaunchKernel(store bool) *prog.Kernel {
 	return &prog.Kernel{Name: "relaunch", Workgroups: 16, WavesPerWG: 2,
 		Fn: func(w *prog.Wave) {
 			w.Compute(4)
 			w.AtomicSysAdd(256, 1)
 			w.Load(memdata.Addr(64 * w.Global))
+			if store {
+				w.Store(memdata.Addr(4096+64*w.Global), 1)
+			}
 		}}
 }
 
@@ -304,18 +313,36 @@ const maxRelaunchAllocs = 1
 
 // TestWarmRelaunchReusesWaveSlots: relaunching a kernel on a warm
 // dispatcher starts its 32 waves in the slots, executors and coroutines
-// the previous launch left idle, so it allocates no wave.
+// the previous launch left idle, so it allocates no wave. With
+// write-back TCCs, the waves' stores leave dirty lines that every
+// release flushes, which allocates nothing either.
 func TestWarmRelaunchReusesWaveSlots(t *testing.T) {
-	r := newGPURig(t, DefaultConfig())
-	k := relaunchKernel()
-	r.launch(k)
-	slots := len(r.d.idle)
-	if got := testing.AllocsPerRun(10, func() { r.launch(k) }); got > maxRelaunchAllocs {
-		t.Errorf("a warm relaunch allocates %.0f, want at most %d", got, maxRelaunchAllocs)
-	}
-	if len(r.d.idle) != slots || len(r.d.resident) != 0 {
-		t.Errorf("%d idle and %d resident slots after relaunches, want %d and 0",
-			len(r.d.idle), len(r.d.resident), slots)
+	wb := gpucache.DefaultConfig()
+	wb.WriteBackL2 = true
+	for _, c := range []struct {
+		name  string
+		ccfg  gpucache.Config
+		store bool
+	}{
+		{"write-through", gpucache.DefaultConfig(), false},
+		{"write-back stores", wb, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newGPURigCaches(t, DefaultConfig(), c.ccfg)
+			k := relaunchKernel(c.store)
+			r.launch(k)
+			slots := len(r.d.idle)
+			if got := testing.AllocsPerRun(10, func() { r.launch(k) }); got > maxRelaunchAllocs {
+				t.Errorf("a warm relaunch allocates %.0f, want at most %d", got, maxRelaunchAllocs)
+			}
+			if len(r.d.idle) != slots || len(r.d.resident) != 0 {
+				t.Errorf("%d idle and %d resident slots after relaunches, want %d and 0",
+					len(r.d.idle), len(r.d.resident), slots)
+			}
+			if c.store && r.d.caches.Stats.WriteThroughs == 0 {
+				t.Error("no release wrote a dirty line back")
+			}
+		})
 	}
 }
 
@@ -325,7 +352,7 @@ func TestWarmRelaunchReusesWaveSlots(t *testing.T) {
 // gates its allocations.
 func BenchmarkKernelRelaunch(b *testing.B) {
 	r := newGPURig(b, DefaultConfig())
-	k := relaunchKernel()
+	k := relaunchKernel(false)
 	r.launch(k)
 	b.ReportAllocs()
 	b.ResetTimer()

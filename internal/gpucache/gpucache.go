@@ -125,6 +125,11 @@ type GPUCaches struct {
 	flushes        []func()                                              // Flush → FlushAck FIFO
 	freeDevAtomics recycle.Free[devAtomic]
 
+	// ReleaseFlush's scratch: the dirty TCC lines it writes back, and
+	// the collector that ForEach fills them in with, bound once.
+	dirty        []cachearray.LineAddr
+	collectDirty func(cachearray.LineAddr, *tccMeta)
+
 	// rec records fired protocol transitions for the static-vs-dynamic
 	// cross-check (cmd/hscproto); nil (the default) disables recording.
 	rec *fsm.Recorder
@@ -177,7 +182,30 @@ func New(engine *sim.Engine, ic noc.Fabric, ids []msg.NodeID, dirID msg.NodeID,
 		g.tcps = append(g.tcps, cachearray.New[struct{}](cachearray.Config{
 			SizeBytes: cfg.TCPSizeBytes, Assoc: cfg.TCPAssoc, BlockSize: cachearray.LineBytes}))
 	}
+	g.collectDirty = g.appendDirty
+	g.Reset()
 	return g
+}
+
+// Reset returns the cache complex to its just-constructed state: empty
+// TCPs, TCC banks and SQC, no miss, write-through, atomic or flush in
+// flight, and zero counters. It keeps its wiring (the interconnect
+// registration and the recorder) and its storage.
+func (g *GPUCaches) Reset() {
+	for _, arr := range g.tccs {
+		arr.Reset()
+	}
+	for _, arr := range g.tcps {
+		arr.Reset()
+	}
+	g.sqc.Reset()
+	g.mshr.Reset()
+	g.wtAcks.Reset()
+	g.atomics.Reset()
+	clear(g.flushes)
+	g.flushes = g.flushes[:0]
+	g.dirty = g.dirty[:0]
+	g.Stats = Stats{}
 }
 
 // bankFor maps a line to its TCC bank (4 KB superblock interleave).
@@ -409,15 +437,12 @@ func (g *GPUCaches) AcquireInvalidate(cu int) {
 // the directory acknowledges.
 func (g *GPUCaches) ReleaseFlush(done func()) {
 	if g.cfg.WriteBackL2 {
-		var dirtyLines []cachearray.LineAddr
+		// Bank order, then set/way order within a bank.
+		g.dirty = g.dirty[:0]
 		for _, arr := range g.tccs {
-			arr.ForEach(func(a cachearray.LineAddr, m *tccMeta) {
-				if m.Dirty {
-					dirtyLines = append(dirtyLines, a)
-				}
-			})
+			arr.ForEach(g.collectDirty)
 		}
-		for _, a := range dirtyLines {
+		for _, a := range g.dirty {
 			g.rec.Record(machine, "D", "FlushWB", "V") //proto:actions write back dirty line at release //proto:emits WT
 			if m := g.tccOf(a).Peek(a); m != nil {
 				m.Dirty = false
@@ -428,6 +453,13 @@ func (g *GPUCaches) ReleaseFlush(done func()) {
 	g.flushes = append(g.flushes, done)
 	g.rec.Record(machine, "-", "Release", "-") //proto:actions send the release fence //proto:emits Flush
 	g.ic.Send(msg.Message{Type: msg.Flush, Addr: 0, Src: g.ids[0], Dst: g.dirID})
+}
+
+// appendDirty is ReleaseFlush's ForEach collector.
+func (g *GPUCaches) appendDirty(a cachearray.LineAddr, m *tccMeta) {
+	if m.Dirty {
+		g.dirty = append(g.dirty, a)
+	}
 }
 
 // Receive implements noc.Handler.

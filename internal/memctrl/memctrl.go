@@ -68,7 +68,16 @@ func New(engine *sim.Engine, cfg Config) *Controller {
 	if cfg.Banks > 1 {
 		ctl.bankFree = make([]sim.Tick, cfg.Banks)
 	}
+	ctl.Reset()
 	return ctl
+}
+
+// Reset returns the controller to its just-constructed state: an idle
+// channel and banks, and zero counters.
+func (c *Controller) Reset() {
+	c.nextFree = 0
+	clear(c.bankFree)
+	c.Stats = Stats{}
 }
 
 // occupy reserves the next channel slot (and bank, when banked) and

@@ -83,6 +83,12 @@ type Memory struct {
 // New returns an empty memory (all words read as zero).
 func New() *Memory { return &Memory{} }
 
+// Reset empties the memory and drops its pages. Pages are the one
+// store that grows with a workload's footprint rather than with the
+// simulated geometry, so a kept memory does not carry one job's pages
+// into the next.
+func (m *Memory) Reset() { *m = Memory{} }
+
 // find returns page num, or nil when no word in it was ever written.
 func (m *Memory) find(num Addr) *page {
 	if m.last != nil && m.lastNum == num {

@@ -115,7 +115,21 @@ const (
 
 // New creates an interconnect.
 func New(engine *sim.Engine, cfg Config) *Interconnect {
-	return &Interconnect{engine: engine, cfg: cfg}
+	ic := &Interconnect{engine: engine, cfg: cfg}
+	ic.Reset()
+	return ic
+}
+
+// Reset returns the interconnect to its just-wired state: idle egress
+// ports, no message in flight and zero counters. It keeps the wiring
+// (registered handlers, tracer, mutator and delivery hook) and the
+// slot table's storage; which slot a message waits in never enters the
+// event order.
+func (ic *Interconnect) Reset() {
+	clear(ic.portFree)
+	ic.slots = ic.slots[:0]
+	ic.freeSlots = ic.freeSlots[:0]
+	ic.Stats = Stats{}
 }
 
 // Register attaches a handler to a node ID. Registering the same ID

@@ -58,10 +58,6 @@ const (
 	WaveAtomicDev
 	WaveBarrier
 	WaveCompute
-
-	// waveEnd is what a slot yields when a body returns; NextOp reports
-	// it as the end of the wave.
-	waveEnd
 )
 
 // WaveOp is one wavefront operation delivered to the executing CU.
@@ -86,8 +82,7 @@ type Wave struct {
 	Lane   int // wavefront index within the workgroup
 	Global int // global wavefront index
 
-	co  coroutine[WaveOp]
-	fn  func(*Wave) // the body Start loaded, until it begins
+	co  slot[WaveOp, *Wave]
 	res []uint64
 
 	// Single-word Load/Store operands: the executor reads them only
@@ -101,7 +96,7 @@ type Wave struct {
 // executor must Abort every slot it made once the run ends.
 func NewWave() *Wave {
 	w := &Wave{}
-	w.co.init(w.run)
+	w.co.init(w)
 	return w
 }
 
@@ -110,22 +105,8 @@ func NewWave() *Wave {
 // global, lane lane of workgroup wg, from the slot's next NextOp.
 func (w *Wave) Start(wg, lane, global int, fn func(*Wave)) {
 	w.WG, w.Lane, w.Global = wg, lane, global
-	w.fn, w.res = fn, nil
-}
-
-// run is the slot's coroutine: each loaded body in turn, with a waveEnd
-// yield after each. A stop there ends the coroutine; a stop while a
-// body is suspended in an op unwinds that body (coroutine.issue).
-func (w *Wave) run() {
-	for {
-		if fn := w.fn; fn != nil {
-			w.fn = nil
-			fn(w)
-		}
-		if !w.co.yield(WaveOp{Kind: waveEnd}) {
-			return
-		}
-	}
+	w.res = nil
+	w.co.start(fn)
 }
 
 func (w *Wave) do(op WaveOp) []uint64 {
@@ -195,7 +176,7 @@ func (w *Wave) Compute(gpuCycles uint64) { w.do(WaveOp{Kind: WaveCompute, Cycles
 // idle. A panic in the body propagates out of NextOp and ends the slot.
 func (w *Wave) NextOp() (WaveOp, bool) {
 	op, ok := w.co.next()
-	return op, ok && op.Kind != waveEnd
+	return op, ok && !w.co.idle
 }
 
 // Complete records an operation's results (loaded values, or an
@@ -207,7 +188,7 @@ func (w *Wave) Complete(v []uint64) { w.res = v }
 // Abort stops the slot: a body suspended in an op unwinds, a body
 // loaded but not begun never runs, an idle slot's coroutine returns,
 // and later NextOps report false. Idempotent.
-func (w *Wave) Abort() { w.co.stop() }
+func (w *Wave) Abort() { w.co.abort() }
 
 // Arena is a bump allocator carving benchmark data structures out of
 // the unified memory space.

@@ -4,22 +4,24 @@
 // GPU wavefronts written as ordinary Go functions that issue memory
 // operations through a context object.
 //
-// Each CPU thread is an iter.Pull coroutine, and so is each GPU wave
-// slot (Wave), whose one coroutine runs the wave bodies loaded into it
-// one after another. The executor (a cpu.Core or a gpu wave slot)
-// drives the coroutine on the simulation engine's own goroutine.
-// NextOp resumes the program until it issues its next operation;
-// Complete stores that operation's result, which the program reads when
-// the next NextOp resumes it. Control therefore alternates strictly
-// between engine and program, one program at a time, and execution is
-// fully deterministic. A program starts at its executor's first NextOp,
-// not at construction, so even the code before its first operation runs
-// on the executor's schedule; a panic in the program surfaces from
-// NextOp with its value. Abort stops a coroutine, unwinding a program
-// suspended in an op. A thread's coroutine also ends when its program
-// returns, but a wave slot's parks between bodies, so only Abort ends
-// it. A coroutine that is never ended stays parked, with its goroutine,
-// for the life of the process.
+// CPUThread and Wave are slots: each is one iter.Pull coroutine that
+// runs the program bodies Start loads into it, one after another, as a
+// core runs successive threads and a CU successive wavefronts. The
+// executor (a cpu.Core or a gpu wave slot) keeps its slot across bodies
+// and drives the coroutine on the simulation engine's own goroutine.
+// NextOp resumes the body until it issues its next operation, and
+// reports false once the body has returned, which leaves the slot
+// idle; Complete stores that operation's result, which the body reads
+// when the next NextOp resumes it. Control therefore alternates
+// strictly between engine and program, one program at a time, and
+// execution is fully deterministic. A body starts at its slot's first
+// NextOp after Start, not at Start, so even the code before its first
+// operation runs on the executor's schedule; a panic in the body
+// surfaces from NextOp with its value and ends the slot. Abort stops a
+// slot's coroutine, unwinding a body suspended in an op. An idle slot
+// parks between bodies, so only Abort ends it: an executor aborts
+// every slot it made once it is done with them, or the coroutine stays
+// parked, with its goroutine, for the life of the process.
 //
 // An operation's operand slices (addresses, store values) are read by
 // the executor only while the program is suspended on that operation,
@@ -44,40 +46,72 @@ import (
 	"hscsim/internal/memdata"
 )
 
-// errAborted unwinds a program whose executor stopped it: issue panics
-// with it when yield reports the stop, and the coroutine's sequence
-// function recovers it.
+// errAborted unwinds a body whose executor stopped it: issue panics
+// with it when yield reports the stop, and the slot's coroutine
+// recovers it.
 var errAborted = fmt.Errorf("prog: workload aborted")
 
-// coroutine is the pull-coroutine half shared by CPUThread and Wave:
-// the program runs inside an iter.Pull sequence and hands each
-// operation to its executor through yield.
-type coroutine[O any] struct {
+// slot is the pull coroutine shared by CPUThread and Wave, running
+// bodies against the context self. It runs the loaded body, yields the
+// zero op with idle set when the body returns, and waits there for the
+// next one; the body hands each operation to its executor through
+// yield.
+type slot[O, P any] struct {
 	yield func(O) bool
 	next  func() (O, bool)
 	stop  func()
+	self  P
+	fn    func(P) // the body start loaded, until it begins
+	idle  bool    // ready for start: no body loaded or running, not stopped
 }
 
-// init makes run the coroutine's program; it starts at the first next.
-func (c *coroutine[O]) init(run func()) {
-	c.next, c.stop = iter.Pull(func(yield func(O) bool) {
-		c.yield = yield
-		defer recoverAborted()
-		run()
-	})
+// init makes self the context of the slot's bodies. The coroutine
+// starts at the first next.
+func (s *slot[O, P]) init(self P) {
+	s.self, s.idle = self, true
+	s.next, s.stop = iter.Pull(s.run)
 }
 
-// issue suspends the program until the executor resumes it with the
-// op's result. If the executor stopped the coroutine instead, issue
-// unwinds the program.
-func (c *coroutine[O]) issue(op O) {
-	if !c.yield(op) {
+// run is the slot's coroutine: each loaded body in turn, with an idle
+// yield after each. A stop there ends the coroutine; a stop while a
+// body is suspended in an op unwinds that body (issue).
+func (s *slot[O, P]) run(yield func(O) bool) {
+	s.yield = yield
+	defer recoverAborted()
+	for {
+		if fn := s.fn; fn != nil {
+			s.fn = nil
+			fn(s.self)
+		}
+		s.idle = true
+		var end O
+		if !yield(end) {
+			return
+		}
+	}
+}
+
+// start loads fn; it begins at the next next. The op next returns
+// once the body has returned is not one: idle is set.
+func (s *slot[O, P]) start(fn func(P)) { s.fn, s.idle = fn, false }
+
+// issue suspends the body until the executor resumes it with the op's
+// result. If the executor stopped the slot instead, issue unwinds the
+// body.
+func (s *slot[O, P]) issue(op O) {
+	if !s.yield(op) {
 		panic(errAborted)
 	}
 }
 
-// recoverAborted ends an aborted program quietly; any other panic
-// carries on to the executor's NextOp.
+// abort stops the coroutine; the slot can run no further body.
+func (s *slot[O, P]) abort() {
+	s.stop()
+	s.fn, s.idle = nil, false
+}
+
+// recoverAborted ends an aborted body quietly; any other panic carries
+// on to the executor's NextOp.
 func recoverAborted() {
 	if r := recover(); r != nil && r != errAborted {
 		panic(r)
@@ -113,24 +147,40 @@ type Op struct {
 	DMAWrite bool
 }
 
-// CPUThread is the context a workload CPU-thread function runs against.
+// CPUThread is the context a workload CPU-thread function runs
+// against. It is a slot: one core's coroutine, which runs the thread
+// bodies Start loads one after another. The core keeps it across
+// threads and runs.
 type CPUThread struct {
 	id  int
-	co  coroutine[Op]
+	co  slot[Op, *CPUThread]
 	res uint64
 }
 
-// NewCPUThread returns the context the executor pulls operations from;
-// fn starts at the first NextOp. fn must communicate with the
-// simulation only through the context's methods.
-func NewCPUThread(id int, fn func(*CPUThread)) *CPUThread {
-	t := &CPUThread{id: id}
-	t.co.init(func() { fn(t) })
+// NewCPUThread returns an idle slot; Start loads its first body. Its
+// coroutine starts at the first NextOp and parks between bodies, so an
+// executor must Abort every slot it made once it is done with it.
+func NewCPUThread() *CPUThread {
+	t := &CPUThread{}
+	t.co.init(t)
 	return t
+}
+
+// Start loads the next thread body into an idle slot (new, or one
+// whose NextOp has reported the end of its last body): fn runs as
+// thread id from the slot's next NextOp. fn must communicate with the
+// simulation only through the context's methods.
+func (t *CPUThread) Start(id int, fn func(*CPUThread)) {
+	t.id, t.res = id, 0
+	t.co.start(fn)
 }
 
 // ID returns the thread's index.
 func (t *CPUThread) ID() int { return t.id }
+
+// Idle reports whether the slot is ready for Start: no body is loaded
+// or running, and it has not been aborted or ended by a panic.
+func (t *CPUThread) Idle() bool { return t.co.idle }
 
 func (t *CPUThread) do(op Op) uint64 {
 	t.co.issue(op)
@@ -201,15 +251,21 @@ func (t *CPUThread) DMAOut(base memdata.Addr, length int) {
 }
 
 // NextOp resumes the thread until it issues its next operation, or
-// returns ok == false once it has returned. The first call starts the
-// thread. A panic in the thread's program propagates out of NextOp.
-func (t *CPUThread) NextOp() (Op, bool) { return t.co.next() }
+// returns ok == false once the body Start loaded has returned; the slot
+// is then idle. A panic in the body propagates out of NextOp and ends
+// the slot.
+func (t *CPUThread) NextOp() (Op, bool) {
+	// Not a generic slot method: through one, the handoff took ~15 %
+	// longer (BenchmarkHandoff).
+	op, ok := t.co.next()
+	return op, ok && !t.co.idle
+}
 
 // Complete records an operation's result; the thread reads it when the
 // next NextOp resumes it.
 func (t *CPUThread) Complete(v uint64) { t.res = v }
 
-// Abort stops the thread (end-of-simulation cleanup): a suspended
-// program unwinds, a thread that never started never runs, and later
-// NextOps report completion. Idempotent.
-func (t *CPUThread) Abort() { t.co.stop() }
+// Abort stops the slot: a body suspended in an op unwinds, a body
+// loaded but not begun never runs, an idle slot's coroutine returns,
+// and later NextOps report false. Idempotent.
+func (t *CPUThread) Abort() { t.co.abort() }

@@ -7,6 +7,15 @@ import (
 	"hscsim/internal/memdata"
 )
 
+// newThread loads fn into a new thread slot as thread id, and aborts
+// the slot when the test ends.
+func newThread(tb testing.TB, id int, fn func(*CPUThread)) *CPUThread {
+	th := NewCPUThread()
+	th.Start(id, fn)
+	tb.Cleanup(th.Abort)
+	return th
+}
+
 // drive pulls ops from a thread and executes them against a plain
 // functional memory, synchronously.
 func drive(t *testing.T, th *CPUThread, fm *memdata.Memory) []Op {
@@ -35,7 +44,7 @@ func drive(t *testing.T, th *CPUThread, fm *memdata.Memory) []Op {
 func TestThreadRendezvous(t *testing.T) {
 	fm := memdata.New()
 	var got uint64
-	th := NewCPUThread(0, func(c *CPUThread) {
+	th := newThread(t, 0, func(c *CPUThread) {
 		c.Store(8, 42)
 		got = c.Load(8)
 		c.Compute(10)
@@ -52,7 +61,7 @@ func TestThreadRendezvous(t *testing.T) {
 func TestAtomicHelpers(t *testing.T) {
 	fm := memdata.New()
 	var adds, cas, exch uint64
-	th := NewCPUThread(1, func(c *CPUThread) {
+	th := newThread(t, 1, func(c *CPUThread) {
 		adds = c.AtomicAdd(0, 5)   // 0 → 5
 		cas = c.AtomicCAS(0, 5, 9) // 5 → 9
 		exch = c.AtomicExch(0, 1)  // 9 → 1
@@ -68,7 +77,7 @@ func TestAtomicHelpers(t *testing.T) {
 
 func TestSpinUntil(t *testing.T) {
 	fm := memdata.New()
-	th := NewCPUThread(0, func(c *CPUThread) {
+	th := newThread(t, 0, func(c *CPUThread) {
 		v := c.SpinUntil(16, func(v uint64) bool { return v >= 3 })
 		if v != 3 {
 			t.Errorf("spin returned %d", v)
@@ -94,7 +103,7 @@ func TestSpinUntil(t *testing.T) {
 }
 
 func TestAbortUnblocksThread(t *testing.T) {
-	th := NewCPUThread(0, func(c *CPUThread) {
+	th := newThread(t, 0, func(c *CPUThread) {
 		for {
 			c.Load(0) // would spin forever
 		}
@@ -115,7 +124,7 @@ func TestAbortUnblocksThread(t *testing.T) {
 // executor's NextOp with its value (the job engine turns it into a
 // failed job), and the thread is finished afterwards.
 func TestProgramPanicSurfacesFromNextOp(t *testing.T) {
-	th := NewCPUThread(0, func(c *CPUThread) {
+	th := newThread(t, 0, func(c *CPUThread) {
 		c.Load(0)
 		panic("program bug")
 	})
@@ -141,7 +150,7 @@ func TestProgramPanicSurfacesFromNextOp(t *testing.T) {
 // TestHandoffAllocs: a steady-state NextOp+Complete round trip
 // allocates nothing.
 func TestHandoffAllocs(t *testing.T) {
-	th := NewCPUThread(0, func(c *CPUThread) {
+	th := newThread(t, 0, func(c *CPUThread) {
 		for {
 			c.Load(0)
 		}
@@ -159,7 +168,7 @@ func TestHandoffAllocs(t *testing.T) {
 // resumes the program up to its next op and Complete hands back the
 // result. The benchgate baseline pins it at 0 allocs/op.
 func BenchmarkHandoff(b *testing.B) {
-	th := NewCPUThread(0, func(c *CPUThread) {
+	th := newThread(b, 0, func(c *CPUThread) {
 		for {
 			c.Load(0)
 		}
@@ -185,7 +194,7 @@ func TestPrefixRunsAtFirstNextOp(t *testing.T) {
 	var order []int
 	threads := make([]*CPUThread, 2)
 	for i := range threads {
-		threads[i] = NewCPUThread(i, func(c *CPUThread) {
+		threads[i] = newThread(t, i, func(c *CPUThread) {
 			shared[c.ID()] = len(shared)
 			order = append(order, c.ID())
 			c.Compute(1)
@@ -202,7 +211,7 @@ func TestPrefixRunsAtFirstNextOp(t *testing.T) {
 	}
 	// A thread aborted before its first op never starts.
 	ran := false
-	th := NewCPUThread(2, func(c *CPUThread) { ran = true })
+	th := newThread(t, 2, func(c *CPUThread) { ran = true })
 	th.Abort()
 	if ran {
 		t.Fatal("aborted thread ran its prefix")
@@ -210,7 +219,7 @@ func TestPrefixRunsAtFirstNextOp(t *testing.T) {
 }
 
 func TestDMAOps(t *testing.T) {
-	th := NewCPUThread(0, func(c *CPUThread) {
+	th := newThread(t, 0, func(c *CPUThread) {
 		c.DMAIn(0x100, 256)
 		c.DMAOut(0x200, 128)
 	})
@@ -230,7 +239,7 @@ func TestDMAOps(t *testing.T) {
 func TestLaunchAndWait(t *testing.T) {
 	k := &Kernel{Name: "k", Workgroups: 1, WavesPerWG: 1}
 	var handle *KernelHandle
-	th := NewCPUThread(0, func(c *CPUThread) {
+	th := newThread(t, 0, func(c *CPUThread) {
 		h := c.Launch(k)
 		c.Wait(h)
 		handle = h
@@ -257,6 +266,109 @@ func TestLaunchAndWait(t *testing.T) {
 	th.NextOp()
 	if handle == nil || !handle.Done() {
 		t.Fatal("wait did not observe completion")
+	}
+}
+
+// TestThreadSlotRunsBodiesInTurn: one thread slot runs two bodies one
+// after the other on its one coroutine. Each sees the ID Start gave it
+// and its own results, and NextOp reports the end of each body.
+func TestThreadSlotRunsBodiesInTurn(t *testing.T) {
+	fm := memdata.New()
+	fm.Write(0, 7)
+	var ids []int
+	var sum uint64
+	body := func(c *CPUThread) {
+		ids = append(ids, c.ID())
+		v := c.Load(memdata.Addr(8 * c.ID()))
+		c.Store(memdata.Addr(8*c.ID()+8), v+1)
+		sum += v
+	}
+	th := newThread(t, 0, body)
+	first := drive(t, th, fm)
+	if !th.Idle() {
+		t.Fatal("a slot whose body returned is not idle")
+	}
+	if _, ok := th.NextOp(); ok {
+		t.Fatal("an idle slot issued an op")
+	}
+	th.Start(1, body)
+	second := drive(t, th, fm)
+	kinds := func(ops []Op) []OpKind {
+		var k []OpKind
+		for _, op := range ops {
+			k = append(k, op.Kind)
+		}
+		return k
+	}
+	want := []OpKind{OpLoad, OpStore}
+	if !slices.Equal(kinds(first), want) || !slices.Equal(kinds(second), want) {
+		t.Fatalf("ops = %v then %v, want %v each", kinds(first), kinds(second), want)
+	}
+	if !slices.Equal(ids, []int{0, 1}) {
+		t.Fatalf("bodies saw ids %v", ids)
+	}
+	// The second body loaded the first one's store: 7, then 8.
+	if sum != 15 || fm.Read(16) != 9 {
+		t.Fatalf("sum = %d, [16] = %d; want 15 and 9", sum, fm.Read(16))
+	}
+}
+
+// TestThreadSlotAbortSkipsLoadedBody: a body loaded into a thread slot
+// but not yet begun never runs once the slot is aborted, on a new slot
+// and on one idle after an earlier body.
+func TestThreadSlotAbortSkipsLoadedBody(t *testing.T) {
+	ran := 0
+	body := func(c *CPUThread) { ran++ }
+	fresh := NewCPUThread()
+	fresh.Start(0, body)
+	fresh.Abort()
+
+	used := newThread(t, 0, body)
+	drive(t, used, memdata.New())
+	used.Start(1, body)
+	used.Abort()
+	used.Abort() // idempotent
+	for _, th := range []*CPUThread{fresh, used} {
+		if _, ok := th.NextOp(); ok {
+			t.Fatal("an aborted slot issued an op")
+		}
+		if th.Idle() {
+			t.Fatal("an aborted slot reports idle")
+		}
+	}
+	if ran != 1 {
+		t.Fatalf("%d bodies ran, want only the one driven before Abort", ran)
+	}
+}
+
+// TestThreadSlotPanicInLaterBody: a panic in a thread slot's second
+// body surfaces from NextOp with its value, and the slot is finished
+// after.
+func TestThreadSlotPanicInLaterBody(t *testing.T) {
+	th := newThread(t, 0, func(c *CPUThread) { c.Compute(1) })
+	drive(t, th, memdata.New())
+	th.Start(1, func(c *CPUThread) {
+		c.Compute(1)
+		panic("second body")
+	})
+	if _, ok := th.NextOp(); !ok {
+		t.Fatal("no first op from the second body")
+	}
+	th.Complete(0)
+	func() {
+		defer func() {
+			if r := recover(); r != "second body" {
+				t.Fatalf("NextOp panicked with %v, want the body's value", r)
+			}
+		}()
+		th.NextOp()
+		t.Fatal("NextOp returned past the body's panic")
+	}()
+	if _, ok := th.NextOp(); ok {
+		t.Fatal("a panicked slot issued another op")
+	}
+	if th.Idle() {
+		t.Fatal("a panicked slot reports idle")
 	}
 }
 

@@ -99,3 +99,13 @@ func (q *Queues[K, T]) At(k K) []T {
 
 // Len reports how many keys have a non-empty queue.
 func (q *Queues[K, T]) Len() int { return q.idx.Len() }
+
+// Reset empties every queue and keeps the backing arrays for reuse.
+func (q *Queues[K, T]) Reset() {
+	for i := range q.idx.slots {
+		if s := &q.idx.slots[i]; s.key != 0 {
+			q.Recycle(s.val)
+		}
+	}
+	q.idx.Reset()
+}

@@ -116,6 +116,14 @@ func (t *Table[K, V]) Delete(k K) bool {
 	return true
 }
 
+// Reset removes every entry and keeps the slot array, so a table
+// refilled to its old size allocates nothing. The slot order ForEach
+// visits then also depends on the kept capacity.
+func (t *Table[K, V]) Reset() {
+	clear(t.slots)
+	t.n = 0
+}
+
 // ForEach calls fn for every entry in slot order. fn may modify the
 // value in place but must not Put or Delete.
 func (t *Table[K, V]) ForEach(fn func(k K, v *V)) {

@@ -149,8 +149,10 @@ func runProgram(s scheduler, ops []progOp) *progState {
 	return p
 }
 
-// checkEquivalence runs one program on the engine and the reference
-// heap and fails on any observable divergence.
+// checkEquivalence runs one program on a new engine, on a reset one and
+// on the reference heap, and fails on any observable divergence. The
+// reset engine first ran the program, then had its window grown and
+// far-future events left queued when it was Reset.
 func checkEquivalence(t *testing.T, data []byte) {
 	t.Helper()
 	ops := decodeProgram(data)
@@ -158,19 +160,32 @@ func checkEquivalence(t *testing.T, data []byte) {
 		return
 	}
 	ref := runProgram(&refEngine{}, ops)
-	got := runProgram(calendar{NewEngine()}, ops)
+	sameRun(t, "new engine", runProgram(calendar{NewEngine()}, ops), ref)
 
+	used := NewEngine()
+	runProgram(calendar{used}, ops)
+	for i := 0; i < 3*minBuckets; i++ {
+		used.Post(Tick(500+4*i), nopHandler{}, 0, 0, nil)
+	}
+	used.Step() // the window jumps to the overflow and grows
+	used.Reset()
+	sameRun(t, "reset engine", runProgram(calendar{used}, ops), ref)
+}
+
+// sameRun fails if got's log or final state differs from ref's.
+func sameRun(t *testing.T, name string, got, ref *progState) {
+	t.Helper()
 	if len(got.log) != len(ref.log) {
-		t.Fatalf("%d log entries, reference %d\ngot: %v\nref: %v", len(got.log), len(ref.log), got.log, ref.log)
+		t.Fatalf("%s: %d log entries, reference %d\ngot: %v\nref: %v", name, len(got.log), len(ref.log), got.log, ref.log)
 	}
 	for i := range ref.log {
 		if got.log[i] != ref.log[i] {
-			t.Fatalf("diverges at entry %d: %q vs reference %q\ngot: %v\nref: %v",
-				i, got.log[i], ref.log[i], got.log, ref.log)
+			t.Fatalf("%s diverges at entry %d: %q vs reference %q\ngot: %v\nref: %v",
+				name, i, got.log[i], ref.log[i], got.log, ref.log)
 		}
 	}
 	if got.s.now() != ref.s.now() || got.s.executed() != ref.s.executed() || got.s.pending() != ref.s.pending() {
-		t.Fatalf("final state (now=%d exec=%d pend=%d) != reference (now=%d exec=%d pend=%d)",
+		t.Fatalf("%s: final state (now=%d exec=%d pend=%d) != reference (now=%d exec=%d pend=%d)", name,
 			got.s.now(), got.s.executed(), got.s.pending(),
 			ref.s.now(), ref.s.executed(), ref.s.pending())
 	}

@@ -131,10 +131,34 @@ type Engine struct {
 
 // NewEngine returns an empty engine at tick 0.
 func NewEngine() *Engine {
-	return &Engine{
-		buckets: make([]bucket, minBuckets),
-		mask:    minBuckets - 1,
+	e := &Engine{buckets: make([]bucket, minBuckets)}
+	e.Reset()
+	return e
+}
+
+// Reset returns the engine to its just-constructed state: no queued
+// events, tick 0, sequence numbers and the executed count restarting
+// at 0, no MaxTicks or Interrupt, and the calendar window back at its
+// initial width, so it grows at the same points as a new engine's. It
+// keeps its storage: queued events return to the free list, and the
+// window's buckets stay allocated for the next growth.
+func (e *Engine) Reset() {
+	if e.size > 0 {
+		for i := range e.buckets {
+			for ev := e.buckets[i].head; ev != nil; {
+				next := ev.next
+				e.release(ev)
+				ev = next
+			}
+			e.buckets[i] = bucket{}
+		}
+		for i, ev := range e.overflow {
+			e.release(ev)
+			e.overflow[i] = nil
+		}
+		e.overflow = e.overflow[:0]
 	}
+	*e = Engine{buckets: e.buckets[:minBuckets], mask: minBuckets - 1, overflow: e.overflow, free: e.free}
 }
 
 // Now returns the current simulation tick.
@@ -228,9 +252,14 @@ func (e *Engine) promote() {
 func (e *Engine) jump(t Tick) {
 	// Adaptive sizing: if the overflow population reached the window
 	// width, the tick distribution outgrew the window — double it (the
-	// buckets are all empty, so regrowing is just a reallocation).
+	// buckets are all empty, so regrowing is just a reallocation, or a
+	// reslice into the empty buckets a Reset kept).
 	for len(e.overflow) >= len(e.buckets) && len(e.buckets) < maxBuckets {
-		e.buckets = make([]bucket, 2*len(e.buckets))
+		if n := 2 * len(e.buckets); n <= cap(e.buckets) {
+			e.buckets = e.buckets[:n]
+		} else {
+			e.buckets = make([]bucket, n)
+		}
 		e.mask = Tick(len(e.buckets) - 1)
 	}
 	e.cur = t

@@ -7,6 +7,7 @@ package system
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -145,6 +146,11 @@ type System struct {
 
 	oracle     *verify.Oracle
 	oracleViol *core.ProtocolViolation
+
+	// finished counts the run's threads that have returned; threadDone,
+	// bound once, is every thread's exit callback.
+	finished   int
+	threadDone func()
 }
 
 // Node-ID layout: L2s occupy 0..n-1; TCC banks, DMA, the directory
@@ -188,8 +194,6 @@ func (r *dirRouter) Receive(m msg.Message) {
 // New assembles a System.
 func New(cfg Config) *System {
 	engine := sim.NewEngine()
-	engine.MaxTicks = cfg.MaxTicks
-	engine.Interrupt = cfg.Interrupt
 	fm := memdata.New()
 
 	ic := noc.New(engine, cfg.NoC)
@@ -202,12 +206,12 @@ func New(cfg Config) *System {
 	l2IDs, tccIDs, dmaID, dirID := nodeLayout(cfg.NumCorePairs, nTCCs)
 
 	s := &System{
-		Cfg:     cfg,
 		Engine:  engine,
 		FuncMem: fm,
 		IC:      ic,
 		Mem:     mem,
 	}
+	s.threadDone = func() { s.finished++ }
 
 	banks := cfg.DirBanks
 	if banks < 1 {
@@ -289,8 +293,70 @@ func New(cfg Config) *System {
 			s.Cores = append(s.Cores, cpu.New(engine, pair, c, fm, s.GPU, s.DMA, cfg.CPU, base))
 		}
 	}
+	s.configure(cfg)
 	return s
 }
+
+// Reset returns the system to the state New(cfg) builds, keeping every
+// component's storage (DESIGN.md, "Job engine & result cache"). cfg
+// must have the shape s was built for: only Protocol, Interrupt and
+// MaxTicks may differ from s.Cfg (sameShape). Simulated time, event
+// sequence numbers, transaction IDs and every counter restart at 0, so
+// a run on a reset system produces the bytes a run on a new one does.
+func (s *System) Reset(cfg Config) {
+	if !sameShape(s.Cfg, cfg) {
+		panic("system: Reset with a config of another shape")
+	}
+	s.reset(cfg)
+}
+
+// reset is Reset without the shape check, for a Runner that made it.
+func (s *System) reset(cfg Config) {
+	s.Engine.Reset()
+	s.FuncMem.Reset()
+	s.IC.Reset()
+	s.Mem.Reset()
+	for _, bank := range s.DirBanks {
+		bank.Reset(cfg.Protocol)
+	}
+	for _, pair := range s.CorePairs {
+		pair.Reset()
+	}
+	for _, c := range s.Cores {
+		c.Reset()
+	}
+	s.GPUCaches.Reset()
+	s.GPU.Reset()
+	s.DMA.Reset()
+	if s.oracle != nil {
+		s.oracle.Reset(cfg.Protocol)
+	}
+	s.configure(cfg)
+}
+
+// configure sets what the system itself holds of cfg and of a run: the
+// config, the engine's limits, and no read-only ranges, oracle verdict
+// or finished threads.
+func (s *System) configure(cfg Config) {
+	s.Cfg = cfg
+	s.Engine.MaxTicks = cfg.MaxTicks
+	s.Engine.Interrupt = cfg.Interrupt
+	s.roRanges = s.roRanges[:0]
+	s.oracleViol = nil
+	s.finished = 0
+}
+
+// shape is the part of a config a system is built for: all of it but
+// Protocol, Interrupt and MaxTicks, which Reset sets. The protocol's
+// Recorder is shape too: New wires it into every controller.
+func shape(cfg Config) Config {
+	cfg.Protocol = core.Options{Recorder: cfg.Protocol.Recorder}
+	cfg.Interrupt, cfg.MaxTicks = nil, 0
+	return cfg
+}
+
+// sameShape reports whether a system built for a can be reset for b.
+func sameShape(a, b Config) bool { return reflect.DeepEqual(shape(a), shape(b)) }
 
 // Transitions returns the transition recorder configured via
 // Config.Protocol.Recorder (nil when recording is off).
@@ -340,8 +406,28 @@ func (r Results) MemAccesses() uint64 { return r.MemReads + r.MemWrites }
 
 // Run executes the workload to completion and returns measured results.
 // It errors if the run exceeds MaxTicks, a thread never finishes, or
-// verification fails.
+// verification fails. Whatever the outcome, it stops every workload
+// coroutine before it returns, so the system leaves no goroutine
+// behind; a Runner keeps them for its next job instead.
 func (s *System) Run(w Workload) (Results, error) {
+	defer s.stop()
+	return s.run(w)
+}
+
+// stop ends every workload coroutine: the cores' thread slots and the
+// GPU's wave slots, idle or suspended mid-op. A later run makes new
+// ones.
+func (s *System) stop() {
+	for _, c := range s.Cores {
+		c.Abort()
+	}
+	s.GPU.Abort()
+}
+
+// run is Run without the teardown: idle workload coroutines stay
+// parked, and a run cut short (MaxTicks, an interrupt, a deadlock, a
+// panic) leaves threads and resident waves suspended mid-op until stop.
+func (s *System) run(w Workload) (Results, error) {
 	if len(w.Threads) > len(s.Cores) {
 		return Results{}, fmt.Errorf("system: workload %q wants %d threads, have %d cores",
 			w.Name, len(w.Threads), len(s.Cores))
@@ -365,23 +451,9 @@ func (s *System) Run(w Workload) (Results, error) {
 		}
 	}
 
-	finished := 0
-	threads := make([]*prog.CPUThread, len(w.Threads))
+	s.finished = 0
 	for i, fn := range w.Threads {
-		threads[i] = prog.NewCPUThread(i, fn)
-	}
-	// Stop every workload coroutine still parked when the run ends:
-	// on success they have all returned, but a run cut short (MaxTicks,
-	// an interrupt, a deadlock, a panic) leaves threads and resident
-	// waves suspended mid-op.
-	defer func() {
-		for _, t := range threads {
-			t.Abort()
-		}
-		s.GPU.Abort()
-	}()
-	for i, t := range threads {
-		s.Cores[i].Run(t, func() { finished++ })
+		s.Cores[i].Run(i, fn, s.threadDone)
 	}
 
 	if err := s.Engine.Run(); err != nil {
@@ -390,9 +462,9 @@ func (s *System) Run(w Workload) (Results, error) {
 	if s.oracleViol != nil {
 		return Results{}, fmt.Errorf("system: workload %q: coherence oracle: %w", w.Name, s.oracleViol)
 	}
-	if finished != len(w.Threads) {
+	if s.finished != len(w.Threads) {
 		return Results{}, fmt.Errorf("system: workload %q deadlocked: %d/%d threads finished",
-			w.Name, finished, len(w.Threads))
+			w.Name, s.finished, len(w.Threads))
 	}
 	for b, bank := range s.DirBanks {
 		if !bank.Idle() {

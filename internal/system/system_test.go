@@ -119,7 +119,9 @@ func TestSingleThreadSequentialConsistency(t *testing.T) {
 	}
 	// Reference: direct execution.
 	ref := memdata.New()
-	refTh := prog.NewCPUThread(0, program)
+	refTh := prog.NewCPUThread()
+	defer refTh.Abort()
+	refTh.Start(0, program)
 	for {
 		op, ok := refTh.NextOp()
 		if !ok {

@@ -2,18 +2,31 @@ package verify
 
 import "testing"
 
-// BenchmarkNewHarness builds one checker harness (2 CorePairs, a TCC,
-// the directory, DMA and the oracle) for the single-line contention
-// scenario under owner tracking. The replay checker builds one per
-// explored path prefix, so this is its per-node setup cost.
-func BenchmarkNewHarness(b *testing.B) {
-	opts := Variants()[4]
-	sc := Scenarios()[0]
+// BenchmarkHarnessReset resets a checker harness (2 CorePairs, a TCC,
+// the directory, DMA and the oracle) that a replayed path left with
+// messages, memory reads and transactions in flight, for the single-line
+// contention scenario under owner tracking. The replay checker resets
+// its one harness before every explored path prefix, so this is its
+// per-node setup cost; the benchgate baseline gates its allocations.
+func BenchmarkHarnessReset(b *testing.B) {
+	h := newHarness(Variants()[4], Scenarios()[0], nil)
+	path := func() {
+		h.drain()
+		for range 6 {
+			if acts := h.enabled(); len(acts) > 0 {
+				h.perform(acts[len(acts)-1])
+			}
+		}
+	}
+	path()
+	h.reset()
+	path()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		harnessSink = newHarness(opts, sc, nil)
+	for range b.N {
+		h.reset()
+		b.StopTimer()
+		path()
+		b.StartTimer()
 	}
 }
-
-var harnessSink *harness

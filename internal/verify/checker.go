@@ -61,28 +61,32 @@ const (
 // completions and agent issue points for the scenario under the given
 // protocol options, checking the coherence invariants (CheckLine), the
 // data-value invariant, and deadlock/livelock freedom. It is a stateless
-// (replay-based) search: each DFS node is reached by re-executing its
-// action path from the initial state, so the simulator itself never
-// needs checkpointing; a fingerprint set prunes revisits.
+// (replay-based) search: each DFS node is reached by resetting one
+// harness and re-executing the node's action path from the initial
+// state, so the simulator itself never needs checkpointing; a
+// fingerprint set prunes revisits.
 func Run(cfg Config) Result {
 	c := &checker{cfg: cfg, visited: make(map[string]struct{})}
 	if c.cfg.MaxStates == 0 {
 		c.cfg.MaxStates = defaultMaxStates
 	}
+	c.h = newHarness(cfg.Opts, cfg.Scenario, cfg.Mutate)
 	c.dfs(nil)
 	return c.result
 }
 
 type checker struct {
 	cfg     Config
+	h       *harness // the one harness every replay resets
 	visited map[string]struct{}
 	result  Result
 }
 
-// replay builds a fresh harness and re-executes the action path.
-// Returns nil if a violation fired mid-path (already recorded).
+// replay resets the harness and re-executes the action path. Returns
+// nil if a violation fired mid-path (already recorded).
 func (c *checker) replay(path []int) *harness {
-	h := newHarness(c.cfg.Opts, c.cfg.Scenario, c.cfg.Mutate)
+	h := c.h
+	h.reset()
 	h.drain()
 	for _, ai := range path {
 		acts := h.enabled()
@@ -109,7 +113,8 @@ func (c *checker) fail(h *harness, path []int, extra *core.ProtocolViolation) {
 
 // trace re-executes the path once more purely to render each action.
 func (c *checker) trace(path []int) []string {
-	h := newHarness(c.cfg.Opts, c.cfg.Scenario, c.cfg.Mutate)
+	h := c.h
+	h.reset()
 	h.drain()
 	out := make([]string, 0, len(path))
 	for _, ai := range path {

@@ -52,6 +52,9 @@ func (f *chaosFabric) SendAfter(delay sim.Tick, m msg.Message) {
 // delayed message.
 func (f *chaosFabric) OnEvent(_ uint8, _ uint64, obj any) { f.Send(obj.(msg.Message)) }
 
+// reset drops every message in flight, keeping the wiring.
+func (f *chaosFabric) reset() { f.pending = f.pending[:0] }
+
 // deliver hands pending message i to its destination handler.
 func (f *chaosFabric) deliver(i int) {
 	m := f.pending[i]
@@ -90,6 +93,12 @@ func (c *chaosMem) Read(addr cachearray.LineAddr, h sim.Handler, kind uint8, obj
 }
 
 func (c *chaosMem) Write(cachearray.LineAddr) {}
+
+// reset drops every buffered completion.
+func (c *chaosMem) reset() {
+	clear(c.pending)
+	c.pending = c.pending[:0]
+}
 
 func (c *chaosMem) deliver(i int) {
 	p := c.pending[i]
@@ -158,11 +167,16 @@ type agent struct {
 
 func (a *agent) done() bool { return !a.inflight && a.next >= len(a.ops) }
 
+// reset rewinds the agent to its first op.
+func (a *agent) reset() { a.next, a.inflight = 0, false }
+
 // harness is one instantiation of the checked configuration: 2 CorePair
 // L2s + 1 TCC + directory on a chaos fabric and chaos memory. Every
 // cache array is direct-mapped so replacement state cannot diverge
-// between runs that reach the same logical state.
+// between runs that reach the same logical state. The checker keeps one
+// harness and resets it before each replay.
 type harness struct {
+	opts   core.Options
 	engine *sim.Engine
 	fab    *chaosFabric
 	mem    *chaosMem
@@ -198,7 +212,7 @@ func newHarness(opts core.Options, sc Scenario, mutate noc.Mutator) *harness {
 		L2SizeBytes: 128, L2Assoc: 1, // 2 sets: lines 0x10/0x12 conflict
 		L1Latency: 1, L2Latency: 1,
 	}
-	h := &harness{engine: engine, fab: fab, mem: cmem, fm: fm, lines: sc.Lines}
+	h := &harness{opts: opts, engine: engine, fab: fab, mem: cmem, fm: fm, lines: sc.Lines}
 	h.cpus = append(h.cpus,
 		corepair.New(engine, fab, nodeL2A, nodeDir, cpCfg),
 		corepair.New(engine, fab, nodeL2B, nodeDir, cpCfg),
@@ -260,6 +274,28 @@ func newHarness(opts core.Options, sc Scenario, mutate noc.Mutator) *harness {
 		{name: "dma", ops: sc.DMA},
 	}
 	return h
+}
+
+// reset returns the harness to the state newHarness builds, keeping
+// its storage: every component, the fabric, the memory and the agents
+// restart, so a replay on a reset harness reaches the states one on a
+// new harness does.
+func (h *harness) reset() {
+	h.engine.Reset()
+	h.fab.reset()
+	h.mem.reset()
+	h.fm.Reset()
+	for _, cp := range h.cpus {
+		cp.Reset()
+	}
+	h.gpu.Reset()
+	h.dma.Reset()
+	h.dir.Reset(h.opts)
+	h.oracle.Reset(h.opts)
+	for _, ag := range h.agents {
+		ag.reset()
+	}
+	h.violation = nil
 }
 
 // action is one schedulable checker choice.

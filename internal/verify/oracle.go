@@ -118,7 +118,26 @@ func NewOracle(cfg OracleConfig) *Oracle {
 	if o.cfg.Report == nil {
 		o.cfg.Report = func(v *core.ProtocolViolation) { panic(v) }
 	}
+	o.Reset(cfg.Opts)
 	return o
+}
+
+// Reset returns the oracle to the state NewOracle builds, checking the
+// protocol variant opts: no line versions, copies or outstanding
+// probes, and no checks counted. It keeps its wiring and its maps'
+// storage.
+func (o *Oracle) Reset(opts core.Options) {
+	o.cfg.Opts = opts
+	clear(o.lineVer)
+	clear(o.homeVer)
+	for _, m := range o.copies { //hsclint:deterministic — clears every inner map, in any order
+		clear(m)
+	}
+	clear(o.pendingPrb)
+	clear(o.view.L2)
+	o.view = LineView{L2: o.view.L2}
+	o.breaches = o.breaches[:0]
+	o.checks = 0
 }
 
 // Checks returns the number of per-delivery invariant sweeps performed.
