@@ -17,6 +17,7 @@ package hscsim_test
 import (
 	"context"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -200,22 +201,26 @@ func BenchmarkTable3Ablations(b *testing.B) {
 	}
 }
 
+// fig6Slice is a slice of the Fig. 6 sweep: the collaborative five
+// under the baseline and under sharer tracking.
+func fig6Slice() []hscsim.JobSpec {
+	var out []hscsim.JobSpec
+	for _, bench := range hscsim.CollaborativeBenchmarks() {
+		out = append(out,
+			hscsim.EvalJobSpec(bench, hscsim.ProtocolOptions{}),
+			hscsim.EvalJobSpec(bench, hscsim.ProtocolOptions{
+				Tracking: hscsim.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true}))
+	}
+	return out
+}
+
 // BenchmarkEngineColdVsWarm measures what the result cache buys: the
 // same Fig. 6 sweep slice run cold (every cell simulated) and warm
 // (every cell a cache hit). The warm/cold ratio is the speedup a
 // repeated sweep sees; warm iterations are typically 3–5 orders of
 // magnitude faster.
 func BenchmarkEngineColdVsWarm(b *testing.B) {
-	specs := func() []hscsim.JobSpec {
-		var out []hscsim.JobSpec
-		for _, bench := range hscsim.CollaborativeBenchmarks() {
-			out = append(out,
-				hscsim.EvalJobSpec(bench, hscsim.ProtocolOptions{}),
-				hscsim.EvalJobSpec(bench, hscsim.ProtocolOptions{
-					Tracking: hscsim.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true}))
-		}
-		return out
-	}()
+	specs := fig6Slice()
 	ctx := context.Background()
 	runAll := func(b *testing.B, e *hscsim.JobEngine) {
 		b.Helper()
@@ -264,6 +269,47 @@ func BenchmarkEngineColdVsWarm(b *testing.B) {
 	})
 }
 
+// BenchmarkWarmHit is one warm hit on the Fig. 6 slice, as a repeated
+// figure run or sweep client is served: Submit, Wait, decode the
+// result and check it was a cache hit. The benchgate baseline gates
+// its allocations: the hash, the job, the one copy of the result and
+// the decoded result.
+func BenchmarkWarmHit(b *testing.B) {
+	specs := fig6Slice()
+	e := hscsim.NewJobEngine(hscsim.JobEngineConfig{})
+	defer e.Close()
+	ctx := context.Background()
+	for _, sp := range specs { // fill the cache and the decoder's known keys
+		out, err := e.Run(ctx, sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if hitSink, err = hscsim.DecodeJobResult(out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		j, err := e.Submit(specs[i%len(specs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		out, err := j.Wait(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if hitSink, err = hscsim.DecodeJobResult(out); err != nil {
+			b.Fatal(err)
+		}
+		if !j.Cached() {
+			b.Fatal("a warm submission was not a cache hit")
+		}
+	}
+}
+
+var hitSink hscsim.Results
+
 // BenchmarkReachStatesPerSec measures the protocol prover's
 // exploration throughput: a full frontier-parallel, symmetry-reduced
 // exploration of the stateless configuration (≈0.73M canonical
@@ -309,7 +355,10 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // run resets the system its runner kept from the last one instead of
 // building it, and checks the final state's coherence. The benchgate
 // baseline gates its allocations, which are the workload's and the
-// run's own.
+// run's own. They are measured warm, so a small b.N reads the same
+// count as a large one: the kept system's message queues reach their
+// peak capacities over its first six runs, and a collection before the
+// loop puts the next one ≈20 runs into it.
 func BenchmarkKeptSystemThroughput(b *testing.B) {
 	cfg := hscsim.EvalConfig(hscsim.ProtocolOptions{})
 	var r system.Runner
@@ -323,7 +372,11 @@ func BenchmarkKeptSystemThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	run() // build the system outside the measurement
+	for range 10 { // build the system and warm it outside the measurement
+		run()
+	}
+	runtime.GC()
+	run()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -81,8 +81,20 @@ func NewCache(maxEntries int, dir string) (*Cache, error) {
 // disk read runs outside the cache lock, and may be slow: callers must
 // not hold a lock of their own across Get.
 func (c *Cache) Get(key string) ([]byte, bool) {
+	v, ok := c.shared(key)
+	if !ok {
+		return nil, false
+	}
+	return cloneBytes(v), true
+}
+
+// shared is Get without the copy: the returned slice is the cache's
+// own, which the cache never writes into, and callers must not either.
+// A warm hit that hands its result out through Job.Result, or writes
+// it to a response, copies it at most once that way.
+func (c *Cache) shared(key string) ([]byte, bool) {
 	if v, ok := c.memGet(key); ok {
-		return cloneBytes(v), true
+		return v, true
 	}
 	if c.dir == "" {
 		c.count(&c.misses)
@@ -105,7 +117,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	c.disk++
 	c.insertLocked(key, b)
 	c.mu.Unlock()
-	return cloneBytes(b), true
+	return b, true
 }
 
 // memGet looks key up in memory. The returned slice is shared with the

@@ -64,7 +64,7 @@ type Job struct {
 	e      *Engine // e.mu guards state, cached, result, err and cancel
 	state  JobState
 	cached bool
-	result []byte
+	result []byte // a hit's is the cache's own: never written, copied by Result
 	err    error
 	cancel context.CancelFunc // non-nil while running
 	done   chan struct{}
@@ -96,8 +96,9 @@ func (j *Job) Cached() bool { return j.view().cached }
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Result returns the canonical result bytes or the job's error. It
-// must be called after Done is closed (Wait does both).
+// Result returns a copy of the canonical result bytes, which the
+// caller owns, or the job's error. It must be called after Done is
+// closed (Wait does both).
 func (j *Job) Result() ([]byte, error) {
 	v := j.view()
 	if !v.state.Terminal() {
@@ -243,9 +244,10 @@ func (e *Engine) Cache() *Cache { return e.cache }
 // CachedResult looks a hash up in the result cache directly. It is how
 // the HTTP service keeps GET /jobs/{hash}/result working for jobs that
 // have been retired from the in-memory index: the job object is gone,
-// but the content-addressed result is forever.
+// but the content-addressed result is forever. The returned bytes are
+// the cache's own and read-only; Cache().Get returns a copy.
 func (e *Engine) CachedResult(hash string) ([]byte, bool) {
-	return e.cache.Get(hash)
+	return e.cache.shared(hash)
 }
 
 // Submit enqueues a spec and returns its job. Submitting a spec whose
@@ -254,7 +256,7 @@ func (e *Engine) CachedResult(hash string) ([]byte, bool) {
 // and ErrDraining report backpressure and shutdown.
 func (e *Engine) Submit(sp Spec) (*Job, error) {
 	sp = sp.Normalized()
-	hash := sp.Hash()
+	hash := sp.hash()
 
 	// Singleflight applies to LIVE jobs only: a spec whose job is
 	// queued or running joins it. Terminal jobs fall through — a Done
@@ -274,8 +276,9 @@ func (e *Engine) Submit(sp Spec) (*Job, error) {
 	}
 
 	// Probe the cache OUTSIDE the engine lock: a disk-backed cache does
-	// file I/O here, which must not serialize every other Submit.
-	if v, ok := e.cache.Get(hash); ok {
+	// file I/O here, which must not serialize every other Submit. The
+	// job shares the cache's bytes; Result copies them.
+	if v, ok := e.cache.shared(hash); ok {
 		// Served entirely from the cache: the job is born terminal and
 		// is deliberately NOT entered into the index — indexing it
 		// would grow e.jobs by one entry per distinct warm spec, and

@@ -157,10 +157,21 @@ func DecodeResult(b []byte) (system.Results, error) {
 // result that differed from the one before. A decode whose keys equal
 // it uses its strings instead of copying each key out of the input, so
 // a decoded result holds only its map: every result of one topology has
-// the same counters, and callers keep many results at once. It is a
+// the same counters, and callers keep many results at once. Where the
+// input spells a known key exactly, the decode takes it without
+// scanning it (resultDecoder.key). It is a
 // cache in the sync.Pool sense, replaced whole and never mutated; no
 // result depends on what it holds.
-var lastStatsKeys atomic.Pointer[[]string]
+var lastStatsKeys atomic.Pointer[statsKeys]
+
+// statsKeys is a decoded result's Stats keys, strictly increasing.
+// keys[:plain] are plain strings (plainString): the canonical spelling
+// of each is the key between quotes, so an input that spells exactly
+// that needs no scan.
+type statsKeys struct {
+	keys  []string
+	plain int
+}
 
 // resultDecoder consumes one canonical encoding; off is where it
 // stopped.
@@ -225,34 +236,40 @@ func (d *resultDecoder) stats() (map[string]uint64, bool) {
 	if d.lit("}") {
 		return stats, true
 	}
-	var prev []string
+	var known statsKeys
 	if p := lastStatsKeys.Load(); p != nil {
-		prev = *p
+		known = *p
 	}
-	var keys []string // non-nil once a key differed from prev
-	var last []byte
+	var keys []string // non-nil once a key differed from the known ones
+	var last string
 	for i := 0; ; i++ {
-		kb, ok := d.str()
-		if !ok || (i > 0 && bytes.Compare(last, kb) >= 0) || !d.lit(":") {
-			return nil, false
+		var k string
+		if keys == nil && i < known.plain && d.key(known.keys[i]) {
+			// Every key so far was the known one, and the known keys
+			// strictly increase, so k follows the last.
+			k = known.keys[i]
+		} else {
+			kb, ok := d.str()
+			if !ok || (i > 0 && last >= string(kb)) || !d.lit(":") {
+				return nil, false
+			}
+			if keys == nil && i < len(known.keys) && string(kb) == known.keys[i] {
+				k = known.keys[i]
+			} else {
+				if keys == nil {
+					keys = make([]string, i, max(i, n))
+					copy(keys, known.keys)
+				}
+				k = string(kb)
+				keys = append(keys, k)
+			}
 		}
 		v, ok := d.uint()
 		if !ok {
 			return nil, false
 		}
-		var k string
-		if keys == nil && i < len(prev) && string(kb) == prev[i] {
-			k = prev[i]
-		} else {
-			if keys == nil {
-				keys = make([]string, i, max(i, n))
-				copy(keys, prev)
-			}
-			k = string(kb)
-			keys = append(keys, k)
-		}
 		stats[k] = v
-		last = kb
+		last = k
 		if d.lit("}") {
 			break
 		}
@@ -261,10 +278,25 @@ func (d *resultDecoder) stats() (map[string]uint64, bool) {
 		}
 	}
 	if keys != nil {
-		next := keys // its own variable, so keys stays off the heap
-		lastStatsKeys.Store(&next)
+		plain := 0
+		for plain < len(keys) && plainString(keys[plain]) {
+			plain++
+		}
+		lastStatsKeys.Store(&statsKeys{keys, plain})
 	}
 	return stats, true
+}
+
+// key consumes `"k":`, the spelling of the plain key k and its colon,
+// and nothing when the input spells anything else. It takes without a
+// scan exactly what str and a colon accept for k.
+func (d *resultDecoder) key(k string) bool {
+	end := d.off + len(k) + 3
+	if end > len(d.b) || d.b[d.off] != '"' || string(d.b[d.off+1:end-2]) != k || string(d.b[end-2:end]) != `":` {
+		return false
+	}
+	d.off = end
+	return true
 }
 
 // lit consumes s.

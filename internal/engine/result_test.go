@@ -164,30 +164,55 @@ func TestEncodeResultRejectsInvalidUTF8(t *testing.T) {
 	}
 }
 
-// TestDecodeResultKeyLayoutsConcurrently: decodes of two key layouts
-// from several goroutines at once, each replacing the shared key list
-// the other reuses, all return their own keys.
+// TestDecodeResultKeyLayoutsConcurrently: four goroutines decode
+// results of different key layouts in turn, each decode replacing the
+// known keys the others' next decodes start from, so the known-key
+// path meets keys that are all known, known up to the middle, a prefix
+// of the known ones, a superset of them, or none. Every decode returns
+// what json.Unmarshal returns for its bytes. Run it under -race.
 func TestDecodeResultKeyLayoutsConcurrently(t *testing.T) {
-	evalBytes := evalCellResult(t)
-	eval := mustDecode(t, evalBytes)
-	other := system.Results{Name: "x", Config: "y", Stats: map[string]uint64{}}
-	for k, v := range eval.Stats {
-		other.Stats["banked."+k] = v + 1
+	eval := mustDecode(t, evalCellResult(t))
+	keys := make([]string, 0, len(eval.Stats))
+	for k := range eval.Stats {
+		keys = append(keys, k)
 	}
-	otherBytes := mustEncode(t, other)
+	slices.Sort(keys)
+	layout := func(keep func(i int, k string) bool, extra ...string) []byte {
+		r := eval
+		r.Stats = map[string]uint64{}
+		for i, k := range keys {
+			if keep(i, k) {
+				r.Stats[k] = eval.Stats[k] + uint64(i)
+			}
+		}
+		for _, k := range extra {
+			r.Stats[k] = 1
+		}
+		return mustEncode(t, r)
+	}
+	layouts := [][]byte{
+		evalCellResult(t),
+		layout(func(i int, _ string) bool { return i != len(keys)/2 }),
+		layout(func(i int, _ string) bool { return i < len(keys)/3 }),
+		layout(func(int, string) bool { return true }, "zz.extra"),
+		layout(func(int, string) bool { return false }, "banked.a", "banked.b"),
+	}
+	want := make([]system.Results, len(layouts))
+	for i, b := range layouts {
+		if err := json.Unmarshal(b, &want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var wg sync.WaitGroup
 	for g := range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range 200 {
-				b, want := evalBytes, eval
-				if (g+i)%2 == 1 {
-					b, want = otherBytes, other
-				}
-				got, err := DecodeResult(b)
-				if err != nil || !reflect.DeepEqual(got, want) {
-					t.Errorf("goroutine %d decode %d: wrong result (err %v)", g, i, err)
+			for i := range 300 {
+				l := (g*2 + i) % len(layouts)
+				got, err := DecodeResult(layouts[l])
+				if err != nil || !reflect.DeepEqual(got, want[l]) {
+					t.Errorf("goroutine %d decode %d of layout %d: wrong result (err %v)", g, i, l, err)
 					return
 				}
 			}
@@ -221,19 +246,50 @@ func TestDecodedResultRetainedHeap(t *testing.T) {
 	}
 }
 
+// withStats is smallResult with its Stats object replaced by stats.
+func withStats(stats string) []byte {
+	return []byte(strings.Replace(smallResult, `{"a.x":1,"b.y":2}`, stats, 1))
+}
+
 // FuzzDecodeResult holds DecodeResult to encoding/json both ways: no
 // input panics; every input it accepts is exactly what EncodeResult
 // writes for the result it returns, which is what json.Unmarshal
 // returns; and every input json.Unmarshal reads and EncodeResult
-// writes back unchanged is accepted.
+// writes back unchanged is accepted. A primer is decoded first, so the
+// input meets the primer's Stats keys as the known ones: the known-key
+// path must accept and return exactly what the general one does.
 func FuzzDecodeResult(f *testing.F) {
 	for _, r := range codecResults(f) {
-		f.Add(mustEncode(f, r))
+		f.Add([]byte(nil), mustEncode(f, r))
 	}
+	eval := evalCellResult(f)
 	for _, b := range nearMisses(f) {
-		f.Add(b)
+		f.Add(eval, b)
 	}
-	f.Fuzz(func(t *testing.T, b []byte) {
+	for _, c := range []struct{ primer, input string }{
+		{`{"a.x":1}`, `{"a.x":1,"b.y":2}`},                           // prefix
+		{`{"a.x":1,"b.y":2,"c.z":3}`, `{"a.x":1,"b.y":2}`},           // superset
+		{`{"a.x":1,"b.y":2,"c.z":3}`, `{"a.x":1,"b.z":2,"c.z":3}`},   // diverges midway
+		{`{"a.x":1,"b.y":2,"c.z":3}`, `{"a.x":1,"a.y":2,"c.z":3}`},   // diverges below the known key
+		{`{"a.x":1,"b.y":2,"c.z":3}`, `{"a.x":1,"d.w":2,"c.z":3}`},   // diverges, then a known key out of order
+		{`{"a.x":1,"b.y":2}`, `{"a.x":1,"b.y":2,"b.y":3}`},           // repeats the last known key
+		{`{"a.x":1,"b.y":2}`, `{"a.x":1,"a.x":2}`},                   // repeats a known key
+		{`{"a.x":1,"b.y":2}`, `{"a.x":1,"b.yy":2}`},                  // extends a known key
+		{`{"a.x":1,"b.y":2}`, `{"a.x":1,"b.y" :2}`},                  // known key, then a space
+		{`{"a.x":1,"b.y":2}`, `{"a.x":1,'b.y":2}`},                   // known key, opening quote replaced
+		{`{"a.x":1,"b.y":2}`, `{"a.x":1,"b.y':2}`},                   // known key, closing quote replaced
+		{`{"a.x":1,"b.y":2}`, `{"a.x":1,"\u0062.y":2}`},              // known key, escaped
+		{`{"a\u003cb":1,"c":2}`, `{"a<b":1,"c":2}`},                  // escaped known key, spelled raw
+		{`{"a\u003cb":1,"c":2}`, `{"a\u003cb":3,"c":4}`},             // escaped known key, canonical
+		{`{"a":1,"a\u003cb":1,"c":2}`, `{"a":3,"a\u003cb":4,"c":5}`}, // plain, escaped, plain
+		{`{"é":1,"\u2028":2}`, `{"é":1,"` + "\u2028" + `":2}`},       // non-ASCII known key, spelled raw
+		{`{"é":1,"\u2028":2}`, `{"é":3,"\u2028":4}`},                 // non-ASCII known keys, canonical
+	} {
+		mustDecode(f, withStats(c.primer))
+		f.Add(withStats(c.primer), withStats(c.input))
+	}
+	f.Fuzz(func(t *testing.T, primer, b []byte) {
+		DecodeResult(primer)
 		got, err := DecodeResult(b)
 		var want system.Results
 		canonical := json.Unmarshal(b, &want) == nil

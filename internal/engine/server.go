@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 )
 
 // MaxJobBody and MaxSweepBody bound POST /jobs and POST /sweeps request
@@ -110,8 +111,10 @@ func NewServer(e *Engine) http.Handler {
 			return
 		}
 		if r.URL.Query().Get("wait") != "" {
-			if _, err := j.Wait(r.Context()); err != nil && r.Context().Err() != nil {
-				httpError(w, http.StatusGatewayTimeout, err)
+			select {
+			case <-j.Done():
+			case <-r.Context().Done():
+				httpError(w, http.StatusGatewayTimeout, r.Context().Err())
 				return
 			}
 			writeResult(w, j)
@@ -286,7 +289,7 @@ func writeResult(w http.ResponseWriter, j *Job) {
 		writeJSON(w, http.StatusAccepted, statusOf(j, v))
 	case Done:
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Engine-Cached", fmt.Sprintf("%t", v.cached))
+		w.Header().Set("X-Engine-Cached", strconv.FormatBool(v.cached))
 		w.WriteHeader(http.StatusOK)
 		w.Write(v.result)
 	case Canceled:

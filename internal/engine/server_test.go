@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hscsim/internal/core"
 )
 
 func postJob(t *testing.T, srv *httptest.Server, sp Spec, query string) (*http.Response, []byte) {
@@ -316,6 +318,49 @@ func TestServerServesRetiredJobFromCache(t *testing.T) {
 	}
 	if resp.Header.Get("X-Engine-Cached") != "true" {
 		t.Fatal("retired result not marked cached")
+	}
+}
+
+// raceEnabled is set in a build under the race detector.
+var raceEnabled bool
+
+// TestServerWaitHitAllocs bounds the allocations of POST /jobs?wait=1
+// answered from memory, the hit hscserve serves most: the request, its
+// spec's decode, validation and hash, the job and the response. The
+// handler reads the job's result once, so the result bytes are not
+// copied on the way to the response.
+func TestServerWaitHitAllocs(t *testing.T) {
+	e := New(Config{Workers: 1, Exec: func(context.Context, Spec) ([]byte, error) {
+		return nil, errors.New("a memory hit must not execute")
+	}})
+	defer e.Close()
+	sp := EvalSpec("bs", core.Options{})
+	result := evalCellResult(t)
+	if err := e.Cache().Put(sp.Hash(), result); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(e)
+	serve := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/jobs?wait=1", bytes.NewReader(body)))
+		return w
+	}
+	w := serve()
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), result) ||
+		w.Header().Get("X-Engine-Cached") != "true" || w.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("POST /jobs?wait=1 hit: %d %v %.80q", w.Code, w.Header(), w.Body.Bytes())
+	}
+	if raceEnabled {
+		return // the race detector's sync.Pool drops items at random
+	}
+	// A handler that copied the result in Job.Wait, then read the job
+	// again to write it, made 47.
+	if n := testing.AllocsPerRun(200, func() { serve() }); n > 40 {
+		t.Errorf("POST /jobs?wait=1 memory hit: %.0f allocations per request, want at most 40", n)
 	}
 }
 

@@ -18,9 +18,9 @@ package engine
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"hscsim/internal/chai"
@@ -270,26 +270,105 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Canonical returns the spec's stable encoding: normalized defaults,
-// fixed field order (Go encodes struct fields in declaration order),
-// no maps. This is the byte string the content hash covers.
+// Canonical returns the spec's stable encoding: the bytes json.Marshal
+// writes for the normalized spec, with the fields in declaration order
+// and no maps. This is the byte string the content hash covers.
 func (s Spec) Canonical() []byte {
-	b, err := json.Marshal(s.Normalized())
-	if err != nil {
-		// A Spec is plain data; Marshal cannot fail on it.
-		panic(fmt.Sprintf("engine: canonical encoding failed: %v", err))
+	return s.Normalized().appendCanonical(nil)
+}
+
+// appendCanonical appends the canonical encoding of s, which must be
+// normalized. It writes by hand what json.Marshal writes, fields in
+// declaration order and the omitempty ones only when set, so hashing a
+// spec reflects over nothing; FuzzSpecCanonical holds it to
+// json.Marshal, and TestSpecHashPinned to the hashes on disk.
+func (s Spec) appendCanonical(b []byte) []byte {
+	b = append(b, `{"bench":`...)
+	b = appendQuoted(b, s.Bench)
+	b = append(b, `,"scale":`...)
+	b = strconv.AppendInt(b, int64(s.Scale), 10)
+	b = append(b, `,"threads":`...)
+	b = strconv.AppendInt(b, int64(s.Threads), 10)
+	if s.Seed != 0 {
+		b = append(b, `,"seed":`...)
+		b = strconv.AppendInt(b, s.Seed, 10)
 	}
-	return b
+	p, t := s.Protocol, s.Topology
+	b = append(b, `,"protocol":{`...)
+	b = appendBool(b, "earlyDirtyResponse", p.EarlyDirtyResponse)
+	b = appendBool(b, "noWBCleanVicToMem", p.NoWBCleanVicToMem)
+	b = appendBool(b, "noWBCleanVicToLLC", p.NoWBCleanVicToLLC)
+	b = appendBool(b, "llcWriteBack", p.LLCWriteBack)
+	b = appendBool(b, "useL3OnWT", p.UseL3OnWT)
+	b = appendString(b, "tracking", p.Tracking)
+	b = appendString(b, "dirRepl", p.DirRepl)
+	b = appendInt(b, "limitedPointers", p.LimitedPointers)
+	b = appendBool(b, "readOnlyElision", p.ReadOnlyElision)
+	b = append(endObject(b), `,"topology":{`...)
+	b = appendInt(b, "numCorePairs", t.NumCorePairs)
+	b = appendInt(b, "numCUs", t.NumCUs)
+	b = appendInt(b, "numTCCs", t.NumTCCs)
+	b = appendInt(b, "dirBanks", t.DirBanks)
+	b = appendInt(b, "dirEntries", t.DirEntries)
+	b = appendInt(b, "storeBufferSize", t.StoreBufferSize)
+	b = appendBool(b, "gpuWriteBackL2", t.GPUWriteBackL2)
+	b = appendBool(b, "storeBufferZero", t.StoreBufferZero)
+	b = append(endObject(b), `,"config":`...)
+	b = appendQuoted(b, s.Config)
+	return append(b, '}')
+}
+
+// appendBool, appendInt and appendString write one omitempty field of
+// an object and its trailing comma, or nothing for the zero value;
+// endObject replaces the last field's comma with the closing brace.
+func appendBool(b []byte, k string, v bool) []byte {
+	if !v {
+		return b
+	}
+	return append(appendKey(b, k), "true,"...)
+}
+
+func appendInt(b []byte, k string, v int) []byte {
+	if v == 0 {
+		return b
+	}
+	return append(strconv.AppendInt(appendKey(b, k), int64(v), 10), ',')
+}
+
+func appendString(b []byte, k, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return append(appendQuoted(appendKey(b, k), v), ',')
+}
+
+// appendKey writes `"k":` for a key that needs no escaping.
+func appendKey(b []byte, k string) []byte {
+	return append(append(append(b, '"'), k...), `":`...)
+}
+
+func endObject(b []byte) []byte {
+	if b[len(b)-1] == ',' {
+		b[len(b)-1] = '}'
+		return b
+	}
+	return append(b, '}')
 }
 
 // Hash is the job's content address: SHA-256 over the code version and
 // the canonical spec encoding, rendered as lowercase hex.
-func (s Spec) Hash() string {
-	h := sha256.New()
-	h.Write([]byte(Version))
-	h.Write([]byte{'\n'})
-	h.Write(s.Canonical())
-	return hex.EncodeToString(h.Sum(nil))
+func (s Spec) Hash() string { return s.Normalized().hash() }
+
+// hash is Hash of a spec that is already normalized. The encoding is
+// built in a buffer on the stack, so the returned string is the one
+// allocation.
+func (s Spec) hash() string {
+	var buf [256]byte
+	b := append(buf[:0], Version+"\n"...)
+	sum := sha256.Sum256(s.appendCanonical(b))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // String identifies the job in logs: bench/variant plus the hash

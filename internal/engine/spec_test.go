@@ -2,9 +2,13 @@ package engine
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hscsim/internal/chai"
@@ -333,25 +337,62 @@ func buildAllocBytes(t *testing.T, sp Spec) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzSpecCanonical decodes arbitrary bytes into a Spec. No input may
-// panic, and for every spec Validate accepts, Normalized is idempotent
-// and the canonical encoding decodes back to the same canonical bytes
-// and hash: the cache key is a function of the spec, not of how a
-// client spelled it.
+// FuzzSpecCanonical decodes arbitrary bytes into a Spec and appends
+// four raw strings to its string fields, as a library caller can set
+// them: invalid UTF-8 and bytes JSON escapes included. No input may
+// panic. For every spec, Canonical is what json.Marshal writes for the
+// normalized spec, and Hash is the SHA-256 of Version and those bytes.
+// For every spec Validate accepts, Normalized is idempotent and the
+// canonical encoding decodes back to the same canonical bytes and
+// hash: the cache key is a function of the spec, not of how a client
+// spelled it.
 func FuzzSpecCanonical(f *testing.F) {
 	for _, sp := range []Spec{
 		EvalSpec("tq", core.Options{}),
 		EvalSpec("hsti", core.Options{EarlyDirtyResponse: true, LLCWriteBack: true, Tracking: core.TrackOwnerSharers}),
 		EvalSpec("hs_mutex", core.Options{LLCWriteBack: true, UseL3OnWT: true}),
 		{Bench: "bs", Scale: 1, Threads: 2, Topology: TopologySpec{NumCorePairs: 2, DirBanks: 4, StoreBufferZero: true}},
+		{Bench: "bs", Scale: 1, Threads: 2, Seed: -5},
+		{Bench: "tq", Scale: 3, Threads: 4, Seed: 7, Config: ConfigFull,
+			Protocol: ProtocolSpec{EarlyDirtyResponse: true, NoWBCleanVicToMem: true, NoWBCleanVicToLLC: true,
+				LLCWriteBack: true, UseL3OnWT: true, Tracking: "owner+sharers", DirRepl: "fewestSharers",
+				LimitedPointers: 4, ReadOnlyElision: true},
+			Topology: TopologySpec{NumCorePairs: 2, NumCUs: 8, NumTCCs: 2, DirBanks: 4, DirEntries: 512,
+				StoreBufferSize: 16, GPUWriteBackL2: true, StoreBufferZero: true}},
 	} {
-		f.Add(sp.Canonical())
+		f.Add(sp.Canonical(), "", "", "", "")
 	}
-	f.Add([]byte(`{"bench":"bs","threads":9}`))
-	f.Add([]byte(`{"bench":"bs","threads":3,"topology":{"numCorePairs":1}}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte(`{"bench":"bs","threads":9}`), "", "", "", "")
+	f.Add([]byte(`{"bench":"bs","threads":3,"topology":{"numCorePairs":1}}`), "", "", "", "")
+	f.Add([]byte(`{"bench":"bs","seed":-9223372036854775808,"scale":-1,"threads":-2}`), "", "", "", "")
+	for _, odd := range []string{"<", "&", `\"`, `\u2028`, `\ud800`, `\\`, `\u00ff`} {
+		f.Add([]byte(`{"bench":"b`+odd+`s","config":"`+odd+`","protocol":{"tracking":"`+odd+`","dirRepl":"`+odd+`"}}`), "", "", "", "")
+	}
+	for _, odd := range []string{"<", "&", `"`, `\`, "\u2028", "\u2029", "\xff", "a\xc3", "é<😀>"} {
+		f.Add([]byte(`{}`), odd, odd, odd, odd)
+		f.Add(EvalSpec("bs", core.Options{}).Canonical(), "bs"+odd, "", "owner"+odd, "")
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bench, config, tracking, dirRepl string) {
 		var sp Spec
-		if json.Unmarshal(data, &sp) != nil || sp.Validate() != nil {
+		if json.Unmarshal(data, &sp) != nil {
+			return
+		}
+		sp.Bench += bench
+		sp.Config += config
+		sp.Protocol.Tracking += tracking
+		sp.Protocol.DirRepl += dirRepl
+		want, err := json.Marshal(sp.Normalized())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sp.Canonical(); !bytes.Equal(got, want) {
+			t.Fatalf("Canonical(%#v):\n got %s\nwant %s (json.Marshal)", sp, got, want)
+		}
+		sum := sha256.Sum256(append([]byte(Version+"\n"), want...))
+		if got := sp.Hash(); got != hex.EncodeToString(sum[:]) {
+			t.Fatalf("Hash(%#v) = %s, want %x", sp, got, sum)
+		}
+		if sp.Validate() != nil {
 			return
 		}
 		n := sp.Normalized()
@@ -371,6 +412,95 @@ func FuzzSpecCanonical(f *testing.F) {
 		}
 	})
 }
+
+// TestCanonicalCoversEveryField sets each field of Spec, ProtocolSpec
+// and TopologySpec in turn, found by reflection, and holds Canonical to
+// json.Marshal of the normalized spec. appendCanonical lists the fields
+// by hand, so a field added without a line there would share the hash
+// of the spec without it, and the cache would serve one spec's result
+// for the other; the fuzz seeds set only the fields that exist today.
+func TestCanonicalCoversEveryField(t *testing.T) {
+	var leaves [][]int
+	var walk func(typ reflect.Type, index []int)
+	walk = func(typ reflect.Type, index []int) {
+		for i := range typ.NumField() {
+			at := append(slices.Clip(index), i)
+			if f := typ.Field(i); f.Type.Kind() == reflect.Struct {
+				walk(f.Type, at)
+			} else {
+				leaves = append(leaves, at)
+			}
+		}
+	}
+	walk(reflect.TypeFor[Spec](), nil)
+	name := func(index []int) string {
+		return fmt.Sprint(reflect.TypeFor[Spec]().FieldByIndex(index).Name, index)
+	}
+	setNonZero := func(sp *Spec, index []int) {
+		switch f := reflect.ValueOf(sp).Elem().FieldByIndex(index); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(3)
+		case reflect.String:
+			f.SetString("x<&")
+		default:
+			t.Fatalf("field %s is a %s: give appendCanonical and this test a case for it", name(index), f.Kind())
+		}
+	}
+	check := func(sp Spec, what string) {
+		want, err := json.Marshal(sp.Normalized())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sp.Canonical(); !bytes.Equal(got, want) {
+			t.Errorf("%s: Canonical\n got %s\nwant %s (json.Marshal)", what, got, want)
+		}
+	}
+	var all Spec
+	for _, index := range leaves {
+		var one Spec
+		setNonZero(&one, index)
+		if reflect.ValueOf(one.Normalized()).FieldByIndex(index).IsZero() {
+			t.Fatalf("field %s: Normalized clears the test value, so the check below shows nothing", name(index))
+		}
+		check(one, "only "+name(index)+" set")
+		setNonZero(&all, index)
+	}
+	check(all, "every field set")
+}
+
+// TestSpecHashPinned pins full job hashes. Every on-disk cache entry is
+// named by one, so a change to the canonical encoding that moves them
+// orphans every stored result: such a change must bump Version instead
+// and update these.
+func TestSpecHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		sp   Spec
+		want string
+	}{
+		{EvalSpec("hsto", core.Options{}), "506038fee5054dc79eeb8055f90a308a5899eeff51d21fbc8a5a9a6ea1f4afb5"},
+		{EvalSpec("trns", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true}),
+			"acbc9553cd50adb671a49b0774a7fdd1528515ec624437c34ea75aed406002bf"},
+		{Spec{Bench: "bs", Scale: 1, Threads: 4}, "2372e50732d0827f54a6bf5276c6f2a200c91e5600e84826a7a38108569a1efa"},
+	} {
+		if got := c.sp.Hash(); got != c.want {
+			t.Errorf("%s hashes to %s, want %s", c.sp.Canonical(), got, c.want)
+		}
+	}
+}
+
+// BenchmarkSpecHash hashes one evaluation cell's spec, as every Submit
+// does. The benchgate baseline gates its allocations: the hex string.
+func BenchmarkSpecHash(b *testing.B) {
+	sp := EvalSpec("trns", core.Options{Tracking: core.TrackOwnerSharers, LLCWriteBack: true, UseL3OnWT: true})
+	b.ReportAllocs()
+	for range b.N {
+		hashSink = sp.Hash()
+	}
+}
+
+var hashSink string
 
 // newSystemPanic builds a system from cfg and returns what the build
 // panicked with, or nil.

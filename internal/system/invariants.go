@@ -23,19 +23,16 @@ func (s *System) CheckCoherence() error {
 	// held has one record per line an L2 holds. Sorted by line, then
 	// pair, a line's holders are one run of it in pair order, and the
 	// sweep reports the first violation deterministically. It is sized
-	// for full L2s, which most runs end with, so it is allocated once.
-	type holding struct {
-		line cachearray.LineAddr
-		pair int32
-		st   corepair.MOESI
-	}
+	// for full L2s, which most runs end with, and kept on the system, so
+	// a kept system allocates it once.
 	l2Lines := s.Cfg.CorePair.L2SizeBytes / cachearray.LineBytes
-	held := make([]holding, 0, len(s.CorePairs)*l2Lines)
+	held := slices.Grow(s.held[:0], len(s.CorePairs)*l2Lines)
 	for p, cp := range s.CorePairs {
 		cp.ForEachL2Line(func(line cachearray.LineAddr, st corepair.MOESI) {
 			held = append(held, holding{line, int32(p), st})
 		})
 	}
+	s.held = held
 	slices.SortFunc(held, func(a, b holding) int {
 		return cmp.Or(cmp.Compare(a.line, b.line), cmp.Compare(a.pair, b.pair))
 	})
@@ -55,6 +52,13 @@ func (s *System) CheckCoherence() error {
 		}
 	}
 	return nil
+}
+
+// holding is one line an L2 holds, in CheckCoherence's list.
+type holding struct {
+	line cachearray.LineAddr
+	pair int32
+	st   corepair.MOESI
 }
 
 func (s *System) lineIsReadOnly(line cachearray.LineAddr) bool {

@@ -28,6 +28,8 @@ var storageFields = map[string]string{
 	"recycle.Table.shift": "the table's capacity",
 	"cpu.Core.thread":     "an idle thread slot: which slot runs a thread never enters the event order",
 	"gpu.Dispatcher.idle": "idle wave slots: which slot runs a wave never enters the event order",
+	"system.System.held": "CheckCoherence's holding list: each check truncates it before " +
+		"filling it, so no run or check reads what the last one left",
 }
 
 // resetCases run a workload under one protocol variant, reset the
@@ -56,10 +58,14 @@ func TestResetEqualsNew(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// A Runner's run: the idle workload coroutines stay parked.
+			// A Runner's run and check: the idle workload coroutines
+			// stay parked.
 			s := system.New(cfg)
 			defer s.Stop()
 			if _, err := s.RunKept(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.CheckCoherence(); err != nil {
 				t.Fatal(err)
 			}
 			cfg.Protocol = c.cmp

@@ -147,6 +147,9 @@ type System struct {
 	oracle     *verify.Oracle
 	oracleViol *core.ProtocolViolation
 
+	// held is CheckCoherence's list of L2 holdings, kept between calls.
+	held []holding
+
 	// finished counts the run's threads that have returned; threadDone,
 	// bound once, is every thread's exit callback.
 	finished   int
