@@ -515,9 +515,6 @@ func runRecorded(w system.Workload, opts core.Options, rec *fsm.Recorder, dirEnt
 	if _, err := s.Run(w); err != nil {
 		return err
 	}
-	if err := s.CheckCoherence(); err != nil {
-		return err
-	}
 	rec.Merge(cfg.Protocol.Recorder)
 	return nil
 }

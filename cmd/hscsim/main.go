@@ -13,8 +13,9 @@
 // The flags make one engine.Spec, which is validated and then built by
 // engine.Build, exactly as the job engine builds it: a run here
 // simulates what hscfig, hscsweep and POST /jobs simulate for the same
-// spec. An invalid spec (unknown benchmark or protocol, a scale above
-// engine.MaxScale, more threads than cores) exits 2.
+// spec, and fails (exit 1) where they fail, the end-of-run coherence
+// check included. An invalid spec (unknown benchmark or protocol, a
+// scale above engine.MaxScale, more threads than cores) exits 2.
 package main
 
 import (
@@ -71,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(2, err)
 	}
 	sp = sp.Normalized()
-	s, w, err := engine.Build(sp, nil)
+	s, w, err := engine.Build(sp)
 	if err != nil {
 		return fail(1, err)
 	}

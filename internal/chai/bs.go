@@ -59,22 +59,23 @@ func BezierSurface(p Params) system.Workload {
 		},
 	}
 
-	threads := make([]func(*prog.CPUThread), p.CPUThreads)
-	threads[0] = func(t *prog.CPUThread) {
-		h := t.Launch(kernel)
-		cpuRowWork(t, 0, p.CPUThreads, cpuRows, res, ctrl, out, point)
-		t.Wait(h)
-	}
-	for k := 1; k < p.CPUThreads; k++ {
-		threads[k] = func(t *prog.CPUThread) {
-			cpuRowWork(t, t.ID(), p.CPUThreads, cpuRows, res, ctrl, out, point)
+	cpuWork := func(t *prog.CPUThread) {
+		lo, hi := splitRange(cpuRows, p.CPUThreads, t.ID())
+		for i := lo; i < hi; i++ {
+			for c := 0; c < 16; c++ {
+				t.Load(wa(ctrl, c))
+			}
+			for j := 0; j < res; j++ {
+				t.Compute(2)
+				t.Store(wa(out, i*res+j), point(i, j))
+			}
 		}
 	}
 
 	return system.Workload{
 		Name:     "bs",
 		Setup:    setup,
-		Threads:  threads,
+		Threads:  collaborative(p.CPUThreads, kernel, cpuWork),
 		ReadOnly: [][2]memdata.Addr{{ctrl, wa(ctrl, nCtrl)}},
 		Verify: func(fm *memdata.Memory) error {
 			for i := 0; i < res; i++ {
@@ -86,19 +87,5 @@ func BezierSurface(p Params) system.Workload {
 			}
 			return nil
 		},
-	}
-}
-
-func cpuRowWork(t *prog.CPUThread, id, nThreads, cpuRows, res int,
-	ctrl, out memdata.Addr, point func(i, j int) uint64) {
-	lo, hi := splitRange(cpuRows, nThreads, id)
-	for i := lo; i < hi; i++ {
-		for c := 0; c < 16; c++ {
-			t.Load(wa(ctrl, c))
-		}
-		for j := 0; j < res; j++ {
-			t.Compute(2)
-			t.Store(wa(out, i*res+j), point(i, j))
-		}
 	}
 }

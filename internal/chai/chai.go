@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"hscsim/internal/memdata"
+	"hscsim/internal/prog"
 	"hscsim/internal/system"
 )
 
@@ -161,6 +162,22 @@ func fillRandom(fm *memdata.Memory, base memdata.Addr, n int, mod uint64, seed i
 		fm.Write(wa(base, i), ref[i])
 	}
 	return ref
+}
+
+// collaborative returns the CPU threads of a collaborative workload:
+// thread 0 launches k, runs its share of the CPU work and waits for the
+// kernel; threads 1 … n-1 run their share.
+func collaborative(n int, k *prog.Kernel, share func(*prog.CPUThread)) []func(*prog.CPUThread) {
+	threads := make([]func(*prog.CPUThread), n)
+	threads[0] = func(t *prog.CPUThread) {
+		h := t.Launch(k)
+		share(t)
+		t.Wait(h)
+	}
+	for i := 1; i < n; i++ {
+		threads[i] = share
+	}
+	return threads
 }
 
 // splitRange statically partitions [0,n) into `parts` chunks and

@@ -44,7 +44,6 @@ func HistogramInput(p Params) system.Workload {
 		},
 	}
 
-	threads := make([]func(*prog.CPUThread), p.CPUThreads)
 	cpuPart := func(t *prog.CPUThread) {
 		lo, hi := splitRange(cpuN, p.CPUThreads, t.ID())
 		for i := lo; i < hi; i++ {
@@ -52,19 +51,11 @@ func HistogramInput(p Params) system.Workload {
 			t.AtomicAdd(wa(bins, int(v)), 1)
 		}
 	}
-	threads[0] = func(t *prog.CPUThread) {
-		h := t.Launch(kernel)
-		cpuPart(t)
-		t.Wait(h)
-	}
-	for k := 1; k < p.CPUThreads; k++ {
-		threads[k] = cpuPart
-	}
 
 	return system.Workload{
 		Name:     "hsti",
 		Setup:    setup,
-		Threads:  threads,
+		Threads:  collaborative(p.CPUThreads, kernel, cpuPart),
 		ReadOnly: [][2]memdata.Addr{{in, wa(in, n)}},
 		Verify:   func(fm *memdata.Memory) error { return verifyHistogram(fm, bins, ref) },
 	}
@@ -113,7 +104,6 @@ func HistogramOutput(p Params) system.Workload {
 		},
 	}
 
-	threads := make([]func(*prog.CPUThread), p.CPUThreads)
 	cpuPart := func(t *prog.CPUThread) {
 		lo, hi := splitRange(cpuBins, p.CPUThreads, t.ID())
 		local := make(map[int]uint64)
@@ -127,19 +117,11 @@ func HistogramOutput(p Params) system.Workload {
 			t.Store(wa(bins, b), local[b])
 		}
 	}
-	threads[0] = func(t *prog.CPUThread) {
-		h := t.Launch(kernel)
-		cpuPart(t)
-		t.Wait(h)
-	}
-	for k := 1; k < p.CPUThreads; k++ {
-		threads[k] = cpuPart
-	}
 
 	return system.Workload{
 		Name:     "hsto",
 		Setup:    setup,
-		Threads:  threads,
+		Threads:  collaborative(p.CPUThreads, kernel, cpuPart),
 		ReadOnly: [][2]memdata.Addr{{in, wa(in, n)}},
 		Verify:   func(fm *memdata.Memory) error { return verifyHistogram(fm, bins, ref) },
 	}

@@ -105,20 +105,10 @@ func Padding(p Params) system.Workload {
 		}
 	}
 
-	threads := make([]func(*prog.CPUThread), p.CPUThreads)
-	threads[0] = func(t *prog.CPUThread) {
-		h := t.Launch(kernel)
-		cpuWork(t)
-		t.Wait(h)
-	}
-	for k := 1; k < p.CPUThreads; k++ {
-		threads[k] = cpuWork
-	}
-
 	return system.Workload{
 		Name:    "pad",
 		Setup:   setup,
-		Threads: threads,
+		Threads: collaborative(p.CPUThreads, kernel, cpuWork),
 		Verify: func(fm *memdata.Memory) error {
 			for r := 0; r < rows; r++ {
 				for k := 0; k < wPad; k++ {

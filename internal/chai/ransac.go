@@ -214,20 +214,10 @@ func RansacTask(p Params) system.Workload {
 		}
 	}
 
-	threads := make([]func(*prog.CPUThread), p.CPUThreads)
-	threads[0] = func(t *prog.CPUThread) {
-		h := t.Launch(kernel)
-		cpuWork(t)
-		t.Wait(h)
-	}
-	for k := 1; k < p.CPUThreads; k++ {
-		threads[k] = cpuWork
-	}
-
 	return system.Workload{
 		Name:     "rsct",
 		Setup:    setup,
-		Threads:  threads,
+		Threads:  collaborative(p.CPUThreads, kernel, cpuWork),
 		ReadOnly: [][2]memdata.Addr{{data, wa(data, n)}},
 		Verify: func(fm *memdata.Memory) error {
 			var want uint64

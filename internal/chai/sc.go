@@ -95,16 +95,6 @@ func StreamCompaction(p Params) system.Workload {
 		}
 	}
 
-	threads := make([]func(*prog.CPUThread), p.CPUThreads)
-	threads[0] = func(t *prog.CPUThread) {
-		h := t.Launch(kernel)
-		cpuPart(t)
-		t.Wait(h)
-	}
-	for k := 1; k < p.CPUThreads; k++ {
-		threads[k] = cpuPart
-	}
-
 	return system.Workload{
 		Name:  "sc",
 		Setup: setup,
@@ -113,7 +103,7 @@ func StreamCompaction(p Params) system.Workload {
 		// scheduling-dependent (Verify checks count, sum, and the
 		// predicate instead).
 		UnstableImage: true,
-		Threads:       threads,
+		Threads:       collaborative(p.CPUThreads, kernel, cpuPart),
 		ReadOnly:      [][2]memdata.Addr{{in, wa(in, n)}},
 		Verify: func(fm *memdata.Memory) error {
 			var wantCount, wantSum uint64

@@ -33,7 +33,6 @@ func TaskQueue(p Params) system.Workload {
 		return sum
 	}
 
-	gpuWaves := 16
 	kernel := &prog.Kernel{
 		Name: "tq_consume", Workgroups: 8, WavesPerWG: 2, CodeAddr: kernelCode(5),
 		Fn: func(w *prog.Wave) {
@@ -62,7 +61,6 @@ func TaskQueue(p Params) system.Workload {
 			}
 		},
 	}
-	_ = gpuWaves
 
 	produce := func(t *prog.CPUThread) {
 		for {
@@ -78,20 +76,10 @@ func TaskQueue(p Params) system.Workload {
 		}
 	}
 
-	threads := make([]func(*prog.CPUThread), p.CPUThreads)
-	threads[0] = func(t *prog.CPUThread) {
-		h := t.Launch(kernel)
-		produce(t)
-		t.Wait(h)
-	}
-	for k := 1; k < p.CPUThreads; k++ {
-		threads[k] = produce
-	}
-
 	return system.Workload{
 		Name:    "tq",
 		Setup:   nil,
-		Threads: threads,
+		Threads: collaborative(p.CPUThreads, kernel, produce),
 		Verify: func(fm *memdata.Memory) error {
 			if got := fm.Read(doneCount); got != uint64(nTasks) {
 				return fmt.Errorf("tq: processed %d tasks, want %d", got, nTasks)

@@ -64,19 +64,9 @@ func TaskQueueHistogram(p Params) system.Workload {
 		}
 	}
 
-	threads := make([]func(*prog.CPUThread), p.CPUThreads)
-	threads[0] = func(t *prog.CPUThread) {
-		h := t.Launch(kernel)
-		produce(t)
-		t.Wait(h)
-	}
-	for k := 1; k < p.CPUThreads; k++ {
-		threads[k] = produce
-	}
-
 	return system.Workload{
 		Name:    "tqh",
-		Threads: threads,
+		Threads: collaborative(p.CPUThreads, kernel, produce),
 		Verify: func(fm *memdata.Memory) error {
 			want := make([]uint64, histBins)
 			for b := 0; b < nBlocks; b++ {
@@ -159,20 +149,10 @@ func CannyTaskParallel(p Params) system.Workload {
 		}
 	}
 
-	threads := make([]func(*prog.CPUThread), p.CPUThreads)
-	threads[0] = func(t *prog.CPUThread) {
-		h := t.Launch(kernel)
-		cpuWork(t)
-		t.Wait(h)
-	}
-	for k := 1; k < p.CPUThreads; k++ {
-		threads[k] = cpuWork
-	}
-
 	return system.Workload{
 		Name:     "cedt",
 		Setup:    setup,
-		Threads:  threads,
+		Threads:  collaborative(p.CPUThreads, kernel, cpuWork),
 		ReadOnly: [][2]memdata.Addr{{in, wa(in, frames*px)}},
 		Verify: func(fm *memdata.Memory) error {
 			for i := 0; i < frames*px; i++ {

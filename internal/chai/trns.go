@@ -104,20 +104,10 @@ func Transpose(p Params) system.Workload {
 		}
 	}
 
-	threads := make([]func(*prog.CPUThread), p.CPUThreads)
-	threads[0] = func(t *prog.CPUThread) {
-		h := t.Launch(kernel)
-		cpuWork(t)
-		t.Wait(h)
-	}
-	for k := 1; k < p.CPUThreads; k++ {
-		threads[k] = cpuWork
-	}
-
 	return system.Workload{
 		Name:    "trns",
 		Setup:   setup,
-		Threads: threads,
+		Threads: collaborative(p.CPUThreads, kernel, cpuWork),
 		Verify: func(fm *memdata.Memory) error {
 			// After transposition, position dest(i) holds ref[i].
 			for i := 0; i < total; i++ {

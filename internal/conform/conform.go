@@ -133,9 +133,6 @@ func runSystem(w system.Workload, cl Cell, maxTicks sim.Tick, record bool) (out 
 	if err != nil {
 		return Outcome{}, err
 	}
-	if err := s.CheckCoherence(); err != nil {
-		return Outcome{}, err
-	}
 	return Outcome{
 		Image: s.FuncMem.Snapshot(), Cycles: res.Cycles,
 		OracleChecks: s.OracleChecks(), Transitions: cfg.Protocol.Recorder,

@@ -46,14 +46,13 @@ func execute(ctx context.Context, r *system.Runner, sp Spec) ([]byte, error) {
 // Build assembles the system and the workload sp describes, ready to
 // Run. It is how cmd/hscsim turns a spec into a simulation, with the
 // config and workload Execute runs, so a spec runs the same through
-// either. interrupt, when non-nil, cancels the run once it closes
-// (system.Config.Interrupt). Build neither normalizes nor validates sp.
-func Build(sp Spec, interrupt <-chan struct{}) (*system.System, system.Workload, error) {
+// either and System.Run returns the verdict Execute's runner does.
+// Build neither normalizes nor validates sp.
+func Build(sp Spec) (*system.System, system.Workload, error) {
 	cfg, w, err := buildRun(sp)
 	if err != nil {
 		return nil, system.Workload{}, err
 	}
-	cfg.Interrupt = interrupt
 	return system.New(cfg), w, nil
 }
 

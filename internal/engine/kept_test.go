@@ -52,8 +52,8 @@ func freshResults(t *testing.T, specs []Spec) map[Spec][]byte {
 // the eight named variants at scale 1 on one runner, in a seeded
 // shuffled order, interleaved with a topology change that forces a
 // rebuild, a run that MaxTicks aborts and a workload that panics. Every
-// result must be the bytes a fresh system produces, and the runner
-// checks each kept run's coherence.
+// result must be the bytes a fresh system produces, and each kept run
+// ends with its coherence sweep.
 func TestKeptSystemMatchesFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("304 CHAI and HeteroSync runs; skipped in -short")

@@ -192,7 +192,7 @@ func TestIgnoredThreadsShareOneCacheEntry(t *testing.T) {
 // the threads sp asks for.
 func runAsSpelled(t *testing.T, sp Spec) []byte {
 	t.Helper()
-	s, w, err := Build(sp, nil)
+	s, w, err := Build(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func buildAllocBytes(t *testing.T, sp Spec) uint64 {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s, w, err := Build(sp, nil)
+	s, w, err := Build(sp)
 	if err != nil {
 		t.Fatal(err)
 	}

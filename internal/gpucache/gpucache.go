@@ -6,8 +6,8 @@
 // Per the paper: the TCC never forwards modified data when probed but
 // does invalidate itself; system-scope (SLC) requests bypass the TCC
 // (making it non-inclusive); device-scope (GLC) atomics execute at the
-// TCC; TCP and TCC default to write-through with optional write-back
-// configurations (WB_L1 / WB_L2).
+// TCC; TCP and TCC are write-through, and the TCC has an optional
+// write-back configuration (WB_L2).
 package gpucache
 
 import (
@@ -56,9 +56,8 @@ type Config struct {
 	TCCLatency sim.Tick
 	SQCLatency sim.Tick
 
-	// WriteBackL1 / WriteBackL2 are the gem5 WB_L1 / WB_L2 parameters.
-	// The default (false) is write-through.
-	WriteBackL1 bool
+	// WriteBackL2 is the gem5 WB_L2 parameter. The default (false) is
+	// write-through.
 	WriteBackL2 bool
 }
 
@@ -294,10 +293,7 @@ func (g *GPUCaches) tccRead(cu int, line cachearray.LineAddr, done func()) {
 // the dirty line and writes it back on eviction or flush.
 func (g *GPUCaches) WriteLine(cu int, line cachearray.LineAddr, done func()) {
 	g.Stats.Writes++
-	tcp := g.tcps[cu]
-	if g.cfg.WriteBackL1 {
-		tcp.Insert(line, nil)
-	} else if tcp.Peek(line) != nil {
+	if tcp := g.tcps[cu]; tcp.Peek(line) != nil {
 		tcp.Lookup(line) // write-through updates a present copy
 	}
 	g.engine.Post(g.cfg.TCPLatency, g, gpuKindTCCWrite, uint64(line), done)

@@ -348,21 +348,6 @@ func TestMultiTCCBankRouting(t *testing.T) {
 	}
 }
 
-func TestWriteBackL1AllocatesTCP(t *testing.T) {
-	cfg := tinyGPUConfig()
-	cfg.WriteBackL1 = true
-	r := newGPURig(t, cfg)
-	r.g.WriteLine(0, 0x60, func() {})
-	r.run()
-	// WB_L1 allocates the line in the TCP, so a subsequent read hits it.
-	hits := r.g.Stats.TCPHits
-	r.g.ReadLine(0, 0x60, func() {})
-	r.run()
-	if r.g.Stats.TCPHits != hits+1 {
-		t.Fatal("WB_L1 store did not allocate in the TCP")
-	}
-}
-
 // TestSteadyStateAllocs: once the engine, the interconnect, the TCC's
 // per-line lists and the device-atomic free list are warm, a TCC read
 // miss, a write-through, a system atomic and a device atomic each

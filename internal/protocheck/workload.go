@@ -4,27 +4,20 @@ import (
 	"fmt"
 	"math/rand"
 
+	"hscsim/internal/conform"
 	"hscsim/internal/core"
 	"hscsim/internal/memdata"
 	"hscsim/internal/prog"
 	"hscsim/internal/system"
 )
 
-// ObserverConfig builds the small two-CorePair system the containment
-// observer requires (the abstract model's agent count), with the
-// runtime oracle off — the observer claims the delivery hook.
+// ObserverConfig builds the conformance machine (conform.EvalConfig)
+// with the two CorePairs the containment observer requires (the
+// abstract model's agent count), and the runtime oracle off — the
+// observer claims the delivery hook.
 func ObserverConfig(opts core.Options) system.Config {
-	cfg := system.Default()
-	cfg.Protocol = opts
+	cfg := conform.EvalConfig(opts)
 	cfg.NumCorePairs = 2
-	cfg.CorePair.L2SizeBytes = 16 << 10
-	cfg.CorePair.L1DSizeBytes = 2 << 10
-	cfg.CorePair.L1ISizeBytes = 2 << 10
-	cfg.GPU.TCCSizeBytes = 16 << 10
-	cfg.GPU.TCPSizeBytes = 2 << 10
-	cfg.Geometry.LLCSizeBytes = 64 << 10
-	cfg.Geometry.DirEntries = 1 << 10
-	cfg.MaxTicks = 50_000_000
 	return cfg
 }
 

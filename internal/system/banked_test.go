@@ -34,9 +34,6 @@ func TestDistributedDirectory(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := s.CheckCoherence(); err != nil {
-					t.Fatal(err)
-				}
 				if len(s.DirBanks) != banks {
 					t.Fatalf("banks = %d", len(s.DirBanks))
 				}
@@ -110,8 +107,8 @@ func TestBankRouting(t *testing.T) {
 		t.Fatalf("entries concentrated in %d bank(s); interleaving broken", occupied)
 	}
 	// Every cached L2 line must be tracked by exactly its routed bank
-	// (CheckCoherence already asserts presence; assert absence in the
-	// other banks for a sample).
+	// (Run's coherence sweep already asserts presence; assert absence in
+	// the other banks for a sample).
 	checked := 0
 	s.CorePairs[0].ForEachL2Line(func(line cachearray.LineAddr, st corepair.MOESI) {
 		if checked >= 16 {
@@ -129,9 +126,6 @@ func TestBankRouting(t *testing.T) {
 			}
 		}
 	})
-	if err := s.CheckCoherence(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestMultiTCCSystem runs a collaborative workload with two TCC banks:
@@ -149,9 +143,6 @@ func TestMultiTCCSystem(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := s.Run(w); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CheckCoherence(); err != nil {
 			t.Fatal(err)
 		}
 		if got := len(s.GPUCaches.NodeIDs()); got != 2 {

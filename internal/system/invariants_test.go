@@ -4,9 +4,12 @@ import (
 	"testing"
 
 	"hscsim/internal/cachearray"
+	"hscsim/internal/conform"
 	"hscsim/internal/core"
 	"hscsim/internal/corepair"
+	"hscsim/internal/memdata"
 	"hscsim/internal/msg"
+	"hscsim/internal/prog"
 	"hscsim/internal/system"
 )
 
@@ -99,5 +102,36 @@ func TestCheckCoherenceMessages(t *testing.T) {
 				t.Fatalf("CheckCoherence = %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunEndsWithCoherenceSweep: a run whose final state breaks an
+// invariant fails with the sweep's report, through System.Run and
+// Runner.Run alike. Pair 0's L2 never loses its copy of x: every
+// invalidating probe bound for it arrives as a downgrade, so the store
+// on pair 1 leaves an S copy beside the M one.
+func TestRunEndsWithCoherenceSweep(t *testing.T) {
+	const x, flag = memdata.Addr(0x10000), memdata.Addr(0x20000)
+	cfg := system.Default()
+	cfg.Mutate = conform.StaleSharerMask(0)
+	w := system.Workload{Name: "stale-sharer", Threads: []func(*prog.CPUThread){
+		func(c *prog.CPUThread) {
+			c.Load(x)
+			c.Store(flag, 1)
+		},
+		func(*prog.CPUThread) {},
+		func(c *prog.CPUThread) { // the second CorePair's first core
+			c.SpinUntil(flag, func(v uint64) bool { return v == 1 })
+			c.Store(x, 1)
+		},
+	}}
+	const want = `system: workload "stale-sharer": line 0x400: swmr: 1 exclusive holder(s) among 2 valid CPU copies`
+	if _, err := system.New(cfg).Run(w); err == nil || err.Error() != want {
+		t.Fatalf("System.Run = %v, want %q", err, want)
+	}
+	var r system.Runner
+	defer r.Close()
+	if _, err := r.Run(cfg, w); err == nil || err.Error() != want {
+		t.Fatalf("Runner.Run = %v, want %q", err, want)
 	}
 }

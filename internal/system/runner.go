@@ -1,7 +1,5 @@
 package system
 
-import "fmt"
-
 // Runner runs workloads on one kept system. Each Run resets the kept
 // system when the next config has its shape (sameShape), and builds a
 // new one when the shape differs, so a sequence of jobs on one
@@ -13,11 +11,11 @@ type Runner struct {
 	kept *System // nil when no system is kept
 }
 
-// Run runs w to completion on a system in the state New(cfg) builds,
-// then checks the final state's coherence (CheckCoherence). The runner
-// keeps the system for its next Run only when both succeed and cfg sets
-// no Oracle, Mutate, Recorder or Observer; after a failed, interrupted
-// or panicking run it stops the system's coroutines and drops it.
+// Run runs w to completion on a system in the state New(cfg) builds and
+// returns the verdict System.Run returns. The runner keeps the system
+// for its next Run only when the run succeeds and cfg sets no Oracle,
+// Mutate, Recorder or Observer; after a failed, interrupted or
+// panicking run it stops the system's coroutines and drops it.
 func (r *Runner) Run(cfg Config, w Workload) (Results, error) {
 	s, keep := r.kept, false
 	r.kept = nil
@@ -39,11 +37,6 @@ func (r *Runner) Run(cfg Config, w Workload) (Results, error) {
 		s.reset(cfg)
 	}
 	res, err := s.run(w)
-	if err == nil {
-		if err = s.CheckCoherence(); err != nil {
-			err = fmt.Errorf("system: workload %q: %w", w.Name, err)
-		}
-	}
 	keep = err == nil && keepable(cfg)
 	return res, err
 }

@@ -408,10 +408,11 @@ type Results struct {
 func (r Results) MemAccesses() uint64 { return r.MemReads + r.MemWrites }
 
 // Run executes the workload to completion and returns measured results.
-// It errors if the run exceeds MaxTicks, a thread never finishes, or
-// verification fails. Whatever the outcome, it stops every workload
-// coroutine before it returns, so the system leaves no goroutine
-// behind; a Runner keeps them for its next job instead.
+// It errors if the run exceeds MaxTicks, a thread never finishes,
+// verification fails, or a line the L2s hold at the end breaks a
+// coherence invariant (CheckCoherence). Whatever the outcome, it stops
+// every workload coroutine before it returns, so the system leaves no
+// goroutine behind; a Runner keeps them for its next job instead.
 func (s *System) Run(w Workload) (Results, error) {
 	defer s.stop()
 	return s.run(w)
@@ -483,6 +484,9 @@ func (s *System) run(w Workload) (Results, error) {
 		if err := w.Verify(s.FuncMem); err != nil {
 			return Results{}, fmt.Errorf("system: workload %q failed verification: %w", w.Name, err)
 		}
+	}
+	if err := s.CheckCoherence(); err != nil {
+		return Results{}, fmt.Errorf("system: workload %q: %w", w.Name, err)
 	}
 
 	res := Results{

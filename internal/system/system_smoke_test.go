@@ -26,9 +26,6 @@ func TestSmokeAllBenchmarksBaseline(t *testing.T) {
 			if res.Cycles == 0 {
 				t.Fatal("no cycles simulated")
 			}
-			if err := s.CheckCoherence(); err != nil {
-				t.Fatalf("coherence: %v", err)
-			}
 			t.Logf("%s: %d cycles, %d mem accesses, %d probes",
 				name, res.Cycles, res.MemAccesses(), res.ProbesSent)
 		})
@@ -61,9 +58,6 @@ func TestSmokeTrackingModes(t *testing.T) {
 			res, err := s.Run(w)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if err := s.CheckCoherence(); err != nil {
-				t.Fatalf("coherence: %v", err)
 			}
 			t.Logf("%s: %d cycles, %d mem, %d probes",
 				opt.Named(), res.Cycles, res.MemAccesses(), res.ProbesSent)

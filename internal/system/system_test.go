@@ -196,9 +196,6 @@ func TestStoreBufferSystemWide(t *testing.T) {
 			if _, err := s.Run(w); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.CheckCoherence(); err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
