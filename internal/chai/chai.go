@@ -50,10 +50,13 @@ func (p Params) normalized() Params {
 	return p
 }
 
+// allNames is the suite: the ten benchmarks the paper evaluates, in
+// its order, then the four it could not run.
+var allNames = [...]string{"bs", "cedd", "pad", "sc", "tq", "hsti", "hsto", "trns", "rscd", "rsct",
+	"bfs", "sssp", "tqh", "cedt"}
+
 // Names lists the ten benchmarks the paper evaluates, in its order.
-func Names() []string {
-	return []string{"bs", "cedd", "pad", "sc", "tq", "hsti", "hsto", "trns", "rscd", "rsct"}
-}
+func Names() []string { return slices.Clone(allNames[:10]) }
 
 // ExtendedNames lists the four CHAI benchmarks the paper could NOT run
 // ("spurious failures in waking CPU threads in the O3 CPU
@@ -61,10 +64,14 @@ func Names() []string {
 // the full 14-benchmark suite is available: frontier-switching BFS,
 // parallel-relaxation SSSP, the task-queue histogram, and task-parallel
 // Canny.
-func ExtendedNames() []string { return []string{"bfs", "sssp", "tqh", "cedt"} }
+func ExtendedNames() []string { return slices.Clone(allNames[10:]) }
 
 // AllNames is the full 14-benchmark CHAI suite.
-func AllNames() []string { return append(Names(), ExtendedNames()...) }
+func AllNames() []string { return slices.Clone(allNames[:]) }
+
+// Known reports whether name is a CHAI benchmark, without building a
+// list.
+func Known(name string) bool { return slices.Contains(allNames[:], name) }
 
 // CollaborativeFive lists the five heavily collaborating benchmarks the
 // paper uses for the state-tracking evaluation (Figs. 6 and 7).
@@ -119,7 +126,7 @@ func StartedThreads(name string, p Params) (int, bool) {
 	case "bfs", "cedd", "sssp":
 		return max(p.CPUThreads, 2), true
 	}
-	return p.CPUThreads, slices.Contains(Names(), name) || slices.Contains(ExtendedNames(), name)
+	return p.CPUThreads, Known(name)
 }
 
 // All builds every benchmark.
@@ -152,16 +159,21 @@ func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 // seed folds the campaign seed into a benchmark's fixed base seed.
 func (p Params) seed(base int64) int64 { return base + p.Seed*1_000_003 }
 
-// fillRandom initializes n input words in functional memory and returns
-// the reference copy.
-func fillRandom(fm *memdata.Memory, base memdata.Addr, n int, mod uint64, seed int64) []uint64 {
-	r := newRNG(seed)
-	ref := make([]uint64, n)
-	for i := range ref {
-		ref[i] = uint64(r.Int63()) % mod
-		fm.Write(wa(base, i), ref[i])
+// randomWords returns the generator of the input words fillRandom
+// writes for mod and seed: each call returns the next one. A Verify
+// that needs an input its run may overwrite regenerates it with this,
+// so no workload keeps a copy of its inputs.
+func randomWords(mod uint64, seed int64) func() uint64 {
+	src := rand.NewSource(seed) // rand.Rand's Int63 is its source's
+	return func() uint64 { return uint64(src.Int63()) % mod }
+}
+
+// fillRandom initializes n input words at base in functional memory.
+func fillRandom(fm *memdata.Memory, base memdata.Addr, n int, mod uint64, seed int64) {
+	next := randomWords(mod, seed)
+	for i := range n {
+		fm.Write(wa(base, i), next())
 	}
-	return ref
 }
 
 // collaborative returns the CPU threads of a collaborative workload:

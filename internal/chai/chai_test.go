@@ -157,3 +157,46 @@ func TestExtendedBenchmarksVerify(t *testing.T) {
 		t.Fatalf("full suite = %d benchmarks, want 14", len(AllNames()))
 	}
 }
+
+// TestVerifyCatchesAFlippedOutput: Verify checks each workload's output
+// against inputs it reads back from functional memory (read-only
+// inputs, which a run leaves intact) or regenerates from the seed
+// (inputs the run overwrites), not against a kept copy. Flipping one
+// output word after a passing run must fail it.
+func TestVerifyCatchesAFlippedOutput(t *testing.T) {
+	// The word index from dataBase of one output word of each workload
+	// at scale 1.
+	outputs := map[string]int{
+		"bs":   16,            // out[0,0], past the 16 control points
+		"cedd": 2 * 4 * 1600,  // out of frame 0, past in and tmp
+		"pad":  0,             // row 0 of the padded matrix
+		"sc":   16384,         // out[0], past the input
+		"hsti": 8192 + 3,      // bin 3, past the input
+		"hsto": 8192 + 200,    // bin 200, a GPU-owned one
+		"trns": 64,            // position dest(1), which the run wrote
+		"rscd": 4096 + 2 + 24, // the best score, past data, model and counts
+		"rsct": 2048 + 8,      // the best score, past data and the counter
+		"cedt": 4 * 1600,      // out of pixel 0, past the input
+	}
+	for _, name := range AllNames() {
+		idx, ok := outputs[name]
+		if !ok {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			w, err := ByName(name, Params{Scale: 1, CPUThreads: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := system.New(testConfig(core.Options{}))
+			if _, err := s.Run(w); err != nil {
+				t.Fatal(err)
+			}
+			a := wa(dataBase, idx)
+			s.FuncMem.Write(a, s.FuncMem.Read(a)^1)
+			if err := w.Verify(s.FuncMem); err == nil {
+				t.Fatalf("Verify passed with the word at %#x flipped", uint64(a))
+			}
+		})
+	}
+}

@@ -19,6 +19,26 @@ func ransacInlier(v, m1, m2 uint64) bool { return (v+m1+m2)%7 == 0 }
 // construction (score*64+iter), making the winner deterministic.
 func ransacScore(inliers uint64, iter int) uint64 { return inliers*64 + uint64(iter) }
 
+// ransacBest returns the best packed score over the iterations whose
+// sample pairs are samples, evaluated over the n data words at data,
+// which a run leaves intact: they are read-only.
+func ransacBest(fm *memdata.Memory, data memdata.Addr, n int, samples [][2]int) uint64 {
+	var best uint64
+	for it, smp := range samples {
+		m1, m2 := ransacModel(fm.Read(wa(data, smp[0])), fm.Read(wa(data, smp[1])))
+		var c uint64
+		for i := range n {
+			if ransacInlier(fm.Read(wa(data, i)), m1, m2) {
+				c++
+			}
+		}
+		if s := ransacScore(c, it); s > best {
+			best = s
+		}
+	}
+	return best
+}
+
 // RansacData models CHAI rscd: data-parallel RANSAC. The host computes
 // a model from two sampled points each iteration and the GPU evaluates
 // the whole data set in parallel, accumulating the consensus count with
@@ -33,10 +53,7 @@ func RansacData(p Params) system.Workload {
 	counts := wa(model, 2) // per-iteration inlier counts
 	bestOut := wa(counts, iters)
 
-	var ref []uint64
-	setup := func(fm *memdata.Memory) {
-		ref = fillRandom(fm, data, n, 1_000_000, p.seed(0x25CD))
-	}
+	setup := func(fm *memdata.Memory) { fillRandom(fm, data, n, 1_000_000, p.seed(0x25CD)) }
 	rng := newRNG(p.seed(0xD00D))
 	samples := make([][2]int, iters)
 	for i := range samples {
@@ -101,19 +118,7 @@ func RansacData(p Params) system.Workload {
 		Threads:  threads,
 		ReadOnly: [][2]memdata.Addr{{data, wa(data, n)}},
 		Verify: func(fm *memdata.Memory) error {
-			var want uint64
-			for it := 0; it < iters; it++ {
-				m1, m2 := ransacModel(ref[samples[it][0]], ref[samples[it][1]])
-				var c uint64
-				for _, v := range ref {
-					if ransacInlier(v, m1, m2) {
-						c++
-					}
-				}
-				if s := ransacScore(c, it); s > want {
-					want = s
-				}
-			}
+			want := ransacBest(fm, data, n, samples)
 			if got := fm.Read(bestOut); got != want {
 				return fmt.Errorf("rscd: best = %d, want %d", got, want)
 			}
@@ -135,10 +140,7 @@ func RansacTask(p Params) system.Workload {
 	iterCtr := wa(data, n)
 	best := wa(iterCtr, 8)
 
-	var ref []uint64
-	setup := func(fm *memdata.Memory) {
-		ref = fillRandom(fm, data, n, 1_000_000, p.seed(0x25C7))
-	}
+	setup := func(fm *memdata.Memory) { fillRandom(fm, data, n, 1_000_000, p.seed(0x25C7)) }
 	rng := newRNG(p.seed(0xBEEF))
 	samples := make([][2]int, iters)
 	for i := range samples {
@@ -220,19 +222,7 @@ func RansacTask(p Params) system.Workload {
 		Threads:  collaborative(p.CPUThreads, kernel, cpuWork),
 		ReadOnly: [][2]memdata.Addr{{data, wa(data, n)}},
 		Verify: func(fm *memdata.Memory) error {
-			var want uint64
-			for it := 0; it < iters; it++ {
-				m1, m2 := ransacModel(ref[samples[it][0]], ref[samples[it][1]])
-				var c uint64
-				for _, v := range ref {
-					if ransacInlier(v, m1, m2) {
-						c++
-					}
-				}
-				if s := ransacScore(c, it); s > want {
-					want = s
-				}
-			}
+			want := ransacBest(fm, data, n, samples)
 			if got := fm.Read(best); got != want {
 				return fmt.Errorf("rsct: best = %d, want %d", got, want)
 			}

@@ -43,9 +43,8 @@ func Transpose(p Params) system.Workload {
 		return true, length
 	}
 
-	var ref []uint64
 	setup := func(fm *memdata.Memory) {
-		ref = fillRandom(fm, mat, total, 1_000_000, p.seed(0x7245))
+		fillRandom(fm, mat, total, 1_000_000, p.seed(0x7245))
 		fm.Write(counter, 1) // positions 0 and total-1 are fixed points
 	}
 
@@ -109,9 +108,11 @@ func Transpose(p Params) system.Workload {
 		Setup:   setup,
 		Threads: collaborative(p.CPUThreads, kernel, cpuWork),
 		Verify: func(fm *memdata.Memory) error {
-			// After transposition, position dest(i) holds ref[i].
+			// After transposition, position dest(i) holds input
+			// word i, which the transposition overwrote in place.
+			input := randomWords(1_000_000, p.seed(0x7245))
 			for i := 0; i < total; i++ {
-				if got, want := fm.Read(wa(mat, dest(i))), ref[i]; got != want {
+				if got, want := fm.Read(wa(mat, dest(i))), input(); got != want {
 					return fmt.Errorf("trns: position %d = %d, want %d", dest(i), got, want)
 				}
 			}

@@ -161,7 +161,7 @@ func (c *Core) Reset() {
 // buffer has drained.
 func (c *Core) Run(id int, fn func(*prog.CPUThread), onExit func()) {
 	if c.thread == nil {
-		c.thread = prog.NewCPUThread()
+		c.thread = prog.NewCPUThread(c.fm)
 	}
 	c.thread.Start(id, fn)
 	c.onExit = onExit

@@ -19,7 +19,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -171,7 +170,7 @@ func (s Spec) Normalized() Spec {
 	}
 	if n, ok := chai.StartedThreads(s.Bench, chai.Params{CPUThreads: s.Threads}); ok {
 		s.Threads = n
-	} else if slices.Contains(heterosync.Names(), s.Bench) {
+	} else if heterosync.Known(s.Bench) {
 		s.Threads = heterosync.CPUThreads
 	}
 	if s.Config == "" {
@@ -205,7 +204,7 @@ const (
 // the system, so its cost does not grow with the sizes a spec asks for.
 func (s Spec) Validate() error {
 	s = s.Normalized()
-	if !slices.Contains(chai.AllNames(), s.Bench) && !slices.Contains(heterosync.Names(), s.Bench) {
+	if !chai.Known(s.Bench) && !heterosync.Known(s.Bench) {
 		return fmt.Errorf("engine: unknown benchmark %q (CHAI: %s; HeteroSync: %s)", s.Bench,
 			strings.Join(chai.AllNames(), ", "), strings.Join(heterosync.Names(), ", "))
 	}

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"hscsim/internal/chai"
@@ -228,11 +229,28 @@ func TestValidateDoesNotBuildWorkload(t *testing.T) {
 	}
 }
 
+// TestValidateAllocatesNothing: Validate looks the benchmark up
+// without building the suite's name lists, which it joins only for an
+// unknown name's error, so validating a POST /jobs spec allocates
+// nothing.
+func TestValidateAllocatesNothing(t *testing.T) {
+	for _, sp := range []Spec{EvalSpec("hsti", core.Options{}), {Bench: "lulesh", Scale: 2}} {
+		if n := testing.AllocsPerRun(20, func() { _ = sp.Validate() }); n != 0 {
+			t.Errorf("Validate(%s) made %.0f allocations, want 0", sp.Canonical(), n)
+		}
+	}
+	if err := (Spec{Bench: "nope"}).Validate(); err == nil || !strings.Contains(err.Error(), "bs, cedd") || !strings.Contains(err.Error(), "lulesh") {
+		t.Fatalf("unknown bench: %v, want an error listing the suites", err)
+	}
+}
+
 // validateHeapBudget bounds what building a spec at the size limits
 // allocates: the system, the workload and its Setup of the inputs. trns
-// at MaxScale is the largest, at ≈222 MB (its matrix grows with the
-// square of the scale).
-const validateHeapBudget = 256 << 20
+// at MaxScale is the largest, at 116.1 MiB (its matrix grows with the
+// square of the scale, and its simulated memory is all of it: no
+// workload keeps a Go copy of its inputs, which took it to 212.1 MiB);
+// the budget adds a 10 % margin.
+const validateHeapBudget = 128 << 20
 
 // TestValidateBoundsSizes: Validate bounds every size field that sets
 // what a job allocates. Specs past a limit are rejected, among them

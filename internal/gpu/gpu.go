@@ -226,7 +226,7 @@ func (d *Dispatcher) slot() *waveRun {
 		d.idle = d.idle[:n-1]
 		return wr
 	}
-	wr := &waveRun{d: d, w: prog.NewWave()}
+	wr := &waveRun{d: d, w: prog.NewWave(d.fm)}
 	wr.cb.execCur = wr.execCur
 	wr.cb.lineRead = wr.lineRead
 	wr.cb.lineWritten = wr.lineWritten

@@ -13,6 +13,7 @@ package heterosync
 
 import (
 	"fmt"
+	"slices"
 
 	"hscsim/internal/memdata"
 	"hscsim/internal/prog"
@@ -38,8 +39,14 @@ func (p Params) normalized() Params {
 // starts: one host thread that launches the kernels and waits on them.
 const CPUThreads = 1
 
+// names is the suite.
+var names = [...]string{"hs_mutex", "hs_ticket", "hs_barrier", "hs_sema", "lulesh"}
+
 // Names lists the suite.
-func Names() []string { return []string{"hs_mutex", "hs_ticket", "hs_barrier", "hs_sema", "lulesh"} }
+func Names() []string { return slices.Clone(names[:]) }
+
+// Known reports whether name is in the suite, without building a list.
+func Known(name string) bool { return slices.Contains(names[:], name) }
 
 // ByName builds a workload.
 func ByName(name string, p Params) (system.Workload, error) {

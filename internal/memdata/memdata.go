@@ -11,7 +11,11 @@
 // work queues, so runs terminate for the same reason the originals do.
 package memdata
 
-import "hscsim/internal/recycle"
+import (
+	"fmt"
+
+	"hscsim/internal/recycle"
+)
 
 // Addr is a byte address in the unified memory space.
 type Addr uint64
@@ -78,16 +82,53 @@ type Memory struct {
 	last    *page
 	lastNum Addr
 	n       int // distinct words written
+
+	// ro lists the read-only word ranges [start, end) SetReadOnly
+	// installed, their bounds rounded out to whole words.
+	ro [][2]Addr
+}
+
+// ReadOnlyWriteError is the panic value of a write into a word a
+// workload declared read-only.
+type ReadOnlyWriteError struct {
+	Addr Addr
+}
+
+func (e *ReadOnlyWriteError) Error() string {
+	return fmt.Sprintf("memdata: write to %#x, inside a range the workload declared read-only", uint64(e.Addr))
 }
 
 // New returns an empty memory (all words read as zero).
 func New() *Memory { return &Memory{} }
 
-// Reset empties the memory and drops its pages. Pages are the one
-// store that grows with a workload's footprint rather than with the
-// simulated geometry, so a kept memory does not carry one job's pages
-// into the next.
-func (m *Memory) Reset() { *m = Memory{} }
+// Reset empties the memory, drops its pages and clears its read-only
+// ranges. Pages are the one store that grows with a workload's
+// footprint rather than with the simulated geometry, so a kept memory
+// does not carry one job's pages into the next.
+func (m *Memory) Reset() { *m = Memory{ro: m.ro[:0]} }
+
+// SetReadOnly makes every word that overlaps one of the byte ranges
+// [start, end) read-only, in place of the ranges set before: a later
+// Write to one panics with a *ReadOnlyWriteError. Its value is then
+// the one it holds now for as long as the ranges stay, which lets a
+// workload thread read it when it issues a load (package prog).
+func (m *Memory) SetReadOnly(ranges [][2]Addr) {
+	m.ro = m.ro[:0]
+	for _, r := range ranges {
+		m.ro = append(m.ro, [2]Addr{r[0] &^ 7, (r[1] + 7) &^ 7})
+	}
+}
+
+// IsReadOnly reports whether the word containing a is read-only.
+func (m *Memory) IsReadOnly(a Addr) bool {
+	a &^= 7
+	for _, r := range m.ro {
+		if a >= r[0] && a < r[1] {
+			return true
+		}
+	}
+	return false
+}
 
 // find returns page num, or nil when no word in it was ever written.
 func (m *Memory) find(num Addr) *page {
@@ -112,8 +153,12 @@ func (m *Memory) Read(a Addr) uint64 {
 	return 0
 }
 
-// Write stores v into the word containing address a.
+// Write stores v into the word containing address a. It panics with a
+// *ReadOnlyWriteError when that word is read-only.
 func (m *Memory) Write(a Addr, v uint64) {
+	if len(m.ro) > 0 && m.IsReadOnly(a) {
+		panic(&ReadOnlyWriteError{Addr: a})
+	}
 	num := a >> pageShift
 	p := m.find(num)
 	if p == nil {

@@ -238,3 +238,45 @@ func TestOpStringUnknown(t *testing.T) {
 		t.Fatal("unknown op should stringify as ?")
 	}
 }
+
+// TestReadOnlyRanges: SetReadOnly covers every word overlapping a
+// range, a Write or a storing RMW into one panics naming the address
+// and leaves the word unchanged, and Reset clears the ranges.
+func TestReadOnlyRanges(t *testing.T) {
+	m := New()
+	m.Write(0x100, 7)
+	m.Write(0x200, 8)
+	m.SetReadOnly([][2]Addr{{0x104, 0x109}, {0x300, 0x308}})
+	for a, want := range map[Addr]bool{
+		0xF8: false, 0x100: true, 0x107: true, 0x108: true, 0x10F: true, 0x110: false,
+		0x2F8: false, 0x300: true, 0x308: false,
+	} {
+		if got := m.IsReadOnly(a); got != want {
+			t.Errorf("IsReadOnly(%#x) = %v, want %v", uint64(a), got, want)
+		}
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			e, ok := recover().(*ReadOnlyWriteError)
+			if !ok || e.Addr != 0x103 || e.Error() != "memdata: write to 0x103, inside a range the workload declared read-only" {
+				t.Errorf("%s: panicked with %v, want a ReadOnlyWriteError at 0x103", name, e)
+			}
+		}()
+		f()
+	}
+	mustPanic("Write", func() { m.Write(0x103, 1) })
+	mustPanic("RMW", func() { m.RMW(0x103, AtomicAdd, 1, 0) })
+	if got := m.RMW(0x100, AtomicCAS, 9, 1); got != 7 || m.Read(0x100) != 7 {
+		t.Fatalf("a failing CAS on a read-only word returned %d and left %d; want 7 and no panic", got, m.Read(0x100))
+	}
+	m.Write(0x200, 9) // outside every range
+	m.SetReadOnly(nil)
+	m.Write(0x100, 1)
+	m.SetReadOnly([][2]Addr{{0x100, 0x108}})
+	m.Reset()
+	if m.IsReadOnly(0x100) {
+		t.Fatal("Reset kept a read-only range")
+	}
+	m.Write(0x100, 2)
+}

@@ -10,7 +10,7 @@ import (
 // newThread loads fn into a new thread slot as thread id, and aborts
 // the slot when the test ends.
 func newThread(tb testing.TB, id int, fn func(*CPUThread)) *CPUThread {
-	th := NewCPUThread()
+	th := NewCPUThread(memdata.New())
 	th.Start(id, fn)
 	tb.Cleanup(th.Abort)
 	return th
@@ -183,6 +183,276 @@ func BenchmarkHandoff(b *testing.B) {
 	}
 }
 
+// readOnlyMem returns a functional memory whose words in [lo, hi) are
+// read-only and hold 100 plus their word index.
+func readOnlyMem(lo, hi memdata.Addr) *memdata.Memory {
+	fm := memdata.New()
+	for a := lo; a < hi; a += 8 {
+		fm.Write(a, 100+uint64(a/8))
+	}
+	fm.SetReadOnly([][2]memdata.Addr{{lo, hi}})
+	return fm
+}
+
+// TestThreadRunsAhead: a body runs on past its stores, computes and
+// read-only loads, and suspends on the first load it must wait for.
+// The executor still gets every op in program order with its operands.
+func TestThreadRunsAhead(t *testing.T) {
+	fm := readOnlyMem(0x100, 0x200)
+	x := 0
+	var ro, other uint64
+	th := NewCPUThread(fm)
+	defer th.Abort()
+	th.Start(0, func(c *CPUThread) {
+		c.Store(0x300, 7)
+		c.Compute(5)
+		ro = c.Load(0x108)
+		x = 1
+		other = c.Load(0x308)
+	})
+	op, ok := th.NextOp()
+	if !ok || op.Kind != OpStore || op.Addr != 0x300 || op.Value != 7 {
+		t.Fatalf("first op = %+v, %v; want the store", op, ok)
+	}
+	if x != 1 || ro != 100+0x108/8 {
+		t.Fatalf("after the first NextOp x = %d and the read-only load read %d; want 1 and %d", x, ro, 100+0x108/8)
+	}
+	th.Complete(0)
+	want := []Op{{Kind: OpCompute, Cycles: 5}, {Kind: OpLoad, Addr: 0x108}, {Kind: OpLoad, Addr: 0x308}}
+	for i, w := range want {
+		op, ok := th.NextOp()
+		if !ok || op != w {
+			t.Fatalf("op %d = %+v, %v; want %+v", i+1, op, ok, w)
+		}
+		th.Complete(uint64(40 + i))
+	}
+	if other != 0 {
+		t.Fatalf("the suspending load returned %d before the body was resumed", other)
+	}
+	if _, ok := th.NextOp(); ok {
+		t.Fatal("the body issued an op past its end")
+	}
+	if other != 42 {
+		t.Fatalf("the suspending load returned %d, want the executor's 42", other)
+	}
+	if !th.Idle() {
+		t.Fatal("a drained slot whose body returned is not idle")
+	}
+}
+
+// TestWaveRunsAheadCopiesOperands: a wave body that rewrites one
+// address buffer and one value buffer between its stores and
+// read-only loads still hands the executor each op's own operands, in
+// program order, and runs on until the load it must wait for.
+func TestWaveRunsAheadCopiesOperands(t *testing.T) {
+	fm := readOnlyMem(0x100, 0x200)
+	addrs := make([]memdata.Addr, 2)
+	vals := make([]uint64, 2)
+	var loaded []uint64
+	var last uint64
+	w := NewWave(fm)
+	defer w.Abort()
+	w.Start(0, 0, 0, func(wv *Wave) {
+		for i := range 3 {
+			addrs[0], addrs[1] = memdata.Addr(0x400+16*i), memdata.Addr(0x408+16*i)
+			vals[0], vals[1] = uint64(i), uint64(i+10)
+			wv.VecStore(addrs, vals)
+			addrs[0], addrs[1] = memdata.Addr(0x100+16*i), memdata.Addr(0x108+16*i)
+			loaded = wv.VecLoad(loaded, addrs)
+			wv.Store(0x500, uint64(i))
+		}
+		last = wv.Load(0x600)
+	})
+	var ops []WaveOp
+	for {
+		op, ok := w.NextOp()
+		if !ok {
+			break
+		}
+		if len(ops) == 0 && len(loaded) != 6 {
+			t.Fatalf("after the first NextOp the body had loaded %v; want all six read-only words", loaded)
+		}
+		// Copy what the executor sees now: the storage is reused once
+		// the body runs again.
+		op.Addrs, op.Values = slices.Clone(op.Addrs), slices.Clone(op.Values)
+		ops = append(ops, op)
+		w.Complete([]uint64{77})
+	}
+	if len(ops) != 10 {
+		t.Fatalf("%d ops, want 10", len(ops))
+	}
+	for i := range 3 {
+		st, ld, st1 := ops[3*i], ops[3*i+1], ops[3*i+2]
+		wantA := []memdata.Addr{memdata.Addr(0x400 + 16*i), memdata.Addr(0x408 + 16*i)}
+		if st.Kind != WaveVecStore || !slices.Equal(st.Addrs, wantA) || !slices.Equal(st.Values, []uint64{uint64(i), uint64(i + 10)}) {
+			t.Fatalf("store %d = %+v", i, st)
+		}
+		wantL := []memdata.Addr{memdata.Addr(0x100 + 16*i), memdata.Addr(0x108 + 16*i)}
+		if ld.Kind != WaveVecLoad || !slices.Equal(ld.Addrs, wantL) {
+			t.Fatalf("load %d = %+v", i, ld)
+		}
+		if st1.Kind != WaveVecStore || !slices.Equal(st1.Addrs, []memdata.Addr{0x500}) || !slices.Equal(st1.Values, []uint64{uint64(i)}) {
+			t.Fatalf("single store %d = %+v", i, st1)
+		}
+	}
+	if ld := ops[9]; ld.Kind != WaveVecLoad || !slices.Equal(ld.Addrs, []memdata.Addr{0x600}) || last != 77 {
+		t.Fatalf("last op = %+v, load returned %d; want a load of 0x600 returning 77", ld, last)
+	}
+	for i, v := range loaded {
+		a := 0x100 + 16*(i/2) + 8*(i%2)
+		if v != 100+uint64(a/8) {
+			t.Fatalf("read-only load %d = %d, want %d", i, v, 100+a/8)
+		}
+	}
+}
+
+// TestWaveOperandStorageFull: a body whose queued operands outgrow the
+// slot's storage waits for the executor to take the queue, and a store
+// too large for the storage suspends; either way every op arrives whole
+// and in order.
+func TestWaveOperandStorageFull(t *testing.T) {
+	const width = 48 // aheadWords/width stores fill the storage
+	big := make([]memdata.Addr, aheadWords+1)
+	bigVals := make([]uint64, aheadWords+1)
+	addrs := make([]memdata.Addr, width)
+	vals := make([]uint64, width)
+	w := NewWave(memdata.New())
+	defer w.Abort()
+	w.Start(0, 0, 0, func(wv *Wave) {
+		for i := range 12 {
+			for k := range addrs {
+				addrs[k], vals[k] = memdata.Addr(8*(i*width+k)), uint64(i*width+k)
+			}
+			wv.VecStore(addrs, vals)
+		}
+		for k := range big {
+			big[k], bigVals[k] = memdata.Addr(8*k), uint64(k)
+		}
+		wv.VecStore(big, bigVals)
+	})
+	i := 0
+	for {
+		op, ok := w.NextOp()
+		if !ok {
+			break
+		}
+		n := width
+		if i == 12 {
+			n = len(big)
+		}
+		if op.Kind != WaveVecStore || len(op.Addrs) != n || len(op.Values) != n {
+			t.Fatalf("op %d = %v with %d addresses, want a %d-word store", i, op.Kind, len(op.Addrs), n)
+		}
+		for k := range n {
+			base := i * width
+			if i == 12 {
+				base = 0
+			}
+			if op.Addrs[k] != memdata.Addr(8*(base+k)) || op.Values[k] != uint64(base+k) {
+				t.Fatalf("op %d word %d = (%#x, %d)", i, k, op.Addrs[k], op.Values[k])
+			}
+		}
+		i++
+		w.Complete(nil)
+	}
+	if i != 13 {
+		t.Fatalf("%d ops, want 13", i)
+	}
+}
+
+// TestEndlessComputeYields: a body that never reads a result still
+// hands control back every maxAhead ops.
+func TestEndlessComputeYields(t *testing.T) {
+	resumes := 0
+	th := newThread(t, 0, func(c *CPUThread) {
+		for {
+			resumes++
+			for range maxAhead {
+				c.Compute(1)
+			}
+		}
+	})
+	for range 10 * maxAhead {
+		if op, ok := th.NextOp(); !ok || op.Kind != OpCompute {
+			t.Fatalf("op = %+v, %v", op, ok)
+		}
+		th.Complete(0)
+	}
+	if resumes != 10 {
+		t.Fatalf("the body ran %d rounds of %d computes for %d ops, want 10", resumes, maxAhead, 10*maxAhead)
+	}
+}
+
+// TestPanicAfterQueuedOps: a body that panics with ops still queued
+// hands them out first; NextOp then raises the panic.
+func TestPanicAfterQueuedOps(t *testing.T) {
+	th := newThread(t, 0, func(c *CPUThread) {
+		c.Store(8, 1)
+		c.Compute(2)
+		panic("queued")
+	})
+	for _, k := range []OpKind{OpStore, OpCompute} {
+		op, ok := th.NextOp()
+		if !ok || op.Kind != k {
+			t.Fatalf("op = %+v, %v; want %v", op, ok, k)
+		}
+		th.Complete(0)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "queued" {
+				t.Fatalf("NextOp panicked with %v, want the body's value", r)
+			}
+		}()
+		th.NextOp()
+		t.Fatal("NextOp returned past the body's panic")
+	}()
+	if _, ok := th.NextOp(); ok || th.Idle() {
+		t.Fatal("a panicked slot issued another op or reports idle")
+	}
+}
+
+// TestAbortDropsQueuedOps: Abort drops what a body queued, and an
+// aborted slot hands out nothing more.
+func TestAbortDropsQueuedOps(t *testing.T) {
+	th := newThread(t, 0, func(c *CPUThread) {
+		c.Store(8, 1)
+		c.Store(16, 2)
+		c.Load(24)
+	})
+	if _, ok := th.NextOp(); !ok {
+		t.Fatal("no first op")
+	}
+	th.Abort()
+	if op, ok := th.NextOp(); ok {
+		t.Fatalf("an aborted slot handed out %+v", op)
+	}
+}
+
+// BenchmarkRunAhead measures one run-ahead op: a body alternating
+// Store, Compute and a read-only Load, under an executor that takes
+// each op and completes it. The body suspends once per maxAhead ops.
+// The benchgate baseline pins it at 0 allocs/op.
+func BenchmarkRunAhead(b *testing.B) {
+	fm := readOnlyMem(0x100, 0x200)
+	th := NewCPUThread(fm)
+	defer th.Abort()
+	var sum uint64
+	th.Start(0, func(c *CPUThread) {
+		for i := 0; ; i++ {
+			c.Store(0x300, uint64(i))
+			c.Compute(1)
+			sum += c.Load(0x100 + memdata.Addr(i%32)*8)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.NextOp()
+		th.Complete(0)
+	}
+}
+
 // TestPrefixRunsAtFirstNextOp: the code before a thread's first op runs
 // when the executor first pulls from it, never concurrently with other
 // threads. Both threads write one plain map in their prefix; if either
@@ -319,7 +589,7 @@ func TestThreadSlotRunsBodiesInTurn(t *testing.T) {
 func TestThreadSlotAbortSkipsLoadedBody(t *testing.T) {
 	ran := 0
 	body := func(c *CPUThread) { ran++ }
-	fresh := NewCPUThread()
+	fresh := NewCPUThread(memdata.New())
 	fresh.Start(0, body)
 	fresh.Abort()
 
@@ -422,7 +692,7 @@ func TestWaveRendezvous(t *testing.T) {
 	fm.Write(0, 11)
 	fm.Write(8, 22)
 	var vals, again []uint64
-	w := NewWave()
+	w := NewWave(memdata.New())
 	defer w.Abort()
 	w.Start(0, 1, 2, func(wv *Wave) {
 		vals = wv.VecLoad(nil, []memdata.Addr{0, 8})
@@ -444,7 +714,7 @@ func TestWaveRendezvous(t *testing.T) {
 }
 
 func TestVecStoreLengthMismatchPanics(t *testing.T) {
-	w := NewWave()
+	w := NewWave(memdata.New())
 	defer w.Abort()
 	w.Start(0, 0, 0, func(wv *Wave) {
 		defer func() {
@@ -458,7 +728,7 @@ func TestVecStoreLengthMismatchPanics(t *testing.T) {
 }
 
 func TestWaveAtomicsAndAbort(t *testing.T) {
-	w := NewWave()
+	w := NewWave(memdata.New())
 	w.Start(0, 0, 0, func(wv *Wave) {
 		wv.AtomicSysAdd(0, 1)
 		wv.AtomicDevAdd(8, 2)
@@ -498,7 +768,7 @@ func TestWaveSlotRunsBodiesInTurn(t *testing.T) {
 		wv.Store(memdata.Addr(8*wv.Global+8), v+1)
 		sum += v
 	}
-	w := NewWave()
+	w := NewWave(memdata.New())
 	defer w.Abort()
 	w.Start(0, 0, 0, body)
 	first := driveWave(w, fm)
@@ -526,11 +796,11 @@ func TestWaveSlotRunsBodiesInTurn(t *testing.T) {
 func TestWaveSlotAbortSkipsLoadedBody(t *testing.T) {
 	ran := 0
 	body := func(wv *Wave) { ran++ }
-	fresh := NewWave()
+	fresh := NewWave(memdata.New())
 	fresh.Start(0, 0, 0, body)
 	fresh.Abort()
 
-	used := NewWave()
+	used := NewWave(memdata.New())
 	used.Start(0, 0, 0, body)
 	driveWave(used, memdata.New())
 	used.Start(0, 0, 1, body)
@@ -549,7 +819,7 @@ func TestWaveSlotAbortSkipsLoadedBody(t *testing.T) {
 // TestWaveSlotPanicInLaterBody: a panic in a slot's second body
 // surfaces from NextOp with its value, and the slot is finished after.
 func TestWaveSlotPanicInLaterBody(t *testing.T) {
-	w := NewWave()
+	w := NewWave(memdata.New())
 	defer w.Abort()
 	w.Start(0, 0, 0, func(wv *Wave) { wv.Compute(1) })
 	driveWave(w, memdata.New())

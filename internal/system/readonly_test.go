@@ -1,10 +1,15 @@
 package system_test
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"hscsim/internal/chai"
 	"hscsim/internal/core"
+	"hscsim/internal/memdata"
+	"hscsim/internal/prog"
 	"hscsim/internal/system"
 )
 
@@ -61,5 +66,87 @@ func TestReadOnlyBenchmarksAllVerify(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestReadOnlyWriteFailsRun: every run enforces a workload's read-only
+// declaration, without ReadOnlyElision too. A CPU store, a CPU atomic
+// or a GPU store into a declared range fails the run with a panic that
+// names the address, as the directory's read-only violation does.
+func TestReadOnlyWriteFailsRun(t *testing.T) {
+	const ro, target = memdata.Addr(0x1_0000), memdata.Addr(0x1_0040)
+	gpuStore := &prog.Kernel{Name: "ro-store", Workgroups: 1, WavesPerWG: 1, CodeAddr: 0xE000_0000,
+		Fn: func(w *prog.Wave) { w.Store(target, 9) }}
+	for _, c := range []struct {
+		name string
+		body func(*prog.CPUThread)
+	}{
+		{"cpu-store", func(c *prog.CPUThread) { c.Store(target, 9) }},
+		{"cpu-atomic", func(c *prog.CPUThread) { c.AtomicAdd(target, 1) }},
+		{"gpu-store", func(c *prog.CPUThread) { c.Wait(c.Launch(gpuStore)) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := system.Workload{
+				Name:     "ro-" + c.name,
+				Setup:    func(fm *memdata.Memory) { fm.Write(target, 5) },
+				Threads:  []func(*prog.CPUThread){c.body},
+				ReadOnly: [][2]memdata.Addr{{ro, ro + 0x100}},
+			}
+			defer func() {
+				r := recover()
+				var werr *memdata.ReadOnlyWriteError
+				if err, ok := r.(error); !ok || !errors.As(err, &werr) {
+					t.Fatalf("the run panicked with %v, want a *memdata.ReadOnlyWriteError", r)
+				}
+				if msg := werr.Error(); !strings.Contains(msg, fmt.Sprintf("%#x", uint64(target))) {
+					t.Fatalf("the panic %q does not name the address %#x", msg, uint64(target))
+				}
+			}()
+			res, err := system.New(smallConfig(core.Options{})).Run(w)
+			t.Fatalf("a write into a read-only range returned %v, %v", res.Cycles, err)
+		})
+	}
+}
+
+// TestEndlessComputeHitsMaxTicks: a thread that only computes never
+// waits on a result, yet it still hands control back to its core, so
+// the run ends in the MaxTicks error.
+func TestEndlessComputeHitsMaxTicks(t *testing.T) {
+	cfg := smallConfig(core.Options{})
+	cfg.MaxTicks = 20_000
+	_, err := system.New(cfg).Run(system.Workload{Name: "compute-forever",
+		Threads: []func(*prog.CPUThread){func(c *prog.CPUThread) {
+			for {
+				c.Compute(1)
+			}
+		}}})
+	if err == nil || !strings.Contains(err.Error(), "exceeded MaxTicks=20000") {
+		t.Fatalf("err = %v, want the MaxTicks error", err)
+	}
+}
+
+// TestRunAgainDropsReadOnlyRanges: a system run again without a Reset
+// takes the new workload's read-only ranges, none here, in place of the
+// last run's, in its functional memory and in its directory, so the new
+// workload's Setup and threads may write there.
+func TestRunAgainDropsReadOnlyRanges(t *testing.T) {
+	const a = memdata.Addr(0x1_0000)
+	s := system.New(smallConfig(core.Options{ReadOnlyElision: true}))
+	if _, err := s.Run(system.Workload{Name: "ro",
+		Setup:    func(fm *memdata.Memory) { fm.Write(a, 1) },
+		Threads:  []func(*prog.CPUThread){func(c *prog.CPUThread) { c.Load(a) }},
+		ReadOnly: [][2]memdata.Addr{{a, a + 64}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(system.Workload{Name: "rw",
+		Setup:   func(fm *memdata.Memory) { fm.Write(a, 2) },
+		Threads: []func(*prog.CPUThread){func(c *prog.CPUThread) { c.Store(a, 3) }},
+		Verify: func(fm *memdata.Memory) error {
+			if v := fm.Read(a); v != 3 {
+				return fmt.Errorf("word = %d, want 3", v)
+			}
+			return nil
+		}}); err != nil {
+		t.Fatal(err)
 	}
 }

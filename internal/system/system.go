@@ -115,8 +115,14 @@ type Workload struct {
 	// Verify checks the computed results in functional memory.
 	Verify func(fm *memdata.Memory) error
 	// ReadOnly declares byte ranges [start, end) that are never written
-	// during the run. With Protocol.ReadOnlyElision the directory
-	// serves them probe- and tracking-free (§IX future work).
+	// during the run. Every run enforces it: a write into one, from
+	// any store, atomic or protocol configuration, panics (a
+	// *memdata.ReadOnlyWriteError naming the address), which the job
+	// engine turns into a failed job. In return, a thread's load of a
+	// read-only word takes its value when issued and does not suspend
+	// the thread (package prog), and with Protocol.ReadOnlyElision the
+	// directory serves these lines probe- and tracking-free (§IX
+	// future work).
 	ReadOnly [][2]memdata.Addr
 	// UnstableImage declares that the final memory image legally depends
 	// on scheduling: the workload claims output slots dynamically (e.g.
@@ -436,24 +442,28 @@ func (s *System) run(w Workload) (Results, error) {
 		return Results{}, fmt.Errorf("system: workload %q wants %d threads, have %d cores",
 			w.Name, len(w.Threads), len(s.Cores))
 	}
+	// A system run again without a Reset still holds the last run's
+	// read-only ranges, which Setup may write into.
+	s.FuncMem.SetReadOnly(nil)
 	if w.Setup != nil {
 		w.Setup(s.FuncMem)
 	}
-	if len(w.ReadOnly) > 0 {
-		s.roRanges = s.roRanges[:0]
-		for _, r := range w.ReadOnly {
-			if r[1] <= r[0] {
-				return Results{}, fmt.Errorf("system: workload %q has an empty read-only range %v", w.Name, r)
-			}
-			s.roRanges = append(s.roRanges, core.LineRange{
-				First: cachearray.LineAddr(r[0] >> 6),
-				Last:  cachearray.LineAddr((r[1] - 1) >> 6),
-			})
+	s.roRanges = s.roRanges[:0]
+	for _, r := range w.ReadOnly {
+		if r[1] <= r[0] {
+			return Results{}, fmt.Errorf("system: workload %q has an empty read-only range %v", w.Name, r)
 		}
-		for _, bank := range s.DirBanks {
-			bank.SetReadOnly(s.roRanges)
-		}
+		s.roRanges = append(s.roRanges, core.LineRange{
+			First: cachearray.LineAddr(r[0] >> 6),
+			Last:  cachearray.LineAddr((r[1] - 1) >> 6),
+		})
 	}
+	for _, bank := range s.DirBanks {
+		bank.SetReadOnly(s.roRanges)
+	}
+	// From here on a write into a declared range fails the run, so the
+	// workload threads may read those words when they issue a load.
+	s.FuncMem.SetReadOnly(w.ReadOnly)
 
 	s.finished = 0
 	for i, fn := range w.Threads {

@@ -119,7 +119,7 @@ func TestSingleThreadSequentialConsistency(t *testing.T) {
 	}
 	// Reference: direct execution.
 	ref := memdata.New()
-	refTh := prog.NewCPUThread()
+	refTh := prog.NewCPUThread(ref)
 	defer refTh.Abort()
 	refTh.Start(0, program)
 	for {
